@@ -18,31 +18,30 @@ under three-valued logic, where every still-unresolved camouflaged gate
 contributes an unknown; a flip only counts when the two forced runs give
 definite, differing values at some output, so a resolution is sound no
 matter what the unresolved gates turn out to be.
+
+All evaluation runs on the netlist module's bit-parallel core: a net
+carries two Python ints (may0, may1) whose bit j says whether it may be 0
+or 1 under vector j of a batch, so an unknown bit has both rails set. The
+propagation check is one pass with the target forced to 0 and one forced
+to 1; the lowest bit set in both the local-pattern and the definite-flip
+mask is the first such vector in counting order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import or_
 from typing import Callable, Iterable
 
 from .cell import CAMOUFLAGEABLE, GateFunction, behavior_table, distinguishing_set
-from .errors import (
-    AttackTooLargeError,
-    InvalidParameterError,
-    UnresolvedFaninError,
-)
-from .netlist import (
-    CamoKey,
-    EXHAUSTIVE_INPUT_LIMIT,
-    Netlist,
-    _eval_plain,
-    _simulate_assignment,
-    all_vectors,
-    random_vectors,
-    simulate,
-)
+from .errors import (AttackTooLargeError, InvalidParameterError,
+                     UnresolvedFaninError)
+from .netlist import (EXHAUSTIVE_INPUT_LIMIT, CamoKey, Netlist, all_vectors,
+                      bits_at, filter_assignments, random_vectors, simulate,
+                      simulate_words)
 
 #: Most camouflaged gates the joint brute-force enumeration accepts.
 MAX_BRUTE_GATES = 8
@@ -116,13 +115,8 @@ class _QueryCache:
 
 def _candidate_sets(net: Netlist, flavor_knowledge: bool,
                     ) -> dict[str, frozenset[GateFunction]]:
-    sets = {}
-    for g in net.camo_gates():
-        if flavor_knowledge:
-            sets[g.gate_id] = g.flavor.function_set
-        else:
-            sets[g.gate_id] = CAMOUFLAGEABLE
-    return sets
+    return {g.gate_id: g.flavor.function_set if flavor_knowledge
+            else CAMOUFLAGEABLE for g in net.camo_gates()}
 
 
 def _space_log2(sets: Iterable[frozenset]) -> float:
@@ -138,19 +132,12 @@ def _mutually_equivalent(net: Netlist, gate_ids: list[str],
     if (len(net.inputs) > EXHAUSTIVE_INPUT_LIMIT
             or len(survivors) > EQUIV_CHECK_LIMIT):
         return False
-    reference = None
-    for assignment in survivors:
-        table = []
-        funcs = dict(zip(gate_ids, assignment))
-        if fixed:
-            funcs.update(fixed)
-        for vec in all_vectors(len(net.inputs)):
-            table.append(_simulate_assignment(net, vec, funcs))
-        if reference is None:
-            reference = table
-        elif table != reference:
-            return False
-    return True
+    tables = ([[rails[n][1] for n in net.outputs] for _, rails in
+               simulate_words(net, {**(fixed or {}),
+                                    **dict(zip(gate_ids, a))})]
+              for a in survivors)
+    reference = next(tables)
+    return all(table == reference for table in tables)
 
 
 def brute_force_attack(net: Netlist, oracle: Callable,
@@ -187,18 +174,13 @@ def brute_force_attack(net: Netlist, oracle: Callable,
     cache = _QueryCache(oracle, query_budget)
     complete = True
     for vec in vectors:
-        out = cache.query(vec)
-        if out is None:
+        if cache.query(vec) is None:
             complete = False
             break
-        survivors = [a for a in survivors
-                     if _simulate_assignment(net, vec,
-                                             dict(zip(gate_ids, a))) == out]
+    survivors = filter_assignments(net, gate_ids, survivors, cache.transcript)
     resolved = {gid: frozenset(a[i] for a in survivors)
                 for i, gid in enumerate(gate_ids)}
-    if not gate_ids:
-        status = "unique"
-    elif len(survivors) == 1:
+    if not gate_ids or len(survivors) == 1:
         status = "unique"
     elif complete or _mutually_equivalent(net, gate_ids, survivors):
         status = "equivalent_class"
@@ -207,63 +189,6 @@ def brute_force_attack(net: Netlist, oracle: Callable,
     final = math.log2(len(survivors)) if survivors else float("-inf")
     return AttackReport(resolved, len(cache.transcript), initial_log2,
                         final, status, tuple(cache.transcript))
-
-
-# --- three-valued simulation (None = unknown) --------------------------------
-
-def _eval_plain_3v(func: GateFunction, ins: tuple) -> int | None:
-    known = [b for b in ins if b is not None]
-    if func is GateFunction.NOT:
-        return None if ins[0] is None else 1 - ins[0]
-    if func is GateFunction.BUFF:
-        return ins[0]
-    if func is GateFunction.AND:
-        if 0 in known:
-            return 0
-        return 1 if len(known) == len(ins) else None
-    if func is GateFunction.NAND:
-        v = _eval_plain_3v(GateFunction.AND, ins)
-        return None if v is None else 1 - v
-    if func is GateFunction.OR:
-        if 1 in known:
-            return 1
-        return 0 if len(known) == len(ins) else None
-    if func is GateFunction.NOR:
-        v = _eval_plain_3v(GateFunction.OR, ins)
-        return None if v is None else 1 - v
-    if func is GateFunction.XOR or func is GateFunction.XNOR:
-        if len(known) != len(ins):
-            return None
-        return _eval_plain(func, ins)
-    raise InvalidParameterError(f"cannot evaluate {func!r}")
-
-
-def _eval_camo_3v(func: GateFunction, ins: tuple) -> int | None:
-    table = behavior_table(func)
-    outs = set()
-    for a in ((0, 1) if ins[0] is None else (ins[0],)):
-        for b in ((0, 1) if ins[1] is None else (ins[1],)):
-            outs.add(table[(a, b)])
-    return outs.pop() if len(outs) == 1 else None
-
-
-def _simulate_forced(net: Netlist, vec: tuple[int, ...],
-                     assignment: dict[str, GateFunction],
-                     forced: dict[str, int]) -> tuple:
-    """Three-valued simulation with some gate outputs pinned."""
-    values: dict[str, int | None] = dict(zip(net.inputs, vec))
-    for g in net.topo_order:
-        if g.gate_id in forced:
-            values[g.gate_id] = forced[g.gate_id]
-            continue
-        ins = tuple(values[f] for f in g.fanins)
-        if g.is_camo:
-            func = assignment.get(g.gate_id)
-            values[g.gate_id] = (None if func is None
-                                 else _eval_camo_3v(func, ins))
-        else:
-            values[g.gate_id] = _eval_plain_3v(g.func, ins)
-    return tuple(values[n] for n in net.outputs)
 
 
 @dataclass(frozen=True)
@@ -284,24 +209,6 @@ class SensitizingVector:
             return 1
         raise InvalidParameterError(
             "oracle response inconsistent with the propagation analysis")
-
-
-def _cone_local_inputs(net: Netlist, vec: tuple[int, ...],
-                       assignment: dict[str, GateFunction],
-                       target: str) -> tuple[int, int]:
-    """Concrete fanin values of the target (its cone must be resolved)."""
-    cone = net.fanin_cone(target)
-    values: dict[str, int] = dict(zip(net.inputs, vec))
-    for g in net.topo_order:
-        if g.gate_id not in cone or g.gate_id == target:
-            continue
-        ins = tuple(values[f] for f in g.fanins)
-        if g.is_camo:
-            values[g.gate_id] = behavior_table(assignment[g.gate_id])[ins]
-        else:
-            values[g.gate_id] = _eval_plain(g.func, ins)
-    fanins = net.gate(target).fanins
-    return (values[fanins[0]], values[fanins[1]])
 
 
 def find_sensitizing_vector(net: Netlist,
@@ -331,15 +238,24 @@ def find_sensitizing_vector(net: Netlist,
         raise UnresolvedFaninError(
             f"fanin cone of {target_gate!r} has unresolved camouflaged "
             f"gates {sorted(unresolved)}")
-    for vec in all_vectors(len(net.inputs)):
-        local = _cone_local_inputs(net, vec, partial_assignment, target_gate)
-        if local != tuple(local_pattern):
-            continue
-        out0 = _simulate_forced(net, vec, partial_assignment, {target_gate: 0})
-        out1 = _simulate_forced(net, vec, partial_assignment, {target_gate: 1})
-        for i, (a, b) in enumerate(zip(out0, out1)):
-            if a is not None and b is not None and a != b:
-                return SensitizingVector(vec, i, a, b)
+    (f0, f1), (p0, p1) = gate.fanins, local_pattern
+    for (_, rails0), (_, rails1) in zip(
+            simulate_words(net, partial_assignment, forced={target_gate: 0}),
+            simulate_words(net, partial_assignment, forced={target_gate: 1})):
+        # the resolved cone makes both fanins known, so "may be p" is "is p"
+        local = rails0[f0][p0] & rails0[f1][p1]
+        # an output flips where both passes are definite and differ
+        flips = [(z0 & ~o0 & o1 & ~z1) | (o0 & ~z0 & z1 & ~o1)
+                 for (z0, o0), (z1, o1) in zip(map(rails0.get, net.outputs),
+                                               map(rails1.get, net.outputs))]
+        hit = local & reduce(or_, flips, 0)
+        if hit:
+            j = (hit & -hit).bit_length() - 1
+            i = next(i for i, flip in enumerate(flips) if flip >> j & 1)
+            po = net.outputs[i]
+            return SensitizingVector(bits_at(rails0, net.inputs, j), i,
+                                     rails0[po][1] >> j & 1,
+                                     rails1[po][1] >> j & 1)
     return None
 
 
@@ -392,55 +308,46 @@ def sensitization_attack(net: Netlist, oracle: Callable,
                 progress = True
 
     residue = [gid for gid in camo_order if len(sets[gid]) > 1]
-    status: str
     fixed = resolved_assignment()
     if not residue:
-        status = "unique"
-        final_log2 = 0.0
+        status, final_log2 = "unique", 0.0
+    elif math.prod(len(sets[gid]) for gid in residue) > RESIDUE_ENUM_LIMIT:
+        status = "budget_exhausted"
+        final_log2 = _space_log2(sets[gid] for gid in residue)
     else:
-        joint = 1
-        for gid in residue:
-            joint *= len(sets[gid])
-        if joint > RESIDUE_ENUM_LIMIT:
-            status = "budget_exhausted"
-            final_log2 = _space_log2(sets[gid] for gid in residue)
+        survivors = [tuple(a) for a in product(
+            *(sorted(sets[g], key=lambda f: f.value) for g in residue))]
+        # replay the transcript before touching the oracle again
+        survivors = filter_assignments(net, residue, survivors,
+                                       cache.transcript, fixed)
+        complete = True
+        settled = _mutually_equivalent(net, residue, survivors, fixed)
+        if len(net.inputs) <= EXHAUSTIVE_INPUT_LIMIT:
+            for vec in all_vectors(len(net.inputs)):
+                if settled:
+                    break
+                out = cache.query(vec)
+                if out is None:
+                    complete = False
+                    break
+                before = len(survivors)
+                survivors = filter_assignments(net, residue, survivors,
+                                               [(vec, out)], fixed)
+                if len(survivors) != before:
+                    settled = _mutually_equivalent(net, residue,
+                                                   survivors, fixed)
         else:
-            survivors = [tuple(a) for a in product(
-                *(sorted(sets[g], key=lambda f: f.value) for g in residue))]
-            # replay the transcript before touching the oracle again
-            for vec, out in cache.transcript:
-                survivors = [a for a in survivors if _simulate_assignment(
-                    net, vec, {**fixed, **dict(zip(residue, a))}) == out]
-            complete = True
-            settled = _mutually_equivalent(net, residue, survivors, fixed)
-            if len(net.inputs) <= EXHAUSTIVE_INPUT_LIMIT:
-                for vec in all_vectors(len(net.inputs)):
-                    if settled:
-                        break
-                    out = cache.query(vec)
-                    if out is None:
-                        complete = False
-                        break
-                    before = len(survivors)
-                    survivors = [a for a in survivors
-                                 if _simulate_assignment(
-                                     net, vec,
-                                     {**fixed, **dict(zip(residue, a))}) == out]
-                    if len(survivors) != before:
-                        settled = _mutually_equivalent(net, residue,
-                                                       survivors, fixed)
-            else:
-                complete = False
-            for i, gid in enumerate(residue):
-                sets[gid] = {a[i] for a in survivors}
-            if len(survivors) == 1:
-                status = "unique"
-            elif settled or complete:
-                status = "equivalent_class"
-            else:
-                status = "budget_exhausted"
-            final_log2 = (math.log2(len(survivors)) if survivors
-                          else float("-inf"))
+            complete = False
+        for i, gid in enumerate(residue):
+            sets[gid] = {a[i] for a in survivors}
+        if len(survivors) == 1:
+            status = "unique"
+        elif settled or complete:
+            status = "equivalent_class"
+        else:
+            status = "budget_exhausted"
+        final_log2 = (math.log2(len(survivors)) if survivors
+                      else float("-inf"))
     resolved = {gid: frozenset(s) for gid, s in sets.items()}
     return AttackReport(resolved, len(cache.transcript), initial_log2,
                         final_log2, status, tuple(cache.transcript))

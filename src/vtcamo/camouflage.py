@@ -6,8 +6,10 @@ become INV/BUF cells; those need a second, electrically real input, so a
 decoy net is wired to the freed port. The decoy is chosen deterministically:
 the net whose topological level is closest to the gate's own, excluding
 anything inside the gate's fanout cone (which would create a cycle), ties
-broken by definition order. Pass a seed to pick uniformly among the legal
-candidates instead.
+broken by definition order. The cone includes the decoy edges already
+chosen in the same call, so several NOT/BUFF gates converted together
+never close a cycle through each other. Pass a seed to pick uniformly
+among the legal candidates instead.
 """
 
 from __future__ import annotations
@@ -16,33 +18,23 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .cell import CellFlavor, GateFunction
+from .cell import BASE_FUNCTIONS, CellFlavor, GateFunction
 from .errors import (
     DecoySelectionError,
     FlavorMismatchError,
     InvalidCostTableError,
     InvalidPolicyError,
 )
-from .netlist import CamoKey, Gate, KeyEntry, Netlist, critical_path, unit_delay_model
-
-#: Joint candidate spaces larger than this are refused by the estimator's
-#: consumers and the attack fallback alike.
-RESIDUE_ENUM_LIMIT = 1 << 20
+from .netlist import (CamoKey, Gate, KeyEntry, Netlist, critical_path,
+                      reachable, unit_delay_model)
 
 #: Year length used for human-readable effort figures (Julian year).
 SECONDS_PER_YEAR = 31557600
 
-#: Plain-gate function each camouflageable function replaces.
-_CAMO_FOR_PLAIN = {
-    GateFunction.NAND: GateFunction.NAND,
-    GateFunction.AND: GateFunction.AND,
-    GateFunction.NOR: GateFunction.NOR,
-    GateFunction.OR: GateFunction.OR,
-    GateFunction.XOR: GateFunction.XOR,
-    GateFunction.XNOR: GateFunction.XNOR,
-    GateFunction.NOT: GateFunction.INV,
-    GateFunction.BUFF: GateFunction.BUF,
-}
+#: Camouflaged function that replaces each plain-gate function.
+_CAMO_FOR_PLAIN = {**{f: f for f in BASE_FUNCTIONS},
+                   GateFunction.NOT: GateFunction.INV,
+                   GateFunction.BUFF: GateFunction.BUF}
 
 
 @dataclass(frozen=True)
@@ -136,21 +128,19 @@ def eligible_gates(net: Netlist, flavor: CellFlavor) -> list[str]:
     return out
 
 
-def _pick_decoy(net: Netlist, gate: Gate, levels: dict[str, int],
-                rng: random.Random | None) -> str:
-    cone = net.fanout_cone(gate.gate_id)
-    candidates = [n for n in list(net.inputs) +
-                  [g.gate_id for g in net.gates] if n not in cone]
+def _pick_decoy(fanout: dict[str, list[str]], gate: Gate,
+                levels: dict[str, int], rng: random.Random | None) -> str:
+    cone = reachable(fanout, gate.gate_id)
+    # fanout_map() lists every net, inputs first, in definition order
+    candidates = [n for n in fanout if n not in cone]
     if not candidates:
         raise DecoySelectionError(
             f"no net outside the fanout cone of {gate.gate_id!r}")
     if rng is not None:
         return rng.choice(sorted(candidates))
-    order = {n: i for i, n in enumerate(list(net.inputs) +
-                                        [g.gate_id for g in net.gates])}
     own = levels[gate.gate_id]
-    return min(candidates, key=lambda n: (abs(levels.get(n, 0) - own),
-                                          order[n]))
+    # candidates keep definition order, so min() breaks ties by it
+    return min(candidates, key=lambda n: abs(levels.get(n, 0) - own))
 
 
 def apply_camouflage(net: Netlist, gate_ids, flavor: CellFlavor,
@@ -168,6 +158,8 @@ def apply_camouflage(net: Netlist, gate_ids, flavor: CellFlavor,
         raise FlavorMismatchError(f"unknown gate ids {unknown!r}")
     rng = random.Random(decoy_seed) if decoy_seed is not None else None
     levels = net.levels()
+    # grows by each decoy edge, so later cones see the earlier decoys
+    fanout = net.fanout_map()
     new_gates = []
     entries: dict[str, KeyEntry] = {}
     chosen_set = set(chosen)
@@ -177,7 +169,8 @@ def apply_camouflage(net: Netlist, gate_ids, flavor: CellFlavor,
             continue
         func = camo_function_for(g, flavor)
         if func in (GateFunction.INV, GateFunction.BUF):
-            decoy = _pick_decoy(net, g, levels, rng)
+            decoy = _pick_decoy(fanout, g, levels, rng)
+            fanout[decoy].append(g.gate_id)
             fanins = (decoy, g.fanins[0])
             entries[g.gate_id] = KeyEntry(func, decoy)
         else:
@@ -209,13 +202,10 @@ def select_gates(net: Netlist, policy: SelectionPolicy,
         return sorted(rng.sample(eligible, count))
     if policy.strategy == "xor_sequence":
         fo = net.fanout_map()
-        gate_map = {g.gate_id: g for g in net.gates}
         def feeds_xor(gid: str) -> bool:
-            for succ in fo[gid]:
-                s = gate_map[succ]
-                if s.func in (GateFunction.XOR, GateFunction.XNOR):
-                    return True
-            return False
+            return any(net.gate(succ).func in (GateFunction.XOR,
+                                               GateFunction.XNOR)
+                       for succ in fo[gid])
         pos = {gid: i for i, gid in enumerate(eligible)}
         ranked = sorted(eligible, key=lambda g: (not feeds_xor(g), pos[g]))
         return sorted(ranked[:count])
@@ -236,7 +226,6 @@ def select_gates(net: Netlist, policy: SelectionPolicy,
     pos = {gid: i for i, gid in enumerate(eligible)}
     ranked = sorted(eligible, key=lambda g: (-metric(g), pos[g]))
     chosen: list[str] = []
-    gate_map = {g.gate_id: g for g in net.gates}
     for gid in ranked:
         if len(chosen) >= count:
             break

@@ -12,6 +12,7 @@ inputs and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -90,13 +91,9 @@ def _load_key(path: str) -> CamoKey:
 def _config_for(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if getattr(args, "seed", None) is not None:
-        cfg = RunConfig(device=cfg.device, cost=cfg.cost, seed=args.seed,
-                        jobs=cfg.jobs, report_format=cfg.report_format,
-                        out_dir=cfg.out_dir)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     if getattr(args, "jobs", None) is not None:
-        cfg = RunConfig(device=cfg.device, cost=cfg.cost, seed=cfg.seed,
-                        jobs=args.jobs, report_format=cfg.report_format,
-                        out_dir=cfg.out_dir)
+        cfg = dataclasses.replace(cfg, jobs=args.jobs)
     return cfg
 
 

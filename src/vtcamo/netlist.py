@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import random
 import re
+from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from .cell import CellFlavor, GateFunction, behavior_table
+from .cell import CellFlavor, GateFunction
 from .errors import (
     ArityMismatchError,
     BenchSyntaxError,
@@ -97,9 +99,8 @@ class Netlist:
 
     def fanout_map(self) -> dict[str, list[str]]:
         """Net name -> gate ids that consume it, in file order."""
-        fo: dict[str, list[str]] = {n: [] for n in self.inputs}
-        for g in self.gates:
-            fo.setdefault(g.gate_id, [])
+        fo: dict[str, list[str]] = {
+            n: [] for n in (*self.inputs, *(g.gate_id for g in self.gates))}
         for g in self.gates:
             for f in g.fanins:
                 fo[f].append(g.gate_id)
@@ -107,46 +108,37 @@ class Netlist:
 
     def fanout_cone(self, gate_id: str) -> set[str]:
         """All net names reachable from a gate's output, inclusive."""
-        fo = self.fanout_map()
-        seen = {gate_id}
-        stack = [gate_id]
-        while stack:
-            for succ in fo[stack.pop()]:
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append(succ)
-        return seen
+        return reachable(self.fanout_map(), gate_id)
 
     def fanin_cone(self, gate_id: str) -> set[str]:
         """All net names feeding a gate, inclusive of the gate itself."""
-        seen = {gate_id}
-        stack = [gate_id]
-        while stack:
-            net = stack.pop()
-            g = self._gate_map.get(net)
-            if g is None:
-                continue
-            for f in g.fanins:
-                if f not in seen:
-                    seen.add(f)
-                    stack.append(f)
-        return seen
+        return reachable({g.gate_id: g.fanins for g in self.gates}, gate_id)
+
+
+def reachable(edges: dict[str, list[str]], start: str) -> set[str]:
+    """Nets reachable from ``start`` along ``edges``, inclusive."""
+    seen, stack = {start}, [start]
+    while stack:
+        for succ in edges.get(stack.pop(), ()):
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return seen
 
 
 def _toposort(net: Netlist) -> tuple[Gate, ...]:
     indeg = {}
     consumers: dict[str, list[str]] = {}
-    gate_map = {g.gate_id: g for g in net.gates}
     for g in net.gates:
-        indeg[g.gate_id] = sum(1 for f in g.fanins if f in gate_map)
+        indeg[g.gate_id] = sum(1 for f in g.fanins if f in net._gate_map)
         for f in g.fanins:
-            if f in gate_map:
+            if f in net._gate_map:
                 consumers.setdefault(f, []).append(g.gate_id)
-    ready = [g.gate_id for g in net.gates if indeg[g.gate_id] == 0]
+    ready = deque(g.gate_id for g in net.gates if indeg[g.gate_id] == 0)
     order = []
     while ready:
-        gid = ready.pop(0)
-        order.append(gate_map[gid])
+        gid = ready.popleft()
+        order.append(net._gate_map[gid])
         for succ in consumers.get(gid, ()):
             indeg[succ] -= 1
             if indeg[succ] == 0:
@@ -285,10 +277,14 @@ class CamoKey:
                 raise BenchSyntaxError(f"bad key line {line!r}", lineno)
             gid, rhs = line.split("=", 1)
             gid = gid.strip()
+            if not gid:
+                raise BenchSyntaxError(f"empty gate id in {line!r}", lineno)
             decoy = None
             if ",decoy=" in rhs:
                 rhs, decoy = rhs.split(",decoy=", 1)
                 decoy = decoy.strip()
+                if not decoy:
+                    raise BenchSyntaxError(f"empty decoy in {line!r}", lineno)
             try:
                 func = GateFunction(rhs.strip().upper())
             except ValueError:
@@ -311,24 +307,166 @@ def validate_key(net: Netlist, key: CamoKey) -> None:
     if extra:
         raise KeyScopeError(f"key names non-camouflaged gates {sorted(extra)}")
     for gid, entry in key.entries.items():
-        flavor = net.gate(gid).flavor
-        if entry.function not in flavor.function_set:
-            raise KeyScopeError(
-                f"gate {gid!r}: {entry.function!r} is outside {flavor!r}")
+        gate = net.gate(gid)
+        if entry.function not in gate.flavor.function_set:
+            raise KeyScopeError(f"gate {gid!r}: {entry.function!r} is "
+                                f"outside {gate.flavor!r}")
         needs_decoy = entry.function in (GateFunction.INV, GateFunction.BUF)
         if needs_decoy and entry.decoy_net is None:
             raise KeyScopeError(f"gate {gid!r} needs a decoy net")
+        if needs_decoy and entry.decoy_net != gate.fanins[0]:
+            raise KeyScopeError(
+                f"gate {gid!r}: decoy {entry.decoy_net!r} is not its "
+                f"first fanin {gate.fanins[0]!r}")
         if not needs_decoy and entry.decoy_net is not None:
             raise KeyScopeError(f"gate {gid!r} must not carry a decoy net")
 
 
-# --- simulation -------------------------------------------------------------
+# --- simulation (one dual-rail evaluator; see simulate) ----------------------
+
+#: log2 of the vectors per word. Longer runs go block by block, which
+#: bounds memory up to EXHAUSTIVE_INPUT_LIMIT inputs.
+_BLOCK_LOG2 = 12
+
+
+def _and(ins):
+    may0, may1 = ins[0]
+    for z, o in ins[1:]:
+        may0, may1 = may0 | z, may1 & o
+    return may0, may1
+
+
+def _or(ins):  # De Morgan: swap the rails on the way in and out
+    return _and([(o, z) for z, o in ins])[::-1]
+
+
+def _xor(ins):
+    may0, may1 = ins[0]
+    for z, o in ins[1:]:
+        may0, may1 = (may0 & z) | (may1 & o), (may0 & o) | (may1 & z)
+    return may0, may1
+
+
+_port0, _port1 = itemgetter(0), itemgetter(1)
+
+#: Function -> (rule, output inverted). Camouflaged INV/BUF read port 1, the
+#: real input; port 0 carries the decoy net and is ignored.
+_RULES = {
+    GateFunction.AND: (_and, False), GateFunction.NAND: (_and, True),
+    GateFunction.OR: (_or, False), GateFunction.NOR: (_or, True),
+    GateFunction.XOR: (_xor, False), GateFunction.XNOR: (_xor, True),
+    GateFunction.BUFF: (_port0, False), GateFunction.NOT: (_port0, True),
+    GateFunction.BUF: (_port1, False), GateFunction.INV: (_port1, True),
+}
+
+
+def _evaluate(net: Netlist, in_words, mask: int,
+              assignment: dict[str, GateFunction],
+              forced: dict[str, int] | None = None) -> dict[str, tuple]:
+    """Rails of every net; ``mask`` has one bit per vector of the batch."""
+    rails = {n: (mask ^ w, w) for n, w in zip(net.inputs, in_words)}
+    for g in net.topo_order:
+        func = assignment.get(g.gate_id) if g.is_camo else g.func
+        if forced and g.gate_id in forced:
+            rails[g.gate_id] = (0, mask) if forced[g.gate_id] else (mask, 0)
+        elif func is None:
+            rails[g.gate_id] = (mask, mask)
+        else:
+            combine, inverted = _RULES[func]
+            may0, may1 = combine([rails[f] for f in g.fanins])
+            rails[g.gate_id] = (may1, may0) if inverted else (may0, may1)
+    return rails
+
+
+def _check_exhaustive(width: int) -> None:
+    if width > EXHAUSTIVE_INPUT_LIMIT:
+        raise InvalidParameterError(
+            f"{width} inputs exceeds the exhaustive limit "
+            f"of {EXHAUSTIVE_INPUT_LIMIT}")
+
+
+def _blocks(width: int, vectors=None):
+    """(first, column words, mask) per block of ``vectors`` or all_vectors.
+
+    Bit j of column word k is element k of vector ``first + j``.
+    """
+    step = 1 << _BLOCK_LOG2
+    if vectors is not None:
+        for first in range(0, len(vectors), step):
+            block = vectors[first:first + step]
+            yield first, [int("".join("1" if b else "0" for b in col[::-1]), 2)
+                          for col in zip(*block)], (1 << len(block)) - 1
+        return
+    _check_exhaustive(width)
+    bits = min(width, _BLOCK_LOG2)
+    mask = (1 << (1 << bits)) - 1
+    # within a block, the input of shift s < bits repeats 2**s 0s, 2**s 1s
+    periodic = [mask // ((1 << (2 << s)) - 1)
+                * (((1 << (1 << s)) - 1) << (1 << s)) for s in range(bits)]
+    for first in range(0, 1 << width, 1 << bits):
+        yield first, [periodic[s] if s < bits else mask * (first >> s & 1)
+                      for s in reversed(range(width))], mask
+
+
+def simulate_words(net: Netlist, assignment: dict[str, GateFunction],
+                   forced: dict[str, int] | None = None):
+    """Yield ``(first, rails)`` per block of ``all_vectors``.
+
+    Bit j of a block's words is vector ``first + j``. Camouflaged gates are
+    unknown unless ``assignment`` gives their function; ``forced`` pins gate
+    outputs to 0 or 1. Keys are not validated.
+    """
+    for first, words, mask in _blocks(len(net.inputs)):
+        yield first, _evaluate(net, words, mask, assignment, forced)
+
+
+def filter_assignments(net: Netlist, gate_ids, candidates, observations,
+                       fixed: dict[str, GateFunction] | None = None) -> list:
+    """Candidates that reproduce every observed ``(vector, outputs)`` pair.
+
+    A candidate is a tuple of functions for ``gate_ids``; ``fixed`` assigns
+    the other camouflaged gates. Each candidate is evaluated once per block
+    of packed observations; survivors keep their order.
+    """
+    observations, survivors = list(observations), list(candidates)
+    for (_, words, mask), (_, expected, _) in zip(
+            _blocks(len(net.inputs), [v for v, _ in observations]),
+            _blocks(len(net.outputs), [o for _, o in observations])):
+        survivors = [c for c in survivors if expected == _outputs(
+            net, _evaluate(net, words, mask,
+                           {**(fixed or {}), **dict(zip(gate_ids, c))}))]
+    return survivors
+
+
+def _outputs(net: Netlist, rails: dict[str, tuple]) -> list[int]:
+    return [rails[n][1] for n in net.outputs]
+
+
+def bits_at(rails: dict[str, tuple], nets, j: int) -> tuple[int, ...]:
+    """Values of ``nets`` under vector j of a batch (their may1 rails)."""
+    return tuple(rails[n][1] >> j & 1 for n in nets)
+
+
+def _key_assignment(net: Netlist, key: CamoKey | None) -> dict:
+    if key is None and net.camo_gates():
+        raise UnresolvedGateError("netlist has camouflaged gates; "
+                                  "a key is required")
+    return {gid: e.function for gid, e in key.entries.items()} if key else {}
+
 
 def simulate(net: Netlist, input_vector, key: CamoKey | None = None):
     """Evaluate all primary outputs for one input vector.
 
     ``input_vector`` follows the netlist's input order (including pseudo
     inputs created by flop cutting). Camouflaged gates need a key.
+
+    This is the one-vector case of the module's single evaluator, which
+    works on Python ints in dual-rail form. Each net carries a pair of
+    words (may0, may1), and bit j of a word describes the net under vector
+    j of a batch, so rails[net][b] masks the vectors where the net may be
+    b. A known bit has exactly one rail set; an unknown bit (an unresolved
+    camouflaged gate, or logic it reaches) has both. Here every word is
+    one bit wide and each output's may1 rail is its value.
     """
     vec = tuple(input_vector)
     if len(vec) != len(net.inputs):
@@ -336,61 +474,16 @@ def simulate(net: Netlist, input_vector, key: CamoKey | None = None):
             f"expected {len(net.inputs)} input bits, got {len(vec)}")
     if any(b not in (0, 1) for b in vec):
         raise InputWidthError(f"input bits must be 0/1: {vec!r}")
-    if net.camo_gates():
-        if key is None:
-            raise UnresolvedGateError("netlist has camouflaged gates; "
-                                      "a key is required")
+    if key is not None and net.camo_gates():
         validate_key(net, key)
-        assignment = {gid: e.function for gid, e in key.entries.items()}
-    else:
-        assignment = {}
-    return _simulate_assignment(net, vec, assignment)
-
-
-def _simulate_assignment(net: Netlist, vec: tuple[int, ...],
-                         assignment: dict[str, GateFunction]):
-    """Simulation core shared with the attacks (no key validation)."""
-    values = dict(zip(net.inputs, vec))
-    for g in net.topo_order:
-        ins = tuple(values[f] for f in g.fanins)
-        if g.is_camo:
-            func = assignment.get(g.gate_id)
-            if func is None:
-                raise UnresolvedGateError(
-                    f"no function assigned to camouflaged gate {g.gate_id!r}")
-            values[g.gate_id] = behavior_table(func)[ins]
-        else:
-            values[g.gate_id] = _eval_plain(g.func, ins)
-    return tuple(values[n] for n in net.outputs)
-
-
-def _eval_plain(func: GateFunction, ins: tuple[int, ...]) -> int:
-    if func is GateFunction.NOT:
-        return 1 - ins[0]
-    if func is GateFunction.BUFF:
-        return ins[0]
-    if func is GateFunction.AND:
-        return int(all(ins))
-    if func is GateFunction.OR:
-        return int(any(ins))
-    if func is GateFunction.NAND:
-        return 1 - int(all(ins))
-    if func is GateFunction.NOR:
-        return 1 - int(any(ins))
-    if func is GateFunction.XOR or func is GateFunction.XNOR:
-        acc = 0
-        for b in ins:
-            acc ^= b
-        return acc if func is GateFunction.XOR else 1 - acc
-    raise InvalidParameterError(f"cannot evaluate {func!r} as a plain gate")
+    rails = _evaluate(net, [int(b) for b in vec], 1,
+                      _key_assignment(net, key))
+    return tuple(_outputs(net, rails))
 
 
 def all_vectors(width: int):
     """All input vectors of a width, in binary counting order."""
-    if width > EXHAUSTIVE_INPUT_LIMIT:
-        raise InvalidParameterError(
-            f"{width} inputs exceeds the exhaustive limit "
-            f"of {EXHAUSTIVE_INPUT_LIMIT}")
+    _check_exhaustive(width)
     for i in range(1 << width):
         yield tuple((i >> (width - 1 - k)) & 1 for k in range(width))
 
@@ -420,7 +513,8 @@ def check_equivalence(net_a: Netlist, net_b: Netlist,
 
     Exhaustive mode walks the full input space (guarded); random mode
     draws ``num_vectors`` seeded vectors. The first mismatch is returned
-    as a counterexample.
+    as a counterexample: the lowest set bit of the OR over outputs of the
+    two nets' XORed output words.
     """
     if net_a.inputs != net_b.inputs or net_a.outputs != net_b.outputs:
         raise IncompatibleNetlistsError(
@@ -429,20 +523,32 @@ def check_equivalence(net_a: Netlist, net_b: Netlist,
         validate_key(net_a, key_a)
     if key_b is not None:
         validate_key(net_b, key_b)
+    width = len(net_a.inputs)
     if mode == "exhaustive":
-        vectors = all_vectors(len(net_a.inputs))
+        _check_exhaustive(width)
+        vectors, total = None, 1 << width
     elif mode == "random":
-        vectors = random_vectors(len(net_a.inputs), num_vectors, seed)
+        vectors = random_vectors(width, num_vectors, seed)
+        total = len(vectors)
     else:
         raise InvalidParameterError(f"unknown equivalence mode {mode!r}")
-    checked = 0
-    for vec in vectors:
-        out_a = simulate(net_a, vec, key_a)
-        out_b = simulate(net_b, vec, key_b)
-        checked += 1
-        if out_a != out_b:
-            return EquivalenceVerdict(False, checked, vec, out_a, out_b)
-    return EquivalenceVerdict(True, checked)
+    if not total:
+        return EquivalenceVerdict(True, 0)
+    assign_a = _key_assignment(net_a, key_a)
+    assign_b = _key_assignment(net_b, key_b)
+    for first, words, mask in _blocks(width, vectors):
+        rails_a = _evaluate(net_a, words, mask, assign_a)
+        rails_b = _evaluate(net_b, words, mask, assign_b)
+        diff = 0
+        for a, b in zip(_outputs(net_a, rails_a), _outputs(net_b, rails_b)):
+            diff |= a ^ b
+        if diff:
+            j = (diff & -diff).bit_length() - 1
+            return EquivalenceVerdict(
+                False, first + j + 1, bits_at(rails_a, net_a.inputs, j),
+                bits_at(rails_a, net_a.outputs, j),
+                bits_at(rails_b, net_b.outputs, j))
+    return EquivalenceVerdict(True, total)
 
 
 # --- timing -----------------------------------------------------------------
@@ -468,14 +574,13 @@ def critical_path(net: Netlist, delay_model=unit_delay_model) -> CriticalPath:
         return CriticalPath((), 0.0)
     arrival: dict[str, float] = {n: 0.0 for n in net.inputs}
     best_pred: dict[str, str | None] = {}
-    gate_map = {g.gate_id: g for g in net.gates}
     for g in net.topo_order:
         pred, when = None, float("-inf")
         for f in sorted(g.fanins):
             t = arrival.get(f, 0.0)
             if t > when:
                 when = t
-                pred = f if f in gate_map else None
+                pred = f if f in net._gate_map else None
         arrival[g.gate_id] = when + delay_model(g)
         best_pred[g.gate_id] = pred
     ends = [g.gate_id for g in net.gates if g.gate_id in set(net.outputs)]

@@ -64,6 +64,26 @@ class TestApply:
         assert entry.decoy_net not in net.fanout_cone("y")
         assert check_equivalence(net, locked, key_b=key).equivalent
 
+    def test_decoys_chosen_in_one_call_never_close_a_cycle(self):
+        # each BUFF's nearest-level decoy is the other BUFF; picking both
+        # on the original netlist would wire a -> b -> a
+        net = parse_bench("INPUT(x)\nINPUT(y)\nOUTPUT(a)\nOUTPUT(b)\n"
+                          "a = BUFF(x)\nb = BUFF(y)\n")
+        locked, key = apply_camouflage(net, ["a", "b"], CellFlavor.CAMO8)
+        assert key.entries["a"].decoy_net == "b"
+        assert key.entries["b"].decoy_net == "x"
+        assert check_equivalence(net, locked, key_b=key).equivalent
+
+    def test_seeded_decoys_in_one_call_stay_acyclic(self):
+        net = random_netlist(4, 30, seed=11, p_single=0.6)
+        singles = [g.gate_id for g in net.gates
+                   if g.func in (GateFunction.NOT, GateFunction.BUFF)]
+        assert len(singles) >= 10
+        for seed in range(20):
+            locked, key = apply_camouflage(net, singles, CellFlavor.CAMO8,
+                                           decoy_seed=seed)
+            assert check_equivalence(net, locked, key_b=key).equivalent
+
     def test_decoy_seed_is_deterministic(self):
         net = parse_bench("INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\n"
                           "m = NAND(a, b)\ny = NOT(m)\n")

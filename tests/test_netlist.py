@@ -209,6 +209,21 @@ class TestKeyHandling:
         validate_key(net, CamoKey({"y": KeyEntry(GateFunction.INV,
                                                  decoy_net="a")}))
 
+    def test_decoy_must_be_the_first_fanin(self):
+        net = self._locked()  # y = CAMO8(a, b)
+        for decoy in ("b", "z", "nowhere"):
+            with pytest.raises(KeyScopeError, match="first fanin"):
+                validate_key(net, CamoKey({
+                    "y": KeyEntry(GateFunction.BUF, decoy_net=decoy)}))
+
+    def test_empty_gate_id_is_rejected(self):
+        with pytest.raises(BenchSyntaxError, match="empty gate id"):
+            CamoKey.deserialize("y=NAND\n=NAND\n")
+
+    def test_empty_decoy_is_rejected(self):
+        with pytest.raises(BenchSyntaxError, match="empty decoy"):
+            CamoKey.deserialize("y=INV,decoy= \n")
+
     def test_key_serialization_round_trip(self):
         key = CamoKey({"g2": KeyEntry(GateFunction.INV, decoy_net="n4"),
                        "g1": KeyEntry(GateFunction.XOR)})
