@@ -271,12 +271,14 @@ def _cmd_sidechannel(args) -> int:
         classifications = {}
         correct = 0
         graded = 0
+        templates = {}
         for gid in sorted(sigs):
-            gate = net.gate(gid)
-            templates = side_mod.template_signatures(
-                gate.flavor, temperatures=temps, params=cfg.device,
-                bias_policy=policy)
-            cls = side_mod.classify_function(sigs[gid], templates)
+            flavor = net.gate(gid).flavor
+            if flavor not in templates:
+                templates[flavor] = side_mod.template_signatures(
+                    flavor, temperatures=temps, params=cfg.device,
+                    bias_policy=policy)
+            cls = side_mod.classify_function(sigs[gid], templates[flavor])
             truth = key.entries[gid].function
             classifications[gid] = {
                 "guess": cls.function.value,

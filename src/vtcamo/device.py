@@ -26,16 +26,32 @@ the raw kprime_p. Switch gate biases are absolute voltages that do not
 track vdd, which is what makes cell delay worsen at both low and high
 supply: a low rail starves the pull-up route members, a high rail raises
 the output swing faster than the fixed-bias pull-down route can follow.
+
+Cell estimates are split by what they depend on:
+
+- per operating point (bias, vdd_actual, t, params), ``operating_point``
+  computes six drain currents once: the LVT and HVT switch members of
+  each polarity and the OFF core device of each kind;
+- per (function, input vector), ``_VECTOR_TABLE`` holds the cell output
+  and the leaking core paths as (device kinds, stack divisor), built at
+  import;
+- per config, ``CellModel`` holds the decoded function and the route and
+  HVT switch counts (``_FLAVOR_CELLS`` has every flavor's cells).
+
+A leakage or delay figure is then a few products and sums of those
+numbers, so a loop over functions, vectors or temperatures computes each
+device current once. The per-point functions (``gate_leakage``,
+``delay_detail``, ...) build one operating point and use the same code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import cell as _cell
-from .cell import CamoConfig, GateFunction, P_SIDE_SWITCHES, VT
+from .cell import CamoConfig, CellFlavor, GateFunction, VT
 from .errors import ContentionCollapseError, InvalidParameterError
 
 KB = 1.380649e-23
@@ -150,6 +166,49 @@ def drain_current(vgs: float, vds: float, vt: float, t: float,
     return i0 * mob * (fa - fb)
 
 
+# --- per operating point ---------------------------------------------------
+
+class OperatingPoint(NamedTuple):
+    """Device currents that depend only on (bias, vdd_actual, t, params).
+
+    Switch members conduct at vds = vdd_actual; the functional core's OFF
+    devices are evaluated at the nominal params.vdd.
+    """
+
+    vdd_actual: float
+    c_load: float
+    on_n: float      # LVT switch members (route drive)
+    on_p: float
+    off_n: float     # HVT switch members (leakage and contention)
+    off_p: float
+    core_off: dict[str, float]   # OFF core device by kind, at vgs = 0
+
+
+def operating_point(bias: BiasPoint, vdd_actual: float, t: float,
+                    params: DeviceParams) -> OperatingPoint:
+    """Every device current a cell estimate at this point reads.
+
+    Switch members are drive-balanced: both use kprime_n (the P member is
+    assumed width-compensated). The N member sees vgs = vg_n, the P member
+    vgs_mag = vdd_actual - vg_p, both at full-rail vds.
+    """
+    def member(vgs: float, vt_nominal: float) -> float:
+        vt = vt_at_temperature(vt_nominal, t, params)
+        return drain_current(vgs, vdd_actual, vt, t, params, kind="n")
+
+    vg_p_mag = vdd_actual - bias.vg_p
+    on_n = member(bias.vg_n, params.vtn0 - params.delta_lvt)
+    on_p = member(vg_p_mag, params.vtp0_mag - params.delta_lvt)
+    off_n = member(bias.vg_n, params.vtn0 + params.delta_hvt)
+    off_p = member(vg_p_mag, params.vtp0_mag + params.delta_hvt)
+    core_off = {kind: drain_current(0.0, params.vdd,
+                                    vt_at_temperature(vt, t, params), t,
+                                    params, kind=kind)
+                for kind, vt in (("n", params.vtn0), ("p", params.vtp0_mag))}
+    return OperatingPoint(vdd_actual, params.c_load, on_n, on_p, off_n,
+                          off_p, core_off)
+
+
 def switch_ratio(delta_hvt: float, delta_lvt: float, bias: BiasPoint,
                  t: float, params: DeviceParams) -> float:
     """ION/IOFF of the N switch member at the given gate bias.
@@ -160,16 +219,14 @@ def switch_ratio(delta_hvt: float, delta_lvt: float, bias: BiasPoint,
     """
     if delta_hvt < 0 or delta_lvt < 0:
         raise InvalidParameterError("threshold offsets must be >= 0")
-    vt_on = vt_at_temperature(params.vtn0 - delta_lvt, t, params)
-    vt_off = vt_at_temperature(params.vtn0 + delta_hvt, t, params)
-    i_on = drain_current(bias.vg_n, params.vdd, vt_on, t, params)
-    i_off = drain_current(bias.vg_n, params.vdd, vt_off, t, params)
-    if i_off == 0.0:
+    p = replace(params, delta_hvt=delta_hvt, delta_lvt=delta_lvt)
+    point = operating_point(bias, p.vdd, t, p)
+    if point.off_n == 0.0:
         return math.inf
-    return i_on / i_off
+    return point.on_n / point.off_n
 
 
-# --- functional core leakage ----------------------------------------------
+# --- per (function, input vector) -------------------------------------------
 #
 # Each base function has a CMOS core described as pull-up / pull-down paths
 # of (device kind, gate signal) entries. Signals: a, b, their complements
@@ -204,60 +261,115 @@ _CORES: dict[GateFunction, tuple[tuple, tuple]] = {
     ),
 }
 
-
-def _core_signals(func: GateFunction, a: int, b: int) -> dict[str, int]:
-    sig = {"a": a, "b": b, "na": 1 - a, "nb": 1 - b}
-    if func is GateFunction.AND:
-        sig["y1"] = 1 - (a & b)
-    elif func is GateFunction.OR:
-        sig["y1"] = 1 - (a | b)
-    return sig
+_ALL_VECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _effective_inputs(func: GateFunction, inputs: tuple[int, int]) -> tuple[int, int]:
-    if func in (GateFunction.INV, GateFunction.BUF):
-        return (0, inputs[1])
-    return inputs
-
-
-def _core_off_leakage(func: GateFunction, inputs: tuple[int, int],
-                      t: float, params: DeviceParams) -> float:
-    """Subthreshold leakage of the function's OFF core transistors."""
+def _off_paths(func: GateFunction, inputs: tuple[int, int]) -> tuple:
+    """(OFF device kinds, stack divisor) of each leaking core path."""
     base = _cell.UNDERLYING.get(func, func)
-    eff = _effective_inputs(func, inputs)
-    sig = _core_signals(base, *eff)
-    vt_n = vt_at_temperature(params.vtn0, t, params)
-    vt_p = vt_at_temperature(params.vtp0_mag, t, params)
-    i_off = {
-        "n": drain_current(0.0, params.vdd, vt_n, t, params, kind="n"),
-        "p": drain_current(0.0, params.vdd, vt_p, t, params, kind="p"),
-    }
-    total = 0.0
+    a, b = (0, inputs[1]) if base is not func else inputs  # INV/BUF tie
+    sig = {"a": a, "b": b, "na": 1 - a, "nb": 1 - b}
+    if base is GateFunction.AND:
+        sig["y1"] = 1 - (a & b)
+    elif base is GateFunction.OR:
+        sig["y1"] = 1 - (a | b)
+    terms = []
     for network in _CORES[base]:
         for path in network:
             off = [kind for kind, s in path
                    if (sig[s] == 0 if kind == "n" else sig[s] == 1)]
-            if not off:
-                continue  # path conducts; no subthreshold leakage
-            weakest = min(i_off[kind] for kind in off)
-            total += weakest / OFF_STACK_FACTOR ** (len(off) - 1)
+            if off:  # a conducting path has no subthreshold leakage
+                terms.append((tuple(off), OFF_STACK_FACTOR ** (len(off) - 1)))
+    return tuple(terms)
+
+
+#: (func, inputs) -> (cell output, OFF core paths) for every cell function.
+_VECTOR_TABLE = {
+    (func, vec): (_cell.behavior_table(func)[vec], _off_paths(func, vec))
+    for func in _cell.CAMOUFLAGEABLE for vec in _ALL_VECTORS
+}
+
+
+def _core_off_leakage(paths: tuple, point: OperatingPoint) -> float:
+    """Subthreshold leakage of the OFF core paths: weakest device, stacked."""
+    total = 0.0
+    for kinds, divisor in paths:
+        total += min(point.core_off[kind] for kind in kinds) / divisor
     return total
 
 
-# --- switch-level leakage and drive ---------------------------------------
+def _hvt_count(config: CamoConfig) -> int:
+    return sum(1 for v in config.switch_vt if v is VT.HVT)
 
-def _switch_member_currents(bias: BiasPoint, vdd: float, vt_n: float,
-                            vt_p: float, t: float,
-                            params: DeviceParams) -> tuple[float, float]:
-    """(N member, P member) currents of one transmission-gate switch.
 
-    Switch members are drive-balanced: both use kprime_n (the P member is
-    assumed width-compensated). N member sees vgs = vg_n, P member sees
-    vgs_mag = vdd - vg_p, both at full-rail vds.
+class CellModel:
+    """A programmed cell's decoded function and its switch counts.
+
+    ``n_route`` and ``n_hvt`` count the LVT and HVT selection switches
+    1..10 (route drive and OFF contention); ``n_hvt_all`` counts every
+    HVT switch, the tie network included (switch leakage).
     """
-    i_n = drain_current(bias.vg_n, vdd, vt_n, t, params, kind="n")
-    i_p = drain_current(vdd - bias.vg_p, vdd, vt_p, t, params, kind="n")
-    return i_n, i_p
+
+    __slots__ = ("config", "func", "n_route", "n_hvt", "n_hvt_all")
+
+    def __init__(self, config: CamoConfig):
+        self.config = config
+        self.func = _cell.decode(config)
+        self.n_route = sum(1 for v in config.switch_vt[:10] if v is VT.LVT)
+        self.n_hvt = 10 - self.n_route
+        self.n_hvt_all = _hvt_count(config)
+
+    def leakage(self, inputs: tuple[int, int], point: OperatingPoint) -> float:
+        """OFF switch plus OFF core current at a local input vector."""
+        return (self.n_hvt_all * (point.off_n + point.off_p)
+                + _core_off_leakage(_VECTOR_TABLE[self.func, inputs][1],
+                                    point))
+
+    def delay(self, inputs: tuple[int, int], point: OperatingPoint,
+              include_contention: bool = True) -> tuple:
+        """``DelayDetail`` fields of the slower edge (see delay_detail)."""
+        out, paths = _VECTOR_TABLE[self.func, inputs]
+        core = _core_off_leakage(paths, point) if include_contention else None
+        primary = self._edge(out == 1, point, core, include_contention)
+        secondary = self._edge(out != 1, point, None, include_contention)
+        return primary if primary[0] >= secondary[0] else secondary
+
+    def _edge(self, rise: bool, point: OperatingPoint, core: float | None,
+              include_contention: bool) -> tuple:
+        i_on = self.n_route * (point.on_p if rise else point.on_n)
+        i_contend = 0.0
+        if include_contention:
+            i_contend = self.n_hvt * (point.off_n if rise else point.off_p)
+            if core is not None:
+                i_contend += core
+        i_eff = i_on - i_contend
+        edge = "rise" if rise else "fall"
+        if i_eff <= 0.0:
+            raise ContentionCollapseError(
+                f"OFF-switch contention ({i_contend:.3e} A) exceeds the "
+                f"{edge} drive ({i_on:.3e} A) for config "
+                f"{self.config.serialize()}")
+        clamped = i_eff < CONTENTION_CLAMP_A
+        if clamped:
+            i_eff = CONTENTION_CLAMP_A
+        delay = point.c_load * point.vdd_actual / (2.0 * i_eff)
+        return (delay, i_on, i_contend, clamped, edge)
+
+
+#: Every flavor's cells in function-name order, as cell_worst_delay walks them.
+_FLAVOR_CELLS = {
+    flavor: tuple(CellModel(_cell.config_for(func, flavor))
+                  for func in sorted(flavor.function_set, key=lambda f: f.value))
+    for flavor in CellFlavor
+}
+
+
+# --- per-point public estimates ---------------------------------------------
+
+def _check_inputs(inputs) -> tuple[int, int]:
+    if len(inputs) != 2 or any(v not in (0, 1) for v in inputs):
+        raise InvalidParameterError(f"cell inputs must be two bits: {inputs!r}")
+    return tuple(inputs)
 
 
 def switch_off_leakage(config: CamoConfig, t: float, bias: BiasPoint,
@@ -267,11 +379,8 @@ def switch_off_leakage(config: CamoConfig, t: float, bias: BiasPoint,
     Works on any switch assignment (the all-LVT hypothetical gives 0.0);
     no decoding is attempted.
     """
-    vt_n = vt_at_temperature(params.vtn0 + params.delta_hvt, t, params)
-    vt_p = vt_at_temperature(params.vtp0_mag + params.delta_hvt, t, params)
-    i_n, i_p = _switch_member_currents(bias, params.vdd, vt_n, vt_p, t, params)
-    count = sum(1 for v in config.switch_vt if v is VT.HVT)
-    return count * (i_n + i_p)
+    point = operating_point(bias, params.vdd, t, params)
+    return _hvt_count(config) * (point.off_n + point.off_p)
 
 
 def gate_leakage(config: CamoConfig, inputs: tuple[int, int], t: float,
@@ -282,11 +391,9 @@ def gate_leakage(config: CamoConfig, inputs: tuple[int, int], t: float,
     functional-core transistor currents for the effective inputs. The tie
     network replaces input 1 with 0 for INV/BUF programming.
     """
-    if len(inputs) != 2 or any(v not in (0, 1) for v in inputs):
-        raise InvalidParameterError(f"cell inputs must be two bits: {inputs!r}")
-    func = _cell.decode(config)
-    return (switch_off_leakage(config, t, bias, params)
-            + _core_off_leakage(func, tuple(inputs), t, params))
+    inputs = _check_inputs(inputs)
+    cell = CellModel(config)
+    return cell.leakage(inputs, operating_point(bias, params.vdd, t, params))
 
 
 @dataclass(frozen=True)
@@ -300,45 +407,9 @@ class DelayDetail:
     edge: str
 
 
-def _route_switches(config: CamoConfig) -> list[int]:
-    return [i for i in range(1, 11) if config.switch_vt[i - 1] is VT.LVT]
-
-
-def _edge_detail(config: CamoConfig, func: GateFunction,
-                 contend_inputs: tuple[int, int] | None, edge: str,
-                 bias: BiasPoint, vdd_actual: float, t: float,
-                 params: DeviceParams, include_contention: bool) -> DelayDetail:
-    vt_on_n = vt_at_temperature(params.vtn0 - params.delta_lvt, t, params)
-    vt_on_p = vt_at_temperature(params.vtp0_mag - params.delta_lvt, t, params)
-    vt_off_n = vt_at_temperature(params.vtn0 + params.delta_hvt, t, params)
-    vt_off_p = vt_at_temperature(params.vtp0_mag + params.delta_hvt, t, params)
-    on_n, on_p = _switch_member_currents(bias, vdd_actual, vt_on_n, vt_on_p,
-                                         t, params)
-    off_n, off_p = _switch_member_currents(bias, vdd_actual, vt_off_n,
-                                           vt_off_p, t, params)
-    route = _route_switches(config)
-    n_hvt = sum(1 for i in range(1, 11)
-                if config.switch_vt[i - 1] is VT.HVT)
-    if edge == "rise":
-        i_on = len(route) * on_p
-        i_contend = n_hvt * off_n
-    else:
-        i_on = len(route) * on_n
-        i_contend = n_hvt * off_p
-    if include_contention and contend_inputs is not None:
-        i_contend += _core_off_leakage(func, contend_inputs, t, params)
-    if not include_contention:
-        i_contend = 0.0
-    i_eff = i_on - i_contend
-    if i_eff <= 0.0:
-        raise ContentionCollapseError(
-            f"OFF-switch contention ({i_contend:.3e} A) exceeds the "
-            f"{edge} drive ({i_on:.3e} A) for config {config.serialize()}")
-    clamped = i_eff < CONTENTION_CLAMP_A
-    if clamped:
-        i_eff = CONTENTION_CLAMP_A
-    delay = params.c_load * vdd_actual / (2.0 * i_eff)
-    return DelayDetail(delay, i_on, i_contend, clamped, edge)
+def _check_vdd(vdd_actual: float) -> None:
+    if not math.isfinite(vdd_actual) or vdd_actual <= 0:
+        raise InvalidParameterError(f"vdd_actual must be positive: {vdd_actual}")
 
 
 def delay_detail(config: CamoConfig, inputs: tuple[int, int],
@@ -354,19 +425,11 @@ def delay_detail(config: CamoConfig, inputs: tuple[int, int],
     vdd the pull-up route starves, at high vdd the pull-down route's
     fixed overdrive cannot keep up with the larger swing.
     """
-    if not math.isfinite(vdd_actual) or vdd_actual <= 0:
-        raise InvalidParameterError(f"vdd_actual must be positive: {vdd_actual}")
-    if len(inputs) != 2 or any(v not in (0, 1) for v in inputs):
-        raise InvalidParameterError(f"cell inputs must be two bits: {inputs!r}")
-    func = _cell.decode(config)
-    out = _cell.behavior_table(func)[tuple(inputs)]
-    primary_edge = "rise" if out == 1 else "fall"
-    other_edge = "fall" if out == 1 else "rise"
-    primary = _edge_detail(config, func, tuple(inputs), primary_edge, bias,
-                           vdd_actual, t, params, include_contention)
-    secondary = _edge_detail(config, func, None, other_edge, bias,
-                             vdd_actual, t, params, include_contention)
-    return primary if primary.delay_s >= secondary.delay_s else secondary
+    _check_vdd(vdd_actual)
+    inputs = _check_inputs(inputs)
+    cell = CellModel(config)
+    point = operating_point(bias, vdd_actual, t, params)
+    return DelayDetail(*cell.delay(inputs, point, include_contention))
 
 
 def gate_delay_estimate(config: CamoConfig, inputs: tuple[int, int],
@@ -378,24 +441,17 @@ def gate_delay_estimate(config: CamoConfig, inputs: tuple[int, int],
                         include_contention).delay_s
 
 
-_ALL_VECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
 def cell_worst_delay(bias: BiasPoint, t: float, params: DeviceParams,
                      vdd_actual: float | None = None,
-                     flavor: _cell.CellFlavor = _cell.CellFlavor.CAMO8,
+                     flavor: CellFlavor = CellFlavor.CAMO8,
                      ) -> float:
     """Max delay over every function of the flavor and every input vector."""
     if vdd_actual is None:
         vdd_actual = params.vdd
-    worst = 0.0
-    for func in sorted(flavor.function_set, key=lambda f: f.value):
-        config = _cell.config_for(func, flavor)
-        for vec in _ALL_VECTORS:
-            d = gate_delay_estimate(config, vec, bias, vdd_actual, t, params)
-            if d > worst:
-                worst = d
-    return worst
+    _check_vdd(vdd_actual)
+    point = operating_point(bias, vdd_actual, t, params)
+    return max(cell.delay(vec, point)[0]
+               for cell in _FLAVOR_CELLS[flavor] for vec in _ALL_VECTORS)
 
 
 # --- sweeps and optimization ----------------------------------------------

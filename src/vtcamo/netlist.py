@@ -583,7 +583,8 @@ def critical_path(net: Netlist, delay_model=unit_delay_model) -> CriticalPath:
                 pred = f if f in net._gate_map else None
         arrival[g.gate_id] = when + delay_model(g)
         best_pred[g.gate_id] = pred
-    ends = [g.gate_id for g in net.gates if g.gate_id in set(net.outputs)]
+    outputs = set(net.outputs)
+    ends = [g.gate_id for g in net.gates if g.gate_id in outputs]
     if not ends:
         ends = [g.gate_id for g in net.gates]
     end = min(ends, key=lambda gid: (-arrival[gid], gid))

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from .cell import CamoConfig, CellFlavor, GateFunction, config_for
 from .device import (
     BiasPoint,
+    CellModel,
     DeviceParams,
     default_bias,
-    gate_delay_estimate,
-    gate_leakage,
+    operating_point,
 )
 from .errors import (
     BiasClampWarning,
@@ -116,19 +116,18 @@ def cell_signature(config: CamoConfig, temperatures=DEFAULT_TEMPERATURES,
     """Leakage/delay fingerprint of one programmed cell.
 
     Measures every local input vector at every temperature under the
-    given bias policy.
+    given bias policy. The bias and the device currents are computed once
+    per temperature and shared by every vector.
     """
     params = params or DeviceParams()
     temps = _check_temperatures(temperatures)
-    obs = []
-    for vec in _LOCAL_VECTORS:
-        for t in temps:
-            bias = _bias_for(bias_policy, t, params)
-            leak = gate_leakage(config, vec, t, bias, params)
-            delay = gate_delay_estimate(config, vec, bias, params.vdd, t,
-                                        params)
-            obs.append(Observation(vec, t, leak, delay))
-    return Signature(gate_id, tuple(obs))
+    points = [(t, operating_point(_bias_for(bias_policy, t, params),
+                                  params.vdd, t, params)) for t in temps]
+    cell = CellModel(config)
+    return Signature(gate_id, tuple(
+        Observation(vec, t, cell.leakage(vec, point),
+                    cell.delay(vec, point)[0])
+        for vec in _LOCAL_VECTORS for t, point in points))
 
 
 def template_signatures(flavor: CellFlavor,

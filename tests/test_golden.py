@@ -1,9 +1,12 @@
 """Golden outputs: attack reports and CLI JSON pinned byte for byte.
 
-The fixtures in ``tests/golden/`` were written by the scalar per-vector
-simulators that the bit-parallel core replaced, so these tests show that
-the core reproduces the old answers exactly: query counts, transcripts,
-candidate-space figures and every ``--no-timestamp`` report.
+The attack and CLI fixtures in ``tests/golden/`` were written by the
+scalar per-vector simulators that the bit-parallel core replaced, so these
+tests show that the core reproduces the old answers exactly: query counts,
+transcripts, candidate-space figures and every ``--no-timestamp`` report.
+The device fixtures (``sweep``, ``bias-opt`` and ``sidechannel``) were
+written by the per-point device code, before the operating-point currents
+were hoisted out of the cell-delay and signature loops.
 
 Regenerate the fixtures from the code on the import path with
 ``PYTHONPATH=src python tests/test_golden.py``; do that only when an
@@ -119,6 +122,14 @@ _MUTANTS = {"c17": ("23 = NAND(16, 19)", "23 = NOR(16, 19)"),
             "synth_mix": ("y1 = OR(n8, n9)", "y1 = XOR(n8, n9)")}
 
 
+def _run_cli(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--no-timestamp"])
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
 def cli_cases(workdir: Path) -> dict:
     """Run every golden CLI invocation inside ``workdir``."""
     cases = {}
@@ -130,20 +141,53 @@ def cli_cases(workdir: Path) -> dict:
             Path(f"{stem}.bench").write_text(text)
             Path(f"{stem}_mutant.bench").write_text(text.replace(before,
                                                                  after))
-            runs = []
-            for argv in _cli_runs(stem):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), \
-                        contextlib.redirect_stderr(err):
-                    code = cli.main(argv + ["--no-timestamp"])
-                runs.append({"argv": argv, "exit": code,
-                             "stdout": out.getvalue(),
-                             "stderr": err.getvalue()})
+            runs = [_run_cli(argv) for argv in _cli_runs(stem)]
             cases[stem] = {
                 "runs": runs,
                 "locked_bench": Path(f"{stem}_locked.bench").read_text(),
                 "key": Path(f"{stem}.key").read_text(),
             }
+    finally:
+        os.chdir(old)
+    return cases
+
+
+_DEVICE_RUNS = [
+    ["sweep", "--hvt", "0.3:0.4", "--lvt", "0.3:0.4"],
+    ["sweep", "--hvt", "0.25:0.45", "--lvt", "0.2:0.4", "--step", "0.1",
+     "--vg-n", "0.36", "--t", "330"],
+    ["bias-opt"],
+    ["bias-opt", "--window", "0.05"],
+]
+
+#: Lock flavor per bench, so per-gate templates cover two flavors.
+_SIDE_FLAVORS = {"c17": "cmos3a", "synth_mix": "camo8"}
+
+
+def _side_runs(stem: str) -> list[list[str]]:
+    locked, key = f"{stem}_locked.bench", f"{stem}.key"
+    runs = [["lock", f"{stem}.bench", "--flavor", _SIDE_FLAVORS[stem],
+             "--budget", "0.5", "--seed", "3", "--out-bench", locked,
+             "--out-key", key]]
+    for mode in ("per-gate", "aggregate-only"):
+        for policy in ("fixed", "thermal-compensated"):
+            for noise in ([], ["--noise", "0.05", "--seed", "7"]):
+                runs.append(["sidechannel", locked, "--key", key, "--mode",
+                             mode, "--bias-policy", policy, *noise])
+    runs.append(["sidechannel", locked, "--key", key, "--mode",
+                 "aggregate-only", "--balance", "--temps", "200,300,400"])
+    return runs
+
+
+def device_cases(workdir: Path) -> dict:
+    """Run every golden device-layer CLI invocation inside ``workdir``."""
+    old = os.getcwd()
+    os.chdir(workdir)
+    try:
+        cases = {"device": [_run_cli(argv) for argv in _DEVICE_RUNS]}
+        for stem in _SIDE_FLAVORS:
+            Path(f"{stem}.bench").write_text(bench_text(f"{stem}.bench"))
+            cases[stem] = [_run_cli(argv) for argv in _side_runs(stem)]
     finally:
         os.chdir(old)
     return cases
@@ -174,6 +218,15 @@ def test_cli_outputs_match_golden(tmp_path):
             assert got == want, want["argv"]
 
 
+def test_device_outputs_match_golden(tmp_path):
+    golden = _load("device_outputs.json")
+    fresh = device_cases(tmp_path)
+    assert fresh.keys() == golden.keys()
+    for name in golden:
+        for got, want in zip(fresh[name], golden[name], strict=True):
+            assert got == want, want["argv"]
+
+
 if __name__ == "__main__":
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
@@ -182,4 +235,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         (GOLDEN / "cli_outputs.json").write_text(
             json.dumps(cli_cases(Path(tmp)), indent=1, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        (GOLDEN / "device_outputs.json").write_text(
+            json.dumps(device_cases(Path(tmp)), indent=1, sort_keys=True)
+            + "\n")
     sys.exit(0)
