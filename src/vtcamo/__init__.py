@@ -27,7 +27,6 @@ from .device import (
     cell_worst_delay,
     default_bias,
     drain_current,
-    gate_delay_estimate,
     gate_leakage,
     optimize_bias,
     sweep_to_csv,
@@ -79,7 +78,7 @@ __all__ = [
     "behavior_table", "config_for", "decode", "distinguishing_set",
     "evaluate", "truth_table",
     "BiasPoint", "DeviceParams", "cell_worst_delay", "default_bias",
-    "drain_current", "gate_delay_estimate", "gate_leakage", "optimize_bias",
+    "drain_current", "gate_leakage", "optimize_bias",
     "sweep_to_csv", "sweep_vt_window", "switch_ratio",
     "CamoKey", "Gate", "KeyEntry", "Netlist", "check_equivalence",
     "critical_path", "parse_bench", "serialize_bench", "simulate",

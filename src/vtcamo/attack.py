@@ -36,7 +36,8 @@ from itertools import product
 from operator import or_
 from typing import Callable, Iterable
 
-from .cell import CAMOUFLAGEABLE, GateFunction, behavior_table, distinguishing_set
+from .cell import (CAMOUFLAGEABLE, LOCAL_VECTORS, GateFunction, behavior_table,
+                   distinguishing_set)
 from .errors import (AttackTooLargeError, InvalidParameterError,
                      UnresolvedFaninError)
 from .netlist import (EXHAUSTIVE_INPUT_LIMIT, CamoKey, Netlist, all_vectors,
@@ -51,8 +52,6 @@ RESIDUE_ENUM_LIMIT = 1 << 20
 
 #: Survivor-set size up to which mutual output-equivalence is verified.
 EQUIV_CHECK_LIMIT = 1024
-
-_LOCAL_PATTERNS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 class CountingOracle:
@@ -287,7 +286,7 @@ def sensitization_attack(net: Netlist, oracle: Callable,
                 continue
             assignment = resolved_assignment()
             patterns = list(distinguishing_set(frozenset(sets[gid])))
-            patterns += [p for p in _LOCAL_PATTERNS if p not in patterns]
+            patterns += [p for p in LOCAL_VECTORS if p not in patterns]
             for pattern in patterns:
                 if len(sets[gid]) <= 1 or cache.exhausted:
                     break

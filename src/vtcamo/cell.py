@@ -126,8 +126,8 @@ UNDERLYING = {
     GateFunction.BUF: GateFunction.XOR,
 }
 
-#: Switch indices (1-based) whose members sit on the pull-up side.
-P_SIDE_SWITCHES = frozenset({1, 3, 5, 7, 9, 11, 13})
+#: The four local input vectors (port 0, port 1), in counting order.
+LOCAL_VECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 _TIE_OFF = (VT.LVT, VT.LVT, VT.HVT, VT.HVT)   # switches 11..14, input 1 live
 _TIE_ON = (VT.HVT, VT.HVT, VT.LVT, VT.LVT)    # input 1 cut, port tied to 0
@@ -275,9 +275,6 @@ def evaluate(config: CamoConfig, inputs: tuple[int, int]) -> int:
     return behavior_table(func)[tuple(inputs)]
 
 
-_VECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
 def distinguishing_set(
         candidates: frozenset[GateFunction] | set[GateFunction],
 ) -> tuple[tuple[int, int], ...]:
@@ -305,8 +302,8 @@ def distinguishing_set(
                 raise IndistinguishableError(
                     f"{f!r} and {g!r} have identical truth tables")
     from itertools import combinations
-    for size in range(1, len(_VECTORS) + 1):
-        for combo in combinations(_VECTORS, size):
+    for size in range(1, len(LOCAL_VECTORS) + 1):
+        for combo in combinations(LOCAL_VECTORS, size):
             responses = {tuple(tables[f][v] for v in combo) for f in cand}
             if len(responses) == len(cand):
                 return combo

@@ -31,7 +31,7 @@ from .camouflage import (
 from .cell import CellFlavor, GateFunction
 from .config import RunConfig, load_config
 from .device import BiasPoint, default_bias, optimize_bias, sweep_to_csv, sweep_vt_window
-from .errors import VtcamoError
+from .errors import InvalidParameterError, VtcamoError
 from .netlist import (
     CamoKey,
     Netlist,
@@ -92,8 +92,6 @@ def _config_for(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    if getattr(args, "jobs", None) is not None:
-        cfg = dataclasses.replace(cfg, jobs=args.jobs)
     return cfg
 
 
@@ -232,6 +230,15 @@ def _cmd_attack(args) -> int:
     return 0
 
 
+def _parse_temps(raw: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(t) for t in raw.split(","))
+    except ValueError:
+        raise InvalidParameterError(
+            f"temperatures must be comma separated kelvin values, "
+            f"got {raw!r}") from None
+
+
 def _cmd_sidechannel(args) -> int:
     cfg = _config_for(args)
     net = _load_net(args.bench)
@@ -246,7 +253,7 @@ def _cmd_sidechannel(args) -> int:
                              in sorted(bal.counts_after.items(),
                                        key=lambda kv: kv[0].value)},
         }
-    temps = tuple(float(t) for t in args.temps.split(","))
+    temps = _parse_temps(args.temps)
     policy = args.bias_policy.replace("-", "_")
     mode = args.mode.replace("-", "_")
     sigs = side_mod.measure_signature(net, key, mode=mode,
@@ -301,8 +308,13 @@ def _cmd_sidechannel(args) -> int:
 
 
 def _parse_range(raw: str) -> tuple[float, float]:
-    lo, _, hi = raw.partition(":")
-    return (float(lo), float(hi))
+    lo, colon, hi = raw.partition(":")
+    try:
+        if colon:
+            return (float(lo), float(hi))
+    except ValueError:
+        pass
+    raise InvalidParameterError(f"range must be lo:hi in volts, got {raw!r}")
 
 
 def _cmd_sweep(args) -> int:
@@ -389,9 +401,6 @@ def _cmd_report(args) -> int:
 def _add_common(p: argparse.ArgumentParser, out: bool = True) -> None:
     p.add_argument("--config", help="key=value configuration file")
     p.add_argument("--seed", type=int, help="override the configured seed")
-    p.add_argument("--jobs", type=int,
-                   help="worker count (results are deterministic and "
-                        "ordered regardless)")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit generated_at so reruns are byte-identical")
     if out:
@@ -518,11 +527,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VtcamoError as exc:
-        error = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(error, sort_keys=True), file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (VtcamoError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return 1

@@ -6,9 +6,6 @@ comments. Keys live in a few fixed namespaces:
     device.<field>          any DeviceParams field, e.g. device.vdd = 0.9
     cost.<flavor>.<axis>    cost multiples, e.g. cost.camo8.area = 4
     seed                    default RNG seed for seeded subcommands
-    jobs                    worker count accepted for compatibility
-    report_format           currently only "json"
-    out_dir                 default directory for written outputs
 
 Unknown keys are rejected rather than ignored so a typo cannot silently
 fall back to defaults.
@@ -27,7 +24,6 @@ from .errors import ConfigFileError, VtcamoError
 _DEVICE_FIELDS = {f.name for f in dataclasses.fields(DeviceParams)}
 _COST_AXES = ("area", "power", "delay")
 _FLAVOR_NAMES = {f.value.lower(): f for f in CellFlavor}
-_REPORT_FORMATS = ("json",)
 
 
 @dataclass(frozen=True)
@@ -37,9 +33,6 @@ class RunConfig:
     device: DeviceParams = field(default_factory=DeviceParams)
     cost: CostTable = field(default_factory=CostTable)
     seed: int = 0
-    jobs: int = 1
-    report_format: str = "json"
-    out_dir: str = "."
 
     def resolved_dict(self) -> dict:
         """Flat mapping of every effective setting, for report embedding."""
@@ -51,29 +44,22 @@ class RunConfig:
             for axis in _COST_AXES:
                 out[f"cost.{flavor.value.lower()}.{axis}"] = getattr(m, axis)
         out["seed"] = self.seed
-        out["jobs"] = self.jobs
-        out["report_format"] = self.report_format
-        out["out_dir"] = self.out_dir
         return out
 
 
-def _parse_scalar(key: str, raw: str, kind: type) -> float | int | str:
+def _parse_scalar(key: str, raw: str, kind: type) -> float | int:
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
+        return kind(raw)
     except ValueError:
         raise ConfigFileError(f"{key}: expected a {kind.__name__}, "
                               f"got {raw!r}") from None
-    return raw
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse key=value configuration text into a RunConfig."""
     device_over: dict[str, float] = {}
     cost_over: dict[CellFlavor, dict[str, float]] = {}
-    scalars: dict[str, int | str] = {}
+    scalars: dict[str, int] = {}
     seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -107,18 +93,6 @@ def parse_config(text: str) -> RunConfig:
                 key, raw, float)
         elif key == "seed":
             scalars["seed"] = _parse_scalar(key, raw, int)
-        elif key == "jobs":
-            jobs = _parse_scalar(key, raw, int)
-            if jobs < 1:
-                raise ConfigFileError(f"line {lineno}: jobs must be >= 1")
-            scalars["jobs"] = jobs
-        elif key == "report_format":
-            if raw not in _REPORT_FORMATS:
-                raise ConfigFileError(f"line {lineno}: unsupported "
-                                      f"report_format {raw!r}")
-            scalars["report_format"] = raw
-        elif key == "out_dir":
-            scalars["out_dir"] = raw
         else:
             raise ConfigFileError(f"line {lineno}: unknown key {key!r}")
     try:

@@ -40,8 +40,9 @@ Cell estimates are split by what they depend on:
 
 A leakage or delay figure is then a few products and sums of those
 numbers, so a loop over functions, vectors or temperatures computes each
-device current once. The per-point functions (``gate_leakage``,
-``delay_detail``, ...) build one operating point and use the same code.
+device current once. The per-point functions ``gate_leakage``,
+``delay_detail`` and ``switch_ratio`` build one operating point and use
+the same code.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 from . import cell as _cell
-from .cell import CamoConfig, CellFlavor, GateFunction, VT
+from .cell import LOCAL_VECTORS, CamoConfig, CellFlavor, GateFunction, VT
 from .errors import ContentionCollapseError, InvalidParameterError
 
 KB = 1.380649e-23
@@ -261,8 +262,6 @@ _CORES: dict[GateFunction, tuple[tuple, tuple]] = {
     ),
 }
 
-_ALL_VECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
 
 def _off_paths(func: GateFunction, inputs: tuple[int, int]) -> tuple:
     """(OFF device kinds, stack divisor) of each leaking core path."""
@@ -286,7 +285,7 @@ def _off_paths(func: GateFunction, inputs: tuple[int, int]) -> tuple:
 #: (func, inputs) -> (cell output, OFF core paths) for every cell function.
 _VECTOR_TABLE = {
     (func, vec): (_cell.behavior_table(func)[vec], _off_paths(func, vec))
-    for func in _cell.CAMOUFLAGEABLE for vec in _ALL_VECTORS
+    for func in _cell.CAMOUFLAGEABLE for vec in LOCAL_VECTORS
 }
 
 
@@ -296,10 +295,6 @@ def _core_off_leakage(paths: tuple, point: OperatingPoint) -> float:
     for kinds, divisor in paths:
         total += min(point.core_off[kind] for kind in kinds) / divisor
     return total
-
-
-def _hvt_count(config: CamoConfig) -> int:
-    return sum(1 for v in config.switch_vt if v is VT.HVT)
 
 
 class CellModel:
@@ -317,7 +312,7 @@ class CellModel:
         self.func = _cell.decode(config)
         self.n_route = sum(1 for v in config.switch_vt[:10] if v is VT.LVT)
         self.n_hvt = 10 - self.n_route
-        self.n_hvt_all = _hvt_count(config)
+        self.n_hvt_all = sum(1 for v in config.switch_vt if v is VT.HVT)
 
     def leakage(self, inputs: tuple[int, int], point: OperatingPoint) -> float:
         """OFF switch plus OFF core current at a local input vector."""
@@ -372,17 +367,6 @@ def _check_inputs(inputs) -> tuple[int, int]:
     return tuple(inputs)
 
 
-def switch_off_leakage(config: CamoConfig, t: float, bias: BiasPoint,
-                       params: DeviceParams) -> float:
-    """Total subthreshold current of all HVT switches in the config.
-
-    Works on any switch assignment (the all-LVT hypothetical gives 0.0);
-    no decoding is attempted.
-    """
-    point = operating_point(bias, params.vdd, t, params)
-    return _hvt_count(config) * (point.off_n + point.off_p)
-
-
 def gate_leakage(config: CamoConfig, inputs: tuple[int, int], t: float,
                  bias: BiasPoint, params: DeviceParams) -> float:
     """Leakage of one programmed cell at a local input vector.
@@ -432,15 +416,6 @@ def delay_detail(config: CamoConfig, inputs: tuple[int, int],
     return DelayDetail(*cell.delay(inputs, point, include_contention))
 
 
-def gate_delay_estimate(config: CamoConfig, inputs: tuple[int, int],
-                        bias: BiasPoint, vdd_actual: float, t: float,
-                        params: DeviceParams,
-                        include_contention: bool = True) -> float:
-    """Worst-edge cell delay, c_load * vdd_actual / (2 * I_eff)."""
-    return delay_detail(config, inputs, bias, vdd_actual, t, params,
-                        include_contention).delay_s
-
-
 def cell_worst_delay(bias: BiasPoint, t: float, params: DeviceParams,
                      vdd_actual: float | None = None,
                      flavor: CellFlavor = CellFlavor.CAMO8,
@@ -451,7 +426,7 @@ def cell_worst_delay(bias: BiasPoint, t: float, params: DeviceParams,
     _check_vdd(vdd_actual)
     point = operating_point(bias, vdd_actual, t, params)
     return max(cell.delay(vec, point)[0]
-               for cell in _FLAVOR_CELLS[flavor] for vec in _ALL_VECTORS)
+               for cell in _FLAVOR_CELLS[flavor] for vec in LOCAL_VECTORS)
 
 
 # --- sweeps and optimization ----------------------------------------------
@@ -470,6 +445,9 @@ class SweepRow:
 def _grid(lo: float, hi: float, step: float) -> list[float]:
     if step <= 0 or not math.isfinite(step):
         raise InvalidParameterError(f"grid step must be positive, got {step}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidParameterError(f"range bounds must be finite, "
+                                    f"got ({lo}, {hi})")
     if hi < lo:
         raise InvalidParameterError(f"empty range ({lo}, {hi})")
     count = int(round((hi - lo) / step)) + 1

@@ -6,7 +6,12 @@ BUFF with one fanin, AND/OR/NAND/NOR/XOR with two or more) or a
 camouflaged-cell flavor token (CAMO8, CMOS3A, CMOS3B) with exactly two
 fanins. ``n = DFF(m)`` is accepted and cut: the flop output becomes a
 pseudo primary input and its data net a pseudo primary output, so the
-combinational core can be simulated and compared on its own.
+combinational core can be simulated and compared on its own. Ports keep
+line order: ``inputs`` lists INPUT nets and flop outputs, ``outputs``
+lists OUTPUT nets and flop data nets, each as their lines appear. A net
+may be declared OUTPUT once, and not also be a flop's data net (route
+one of the two through a BUFF); ``serialize_bench`` relies on this to
+give back the same port order.
 
 Gates are identified by their output net name. Iteration order always
 follows file order, which keeps every downstream report deterministic.
@@ -106,10 +111,6 @@ class Netlist:
                 fo[f].append(g.gate_id)
         return fo
 
-    def fanout_cone(self, gate_id: str) -> set[str]:
-        """All net names reachable from a gate's output, inclusive."""
-        return reachable(self.fanout_map(), gate_id)
-
     def fanin_cone(self, gate_id: str) -> set[str]:
         """All net names feeding a gate, inclusive of the gate itself."""
         return reachable({g.gate_id: g.fanins for g in self.gates}, gate_id)
@@ -163,6 +164,8 @@ def parse_bench(text: str) -> Netlist:
     pseudo_in: list[str] = []
     pseudo_out: list[str] = []
     defined: set[str] = set()
+    declared_out: set[str] = set()
+    flop_data: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -179,6 +182,14 @@ def parse_bench(text: str) -> Netlist:
                 inputs.append(net)
                 defined.add(net)
             else:
+                if net in declared_out:
+                    raise BenchSyntaxError(
+                        f"net {net!r} declared OUTPUT twice", lineno)
+                if net in flop_data:
+                    raise BenchSyntaxError(
+                        f"net {net!r} is both an OUTPUT and a DFF data net",
+                        lineno)
+                declared_out.add(net)
                 outputs.append(net)
             continue
         out = m.group("out")
@@ -193,6 +204,11 @@ def parse_bench(text: str) -> Netlist:
             if len(args) != 1:
                 raise ArityMismatchError(
                     f"DFF {out!r} takes 1 fanin, got {len(args)}", lineno)
+            if args[0] in declared_out:
+                raise BenchSyntaxError(
+                    f"net {args[0]!r} is both an OUTPUT and a DFF data net",
+                    lineno)
+            flop_data.add(args[0])
             pseudo_in.append(out)
             inputs.append(out)
             pseudo_out.append(args[0])
@@ -230,12 +246,26 @@ def parse_bench(text: str) -> Netlist:
 
 
 def serialize_bench(net: Netlist) -> str:
-    """Regenerate .bench text; parse(serialize(x)) reproduces x."""
-    lines = [f"INPUT({n})" for n in net.inputs if n not in net.pseudo_inputs]
-    lines += [f"OUTPUT({n})" for n in net.outputs
-              if n not in net.pseudo_outputs]
-    lines += [f"{n} = DFF({d})" for n, d in zip(net.pseudo_inputs,
-                                                net.pseudo_outputs)]
+    """Regenerate .bench text; parse(serialize(x)) reproduces x.
+
+    The port lines walk ``inputs`` and ``outputs`` together: a plain input
+    gives INPUT, else a plain output gives OUTPUT, else the next flop,
+    whose output and data net are then at the head of both.
+    """
+    plain_in = set(net.inputs) - set(net.pseudo_inputs)
+    plain_out = set(net.outputs) - set(net.pseudo_outputs)
+    flops = zip(net.pseudo_inputs, net.pseudo_outputs)
+    lines, i, o = [], 0, 0
+    while i < len(net.inputs) or o < len(net.outputs):
+        if i < len(net.inputs) and net.inputs[i] in plain_in:
+            lines.append(f"INPUT({net.inputs[i]})")
+            i += 1
+        elif o < len(net.outputs) and net.outputs[o] in plain_out:
+            lines.append(f"OUTPUT({net.outputs[o]})")
+            o += 1
+        else:
+            lines.append("{} = DFF({})".format(*next(flops)))
+            i, o = i + 1, o + 1
     for g in net.gates:
         tag = g.flavor.value if g.is_camo else g.func.value
         lines.append(f"{g.gate_id} = {tag}({', '.join(g.fanins)})")

@@ -19,7 +19,8 @@ import random
 import warnings
 from dataclasses import dataclass
 
-from .cell import CamoConfig, CellFlavor, GateFunction, config_for
+from .cell import (LOCAL_VECTORS, CamoConfig, CellFlavor, GateFunction,
+                   config_for)
 from .device import (
     BiasPoint,
     CellModel,
@@ -40,8 +41,6 @@ MIN_TEMPERATURE_K = 200.0
 MAX_TEMPERATURE_K = 400.0
 
 DEFAULT_TEMPERATURES = (250.0, 300.0, 350.0)
-
-_LOCAL_VECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 #: Floor applied before taking logs of measured quantities.
 _LOG_FLOOR = 1e-300
@@ -127,7 +126,7 @@ def cell_signature(config: CamoConfig, temperatures=DEFAULT_TEMPERATURES,
     return Signature(gate_id, tuple(
         Observation(vec, t, cell.leakage(vec, point),
                     cell.delay(vec, point)[0])
-        for vec in _LOCAL_VECTORS for t, point in points))
+        for vec in LOCAL_VECTORS for t, point in points))
 
 
 def template_signatures(flavor: CellFlavor,

@@ -43,8 +43,6 @@ device.kvt = 0.0015
 
 cost.camo8.area = 5
 seed = 7
-jobs = 2
-out_dir = /tmp/reports
 """
 
 
@@ -54,8 +52,6 @@ class TestParseConfig:
         assert cfg == RunConfig()
         assert cfg.device.vdd == 1.0
         assert cfg.seed == 0
-        assert cfg.jobs == 1
-        assert cfg.report_format == "json"
 
     def test_overrides_apply(self):
         cfg = parse_config(GOOD_CONFIG)
@@ -65,8 +61,6 @@ class TestParseConfig:
         assert cfg.cost.for_flavor(CellFlavor.CAMO8).power == 4.0
         assert cfg.cost.for_flavor(CellFlavor.CMOS3A).area == 2.0
         assert cfg.seed == 7
-        assert cfg.jobs == 2
-        assert cfg.out_dir == "/tmp/reports"
 
     def test_resolved_dict_is_flat_and_complete(self):
         flat = parse_config(GOOD_CONFIG).resolved_dict()
@@ -74,7 +68,6 @@ class TestParseConfig:
         assert flat["cost.camo8.area"] == 5.0
         assert flat["cost.cmos3b.delay"] == 1.5
         assert flat["seed"] == 7
-        assert flat["out_dir"] == "/tmp/reports"
         defaults = RunConfig().resolved_dict()
         assert set(flat) == set(defaults)
 
@@ -325,7 +318,29 @@ class TestCliFailures:
         with pytest.raises(SystemExit) as exc:
             main(["lock", c17_file])  # missing required outputs
         assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["bias-opt", "--jobs", "2"])  # no such option
+        assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--hvt", "0.3", "--lvt", "0.3:0.4"],
+        ["sweep", "--hvt", "nan:nan", "--lvt", "0.3:0.4"],
+        ["sweep", "--hvt", "0.3:0.4", "--lvt", "0.3:inf"],
+        ["sidechannel", "{bench}", "--key", "{key}", "--temps", "250,abc"],
+        ["sidechannel", "{bench}", "--key", "{key}", "--temps", ","],
+    ], ids=["range-no-colon", "range-nan", "range-inf", "temps-word",
+            "temps-empty"])
+    def test_malformed_number_is_one_json_line(self, capsys, tmp_path,
+                                               c17_file, argv):
+        locked, keyfile, _ = _lock_c17(tmp_path, c17_file)
+        argv = [a.format(bench=locked, key=keyfile) for a in argv]
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InvalidParameterError"
 
     def test_oversized_attack_is_a_domain_error(self, capsys, tmp_path):
         text = ["INPUT(a)", "INPUT(b)", "OUTPUT(z)"]

@@ -5,7 +5,7 @@ from decimal import Decimal, getcontext
 
 import pytest
 
-from vtcamo.cell import CellFlavor, GateFunction, VT, config_for
+from vtcamo.cell import CellFlavor, GateFunction, config_for
 from vtcamo.device import (
     BiasPoint,
     DeviceParams,
@@ -13,12 +13,10 @@ from vtcamo.device import (
     default_bias,
     delay_detail,
     drain_current,
-    gate_delay_estimate,
     gate_leakage,
     optimize_bias,
     sweep_to_csv,
     sweep_vt_window,
-    switch_off_leakage,
     switch_ratio,
     thermal_voltage,
     vt_at_temperature,
@@ -165,14 +163,6 @@ class TestLeakage:
             assert leak > previous
             previous = leak
 
-    def test_all_lvt_switch_bank_has_no_off_current(self, params):
-        config = config_for(GateFunction.NAND, CellFlavor.CAMO8)
-        all_lvt = type(config)(switch_vt=tuple(VT.LVT for _ in range(14)),
-                               flavor=config.flavor,
-                               tie_first_input=config.tie_first_input)
-        bias = default_bias(params)
-        assert switch_off_leakage(all_lvt, 300.0, bias, params) == 0.0
-
     def test_nand_and_nor_leakage_differ_at_11(self, params):
         bias = default_bias(params)
         nand = gate_leakage(config_for(GateFunction.NAND, CellFlavor.CAMO8),
@@ -202,10 +192,10 @@ class TestDelay:
     def test_contention_slows_the_cell(self, params):
         config = config_for(GateFunction.XOR, CellFlavor.CAMO8)
         bias = default_bias(params)
-        with_c = gate_delay_estimate(config, (0, 1), bias, params.vdd, 300.0,
-                                     params, include_contention=True)
-        without = gate_delay_estimate(config, (0, 1), bias, params.vdd, 300.0,
-                                      params, include_contention=False)
+        with_c = delay_detail(config, (0, 1), bias, params.vdd, 300.0,
+                              params, include_contention=True).delay_s
+        without = delay_detail(config, (0, 1), bias, params.vdd, 300.0,
+                               params, include_contention=False).delay_s
         assert with_c > without
 
     def test_worst_case_supply_response_is_u_shaped(self, params):
@@ -219,14 +209,14 @@ class TestDelay:
         params = DeviceParams(delta_hvt=0.0, delta_lvt=0.0)
         config = config_for(GateFunction.XOR, CellFlavor.CAMO8)
         with pytest.raises(ContentionCollapseError):
-            gate_delay_estimate(config, (0, 1), default_bias(params),
-                                params.vdd, 300.0, params)
+            delay_detail(config, (0, 1), default_bias(params),
+                         params.vdd, 300.0, params).delay_s
 
     def test_rejects_bad_supply(self, params):
         config = config_for(GateFunction.NAND, CellFlavor.CAMO8)
         with pytest.raises(InvalidParameterError):
-            gate_delay_estimate(config, (1, 1), default_bias(params), -0.5,
-                                300.0, params)
+            delay_detail(config, (1, 1), default_bias(params), -0.5,
+                         300.0, params).delay_s
 
 
 class TestSweep:

@@ -26,6 +26,7 @@ from vtcamo.netlist import (
     critical_path,
     parse_bench,
     random_vectors,
+    reachable,
     serialize_bench,
     simulate,
     unit_delay_model,
@@ -71,6 +72,13 @@ class TestParsing:
         assert serialize_bench(again) == text
         assert again.inputs == net.inputs and again.outputs == net.outputs
 
+    def test_flop_before_port_lines_keeps_port_order(self):
+        net = parse_bench("INPUT(a)\nq = DFF(d)\nINPUT(b)\nOUTPUT(z)\n"
+                          "d = AND(a, q)\nz = OR(b, d)\n")
+        assert net.inputs == ("a", "q", "b")
+        assert net.outputs == ("d", "z")
+        assert parse_bench(serialize_bench(net)) == net
+
     def test_gate_lookup(self, c17):
         assert c17.gate("16").fanins == ("2", "11")
         with pytest.raises(UnresolvedGateError):
@@ -91,6 +99,20 @@ class TestParseErrors:
         with pytest.raises(BenchSyntaxError, match="twice"):
             parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\n"
                         "y = NAND(a, b)\ny = NOR(a, b)\n")
+
+    def test_second_output_of_a_net_is_rejected(self):
+        with pytest.raises(BenchSyntaxError, match="OUTPUT twice") as err:
+            parse_bench("INPUT(a)\nOUTPUT(y)\nOUTPUT(y)\ny = NOT(a)\n")
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("text", [
+        "INPUT(a)\nOUTPUT(d)\nd = NOT(a)\nq = DFF(d)\n",
+        "INPUT(a)\nq = DFF(d)\nd = NOT(a)\nOUTPUT(d)\n",
+    ], ids=["output-first", "flop-first"])
+    def test_output_that_is_also_flop_data_is_rejected(self, text):
+        with pytest.raises(BenchSyntaxError, match="DFF data") as err:
+            parse_bench(text)
+        assert err.value.line == 4
 
     def test_undefined_fanin(self):
         with pytest.raises(UndefinedNetError, match="ghost"):
@@ -322,7 +344,7 @@ class TestTopology:
         assert levels["1"] == 0
 
     def test_fanout_cone_includes_self_and_successors(self, c17):
-        assert c17.fanout_cone("11") == {"11", "16", "19", "22", "23"}
+        assert reachable(c17.fanout_map(), "11") == {"11", "16", "19", "22", "23"}
 
     def test_fanin_cone_includes_inputs(self, c17):
         assert c17.fanin_cone("22") == {"1", "2", "3", "6", "10", "11",
