@@ -1,6 +1,15 @@
-"""Oracle-guided attacks: brute force and sensitization."""
+"""Oracle-guided attacks: brute force and sensitization.
+
+Besides the worked cases, ``test_every_attack_is_sound`` is a property
+over generated locked netlists: each attack keeps the true function of
+every gate, its query count is the oracle's and the transcript's, and
+without a budget sensitization with flavor knowledge keeps no candidate
+brute force dropped.
+"""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_netlist
 from vtcamo.attack import (
@@ -236,3 +245,48 @@ class TestSensitization:
         vectors = [v for v, _ in report.transcript]
         assert len(vectors) == len(set(vectors))
         assert oracle.query_count == report.query_count
+
+
+@st.composite
+def attack_cases(draw):
+    """(locked netlist, key, query budget) with one to three cells."""
+    net = random_netlist(draw(st.integers(2, 7)), draw(st.integers(3, 14)),
+                         seed=draw(st.integers(0, 10**6)))
+    flavor = draw(st.sampled_from(list(CellFlavor)))
+    eligible = eligible_gates(net, flavor)
+    if not eligible:
+        flavor, eligible = CellFlavor.CAMO8, eligible_gates(net,
+                                                            CellFlavor.CAMO8)
+    chosen = draw(st.lists(st.sampled_from(eligible), min_size=1,
+                           max_size=3, unique=True))
+    locked, key = apply_camouflage(
+        net, chosen, flavor, decoy_seed=draw(st.none() | st.integers(0, 9)))
+    return locked, key, draw(st.sampled_from([None, 0, 1, 2, 5]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(attack_cases())
+def test_every_attack_is_sound(case):
+    locked, key, budget = case
+    runs = {}
+    sources = ["exhaustive"] + (["random"] if budget is not None else [])
+    for source in sources:
+        oracle = CountingOracle(locked, key)
+        runs["brute", source] = oracle, brute_force_attack(
+            locked, oracle, pattern_source=source, query_budget=budget,
+            seed=3)
+    for knowledge in (True, False):
+        oracle = CountingOracle(locked, key)
+        runs["sens", knowledge] = oracle, sensitization_attack(
+            locked, oracle, flavor_knowledge=knowledge, query_budget=budget)
+    for name, (oracle, report) in runs.items():
+        assert (report.query_count == oracle.query_count
+                == len(report.transcript)), name
+        for gid, entry in key.entries.items():
+            assert entry.function in report.resolved[gid], (name, gid)
+    if budget is None:
+        # brute force knows the flavors, so compare against that run only
+        brute, sens = runs["brute", "exhaustive"][1], runs["sens", True][1]
+        for gid in key.entries:
+            assert sens.resolved[gid] <= brute.resolved[gid], gid
