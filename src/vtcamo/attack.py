@@ -5,26 +5,27 @@ callable taking a primary-input vector and returning the primary-output
 vector. CountingOracle wraps a reference netlist plus its key and counts
 invocations independently, so reported query counts can be audited.
 
-brute_force_attack enumerates every joint function assignment of the
-camouflaged gates and filters it through the oracle's responses, walking
-the whole pattern space in exhaustive mode. sensitization_attack instead
-resolves gates one at a time in topological order: it computes the
-minimal local input patterns that tell the candidate functions apart,
-finds primary-input vectors that both drive a pattern onto the gate and
-provably propagate the gate's output to an observable output, and reads
-the hidden truth table entry off the oracle response. Propagation is
-checked by simulating with the target's output forced to 0 and to 1
-under three-valued logic, where every still-unresolved camouflaged gate
-contributes an unknown; a flip only counts when the two forced runs give
-definite, differing values at some output, so a resolution is sound no
-matter what the unresolved gates turn out to be.
+Both attacks end in one joint step, _resolve_jointly. It enumerates the
+product of the candidate sets of some camouflaged gates, replays the
+query transcript through filter_assignments, queries further vectors
+until the survivors are one assignment or provably interchangeable or
+the budget runs out, and assigns the status. brute_force_attack first
+queries its whole pattern source (in exhaustive mode, the input space)
+and hands every gate to that step. sensitization_attack first resolves
+gates one at a time in topological order: it computes the minimal local
+input patterns that tell the candidate functions apart, finds
+primary-input vectors that both drive a pattern onto the gate and
+provably propagate its output to an observable output, and reads the
+hidden truth table entry off the oracle response. The residue it could
+not resolve goes to the joint step, which walks the input space.
 
-All evaluation runs on the netlist module's bit-parallel core: a net
-carries two Python ints (may0, may1) whose bit j says whether it may be 0
-or 1 under vector j of a batch, so an unknown bit has both rails set. The
-propagation check is one pass with the target forced to 0 and one forced
-to 1; the lowest bit set in both the local-pattern and the definite-flip
-mask is the first such vector in counting order.
+Propagation is checked on the netlist module's bit-parallel dual-rail
+core with the target forced to 0 and to 1, every still-unresolved
+camouflaged gate an unknown. A flip counts only where both runs give
+definite, differing values at some output, so a resolution is sound
+whatever the unresolved gates turn out to be; the lowest bit set in
+both the local-pattern and the definite-flip mask is the first such
+vector in counting order.
 """
 
 from __future__ import annotations
@@ -61,13 +62,10 @@ class CountingOracle:
         self._net = net
         self._key = key
         self.query_count = 0
-        self.transcript: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def __call__(self, vector) -> tuple[int, ...]:
-        out = simulate(self._net, vector, self._key)
         self.query_count += 1
-        self.transcript.append((tuple(vector), out))
-        return out
+        return simulate(self._net, vector, self._key)
 
 
 @dataclass(frozen=True)
@@ -92,6 +90,9 @@ class _QueryCache:
     """Attacker-side memo so repeated vectors never hit the oracle twice."""
 
     def __init__(self, oracle: Callable, budget: int | None):
+        if budget is not None and budget < 0:
+            raise InvalidParameterError(
+                f"query budget must be >= 0, got {budget}")
         self._oracle = oracle
         self._budget = budget
         self._seen: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -139,6 +140,50 @@ def _mutually_equivalent(net: Netlist, gate_ids: list[str],
     return all(table == reference for table in tables)
 
 
+def _resolve_jointly(net: Netlist, cache: _QueryCache, sets: dict,
+                     gate_ids: list[str], fixed: dict | None = None,
+                     complete: bool = False,
+                     vectors: Iterable | None = None) -> tuple[str, float]:
+    """Filter the joint assignments of ``gate_ids``; narrow ``sets``.
+
+    The transcript is replayed first, ``fixed`` assigning the other
+    camouflaged gates. Until the survivors are settled (``complete`` or
+    mutually equivalent), ``vectors`` are queried and filtered one by
+    one; a walk that reaches their end is complete. Returns the status
+    and the survivors' log2.
+    """
+    survivors = filter_assignments(
+        net, gate_ids,
+        product(*(sorted(sets[g], key=lambda f: f.value) for g in gate_ids)),
+        cache.transcript, fixed)
+    settled = complete or _mutually_equivalent(net, gate_ids, survivors,
+                                               fixed)
+    if vectors is not None and not settled:
+        complete = True
+        for vec in vectors:
+            out = cache.query(vec)
+            if out is None:
+                complete = False
+                break
+            before = len(survivors)
+            survivors = filter_assignments(net, gate_ids, survivors,
+                                           [(vec, out)], fixed)
+            if len(survivors) != before and _mutually_equivalent(
+                    net, gate_ids, survivors, fixed):
+                settled = True
+                break
+    for i, gid in enumerate(gate_ids):
+        sets[gid] = {a[i] for a in survivors}
+    if len(survivors) == 1:
+        status = "unique"
+    elif settled or complete:
+        status = "equivalent_class"
+    else:
+        status = "budget_exhausted"
+    return status, (math.log2(len(survivors)) if survivors
+                    else float("-inf"))
+
+
 def brute_force_attack(net: Netlist, oracle: Callable,
                        pattern_source: str = "exhaustive",
                        query_budget: int | None = None,
@@ -150,16 +195,12 @@ def brute_force_attack(net: Netlist, oracle: Callable,
     seeded vectors and requires a budget. The true programming always
     survives because it reproduces every oracle response by definition.
     """
-    camo = net.camo_gates()
-    if len(camo) > MAX_BRUTE_GATES:
-        raise AttackTooLargeError(
-            f"{len(camo)} camouflaged gates exceeds the joint enumeration "
-            f"guard of {MAX_BRUTE_GATES}; use sensitization_attack")
     sets = _candidate_sets(net, flavor_knowledge=True)
-    gate_ids = [g.gate_id for g in camo]
+    if len(sets) > MAX_BRUTE_GATES:
+        raise AttackTooLargeError(
+            f"{len(sets)} camouflaged gates exceeds the joint enumeration "
+            f"guard of {MAX_BRUTE_GATES}; use sensitization_attack")
     initial_log2 = _space_log2(sets.values())
-    survivors = [tuple(a) for a in product(*(sorted(sets[g], key=lambda f: f.value)
-                                             for g in gate_ids))]
     if pattern_source == "exhaustive":
         vectors = all_vectors(len(net.inputs))
     elif pattern_source == "random":
@@ -171,23 +212,12 @@ def brute_force_attack(net: Netlist, oracle: Callable,
         raise InvalidParameterError(
             f"unknown pattern source {pattern_source!r}")
     cache = _QueryCache(oracle, query_budget)
-    complete = True
-    for vec in vectors:
-        if cache.query(vec) is None:
-            complete = False
-            break
-    survivors = filter_assignments(net, gate_ids, survivors, cache.transcript)
-    resolved = {gid: frozenset(a[i] for a in survivors)
-                for i, gid in enumerate(gate_ids)}
-    if not gate_ids or len(survivors) == 1:
-        status = "unique"
-    elif complete or _mutually_equivalent(net, gate_ids, survivors):
-        status = "equivalent_class"
-    else:
-        status = "budget_exhausted"
-    final = math.log2(len(survivors)) if survivors else float("-inf")
-    return AttackReport(resolved, len(cache.transcript), initial_log2,
-                        final, status, tuple(cache.transcript))
+    complete = all(cache.query(vec) is not None for vec in vectors)
+    status, final_log2 = _resolve_jointly(net, cache, sets, list(sets),
+                                          complete=complete)
+    return AttackReport({gid: frozenset(s) for gid, s in sets.items()},
+                        len(cache.transcript), initial_log2, final_log2,
+                        status, tuple(cache.transcript))
 
 
 @dataclass(frozen=True)
@@ -269,8 +299,7 @@ def sensitization_attack(net: Netlist, oracle: Callable,
     guarded joint enumeration over the residue. Without flavor knowledge
     every gate starts from the full eight-function candidate set.
     """
-    sets = {gid: set(s)
-            for gid, s in _candidate_sets(net, flavor_knowledge).items()}
+    sets = _candidate_sets(net, flavor_knowledge)
     initial_log2 = _space_log2(sets.values())
     cache = _QueryCache(oracle, query_budget)
     camo_order = [g.gate_id for g in net.topo_order if g.is_camo]
@@ -307,46 +336,16 @@ def sensitization_attack(net: Netlist, oracle: Callable,
                 progress = True
 
     residue = [gid for gid in camo_order if len(sets[gid]) > 1]
-    fixed = resolved_assignment()
     if not residue:
         status, final_log2 = "unique", 0.0
     elif math.prod(len(sets[gid]) for gid in residue) > RESIDUE_ENUM_LIMIT:
         status = "budget_exhausted"
         final_log2 = _space_log2(sets[gid] for gid in residue)
     else:
-        survivors = [tuple(a) for a in product(
-            *(sorted(sets[g], key=lambda f: f.value) for g in residue))]
-        # replay the transcript before touching the oracle again
-        survivors = filter_assignments(net, residue, survivors,
-                                       cache.transcript, fixed)
-        complete = True
-        settled = _mutually_equivalent(net, residue, survivors, fixed)
-        if len(net.inputs) <= EXHAUSTIVE_INPUT_LIMIT:
-            for vec in all_vectors(len(net.inputs)):
-                if settled:
-                    break
-                out = cache.query(vec)
-                if out is None:
-                    complete = False
-                    break
-                before = len(survivors)
-                survivors = filter_assignments(net, residue, survivors,
-                                               [(vec, out)], fixed)
-                if len(survivors) != before:
-                    settled = _mutually_equivalent(net, residue,
-                                                   survivors, fixed)
-        else:
-            complete = False
-        for i, gid in enumerate(residue):
-            sets[gid] = {a[i] for a in survivors}
-        if len(survivors) == 1:
-            status = "unique"
-        elif settled or complete:
-            status = "equivalent_class"
-        else:
-            status = "budget_exhausted"
-        final_log2 = (math.log2(len(survivors)) if survivors
-                      else float("-inf"))
-    resolved = {gid: frozenset(s) for gid, s in sets.items()}
-    return AttackReport(resolved, len(cache.transcript), initial_log2,
-                        final_log2, status, tuple(cache.transcript))
+        status, final_log2 = _resolve_jointly(
+            net, cache, sets, residue, resolved_assignment(),
+            vectors=(all_vectors(len(net.inputs))
+                     if len(net.inputs) <= EXHAUSTIVE_INPUT_LIMIT else None))
+    return AttackReport({gid: frozenset(s) for gid, s in sets.items()},
+                        len(cache.transcript), initial_log2, final_log2,
+                        status, tuple(cache.transcript))
