@@ -26,7 +26,7 @@ from .errors import (
     InvalidPolicyError,
 )
 from .netlist import (CamoKey, Gate, KeyEntry, Netlist, critical_path,
-                      reachable, unit_delay_model)
+                      reachable)
 
 #: Year length used for human-readable effort figures (Julian year).
 SECONDS_PER_YEAR = 31557600
@@ -184,7 +184,6 @@ def apply_camouflage(net: Netlist, gate_ids, flavor: CellFlavor,
 
 def select_gates(net: Netlist, policy: SelectionPolicy,
                  cost_table: CostTable | None = None,
-                 delay_model=unit_delay_model,
                  flavor: CellFlavor = CellFlavor.CAMO8) -> list[str]:
     """Pick gates to camouflage according to the policy.
 
@@ -210,11 +209,11 @@ def select_gates(net: Netlist, policy: SelectionPolicy,
         ranked = sorted(eligible, key=lambda g: (not feeds_xor(g), pos[g]))
         return sorted(ranked[:count])
     if policy.strategy == "off_critical":
-        on_path = set(critical_path(net, delay_model).gate_ids)
+        on_path = set(critical_path(net).gate_ids)
         keep = [gid for gid in eligible if gid not in on_path]
         return sorted(keep[:count])
     # greedy_effort
-    base = critical_path(net, delay_model)
+    base = critical_path(net)
     limit = base.delay * (1.0 + policy.delay_budget)
     multiples = cost_table.for_flavor(flavor)
     overhead_norm = (multiples.area - 1.0) / multiples.area
@@ -231,8 +230,7 @@ def select_gates(net: Netlist, policy: SelectionPolicy,
             break
         trial = set(chosen) | {gid}
         def model(g: Gate, _trial=trial) -> float:
-            d = delay_model(g)
-            return d * multiples.delay if g.gate_id in _trial else d
+            return multiples.delay if g.gate_id in _trial else 1.0
         if critical_path(net, model).delay <= limit + 1e-12:
             chosen.append(gid)
     return sorted(chosen)
@@ -250,14 +248,14 @@ class OverheadReport:
     per_gate: dict[str, CostMultiples]
 
 
-def overhead_report(net: Netlist, cost_table: CostTable | None = None,
-                    delay_model=unit_delay_model) -> OverheadReport:
+def overhead_report(net: Netlist,
+                    cost_table: CostTable | None = None) -> OverheadReport:
     """Overhead of the camouflaged gates already present in ``net``.
 
     Area and power count the extra gate-equivalents of each camouflaged
     cell, sum(multiple - 1), over the total gate count. Delay compares
-    the critical path with camouflaged delay multiples against the same
-    path model with every gate plain.
+    the unit-delay critical path, each camouflaged gate weighted by its
+    delay multiple, against the same path with every gate plain.
     """
     cost_table = cost_table or CostTable()
     per_gate = {}
@@ -268,12 +266,9 @@ def overhead_report(net: Netlist, cost_table: CostTable | None = None,
         extra_area += m.area - 1.0
         extra_power += m.power - 1.0
     total = len(net.gates)
-    base = critical_path(net, delay_model)
+    base = critical_path(net)
     def camo_model(g: Gate) -> float:
-        d = delay_model(g)
-        if g.is_camo:
-            return d * cost_table.for_flavor(g.flavor).delay
-        return d
+        return cost_table.for_flavor(g.flavor).delay if g.is_camo else 1.0
     with_camo = critical_path(net, camo_model)
     delay_pct = 0.0
     if base.delay > 0:
