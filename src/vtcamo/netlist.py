@@ -481,6 +481,8 @@ def _key_assignment(net: Netlist, key: CamoKey | None) -> dict:
     if key is None and net.camo_gates():
         raise UnresolvedGateError("netlist has camouflaged gates; "
                                   "a key is required")
+    if key is not None:
+        validate_key(net, key)
     return {gid: e.function for gid, e in key.entries.items()} if key else {}
 
 
@@ -504,8 +506,6 @@ def simulate(net: Netlist, input_vector, key: CamoKey | None = None):
             f"expected {len(net.inputs)} input bits, got {len(vec)}")
     if any(b not in (0, 1) for b in vec):
         raise InputWidthError(f"input bits must be 0/1: {vec!r}")
-    if key is not None and net.camo_gates():
-        validate_key(net, key)
     rails = _evaluate(net, [int(b) for b in vec], 1,
                       _key_assignment(net, key))
     return tuple(_outputs(net, rails))
@@ -549,23 +549,20 @@ def check_equivalence(net_a: Netlist, net_b: Netlist,
     if net_a.inputs != net_b.inputs or net_a.outputs != net_b.outputs:
         raise IncompatibleNetlistsError(
             "netlists differ in PI/PO names or order")
-    if key_a is not None:
-        validate_key(net_a, key_a)
-    if key_b is not None:
-        validate_key(net_b, key_b)
+    assign_a = _key_assignment(net_a, key_a)
+    assign_b = _key_assignment(net_b, key_b)
     width = len(net_a.inputs)
     if mode == "exhaustive":
         _check_exhaustive(width)
         vectors, total = None, 1 << width
     elif mode == "random":
+        if num_vectors < 1:
+            raise InvalidParameterError(
+                f"num_vectors must be >= 1, got {num_vectors}")
         vectors = random_vectors(width, num_vectors, seed)
         total = len(vectors)
     else:
         raise InvalidParameterError(f"unknown equivalence mode {mode!r}")
-    if not total:
-        return EquivalenceVerdict(True, 0)
-    assign_a = _key_assignment(net_a, key_a)
-    assign_b = _key_assignment(net_b, key_b)
     for first, words, mask in _blocks(width, vectors):
         rails_a = _evaluate(net_a, words, mask, assign_a)
         rails_b = _evaluate(net_b, words, mask, assign_b)

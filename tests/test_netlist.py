@@ -280,10 +280,12 @@ class TestEquivalence:
             check_equivalence(c17, synth_mix)
 
     def test_mismatched_keys_fail_fast(self, c17):
+        stray = CamoKey({"10": KeyEntry(GateFunction.NAND)})
         with pytest.raises(KeyScopeError):
-            check_equivalence(c17, c17,
-                              key_b=CamoKey({"10": KeyEntry(
-                                  GateFunction.NAND)}))
+            check_equivalence(c17, c17, key_b=stray)
+        # simulate applies the same check, although c17 has no cells
+        with pytest.raises(KeyScopeError):
+            simulate(c17, (0,) * 5, stray)
 
 
 class TestCriticalPath:
