@@ -5,27 +5,25 @@ callable taking a primary-input vector and returning the primary-output
 vector. CountingOracle wraps a reference netlist plus its key and counts
 invocations independently, so reported query counts can be audited.
 
-Both attacks end in one joint step, _resolve_jointly. It enumerates the
-product of the candidate sets of some camouflaged gates, replays the
-query transcript through filter_assignments, queries further vectors
-until the survivors are one assignment or provably interchangeable or
-the budget runs out, and assigns the status. brute_force_attack first
-queries its whole pattern source (in exhaustive mode, the input space)
-and hands every gate to that step. sensitization_attack first resolves
-gates one at a time in topological order: it computes the minimal local
-input patterns that tell the candidate functions apart, finds
-primary-input vectors that both drive a pattern onto the gate and
-provably propagate its output to an observable output, and reads the
-hidden truth table entry off the oracle response. The residue it could
-not resolve goes to the joint step, which walks the input space.
+Both attacks end in one joint step, _resolve_jointly: it enumerates the
+product of some gates' candidate sets, replays the query transcript
+through filter_assignments, queries further vectors until one assignment
+is left, the rest are provably interchangeable or the budget runs out,
+and assigns the status. brute_force_attack queries its whole pattern
+source first and hands every gate to that step. sensitization_attack
+first resolves gates one at a time in topological order: for the local
+input patterns that tell a gate's candidates apart, it finds a
+primary-input vector that drives the pattern onto the gate and provably
+propagates the gate's output to a primary output, and reads the hidden
+truth table entry off the oracle response. The residue goes to the
+joint step, which walks the input space.
 
 Propagation is checked on the netlist module's bit-parallel dual-rail
-core with the target forced to 0 and to 1, every still-unresolved
-camouflaged gate an unknown. A flip counts only where both runs give
-definite, differing values at some output, so a resolution is sound
-whatever the unresolved gates turn out to be; the lowest bit set in
-both the local-pattern and the definite-flip mask is the first such
-vector in counting order.
+core with the target forced to 0 and to 1, every unresolved camouflaged
+gate an unknown. A flip counts only where both runs give definite,
+differing values at some output, so a resolution is sound whatever the
+unresolved gates are; the lowest bit set in both the local-pattern and
+the flip mask is the first such vector in counting order.
 """
 
 from __future__ import annotations
@@ -87,7 +85,7 @@ class AttackReport:
 
 
 class _QueryCache:
-    """Attacker-side memo so repeated vectors never hit the oracle twice."""
+    """Attacker-side memo; ``transcript`` maps vectors to replies in order."""
 
     def __init__(self, oracle: Callable, budget: int | None):
         if budget is not None and budget < 0:
@@ -95,21 +93,18 @@ class _QueryCache:
                 f"query budget must be >= 0, got {budget}")
         self._oracle = oracle
         self._budget = budget
-        self._seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.transcript: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.transcript: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     @property
     def exhausted(self) -> bool:
         return self._budget is not None and len(self.transcript) >= self._budget
 
     def query(self, vector: tuple[int, ...]) -> tuple[int, ...] | None:
-        if vector in self._seen:
-            return self._seen[vector]
+        if vector in self.transcript:
+            return self.transcript[vector]
         if self.exhausted:
             return None
-        out = tuple(self._oracle(vector))
-        self._seen[vector] = out
-        self.transcript.append((vector, out))
+        out = self.transcript[vector] = tuple(self._oracle(vector))
         return out
 
 
@@ -146,24 +141,21 @@ def _resolve_jointly(net: Netlist, cache: _QueryCache, sets: dict,
                      vectors: Iterable | None = None) -> tuple[str, float]:
     """Filter the joint assignments of ``gate_ids``; narrow ``sets``.
 
-    The transcript is replayed first, ``fixed`` assigning the other
-    camouflaged gates. Until the survivors are settled (``complete`` or
-    mutually equivalent), ``vectors`` are queried and filtered one by
-    one; a walk that reaches their end is complete. Returns the status
-    and the survivors' log2.
+    Replays the transcript (``fixed`` assigns the other cells), then,
+    until the survivors are settled (``complete`` or mutually equivalent),
+    queries ``vectors`` one by one; a walk that reaches their end is
+    complete. Returns the status and the survivors' log2.
     """
     survivors = filter_assignments(
         net, gate_ids,
         product(*(sorted(sets[g], key=lambda f: f.value) for g in gate_ids)),
-        cache.transcript, fixed)
+        cache.transcript.items(), fixed)
     settled = complete or _mutually_equivalent(net, gate_ids, survivors,
                                                fixed)
     if vectors is not None and not settled:
-        complete = True
         for vec in vectors:
             out = cache.query(vec)
             if out is None:
-                complete = False
                 break
             before = len(survivors)
             survivors = filter_assignments(net, gate_ids, survivors,
@@ -172,14 +164,12 @@ def _resolve_jointly(net: Netlist, cache: _QueryCache, sets: dict,
                     net, gate_ids, survivors, fixed):
                 settled = True
                 break
+        else:
+            complete = True
     for i, gid in enumerate(gate_ids):
         sets[gid] = {a[i] for a in survivors}
-    if len(survivors) == 1:
-        status = "unique"
-    elif settled or complete:
-        status = "equivalent_class"
-    else:
-        status = "budget_exhausted"
+    status = ("unique" if len(survivors) == 1 else "equivalent_class"
+              if settled or complete else "budget_exhausted")
     return status, (math.log2(len(survivors)) if survivors
                     else float("-inf"))
 
@@ -217,7 +207,7 @@ def brute_force_attack(net: Netlist, oracle: Callable,
                                           complete=complete)
     return AttackReport({gid: frozenset(s) for gid, s in sets.items()},
                         len(cache.transcript), initial_log2, final_log2,
-                        status, tuple(cache.transcript))
+                        status, tuple(cache.transcript.items()))
 
 
 @dataclass(frozen=True)
@@ -348,4 +338,4 @@ def sensitization_attack(net: Netlist, oracle: Callable,
                      if len(net.inputs) <= EXHAUSTIVE_INPUT_LIMIT else None))
     return AttackReport({gid: frozenset(s) for gid, s in sets.items()},
                         len(cache.transcript), initial_log2, final_log2,
-                        status, tuple(cache.transcript))
+                        status, tuple(cache.transcript.items()))

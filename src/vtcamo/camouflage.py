@@ -23,6 +23,7 @@ from .errors import (
     DecoySelectionError,
     FlavorMismatchError,
     InvalidCostTableError,
+    InvalidParameterError,
     InvalidPolicyError,
 )
 from .netlist import (CamoKey, Gate, KeyEntry, Netlist, critical_path,
@@ -96,7 +97,7 @@ class SelectionPolicy:
         if not (0.0 < self.budget <= 1.0):
             raise InvalidPolicyError(
                 f"budget must be in (0, 1], got {self.budget}")
-        if self.delay_budget < 0:
+        if not self.delay_budget >= 0:
             raise InvalidPolicyError(
                 f"delay_budget must be >= 0, got {self.delay_budget}")
 
@@ -331,7 +332,6 @@ def effort_estimate(n_inputs: int, k_camo: int, functions_per_gate: int,
     over the pattern space; seconds_retest assumes every candidate is
     re-simulated against every pattern.
     """
-    from .errors import InvalidParameterError
     if n_inputs < 0 or k_camo < 0 or functions_per_gate < 1:
         raise InvalidParameterError("counts must be non-negative "
                                     "(functions_per_gate >= 1)")

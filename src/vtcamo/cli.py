@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -42,6 +43,8 @@ from .netlist import (
     validate_key,
 )
 
+#: Most digits of a printed effort count (CPython's int-to-str limit).
+MAX_COUNT_DIGITS = 4300
 _FLAVORS = {f.value.lower(): f for f in CellFlavor}
 _STRATEGIES = {
     "random": "random",
@@ -158,8 +161,6 @@ def _cmd_lock(args) -> int:
 def _cmd_sim(args) -> int:
     net = _load_net(args.bench)
     key = _load_key(args.key) if args.key else None
-    if key is not None:
-        validate_key(net, key)
     results = []
     for raw in args.inputs:
         vec = _vector_arg(raw, len(net.inputs))
@@ -351,9 +352,18 @@ def _cmd_bias_opt(args) -> int:
     return 0
 
 
+def _effort(n_inputs: int, k_camo: int, functions: int, **kwargs):
+    """effort_estimate, first refusing counts too long to print."""
+    if (n_inputs >= MAX_COUNT_DIGITS / math.log10(2) or functions > 1
+            and k_camo >= MAX_COUNT_DIGITS / math.log10(functions)):
+        raise InvalidParameterError(
+            f"pattern or candidate count exceeds {MAX_COUNT_DIGITS} digits")
+    return effort_estimate(n_inputs, k_camo, functions, **kwargs)
+
+
 def _cmd_estimate(args) -> int:
-    est = effort_estimate(args.inputs, args.gates, args.functions,
-                          test_frequency_hz=args.freq)
+    est = _effort(args.inputs, args.gates, args.functions,
+                  test_frequency_hz=args.freq)
     _emit({
         "command": "estimate",
         "pattern_count": str(est.pattern_count),
@@ -370,13 +380,12 @@ def _cmd_estimate(args) -> int:
 def _cmd_report(args) -> int:
     cfg = _config_for(args)
     net = _load_net(args.bench)
-    key = _load_key(args.key) if args.key else None
-    if key is not None:
-        validate_key(net, key)
+    if args.key:
+        validate_key(net, _load_key(args.key))
     overhead = overhead_report(net, cfg.cost)
     camo = net.camo_gates()
-    functions = max((len(g.flavor.function_set) for g in camo), default=0)
-    est = effort_estimate(len(net.inputs), len(camo), max(functions, 1))
+    est = _effort(len(net.inputs), len(camo), max(
+        (len(g.flavor.function_set) for g in camo), default=1))
     _emit({
         "command": "report",
         "file": args.bench,

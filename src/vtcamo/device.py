@@ -67,6 +67,9 @@ OFF_STACK_FACTOR = 5.0
 #: Largest allowed half-width of the bias optimizer search box (volts).
 MAX_SEARCH_WINDOW_V = 0.2
 
+#: Most points a VT sweep or a bias search evaluates (0.25 ms each).
+MAX_GRID_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class DeviceParams:
@@ -442,7 +445,8 @@ class SweepRow:
     delay_s: float
 
 
-def _grid(lo: float, hi: float, step: float) -> list[float]:
+def _grid_size(lo: float, hi: float, step: float, others: int = 1) -> int:
+    """Points from lo to hi by step; at most MAX_GRID_POINTS with others."""
     if step <= 0 or not math.isfinite(step):
         raise InvalidParameterError(f"grid step must be positive, got {step}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -450,8 +454,14 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
                                     f"got ({lo}, {hi})")
     if hi < lo:
         raise InvalidParameterError(f"empty range ({lo}, {hi})")
-    count = int(round((hi - lo) / step)) + 1
-    pts = [round(lo + i * step, 12) for i in range(count)]
+    span = (hi - lo) / step
+    if (span + 1) * others > MAX_GRID_POINTS:
+        raise InvalidParameterError(f"grid exceeds {MAX_GRID_POINTS} points")
+    return round(span) + 1
+
+
+def _grid(lo: float, hi: float, step: float) -> list[float]:
+    pts = [round(lo + i * step, 12) for i in range(_grid_size(lo, hi, step))]
     return [p for p in pts if p <= hi + 1e-12]
 
 def sweep_vt_window(hvt_range: tuple[float, float],
@@ -462,6 +472,7 @@ def sweep_vt_window(hvt_range: tuple[float, float],
 
     Rows are emitted in row-major order: delta_hvt outer, delta_lvt inner.
     """
+    _grid_size(*lvt_range, step, _grid_size(*hvt_range, step))
     rows = []
     for dh in _grid(*hvt_range, step):
         for dl in _grid(*lvt_range, step):
@@ -514,8 +525,8 @@ def optimize_bias(params: DeviceParams, search_window: float = 0.1,
     if search_window > MAX_SEARCH_WINDOW_V:
         raise InvalidParameterError(
             f"search_window {search_window} exceeds {MAX_SEARCH_WINDOW_V} V")
-    if grid_step <= 0 or not math.isfinite(grid_step):
-        raise InvalidParameterError(f"grid_step must be positive: {grid_step}")
+    axis = _grid_size(-search_window, search_window, grid_step)  # >= 2k + 1
+    _grid_size(-search_window, search_window, grid_step, axis ** 3)
     if t is None:
         t = params.t_ref
     base_bias = default_bias(params)

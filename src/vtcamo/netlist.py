@@ -553,14 +553,12 @@ def check_equivalence(net_a: Netlist, net_b: Netlist,
     assign_b = _key_assignment(net_b, key_b)
     width = len(net_a.inputs)
     if mode == "exhaustive":
-        _check_exhaustive(width)
         vectors, total = None, 1 << width
     elif mode == "random":
         if num_vectors < 1:
             raise InvalidParameterError(
                 f"num_vectors must be >= 1, got {num_vectors}")
-        vectors = random_vectors(width, num_vectors, seed)
-        total = len(vectors)
+        vectors, total = random_vectors(width, num_vectors, seed), num_vectors
     else:
         raise InvalidParameterError(f"unknown equivalence mode {mode!r}")
     for first, words, mask in _blocks(width, vectors):

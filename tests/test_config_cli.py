@@ -1,21 +1,28 @@
 """Run configuration parsing and the command line front end."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import vtcamo
 from conftest import bench_text
+from vtcamo.camouflage import apply_camouflage
 from vtcamo.cell import CellFlavor
 from vtcamo.cli import main
 from vtcamo.config import RunConfig, load_config, parse_config
 from vtcamo.errors import ConfigFileError
+from vtcamo.netlist import CamoKey, parse_bench, serialize_bench
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 ESTIMATE_ARGV = ["estimate", "--inputs", "4", "--gates", "2",
@@ -323,24 +330,52 @@ class TestCliFailures:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--hvt", "0.3", "--lvt", "0.3:0.4"],
-        ["sweep", "--hvt", "nan:nan", "--lvt", "0.3:0.4"],
-        ["sweep", "--hvt", "0.3:0.4", "--lvt", "0.3:inf"],
-        ["sidechannel", "{bench}", "--key", "{key}", "--temps", "250,abc"],
-        ["sidechannel", "{bench}", "--key", "{key}", "--temps", ","],
+    @pytest.mark.parametrize("argv, error", [
+        (["sweep", "--hvt", "0.3", "--lvt", "0.3:0.4"],
+         "InvalidParameterError"),
+        (["sweep", "--hvt", "nan:nan", "--lvt", "0.3:0.4"],
+         "InvalidParameterError"),
+        (["sweep", "--hvt", "0.3:0.4", "--lvt", "0.3:inf"],
+         "InvalidParameterError"),
+        (["sidechannel", "{bench}", "--key", "{key}", "--temps", "250,abc"],
+         "InvalidParameterError"),
+        (["sidechannel", "{bench}", "--key", "{key}", "--temps", ","],
+         "InvalidParameterError"),
+        (["estimate", "--inputs", "20000", "--gates", "2"],
+         "InvalidParameterError"),
+        (["estimate", "--inputs", "4", "--gates", "5000"],
+         "InvalidParameterError"),
+        # rejected from the point count, before any grid is built
+        (["sweep", "--hvt", "0:0.35", "--lvt", "0:0.35", "--step", "1e-300"],
+         "InvalidParameterError"),
+        (["bias-opt", "--window", "0.1", "--step", "1e-300"],
+         "InvalidParameterError"),
+        (["lock", "{bench}", "--strategy", "greedy-effort",
+          "--delay-budget", "nan", "--out-bench", "{tmp}/x.bench",
+          "--out-key", "{tmp}/x.key"], "InvalidPolicyError"),
+        (["equiv", "{bench}", "{bench}", "--key-a", "{key}", "--key-b",
+          "{key}", "--mode", "random", "--vectors", "-5"],
+         "InvalidParameterError"),
+        (["attack", "{bench}", "--key", "{key}", "--budget", "-3"],
+         "InvalidParameterError"),
+        (["attack", "{bench}", "--key", "{key}", "--method", "brute",
+          "--budget", "-3"], "InvalidParameterError"),
     ], ids=["range-no-colon", "range-nan", "range-inf", "temps-word",
-            "temps-empty"])
+            "temps-empty", "estimate-wide", "estimate-many-gates",
+            "sweep-tiny-step", "bias-opt-tiny-step", "delay-budget-nan",
+            "equiv-negative-vectors", "attack-negative-budget",
+            "brute-negative-budget"])
     def test_malformed_number_is_one_json_line(self, capsys, tmp_path,
-                                               c17_file, argv):
+                                               c17_file, argv, error):
         locked, keyfile, _ = _lock_c17(tmp_path, c17_file)
-        argv = [a.format(bench=locked, key=keyfile) for a in argv]
+        argv = [a.format(bench=locked, key=keyfile, tmp=tmp_path)
+                for a in argv]
         code, out, err = _run(capsys, argv)
         assert code == 1
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "InvalidParameterError"
+        assert json.loads(lines[0])["error"] == error
 
     def test_oversized_attack_is_a_domain_error(self, capsys, tmp_path):
         text = ["INPUT(a)", "INPUT(b)", "OUTPUT(z)"]
@@ -420,3 +455,78 @@ class TestEntryPoint:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "FileNotFoundError"
+
+
+def _locked_c17_texts() -> tuple[str, str]:
+    """.bench and key text of c17 with two CAMO8 cells and one CMOS3A."""
+    net = parse_bench(bench_text("c17.bench"))
+    net, key_a = apply_camouflage(net, ["10", "16"], CellFlavor.CAMO8)
+    net, key_b = apply_camouflage(net, ["22"], CellFlavor.CMOS3A)
+    key = CamoKey({**key_a.entries, **key_b.entries})
+    return serialize_bench(net), key.serialize()
+
+
+LOCKED_C17, LOCKED_C17_KEY = _locked_c17_texts()
+_FUZZ_CHARS = "()=,#:.-\n 019eIAONDTUPCMF"
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """``text`` after up to three character or whole-line edits."""
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["drop", "insert", "replace", "line"]))
+        if edit == "drop":
+            text = text[:i] + text[i + 1:]
+        elif edit == "insert":
+            text = text[:i] + draw(st.sampled_from(_FUZZ_CHARS)) + text[i:]
+        elif edit == "replace":
+            text = (text[:i] + draw(st.sampled_from(_FUZZ_CHARS))
+                    + text[i + 1:])
+        else:  # repeat or drop one line
+            lines = text.splitlines(keepends=True) or [""]
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[j:j + 1] = [lines[j]] * draw(st.integers(0, 2))
+            text = "".join(lines)
+    return text
+
+
+_FUZZ_TEXTS = {"bench": LOCKED_C17, "key": LOCKED_C17_KEY, "cfg": GOOD_CONFIG}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(_FUZZ_TEXTS)), st.data())
+def test_fuzzed_files_exit_cleanly(which, data):
+    """One of the three files is mutated; every command exits cleanly."""
+    texts = dict(_FUZZ_TEXTS, plain=bench_text("c17.bench"))
+    texts[which] = data.draw(mutated(texts[which]))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in texts}
+        for name, text in texts.items():
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        b, k, c = paths["bench"], paths["key"], paths["cfg"]
+        out = ["--no-timestamp", "--out", os.path.join(tmp, "report.json")]
+        for argv in (
+                ["parse", b],
+                ["sim", b, "--key", k, "--inputs", "00000",
+                 "--inputs", "10110"],
+                ["attack", b, "--key", k, "--method", "brute",
+                 "--config", c],
+                ["attack", b, "--key", k, "--budget", "4", "--config", c],
+                ["equiv", b, paths["plain"], "--key-a", k, "--config", c],
+                ["report", b, "--key", k, "--config", c],
+                ["lock", b, "--budget", "0.5", "--config", c,
+                 "--out-bench", os.path.join(tmp, "again.bench"),
+                 "--out-key", os.path.join(tmp, "again.key")]):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                code = main(argv + out)
+            assert stdout.getvalue() == "", argv
+            if code != 0:
+                assert code == 1, argv
+                lines = stderr.getvalue().splitlines()
+                assert len(lines) == 1, argv
+                assert set(json.loads(lines[0])) == {"error", "message"}
