@@ -446,7 +446,7 @@ class SweepRow:
 
 
 def _grid_size(lo: float, hi: float, step: float, others: int = 1) -> int:
-    """Points from lo to hi by step; at most MAX_GRID_POINTS with others."""
+    """Points from lo to hi by step; times ``others``, <= MAX_GRID_POINTS."""
     if step <= 0 or not math.isfinite(step):
         raise InvalidParameterError(f"grid step must be positive, got {step}")
     if not (math.isfinite(lo) and math.isfinite(hi)):

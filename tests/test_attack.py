@@ -8,7 +8,7 @@ brute force dropped.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_netlist
@@ -255,9 +255,7 @@ def attack_cases(draw):
                          seed=draw(st.integers(0, 10**6)))
     flavor = draw(st.sampled_from(list(CellFlavor)))
     eligible = eligible_gates(net, flavor)
-    if not eligible:
-        flavor, eligible = CellFlavor.CAMO8, eligible_gates(net,
-                                                            CellFlavor.CAMO8)
+    assume(eligible)
     chosen = draw(st.lists(st.sampled_from(eligible), min_size=1,
                            max_size=3, unique=True))
     locked, key = apply_camouflage(
