@@ -2,8 +2,9 @@
 
 Both attacks treat the fabricated chip as an input/output oracle: a
 callable taking a primary-input vector and returning the primary-output
-vector. CountingOracle wraps a reference netlist plus its key and counts
-invocations independently, so reported query counts can be audited.
+vector. CountingOracle wraps a reference netlist plus its key, which it
+validates once at construction, and counts invocations independently, so
+reported query counts can be audited.
 
 Both attacks end in one joint step, _resolve_jointly: it enumerates the
 product of some gates' candidate sets, replays the query transcript
@@ -40,8 +41,8 @@ from .cell import (CAMOUFLAGEABLE, LOCAL_VECTORS, GateFunction, behavior_table,
 from .errors import (AttackTooLargeError, InvalidParameterError,
                      UnresolvedFaninError)
 from .netlist import (EXHAUSTIVE_INPUT_LIMIT, CamoKey, Netlist, all_vectors,
-                      bits_at, filter_assignments, random_vectors, simulate,
-                      simulate_words)
+                      bits_at, filter_assignments, keyed_simulator,
+                      random_vectors, simulate_words)
 
 #: Most camouflaged gates the joint brute-force enumeration accepts.
 MAX_BRUTE_GATES = 8
@@ -54,16 +55,19 @@ EQUIV_CHECK_LIMIT = 1024
 
 
 class CountingOracle:
-    """I/O oracle over a reference netlist; counts every invocation."""
+    """I/O oracle over a reference netlist; counts every invocation.
+
+    The key is validated once, here, so a bad key fails at construction;
+    each query still checks its vector's width and 0/1 bits.
+    """
 
     def __init__(self, net: Netlist, key: CamoKey | None = None):
-        self._net = net
-        self._key = key
+        self._simulate = keyed_simulator(net, key)
         self.query_count = 0
 
     def __call__(self, vector) -> tuple[int, ...]:
         self.query_count += 1
-        return simulate(self._net, vector, self._key)
+        return self._simulate(vector)
 
 
 @dataclass(frozen=True)

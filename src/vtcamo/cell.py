@@ -28,7 +28,9 @@ the complementary parity pair.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     IndistinguishableError,
@@ -198,17 +200,28 @@ _TWO_INPUT_EVAL = {
 }
 
 
-def behavior_table(func: GateFunction) -> dict[tuple[int, int], int]:
-    """Truth table over the cell's two physical ports.
-
-    INV/BUF (and the plain NOT/BUFF primitives) ignore port 1 because the
-    tie network replaces it with a constant 0 feeding XNOR/XOR.
-    """
+def _port_table(func: GateFunction) -> dict[tuple[int, int], int]:
     if func in (GateFunction.INV, GateFunction.NOT):
         return {(a, b): 1 - b for a in (0, 1) for b in (0, 1)}
     if func in (GateFunction.BUF, GateFunction.BUFF):
         return {(a, b): b for a in (0, 1) for b in (0, 1)}
     return truth_table(func)
+
+
+_BEHAVIOR_TABLES = {f: MappingProxyType(_port_table(f)) for f in GateFunction}
+
+
+def behavior_table(func: GateFunction) -> Mapping[tuple[int, int], int]:
+    """Truth table over the cell's two physical ports (read-only, shared).
+
+    INV/BUF (and the plain NOT/BUFF primitives) ignore port 1 because the
+    tie network replaces it with a constant 0 feeding XNOR/XOR.
+    """
+    try:
+        return _BEHAVIOR_TABLES[func]
+    except KeyError:
+        raise UnsupportedFunctionError(
+            f"no truth table for {func!r}") from None
 
 
 def config_for(func: GateFunction, flavor: CellFlavor) -> CamoConfig:

@@ -202,8 +202,7 @@ def _cmd_attack(args) -> int:
     cfg = _config_for(args)
     net = _load_net(args.bench)
     key = _load_key(args.key)
-    validate_key(net, key)
-    oracle = attack_mod.CountingOracle(net, key)
+    oracle = attack_mod.CountingOracle(net, key)  # validates the key
     if args.method == "brute":
         report = attack_mod.brute_force_attack(
             net, oracle, pattern_source=args.pattern_source,
@@ -433,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=sorted(_STRATEGIES),
                    default="random")
     p.add_argument("--budget", type=float, default=0.05,
-                   help="fraction of gates to camouflage (>=1 means all "
-                        "eligible)")
+                   help="fraction of gates to camouflage, in (0, 1]; 1 "
+                        "means every eligible gate")
     p.add_argument("--delay-budget", type=float, default=0.05,
                    help="allowed critical path growth for greedy-effort")
     p.add_argument("--out-bench", dest="locked_out", required=True,

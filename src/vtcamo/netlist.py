@@ -15,6 +15,11 @@ give back the same port order.
 
 Gates are identified by their output net name. Iteration order always
 follows file order, which keeps every downstream report deterministic.
+
+Simulation has one evaluator: an index program that numbers every net
+and turns each gate into an op code, an inversion flag and two fanin
+indices (see ``simulate``). A netlist compiles it on first use and keeps it;
+parsing, serializing and the structural queries never build it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import random
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
+from typing import NamedTuple
 
 from .cell import CellFlavor, GateFunction
 from .errors import (
@@ -75,11 +80,19 @@ class Netlist:
     pseudo_outputs: tuple[str, ...] = ()
     _gate_map: dict = field(init=False, repr=False, compare=False, hash=False)
     _topo: tuple = field(init=False, repr=False, compare=False, hash=False)
+    _prog: object = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_gate_map",
                            {g.gate_id: g for g in self.gates})
         object.__setattr__(self, "_topo", _toposort(self))
+        object.__setattr__(self, "_prog", None)
+
+    def _program(self) -> "_Program":
+        """The index program (see simulate), compiled on first use."""
+        if self._prog is None:
+            object.__setattr__(self, "_prog", _compile(self))
+        return self._prog
 
     def gate(self, gate_id: str) -> Gate:
         try:
@@ -352,60 +365,115 @@ def validate_key(net: Netlist, key: CamoKey) -> None:
             raise KeyScopeError(f"gate {gid!r} must not carry a decoy net")
 
 
-# --- simulation (one dual-rail evaluator; see simulate) ----------------------
+# --- simulation (one index program; see simulate) ---------------------------
 
 #: log2 of the vectors per word. Longer runs go block by block, which
 #: bounds memory up to EXHAUSTIVE_INPUT_LIMIT inputs.
 _BLOCK_LOG2 = 12
 
+#: Op codes of the index program. PORT0/PORT1 copy one fanin; CONST and
+#: UNKNOWN are a forced gate and an unassigned camouflaged gate.
+_AND, _OR, _XOR, _PORT0, _PORT1, _CONST, _UNKNOWN = range(7)
 
-def _and(ins):
-    may0, may1 = ins[0]
-    for z, o in ins[1:]:
-        may0, may1 = may0 | z, may1 & o
-    return may0, may1
-
-
-def _or(ins):  # De Morgan: swap the rails on the way in and out
-    return _and([(o, z) for z, o in ins])[::-1]
-
-
-def _xor(ins):
-    may0, may1 = ins[0]
-    for z, o in ins[1:]:
-        may0, may1 = (may0 & z) | (may1 & o), (may0 & o) | (may1 & z)
-    return may0, may1
-
-
-_port0, _port1 = itemgetter(0), itemgetter(1)
-
-#: Function -> (rule, output inverted). Camouflaged INV/BUF read port 1, the
-#: real input; port 0 carries the decoy net and is ignored.
-_RULES = {
-    GateFunction.AND: (_and, False), GateFunction.NAND: (_and, True),
-    GateFunction.OR: (_or, False), GateFunction.NOR: (_or, True),
-    GateFunction.XOR: (_xor, False), GateFunction.XNOR: (_xor, True),
-    GateFunction.BUFF: (_port0, False), GateFunction.NOT: (_port0, True),
-    GateFunction.BUF: (_port1, False), GateFunction.INV: (_port1, True),
+#: Function -> (op code, output inverted). Camouflaged INV/BUF read port 1,
+#: the real input; port 0 carries the decoy net and is ignored.
+_OPS = {
+    GateFunction.AND: (_AND, False), GateFunction.NAND: (_AND, True),
+    GateFunction.OR: (_OR, False), GateFunction.NOR: (_OR, True),
+    GateFunction.XOR: (_XOR, False), GateFunction.XNOR: (_XOR, True),
+    GateFunction.BUFF: (_PORT0, False), GateFunction.NOT: (_PORT0, True),
+    GateFunction.BUF: (_PORT1, False), GateFunction.INV: (_PORT1, True),
 }
 
 
-def _evaluate(net: Netlist, in_words, mask: int,
-              assignment: dict[str, GateFunction],
-              forced: dict[str, int] | None = None) -> dict[str, tuple]:
-    """Rails of every net; ``mask`` has one bit per vector of the batch."""
-    rails = {n: (mask ^ w, w) for n, w in zip(net.inputs, in_words)}
+class _Program(NamedTuple):
+    """A netlist compiled to integer net indices.
+
+    ``index`` numbers the ``width`` input words first, then one net per
+    op. ``ops`` holds ``(op code, inverted, fanin a, fanin b)`` per gate in
+    topological order; a gate with more than two fanins folds left through
+    temporary nets, one op each. A camouflaged gate's op is an UNKNOWN op
+    in the slot that ``slots`` gives. ``outputs`` indexes the outputs.
+    """
+
+    width: int
+    index: dict[str, int]
+    ops: tuple[tuple[int, bool, int, int], ...]
+    slots: dict[str, int]
+    outputs: tuple[int, ...]
+
+
+def _compile(net: Netlist) -> _Program:
+    width = len(net.inputs)
+    index = {n: i for i, n in enumerate(net.inputs)}
+    ops, slots = [], {}
     for g in net.topo_order:
-        func = assignment.get(g.gate_id) if g.is_camo else g.func
-        if forced and g.gate_id in forced:
-            rails[g.gate_id] = (0, mask) if forced[g.gate_id] else (mask, 0)
-        elif func is None:
-            rails[g.gate_id] = (mask, mask)
+        fanins = [index[f] for f in g.fanins]
+        if g.is_camo:
+            slots[g.gate_id] = len(ops)
+            code, inverted = _UNKNOWN, False
         else:
-            combine, inverted = _RULES[func]
-            may0, may1 = combine([rails[f] for f in g.fanins])
-            rails[g.gate_id] = (may1, may0) if inverted else (may0, may1)
-    return rails
+            code, inverted = _OPS[g.func]
+            if len(fanins) == 1:  # NOT, BUFF or a one-input AND/OR/XOR
+                code = _PORT0
+        a = fanins[0]
+        if len(fanins) > 2:  # fold left through temporary nets
+            for b in fanins[1:-1]:
+                ops.append((code, False, a, b))
+                a = width + len(ops) - 1
+        ops.append((code, inverted, a, fanins[-1]))
+        index[g.gate_id] = width + len(ops) - 1
+    return _Program(width, index, tuple(ops), slots,
+                    tuple(index[n] for n in net.outputs))
+
+
+def _resolve(prog: _Program, assignment, forced: dict[str, int] | None = None,
+             ops: list | None = None) -> list:
+    """Ops with ``(gate id, function)`` pairs filled into their slots.
+
+    Starts from ``ops`` (default: the program's own); a pair naming no
+    camouflaged gate is ignored. A ``forced`` gate becomes a constant.
+    """
+    ops = list(prog.ops if ops is None else ops)
+    for gid, func in assignment:
+        k = prog.slots.get(gid)
+        if k is not None:
+            ops[k] = (*_OPS[func], *ops[k][2:])
+    for gid, bit in (forced or {}).items():
+        k = prog.index.get(gid, -1) - prog.width
+        if k >= 0:
+            ops[k] = (_CONST, bool(bit), 0, 0)
+    return ops
+
+
+def _run(ops, in_words, mask: int) -> tuple[list[int], list[int]]:
+    """Both rails of every net by index; ``mask`` has a bit per vector."""
+    may0 = [mask ^ w for w in in_words]
+    may1 = list(in_words)
+    put0, put1 = may0.append, may1.append
+    for code, inverted, a, b in ops:
+        if code == _AND:
+            z, o = may0[a] | may0[b], may1[a] & may1[b]
+        elif code == _OR:
+            z, o = may0[a] & may0[b], may1[a] | may1[b]
+        elif code == _XOR:
+            za, oa, zb, ob = may0[a], may1[a], may0[b], may1[b]
+            z, o = (za & zb) | (oa & ob), (za & ob) | (oa & zb)
+        elif code == _PORT0:
+            z, o = may0[a], may1[a]
+        elif code == _PORT1:
+            z, o = may0[b], may1[b]
+        elif code == _CONST:
+            z, o = mask, 0
+        else:
+            z = o = mask
+        if inverted:
+            put0(o)
+            put1(z)
+        else:
+            put0(z)
+            put1(o)
+    return may0, may1
 
 
 def _check_exhaustive(width: int) -> None:
@@ -442,12 +510,16 @@ def simulate_words(net: Netlist, assignment: dict[str, GateFunction],
                    forced: dict[str, int] | None = None):
     """Yield ``(first, rails)`` per block of ``all_vectors``.
 
-    Bit j of a block's words is vector ``first + j``. Camouflaged gates are
-    unknown unless ``assignment`` gives their function; ``forced`` pins gate
+    Bit j of a block's words is vector ``first + j``; ``rails`` maps every
+    net name to its ``(may0, may1)`` pair. Camouflaged gates are unknown
+    unless ``assignment`` gives their function; ``forced`` pins gate
     outputs to 0 or 1. Keys are not validated.
     """
+    prog = net._program()
+    ops = _resolve(prog, assignment.items(), forced)
     for first, words, mask in _blocks(len(net.inputs)):
-        yield first, _evaluate(net, words, mask, assignment, forced)
+        may0, may1 = _run(ops, words, mask)
+        yield first, {n: (may0[i], may1[i]) for n, i in prog.index.items()}
 
 
 def filter_assignments(net: Netlist, gate_ids, candidates, observations,
@@ -458,18 +530,21 @@ def filter_assignments(net: Netlist, gate_ids, candidates, observations,
     the other camouflaged gates. Each candidate is evaluated once per block
     of packed observations; survivors keep their order.
     """
+    prog = net._program()
+    base = _resolve(prog, (fixed or {}).items())
     observations, survivors = list(observations), list(candidates)
     for (_, words, mask), (_, expected, _) in zip(
             _blocks(len(net.inputs), [v for v, _ in observations]),
             _blocks(len(net.outputs), [o for _, o in observations])):
         survivors = [c for c in survivors if expected == _outputs(
-            net, _evaluate(net, words, mask,
-                           {**(fixed or {}), **dict(zip(gate_ids, c))}))]
+            prog, _resolve(prog, zip(gate_ids, c), ops=base), words, mask)]
     return survivors
 
 
-def _outputs(net: Netlist, rails: dict[str, tuple]) -> list[int]:
-    return [rails[n][1] for n in net.outputs]
+def _outputs(prog: _Program, ops, words, mask: int) -> list[int]:
+    """Output words (may1 rails) of one run."""
+    may1 = _run(ops, words, mask)[1]
+    return [may1[i] for i in prog.outputs]
 
 
 def bits_at(rails: dict[str, tuple], nets, j: int) -> tuple[int, ...]:
@@ -477,13 +552,25 @@ def bits_at(rails: dict[str, tuple], nets, j: int) -> tuple[int, ...]:
     return tuple(rails[n][1] >> j & 1 for n in nets)
 
 
-def _key_assignment(net: Netlist, key: CamoKey | None) -> dict:
+def _key_ops(net: Netlist, key: CamoKey | None) -> list:
+    """The program's ops under a validated ``key``."""
     if key is None and net.camo_gates():
         raise UnresolvedGateError("netlist has camouflaged gates; "
                                   "a key is required")
     if key is not None:
         validate_key(net, key)
-    return {gid: e.function for gid, e in key.entries.items()} if key else {}
+    entries = key.entries.items() if key else ()
+    return _resolve(net._program(), ((gid, e.function) for gid, e in entries))
+
+
+def _input_bits(net: Netlist, input_vector) -> list[int]:
+    vec = tuple(input_vector)
+    if len(vec) != len(net.inputs):
+        raise InputWidthError(
+            f"expected {len(net.inputs)} input bits, got {len(vec)}")
+    if any(b not in (0, 1) for b in vec):
+        raise InputWidthError(f"input bits must be 0/1: {vec!r}")
+    return [int(b) for b in vec]
 
 
 def simulate(net: Netlist, input_vector, key: CamoKey | None = None):
@@ -492,23 +579,33 @@ def simulate(net: Netlist, input_vector, key: CamoKey | None = None):
     ``input_vector`` follows the netlist's input order (including pseudo
     inputs created by flop cutting). Camouflaged gates need a key.
 
-    This is the one-vector case of the module's single evaluator, which
-    works on Python ints in dual-rail form. Each net carries a pair of
-    words (may0, may1), and bit j of a word describes the net under vector
-    j of a batch, so rails[net][b] masks the vectors where the net may be
-    b. A known bit has exactly one rail set; an unknown bit (an unresolved
-    camouflaged gate, or logic it reaches) has both. Here every word is
-    one bit wide and each output's may1 rail is its value.
+    This is the one-vector case of the module's single evaluator, an
+    index program that each netlist compiles on first use. Every net has
+    an integer index (inputs first, then gates in topological order) and
+    every gate is an op: an op code, an inversion flag and two fanin
+    indices; each camouflaged gate's op is a slot that an assignment or
+    key fills in. A run works on Python ints in dual-rail form: two lists
+    indexed by net hold words may0 and may1, and bit j of a word
+    describes the net under vector j of a batch, so the may-b word masks
+    the vectors where the net may be b. A known bit has exactly one rail
+    set; an unknown bit (an unresolved camouflaged gate, or logic it
+    reaches) has both. Here every word is one bit wide and each output's
+    may1 rail is its value.
     """
-    vec = tuple(input_vector)
-    if len(vec) != len(net.inputs):
-        raise InputWidthError(
-            f"expected {len(net.inputs)} input bits, got {len(vec)}")
-    if any(b not in (0, 1) for b in vec):
-        raise InputWidthError(f"input bits must be 0/1: {vec!r}")
-    rails = _evaluate(net, [int(b) for b in vec], 1,
-                      _key_assignment(net, key))
-    return tuple(_outputs(net, rails))
+    vec = _input_bits(net, input_vector)
+    ops = _key_ops(net, key)
+    return tuple(_outputs(net._program(), ops, vec, 1))
+
+
+def keyed_simulator(net: Netlist, key: CamoKey | None = None):
+    """``simulate`` with ``key`` validated and applied once, up front.
+
+    Returns a function from one input vector to the output tuple; each
+    call still checks the vector's width and 0/1 bits.
+    """
+    prog, ops = net._program(), _key_ops(net, key)
+    return lambda input_vector: tuple(
+        _outputs(prog, ops, _input_bits(net, input_vector), 1))
 
 
 def all_vectors(width: int):
@@ -549,8 +646,8 @@ def check_equivalence(net_a: Netlist, net_b: Netlist,
     if net_a.inputs != net_b.inputs or net_a.outputs != net_b.outputs:
         raise IncompatibleNetlistsError(
             "netlists differ in PI/PO names or order")
-    assign_a = _key_assignment(net_a, key_a)
-    assign_b = _key_assignment(net_b, key_b)
+    ops_a, ops_b = _key_ops(net_a, key_a), _key_ops(net_b, key_b)
+    prog_a, prog_b = net_a._program(), net_b._program()
     width = len(net_a.inputs)
     if mode == "exhaustive":
         vectors, total = None, 1 << width
@@ -562,18 +659,20 @@ def check_equivalence(net_a: Netlist, net_b: Netlist,
     else:
         raise InvalidParameterError(f"unknown equivalence mode {mode!r}")
     for first, words, mask in _blocks(width, vectors):
-        rails_a = _evaluate(net_a, words, mask, assign_a)
-        rails_b = _evaluate(net_b, words, mask, assign_b)
+        out_a = _outputs(prog_a, ops_a, words, mask)
+        out_b = _outputs(prog_b, ops_b, words, mask)
         diff = 0
-        for a, b in zip(_outputs(net_a, rails_a), _outputs(net_b, rails_b)):
+        for a, b in zip(out_a, out_b):
             diff |= a ^ b
         if diff:
             j = (diff & -diff).bit_length() - 1
-            return EquivalenceVerdict(
-                False, first + j + 1, bits_at(rails_a, net_a.inputs, j),
-                bits_at(rails_a, net_a.outputs, j),
-                bits_at(rails_b, net_b.outputs, j))
+            return EquivalenceVerdict(False, first + j + 1, _bits(words, j),
+                                      _bits(out_a, j), _bits(out_b, j))
     return EquivalenceVerdict(True, total)
+
+
+def _bits(words, j: int) -> tuple[int, ...]:
+    return tuple(w >> j & 1 for w in words)
 
 
 # --- timing -----------------------------------------------------------------

@@ -24,10 +24,14 @@ from vtcamo.camouflage import apply_camouflage, eligible_gates
 from vtcamo.cell import CellFlavor, GateFunction
 from vtcamo.errors import (
     AttackTooLargeError,
+    InputWidthError,
     InvalidParameterError,
+    KeyScopeError,
     UnresolvedFaninError,
+    UnresolvedGateError,
 )
-from vtcamo.netlist import all_vectors, parse_bench, simulate
+from vtcamo.netlist import (CamoKey, KeyEntry, all_vectors, parse_bench,
+                            simulate)
 
 SINGLE = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n"
 CHAIN2 = ("INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\n"
@@ -49,6 +53,26 @@ class TestCountingOracle:
         assert out == simulate(c17, (0, 0, 0, 0, 0))
         assert oracle((0, 0, 0, 0, 0)) == out
         assert oracle.query_count == 2  # the oracle itself never memoizes
+
+    def test_bad_key_fails_at_construction(self):
+        _, locked, key = _lock(CHAIN2, ["g1"])
+        with pytest.raises(KeyScopeError):
+            CountingOracle(locked, CamoKey({
+                **key.entries, "z": KeyEntry(GateFunction.NAND)}))
+        with pytest.raises(UnresolvedGateError):
+            CountingOracle(locked, CamoKey({}))
+        with pytest.raises(UnresolvedGateError):
+            CountingOracle(locked)
+
+    def test_every_query_checks_the_vector(self):
+        _, locked, key = _lock(CHAIN2, ["g1"])
+        oracle = CountingOracle(locked, key)
+        with pytest.raises(InputWidthError):
+            oracle((0, 1))
+        with pytest.raises(InputWidthError):
+            oracle((0, 2, 1))
+        assert oracle((1, 0, 1)) == simulate(locked, (1, 0, 1), key)
+        assert oracle.query_count == 3
 
 
 class TestBruteForce:

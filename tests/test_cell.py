@@ -54,6 +54,13 @@ class TestTruthTables:
             assert inv[(a, b)] == 1 - b
             assert buf[(a, b)] == b
 
+    def test_behavior_table_is_shared_and_read_only(self):
+        table = behavior_table(GateFunction.NAND)
+        assert table is behavior_table(GateFunction.NAND)
+        assert table == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+        with pytest.raises(TypeError):
+            table[(1, 1)] = 1
+
     @pytest.mark.parametrize("func", sorted(CAMOUFLAGEABLE,
                                             key=lambda f: f.value))
     def test_evaluate_matches_behavior(self, func):

@@ -377,6 +377,34 @@ class TestCliFailures:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error
 
+    def test_lock_budget_above_one_is_rejected(self, capsys, tmp_path,
+                                               c17_file):
+        code, out, err = _run(capsys, [
+            "lock", c17_file, "--budget", "2",
+            "--out-bench", str(tmp_path / "x.bench"),
+            "--out-key", str(tmp_path / "x.key")])
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "InvalidPolicyError",
+            "message": "budget must be in (0, 1], got 2.0"}
+
+    def test_attack_with_an_out_of_scope_key(self, capsys, tmp_path,
+                                             c17_file):
+        locked, keyfile, _ = _lock_c17(tmp_path, c17_file)
+        wrong = tmp_path / "wrong.key"
+        wrong.write_text(Path(keyfile).read_text() + "zz=NAND\n")
+        code, out, err = _run(capsys, ["attack", locked, "--key", str(wrong)])
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "KeyScopeError",
+            "message": "key names non-camouflaged gates ['zz']"}
+
     def test_oversized_attack_is_a_domain_error(self, capsys, tmp_path):
         text = ["INPUT(a)", "INPUT(b)", "OUTPUT(z)"]
         prev_a, prev_b = "a", "b"

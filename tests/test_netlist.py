@@ -3,6 +3,8 @@
 import pytest
 
 from conftest import bench_text, random_netlist
+from vtcamo.camouflage import (SelectionPolicy, apply_camouflage,
+                               overhead_report, select_gates)
 from vtcamo.cell import CellFlavor, GateFunction
 from vtcamo.errors import (
     ArityMismatchError,
@@ -169,6 +171,18 @@ class TestSimulation:
         for vec in all_vectors(5):
             assert simulate(synth_mix, vec) == reference(vec)
 
+    def test_gates_outside_two_fanins(self):
+        # the constructor, unlike the parser, accepts one-input AND/XOR
+        f = GateFunction
+        gates = (Gate("x1", ("a",), func=f.XOR),
+                 Gate("n1", ("a",), func=f.NAND),
+                 Gate("x3", ("a", "b", "c"), func=f.XNOR),
+                 Gate("o3", ("a", "b", "c"), func=f.OR))
+        net = Netlist(("a", "b", "c"), ("x1", "n1", "x3", "o3"), gates)
+        for a, b, c in all_vectors(3):
+            assert simulate(net, (a, b, c)) == (a, 1 - a, 1 - (a ^ b ^ c),
+                                                a | b | c)
+
     def test_width_validation(self, c17):
         with pytest.raises(InputWidthError):
             simulate(c17, (0, 1))
@@ -197,6 +211,23 @@ class TestSimulation:
         c = random_vectors(8, 20, seed=10)
         assert a == b and a != c
         assert all(len(v) == 8 for v in a)
+
+
+class TestIndexProgram:
+    def test_locking_never_builds_the_program(self, synth_wide):
+        net = parse_bench(serialize_bench(synth_wide))
+        selected = select_gates(net, SelectionPolicy(
+            strategy="greedy_effort", budget=0.2, seed=1))
+        locked, key = apply_camouflage(net, selected, CellFlavor.CAMO8,
+                                       decoy_seed=3)
+        again = parse_bench(serialize_bench(locked))
+        critical_path(locked)
+        overhead_report(again)
+        validate_key(again, key)
+        assert selected and again == locked
+        assert all(n._prog is None for n in (net, locked, again))
+        simulate(locked, (0,) * len(locked.inputs), key)
+        assert locked._prog is not None
 
 
 class TestKeyHandling:

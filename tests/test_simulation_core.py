@@ -4,9 +4,9 @@
 unknown value: a gate is known when every completion of its unknown
 inputs gives the same output. Camouflaged cells use ``behavior_table``,
 the cell's own truth table over its two physical ports. The properties
-check ``simulate_words``, ``filter_assignments``, ``simulate`` and
-``find_sensitizing_vector`` against it on generated locked netlists with
-unresolved and forced gates.
+check ``simulate_words``, ``filter_assignments``, ``simulate``,
+``CountingOracle``, ``check_equivalence`` and ``find_sensitizing_vector``
+against it on generated locked netlists with unresolved and forced gates.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vtcamo import netlist
-from vtcamo.attack import find_sensitizing_vector
+from vtcamo.attack import CountingOracle, find_sensitizing_vector
 from vtcamo.camouflage import apply_camouflage, eligible_gates
 from vtcamo.cell import CellFlavor, GateFunction, behavior_table
 from vtcamo.errors import UnresolvedFaninError
@@ -26,6 +26,7 @@ from vtcamo.netlist import (
     Gate,
     Netlist,
     all_vectors,
+    check_equivalence,
     filter_assignments,
     simulate,
     simulate_words,
@@ -81,7 +82,7 @@ _FUNCS = (F.AND, F.OR, F.NAND, F.NOR, F.XOR, F.XNOR, F.NOT, F.BUFF)
 
 @st.composite
 def locked_cases(draw):
-    """(locked netlist, key, partial assignment, forced gates)."""
+    """(plain netlist, its locked copy, key, partial assignment, forced)."""
     width = draw(st.integers(1, 6))
     nets = [f"i{k}" for k in range(width)]
     gates = []
@@ -109,7 +110,7 @@ def locked_cases(draw):
     forced = {}
     if draw(st.booleans()):
         forced[draw(st.sampled_from(nets[width:]))] = draw(st.integers(0, 1))
-    return locked, key, assignment, forced
+    return net, locked, key, assignment, forced
 
 
 _SETTINGS = settings(max_examples=120, derandomize=True, deadline=None,
@@ -119,7 +120,7 @@ _SETTINGS = settings(max_examples=120, derandomize=True, deadline=None,
 @_SETTINGS
 @given(locked_cases(), st.sampled_from([1, 2, 12]))
 def test_words_match_the_scalar_reference(case, block_log2):
-    locked, _, assignment, forced = case
+    _, locked, _, assignment, forced = case
     vectors = list(all_vectors(len(locked.inputs)))
     with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
         blocks = list(simulate_words(locked, assignment, forced))
@@ -140,7 +141,7 @@ def test_words_match_the_scalar_reference(case, block_log2):
 @given(locked_cases(), st.sampled_from([1, 2, 12]),
        st.randoms(use_true_random=False))
 def test_filter_matches_the_scalar_reference(case, block_log2, rnd):
-    locked, key, _, _ = case
+    _, locked, key, _, _ = case
     camo = locked.camo_gates()
     gate_ids = [g.gate_id for g in camo]
     spaces = [sorted(g.flavor.function_set, key=lambda f: f.value)
@@ -169,7 +170,7 @@ def test_filter_matches_the_scalar_reference(case, block_log2, rnd):
 @_SETTINGS
 @given(locked_cases())
 def test_simulate_matches_the_reference_under_the_key(case):
-    locked, key, _, _ = case
+    _, locked, key, _, _ = case
     assignment = {gid: e.function for gid, e in key.entries.items()}
     for vec in all_vectors(len(locked.inputs)):
         want = reference_values(locked, vec, assignment)
@@ -180,7 +181,7 @@ def test_simulate_matches_the_reference_under_the_key(case):
 @_SETTINGS
 @given(locked_cases(), st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]))
 def test_sensitizing_vector_matches_the_scalar_search(case, pattern):
-    locked, _, assignment, _ = case
+    _, locked, _, assignment, _ = case
     for g in locked.camo_gates():
         try:
             got = find_sensitizing_vector(locked, assignment, g.gate_id,
@@ -193,3 +194,52 @@ def test_sensitizing_vector_matches_the_scalar_search(case, pattern):
         else:
             assert (got.vector, got.po_index, got.po_if_0,
                     got.po_if_1) == want
+
+
+@_SETTINGS
+@given(locked_cases())
+def test_oracle_matches_the_reference_and_counts_every_call(case):
+    _, locked, key, _, _ = case
+    assignment = {gid: e.function for gid, e in key.entries.items()}
+    oracle = CountingOracle(locked, key)
+    vectors = list(all_vectors(len(locked.inputs)))
+    for vec in vectors:
+        want = reference_values(locked, vec, assignment)
+        assert oracle(vec) == tuple(want[n] for n in locked.outputs)
+    assert oracle(vectors[0]) == oracle(vectors[0])
+    assert oracle.query_count == len(vectors) + 2
+
+
+_TOGGLED = {**_NEGATED, **{base: neg for neg, base in _NEGATED.items()}}
+
+
+@_SETTINGS
+@given(locked_cases(), st.sampled_from([1, 2, 12]), st.integers(0, 13))
+def test_equivalence_matches_the_scalar_reference(case, block_log2, pick):
+    net, locked, key, _, _ = case
+    width = len(net.inputs)
+    with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
+        verdict = check_equivalence(net, locked, None, key)
+    assert verdict.equivalent and verdict.vectors_checked == 2 ** width
+
+    # a plain copy with one gate's output negated: the counterexample is
+    # the first vector where the scalar reference sees different outputs
+    gates = list(net.gates)
+    g = gates[pick % len(gates)]
+    gates[pick % len(gates)] = Gate(g.gate_id, g.fanins, func=_TOGGLED[g.func])
+    mutant = Netlist(net.inputs, net.outputs, tuple(gates))
+    assignment = {gid: e.function for gid, e in key.entries.items()}
+    with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
+        verdict = check_equivalence(mutant, locked, None, key)
+    for count, vec in enumerate(all_vectors(width), start=1):
+        a = reference_values(mutant, vec, {})
+        b = reference_values(locked, vec, assignment)
+        out_a = tuple(a[n] for n in net.outputs)
+        out_b = tuple(b[n] for n in net.outputs)
+        if out_a != out_b:
+            assert (verdict.equivalent, verdict.vectors_checked,
+                    verdict.counterexample, verdict.outputs_a,
+                    verdict.outputs_b) == (False, count, vec, out_a, out_b)
+            break
+    else:
+        assert verdict.equivalent and verdict.vectors_checked == 2 ** width
