@@ -17,7 +17,10 @@ input patterns that tell a gate's candidates apart, it finds a
 primary-input vector that drives the pattern onto the gate and provably
 propagates the gate's output to a primary output, and reads the hidden
 truth table entry off the oracle response. The residue goes to the
-joint step, which walks the input space.
+joint step, which walks the input space in counting order (_walk): in
+each block of vectors that the netlist module evaluates at once, every
+survivor's output words are computed once, and each reply drops
+survivors by a bit lookup at its vector's offset.
 
 Propagation is checked on the netlist module's bit-parallel dual-rail
 core with the target forced to 0 and to 1, every unresolved camouflaged
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
+from itertools import compress, islice, product, takewhile
 from operator import or_
 from typing import Callable, Iterable
 
@@ -40,7 +43,8 @@ from .cell import (CAMOUFLAGEABLE, LOCAL_VECTORS, GateFunction, behavior_table,
                    distinguishing_set)
 from .errors import (AttackTooLargeError, InvalidParameterError,
                      UnresolvedFaninError)
-from .netlist import (EXHAUSTIVE_INPUT_LIMIT, CamoKey, Netlist, all_vectors,
+from .netlist import (EXHAUSTIVE_INPUT_LIMIT, CamoKey, Netlist,
+                      _assignment_runner, _bits, _blocks, all_vectors,
                       bits_at, filter_assignments, keyed_simulator,
                       random_vectors, simulate_words)
 
@@ -53,12 +57,19 @@ RESIDUE_ENUM_LIMIT = 1 << 20
 #: Survivor-set size up to which mutual output-equivalence is verified.
 EQUIV_CHECK_LIMIT = 1024
 
+#: Most bits of per-block output words the residue walk keeps, counting
+#: 256 bits of object overhead per word (about 32 MB).
+_TABLE_BITS = 1 << 28
+
 
 class CountingOracle:
     """I/O oracle over a reference netlist; counts every invocation.
 
     The key is validated once, here, so a bad key fails at construction;
-    each query still checks its vector's width and 0/1 bits.
+    each query still checks its vector's width and 0/1 bits. Replies come
+    from netlist.keyed_simulator, which reads a run of queries in one
+    input block off that block's output words; every call is counted,
+    whether it runs the netlist or looks a reply up.
     """
 
     def __init__(self, net: Netlist, key: CamoKey | None = None):
@@ -122,54 +133,88 @@ def _space_log2(sets: Iterable[frozenset]) -> float:
     return sum(math.log2(len(s)) for s in sets)
 
 
-def _mutually_equivalent(net: Netlist, gate_ids: list[str],
-                         survivors: list[tuple[GateFunction, ...]],
-                         fixed: dict[str, GateFunction] | None = None) -> bool:
-    """True when all surviving assignments agree on the full input space."""
+def _mutually_equivalent(net: Netlist, run, survivors: list,
+                         tables: list | None = None) -> bool:
+    """True when all surviving assignments agree on the full input space.
+
+    ``run`` gives a survivor's output words for a block (see _walk);
+    ``tables`` may hold every survivor's words for a one-block space.
+    """
     if len(survivors) <= 1:
         return True
     if (len(net.inputs) > EXHAUSTIVE_INPUT_LIMIT
             or len(survivors) > EQUIV_CHECK_LIMIT):
         return False
-    tables = ([[rails[n][1] for n in net.outputs] for _, rails in
-               simulate_words(net, {**(fixed or {}),
-                                    **dict(zip(gate_ids, a))})]
-              for a in survivors)
-    reference = next(tables)
-    return all(table == reference for table in tables)
+    for _, words, mask in _blocks(len(net.inputs)):
+        rows = iter(tables or (run(c, words, mask) for c in survivors))
+        reference = next(rows)
+        if any(row != reference for row in rows):
+            return False
+    return True
+
+
+def _walk(net: Netlist, cache: _QueryCache, run, survivors: list,
+          ) -> tuple[list, bool, bool]:
+    """Query all_vectors in counting order until ``survivors`` settle.
+
+    A new reply drops the survivors whose outputs differ from it. Within
+    a block of ``_blocks``, each survivor's output words over the whole
+    block (at most _TABLE_BITS of them) are computed once and answer every
+    later reply by a bit lookup; they are dropped with the survivor. The
+    first new reply in a block runs each survivor on its one vector
+    instead, unless the block is the whole input space: the equivalence
+    check then needs those words as soon as a survivor drops. Returns the
+    survivors and whether they settled (became mutually equivalent) or
+    the walk completed; a spent budget ends it with neither.
+    """
+    width = len(net.inputs)
+    vectors = all_vectors(width)
+    for _, words, mask in _blocks(width):
+        whole = mask.bit_length() == 1 << width
+        per_survivor = len(net.outputs) * (mask.bit_length() + 256)
+        tables, landed = None, 0
+        for j, vec in enumerate(islice(vectors, mask.bit_length())):
+            known = len(cache.transcript)
+            out = cache.query(vec)
+            if out is None:
+                return survivors, False, False
+            if len(cache.transcript) == known:
+                continue  # replayed already, so every survivor agrees
+            landed += 1
+            if (tables is None and (whole or landed > 1)
+                    and len(survivors) * per_survivor <= _TABLE_BITS):
+                tables = [run(c, words, mask) for c in survivors]
+            keep = ([tuple(run(c, vec, 1)) == out for c in survivors]
+                    if tables is None else [_bits(t, j) == out for t in tables])
+            if all(keep):
+                continue
+            survivors = list(compress(survivors, keep))
+            if tables is not None:
+                tables = list(compress(tables, keep))
+            if _mutually_equivalent(net, run, survivors,
+                                    tables if whole else None):
+                return survivors, True, False
+    return survivors, False, True
 
 
 def _resolve_jointly(net: Netlist, cache: _QueryCache, sets: dict,
                      gate_ids: list[str], fixed: dict | None = None,
                      complete: bool = False,
-                     vectors: Iterable | None = None) -> tuple[str, float]:
+                     walk: bool = False) -> tuple[str, float]:
     """Filter the joint assignments of ``gate_ids``; narrow ``sets``.
 
     Replays the transcript (``fixed`` assigns the other cells), then,
     until the survivors are settled (``complete`` or mutually equivalent),
-    queries ``vectors`` one by one; a walk that reaches their end is
-    complete. Returns the status and the survivors' log2.
+    ``walk``s the input space. Returns the status and the survivors' log2.
     """
+    run = _assignment_runner(net, gate_ids, fixed)
     survivors = filter_assignments(
         net, gate_ids,
         product(*(sorted(sets[g], key=lambda f: f.value) for g in gate_ids)),
         cache.transcript.items(), fixed)
-    settled = complete or _mutually_equivalent(net, gate_ids, survivors,
-                                               fixed)
-    if vectors is not None and not settled:
-        for vec in vectors:
-            out = cache.query(vec)
-            if out is None:
-                break
-            before = len(survivors)
-            survivors = filter_assignments(net, gate_ids, survivors,
-                                           [(vec, out)], fixed)
-            if len(survivors) != before and _mutually_equivalent(
-                    net, gate_ids, survivors, fixed):
-                settled = True
-                break
-        else:
-            complete = True
+    settled = complete or _mutually_equivalent(net, run, survivors)
+    if walk and not settled:
+        survivors, settled, complete = _walk(net, cache, run, survivors)
     for i, gid in enumerate(gate_ids):
         sets[gid] = {a[i] for a in survivors}
     status = ("unique" if len(survivors) == 1 else "equivalent_class"
@@ -186,8 +231,9 @@ def brute_force_attack(net: Netlist, oracle: Callable,
 
     Exhaustive mode consumes the entire input space (no early exit), so
     its query count is exactly min(2**n, query_budget). Random mode draws
-    seeded vectors and requires a budget. The true programming always
-    survives because it reproduces every oracle response by definition.
+    seeded vectors and requires a budget; it stops drawing once every
+    vector has been queried. The true programming always survives because
+    it reproduces every oracle response by definition.
     """
     sets = _candidate_sets(net, flavor_knowledge=True)
     if len(sets) > MAX_BRUTE_GATES:
@@ -206,7 +252,10 @@ def brute_force_attack(net: Netlist, oracle: Callable,
         raise InvalidParameterError(
             f"unknown pattern source {pattern_source!r}")
     cache = _QueryCache(oracle, query_budget)
-    complete = all(cache.query(vec) is not None for vec in vectors)
+    # once every vector is in the transcript, later draws are cache hits
+    space = 1 << len(net.inputs)
+    complete = all(cache.query(vec) is not None for vec in
+                   takewhile(lambda _: len(cache.transcript) < space, vectors))
     status, final_log2 = _resolve_jointly(net, cache, sets, list(sets),
                                           complete=complete)
     return AttackReport({gid: frozenset(s) for gid, s in sets.items()},
@@ -338,8 +387,7 @@ def sensitization_attack(net: Netlist, oracle: Callable,
     else:
         status, final_log2 = _resolve_jointly(
             net, cache, sets, residue, resolved_assignment(),
-            vectors=(all_vectors(len(net.inputs))
-                     if len(net.inputs) <= EXHAUSTIVE_INPUT_LIMIT else None))
+            walk=len(net.inputs) <= EXHAUSTIVE_INPUT_LIMIT)
     return AttackReport({gid: frozenset(s) for gid, s in sets.items()},
                         len(cache.transcript), initial_log2, final_log2,
                         status, tuple(cache.transcript.items()))

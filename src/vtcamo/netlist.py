@@ -28,6 +28,8 @@ import random
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import islice, product
 from typing import NamedTuple
 
 from .cell import CellFlavor, GateFunction
@@ -483,27 +485,56 @@ def _check_exhaustive(width: int) -> None:
             f"of {EXHAUSTIVE_INPUT_LIMIT}")
 
 
+#: bytes.translate table: byte 0 -> "0", byte 1 -> "1", any other -> "2",
+#: which ``int(..., 2)`` rejects.
+_DIGITS = b"01" + b"2" * 254
+
+
+def _word(bits) -> int:
+    """The int whose binary digits, most significant first, are ``bits``."""
+    try:
+        return int(bytes(bits).translate(_DIGITS) or b"0", 2)
+    except (TypeError, ValueError):
+        raise InputWidthError(f"bits must be 0/1: {tuple(bits)!r}") from None
+
+
+@lru_cache(maxsize=None)
+def _periodic(bits: int) -> tuple[int, tuple[int, ...]]:
+    """Mask of a ``2**bits``-vector block and its counting-order columns.
+
+    Column s repeats 2**s 0s, then 2**s 1s.
+    """
+    mask = (1 << (1 << bits)) - 1
+    return mask, tuple(mask // ((1 << (2 << s)) - 1)
+                       * (((1 << (1 << s)) - 1) << (1 << s))
+                       for s in range(bits))
+
+
+def _block_words(width: int, first: int) -> tuple[list[int], int]:
+    """Input words and mask of the all_vectors block starting at ``first``."""
+    bits = min(width, _BLOCK_LOG2)
+    mask, periodic = _periodic(bits)
+    return [periodic[s] if s < bits else mask * (first >> s & 1)
+            for s in reversed(range(width))], mask
+
+
 def _blocks(width: int, vectors=None):
     """(first, column words, mask) per block of ``vectors`` or all_vectors.
 
-    Bit j of column word k is element k of vector ``first + j``.
+    Bit j of column word k is element k of vector ``first + j``. Vectors
+    are drawn one block at a time and must hold 0/1 bits.
     """
     step = 1 << _BLOCK_LOG2
     if vectors is not None:
-        for first in range(0, len(vectors), step):
-            block = vectors[first:first + step]
-            yield first, [int("".join("1" if b else "0" for b in col[::-1]), 2)
-                          for col in zip(*block)], (1 << len(block)) - 1
+        vectors, first = iter(vectors), 0
+        while block := list(islice(vectors, step)):
+            words = [_word(col[::-1]) for col in zip(*block)]
+            yield first, words, (1 << len(block)) - 1
+            first += len(block)
         return
     _check_exhaustive(width)
-    bits = min(width, _BLOCK_LOG2)
-    mask = (1 << (1 << bits)) - 1
-    # within a block, the input of shift s < bits repeats 2**s 0s, 2**s 1s
-    periodic = [mask // ((1 << (2 << s)) - 1)
-                * (((1 << (1 << s)) - 1) << (1 << s)) for s in range(bits)]
-    for first in range(0, 1 << width, 1 << bits):
-        yield first, [periodic[s] if s < bits else mask * (first >> s & 1)
-                      for s in reversed(range(width))], mask
+    for first in range(0, 1 << width, 1 << min(width, _BLOCK_LOG2)):
+        yield first, *_block_words(width, first)
 
 
 def simulate_words(net: Netlist, assignment: dict[str, GateFunction],
@@ -530,15 +561,26 @@ def filter_assignments(net: Netlist, gate_ids, candidates, observations,
     the other camouflaged gates. Each candidate is evaluated once per block
     of packed observations; survivors keep their order.
     """
-    prog = net._program()
-    base = _resolve(prog, (fixed or {}).items())
+    run = _assignment_runner(net, gate_ids, fixed)
     observations, survivors = list(observations), list(candidates)
     for (_, words, mask), (_, expected, _) in zip(
             _blocks(len(net.inputs), [v for v, _ in observations]),
             _blocks(len(net.outputs), [o for _, o in observations])):
-        survivors = [c for c in survivors if expected == _outputs(
-            prog, _resolve(prog, zip(gate_ids, c), ops=base), words, mask)]
+        survivors = [c for c in survivors if expected == run(c, words, mask)]
     return survivors
+
+
+def _assignment_runner(net: Netlist, gate_ids,
+                       fixed: dict[str, GateFunction] | None = None):
+    """A function from a candidate, input words and mask to output words.
+
+    A candidate is a tuple of functions for ``gate_ids``; ``fixed``
+    assigns the other camouflaged gates, resolved once, here.
+    """
+    prog = net._program()
+    base = _resolve(prog, (fixed or {}).items())
+    return lambda candidate, words, mask: _outputs(
+        prog, _resolve(prog, zip(gate_ids, candidate), ops=base), words, mask)
 
 
 def _outputs(prog: _Program, ops, words, mask: int) -> list[int]:
@@ -601,25 +643,45 @@ def keyed_simulator(net: Netlist, key: CamoKey | None = None):
     """``simulate`` with ``key`` validated and applied once, up front.
 
     Returns a function from one input vector to the output tuple; each
-    call still checks the vector's width and 0/1 bits.
+    call still checks the vector's width and 0/1 bits. A reply is read off
+    the output words of the vector's all_vectors block (``1 << _BLOCK_LOG2``
+    vectors); only the last block is kept. Until enough queries in a row
+    land in a block, each vector runs alone, so a sparse stream never pays
+    for blocks: two queries when the block is the whole input space, else
+    eight, as a 4096-vector block costs two to four one-vector runs.
     """
     prog, ops = net._program(), _key_ops(net, key)
-    return lambda input_vector: tuple(
-        _outputs(prog, ops, _input_bits(net, input_vector), 1))
+    width = len(net.inputs)
+    bits = min(width, _BLOCK_LOG2)
+    fill = 2 if width == bits else 8
+    block = landed = table = None
+
+    def query(input_vector) -> tuple[int, ...]:
+        nonlocal block, landed, table
+        vec = _input_bits(net, input_vector)
+        i = _word(vec)
+        if i >> bits != block:
+            block, landed, table = i >> bits, 0, None
+        landed += 1
+        if table is None and landed >= fill:
+            table = _outputs(prog, ops, *_block_words(width, block << bits))
+        if table is None:
+            return tuple(_outputs(prog, ops, vec, 1))
+        return _bits(table, i & ((1 << bits) - 1))
+    return query
 
 
 def all_vectors(width: int):
     """All input vectors of a width, in binary counting order."""
     _check_exhaustive(width)
-    for i in range(1 << width):
-        yield tuple((i >> (width - 1 - k)) & 1 for k in range(width))
+    yield from product((0, 1), repeat=width)
 
 
-def random_vectors(width: int, count: int, seed: int) -> list[tuple[int, ...]]:
-    """Reproducible uniform input vectors (may repeat)."""
+def random_vectors(width: int, count: int, seed: int):
+    """Reproducible uniform input vectors (may repeat), drawn lazily."""
     rng = random.Random(seed)
-    return [tuple(rng.randint(0, 1) for _ in range(width))
-            for _ in range(count)]
+    for _ in range(count):
+        yield tuple(rng.randint(0, 1) for _ in range(width))
 
 
 @dataclass(frozen=True)
@@ -672,7 +734,7 @@ def check_equivalence(net_a: Netlist, net_b: Netlist,
 
 
 def _bits(words, j: int) -> tuple[int, ...]:
-    return tuple(w >> j & 1 for w in words)
+    return tuple([w >> j & 1 for w in words])
 
 
 # --- timing -----------------------------------------------------------------

@@ -4,14 +4,21 @@ Besides the worked cases, ``test_every_attack_is_sound`` is a property
 over generated locked netlists: each attack keeps the true function of
 every gate, its query count is the oracle's and the transcript's, and
 without a budget sensitization with flavor knowledge keeps no candidate
-brute force dropped.
+brute force dropped. ``test_walk_matches_the_per_query_reference`` checks
+the joint step's walk, which filters by per-block output tables, against
+``reference_resolve_jointly``, which filters once per oracle reply.
 """
+
+import math
+from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_netlist
+from vtcamo import attack, netlist
 from vtcamo.attack import (
     CountingOracle,
     MAX_BRUTE_GATES,
@@ -30,8 +37,9 @@ from vtcamo.errors import (
     UnresolvedFaninError,
     UnresolvedGateError,
 )
-from vtcamo.netlist import (CamoKey, KeyEntry, all_vectors, parse_bench,
-                            simulate)
+from vtcamo.netlist import (CamoKey, KeyEntry, all_vectors,
+                            filter_assignments, parse_bench, simulate,
+                            simulate_words)
 
 SINGLE = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n"
 CHAIN2 = ("INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\n"
@@ -128,6 +136,20 @@ class TestBruteForce:
         assert report.query_count <= 5
         for gid, entry in key.entries.items():
             assert entry.function in report.resolved[gid]
+
+    def test_random_source_stops_drawing_once_the_space_is_covered(self):
+        net = random_netlist(4, 8, seed=3)
+        locked, key = apply_camouflage(
+            net, eligible_gates(net, CellFlavor.CAMO8)[:2], CellFlavor.CAMO8)
+        oracle = CountingOracle(locked, key)
+        report = brute_force_attack(locked, oracle, pattern_source="random",
+                                    query_budget=10**9, seed=1)
+        exhaustive = brute_force_attack(locked, CountingOracle(locked, key))
+        assert report.query_count == oracle.query_count == 16
+        assert sorted(v for v, _ in report.transcript) == list(
+            all_vectors(4))
+        assert (report.status, report.resolved) == (exhaustive.status,
+                                                    exhaustive.resolved)
 
     def test_unknown_source_rejected(self):
         _, locked, key = _lock(SINGLE, ["y"])
@@ -313,3 +335,100 @@ def test_every_attack_is_sound(case):
         brute, sens = runs["brute", "exhaustive"][1], runs["sens", True][1]
         for gid in key.entries:
             assert sens.resolved[gid] <= brute.resolved[gid], gid
+
+
+def reference_equivalent(net, gate_ids, survivors, fixed) -> bool:
+    if len(survivors) <= 1:
+        return True
+    if len(survivors) > attack.EQUIV_CHECK_LIMIT:
+        return False
+    tables = [[[rails[n][1] for n in net.outputs] for _, rails in
+               simulate_words(net, {**fixed, **dict(zip(gate_ids, a))})]
+              for a in survivors]
+    return all(table == tables[0] for table in tables)
+
+
+def reference_resolve_jointly(net, cache, sets, gate_ids, fixed):
+    """The joint step with a walk that filters once per oracle reply."""
+    survivors = filter_assignments(
+        net, gate_ids,
+        product(*(sorted(sets[g], key=lambda f: f.value) for g in gate_ids)),
+        cache.transcript.items(), fixed)
+    settled = reference_equivalent(net, gate_ids, survivors, fixed)
+    complete = False
+    if not settled:
+        for vec in all_vectors(len(net.inputs)):
+            out = cache.query(vec)
+            if out is None:
+                break
+            before = len(survivors)
+            survivors = filter_assignments(net, gate_ids, survivors,
+                                           [(vec, out)], fixed)
+            if len(survivors) != before and reference_equivalent(
+                    net, gate_ids, survivors, fixed):
+                settled = True
+                break
+        else:
+            complete = True
+    for i, gid in enumerate(gate_ids):
+        sets[gid] = {a[i] for a in survivors}
+    status = ("unique" if len(survivors) == 1 else "equivalent_class"
+              if settled or complete else "budget_exhausted")
+    return survivors, status
+
+
+@st.composite
+def walk_cases(draw):
+    """An attack case, a residue, earlier queries and walk settings."""
+    locked, key, _ = draw(attack_cases())
+    camo = [g.gate_id for g in locked.topo_order if g.is_camo]
+    picked = draw(st.lists(st.sampled_from(camo), min_size=1, unique=True))
+    residue = [gid for gid in camo if gid in picked]
+    space = 1 << len(locked.inputs)
+    prior = draw(st.lists(st.integers(0, space - 1), max_size=4))
+    budget = draw(st.none() | st.integers(0, space + 2))
+    return (locked, key, residue, prior, budget, draw(st.booleans()),
+            draw(st.sampled_from([1, 2, 12])),
+            draw(st.sampled_from([0, attack._TABLE_BITS])),
+            draw(st.sampled_from([1, attack.EQUIV_CHECK_LIMIT])))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(walk_cases())
+def test_walk_matches_the_per_query_reference(case):
+    (locked, key, residue, prior, budget, knowledge, block_log2, bits,
+     equiv_limit) = case
+    vectors = list(all_vectors(len(locked.inputs)))
+    fixed = {gid: e.function for gid, e in key.entries.items()
+             if gid not in residue}
+    runs, walked = [], []
+
+    def spy(*args):
+        walked.append(real_walk(*args))
+        return walked[-1]
+    real_walk = attack._walk
+    for joint in ("tables", "reference"):
+        oracle = CountingOracle(locked, key)
+        cache = attack._QueryCache(oracle, budget)
+        for i in prior:
+            cache.query(vectors[i])
+        sets = {**attack._candidate_sets(locked, knowledge),
+                **{gid: {func} for gid, func in fixed.items()}}
+        with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2), \
+                mock.patch.object(attack, "_TABLE_BITS", bits), \
+                mock.patch.object(attack, "EQUIV_CHECK_LIMIT", equiv_limit), \
+                mock.patch.object(attack, "_walk", spy):
+            if joint == "tables":
+                status, log2 = attack._resolve_jointly(
+                    locked, cache, sets, residue, fixed, walk=True)
+            else:
+                survivors, status = reference_resolve_jointly(
+                    locked, cache, sets, residue, fixed)
+                log2 = (math.log2(len(survivors)) if survivors
+                        else float("-inf"))
+        runs.append((status, log2, sets, oracle.query_count,
+                     list(cache.transcript.items())))
+    assert runs[0] == runs[1]
+    if walked:
+        assert walked[0][0] == survivors

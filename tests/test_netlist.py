@@ -1,5 +1,8 @@
 """Netlist parsing, simulation, equivalence, and timing analysis."""
 
+import random
+from itertools import islice
+
 import pytest
 
 from conftest import bench_text, random_netlist
@@ -26,6 +29,7 @@ from vtcamo.netlist import (
     all_vectors,
     check_equivalence,
     critical_path,
+    filter_assignments,
     parse_bench,
     random_vectors,
     reachable,
@@ -206,11 +210,34 @@ class TestSimulation:
             list(all_vectors(EXHAUSTIVE_INPUT_LIMIT + 1))
 
     def test_random_vectors_are_seeded(self):
-        a = random_vectors(8, 20, seed=9)
-        b = random_vectors(8, 20, seed=9)
-        c = random_vectors(8, 20, seed=10)
+        a = list(random_vectors(8, 20, seed=9))
+        b = list(random_vectors(8, 20, seed=9))
+        c = list(random_vectors(8, 20, seed=10))
         assert a == b and a != c
         assert all(len(v) == 8 for v in a)
+
+    @pytest.mark.parametrize("seed", [0, 9, 2015])
+    def test_random_vectors_are_drawn_lazily_in_the_list_order(self, seed):
+        rng = random.Random(seed)
+        eager = [tuple(rng.randint(0, 1) for _ in range(5)) for _ in range(40)]
+        assert list(islice(random_vectors(5, 10**12, seed), 40)) == eager
+        assert list(random_vectors(5, 40, seed)) == eager
+
+    def test_random_equivalence_draws_one_block_at_a_time(self, c17):
+        gates = [Gate(g.gate_id, g.fanins, func=GateFunction.AND)
+                 if g.gate_id == "22" else g for g in c17.gates]
+        mutant = Netlist(c17.inputs, c17.outputs, tuple(gates))
+        verdict = check_equivalence(c17, mutant, mode="random",
+                                    num_vectors=10**12, seed=1)
+        assert not verdict.equivalent and verdict.vectors_checked < 100
+
+    def test_packed_bits_must_be_0_or_1(self, c17):
+        vec = (0, 1, 1, 0, 1)
+        out = simulate(c17, vec)
+        assert filter_assignments(c17, [], [()], [(vec, out)]) == [()]
+        for bad in ((2, *out[1:]), (None, *out[1:]), (0.5, *out[1:])):
+            with pytest.raises(InputWidthError):
+                filter_assignments(c17, [], [()], [(vec, bad)])
 
 
 class TestIndexProgram:

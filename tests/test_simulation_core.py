@@ -6,7 +6,8 @@ inputs gives the same output. Camouflaged cells use ``behavior_table``,
 the cell's own truth table over its two physical ports. The properties
 check ``simulate_words``, ``filter_assignments``, ``simulate``,
 ``CountingOracle``, ``check_equivalence`` and ``find_sensitizing_vector``
-against it on generated locked netlists with unresolved and forced gates.
+against it on generated locked netlists with unresolved and forced gates;
+the oracle is fed sequential, repeated and block-hopping streams.
 """
 
 from __future__ import annotations
@@ -196,18 +197,55 @@ def test_sensitizing_vector_matches_the_scalar_search(case, pattern):
                     got.po_if_1) == want
 
 
+def _streams(vectors, step):
+    """Sequential, repeated and block-hopping orders of ``vectors``."""
+    hopping = sorted(range(len(vectors)), key=lambda i: (i % step, i))
+    return {"sequential": vectors,
+            "repeated": [v for v in vectors for _ in range(9)],
+            "hopping": [vectors[i] for i in hopping]}
+
+
 @_SETTINGS
-@given(locked_cases())
-def test_oracle_matches_the_reference_and_counts_every_call(case):
+@given(locked_cases(), st.sampled_from([1, 2, 12]))
+def test_oracle_matches_the_reference_and_counts_every_call(case,
+                                                            block_log2):
     _, locked, key, _, _ = case
     assignment = {gid: e.function for gid, e in key.entries.items()}
-    oracle = CountingOracle(locked, key)
     vectors = list(all_vectors(len(locked.inputs)))
+    want = {}
     for vec in vectors:
-        want = reference_values(locked, vec, assignment)
-        assert oracle(vec) == tuple(want[n] for n in locked.outputs)
-    assert oracle(vectors[0]) == oracle(vectors[0])
-    assert oracle.query_count == len(vectors) + 2
+        values = reference_values(locked, vec, assignment)
+        want[vec] = tuple(values[n] for n in locked.outputs)
+    with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
+        for name, stream in _streams(vectors, 1 << block_log2).items():
+            oracle = CountingOracle(locked, key)
+            for vec in stream:
+                assert oracle(vec) == want[vec], (name, vec)
+            assert oracle(vectors[0]) == oracle(vectors[0])
+            assert oracle.query_count == len(stream) + 2
+
+
+def test_oracle_runs_a_whole_block_only_for_queries_in_a_row(synth_wide):
+    width = len(synth_wide.inputs)
+    assert width > netlist._BLOCK_LOG2
+    vectors = list(all_vectors(width))
+    step = 1 << netlist._BLOCK_LOG2
+    blocks = len(vectors) // step
+    hopping = [vectors[(i % blocks) * step + i] for i in range(200)]
+    in_a_row = vectors[3 * step:3 * step + 20]
+    want = {vec: simulate(synth_wide, vec) for vec in hopping + in_a_row}
+    oracle = CountingOracle(synth_wide)
+    masks = {}
+    for name, stream in (("hopping", hopping), ("in_a_row", in_a_row)):
+        with mock.patch.object(netlist, "_run", wraps=netlist._run) as run:
+            for vec in stream:
+                assert oracle(vec) == want[vec], (name, vec)
+        masks[name] = [call.args[2] for call in run.call_args_list]
+    # a sparse stream runs each vector alone, as it would without blocks
+    assert masks["hopping"] == [1] * len(hopping)
+    # the eighth query in a row runs its block once; the rest look it up
+    assert masks["in_a_row"] == [1] * 7 + [(1 << step) - 1]
+    assert oracle.query_count == len(hopping) + len(in_a_row)
 
 
 _TOGGLED = {**_NEGATED, **{base: neg for neg, base in _NEGATED.items()}}
