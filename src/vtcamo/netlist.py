@@ -610,9 +610,9 @@ def _input_bits(net: Netlist, input_vector) -> list[int]:
     if len(vec) != len(net.inputs):
         raise InputWidthError(
             f"expected {len(net.inputs)} input bits, got {len(vec)}")
-    if any(b not in (0, 1) for b in vec):
+    if vec.count(0) + vec.count(1) != len(vec):
         raise InputWidthError(f"input bits must be 0/1: {vec!r}")
-    return [int(b) for b in vec]
+    return list(map(int, vec))
 
 
 def simulate(net: Netlist, input_vector, key: CamoKey | None = None):

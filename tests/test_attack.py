@@ -349,7 +349,10 @@ def reference_equivalent(net, gate_ids, survivors, fixed) -> bool:
 
 
 def reference_resolve_jointly(net, cache, sets, gate_ids, fixed):
-    """The joint step with a walk that filters once per oracle reply."""
+    """The joint step with a walk that filters once per oracle reply.
+
+    Returns the status, the survivors' log2 and the survivors.
+    """
     survivors = filter_assignments(
         net, gate_ids,
         product(*(sorted(sets[g], key=lambda f: f.value) for g in gate_ids)),
@@ -374,7 +377,8 @@ def reference_resolve_jointly(net, cache, sets, gate_ids, fixed):
         sets[gid] = {a[i] for a in survivors}
     status = ("unique" if len(survivors) == 1 else "equivalent_class"
               if settled or complete else "budget_exhausted")
-    return survivors, status
+    log2 = math.log2(len(survivors)) if survivors else float("-inf")
+    return status, log2, survivors
 
 
 @st.composite
@@ -402,13 +406,13 @@ def test_walk_matches_the_per_query_reference(case):
     vectors = list(all_vectors(len(locked.inputs)))
     fixed = {gid: e.function for gid, e in key.entries.items()
              if gid not in residue}
-    runs, walked = [], []
+    walked, real_walk = [], attack._walk
 
     def spy(*args):
         walked.append(real_walk(*args))
         return walked[-1]
-    real_walk = attack._walk
-    for joint in ("tables", "reference"):
+
+    def run(joint):
         oracle = CountingOracle(locked, key)
         cache = attack._QueryCache(oracle, budget)
         for i in prior:
@@ -419,16 +423,13 @@ def test_walk_matches_the_per_query_reference(case):
                 mock.patch.object(attack, "_TABLE_BITS", bits), \
                 mock.patch.object(attack, "EQUIV_CHECK_LIMIT", equiv_limit), \
                 mock.patch.object(attack, "_walk", spy):
-            if joint == "tables":
-                status, log2 = attack._resolve_jointly(
-                    locked, cache, sets, residue, fixed, walk=True)
-            else:
-                survivors, status = reference_resolve_jointly(
-                    locked, cache, sets, residue, fixed)
-                log2 = (math.log2(len(survivors)) if survivors
-                        else float("-inf"))
-        runs.append((status, log2, sets, oracle.query_count,
-                     list(cache.transcript.items())))
-    assert runs[0] == runs[1]
+            result = joint(locked, cache, sets, residue, fixed)
+        return result, sets, oracle.query_count, list(cache.transcript.items())
+
+    (status, log2), *state = run(
+        lambda *args: attack._resolve_jointly(*args, walk=True))
+    (want_status, want_log2, survivors), *want_state = run(
+        reference_resolve_jointly)
+    assert (status, log2, state) == (want_status, want_log2, want_state)
     if walked:
         assert walked[0][0] == survivors
