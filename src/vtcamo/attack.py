@@ -184,8 +184,10 @@ def _walk(net: Netlist, cache: _QueryCache, run, survivors: list,
             if (tables is None and (whole or landed > 1)
                     and len(survivors) * per_survivor <= _TABLE_BITS):
                 tables = [run(c, words, mask) for c in survivors]
-            keep = ([tuple(run(c, vec, 1)) == out for c in survivors]
-                    if tables is None else [_bits(t, j) == out for t in tables])
+            if tables is None:
+                keep = [tuple(run(c, vec, 1)) == out for c in survivors]
+            else:
+                keep = [_bits(t, j) == out for t in tables]
             if all(keep):
                 continue
             survivors = list(compress(survivors, keep))
