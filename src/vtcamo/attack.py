@@ -17,10 +17,11 @@ input patterns that tell a gate's candidates apart, it finds a
 primary-input vector that drives the pattern onto the gate and provably
 propagates the gate's output to a primary output, and reads the hidden
 truth table entry off the oracle response. The residue goes to the
-joint step, which walks the input space in counting order (_walk): in
-each block of vectors that the netlist module evaluates at once, every
-survivor's output words are computed once, and each reply drops
-survivors by a bit lookup at its vector's offset.
+joint step, which walks the input space in counting order (_walk) and
+drops the survivors whose outputs differ from each new reply. The
+survivors' outputs come from netlist.OutputTables: on an input space
+that fits in one netlist block, each survivor's output words over the
+whole space are computed once and each reply is a bit lookup.
 
 Propagation is checked on the netlist module's bit-parallel dual-rail
 core with the target forced to 0 and to 1, every unresolved camouflaged
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, islice, product, takewhile
+from itertools import product, takewhile
 from operator import or_
 from typing import Callable, Iterable
 
@@ -43,10 +44,9 @@ from .cell import (CAMOUFLAGEABLE, LOCAL_VECTORS, GateFunction, behavior_table,
                    distinguishing_set)
 from .errors import (AttackTooLargeError, InvalidParameterError,
                      UnresolvedFaninError)
-from .netlist import (EXHAUSTIVE_INPUT_LIMIT, CamoKey, Netlist,
-                      _assignment_runner, _bits, _blocks, all_vectors,
-                      bits_at, filter_assignments, keyed_simulator,
-                      random_vectors, simulate_words)
+from .netlist import (EXHAUSTIVE_INPUT_LIMIT, CamoKey, Netlist, all_vectors,
+                      assignment_tables, bits_at, filter_assignments,
+                      keyed_simulator, random_vectors, simulate_words)
 
 #: Most camouflaged gates the joint brute-force enumeration accepts.
 MAX_BRUTE_GATES = 8
@@ -57,19 +57,16 @@ RESIDUE_ENUM_LIMIT = 1 << 20
 #: Survivor-set size up to which mutual output-equivalence is verified.
 EQUIV_CHECK_LIMIT = 1024
 
-#: Most bits of per-block output words the residue walk keeps, counting
-#: 256 bits of object overhead per word (about 32 MB).
-_TABLE_BITS = 1 << 28
-
 
 class CountingOracle:
     """I/O oracle over a reference netlist; counts every invocation.
 
     The key is validated once, here, so a bad key fails at construction;
     each query still checks its vector's width and 0/1 bits. Replies come
-    from netlist.keyed_simulator, which reads a run of queries in one
-    input block off that block's output words; every call is counted,
-    whether it runs the netlist or looks a reply up.
+    from netlist.keyed_simulator, which on an input space that fits in
+    one netlist block reads all but the first off the whole space's
+    output words; every call is counted, whether it runs the netlist or
+    looks a reply up.
     """
 
     def __init__(self, net: Netlist, key: CamoKey | None = None):
@@ -133,70 +130,30 @@ def _space_log2(sets: Iterable[frozenset]) -> float:
     return sum(math.log2(len(s)) for s in sets)
 
 
-def _mutually_equivalent(net: Netlist, run, survivors: list,
-                         tables: list | None = None) -> bool:
-    """True when all surviving assignments agree on the full input space.
+def _walk(net: Netlist, cache: _QueryCache, tables,
+          ) -> tuple[bool, bool]:
+    """Query all_vectors in counting order until ``tables.items`` settle.
 
-    ``run`` gives a survivor's output words for a block (see _walk);
-    ``tables`` may hold every survivor's words for a one-block space.
+    A new reply drops the survivors whose outputs, read from ``tables``,
+    differ from it; a reply already in the transcript is skipped, since
+    the replay filtered it. Returns whether the survivors settled (became
+    mutually equivalent) and whether the walk completed; a spent budget
+    ends it with neither.
     """
-    if len(survivors) <= 1:
-        return True
-    if (len(net.inputs) > EXHAUSTIVE_INPUT_LIMIT
-            or len(survivors) > EQUIV_CHECK_LIMIT):
-        return False
-    for _, words, mask in _blocks(len(net.inputs)):
-        rows = iter(tables or (run(c, words, mask) for c in survivors))
-        reference = next(rows)
-        if any(row != reference for row in rows):
-            return False
-    return True
-
-
-def _walk(net: Netlist, cache: _QueryCache, run, survivors: list,
-          ) -> tuple[list, bool, bool]:
-    """Query all_vectors in counting order until ``survivors`` settle.
-
-    A new reply drops the survivors whose outputs differ from it. Within
-    a block of ``_blocks``, each survivor's output words over the whole
-    block (at most _TABLE_BITS of them) are computed once and answer every
-    later reply by a bit lookup; they are dropped with the survivor. The
-    first new reply in a block runs each survivor on its one vector
-    instead, unless the block is the whole input space: the equivalence
-    check then needs those words as soon as a survivor drops. Returns the
-    survivors and whether they settled (became mutually equivalent) or
-    the walk completed; a spent budget ends it with neither.
-    """
-    width = len(net.inputs)
-    vectors = all_vectors(width)
-    for _, words, mask in _blocks(width):
-        whole = mask.bit_length() == 1 << width
-        per_survivor = len(net.outputs) * (mask.bit_length() + 256)
-        tables, landed = None, 0
-        for j, vec in enumerate(islice(vectors, mask.bit_length())):
-            known = len(cache.transcript)
-            out = cache.query(vec)
-            if out is None:
-                return survivors, False, False
-            if len(cache.transcript) == known:
-                continue  # replayed already, so every survivor agrees
-            landed += 1
-            if (tables is None and (whole or landed > 1)
-                    and len(survivors) * per_survivor <= _TABLE_BITS):
-                tables = [run(c, words, mask) for c in survivors]
-            if tables is None:
-                keep = [tuple(run(c, vec, 1)) == out for c in survivors]
-            else:
-                keep = [_bits(t, j) == out for t in tables]
-            if all(keep):
-                continue
-            survivors = list(compress(survivors, keep))
-            if tables is not None:
-                tables = list(compress(tables, keep))
-            if _mutually_equivalent(net, run, survivors,
-                                    tables if whole else None):
-                return survivors, True, False
-    return survivors, False, True
+    for vec in all_vectors(len(net.inputs)):
+        known = len(cache.transcript)
+        out = cache.query(vec)
+        if out is None:
+            return False, False
+        if len(cache.transcript) == known:
+            continue
+        keep = [row == out for row in tables(vec)]
+        if all(keep):
+            continue
+        tables.keep(keep)
+        if tables.agree(EQUIV_CHECK_LIMIT):
+            return True, False
+    return False, True
 
 
 def _resolve_jointly(net: Netlist, cache: _QueryCache, sets: dict,
@@ -209,14 +166,14 @@ def _resolve_jointly(net: Netlist, cache: _QueryCache, sets: dict,
     until the survivors are settled (``complete`` or mutually equivalent),
     ``walk``s the input space. Returns the status and the survivors' log2.
     """
-    run = _assignment_runner(net, gate_ids, fixed)
-    survivors = filter_assignments(
+    tables = assignment_tables(net, gate_ids, filter_assignments(
         net, gate_ids,
         product(*(sorted(sets[g], key=lambda f: f.value) for g in gate_ids)),
-        cache.transcript.items(), fixed)
-    settled = complete or _mutually_equivalent(net, run, survivors)
+        cache.transcript.items(), fixed), fixed)
+    settled = complete or tables.agree(EQUIV_CHECK_LIMIT)
     if walk and not settled:
-        survivors, settled, complete = _walk(net, cache, run, survivors)
+        settled, complete = _walk(net, cache, tables)
+    survivors = tables.items
     for i, gid in enumerate(gate_ids):
         sets[gid] = {a[i] for a in survivors}
     status = ("unique" if len(survivors) == 1 else "equivalent_class"

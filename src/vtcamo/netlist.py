@@ -29,7 +29,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice, product
+from itertools import compress, islice, product
 from typing import NamedTuple
 
 from .cell import CellFlavor, GateFunction
@@ -373,6 +373,10 @@ def validate_key(net: Netlist, key: CamoKey) -> None:
 #: bounds memory up to EXHAUSTIVE_INPUT_LIMIT inputs.
 _BLOCK_LOG2 = 12
 
+#: Most bits of output words an OutputTables keeps, counting 256 bits of
+#: object overhead per word (about 32 MB).
+_TABLE_BITS = 1 << 28
+
 #: Op codes of the index program. PORT0/PORT1 copy one fanin; CONST and
 #: UNKNOWN are a forced gate and an unassigned camouflaged gate.
 _AND, _OR, _XOR, _PORT0, _PORT1, _CONST, _UNKNOWN = range(7)
@@ -643,32 +647,95 @@ def keyed_simulator(net: Netlist, key: CamoKey | None = None):
     """``simulate`` with ``key`` validated and applied once, up front.
 
     Returns a function from one input vector to the output tuple; each
-    call still checks the vector's width and 0/1 bits. A reply is read off
-    the output words of the vector's all_vectors block (``1 << _BLOCK_LOG2``
-    vectors); only the last block is kept. Until enough queries in a row
-    land in a block, each vector runs alone, so a sparse stream never pays
-    for blocks: two queries when the block is the whole input space, else
-    eight, as a 4096-vector block costs two to four one-vector runs.
+    call still checks the vector's width and 0/1 bits. Replies come from
+    an OutputTables, so on a space of at most ``_BLOCK_LOG2`` inputs all
+    but the first are read off the whole space's output words.
     """
     prog, ops = net._program(), _key_ops(net, key)
-    width = len(net.inputs)
-    bits = min(width, _BLOCK_LOG2)
-    fill = 2 if width == bits else 8
-    block = landed = table = None
+    tables = OutputTables(
+        net, lambda item, words, mask: _outputs(prog, item, words, mask), [ops])
 
     def query(input_vector) -> tuple[int, ...]:
-        nonlocal block, landed, table
-        vec = _input_bits(net, input_vector)
-        i = _word(vec)
-        if i >> bits != block:
-            block, landed, table = i >> bits, 0, None
-        landed += 1
-        if table is None and landed >= fill:
-            table = _outputs(prog, ops, *_block_words(width, block << bits))
-        if table is None:
-            return tuple(_outputs(prog, ops, vec, 1))
-        return _bits(table, i & ((1 << bits) - 1))
+        return tables(_input_bits(net, input_vector))[0]
     return query
+
+
+class OutputTables:
+    """Several assignments' outputs on one netlist, one vector at a time.
+
+    ``run(item, words, mask)`` gives an item's output words over packed
+    input ``words``. When the input space is one all_vectors block (at
+    most ``_BLOCK_LOG2`` inputs), each item's output words over it are
+    computed once, at the second query or when ``agree`` needs them, and
+    answer every later query by a bit lookup; all items' words are kept
+    only while they fit in _TABLE_BITS. Until then, and on a wider space,
+    a query runs each item on its one vector, so a lone query or a sparse
+    stream over many blocks pays for no table.
+    """
+
+    def __init__(self, net: Netlist, run, items):
+        self.items = list(items)
+        self._run, self._outs = run, len(net.outputs)
+        self._width = len(net.inputs)
+        self._tables, self._queries = None, 0
+
+    def __call__(self, vec) -> list[tuple[int, ...]]:
+        """Each item's outputs under ``vec``, a checked 0/1 vector."""
+        self._queries += 1
+        if self._tables is None and self._queries > 1:
+            self._fill()
+        if self._tables is None:
+            return [tuple(self._run(item, vec, 1)) for item in self.items]
+        j = _word(vec)
+        return [_bits(t, j) for t in self._tables]
+
+    def _fill(self) -> None:
+        if self._width > _BLOCK_LOG2:
+            return
+        words, mask = _block_words(self._width, 0)
+        if (len(self.items) * self._outs * (mask.bit_length() + 256)
+                <= _TABLE_BITS):
+            self._tables = [self._run(item, words, mask)
+                            for item in self.items]
+
+    def keep(self, selectors) -> None:
+        """Drop the items, and their words, whose selector is false."""
+        self.items = list(compress(self.items, selectors))
+        if self._tables is not None:
+            self._tables = list(compress(self._tables, selectors))
+
+    def agree(self, limit: int) -> bool:
+        """True when all items give the same outputs on every vector.
+
+        False, unchecked, for more than ``limit`` items or more than
+        EXHAUSTIVE_INPUT_LIMIT inputs; otherwise it stops at the first
+        block where two items differ.
+        """
+        if len(self.items) <= 1:
+            return True
+        if self._width > EXHAUSTIVE_INPUT_LIMIT or len(self.items) > limit:
+            return False
+        if self._tables is None:
+            self._fill()
+        if self._tables is not None:
+            return all(t == self._tables[0] for t in self._tables)
+        for _, words, mask in _blocks(self._width):
+            rows = (self._run(item, words, mask) for item in self.items)
+            reference = next(rows)
+            if any(row != reference for row in rows):
+                return False
+        return True
+
+
+def assignment_tables(net: Netlist, gate_ids, candidates,
+                      fixed: dict[str, GateFunction] | None = None,
+                      ) -> OutputTables:
+    """OutputTables over candidate tuples of functions for ``gate_ids``.
+
+    ``fixed`` assigns the other camouflaged gates.
+    """
+    return OutputTables(net, _assignment_runner(net, gate_ids, fixed),
+                        candidates)
 
 
 def all_vectors(width: int):

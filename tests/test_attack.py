@@ -5,7 +5,8 @@ over generated locked netlists: each attack keeps the true function of
 every gate, its query count is the oracle's and the transcript's, and
 without a budget sensitization with flavor knowledge keeps no candidate
 brute force dropped. ``test_walk_matches_the_per_query_reference`` checks
-the joint step's walk, which filters by per-block output tables, against
+the joint step's walk, which reads survivors' outputs off output tables,
+against
 ``reference_resolve_jointly``, which filters once per oracle reply.
 """
 
@@ -393,7 +394,7 @@ def walk_cases(draw):
     budget = draw(st.none() | st.integers(0, space + 2))
     return (locked, key, residue, prior, budget, draw(st.booleans()),
             draw(st.sampled_from([1, 2, 12])),
-            draw(st.sampled_from([0, attack._TABLE_BITS])),
+            draw(st.sampled_from([0, netlist._TABLE_BITS])),
             draw(st.sampled_from([1, attack.EQUIV_CHECK_LIMIT])))
 
 
@@ -408,9 +409,10 @@ def test_walk_matches_the_per_query_reference(case):
              if gid not in residue}
     walked, real_walk = [], attack._walk
 
-    def spy(*args):
-        walked.append(real_walk(*args))
-        return walked[-1]
+    def spy(net, cache, tables):
+        result = real_walk(net, cache, tables)
+        walked.append(tables.items)
+        return result
 
     def run(joint):
         oracle = CountingOracle(locked, key)
@@ -420,7 +422,7 @@ def test_walk_matches_the_per_query_reference(case):
         sets = {**attack._candidate_sets(locked, knowledge),
                 **{gid: {func} for gid, func in fixed.items()}}
         with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2), \
-                mock.patch.object(attack, "_TABLE_BITS", bits), \
+                mock.patch.object(netlist, "_TABLE_BITS", bits), \
                 mock.patch.object(attack, "EQUIV_CHECK_LIMIT", equiv_limit), \
                 mock.patch.object(attack, "_walk", spy):
             result = joint(locked, cache, sets, residue, fixed)
@@ -432,4 +434,4 @@ def test_walk_matches_the_per_query_reference(case):
         reference_resolve_jointly)
     assert (status, log2, state) == (want_status, want_log2, want_state)
     if walked:
-        assert walked[0][0] == survivors
+        assert walked[0] == survivors

@@ -225,7 +225,30 @@ def test_oracle_matches_the_reference_and_counts_every_call(case,
             assert oracle.query_count == len(stream) + 2
 
 
-def test_oracle_runs_a_whole_block_only_for_queries_in_a_row(synth_wide):
+def _run_masks(oracle, stream, want):
+    """The mask of every _run call the oracle makes answering ``stream``."""
+    with mock.patch.object(netlist, "_run", wraps=netlist._run) as run:
+        for vec in stream:
+            assert oracle(vec) == want[vec], vec
+    return [call.args[2] for call in run.call_args_list]
+
+
+def test_oracle_reads_a_table_only_when_one_block_is_the_whole_space(
+        c17, synth_wide):
+    # c17's 5 inputs fit in one block: the second query runs the whole
+    # space once and every later one is a lookup
+    vectors = list(all_vectors(len(c17.inputs)))
+    want = {vec: simulate(c17, vec) for vec in vectors}
+    oracle = CountingOracle(c17)
+    assert _run_masks(oracle, vectors[::-1] * 2, want) == [1, (1 << 32) - 1]
+    assert oracle.query_count == 64
+    # with blocks of 4 vectors each query runs its one vector
+    with mock.patch.object(netlist, "_BLOCK_LOG2", 2):
+        oracle = CountingOracle(c17)
+        assert _run_masks(oracle, vectors, want) == [1] * len(vectors)
+
+    # synth_wide's 16 inputs span 16 blocks: every query, sparse or in a
+    # row, runs its one vector, as it would without tables
     width = len(synth_wide.inputs)
     assert width > netlist._BLOCK_LOG2
     vectors = list(all_vectors(width))
@@ -233,19 +256,11 @@ def test_oracle_runs_a_whole_block_only_for_queries_in_a_row(synth_wide):
     blocks = len(vectors) // step
     hopping = [vectors[(i % blocks) * step + i] for i in range(200)]
     in_a_row = vectors[3 * step:3 * step + 20]
-    want = {vec: simulate(synth_wide, vec) for vec in hopping + in_a_row}
+    stream = hopping + in_a_row
+    want = {vec: simulate(synth_wide, vec) for vec in stream}
     oracle = CountingOracle(synth_wide)
-    masks = {}
-    for name, stream in (("hopping", hopping), ("in_a_row", in_a_row)):
-        with mock.patch.object(netlist, "_run", wraps=netlist._run) as run:
-            for vec in stream:
-                assert oracle(vec) == want[vec], (name, vec)
-        masks[name] = [call.args[2] for call in run.call_args_list]
-    # a sparse stream runs each vector alone, as it would without blocks
-    assert masks["hopping"] == [1] * len(hopping)
-    # the eighth query in a row runs its block once; the rest look it up
-    assert masks["in_a_row"] == [1] * 7 + [(1 << step) - 1]
-    assert oracle.query_count == len(hopping) + len(in_a_row)
+    assert _run_masks(oracle, stream, want) == [1] * len(stream)
+    assert oracle.query_count == len(stream)
 
 
 _TOGGLED = {**_NEGATED, **{base: neg for neg, base in _NEGATED.items()}}
