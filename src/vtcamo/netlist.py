@@ -652,8 +652,8 @@ def keyed_simulator(net: Netlist, key: CamoKey | None = None):
     but the first are read off the whole space's output words.
     """
     prog, ops = net._program(), _key_ops(net, key)
-    tables = OutputTables(
-        net, lambda item, words, mask: _outputs(prog, item, words, mask), [ops])
+    tables = OutputTables(net, lambda item, words, mask: _outputs(
+        prog, item, words, mask), [ops])
 
     def query(input_vector) -> tuple[int, ...]:
         return tables(_input_bits(net, input_vector))[0]
