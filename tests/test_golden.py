@@ -6,7 +6,10 @@ tests show that the core reproduces the old answers exactly: query counts,
 transcripts, candidate-space figures and every ``--no-timestamp`` report.
 The device fixtures (``sweep``, ``bias-opt`` and ``sidechannel``) were
 written by the per-point device code, before the operating-point currents
-were hoisted out of the cell-delay and signature loops.
+were hoisted out of the cell-delay and signature loops. The
+``greedy-effort``, ``off-critical`` and ``report --key`` CLI runs were
+written by the full-pass timing code (one ``critical_path`` per greedy
+trial) that the incremental cone check replaced.
 
 Regenerate the fixtures from the code on the import path with
 ``PYTHONPATH=src python tests/test_golden.py``; do that only when an
@@ -115,6 +118,20 @@ def _cli_runs(stem: str) -> list[list[str]]:
         ["attack", locked, "--key", key, "--method", "sensitization"],
         ["attack", locked, "--key", key, "--method", "sensitization",
          "--no-flavor-knowledge"],
+        ["report", locked, "--key", key],
+        ["lock", f"{stem}.bench", "--strategy", "greedy-effort", "--budget",
+         "0.5", "--delay-budget", "0.4", "--out-bench", f"{stem}_greedy.bench",
+         "--out-key", f"{stem}_greedy.key"],
+        ["report", f"{stem}_greedy.bench", "--key", f"{stem}_greedy.key"],
+        ["lock", f"{stem}.bench", "--flavor", "cmos3a", "--strategy",
+         "greedy-effort", "--budget", "1.0", "--delay-budget", "0.2",
+         "--out-bench", f"{stem}_greedy3a.bench",
+         "--out-key", f"{stem}_greedy3a.key"],
+        ["report", f"{stem}_greedy3a.bench", "--key", f"{stem}_greedy3a.key"],
+        ["lock", f"{stem}.bench", "--strategy", "off-critical", "--budget",
+         "0.5", "--delay-budget", "0.2", "--out-bench",
+         f"{stem}_offcrit.bench", "--out-key", f"{stem}_offcrit.key"],
+        ["report", f"{stem}_offcrit.bench", "--key", f"{stem}_offcrit.key"],
     ]
 
 
