@@ -14,6 +14,7 @@ among the legal candidates instead.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -26,8 +27,8 @@ from .errors import (
     InvalidParameterError,
     InvalidPolicyError,
 )
-from .netlist import (CamoKey, Gate, KeyEntry, Netlist, critical_path,
-                      reachable)
+from .netlist import (CamoKey, Gate, KeyEntry, Netlist, TimingGraph,
+                      critical_path, reachable)
 
 #: Year length used for human-readable effort figures (Julian year).
 SECONDS_PER_YEAR = 31557600
@@ -102,8 +103,19 @@ class SelectionPolicy:
                 f"delay_budget must be >= 0, got {self.delay_budget}")
 
 
+def _camo_function(gate: Gate, flavor: CellFlavor) -> GateFunction | None:
+    """Camouflaged function that preserves a plain gate, or None."""
+    func = _CAMO_FOR_PLAIN.get(gate.func)
+    if gate.is_camo or len(gate.fanins) > 2 or func not in flavor.function_set:
+        return None
+    return func
+
+
 def camo_function_for(gate: Gate, flavor: CellFlavor) -> GateFunction:
     """Camouflaged function that preserves a plain gate, or raise."""
+    func = _camo_function(gate, flavor)
+    if func is not None:
+        return func
     if gate.is_camo:
         raise FlavorMismatchError(f"gate {gate.gate_id!r} is already camouflaged")
     func = _CAMO_FOR_PLAIN.get(gate.func)
@@ -111,26 +123,19 @@ def camo_function_for(gate: Gate, flavor: CellFlavor) -> GateFunction:
         raise FlavorMismatchError(
             f"gate {gate.gate_id!r} ({gate.func!r}, {len(gate.fanins)} fanins)"
             f" has no two-input camouflaged equivalent")
-    if func not in flavor.function_set:
-        raise FlavorMismatchError(
-            f"{func!r} is not realizable by flavor {flavor!r}")
-    return func
+    raise FlavorMismatchError(
+        f"{func!r} is not realizable by flavor {flavor!r}")
 
 
 def eligible_gates(net: Netlist, flavor: CellFlavor) -> list[str]:
     """Gate ids (file order) that apply_camouflage would accept."""
-    out = []
-    for g in net.gates:
-        try:
-            camo_function_for(g, flavor)
-        except FlavorMismatchError:
-            continue
-        out.append(g.gate_id)
-    return out
+    return [g.gate_id for g in net.gates
+            if _camo_function(g, flavor) is not None]
 
 
 def _pick_decoy(fanout: dict[str, list[str]], gate: Gate,
-                levels: dict[str, int], rng: random.Random | None) -> str:
+                levels: dict[str, int] | None,
+                rng: random.Random | None) -> str:
     cone = reachable(fanout, gate.gate_id)
     # fanout_map() lists every net, inputs first, in definition order
     candidates = [n for n in fanout if n not in cone]
@@ -158,9 +163,8 @@ def apply_camouflage(net: Netlist, gate_ids, flavor: CellFlavor,
     if unknown:
         raise FlavorMismatchError(f"unknown gate ids {unknown!r}")
     rng = random.Random(decoy_seed) if decoy_seed is not None else None
-    levels = net.levels()
-    # grows by each decoy edge, so later cones see the earlier decoys
-    fanout = net.fanout_map()
+    # built for the first INV/BUF cell; levels only rank a seedless pick
+    levels = fanout = None
     new_gates = []
     entries: dict[str, KeyEntry] = {}
     chosen_set = set(chosen)
@@ -170,6 +174,10 @@ def apply_camouflage(net: Netlist, gate_ids, flavor: CellFlavor,
             continue
         func = camo_function_for(g, flavor)
         if func in (GateFunction.INV, GateFunction.BUF):
+            if fanout is None:
+                levels = net.levels() if rng is None else None
+                # grows by each decoy edge, so later cones see earlier decoys
+                fanout = net.fanout_map()
             decoy = _pick_decoy(fanout, g, levels, rng)
             fanout[decoy].append(g.gate_id)
             fanins = (decoy, g.fanins[0])
@@ -190,6 +198,15 @@ def select_gates(net: Netlist, policy: SelectionPolicy,
 
     The result is a deterministic function of (netlist, policy, flavor);
     the random strategy derives everything from the policy seed.
+
+    greedy_effort keeps a ranked gate when the critical path, with it and
+    the gates kept so far at the flavor's delay multiple, stays within
+    ``delay_budget`` of the unit-delay path (to 1e-12). The check is
+    exact but incremental: a trial changes arrivals only in the gate's
+    fanout cone, and those are recomputed in topological order with the
+    float operations of a full pass, so they are bit-identical to one.
+    Ends outside the cone passed when the last gate was kept (the start
+    passes as ``delay_budget >= 0``), so only the cone's ends are checked.
     """
     cost_table = cost_table or CostTable()
     eligible = eligible_gates(net, flavor)
@@ -214,8 +231,10 @@ def select_gates(net: Netlist, policy: SelectionPolicy,
         keep = [gid for gid in eligible if gid not in on_path]
         return sorted(keep[:count])
     # greedy_effort
-    base = critical_path(net)
-    limit = base.delay * (1.0 + policy.delay_budget)
+    graph = TimingGraph.of(net)
+    delays = [1.0] * len(graph.gates)
+    arrival, _ = graph.arrivals(delays)
+    bound = graph.delay(arrival) * (1.0 + policy.delay_budget) + 1e-12
     multiples = cost_table.for_flavor(flavor)
     overhead_norm = (multiples.area - 1.0) / multiples.area
     po_set = set(net.outputs)
@@ -225,16 +244,56 @@ def select_gates(net: Netlist, policy: SelectionPolicy,
         return gains * observability - overhead_norm
     pos = {gid: i for i, gid in enumerate(eligible)}
     ranked = sorted(eligible, key=lambda g: (-metric(g), pos[g]))
+    index = {g.gate_id: k for k, g in enumerate(graph.gates)}
+    consumers: list[list[int]] = [[] for _ in graph.gates]
+    for k, fanins in enumerate(graph.fanins):
+        for f in fanins:
+            if f < len(consumers):
+                consumers[f].append(k)
+    ends = set(graph.ends)
     chosen: list[str] = []
     for gid in ranked:
         if len(chosen) >= count:
             break
-        trial = set(chosen) | {gid}
-        def model(g: Gate, _trial=trial) -> float:
-            return multiples.delay if g.gate_id in _trial else 1.0
-        if critical_path(net, model).delay <= limit + 1e-12:
+        k = index[gid]
+        delays[k] = multiples.delay
+        if _retime(graph, consumers, ends, arrival, delays, k, bound):
             chosen.append(gid)
+        else:
+            delays[k] = 1.0
     return sorted(chosen)
+
+
+def _retime(graph: TimingGraph, consumers, ends, arrival, delays,
+            start: int, bound: float) -> bool:
+    """Re-time gate ``start``'s fanout cone in place after its delay changed.
+
+    Walks the cone in index order, past changed arrivals only, with the
+    float operations of ``TimingGraph.arrivals``. Returns False, with
+    ``arrival`` rolled back, once an end's new arrival exceeds ``bound``.
+    """
+    undo = []
+    heap, queued = [start], {start}
+    while heap:
+        k = heapq.heappop(heap)
+        when = float("-inf")
+        for f in graph.fanins[k]:
+            if arrival[f] > when:
+                when = arrival[f]
+        t = when + delays[k]
+        if t == arrival[k]:
+            continue
+        if k in ends and not t <= bound:
+            for j, old in undo:
+                arrival[j] = old
+            return False
+        undo.append((k, arrival[k]))
+        arrival[k] = t
+        for succ in consumers[k]:
+            if succ not in queued:
+                queued.add(succ)
+                heapq.heappush(heap, succ)
+    return True
 
 
 @dataclass(frozen=True)
@@ -267,13 +326,14 @@ def overhead_report(net: Netlist,
         extra_area += m.area - 1.0
         extra_power += m.power - 1.0
     total = len(net.gates)
-    base = critical_path(net)
-    def camo_model(g: Gate) -> float:
-        return cost_table.for_flavor(g.flavor).delay if g.is_camo else 1.0
-    with_camo = critical_path(net, camo_model)
+    graph = TimingGraph.of(net)
+    base = graph.delay(graph.arrivals([1.0] * total)[0])
+    with_camo = graph.delay(graph.arrivals(
+        [cost_table.for_flavor(g.flavor).delay if g.is_camo else 1.0
+         for g in graph.gates])[0])
     delay_pct = 0.0
-    if base.delay > 0:
-        delay_pct = 100.0 * (with_camo.delay - base.delay) / base.delay
+    if base > 0:
+        delay_pct = 100.0 * (with_camo - base) / base
     return OverheadReport(
         area_pct=100.0 * extra_area / total if total else 0.0,
         power_pct=100.0 * extra_power / total if total else 0.0,

@@ -143,24 +143,28 @@ def reachable(edges: dict[str, list[str]], start: str) -> set[str]:
 
 
 def _toposort(net: Netlist) -> tuple[Gate, ...]:
-    indeg = {}
-    consumers: dict[str, list[str]] = {}
-    for g in net.gates:
-        indeg[g.gate_id] = sum(1 for f in g.fanins if f in net._gate_map)
+    """Kahn's algorithm on file positions; ready gates leave in FIFO order."""
+    gates = net.gates
+    pos = {g.gate_id: i for i, g in enumerate(gates)}
+    indeg = [0] * len(gates)
+    consumers: list[list[int]] = [[] for _ in gates]
+    for i, g in enumerate(gates):
         for f in g.fanins:
-            if f in net._gate_map:
-                consumers.setdefault(f, []).append(g.gate_id)
-    ready = deque(g.gate_id for g in net.gates if indeg[g.gate_id] == 0)
+            j = pos.get(f)
+            if j is not None:
+                indeg[i] += 1
+                consumers[j].append(i)
+    ready = deque(i for i, d in enumerate(indeg) if not d)
     order = []
     while ready:
-        gid = ready.popleft()
-        order.append(net._gate_map[gid])
-        for succ in consumers.get(gid, ()):
+        i = ready.popleft()
+        order.append(gates[i])
+        for succ in consumers[i]:
             indeg[succ] -= 1
-            if indeg[succ] == 0:
+            if not indeg[succ]:
                 ready.append(succ)
-    if len(order) != len(net.gates):
-        cyclic = sorted(gid for gid, d in indeg.items() if d > 0)
+    if len(order) != len(gates):
+        cyclic = sorted(g.gate_id for g, d in zip(gates, indeg) if d)
         raise NetlistCycleError(f"cycle through gates {cyclic}")
     return tuple(order)
 
@@ -189,9 +193,9 @@ def parse_bench(text: str) -> Netlist:
         if not m:
             col = len(raw) - len(raw.lstrip()) + 1
             raise BenchSyntaxError(f"unparseable line {line!r}", lineno, col)
-        if m.group("io"):
-            net = m.group("ionet")
-            if m.group("io") == "INPUT":
+        io, net, out, func_txt, arg_txt = m.groups()
+        if io:
+            if io == "INPUT":
                 if net in defined:
                     raise BenchSyntaxError(f"net {net!r} defined twice", lineno)
                 inputs.append(net)
@@ -207,9 +211,8 @@ def parse_bench(text: str) -> Netlist:
                 declared_out.add(net)
                 outputs.append(net)
             continue
-        out = m.group("out")
-        func_txt = m.group("func").upper()
-        args = [a.strip() for a in m.group("args").split(",") if a.strip()]
+        func_txt = func_txt.upper()
+        args = [a.strip() for a in arg_txt.split(",") if a.strip()]
         if not args:
             raise BenchSyntaxError(f"gate {out!r} has no fanins", lineno)
         if out in defined:
@@ -817,6 +820,51 @@ def unit_delay_model(gate: Gate) -> float:
     return 1.0
 
 
+class TimingGraph(NamedTuple):
+    """A netlist's gates by topological index, for longest-path passes.
+
+    ``fanins[k]`` holds gate k's fanins sorted by name, as gate indices,
+    or ``len(gates)`` (an arrival slot fixed at 0.0) for an input. ``ends``
+    indexes the output gates, or every gate when no output is one. It is
+    built per call (``TimingGraph.of``), not kept on the netlist.
+    """
+
+    gates: tuple[Gate, ...]
+    fanins: list[list[int]]
+    ends: list[int]
+
+    @classmethod
+    def of(cls, net: Netlist) -> "TimingGraph":
+        gates = net.topo_order
+        index = {g.gate_id: k for k, g in enumerate(gates)}
+        slot = len(gates)
+        fanins = [[index.get(f, slot) for f in sorted(g.fanins)]
+                  for g in gates]
+        outputs = set(net.outputs)
+        ends = [index[g.gate_id] for g in net.gates if g.gate_id in outputs]
+        return cls(gates, fanins, ends or list(range(slot)))
+
+    def arrivals(self, delays) -> tuple[list[float], list[int]]:
+        """Arrival time per gate index (plus the input slot) and the fanin
+        it came through; ties go to the first fanin in name order."""
+        slot = len(self.gates)
+        arrival = [0.0] * (slot + 1)
+        pred = [slot] * slot
+        for k, fanins in enumerate(self.fanins):
+            when = float("-inf")
+            for f in fanins:
+                t = arrival[f]
+                if t > when:
+                    when = t
+                    pred[k] = f
+            arrival[k] = when + delays[k]
+        return arrival, pred
+
+    def delay(self, arrival) -> float:
+        """The latest arrival at an end (0.0 for a netlist with no gates)."""
+        return max([arrival[k] for k in self.ends], default=0.0)
+
+
 def critical_path(net: Netlist, delay_model=unit_delay_model) -> CriticalPath:
     """Longest weighted path through the gate DAG, one topological pass.
 
@@ -825,25 +873,13 @@ def critical_path(net: Netlist, delay_model=unit_delay_model) -> CriticalPath:
     """
     if not net.gates:
         return CriticalPath((), 0.0)
-    arrival: dict[str, float] = {n: 0.0 for n in net.inputs}
-    best_pred: dict[str, str | None] = {}
-    for g in net.topo_order:
-        pred, when = None, float("-inf")
-        for f in sorted(g.fanins):
-            t = arrival.get(f, 0.0)
-            if t > when:
-                when = t
-                pred = f if f in net._gate_map else None
-        arrival[g.gate_id] = when + delay_model(g)
-        best_pred[g.gate_id] = pred
-    outputs = set(net.outputs)
-    ends = [g.gate_id for g in net.gates if g.gate_id in outputs]
-    if not ends:
-        ends = [g.gate_id for g in net.gates]
-    end = min(ends, key=lambda gid: (-arrival[gid], gid))
+    graph = TimingGraph.of(net)
+    gates = graph.gates
+    arrival, pred = graph.arrivals([delay_model(g) for g in gates])
+    end = min(graph.ends, key=lambda k: (-arrival[k], gates[k].gate_id))
     path = []
-    cur: str | None = end
-    while cur is not None:
-        path.append(cur)
-        cur = best_pred[cur]
+    k = end
+    while k < len(gates):
+        path.append(gates[k].gate_id)
+        k = pred[k]
     return CriticalPath(tuple(reversed(path)), arrival[end])
