@@ -14,7 +14,6 @@ among the legal candidates instead.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -27,8 +26,8 @@ from .errors import (
     InvalidParameterError,
     InvalidPolicyError,
 )
-from .netlist import (CamoKey, Gate, KeyEntry, Netlist, TimingGraph,
-                      critical_path, reachable)
+from .netlist import (CamoKey, Gate, IncrementalTiming, KeyEntry, Netlist,
+                      TimingGraph, critical_path, reachable)
 
 #: Year length used for human-readable effort figures (Julian year).
 SECONDS_PER_YEAR = 31557600
@@ -201,12 +200,11 @@ def select_gates(net: Netlist, policy: SelectionPolicy,
 
     greedy_effort keeps a ranked gate when the critical path, with it and
     the gates kept so far at the flavor's delay multiple, stays within
-    ``delay_budget`` of the unit-delay path (to 1e-12). The check is
-    exact but incremental: a trial changes arrivals only in the gate's
-    fanout cone, and those are recomputed in topological order with the
-    float operations of a full pass, so they are bit-identical to one.
-    Ends outside the cone passed when the last gate was kept (the start
-    passes as ``delay_budget >= 0``), so only the cone's ends are checked.
+    ``delay_budget`` of the unit-delay path (to 1e-12). A trial re-times
+    only the gate's fanout cone, bit-identically to a full pass
+    (``IncrementalTiming``), and checks only the ends there whose arrival
+    changed: every other end passed when the last gate was kept, and the
+    unit-delay start passes because ``delay_budget >= 0``.
     """
     cost_table = cost_table or CostTable()
     eligible = eligible_gates(net, flavor)
@@ -231,10 +229,8 @@ def select_gates(net: Netlist, policy: SelectionPolicy,
         keep = [gid for gid in eligible if gid not in on_path]
         return sorted(keep[:count])
     # greedy_effort
-    graph = TimingGraph.of(net)
-    delays = [1.0] * len(graph.gates)
-    arrival, _ = graph.arrivals(delays)
-    bound = graph.delay(arrival) * (1.0 + policy.delay_budget) + 1e-12
+    timing = IncrementalTiming(net)
+    bound = timing.delay() * (1.0 + policy.delay_budget) + 1e-12
     multiples = cost_table.for_flavor(flavor)
     overhead_norm = (multiples.area - 1.0) / multiples.area
     po_set = set(net.outputs)
@@ -244,56 +240,13 @@ def select_gates(net: Netlist, policy: SelectionPolicy,
         return gains * observability - overhead_norm
     pos = {gid: i for i, gid in enumerate(eligible)}
     ranked = sorted(eligible, key=lambda g: (-metric(g), pos[g]))
-    index = {g.gate_id: k for k, g in enumerate(graph.gates)}
-    consumers: list[list[int]] = [[] for _ in graph.gates]
-    for k, fanins in enumerate(graph.fanins):
-        for f in fanins:
-            if f < len(consumers):
-                consumers[f].append(k)
-    ends = set(graph.ends)
     chosen: list[str] = []
     for gid in ranked:
         if len(chosen) >= count:
             break
-        k = index[gid]
-        delays[k] = multiples.delay
-        if _retime(graph, consumers, ends, arrival, delays, k, bound):
+        if timing.try_delay(gid, multiples.delay, bound):
             chosen.append(gid)
-        else:
-            delays[k] = 1.0
     return sorted(chosen)
-
-
-def _retime(graph: TimingGraph, consumers, ends, arrival, delays,
-            start: int, bound: float) -> bool:
-    """Re-time gate ``start``'s fanout cone in place after its delay changed.
-
-    Walks the cone in index order, past changed arrivals only, with the
-    float operations of ``TimingGraph.arrivals``. Returns False, with
-    ``arrival`` rolled back, once an end's new arrival exceeds ``bound``.
-    """
-    undo = []
-    heap, queued = [start], {start}
-    while heap:
-        k = heapq.heappop(heap)
-        when = float("-inf")
-        for f in graph.fanins[k]:
-            if arrival[f] > when:
-                when = arrival[f]
-        t = when + delays[k]
-        if t == arrival[k]:
-            continue
-        if k in ends and not t <= bound:
-            for j, old in undo:
-                arrival[j] = old
-            return False
-        undo.append((k, arrival[k]))
-        arrival[k] = t
-        for succ in consumers[k]:
-            if succ not in queued:
-                queued.add(succ)
-                heapq.heappush(heap, succ)
-    return True
 
 
 @dataclass(frozen=True)
@@ -327,10 +280,10 @@ def overhead_report(net: Netlist,
         extra_power += m.power - 1.0
     total = len(net.gates)
     graph = TimingGraph.of(net)
-    base = graph.delay(graph.arrivals([1.0] * total)[0])
-    with_camo = graph.delay(graph.arrivals(
+    base = graph.delay([1.0] * total)
+    with_camo = graph.delay(
         [cost_table.for_flavor(g.flavor).delay if g.is_camo else 1.0
-         for g in graph.gates])[0])
+         for g in graph.gates])
     delay_pct = 0.0
     if base > 0:
         delay_pct = 100.0 * (with_camo - base) / base

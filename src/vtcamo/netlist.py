@@ -24,6 +24,7 @@ parsing, serializing and the structural queries never build it.
 
 from __future__ import annotations
 
+import heapq
 import random
 import re
 from collections import deque
@@ -860,9 +861,67 @@ class TimingGraph(NamedTuple):
             arrival[k] = when + delays[k]
         return arrival, pred
 
-    def delay(self, arrival) -> float:
+    def delay(self, delays) -> float:
         """The latest arrival at an end (0.0 for a netlist with no gates)."""
+        arrival, _ = self.arrivals(delays)
         return max([arrival[k] for k in self.ends], default=0.0)
+
+
+class IncrementalTiming:
+    """Arrival times from unit delays, as gate delays change one by one.
+
+    ``try_delay`` re-times only the part of the gate's fanout cone whose
+    arrivals change, in index order and with the float operations of
+    ``TimingGraph.arrivals``, so the times stay bit-identical to a full
+    pass under the delays kept so far.
+    """
+
+    def __init__(self, net: Netlist):
+        self.graph = graph = TimingGraph.of(net)
+        self.index = {g.gate_id: k for k, g in enumerate(graph.gates)}
+        self.delays = [1.0] * len(graph.gates)
+        self.arrival, _ = graph.arrivals(self.delays)
+        self.consumers: list[list[int]] = [[] for _ in graph.gates]
+        for k, fanins in enumerate(graph.fanins):
+            for f in fanins:
+                if f < len(graph.gates):
+                    self.consumers[f].append(k)
+        self.ends = set(graph.ends)
+
+    def delay(self) -> float:
+        """The latest arrival at an end (0.0 for a netlist with no gates)."""
+        return max([self.arrival[k] for k in self.ends], default=0.0)
+
+    def try_delay(self, gate_id: str, delay: float, bound: float) -> bool:
+        """Give a gate a new delay and keep it, unless an end whose arrival
+        changes would then exceed ``bound``: then change nothing and
+        return False. Ends whose arrival does not change are not checked."""
+        start = self.index[gate_id]
+        fanins, arrival, delays = self.graph.fanins, self.arrival, self.delays
+        old_delay, delays[start] = delays[start], delay
+        undo = []
+        heap, queued = [start], {start}
+        while heap:
+            k = heapq.heappop(heap)
+            when = float("-inf")
+            for f in fanins[k]:
+                if arrival[f] > when:
+                    when = arrival[f]
+            t = when + delays[k]
+            if t == arrival[k]:
+                continue
+            if k in self.ends and not t <= bound:
+                for j, old in undo:
+                    arrival[j] = old
+                delays[start] = old_delay
+                return False
+            undo.append((k, arrival[k]))
+            arrival[k] = t
+            for succ in self.consumers[k]:
+                if succ not in queued:
+                    queued.add(succ)
+                    heapq.heappush(heap, succ)
+        return True
 
 
 def critical_path(net: Netlist, delay_model=unit_delay_model) -> CriticalPath:
