@@ -862,7 +862,7 @@ class TimingGraph(NamedTuple):
         return arrival, pred
 
     def delay(self, delays) -> float:
-        """The latest arrival at an end (0.0 for a netlist with no gates)."""
+        """Latest arrival at an end under ``delays`` (0.0 with no gates)."""
         arrival, _ = self.arrivals(delays)
         return max([arrival[k] for k in self.ends], default=0.0)
 
