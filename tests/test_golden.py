@@ -6,7 +6,10 @@ tests show that the core reproduces the old answers exactly: query counts,
 transcripts, candidate-space figures and every ``--no-timestamp`` report.
 The device fixtures (``sweep``, ``bias-opt`` and ``sidechannel``) were
 written by the per-point device code, before the operating-point currents
-were hoisted out of the cell-delay and signature loops. The
+were hoisted out of the cell-delay and signature loops; the two
+contention-collapse cases (a ``bias-opt`` grid that skips collapsing
+points and a ``sweep`` that exits 1) were written before the nominal
+core currents were hoisted out of the grids. The
 ``greedy-effort``, ``off-critical`` and ``report --key`` CLI runs were
 written by the full-pass timing code (one ``critical_path`` per greedy
 trial) that the incremental cone check replaced.
@@ -175,6 +178,10 @@ _DEVICE_RUNS = [
      "--vg-n", "0.36", "--t", "330"],
     ["bias-opt"],
     ["bias-opt", "--window", "0.05"],
+    # 625 points, 24 of them skipped on contention collapse
+    ["bias-opt", "--window", "0.2", "--step", "0.1"],
+    # exits 1: no VT split at the (0, 0) corner collapses the drive
+    ["sweep", "--hvt", "0.0:0.1", "--lvt", "0.0:0.1"],
 ]
 
 #: Lock flavor per bench, so per-gate templates cover two flavors.
