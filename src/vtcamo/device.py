@@ -27,22 +27,23 @@ track vdd, which is what makes cell delay worsen at both low and high
 supply: a low rail starves the pull-up route members, a high rail raises
 the output swing faster than the fixed-bias pull-down route can follow.
 
-Cell estimates are split by what they depend on:
+Cell estimates are split by what they depend on, and each number is
+computed at the loop level where its inputs last change:
 
+- per (t, nominal params), ``core_currents`` gives the OFF core device of
+  each kind; bias searches and VT sweeps vary neither, so they compute it
+  and every (cell, vector) core-path sum (``CellModel.core``) once a call;
 - per operating point (bias, vdd_actual, t, params), ``operating_point``
-  computes six drain currents once: the LVT and HVT switch members of
-  each polarity and the OFF core device of each kind;
-- per (function, input vector), ``_VECTOR_TABLE`` holds the cell output
-  and the leaking core paths as (device kinds, stack divisor), built at
-  import;
+  gives the LVT and HVT switch members of each polarity;
+- per (function, input vector), ``_VECTOR_TABLE``, built at import, holds
+  the cell output and leaking core paths as (device kinds, stack divisor);
 - per config, ``CellModel`` holds the decoded function and the route and
   HVT switch counts (``_FLAVOR_CELLS`` has every flavor's cells).
 
-A leakage or delay figure is then a few products and sums of those
-numbers, so a loop over functions, vectors or temperatures computes each
-device current once. The per-point functions ``gate_leakage``,
-``delay_detail`` and ``switch_ratio`` build one operating point and use
-the same code.
+A leakage or delay figure is a few products and sums of those numbers.
+A signature set computes the bias and currents once per temperature for
+all its cells; ``gate_leakage``, ``delay_detail``, ``cell_worst_delay``
+and ``switch_ratio`` use the same code on one point.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ OFF_STACK_FACTOR = 5.0
 #: Largest allowed half-width of the bias optimizer search box (volts).
 MAX_SEARCH_WINDOW_V = 0.2
 
-#: Most points a VT sweep or a bias search evaluates (0.25 ms each).
+#: Most points a sweep or bias search evaluates (~0.08 ms each, 2 vCPUs).
 MAX_GRID_POINTS = 100_000
 
 
@@ -167,17 +168,16 @@ def drain_current(vgs: float, vds: float, vt: float, t: float,
     vp = (vgs - vt) / n
     fa = _softplus(vp / (2.0 * phit)) ** 2
     fb = _softplus((vp - vds) / (2.0 * phit)) ** 2
-    return i0 * mob * (fa - fb)
+    current = i0 * mob * (fa - fb)
+    if not math.isfinite(current):
+        raise InvalidParameterError(f"drain current is {current} at {t} K")
+    return current
 
 
 # --- per operating point ---------------------------------------------------
 
 class OperatingPoint(NamedTuple):
-    """Device currents that depend only on (bias, vdd_actual, t, params).
-
-    Switch members conduct at vds = vdd_actual; the functional core's OFF
-    devices are evaluated at the nominal params.vdd.
-    """
+    """Switch-member currents at (bias, vdd_actual, t, params)."""
 
     vdd_actual: float
     c_load: float
@@ -185,12 +185,14 @@ class OperatingPoint(NamedTuple):
     on_p: float
     off_n: float     # HVT switch members (leakage and contention)
     off_p: float
-    core_off: dict[str, float]   # OFF core device by kind, at vgs = 0
+
+    def ratio(self) -> float:
+        return math.inf if self.off_n == 0.0 else self.on_n / self.off_n
 
 
 def operating_point(bias: BiasPoint, vdd_actual: float, t: float,
                     params: DeviceParams) -> OperatingPoint:
-    """Every device current a cell estimate at this point reads.
+    """The four switch-member currents a cell estimate at this point reads.
 
     Switch members are drive-balanced: both use kprime_n (the P member is
     assumed width-compensated). The N member sees vgs = vg_n, the P member
@@ -205,12 +207,16 @@ def operating_point(bias: BiasPoint, vdd_actual: float, t: float,
     on_p = member(vg_p_mag, params.vtp0_mag - params.delta_lvt)
     off_n = member(bias.vg_n, params.vtn0 + params.delta_hvt)
     off_p = member(vg_p_mag, params.vtp0_mag + params.delta_hvt)
-    core_off = {kind: drain_current(0.0, params.vdd,
-                                    vt_at_temperature(vt, t, params), t,
-                                    params, kind=kind)
-                for kind, vt in (("n", params.vtn0), ("p", params.vtp0_mag))}
     return OperatingPoint(vdd_actual, params.c_load, on_n, on_p, off_n,
-                          off_p, core_off)
+                          off_p)
+
+
+def core_currents(t: float, params: DeviceParams) -> dict[str, float]:
+    """OFF core device current by kind, at vgs = 0 and vds = params.vdd."""
+    return {kind: drain_current(0.0, params.vdd,
+                                vt_at_temperature(vt, t, params), t, params,
+                                kind=kind)
+            for kind, vt in (("n", params.vtn0), ("p", params.vtp0_mag))}
 
 
 def switch_ratio(delta_hvt: float, delta_lvt: float, bias: BiasPoint,
@@ -224,10 +230,7 @@ def switch_ratio(delta_hvt: float, delta_lvt: float, bias: BiasPoint,
     if delta_hvt < 0 or delta_lvt < 0:
         raise InvalidParameterError("threshold offsets must be >= 0")
     p = replace(params, delta_hvt=delta_hvt, delta_lvt=delta_lvt)
-    point = operating_point(bias, p.vdd, t, p)
-    if point.off_n == 0.0:
-        return math.inf
-    return point.on_n / point.off_n
+    return operating_point(bias, p.vdd, t, p).ratio()
 
 
 # --- per (function, input vector) -------------------------------------------
@@ -292,14 +295,6 @@ _VECTOR_TABLE = {
 }
 
 
-def _core_off_leakage(paths: tuple, point: OperatingPoint) -> float:
-    """Subthreshold leakage of the OFF core paths: weakest device, stacked."""
-    total = 0.0
-    for kinds, divisor in paths:
-        total += min(point.core_off[kind] for kind in kinds) / divisor
-    return total
-
-
 class CellModel:
     """A programmed cell's decoded function and its switch counts.
 
@@ -317,29 +312,32 @@ class CellModel:
         self.n_hvt = 10 - self.n_route
         self.n_hvt_all = sum(1 for v in config.switch_vt if v is VT.HVT)
 
-    def leakage(self, inputs: tuple[int, int], point: OperatingPoint) -> float:
-        """OFF switch plus OFF core current at a local input vector."""
-        return (self.n_hvt_all * (point.off_n + point.off_p)
-                + _core_off_leakage(_VECTOR_TABLE[self.func, inputs][1],
-                                    point))
+    def core(self, inputs: tuple[int, int],
+             core_off: dict[str, float]) -> tuple[int, float]:
+        """Output and OFF core-path leakage (weakest device, stacked)."""
+        out, paths = _VECTOR_TABLE[self.func, inputs]
+        total = 0.0
+        for kinds, divisor in paths:
+            total += min(core_off[kind] for kind in kinds) / divisor
+        return out, total
 
-    def delay(self, inputs: tuple[int, int], point: OperatingPoint,
+    def leakage(self, core: float, point: OperatingPoint) -> float:
+        """OFF switch plus OFF core current (``core`` from ``self.core``)."""
+        return self.n_hvt_all * (point.off_n + point.off_p) + core
+
+    def delay(self, out: int, core: float, point: OperatingPoint,
               include_contention: bool = True) -> tuple:
         """``DelayDetail`` fields of the slower edge (see delay_detail)."""
-        out, paths = _VECTOR_TABLE[self.func, inputs]
-        core = _core_off_leakage(paths, point) if include_contention else None
-        primary = self._edge(out == 1, point, core, include_contention)
-        secondary = self._edge(out != 1, point, None, include_contention)
+        n_hvt, core = (self.n_hvt, core) if include_contention else (0, 0.0)
+        primary = self._edge(out == 1, point, n_hvt, core)
+        secondary = self._edge(out != 1, point, n_hvt, 0.0)
         return primary if primary[0] >= secondary[0] else secondary
 
-    def _edge(self, rise: bool, point: OperatingPoint, core: float | None,
-              include_contention: bool) -> tuple:
+    def _edge(self, rise: bool, point: OperatingPoint, n_hvt: int,
+              core: float) -> tuple:
+        # currents are finite and >= 0, so "+ 0.0" and "0 *" are exact
         i_on = self.n_route * (point.on_p if rise else point.on_n)
-        i_contend = 0.0
-        if include_contention:
-            i_contend = self.n_hvt * (point.off_n if rise else point.off_p)
-            if core is not None:
-                i_contend += core
+        i_contend = n_hvt * (point.off_n if rise else point.off_p) + core
         i_eff = i_on - i_contend
         edge = "rise" if rise else "fall"
         if i_eff <= 0.0:
@@ -362,6 +360,16 @@ _FLAVOR_CELLS = {
 }
 
 
+def _core_rows(flavor: CellFlavor, core_off: dict[str, float]) -> tuple:
+    """(cell, output, core-path leakage) of every cell and local vector."""
+    return tuple((cell, *cell.core(vec, core_off))
+                 for cell in _FLAVOR_CELLS[flavor] for vec in LOCAL_VECTORS)
+
+
+def _worst_delay(rows: tuple, point: OperatingPoint) -> float:
+    return max(cell.delay(out, core, point)[0] for cell, out, core in rows)
+
+
 # --- per-point public estimates ---------------------------------------------
 
 def _check_inputs(inputs) -> tuple[int, int]:
@@ -380,7 +388,8 @@ def gate_leakage(config: CamoConfig, inputs: tuple[int, int], t: float,
     """
     inputs = _check_inputs(inputs)
     cell = CellModel(config)
-    return cell.leakage(inputs, operating_point(bias, params.vdd, t, params))
+    point = operating_point(bias, params.vdd, t, params)
+    return cell.leakage(cell.core(inputs, core_currents(t, params))[1], point)
 
 
 @dataclass(frozen=True)
@@ -416,7 +425,8 @@ def delay_detail(config: CamoConfig, inputs: tuple[int, int],
     inputs = _check_inputs(inputs)
     cell = CellModel(config)
     point = operating_point(bias, vdd_actual, t, params)
-    return DelayDetail(*cell.delay(inputs, point, include_contention))
+    out, core = cell.core(inputs, core_currents(t, params))
+    return DelayDetail(*cell.delay(out, core, point, include_contention))
 
 
 def cell_worst_delay(bias: BiasPoint, t: float, params: DeviceParams,
@@ -428,8 +438,7 @@ def cell_worst_delay(bias: BiasPoint, t: float, params: DeviceParams,
         vdd_actual = params.vdd
     _check_vdd(vdd_actual)
     point = operating_point(bias, vdd_actual, t, params)
-    return max(cell.delay(vec, point)[0]
-               for cell in _FLAVOR_CELLS[flavor] for vec in LOCAL_VECTORS)
+    return _worst_delay(_core_rows(flavor, core_currents(t, params)), point)
 
 
 # --- sweeps and optimization ----------------------------------------------
@@ -473,13 +482,14 @@ def sweep_vt_window(hvt_range: tuple[float, float],
     Rows are emitted in row-major order: delta_hvt outer, delta_lvt inner.
     """
     _grid_size(*lvt_range, step, _grid_size(*hvt_range, step))
+    cores = _core_rows(CellFlavor.CAMO8, core_currents(t, params))
     rows = []
     for dh in _grid(*hvt_range, step):
         for dl in _grid(*lvt_range, step):
             p = replace(params, delta_hvt=dh, delta_lvt=dl)
-            ratio = switch_ratio(dh, dl, bias, t, p)
-            delay = cell_worst_delay(bias, t, p)
-            rows.append(SweepRow(dh, dl, ratio, delay))
+            point = operating_point(bias, p.vdd, t, p)
+            rows.append(SweepRow(dh, dl, point.ratio(),
+                                 _worst_delay(cores, point)))
     return rows
 
 
@@ -532,7 +542,9 @@ def optimize_bias(params: DeviceParams, search_window: float = 0.1,
     base_bias = default_bias(params)
     k = int(math.floor(search_window / grid_step + 1e-12))
     offsets = [i * grid_step for i in range(-k, k + 1)]
-    d_default = cell_worst_delay(base_bias, t, params)
+    cores = _core_rows(CellFlavor.CAMO8, core_currents(t, params))
+    d_default = _worst_delay(cores, operating_point(base_bias, params.vdd,
+                                                    t, params))
     best = None
     for dvn in offsets:
         for dvp in offsets:
@@ -545,9 +557,10 @@ def optimize_bias(params: DeviceParams, search_window: float = 0.1,
                     new_dl = params.delta_lvt + dl
                     if new_dl <= 0 or new_dl >= params.vdd:
                         continue
-                    p = replace(params, delta_hvt=new_dh, delta_lvt=new_dl)
+                    point = operating_point(bias, params.vdd, t, replace(
+                        params, delta_hvt=new_dh, delta_lvt=new_dl))
                     try:
-                        d = cell_worst_delay(bias, t, p)
+                        d = _worst_delay(cores, point)
                     except ContentionCollapseError:
                         continue
                     if best is None or d < best[0]:

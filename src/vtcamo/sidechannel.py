@@ -25,6 +25,7 @@ from .device import (
     BiasPoint,
     CellModel,
     DeviceParams,
+    core_currents,
     default_bias,
     operating_point,
 )
@@ -108,25 +109,34 @@ def _bias_for(policy: str, t: float, params: DeviceParams) -> BiasPoint:
     raise InvalidParameterError(f"unknown bias policy {policy!r}")
 
 
+def _signatures(cells, temperatures, params: DeviceParams | None,
+                bias_policy: str) -> list[Signature]:
+    """Signatures of (gate_id, config) cells, one point per temperature."""
+    params = params or DeviceParams()
+    points = [(t, operating_point(_bias_for(bias_policy, t, params),
+                                  params.vdd, t, params),
+               core_currents(t, params))
+              for t in _check_temperatures(temperatures)]
+    sigs = []
+    for gate_id, config in cells:
+        cell = CellModel(config)
+        obs = []
+        for vec in LOCAL_VECTORS:
+            for t, point, core_off in points:
+                out, core = cell.core(vec, core_off)
+                obs.append(Observation(vec, t, cell.leakage(core, point),
+                                       cell.delay(out, core, point)[0]))
+        sigs.append(Signature(gate_id, tuple(obs)))
+    return sigs
+
+
 def cell_signature(config: CamoConfig, temperatures=DEFAULT_TEMPERATURES,
                    params: DeviceParams | None = None,
                    bias_policy: str = "fixed",
                    gate_id: str = "cell") -> Signature:
-    """Leakage/delay fingerprint of one programmed cell.
-
-    Measures every local input vector at every temperature under the
-    given bias policy. The bias and the device currents are computed once
-    per temperature and shared by every vector.
-    """
-    params = params or DeviceParams()
-    temps = _check_temperatures(temperatures)
-    points = [(t, operating_point(_bias_for(bias_policy, t, params),
-                                  params.vdd, t, params)) for t in temps]
-    cell = CellModel(config)
-    return Signature(gate_id, tuple(
-        Observation(vec, t, cell.leakage(vec, point),
-                    cell.delay(vec, point)[0])
-        for vec in LOCAL_VECTORS for t, point in points))
+    """Fingerprint of one cell at every local vector and temperature."""
+    return _signatures([(gate_id, config)], temperatures, params,
+                       bias_policy)[0]
 
 
 def template_signatures(flavor: CellFlavor,
@@ -135,11 +145,10 @@ def template_signatures(flavor: CellFlavor,
                         bias_policy: str = "fixed",
                         ) -> dict[GateFunction, Signature]:
     """Reference signature of every function a flavor can express."""
-    return {
-        func: cell_signature(config_for(func, flavor), temperatures, params,
-                             bias_policy, gate_id=func.value)
-        for func in sorted(flavor.function_set, key=lambda f: f.value)
-    }
+    funcs = sorted(flavor.function_set, key=lambda f: f.value)
+    return dict(zip(funcs, _signatures(
+        [(f.value, config_for(f, flavor)) for f in funcs], temperatures,
+        params, bias_policy)))
 
 
 def measure_signature(net: Netlist, key: CamoKey,
@@ -154,33 +163,26 @@ def measure_signature(net: Netlist, key: CamoKey,
     models chip-level instruments: leakage sums over all cells and delay
     averages, returned as a single signature keyed "aggregate".
     """
-    params = params or DeviceParams()
-    temps = _check_temperatures(temperatures)
-    camo = net.camo_gates()
-    per_gate = {}
-    for g in camo:
+    cells = []
+    for g in net.camo_gates():
         entry = key.entries.get(g.gate_id)
         if entry is None:
             raise InvalidParameterError(
                 f"key has no entry for camouflaged gate {g.gate_id!r}")
-        config = config_for(entry.function, g.flavor)
-        per_gate[g.gate_id] = cell_signature(config, temps, params,
-                                             bias_policy, gate_id=g.gate_id)
+        cells.append((g.gate_id, config_for(entry.function, g.flavor)))
+    per_gate = {sig.gate_id: sig for sig in
+                _signatures(cells, temperatures, params, bias_policy)}
     if mode == "per_gate":
         return per_gate
     if mode != "aggregate_only":
         raise InvalidParameterError(f"unknown measurement mode {mode!r}")
     if not per_gate:
         raise InvalidParameterError("netlist has no camouflaged gates")
-    sigs = list(per_gate.values())
-    obs = []
-    for i in range(len(sigs[0].observations)):
-        points = [s.observations[i] for s in sigs]
-        obs.append(Observation(
-            points[0].vector, points[0].temperature,
-            sum(p.leakage_a for p in points),
-            sum(p.delay_s for p in points) / len(points)))
-    return {"aggregate": Signature("aggregate", tuple(obs))}
+    obs = tuple(Observation(col[0].vector, col[0].temperature,
+                            sum(o.leakage_a for o in col),
+                            sum(o.delay_s for o in col) / len(col))
+                for col in zip(*(s.observations for s in per_gate.values())))
+    return {"aggregate": Signature("aggregate", obs)}
 
 
 def add_measurement_noise(signature: Signature, sigma: float,

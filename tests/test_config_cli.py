@@ -350,6 +350,11 @@ class TestCliFailures:
          "InvalidParameterError"),
         (["bias-opt", "--window", "0.1", "--step", "1e-300"],
          "InvalidParameterError"),
+        # the thermal voltage squared overflows: a drain current is not
+        # finite (it used to come out as NaN in the JSON and the CSV)
+        (["bias-opt", "--t", "1e200"], "InvalidParameterError"),
+        (["sweep", "--hvt", "0.3:0.4", "--lvt", "0.3:0.4", "--t", "1e200"],
+         "InvalidParameterError"),
         (["lock", "{bench}", "--strategy", "greedy-effort",
           "--delay-budget", "nan", "--out-bench", "{tmp}/x.bench",
           "--out-key", "{tmp}/x.key"], "InvalidPolicyError"),
@@ -362,7 +367,8 @@ class TestCliFailures:
           "--budget", "-3"], "InvalidParameterError"),
     ], ids=["range-no-colon", "range-nan", "range-inf", "temps-word",
             "temps-empty", "estimate-wide", "estimate-many-gates",
-            "sweep-tiny-step", "bias-opt-tiny-step", "delay-budget-nan",
+            "sweep-tiny-step", "bias-opt-tiny-step", "bias-opt-huge-t",
+            "sweep-huge-t", "delay-budget-nan",
             "equiv-negative-vectors", "attack-negative-budget",
             "brute-negative-budget"])
     def test_malformed_number_is_one_json_line(self, capsys, tmp_path,

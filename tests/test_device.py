@@ -107,6 +107,7 @@ class TestDrainCurrent:
         dict(vds=-0.1),
         dict(vds=float("inf")),
         dict(kind="x"),
+        dict(t=1e200),   # phi_t**2 overflows: inf * 0 would give NaN
     ])
     def test_rejects_bad_arguments(self, params, bad):
         kwargs = dict(vgs=0.3, vds=1.0, vt=0.3, t=300.0, params=params,

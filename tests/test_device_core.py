@@ -1,21 +1,29 @@
 """Hoisted device estimates against a per-point scalar reference.
 
-``ref_delay_detail``, ``ref_leakage`` and ``ref_worst_delay`` recompute
-every threshold and every device current for each (config, vector, edge)
-from ``drain_current`` and ``vt_at_temperature``, the way the estimates
-were computed before the operating-point currents were hoisted out of the
-loops. The properties require bit-identical floats, the same ``clamped``
-flag and, where the reference raises ``ContentionCollapseError``, the same
+``ref_delay_detail``, ``ref_leakage``, ``ref_worst_delay`` and
+``ref_ratio`` recompute every threshold and every device current for each
+(config, vector, edge) from ``drain_current`` and ``vt_at_temperature``,
+the way the estimates were computed before the operating-point currents
+were hoisted out of the loops; ``ref_sweep`` and ``ref_optimize_bias``
+walk their grids with them, one point at a time. The properties require
+bit-identical floats, the same ``clamped`` flag and, where the reference
+raises ``ContentionCollapseError`` or ``InvalidParameterError``, the same
 exception type and message.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
+from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import bench_text
+from vtcamo import sidechannel
+from vtcamo.camouflage import apply_camouflage, eligible_gates
 from vtcamo.cell import (
     UNDERLYING,
     VT,
@@ -28,18 +36,33 @@ from vtcamo.device import (
     _CORES,
     CONTENTION_CLAMP_A,
     OFF_STACK_FACTOR,
+    BiasOptimum,
     BiasPoint,
     DelayDetail,
     DeviceParams,
+    SweepRow,
+    _grid,
     cell_worst_delay,
     default_bias,
     delay_detail,
     drain_current,
+    optimize_bias,
     switch_ratio,
+    sweep_vt_window,
     vt_at_temperature,
 )
-from vtcamo.errors import BiasClampWarning, ContentionCollapseError
-from vtcamo.sidechannel import cell_signature, thermal_compensated_bias
+from vtcamo.errors import (
+    BiasClampWarning,
+    ContentionCollapseError,
+    InvalidParameterError,
+)
+from vtcamo.netlist import parse_bench
+from vtcamo.sidechannel import (
+    cell_signature,
+    measure_signature,
+    template_signatures,
+    thermal_compensated_bias,
+)
 
 F = GateFunction
 VECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -119,11 +142,56 @@ def ref_worst_delay(bias, t, p, vdd, flavor):
     return worst
 
 
+def ref_ratio(dh, dl, bias, t, p):
+    i_on = drain_current(bias.vg_n, p.vdd,
+                         vt_at_temperature(p.vtn0 - dl, t, p), t, p)
+    i_off = drain_current(bias.vg_n, p.vdd,
+                          vt_at_temperature(p.vtn0 + dh, t, p), t, p)
+    return float("inf") if i_off == 0.0 else i_on / i_off
+
+
+def ref_sweep(hvt, lvt, step, bias, t, p):
+    rows = []
+    for dh in _grid(*hvt, step):
+        for dl in _grid(*lvt, step):
+            q = replace(p, delta_hvt=dh, delta_lvt=dl)
+            rows.append(SweepRow(dh, dl, ref_ratio(dh, dl, bias, t, q),
+                                 ref_worst_delay(bias, t, q, q.vdd,
+                                                 CellFlavor.CAMO8)))
+    return rows
+
+
+def ref_optimize_bias(p, window, step, t):
+    """The search's BiasOptimum and how many points it skipped on collapse."""
+    base = default_bias(p)
+    k = int(math.floor(window / step + 1e-12))
+    offsets = [i * step for i in range(-k, k + 1)]
+    d_default = ref_worst_delay(base, t, p, p.vdd, CellFlavor.CAMO8)
+    best, skipped = None, 0
+    for dvn, dvp, dh, dl in itertools.product(offsets, repeat=4):
+        new_dh, new_dl = p.delta_hvt + dh, p.delta_lvt + dl
+        if not (0 < new_dh < p.vdd and 0 < new_dl < p.vdd):
+            continue
+        bias = BiasPoint(base.vg_n + dvn, base.vg_p + dvp)
+        q = replace(p, delta_hvt=new_dh, delta_lvt=new_dl)
+        try:
+            d = ref_worst_delay(bias, t, q, q.vdd, CellFlavor.CAMO8)
+        except ContentionCollapseError:
+            skipped += 1
+            continue
+        if best is None or d < best[0]:
+            best = (d, bias, new_dh, new_dl)
+    if best is None:
+        raise InvalidParameterError("bias search grid is empty")
+    d_opt, bias, dh, dl = best
+    return BiasOptimum(bias, dh, dl, d_default, d_opt), skipped
+
+
 def outcome(fn, *args, **kwargs):
-    """The value, or the type and message of a ContentionCollapseError."""
+    """The value, or the type and message of the error ``fn`` raises."""
     try:
         return fn(*args, **kwargs)
-    except ContentionCollapseError as exc:
+    except (ContentionCollapseError, InvalidParameterError) as exc:
         return (type(exc), str(exc))
 
 
@@ -146,6 +214,26 @@ NOMINAL = (DeviceParams(), default_bias(DeviceParams()), 300.0)
 STARVED = (DeviceParams(), BiasPoint(-1.0, 0.0), 300.0)
 FLAT = (DeviceParams(delta_hvt=0.0, delta_lvt=0.0),
         default_bias(DeviceParams()), 300.0)
+# a bias search that skips 22 of its 81 points on collapse; one whose
+# only point fails the offset filter (delta_hvt >= vdd)
+NARROW = DeviceParams(delta_hvt=0.1, delta_lvt=0.1)
+EMPTY = DeviceParams(delta_hvt=1.0)
+
+#: (search window, grid step) pairs; window 0.2 at step 0.05 is 6,561
+#: points, too many for the per-point reference (about 2 ms a point).
+BIAS_GRIDS = [(w, s) for w in (0.0, 0.05, 0.2) for s in (0.05, 0.1)
+              if (w, s) != (0.2, 0.05)]
+#: offsets wide enough that the default point seldom collapses, so most
+#: searches walk their whole grid
+search_params_st = st.builds(
+    DeviceParams,
+    vdd=st.floats(0.8, 1.2),
+    vtn0=st.floats(0.2, 0.4),
+    vtp0_mag=st.floats(0.2, 0.4),
+    delta_hvt=st.floats(0.1, 0.45),
+    delta_lvt=st.floats(0.1, 0.45),
+    kvt=st.floats(0.0, 3e-3),
+)
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -209,12 +297,30 @@ def test_cell_signature_matches_reference(p, func, temps, policy):
 @SETTINGS
 @given(params_st, bias_st, temp_st, st.floats(0.0, 0.5), st.floats(0.0, 0.5))
 def test_switch_ratio_matches_reference(p, bias, t, dh, dl):
-    i_on = drain_current(bias.vg_n, p.vdd,
-                         vt_at_temperature(p.vtn0 - dl, t, p), t, p)
-    i_off = drain_current(bias.vg_n, p.vdd,
-                          vt_at_temperature(p.vtn0 + dh, t, p), t, p)
-    want = float("inf") if i_off == 0.0 else i_on / i_off
-    assert switch_ratio(dh, dl, bias, t, p) == want
+    assert switch_ratio(dh, dl, bias, t, p) == ref_ratio(dh, dl, bias, t, p)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(params_st, bias_st, temp_st, st.sampled_from((0.05, 0.1)),
+       st.sampled_from((0.0, 0.1, 0.25, 0.35)), st.integers(0, 3),
+       st.sampled_from((0.0, 0.1, 0.25, 0.35)), st.integers(0, 3))
+@example(*NOMINAL, 0.05, 0.3, 3, 0.3, 3)
+@example(*NOMINAL, 0.1, 0.0, 1, 0.0, 1)   # collapses at the (0, 0) corner
+def test_sweep_vt_window_matches_reference(p, bias, t, step, h_lo, h_n,
+                                           l_lo, l_n):
+    hvt, lvt = (h_lo, h_lo + h_n * step), (l_lo, l_lo + l_n * step)
+    want = outcome(ref_sweep, hvt, lvt, step, bias, t, p)
+    assert outcome(sweep_vt_window, hvt, lvt, step, bias, t, p) == want
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(search_params_st, st.sampled_from(BIAS_GRIDS), temp_st)
+@example(NARROW, (0.05, 0.05), 300.0)
+@example(FLAT[0], (0.05, 0.05), 300.0)   # the default point collapses
+@example(EMPTY, (0.0, 0.05), 300.0)
+def test_optimize_bias_matches_reference(p, grid, t):
+    want = outcome(lambda: ref_optimize_bias(p, *grid, t)[0])
+    assert outcome(optimize_bias, p, *grid, t) == want
 
 
 def test_examples_reach_clamp_and_collapse():
@@ -225,6 +331,13 @@ def test_examples_reach_clamp_and_collapse():
     p, bias, t = FLAT
     assert isinstance(outcome(ref_worst_delay, bias, t, p, 1.0,
                               CellFlavor.CAMO8), tuple)
+    assert ref_optimize_bias(NARROW, 0.05, 0.05, 300.0)[1] == 22
+    assert outcome(ref_optimize_bias, FLAT[0], 0.05, 0.05, 300.0)[0] is (
+        ContentionCollapseError)
+    assert outcome(ref_optimize_bias, EMPTY, 0.0, 0.05, 300.0) == (
+        InvalidParameterError, "bias search grid is empty")
+    assert outcome(ref_sweep, (0.0, 0.1), (0.0, 0.1), 0.1, *NOMINAL[1:],
+                   NOMINAL[0])[0] is ContentionCollapseError
 
 
 def test_clamped_rail_warns_once_per_temperature():
@@ -234,4 +347,46 @@ def test_clamped_rail_warns_once_per_temperature():
         warnings.simplefilter("always")
         cell_signature(config, (200.0, 300.0, 400.0), p,
                        "thermal_compensated")
+    assert [w.category for w in caught] == [BiasClampWarning] * 2
+
+
+def _count_points(monkeypatch) -> list:
+    """Temperatures that the signature code builds points and cores at."""
+    calls = []
+    for name in ("operating_point", "core_currents"):
+        real = getattr(sidechannel, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append((_name, args[-2]))
+            return _real(*args)
+        monkeypatch.setattr(sidechannel, name, counted)
+    return calls
+
+
+def test_signature_sets_build_one_point_per_temperature(monkeypatch):
+    temps = (250.0, 300.0, 350.0)
+    once = [(name, t) for t in temps
+            for name in ("operating_point", "core_currents")]
+    calls = _count_points(monkeypatch)
+    for policy in ("fixed", "thermal_compensated"):
+        calls.clear()
+        template_signatures(CellFlavor.CAMO8, temps, bias_policy=policy)
+        assert calls == once
+    net = parse_bench(bench_text("synth_mix.bench"))
+    locked, key = apply_camouflage(
+        net, eligible_gates(net, CellFlavor.CAMO8)[:12], CellFlavor.CAMO8)
+    for mode in ("per_gate", "aggregate_only"):
+        calls.clear()
+        sigs = measure_signature(locked, key, mode, temps)
+        assert calls == once
+    assert len(sigs["aggregate"].observations) == 4 * len(temps)
+
+
+def test_clamped_template_set_warns_once_per_clamped_temperature():
+    p = DeviceParams(kvt=0.007)   # rails clamp at 200 K and at 400 K
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        template_signatures(CellFlavor.CAMO8, (200.0, 300.0, 400.0), p,
+                            "thermal_compensated")
+    # one per clamped temperature, not one per (function, temperature)
     assert [w.category for w in caught] == [BiasClampWarning] * 2
