@@ -19,9 +19,9 @@ propagates the gate's output to a primary output, and reads the hidden
 truth table entry off the oracle response. The residue goes to the
 joint step, which walks the input space in counting order (_walk) and
 drops the survivors whose outputs differ from each new reply. The
-survivors' outputs come from netlist.OutputTables: on an input space
-that fits in one netlist block, each survivor's output words over the
-whole space are computed once and each reply is a bit lookup.
+replay and the walk run the candidates depth first (netlist.OutputTables):
+candidates that agree up to a camouflaged gate share one run of the
+logic before it, and the replay drops a group at its first wrong output.
 
 Propagation is checked on the netlist module's bit-parallel dual-rail
 core with the target forced to 0 and to 1, every unresolved camouflaged
@@ -44,8 +44,8 @@ from .cell import (CAMOUFLAGEABLE, LOCAL_VECTORS, GateFunction, behavior_table,
                    distinguishing_set)
 from .errors import (AttackTooLargeError, InvalidParameterError,
                      UnresolvedFaninError)
-from .netlist import (EXHAUSTIVE_INPUT_LIMIT, CamoKey, Netlist, all_vectors,
-                      assignment_tables, bits_at, filter_assignments,
+from .netlist import (EXHAUSTIVE_INPUT_LIMIT, CamoKey, Netlist, OutputTables,
+                      all_vectors, bits_at, filter_assignments,
                       keyed_simulator, random_vectors, simulate_words)
 
 #: Most camouflaged gates the joint brute-force enumeration accepts.
@@ -63,10 +63,10 @@ class CountingOracle:
 
     The key is validated once, here, so a bad key fails at construction;
     each query still checks its vector's width and 0/1 bits. Replies come
-    from netlist.keyed_simulator, which on an input space that fits in
-    one netlist block reads all but the first off the whole space's
-    output words; every call is counted, whether it runs the netlist or
-    looks a reply up.
+    from netlist.keyed_simulator: on an input space that fits in one
+    netlist block, the second query runs the whole space once into a
+    table of replies, and every later one reads its row. Every call is
+    counted, whether it runs the netlist or looks a reply up.
     """
 
     def __init__(self, net: Netlist, key: CamoKey | None = None):
@@ -166,7 +166,7 @@ def _resolve_jointly(net: Netlist, cache: _QueryCache, sets: dict,
     until the survivors are settled (``complete`` or mutually equivalent),
     ``walk``s the input space. Returns the status and the survivors' log2.
     """
-    tables = assignment_tables(net, gate_ids, filter_assignments(
+    tables = OutputTables(net, gate_ids, filter_assignments(
         net, gate_ids,
         product(*(sorted(sets[g], key=lambda f: f.value) for g in gate_ids)),
         cache.transcript.items(), fixed), fixed)

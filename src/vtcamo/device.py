@@ -164,10 +164,14 @@ def drain_current(vgs: float, vds: float, vt: float, t: float,
     phit = thermal_voltage(t)
     n = params.subthreshold_slope_n
     i0 = 2.0 * n * kprime * params.w_over_l * phit * phit
-    mob = (t / params.t_ref) ** -1.5
-    vp = (vgs - vt) / n
-    fa = _softplus(vp / (2.0 * phit)) ** 2
-    fb = _softplus((vp - vds) / (2.0 * phit)) ** 2
+    try:
+        mob = (t / params.t_ref) ** -1.5
+        vp = (vgs - vt) / n
+        fa = _softplus(vp / (2.0 * phit)) ** 2
+        fb = _softplus((vp - vds) / (2.0 * phit)) ** 2
+    except OverflowError:
+        raise InvalidParameterError(
+            f"drain current overflows at {t} K") from None
     current = i0 * mob * (fa - fb)
     if not math.isfinite(current):
         raise InvalidParameterError(f"drain current is {current} at {t} K")
@@ -367,7 +371,11 @@ def _core_rows(flavor: CellFlavor, core_off: dict[str, float]) -> tuple:
 
 
 def _worst_delay(rows: tuple, point: OperatingPoint) -> float:
-    return max(cell.delay(out, core, point)[0] for cell, out, core in rows)
+    delay = max(cell.delay(out, core, point)[0] for cell, out, core in rows)
+    if delay == math.inf:  # c_load * vdd_actual / (2 * i_eff) overflowed
+        raise InvalidParameterError(
+            f"cell delay overflows with c_load = {point.c_load} F")
+    return delay
 
 
 # --- per-point public estimates ---------------------------------------------
@@ -561,7 +569,8 @@ def optimize_bias(params: DeviceParams, search_window: float = 0.1,
                         params, delta_hvt=new_dh, delta_lvt=new_dl))
                     try:
                         d = _worst_delay(cores, point)
-                    except ContentionCollapseError:
+                    # an overflowing delay is never the optimum
+                    except (ContentionCollapseError, InvalidParameterError):
                         continue
                     if best is None or d < best[0]:
                         best = (d, bias, new_dh, new_dl)

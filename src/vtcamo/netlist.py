@@ -30,7 +30,8 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress, islice, product
+from itertools import compress, groupby, islice, product
+from operator import itemgetter
 from typing import NamedTuple
 
 from .cell import CellFlavor, GateFunction
@@ -437,14 +438,14 @@ def _compile(net: Netlist) -> _Program:
                     tuple(index[n] for n in net.outputs))
 
 
-def _resolve(prog: _Program, assignment, forced: dict[str, int] | None = None,
-             ops: list | None = None) -> list:
-    """Ops with ``(gate id, function)`` pairs filled into their slots.
+def _resolve(prog: _Program, assignment,
+             forced: dict[str, int] | None = None) -> list:
+    """The program's ops with ``(gate id, function)`` pairs in their slots.
 
-    Starts from ``ops`` (default: the program's own); a pair naming no
-    camouflaged gate is ignored. A ``forced`` gate becomes a constant.
+    A pair naming no camouflaged gate is ignored. A ``forced`` gate
+    becomes a constant.
     """
-    ops = list(prog.ops if ops is None else ops)
+    ops = list(prog.ops)
     for gid, func in assignment:
         k = prog.slots.get(gid)
         if k is not None:
@@ -456,10 +457,13 @@ def _resolve(prog: _Program, assignment, forced: dict[str, int] | None = None,
     return ops
 
 
-def _run(ops, in_words, mask: int) -> tuple[list[int], list[int]]:
-    """Both rails of every net by index; ``mask`` has a bit per vector."""
-    may0 = [mask ^ w for w in in_words]
-    may1 = list(in_words)
+def _run(ops, in_words, mask: int, rails=None) -> tuple[list, list]:
+    """Both rails of every net by index; ``mask`` has a bit per vector.
+
+    Given ``rails`` from an earlier run, cut back to the nets before
+    ``ops``, appends to them instead of starting from ``in_words``.
+    """
+    may0, may1 = rails or ([mask ^ w for w in in_words], list(in_words))
     put0, put1 = may0.append, may1.append
     for code, inverted, a, b in ops:
         if code == _AND:
@@ -566,29 +570,16 @@ def filter_assignments(net: Netlist, gate_ids, candidates, observations,
     """Candidates that reproduce every observed ``(vector, outputs)`` pair.
 
     A candidate is a tuple of functions for ``gate_ids``; ``fixed`` assigns
-    the other camouflaged gates. Each candidate is evaluated once per block
-    of packed observations; survivors keep their order.
+    the other camouflaged gates. Observations are replayed over the
+    survivors block by block (OutputTables.run); survivors keep their order.
     """
-    run = _assignment_runner(net, gate_ids, fixed)
-    observations, survivors = list(observations), list(candidates)
+    tables = OutputTables(net, gate_ids, candidates, fixed)
+    observations = list(observations)
     for (_, words, mask), (_, expected, _) in zip(
             _blocks(len(net.inputs), [v for v, _ in observations]),
             _blocks(len(net.outputs), [o for _, o in observations])):
-        survivors = [c for c in survivors if expected == run(c, words, mask)]
-    return survivors
-
-
-def _assignment_runner(net: Netlist, gate_ids,
-                       fixed: dict[str, GateFunction] | None = None):
-    """A function from a candidate, input words and mask to output words.
-
-    A candidate is a tuple of functions for ``gate_ids``; ``fixed``
-    assigns the other camouflaged gates, resolved once, here.
-    """
-    prog = net._program()
-    base = _resolve(prog, (fixed or {}).items())
-    return lambda candidate, words, mask: _outputs(
-        prog, _resolve(prog, zip(gate_ids, candidate), ops=base), words, mask)
+        tables.keep(tables.run(words, mask, expected))
+    return tables.items
 
 
 def _outputs(prog: _Program, ops, words, mask: int) -> list[int]:
@@ -613,16 +604,6 @@ def _key_ops(net: Netlist, key: CamoKey | None) -> list:
     return _resolve(net._program(), ((gid, e.function) for gid, e in entries))
 
 
-def _input_bits(net: Netlist, input_vector) -> list[int]:
-    vec = tuple(input_vector)
-    if len(vec) != len(net.inputs):
-        raise InputWidthError(
-            f"expected {len(net.inputs)} input bits, got {len(vec)}")
-    if vec.count(0) + vec.count(1) != len(vec):
-        raise InputWidthError(f"input bits must be 0/1: {vec!r}")
-    return list(map(int, vec))
-
-
 def simulate(net: Netlist, input_vector, key: CamoKey | None = None):
     """Evaluate all primary outputs for one input vector.
 
@@ -642,65 +623,128 @@ def simulate(net: Netlist, input_vector, key: CamoKey | None = None):
     reaches) has both. Here every word is one bit wide and each output's
     may1 rail is its value.
     """
-    vec = _input_bits(net, input_vector)
-    ops = _key_ops(net, key)
-    return tuple(_outputs(net._program(), ops, vec, 1))
+    return keyed_simulator(net, key)(input_vector)
 
 
 def keyed_simulator(net: Netlist, key: CamoKey | None = None):
     """``simulate`` with ``key`` validated and applied once, up front.
 
     Returns a function from one input vector to the output tuple; each
-    call still checks the vector's width and 0/1 bits. Replies come from
-    an OutputTables, so on a space of at most ``_BLOCK_LOG2`` inputs all
-    but the first are read off the whole space's output words.
+    call still checks the vector's width and 0/1 bits. On a space of at
+    most ``_BLOCK_LOG2`` inputs, the second call runs the whole space into
+    a table of replies (vector j's output bits are bytes j*outs onward),
+    kept while it fits in _TABLE_BITS; each later call reads its row.
+    Otherwise a call runs its one vector.
     """
     prog, ops = net._program(), _key_ops(net, key)
-    tables = OutputTables(net, lambda item, words, mask: _outputs(
-        prog, item, words, mask), [ops])
+    width, outs = len(net.inputs), len(prog.outputs)
+    fits = width <= _BLOCK_LOG2 and 8 * outs << width <= _TABLE_BITS
+    table, calls = None, 0
 
     def query(input_vector) -> tuple[int, ...]:
-        return tables(_input_bits(net, input_vector))[0]
+        nonlocal table, calls
+        vec = tuple(input_vector)
+        if table is not None and len(vec) == width:
+            try:
+                j = _word(vec) * outs
+                return tuple(table[j:j + outs])
+            except InputWidthError:
+                pass  # bits such as 1.0 pass the check below
+        if len(vec) != width:
+            raise InputWidthError(
+                f"expected {width} input bits, got {len(vec)}")
+        if vec.count(0) + vec.count(1) != width:
+            raise InputWidthError(f"input bits must be 0/1: {vec!r}")
+        vec, calls = list(map(int, vec)), calls + 1
+        if table is None and fits and calls > 1:
+            size, digits = 1 << width, bytes.maketrans(b"01", b"\0\1")
+            columns = [format(w, f"0{size}b")[::-1].encode().translate(digits)
+                       for w in _outputs(prog, ops, *_block_words(width, 0))]
+            table = b"".join(map(bytes, zip(*columns)))
+        if table is None:
+            return tuple(_outputs(prog, ops, vec, 1))
+        return query(vec)
     return query
 
 
 class OutputTables:
-    """Several assignments' outputs on one netlist, one vector at a time.
+    """Candidate assignments' outputs on one netlist, one vector at a time.
 
-    ``run(item, words, mask)`` gives an item's output words over packed
-    input ``words``. When the input space is one all_vectors block (at
-    most ``_BLOCK_LOG2`` inputs), each item's output words over it are
-    computed once, at the second query or when ``agree`` needs them, and
-    answer every later query by a bit lookup; all items' words are kept
-    only while they fit in _TABLE_BITS. Until then, and on a wider space,
-    a query runs each item on its one vector, so a lone query or a sparse
-    stream over many blocks pays for no table.
+    ``items`` are tuples of functions for ``gate_ids`` (an id naming no
+    camouflaged gate is ignored); ``fixed`` assigns the other camouflaged
+    gates. On a space of at most ``_BLOCK_LOG2`` inputs, each item's output
+    words over it are computed once, while all items' words fit in
+    _TABLE_BITS, and every query is a bit lookup. Otherwise a query runs
+    the items on its one vector.
     """
 
-    def __init__(self, net: Netlist, run, items):
-        self.items = list(items)
-        self._run, self._outs = run, len(net.outputs)
-        self._width = len(net.inputs)
-        self._tables, self._queries = None, 0
+    def __init__(self, net: Netlist, gate_ids, candidates,
+                 fixed: dict[str, GateFunction] | None = None):
+        prog = net._program()
+        ops = _resolve(prog, (fixed or {}).items())
+        where = {prog.slots[g]: i for i, g in enumerate(gate_ids)
+                 if g in prog.slots}
+        slots = sorted(where)
+        ends = [prog.width + k for k in (*slots, len(ops))]
+        self.items = list(candidates)
+        self._head = ops[:slots[0] if slots else len(ops)]
+        self._positions = [where[k] for k in slots]
+        self._segments = [
+            {f: ((*op, *ops[k][2:]), *ops[k + 1:end - prog.width])
+             for f, op in _OPS.items()} for k, end in zip(slots, ends[1:])]
+        self._checks = [[(o, n) for o, n in enumerate(prog.outputs)
+                         if lo <= n < hi] for lo, hi in zip((0, *ends), ends)]
+        self._outputs, self._width = prog.outputs, prog.width
+        self._tables = None
+
+    def run(self, words, mask: int, expected=None) -> list:
+        """Per item, its output words, or whether they equal ``expected``.
+
+        Depth first: at each slot, in op order, the items are grouped by
+        their function there; a group shares one run of the ops up to the
+        next slot, on rail lists cut back to the slot, and is dropped once
+        an output run so far is not as expected."""
+        rows = [None] * len(self.items)
+
+        def descend(depth, group, rails):
+            may1 = rails[1]
+            if expected is not None and any(may1[n] != expected[o]
+                                            for o, n in self._checks[depth]):
+                return
+            if depth == len(self._positions):
+                row = True if expected is not None else [
+                    may1[n] for n in self._outputs]
+                for j in group:
+                    rows[j] = row
+                return
+            buckets, pick = {}, itemgetter(self._positions[depth])
+            funcs = map(pick, map(self.items.__getitem__, group))
+            for func, run in groupby(zip(funcs, group), itemgetter(0)):
+                buckets.setdefault(func, []).extend(map(itemgetter(1), run))
+            size = len(may1)
+            for func, sub in buckets.items():
+                del rails[0][size:], may1[size:]
+                descend(depth + 1, sub, _run(self._segments[depth][func],
+                                             words, mask, rails))
+
+        descend(0, range(len(rows)), _run(self._head, words, mask))
+        return rows if expected is None else [r is not None for r in rows]
 
     def __call__(self, vec) -> list[tuple[int, ...]]:
         """Each item's outputs under ``vec``, a checked 0/1 vector."""
-        self._queries += 1
-        if self._tables is None and self._queries > 1:
-            self._fill()
-        if self._tables is None:
-            return [tuple(self._run(item, vec, 1)) for item in self.items]
+        tables = self._whole_space()
+        if tables is None:
+            return list(map(tuple, self.run(vec, 1)))
         j = _word(vec)
-        return [_bits(t, j) for t in self._tables]
+        return [_bits(t, j) for t in tables]
 
-    def _fill(self) -> None:
-        if self._width > _BLOCK_LOG2:
-            return
-        words, mask = _block_words(self._width, 0)
-        if (len(self.items) * self._outs * (mask.bit_length() + 256)
-                <= _TABLE_BITS):
-            self._tables = [self._run(item, words, mask)
-                            for item in self.items]
+    def _whole_space(self) -> list | None:
+        """Each item's output words over the whole space, if they fit."""
+        if (self._tables is None and self._width <= _BLOCK_LOG2
+                and len(self.items) * len(self._outputs)
+                * ((1 << self._width) + 256) <= _TABLE_BITS):
+            self._tables = self.run(*_block_words(self._width, 0))
+        return self._tables
 
     def keep(self, selectors) -> None:
         """Drop the items, and their words, whose selector is false."""
@@ -719,27 +763,14 @@ class OutputTables:
             return True
         if self._width > EXHAUSTIVE_INPUT_LIMIT or len(self.items) > limit:
             return False
-        if self._tables is None:
-            self._fill()
-        if self._tables is not None:
-            return all(t == self._tables[0] for t in self._tables)
+        tables = self._whole_space()
+        if tables is not None:
+            return all(t == tables[0] for t in tables)
         for _, words, mask in _blocks(self._width):
-            rows = (self._run(item, words, mask) for item in self.items)
-            reference = next(rows)
-            if any(row != reference for row in rows):
+            rows = self.run(words, mask)
+            if any(row != rows[0] for row in rows):
                 return False
         return True
-
-
-def assignment_tables(net: Netlist, gate_ids, candidates,
-                      fixed: dict[str, GateFunction] | None = None,
-                      ) -> OutputTables:
-    """OutputTables over candidate tuples of functions for ``gate_ids``.
-
-    ``fixed`` assigns the other camouflaged gates.
-    """
-    return OutputTables(net, _assignment_runner(net, gate_ids, fixed),
-                        candidates)
 
 
 def all_vectors(width: int):

@@ -355,6 +355,11 @@ class TestCliFailures:
         (["bias-opt", "--t", "1e200"], "InvalidParameterError"),
         (["sweep", "--hvt", "0.3:0.4", "--lvt", "0.3:0.4", "--t", "1e200"],
          "InvalidParameterError"),
+        # the mobility factor (t / t_ref) ** -1.5 overflows
+        (["bias-opt", "--t", "1e-300", "--no-timestamp"],
+         "InvalidParameterError"),
+        (["sweep", "--hvt", "0.3:0.4", "--lvt", "0.3:0.4", "--t", "1e-300"],
+         "InvalidParameterError"),
         (["lock", "{bench}", "--strategy", "greedy-effort",
           "--delay-budget", "nan", "--out-bench", "{tmp}/x.bench",
           "--out-key", "{tmp}/x.key"], "InvalidPolicyError"),
@@ -368,7 +373,8 @@ class TestCliFailures:
     ], ids=["range-no-colon", "range-nan", "range-inf", "temps-word",
             "temps-empty", "estimate-wide", "estimate-many-gates",
             "sweep-tiny-step", "bias-opt-tiny-step", "bias-opt-huge-t",
-            "sweep-huge-t", "delay-budget-nan",
+            "sweep-huge-t", "bias-opt-tiny-t", "sweep-tiny-t",
+            "delay-budget-nan",
             "equiv-negative-vectors", "attack-negative-budget",
             "brute-negative-budget"])
     def test_malformed_number_is_one_json_line(self, capsys, tmp_path,
@@ -382,6 +388,24 @@ class TestCliFailures:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error
+
+    @pytest.mark.parametrize("argv", [
+        ["bias-opt", "--no-timestamp"],
+        ["sweep", "--hvt", "0.3:0.3", "--lvt", "0.3:0.3"],
+    ], ids=["bias-opt", "sweep"])
+    def test_infinite_delay_is_one_json_line(self, capsys, tmp_path, argv):
+        # c_load * vdd / (2 * drive) overflows: the delay used to come
+        # out as Infinity (and the gain as NaN) in the JSON, inf in the CSV
+        cfg = tmp_path / "heavy.cfg"
+        cfg.write_text("device.c_load = 1e308\n")
+        code, out, err = _run(capsys, [*argv, "--config", str(cfg)])
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "InvalidParameterError",
+            "message": "cell delay overflows with c_load = 1e+308 F"}
 
     def test_lock_budget_above_one_is_rejected(self, capsys, tmp_path,
                                                c17_file):

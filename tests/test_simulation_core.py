@@ -8,6 +8,11 @@ check ``simulate_words``, ``filter_assignments``, ``simulate``,
 ``CountingOracle``, ``check_equivalence`` and ``find_sensitizing_vector``
 against it on generated locked netlists with unresolved and forced gates;
 the oracle is fed sequential, repeated and block-hopping streams.
+
+The depth-first joint replay behind ``filter_assignments`` and
+``OutputTables`` is also checked against ``reference_filter``, the
+per-candidate filter it replaced: each candidate's ops resolved on their
+own and the whole netlist run once per candidate.
 """
 
 from __future__ import annotations
@@ -15,17 +20,20 @@ from __future__ import annotations
 from itertools import product
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vtcamo import netlist
-from vtcamo.attack import CountingOracle, find_sensitizing_vector
+from vtcamo.attack import (MAX_BRUTE_GATES, CountingOracle,
+                           find_sensitizing_vector)
 from vtcamo.camouflage import apply_camouflage, eligible_gates
 from vtcamo.cell import CellFlavor, GateFunction, behavior_table
-from vtcamo.errors import UnresolvedFaninError
+from vtcamo.errors import InputWidthError, UnresolvedFaninError
 from vtcamo.netlist import (
     Gate,
     Netlist,
+    OutputTables,
     all_vectors,
     check_equivalence,
     filter_assignments,
@@ -82,7 +90,7 @@ _FUNCS = (F.AND, F.OR, F.NAND, F.NOR, F.XOR, F.XNOR, F.NOT, F.BUFF)
 
 
 @st.composite
-def locked_cases(draw):
+def locked_cases(draw, max_cells=5):
     """(plain netlist, its locked copy, key, partial assignment, forced)."""
     width = draw(st.integers(1, 6))
     nets = [f"i{k}" for k in range(width)]
@@ -99,7 +107,7 @@ def locked_cases(draw):
     flavor = draw(st.sampled_from(list(CellFlavor)))
     eligible = eligible_gates(net, flavor)
     chosen = draw(st.lists(st.sampled_from(eligible), unique=True,
-                           max_size=5)) if eligible else []
+                           max_size=max_cells)) if eligible else []
     locked, key = apply_camouflage(net, chosen, flavor,
                                    decoy_seed=draw(st.none() | st.integers(0, 9)))
     functions = sorted(flavor.function_set, key=lambda f: f.value)
@@ -296,3 +304,164 @@ def test_equivalence_matches_the_scalar_reference(case, block_log2, pick):
             break
     else:
         assert verdict.equivalent and verdict.vectors_checked == 2 ** width
+
+
+def reference_outputs(net, gate_ids, candidate, fixed, words, mask):
+    """Output words of one candidate, its ops resolved and run on their own."""
+    prog = net._program()
+    ops = netlist._resolve(prog, [*fixed.items(), *zip(gate_ids, candidate)])
+    may1 = netlist._run(ops, words, mask)[1]
+    return [may1[i] for i in prog.outputs]
+
+
+def reference_filter(net, gate_ids, candidates, observations, fixed):
+    """The per-candidate filter: every candidate runs the whole netlist once
+    per block of packed observations; survivors keep their order."""
+    survivors = list(candidates)
+    for (_, words, mask), (_, expected, _) in zip(
+            netlist._blocks(len(net.inputs), [v for v, _ in observations]),
+            netlist._blocks(len(net.outputs), [o for _, o in observations])):
+        survivors = [c for c in survivors if expected == reference_outputs(
+            net, gate_ids, c, fixed, words, mask)]
+    return survivors
+
+
+@st.composite
+def replay_cases(draw):
+    """A locked netlist, gate ids, candidates, fixed cells, observations.
+
+    Up to MAX_BRUTE_GATES cells; each is a candidate slot, fixed or left
+    unknown. The gate ids come in any order and may name a plain gate.
+    Candidates are the full product of per-gate function sets, or a
+    shuffled draw from it with duplicates. Observed outputs are one
+    candidate's, so some survive.
+    """
+    rnd = draw(st.randoms(use_true_random=False))
+    width = draw(st.integers(1, 5))
+    cells = draw(st.integers(0, MAX_BRUTE_GATES))
+    nets = [f"i{k}" for k in range(width)]
+    gates = []
+    for k in range(3 * cells + draw(st.integers(1, 4))):
+        func = rnd.choice(_FUNCS)
+        arity = 1 if func in (F.NOT, F.BUFF) else 2
+        gates.append(Gate(f"g{k}", tuple(rnd.choices(nets, k=arity)),
+                          func=func))
+        nets.append(f"g{k}")
+    outputs = rnd.sample(nets, rnd.randint(1, 4))
+    net = Netlist(tuple(nets[:width]), tuple(outputs), tuple(gates))
+    flavor = draw(st.sampled_from(list(CellFlavor)))
+    eligible = eligible_gates(net, flavor)
+    locked, key = apply_camouflage(
+        net, rnd.sample(eligible, min(cells, len(eligible))), flavor,
+        decoy_seed=rnd.randint(0, 9))
+    gate_ids, fixed = [], {}
+    for g in locked.camo_gates():
+        role = rnd.choice(["candidate", "candidate", "fixed", "unknown"])
+        if role == "candidate":
+            gate_ids.append(g.gate_id)
+        elif role == "fixed":
+            fixed[g.gate_id] = key.entries[g.gate_id].function
+    if draw(st.booleans()):
+        gate_ids.append(rnd.choice([g.gate_id for g in gates]))
+    rnd.shuffle(gate_ids)
+    sets, size = [], 1
+    for gid in gate_ids:
+        gate = locked.gate(gid)
+        funcs = sorted(gate.flavor.function_set if gate.is_camo else _FUNCS,
+                       key=lambda f: f.value)
+        count = min(rnd.randint(1, 3), max(1, 512 // size))
+        sets.append(rnd.sample(funcs, count))
+        size *= count
+    candidates = list(product(*sets))
+    if draw(st.booleans()):
+        candidates = rnd.choices(candidates, k=len(candidates) + 3)
+    vectors = list(all_vectors(width))
+    rnd.shuffle(vectors)
+    vectors = vectors[:rnd.randint(1, len(vectors))]
+    source = rnd.choice(candidates)
+    observed = [(vec, tuple(reference_outputs(locked, gate_ids, source,
+                                              fixed, vec, 1)))
+                for vec in vectors]
+    return locked, gate_ids, candidates, fixed, observed
+
+
+@_SETTINGS
+@given(replay_cases(), st.sampled_from([1, 2, 12]))
+def test_replay_matches_the_per_candidate_filter(case, block_log2):
+    locked, gate_ids, candidates, fixed, observed = case
+    with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
+        got = filter_assignments(locked, gate_ids, candidates, observed,
+                                 fixed)
+        want = reference_filter(locked, gate_ids, candidates, observed,
+                                fixed)
+    assert got == want
+    assert got  # the candidate the outputs came from survives
+
+
+@_SETTINGS
+@given(replay_cases(), st.sampled_from([1, 2, 12]),
+       st.randoms(use_true_random=False))
+def test_tables_match_per_candidate_runs(case, block_log2, rnd):
+    locked, gate_ids, candidates, fixed, _ = case
+    vectors = list(all_vectors(len(locked.inputs)))
+    stream = vectors + rnd.sample(vectors, len(vectors))
+    with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
+        tables = OutputTables(locked, gate_ids, candidates, fixed)
+        items = list(candidates)
+        for i, vec in enumerate(stream):
+            want = [tuple(reference_outputs(locked, gate_ids, c, fixed,
+                                            vec, 1)) for c in items]
+            assert tables(vec) == want, vec
+            if i == len(vectors):  # drop some candidates half way
+                keep = [rnd.random() < 0.7 for _ in items]
+                tables.keep(keep)
+                items = [c for c, k in zip(items, keep) if k]
+                assert tables.items == items
+        rows = {tuple(tuple(reference_outputs(
+            locked, gate_ids, c, fixed, words, mask)) for _, words, mask
+            in netlist._blocks(len(locked.inputs))) for c in items}
+        assert tables.agree(len(items)) == (len(rows) <= 1)
+
+
+def _chain(width: int, outputs: int = 1) -> Netlist:
+    """A netlist folding ``width`` inputs through alternating XOR/AND."""
+    nets = [f"i{k}" for k in range(width)]
+    gates, prev = [], nets[0]
+    for k, n in enumerate(nets[1:]):
+        func = (F.XOR, F.AND, F.OR)[k % 3]
+        gates.append(Gate(f"g{k}", (prev, n), func=func))
+        prev = f"g{k}"
+    outs = [g.gate_id for g in gates][-outputs:] if outputs else []
+    return Netlist(tuple(nets), tuple(outs), tuple(gates))
+
+
+_BAD_BITS = (2, -1, None, 0.5, "1", (1,))
+
+
+def _check_oracle(net, stream):
+    """Replies equal simulate, every call counts, bad vectors raise."""
+    want = {vec: simulate(net, vec) for vec in set(stream)}
+    first = stream[0]
+    bad = [(0, *first)]
+    if first:
+        bad += [first[1:], *((bit, *first[1:]) for bit in _BAD_BITS)]
+    oracle = CountingOracle(net)
+    for i, vec in enumerate(stream):
+        assert oracle(vec) == want[vec], vec
+        # True/False and 0.0/1.0 bits read as 0/1, as in simulate
+        assert oracle(tuple(map(bool, vec))) == want[vec]
+        assert oracle(tuple(map(float, vec))) == want[vec]
+        if i < 2:  # before and after the reply list is built
+            for vector in bad:
+                with pytest.raises(InputWidthError):
+                    oracle(vector)
+    assert oracle.query_count == 3 * len(stream) + 2 * len(bad)
+
+
+@pytest.mark.parametrize("width, outputs", [
+    (0, 0), (3, 0), (netlist._BLOCK_LOG2, 2), (netlist._BLOCK_LOG2 + 1, 1)],
+    ids=["no-inputs", "no-outputs", "one-block", "two-blocks"])
+def test_oracle_edge_cases_match_simulate(width, outputs):
+    net = _chain(width, outputs) if width else Netlist((), (), ())
+    vectors = list(all_vectors(width))
+    _check_oracle(net, vectors[::-1] + vectors[:3])
