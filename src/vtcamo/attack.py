@@ -147,7 +147,7 @@ def _walk(net: Netlist, cache: _QueryCache, tables,
             return False, False
         if len(cache.transcript) == known:
             continue
-        keep = [row == out for row in tables(vec)]
+        keep = tables.matches(vec, out)
         if all(keep):
             continue
         tables.keep(keep)

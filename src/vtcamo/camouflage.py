@@ -27,7 +27,7 @@ from .errors import (
     InvalidPolicyError,
 )
 from .netlist import (CamoKey, Gate, IncrementalTiming, KeyEntry, Netlist,
-                      TimingGraph, critical_path, reachable)
+                      critical_path, reachable)
 
 #: Year length used for human-readable effort figures (Julian year).
 SECONDS_PER_YEAR = 31557600
@@ -132,20 +132,19 @@ def eligible_gates(net: Netlist, flavor: CellFlavor) -> list[str]:
             if _camo_function(g, flavor) is not None]
 
 
-def _pick_decoy(fanout: dict[str, list[str]], gate: Gate,
-                levels: dict[str, int] | None,
-                rng: random.Random | None) -> str:
-    cone = reachable(fanout, gate.gate_id)
-    # fanout_map() lists every net, inputs first, in definition order
-    candidates = [n for n in fanout if n not in cone]
+def _pick_decoy(net: Netlist, fanout: list[list[int]], n: int,
+                depth: list[int] | None, rng: random.Random | None) -> int:
+    """The decoy net number for gate net ``n`` (see module docstring)."""
+    cone = reachable(fanout, n)
+    # net numbers run in definition order, inputs first
+    candidates = [m for m in range(len(fanout)) if m not in cone]
     if not candidates:
         raise DecoySelectionError(
-            f"no net outside the fanout cone of {gate.gate_id!r}")
+            f"no net outside the fanout cone of {net._names[n]!r}")
     if rng is not None:
-        return rng.choice(sorted(candidates))
-    own = levels[gate.gate_id]
-    # candidates keep definition order, so min() breaks ties by it
-    return min(candidates, key=lambda n: abs(levels.get(n, 0) - own))
+        return rng.choice(sorted(candidates, key=net._names.__getitem__))
+    # min() breaks ties by definition order
+    return min(candidates, key=lambda m: abs(depth[m] - depth[n]))
 
 
 def apply_camouflage(net: Netlist, gate_ids, flavor: CellFlavor,
@@ -156,31 +155,30 @@ def apply_camouflage(net: Netlist, gate_ids, flavor: CellFlavor,
     Returns the rewritten netlist and the key that makes it equivalent to
     the original. The input netlist is never mutated.
     """
-    chosen = list(gate_ids)
-    known = {g.gate_id for g in net.gates}
-    unknown = [gid for gid in chosen if gid not in known]
+    chosen, width = list(gate_ids), len(net.inputs)
+    unknown = [gid for gid in chosen if net._index.get(gid, -1) < width]
     if unknown:
         raise FlavorMismatchError(f"unknown gate ids {unknown!r}")
     rng = random.Random(decoy_seed) if decoy_seed is not None else None
-    # built for the first INV/BUF cell; levels only rank a seedless pick
-    levels = fanout = None
+    # built for the first INV/BUF cell; depths only rank a seedless pick
+    depth = fanout = None
     new_gates = []
     entries: dict[str, KeyEntry] = {}
     chosen_set = set(chosen)
-    for g in net.gates:
+    for n, g in enumerate(net.gates, width):
         if g.gate_id not in chosen_set:
             new_gates.append(g)
             continue
         func = camo_function_for(g, flavor)
         if func in (GateFunction.INV, GateFunction.BUF):
             if fanout is None:
-                levels = net.levels() if rng is None else None
+                depth = net._depths() if rng is None else None
                 # grows by each decoy edge, so later cones see earlier decoys
-                fanout = net.fanout_map()
-            decoy = _pick_decoy(fanout, g, levels, rng)
-            fanout[decoy].append(g.gate_id)
-            fanins = (decoy, g.fanins[0])
-            entries[g.gate_id] = KeyEntry(func, decoy)
+                fanout = list(net._fanouts)
+            decoy = _pick_decoy(net, fanout, n, depth, rng)
+            fanout[decoy] = [*fanout[decoy], n]  # net's own list untouched
+            fanins = (net._names[decoy], g.fanins[0])
+            entries[g.gate_id] = KeyEntry(func, net._names[decoy])
         else:
             fanins = g.fanins
             entries[g.gate_id] = KeyEntry(func)
@@ -216,13 +214,13 @@ def select_gates(net: Netlist, policy: SelectionPolicy,
         rng = random.Random(policy.seed if policy.seed is not None else 0)
         return sorted(rng.sample(eligible, count))
     if policy.strategy == "xor_sequence":
-        fo = net.fanout_map()
+        width = len(net.inputs)
         def feeds_xor(gid: str) -> bool:
-            return any(net.gate(succ).func in (GateFunction.XOR,
-                                               GateFunction.XNOR)
-                       for succ in fo[gid])
-        pos = {gid: i for i, gid in enumerate(eligible)}
-        ranked = sorted(eligible, key=lambda g: (not feeds_xor(g), pos[g]))
+            return any(net.gates[n - width].func in (GateFunction.XOR,
+                                                     GateFunction.XNOR)
+                       for n in net._fanouts[net._index[gid]])
+        # a stable sort keeps file order among equal keys
+        ranked = sorted(eligible, key=lambda g: not feeds_xor(g))
         return sorted(ranked[:count])
     if policy.strategy == "off_critical":
         on_path = set(critical_path(net).gate_ids)
@@ -238,8 +236,7 @@ def select_gates(net: Netlist, policy: SelectionPolicy,
     def metric(gid: str) -> float:
         observability = 0.5 if gid in po_set else 1.0
         return gains * observability - overhead_norm
-    pos = {gid: i for i, gid in enumerate(eligible)}
-    ranked = sorted(eligible, key=lambda g: (-metric(g), pos[g]))
+    ranked = sorted(eligible, key=lambda g: -metric(g))
     chosen: list[str] = []
     for gid in ranked:
         if len(chosen) >= count:
@@ -279,11 +276,10 @@ def overhead_report(net: Netlist,
         extra_area += m.area - 1.0
         extra_power += m.power - 1.0
     total = len(net.gates)
-    graph = TimingGraph.of(net)
-    base = graph.delay([1.0] * total)
-    with_camo = graph.delay(
-        [cost_table.for_flavor(g.flavor).delay if g.is_camo else 1.0
-         for g in graph.gates])
+    base = IncrementalTiming(net).delay()
+    with_camo = IncrementalTiming(net, [
+        cost_table.for_flavor(g.flavor).delay if g.is_camo else 1.0
+        for g in net.gates]).delay()
     delay_pct = 0.0
     if base > 0:
         delay_pct = 100.0 * (with_camo - base) / base

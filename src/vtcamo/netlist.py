@@ -16,10 +16,17 @@ give back the same port order.
 Gates are identified by their output net name. Iteration order always
 follows file order, which keeps every downstream report deterministic.
 
-Simulation has one evaluator: an index program that numbers every net
-and turns each gate into an op code, an inversion flag and two fanin
-indices (see ``simulate``). A netlist compiles it on first use and keeps it;
-parsing, serializing and the structural queries never build it.
+A netlist numbers its nets once, when it is built: the inputs first,
+then the gates in file order. Its constructor is the one place that
+resolves net names. It keeps each gate's fanins and each net's readers
+as numbers, and its topological order is Kahn's algorithm over them.
+The structural queries, the timing passes and the simulator all read
+that one numbering.
+
+Simulation has one evaluator: an index program that turns each gate into
+an op code, an inversion flag and two fanin op nets (see ``simulate``).
+A netlist compiles it on first use and keeps it; parsing, serializing,
+locking and the structural queries never build it.
 """
 
 from __future__ import annotations
@@ -27,11 +34,10 @@ from __future__ import annotations
 import heapq
 import random
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress, groupby, islice, product
-from operator import itemgetter
+from itertools import compress, groupby, islice, product, repeat
+from operator import attrgetter, eq, itemgetter
 from typing import NamedTuple
 
 from .cell import CellFlavor, GateFunction
@@ -75,22 +81,68 @@ class Gate:
 
 @dataclass(frozen=True)
 class Netlist:
-    """Immutable combinational DAG plus PI/PO bookkeeping."""
+    """Immutable combinational DAG plus PI/PO bookkeeping.
+
+    Net number i is ``inputs[i]``, then gate ``i - len(inputs)`` of
+    ``gates``. The constructor resolves every name (an undefined fanin or
+    output raises UndefinedNetError) and keeps, per net number, its
+    fanins (none for an input) in ``_fanins`` and its readers (once per
+    fanin, in file order) in ``_fanouts``, and in ``_order`` the gates'
+    numbers in Kahn order over them.
+    """
 
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     gates: tuple[Gate, ...]
     pseudo_inputs: tuple[str, ...] = ()
     pseudo_outputs: tuple[str, ...] = ()
-    _gate_map: dict = field(init=False, repr=False, compare=False, hash=False)
-    _topo: tuple = field(init=False, repr=False, compare=False, hash=False)
+    _index: dict = field(init=False, repr=False, compare=False, hash=False)
+    _names: tuple = field(init=False, repr=False, compare=False, hash=False)
+    _fanins: list = field(init=False, repr=False, compare=False, hash=False)
+    _fanouts: list = field(init=False, repr=False, compare=False, hash=False)
+    _order: list = field(init=False, repr=False, compare=False, hash=False)
+    _camo: tuple = field(init=False, repr=False, compare=False, hash=False)
     _prog: object = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_gate_map",
-                           {g.gate_id: g for g in self.gates})
-        object.__setattr__(self, "_topo", _toposort(self))
-        object.__setattr__(self, "_prog", None)
+        gates, width = self.gates, len(self.inputs)
+        names = self.inputs + tuple(map(attrgetter("gate_id"), gates))
+        index = dict(zip(names, range(len(names))))
+        fanins: list[tuple[int, ...]] = [()] * width
+        try:
+            fanins += [tuple(map(index.__getitem__, g.fanins)) for g in gates]
+        except KeyError as exc:
+            # the first gate with an undefined fanin is the first to name it
+            gate = next(g for g in gates if exc.args[0] in g.fanins)
+            raise UndefinedNetError(f"gate {gate.gate_id!r} uses undefined "
+                                    f"net {exc.args[0]!r}") from None
+        for net in self.outputs:
+            if net not in index:
+                raise UndefinedNetError(f"OUTPUT({net}) is never defined")
+        fanouts: list[list[int]] = [[] for _ in names]
+        indeg = [0] * len(names)
+        for n in range(width, len(names)):
+            for f in fanins[n]:
+                fanouts[f].append(n)
+                if f >= width:
+                    indeg[n] += 1
+        # Kahn: ready gates leave in FIFO order; the list is its own queue
+        order = [n for n in range(width, len(names)) if not indeg[n]]
+        for n in order:
+            for succ in fanouts[n]:
+                indeg[succ] -= 1
+                if not indeg[succ]:
+                    order.append(succ)
+        if len(order) != len(gates):
+            cyclic = sorted(g.gate_id for g, d in zip(gates, indeg[width:])
+                            if d)
+            raise NetlistCycleError(f"cycle through gates {cyclic}")
+        camo = tuple([g for g in gates if g.flavor is not None])
+        for name, value in (("_index", index), ("_names", names),
+                            ("_fanins", fanins), ("_fanouts", fanouts),
+                            ("_order", order), ("_camo", camo),
+                            ("_prog", None)):
+            object.__setattr__(self, name, value)
 
     def _program(self) -> "_Program":
         """The index program (see simulate), compiled on first use."""
@@ -99,76 +151,51 @@ class Netlist:
         return self._prog
 
     def gate(self, gate_id: str) -> Gate:
-        try:
-            return self._gate_map[gate_id]
-        except KeyError:
-            raise UnresolvedGateError(
-                f"no gate named {gate_id!r}") from None
+        k = self._index.get(gate_id, -1) - len(self.inputs)
+        if k < 0:
+            raise UnresolvedGateError(f"no gate named {gate_id!r}")
+        return self.gates[k]
 
     @property
     def topo_order(self) -> tuple[Gate, ...]:
-        return self._topo
+        width = len(self.inputs)
+        return tuple([self.gates[n - width] for n in self._order])
 
     def camo_gates(self) -> tuple[Gate, ...]:
-        return tuple(g for g in self.gates if g.is_camo)
+        return self._camo
+
+    def _depths(self) -> list[int]:
+        """Topological depth per net number (inputs at 0)."""
+        depth = [0] * len(self._names)
+        for n in self._order:
+            depth[n] = 1 + max([depth[f] for f in self._fanins[n]])
+        return depth
 
     def levels(self) -> dict[str, int]:
         """Topological depth per net (primary inputs at level 0)."""
-        lvl = {n: 0 for n in self.inputs}
-        for g in self.topo_order:
-            lvl[g.gate_id] = 1 + max(lvl[f] for f in g.fanins)
-        return lvl
+        return dict(zip(self._names, self._depths()))
 
     def fanout_map(self) -> dict[str, list[str]]:
         """Net name -> gate ids that consume it, in file order."""
-        fo: dict[str, list[str]] = {
-            n: [] for n in (*self.inputs, *(g.gate_id for g in self.gates))}
-        for g in self.gates:
-            for f in g.fanins:
-                fo[f].append(g.gate_id)
-        return fo
+        names = self._names
+        return {names[n]: [names[s] for s in fo]
+                for n, fo in enumerate(self._fanouts)}
 
     def fanin_cone(self, gate_id: str) -> set[str]:
         """All net names feeding a gate, inclusive of the gate itself."""
-        return reachable({g.gate_id: g.fanins for g in self.gates}, gate_id)
+        return {self._names[n]
+                for n in reachable(self._fanins, self._index[gate_id])}
 
 
-def reachable(edges: dict[str, list[str]], start: str) -> set[str]:
-    """Nets reachable from ``start`` along ``edges``, inclusive."""
+def reachable(edges, start) -> set:
+    """Nodes reachable from ``start`` along ``edges[node]``, inclusive."""
     seen, stack = {start}, [start]
     while stack:
-        for succ in edges.get(stack.pop(), ()):
+        for succ in edges[stack.pop()]:
             if succ not in seen:
                 seen.add(succ)
                 stack.append(succ)
     return seen
-
-
-def _toposort(net: Netlist) -> tuple[Gate, ...]:
-    """Kahn's algorithm on file positions; ready gates leave in FIFO order."""
-    gates = net.gates
-    pos = {g.gate_id: i for i, g in enumerate(gates)}
-    indeg = [0] * len(gates)
-    consumers: list[list[int]] = [[] for _ in gates]
-    for i, g in enumerate(gates):
-        for f in g.fanins:
-            j = pos.get(f)
-            if j is not None:
-                indeg[i] += 1
-                consumers[j].append(i)
-    ready = deque(i for i, d in enumerate(indeg) if not d)
-    order = []
-    while ready:
-        i = ready.popleft()
-        order.append(gates[i])
-        for succ in consumers[i]:
-            indeg[succ] -= 1
-            if not indeg[succ]:
-                ready.append(succ)
-    if len(order) != len(gates):
-        cyclic = sorted(g.gate_id for g, d in zip(gates, indeg) if d)
-        raise NetlistCycleError(f"cycle through gates {cyclic}")
-    return tuple(order)
 
 
 _LINE_RE = re.compile(
@@ -214,7 +241,7 @@ def parse_bench(text: str) -> Netlist:
                 outputs.append(net)
             continue
         func_txt = func_txt.upper()
-        args = [a.strip() for a in arg_txt.split(",") if a.strip()]
+        args = [a for a in map(str.strip, arg_txt.split(",")) if a]
         if not args:
             raise BenchSyntaxError(f"gate {out!r} has no fanins", lineno)
         if out in defined:
@@ -253,14 +280,6 @@ def parse_bench(text: str) -> Netlist:
             gates.append(Gate(out, tuple(args), flavor=_FLAVORS[func_txt]))
         else:
             raise BenchSyntaxError(f"unknown function {func_txt!r}", lineno)
-    for g in gates:
-        for f in g.fanins:
-            if f not in defined:
-                raise UndefinedNetError(f"gate {g.gate_id!r} uses undefined "
-                                        f"net {f!r}")
-    for net in outputs:
-        if net not in defined:
-            raise UndefinedNetError(f"OUTPUT({net}) is never defined")
     return Netlist(tuple(inputs), tuple(outputs), tuple(gates),
                    tuple(pseudo_in), tuple(pseudo_out))
 
@@ -398,30 +417,30 @@ _OPS = {
 
 
 class _Program(NamedTuple):
-    """A netlist compiled to integer net indices.
+    """A netlist compiled to integer op nets.
 
-    ``index`` numbers the ``width`` input words first, then one net per
-    op. ``ops`` holds ``(op code, inverted, fanin a, fanin b)`` per gate in
-    topological order; a gate with more than two fanins folds left through
-    temporary nets, one op each. A camouflaged gate's op is an UNKNOWN op
-    in the slot that ``slots`` gives. ``outputs`` indexes the outputs.
+    Op nets number the ``width`` input words first, then one per op;
+    ``index`` maps each net number to its op net. ``ops`` holds ``(op
+    code, inverted, fanin a, fanin b)`` per gate in topological order; a
+    gate with more than two fanins folds left through temporary nets, one
+    op each. A camouflaged gate is one UNKNOWN op, its slot. ``outputs``
+    gives the outputs' op nets.
     """
 
     width: int
-    index: dict[str, int]
+    index: list[int]
     ops: tuple[tuple[int, bool, int, int], ...]
-    slots: dict[str, int]
     outputs: tuple[int, ...]
 
 
 def _compile(net: Netlist) -> _Program:
     width = len(net.inputs)
-    index = {n: i for i, n in enumerate(net.inputs)}
-    ops, slots = [], {}
-    for g in net.topo_order:
-        fanins = [index[f] for f in g.fanins]
+    index = list(range(width)) + [0] * len(net.gates)
+    ops = []
+    for n in net._order:
+        g = net.gates[n - width]
+        fanins = [index[f] for f in net._fanins[n]]
         if g.is_camo:
-            slots[g.gate_id] = len(ops)
             code, inverted = _UNKNOWN, False
         else:
             code, inverted = _OPS[g.func]
@@ -433,25 +452,33 @@ def _compile(net: Netlist) -> _Program:
                 ops.append((code, False, a, b))
                 a = width + len(ops) - 1
         ops.append((code, inverted, a, fanins[-1]))
-        index[g.gate_id] = width + len(ops) - 1
-    return _Program(width, index, tuple(ops), slots,
-                    tuple(index[n] for n in net.outputs))
+        index[n] = width + len(ops) - 1
+    return _Program(width, index, tuple(ops),
+                    tuple(index[net._index[n]] for n in net.outputs))
 
 
-def _resolve(prog: _Program, assignment,
+def _op(net: Netlist, gate_id: str) -> int:
+    """Position in the program's ops of a gate's last op; -1 for a name
+    that is no gate."""
+    prog, n = net._program(), net._index.get(gate_id, -1)
+    return prog.index[n] - prog.width if n >= prog.width else -1
+
+
+def _resolve(net: Netlist, assignment,
              forced: dict[str, int] | None = None) -> list:
     """The program's ops with ``(gate id, function)`` pairs in their slots.
 
     A pair naming no camouflaged gate is ignored. A ``forced`` gate
     becomes a constant.
     """
+    prog = net._program()
     ops = list(prog.ops)
     for gid, func in assignment:
-        k = prog.slots.get(gid)
-        if k is not None:
+        k = _op(net, gid)
+        if k >= 0 and prog.ops[k][0] == _UNKNOWN:
             ops[k] = (*_OPS[func], *ops[k][2:])
     for gid, bit in (forced or {}).items():
-        k = prog.index.get(gid, -1) - prog.width
+        k = _op(net, gid)
         if k >= 0:
             ops[k] = (_CONST, bool(bit), 0, 0)
     return ops
@@ -558,11 +585,11 @@ def simulate_words(net: Netlist, assignment: dict[str, GateFunction],
     unless ``assignment`` gives their function; ``forced`` pins gate
     outputs to 0 or 1. Keys are not validated.
     """
-    prog = net._program()
-    ops = _resolve(prog, assignment.items(), forced)
+    ops = _resolve(net, assignment.items(), forced)
     for first, words, mask in _blocks(len(net.inputs)):
         may0, may1 = _run(ops, words, mask)
-        yield first, {n: (may0[i], may1[i]) for n, i in prog.index.items()}
+        yield first, {n: (may0[i], may1[i])
+                      for n, i in zip(net._names, net._prog.index)}
 
 
 def filter_assignments(net: Netlist, gate_ids, candidates, observations,
@@ -601,7 +628,7 @@ def _key_ops(net: Netlist, key: CamoKey | None) -> list:
     if key is not None:
         validate_key(net, key)
     entries = key.entries.items() if key else ()
-    return _resolve(net._program(), ((gid, e.function) for gid, e in entries))
+    return _resolve(net, ((gid, e.function) for gid, e in entries))
 
 
 def simulate(net: Netlist, input_vector, key: CamoKey | None = None):
@@ -680,10 +707,9 @@ class OutputTables:
 
     def __init__(self, net: Netlist, gate_ids, candidates,
                  fixed: dict[str, GateFunction] | None = None):
-        prog = net._program()
-        ops = _resolve(prog, (fixed or {}).items())
-        where = {prog.slots[g]: i for i, g in enumerate(gate_ids)
-                 if g in prog.slots}
+        prog, ops = net._program(), _resolve(net, (fixed or {}).items())
+        where = {k: i for i, k in enumerate(map(_op, repeat(net), gate_ids))
+                 if k >= 0 and prog.ops[k][0] == _UNKNOWN}
         slots = sorted(where)
         ends = [prog.width + k for k in (*slots, len(ops))]
         self.items = list(candidates)
@@ -730,13 +756,15 @@ class OutputTables:
         descend(0, range(len(rows)), _run(self._head, words, mask))
         return rows if expected is None else [r is not None for r in rows]
 
-    def __call__(self, vec) -> list[tuple[int, ...]]:
-        """Each item's outputs under ``vec``, a checked 0/1 vector."""
+    def matches(self, vec, out) -> list[bool]:
+        """Per item, whether its outputs under ``vec``, a checked 0/1
+        vector, are ``out``."""
         tables = self._whole_space()
         if tables is None:
-            return list(map(tuple, self.run(vec, 1)))
-        j = _word(vec)
-        return [_bits(t, j) for t in tables]
+            return self.run(vec, 1, out)
+        bit = 1 << _word(vec)
+        want = [bit if b else 0 for b in out]
+        return [all(map(eq, want, map(bit.__and__, t))) for t in tables]
 
     def _whole_space(self) -> list | None:
         """Each item's output words over the whole space, if they fit."""
@@ -852,124 +880,91 @@ def unit_delay_model(gate: Gate) -> float:
     return 1.0
 
 
-class TimingGraph(NamedTuple):
-    """A netlist's gates by topological index, for longest-path passes.
-
-    ``fanins[k]`` holds gate k's fanins sorted by name, as gate indices,
-    or ``len(gates)`` (an arrival slot fixed at 0.0) for an input. ``ends``
-    indexes the output gates, or every gate when no output is one. It is
-    built per call (``TimingGraph.of``), not kept on the netlist.
-    """
-
-    gates: tuple[Gate, ...]
-    fanins: list[list[int]]
-    ends: list[int]
-
-    @classmethod
-    def of(cls, net: Netlist) -> "TimingGraph":
-        gates = net.topo_order
-        index = {g.gate_id: k for k, g in enumerate(gates)}
-        slot = len(gates)
-        fanins = [[index.get(f, slot) for f in sorted(g.fanins)]
-                  for g in gates]
-        outputs = set(net.outputs)
-        ends = [index[g.gate_id] for g in net.gates if g.gate_id in outputs]
-        return cls(gates, fanins, ends or list(range(slot)))
-
-    def arrivals(self, delays) -> tuple[list[float], list[int]]:
-        """Arrival time per gate index (plus the input slot) and the fanin
-        it came through; ties go to the first fanin in name order."""
-        slot = len(self.gates)
-        arrival = [0.0] * (slot + 1)
-        pred = [slot] * slot
-        for k, fanins in enumerate(self.fanins):
-            when = float("-inf")
-            for f in fanins:
-                t = arrival[f]
-                if t > when:
-                    when = t
-                    pred[k] = f
-            arrival[k] = when + delays[k]
-        return arrival, pred
-
-    def delay(self, delays) -> float:
-        """Latest arrival at an end under ``delays`` (0.0 with no gates)."""
-        arrival, _ = self.arrivals(delays)
-        return max([arrival[k] for k in self.ends], default=0.0)
+def _latest(arrival: list[float], fanins) -> float:
+    """The latest arrival over ``fanins`` (-inf for none)."""
+    when = float("-inf")
+    for f in fanins:
+        if arrival[f] > when:
+            when = arrival[f]
+    return when
 
 
 class IncrementalTiming:
-    """Arrival times from unit delays, as gate delays change one by one.
+    """Arrival time per net number under per-gate delays, kept exact as
+    gate delays change one by one.
 
-    ``try_delay`` re-times only the part of the gate's fanout cone whose
-    arrivals change, in index order and with the float operations of
-    ``TimingGraph.arrivals``, so the times stay bit-identical to a full
-    pass under the delays kept so far.
+    ``delays`` gives one delay per gate in file order (unit by default);
+    inputs arrive at 0.0. The ends are the output gates, or every gate
+    when no output is one. ``try_delay`` re-times only the part of the
+    gate's fanout cone whose arrivals change, in topological rank order
+    and with the float operations of the full pass, so the times stay
+    bit-identical to a full pass under the delays kept so far.
     """
 
-    def __init__(self, net: Netlist):
-        self.graph = graph = TimingGraph.of(net)
-        self.index = {g.gate_id: k for k, g in enumerate(graph.gates)}
-        self.delays = [1.0] * len(graph.gates)
-        self.arrival, _ = graph.arrivals(self.delays)
-        self.consumers: list[list[int]] = [[] for _ in graph.gates]
-        for k, fanins in enumerate(graph.fanins):
-            for f in fanins:
-                if f < len(graph.gates):
-                    self.consumers[f].append(k)
-        self.ends = set(graph.ends)
+    def __init__(self, net: Netlist, delays=None):
+        self.net, width = net, len(net.inputs)
+        self.delays = [0.0] * width + ([1.0] * len(net.gates)
+                                       if delays is None else list(delays))
+        self.arrival = arrival = [0.0] * len(net._names)
+        self.rank = rank = [0] * len(net._names)
+        delays, fanins = self.delays, net._fanins
+        for r, n in enumerate(net._order):
+            rank[n] = r
+            arrival[n] = _latest(arrival, fanins[n]) + delays[n]
+        self.ends = ({n for n in map(net._index.get, net.outputs)
+                      if n >= width} or range(width, len(arrival)))
 
     def delay(self) -> float:
         """The latest arrival at an end (0.0 for a netlist with no gates)."""
-        return max([self.arrival[k] for k in self.ends], default=0.0)
+        return max([self.arrival[n] for n in self.ends], default=0.0)
 
     def try_delay(self, gate_id: str, delay: float, bound: float) -> bool:
         """Give a gate a new delay and keep it, unless an end whose arrival
         changes would then exceed ``bound``: then change nothing and
         return False. Ends whose arrival does not change are not checked."""
-        start = self.index[gate_id]
-        fanins, arrival, delays = self.graph.fanins, self.arrival, self.delays
+        net, arrival, delays = self.net, self.arrival, self.delays
+        start = net._index[gate_id]
         old_delay, delays[start] = delays[start], delay
         undo = []
-        heap, queued = [start], {start}
+        heap, queued = [self.rank[start]], {start}
         while heap:
-            k = heapq.heappop(heap)
-            when = float("-inf")
-            for f in fanins[k]:
-                if arrival[f] > when:
-                    when = arrival[f]
-            t = when + delays[k]
-            if t == arrival[k]:
+            n = net._order[heapq.heappop(heap)]
+            t = _latest(arrival, net._fanins[n]) + delays[n]
+            if t == arrival[n]:
                 continue
-            if k in self.ends and not t <= bound:
+            if n in self.ends and not t <= bound:
                 for j, old in undo:
                     arrival[j] = old
                 delays[start] = old_delay
                 return False
-            undo.append((k, arrival[k]))
-            arrival[k] = t
-            for succ in self.consumers[k]:
+            undo.append((n, arrival[n]))
+            arrival[n] = t
+            for succ in net._fanouts[n]:
                 if succ not in queued:
                     queued.add(succ)
-                    heapq.heappush(heap, succ)
+                    heapq.heappush(heap, self.rank[succ])
         return True
 
 
 def critical_path(net: Netlist, delay_model=unit_delay_model) -> CriticalPath:
     """Longest weighted path through the gate DAG, one topological pass.
 
-    Ties resolve to the lexicographically smallest gate id at every
-    decision, so the reported path is deterministic.
+    The path ends at the end with the latest arrival and steps back
+    through each gate's latest-arriving fanin, to an input. A tie at
+    either step goes to the smallest net name (a tied input ends the
+    path there), so the reported path is deterministic.
     """
     if not net.gates:
         return CriticalPath((), 0.0)
-    graph = TimingGraph.of(net)
-    gates = graph.gates
-    arrival, pred = graph.arrivals([delay_model(g) for g in gates])
-    end = min(graph.ends, key=lambda k: (-arrival[k], gates[k].gate_id))
-    path = []
-    k = end
-    while k < len(gates):
-        path.append(gates[k].gate_id)
-        k = pred[k]
+    timing = IncrementalTiming(net, map(delay_model, net.gates))
+    arrival, names, width = timing.arrival, net._names, len(net.inputs)
+    end = min(timing.ends, key=lambda n: (-arrival[n], names[n]))
+    path, n = [], end
+    while n >= width:
+        path.append(names[n])
+        pred, when = -1, float("-inf")
+        for f in sorted(net._fanins[n], key=names.__getitem__):
+            if arrival[f] > when:
+                pred, when = f, arrival[f]
+        n = pred
     return CriticalPath(tuple(reversed(path)), arrival[end])

@@ -128,6 +128,24 @@ class TestParseErrors:
         with pytest.raises(UndefinedNetError, match="z"):
             parse_bench("INPUT(a)\nOUTPUT(z)\ny = NOT(a)\n")
 
+    @pytest.mark.parametrize("outputs, gates, message", [
+        (("z",), (Gate("y", ("a", "ghost"), func=GateFunction.NAND),
+                  Gate("w", ("gone",), func=GateFunction.NOT)),
+         "gate 'y' uses undefined net 'ghost'"),
+        (("y", "z"), (Gate("y", ("a",), func=GateFunction.NOT),),
+         "OUTPUT(z) is never defined"),
+    ], ids=["fanin-before-output", "output"])
+    def test_direct_netlist_raises_the_parsers_undefined_error(
+            self, outputs, gates, message):
+        text = "\n".join(["INPUT(a)", *(f"OUTPUT({o})" for o in outputs), *(
+            "{} = {}({})".format(g.gate_id, g.func.value, ", ".join(g.fanins))
+            for g in gates)])
+        for build in (lambda: parse_bench(text),
+                      lambda: Netlist(("a",), outputs, gates)):
+            with pytest.raises(UndefinedNetError) as err:
+                build()
+            assert str(err.value) == message
+
     @pytest.mark.parametrize("line", [
         "y = NOT(a, b)",
         "y = NAND(a)",

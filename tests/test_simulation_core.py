@@ -308,10 +308,9 @@ def test_equivalence_matches_the_scalar_reference(case, block_log2, pick):
 
 def reference_outputs(net, gate_ids, candidate, fixed, words, mask):
     """Output words of one candidate, its ops resolved and run on their own."""
-    prog = net._program()
-    ops = netlist._resolve(prog, [*fixed.items(), *zip(gate_ids, candidate)])
+    ops = netlist._resolve(net, [*fixed.items(), *zip(gate_ids, candidate)])
     may1 = netlist._run(ops, words, mask)[1]
-    return [may1[i] for i in prog.outputs]
+    return [may1[i] for i in net._program().outputs]
 
 
 def reference_filter(net, gate_ids, candidates, observations, fixed):
@@ -411,7 +410,11 @@ def test_tables_match_per_candidate_runs(case, block_log2, rnd):
         for i, vec in enumerate(stream):
             want = [tuple(reference_outputs(locked, gate_ids, c, fixed,
                                             vec, 1)) for c in items]
-            assert tables(vec) == want, vec
+            # each candidate's own reply, then one that no candidate gives
+            absent = [r for r in product((0, 1), repeat=len(locked.outputs))
+                      if r not in want][:1]
+            for out in [*dict.fromkeys(want), *absent]:
+                assert tables.matches(vec, out) == [w == out for w in want]
             if i == len(vectors):  # drop some candidates half way
                 keep = [rnd.random() < 0.7 for _ in items]
                 tables.keep(keep)

@@ -7,7 +7,10 @@ gate's fanins on every call, and ``reference_greedy`` the quadratic
 every ranked gate. The properties check that ``topo_order``, the
 ``NetlistCycleError`` message, ``critical_path``, ``overhead_report`` and
 ``select_gates(strategy="greedy_effort")`` give exactly what the
-references give, on generated netlists with shuffled file order,
+references give. ``levels``, ``fanout_map``, ``fanin_cone`` and the
+decoys ``apply_camouflage`` wires are checked the same way against the
+name-keyed dict code they replaced. All run on generated netlists with
+shuffled file order,
 interleaved net names (so name order, file order and topological order
 all differ) and flop cuts. Delays come from a unit model, which gives
 many ties, and from a weighted model with zero and inexact weights.
@@ -16,6 +19,7 @@ many ties, and from a weighted model with zero and inexact weights.
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 
 import pytest
@@ -32,7 +36,7 @@ from vtcamo.camouflage import (
     select_gates,
 )
 from vtcamo.cell import CellFlavor, GateFunction
-from vtcamo.errors import NetlistCycleError
+from vtcamo.errors import DecoySelectionError, NetlistCycleError
 from vtcamo.netlist import (
     CriticalPath,
     Gate,
@@ -68,6 +72,56 @@ def reference_toposort(gates) -> tuple[Gate, ...]:
         cyclic = sorted(gid for gid, d in indeg.items() if d > 0)
         raise NetlistCycleError(f"cycle through gates {cyclic}")
     return tuple(order)
+
+
+def reference_reachable(edges: dict, start: str) -> set[str]:
+    seen, stack = {start}, [start]
+    while stack:
+        for succ in edges.get(stack.pop(), ()):
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return seen
+
+
+def reference_levels(net: Netlist) -> dict[str, int]:
+    lvl = {n: 0 for n in net.inputs}
+    for g in reference_toposort(net.gates):
+        lvl[g.gate_id] = 1 + max(lvl[f] for f in g.fanins)
+    return lvl
+
+
+def reference_fanout_map(net: Netlist) -> dict[str, list[str]]:
+    fo: dict[str, list[str]] = {
+        n: [] for n in (*net.inputs, *(g.gate_id for g in net.gates))}
+    for g in net.gates:
+        for f in g.fanins:
+            fo[f].append(g.gate_id)
+    return fo
+
+
+def reference_pick_decoy(fanout, gate: Gate, levels, rng) -> str:
+    cone = reference_reachable(fanout, gate.gate_id)
+    candidates = [n for n in fanout if n not in cone]
+    if not candidates:
+        raise DecoySelectionError(
+            f"no net outside the fanout cone of {gate.gate_id!r}")
+    if rng is not None:
+        return rng.choice(sorted(candidates))
+    own = levels[gate.gate_id]
+    return min(candidates, key=lambda n: abs(levels.get(n, 0) - own))
+
+
+def reference_decoys(net: Netlist, chosen, seed) -> dict[str, str]:
+    """Decoy per converted NOT/BUFF gate, picked over name-keyed dicts."""
+    rng = random.Random(seed) if seed is not None else None
+    levels, fanout = reference_levels(net), reference_fanout_map(net)
+    decoys = {}
+    for g in net.gates:
+        if g.gate_id in chosen and g.func in (F.NOT, F.BUFF):
+            decoys[g.gate_id] = reference_pick_decoy(fanout, g, levels, rng)
+            fanout[decoys[g.gate_id]].append(g.gate_id)
+    return decoys
 
 
 def reference_critical_path(net: Netlist,
@@ -201,6 +255,30 @@ def test_topo_order_and_cycle_message_match_name_keyed_kahn(args):
         assert str(got.value) == str(exc)
     else:
         assert Netlist(*args).topo_order == want
+
+
+@_SETTINGS
+@given(netlists(), st.none() | st.integers(0, 9), st.data())
+def test_structure_and_decoys_match_name_keyed_references(net, seed, data):
+    assert net.levels() == reference_levels(net)
+    assert list(net.fanout_map().items()) == list(
+        reference_fanout_map(net).items())
+    fanins = {g.gate_id: g.fanins for g in net.gates}
+    for gid in fanins:
+        assert net.fanin_cone(gid) == reference_reachable(fanins, gid)
+    eligible = eligible_gates(net, CellFlavor.CAMO8)
+    chosen = data.draw(st.lists(st.sampled_from(eligible), unique=True)
+                       ) if eligible else []
+    try:
+        want = reference_decoys(net, chosen, seed)
+    except DecoySelectionError as exc:
+        with pytest.raises(DecoySelectionError) as got:
+            apply_camouflage(net, chosen, CellFlavor.CAMO8, seed)
+        assert str(got.value) == str(exc)
+        return
+    _, key = apply_camouflage(net, chosen, CellFlavor.CAMO8, seed)
+    assert {gid: e.decoy_net for gid, e in key.entries.items()
+            if e.decoy_net} == want
 
 
 @_SETTINGS
