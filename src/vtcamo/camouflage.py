@@ -104,8 +104,8 @@ class SelectionPolicy:
 
 def _camo_function(gate: Gate, flavor: CellFlavor) -> GateFunction | None:
     """Camouflaged function that preserves a plain gate, or None."""
-    func = _CAMO_FOR_PLAIN.get(gate.func)
-    if gate.is_camo or len(gate.fanins) > 2 or func not in flavor.function_set:
+    func = _CAMO_FOR_PLAIN.get(gate.func)  # None for a camouflaged gate
+    if len(gate.fanins) > 2 or func not in flavor.function_set:
         return None
     return func
 
@@ -160,8 +160,8 @@ def apply_camouflage(net: Netlist, gate_ids, flavor: CellFlavor,
     if unknown:
         raise FlavorMismatchError(f"unknown gate ids {unknown!r}")
     rng = random.Random(decoy_seed) if decoy_seed is not None else None
-    # built for the first INV/BUF cell; depths only rank a seedless pick
-    depth = fanout = None
+    # copied at the first INV/BUF cell; depths only rank a seedless pick
+    depth, fanins, fanouts = None, net._fanins, net._fanouts
     new_gates = []
     entries: dict[str, KeyEntry] = {}
     chosen_set = set(chosen)
@@ -169,22 +169,27 @@ def apply_camouflage(net: Netlist, gate_ids, flavor: CellFlavor,
         if g.gate_id not in chosen_set:
             new_gates.append(g)
             continue
-        func = camo_function_for(g, flavor)
+        func, reads = camo_function_for(g, flavor), g.fanins
         if func in (GateFunction.INV, GateFunction.BUF):
-            if fanout is None:
+            if fanins is net._fanins:
                 depth = net._depths() if rng is None else None
-                # grows by each decoy edge, so later cones see earlier decoys
-                fanout = list(net._fanouts)
-            decoy = _pick_decoy(net, fanout, n, depth, rng)
-            fanout[decoy] = [*fanout[decoy], n]  # net's own list untouched
-            fanins = (net._names[decoy], g.fanins[0])
-            entries[g.gate_id] = KeyEntry(func, net._names[decoy])
+                fanins, fanouts = list(fanins), list(fanouts)
+            decoy = _pick_decoy(net, fanouts, n, depth, rng)
+            # a new list in file order, as built; later cones see the edge
+            fanouts[decoy] = sorted([*fanouts[decoy], n])
+            fanins[n] = (decoy, fanins[n][0])
+            reads = (net._names[decoy], reads[0])
+            entries[g.gate_id] = KeyEntry(func, reads[0])
         else:
-            fanins = g.fanins
             entries[g.gate_id] = KeyEntry(func)
-        new_gates.append(Gate(g.gate_id, fanins, flavor=flavor))
-    locked = Netlist(net.inputs, net.outputs, tuple(new_gates),
-                     net.pseudo_inputs, net.pseudo_outputs)
+        new_gates.append(Gate(g.gate_id, reads, flavor=flavor))
+    # same ports, names and order of gate ids: keep the net's numbering;
+    # set fields as the constructor does (a real __dict__ slows each read)
+    locked = object.__new__(Netlist)
+    for name in ("inputs", "outputs", "pseudo_inputs", "pseudo_outputs"):
+        object.__setattr__(locked, name, getattr(net, name))
+    object.__setattr__(locked, "gates", tuple(new_gates))
+    locked._settle(net._index, net._names, fanins, fanouts)
     return locked, CamoKey(entries)
 
 
@@ -278,7 +283,7 @@ def overhead_report(net: Netlist,
     total = len(net.gates)
     base = IncrementalTiming(net).delay()
     with_camo = IncrementalTiming(net, [
-        cost_table.for_flavor(g.flavor).delay if g.is_camo else 1.0
+        1.0 if g.flavor is None else cost_table.for_flavor(g.flavor).delay
         for g in net.gates]).delay()
     delay_pct = 0.0
     if base > 0:

@@ -13,15 +13,18 @@ may be declared OUTPUT once, and not also be a flop's data net (route
 one of the two through a BUFF); ``serialize_bench`` relies on this to
 give back the same port order.
 
-Gates are identified by their output net name. Iteration order always
-follows file order, which keeps every downstream report deterministic.
+A gate is a named tuple, identified by its output net name. Iteration
+order always follows file order, which keeps every downstream report
+deterministic.
 
 A netlist numbers its nets once, when it is built: the inputs first,
 then the gates in file order. Its constructor is the one place that
 resolves net names. It keeps each gate's fanins and each net's readers
 as numbers, and its topological order is Kahn's algorithm over them.
-The structural queries, the timing passes and the simulator all read
-that one numbering.
+A locked netlist (``apply_camouflage``) keeps its input's names, so it
+inherits that numbering: only its decoyed gates are rewired, and Kahn
+runs again. The structural queries, the timing passes and the
+simulator all read that one numbering.
 
 Simulation has one evaluator: an index program that turns each gate into
 an op code, an inversion flag and two fanin op nets (see ``simulate``).
@@ -40,7 +43,7 @@ from itertools import compress, groupby, islice, product, repeat
 from operator import attrgetter, eq, itemgetter
 from typing import NamedTuple
 
-from .cell import CellFlavor, GateFunction
+from .cell import BASE_FUNCTIONS, CellFlavor, GateFunction
 from .errors import (
     ArityMismatchError,
     BenchSyntaxError,
@@ -56,17 +59,15 @@ from .errors import (
 #: Largest PI count for exhaustive simulation sweeps.
 EXHAUSTIVE_INPUT_LIMIT = 24
 
-_PLAIN_MULTI = {
-    "AND": GateFunction.AND, "OR": GateFunction.OR,
-    "NAND": GateFunction.NAND, "NOR": GateFunction.NOR,
-    "XOR": GateFunction.XOR, "XNOR": GateFunction.XNOR,
-}
-_PLAIN_SINGLE = {"NOT": GateFunction.NOT, "BUFF": GateFunction.BUFF}
-_FLAVORS = {f.value: f for f in CellFlavor}
+#: Function token -> (fanins it takes, 0 for two or more; func; flavor).
+_TOKENS = {"DFF": (1, None, None), "NOT": (1, GateFunction.NOT, None),
+           "BUFF": (1, GateFunction.BUFF, None),
+           **{f.value: (0, f, None) for f in BASE_FUNCTIONS},
+           **{f.value: (2, None, f) for f in CellFlavor}}
+_NEEDS = {0: "needs >= 2 fanins", 1: "takes 1 fanin", 2: "takes 2 fanins"}
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """One netlist gate. Exactly one of func/flavor is set."""
 
     gate_id: str
@@ -84,11 +85,13 @@ class Netlist:
     """Immutable combinational DAG plus PI/PO bookkeeping.
 
     Net number i is ``inputs[i]``, then gate ``i - len(inputs)`` of
-    ``gates``. The constructor resolves every name (an undefined fanin or
-    output raises UndefinedNetError) and keeps, per net number, its
-    fanins (none for an input) in ``_fanins`` and its readers (once per
-    fanin, in file order) in ``_fanouts``, and in ``_order`` the gates'
-    numbers in Kahn order over them.
+    ``gates``. The constructor resolves every name (a name defined twice
+    raises BenchSyntaxError, an undefined fanin or output
+    UndefinedNetError) and keeps, per net number, its fanins (none for
+    an input) in ``_fanins`` and its readers (once per fanin, in file
+    order) in ``_fanouts``, and in ``_order`` the gates' numbers in Kahn
+    order over them (``_settle``). A locked netlist skips the name
+    resolution and inherits its input's ``_index`` and ``_names``.
     """
 
     inputs: tuple[str, ...]
@@ -108,9 +111,12 @@ class Netlist:
         gates, width = self.gates, len(self.inputs)
         names = self.inputs + tuple(map(attrgetter("gate_id"), gates))
         index = dict(zip(names, range(len(names))))
-        fanins: list[tuple[int, ...]] = [()] * width
+        if len(index) != len(names):
+            twice = next(n for k, n in enumerate(names) if names.index(n) < k)
+            raise BenchSyntaxError(f"net {twice!r} defined twice")
+        fanins, get = [()] * width, index.__getitem__
         try:
-            fanins += [tuple(map(index.__getitem__, g.fanins)) for g in gates]
+            fanins += [tuple(map(get, g.fanins)) for g in gates]
         except KeyError as exc:
             # the first gate with an undefined fanin is the first to name it
             gate = next(g for g in gates if exc.args[0] in g.fanins)
@@ -120,13 +126,20 @@ class Netlist:
             if net not in index:
                 raise UndefinedNetError(f"OUTPUT({net}) is never defined")
         fanouts: list[list[int]] = [[] for _ in names]
-        indeg = [0] * len(names)
         for n in range(width, len(names)):
             for f in fanins[n]:
                 fanouts[f].append(n)
-                if f >= width:
-                    indeg[n] += 1
-        # Kahn: ready gates leave in FIFO order; the list is its own queue
+        self._settle(index, names, fanins, fanouts)
+
+    def _settle(self, index, names, fanins, fanouts) -> None:
+        """Keep a numbering of this netlist's nets; order the gates by
+        Kahn over ``fanouts`` (ready gates leave in FIFO order)."""
+        gates, width = self.gates, len(self.inputs)
+        indeg = [0] * len(names)
+        for readers in islice(fanouts, width, None):
+            for n in readers:
+                indeg[n] += 1
+        # the list is its own queue
         order = [n for n in range(width, len(names)) if not indeg[n]]
         for n in order:
             for succ in fanouts[n]:
@@ -134,9 +147,8 @@ class Netlist:
                 if not indeg[succ]:
                     order.append(succ)
         if len(order) != len(gates):
-            cyclic = sorted(g.gate_id for g, d in zip(gates, indeg[width:])
-                            if d)
-            raise NetlistCycleError(f"cycle through gates {cyclic}")
+            left = sorted(g.gate_id for g, d in zip(gates, indeg[width:]) if d)
+            raise NetlistCycleError(f"cycle through gates {left}")
         camo = tuple([g for g in gates if g.flavor is not None])
         for name, value in (("_index", index), ("_names", names),
                             ("_fanins", fanins), ("_fanouts", fanouts),
@@ -202,24 +214,21 @@ _LINE_RE = re.compile(
     r"^\s*(?:(?P<io>INPUT|OUTPUT)\s*\(\s*(?P<ionet>[^\s()]+)\s*\)"
     r"|(?P<out>[^\s=()]+)\s*=\s*(?P<func>[A-Za-z0-9_]+)\s*"
     r"\(\s*(?P<args>[^()]*)\))\s*$")
+#: A comma-separated fanin field, stripped; an empty field has no match.
+_FANIN_RE = re.compile(r"[^\s,](?:[^,]*[^\s,])?")
 
 
 def parse_bench(text: str) -> Netlist:
     """Parse .bench text into a Netlist (see module docstring)."""
-    inputs: list[str] = []
-    outputs: list[str] = []
-    gates: list[Gate] = []
-    pseudo_in: list[str] = []
-    pseudo_out: list[str] = []
-    defined: set[str] = set()
-    declared_out: set[str] = set()
-    flop_data: set[str] = set()
+    inputs, outputs, gates, pseudo_in, pseudo_out = [], [], [], [], []
+    defined, declared_out, flop_data = set(), set(), set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.split("#", 1)[0] if "#" in raw else raw
         m = _LINE_RE.match(line)
-        if not m:
+        if m is None:
+            line = line.strip()
+            if not line:
+                continue
             col = len(raw) - len(raw.lstrip()) + 1
             raise BenchSyntaxError(f"unparseable line {line!r}", lineno, col)
         io, net, out, func_txt, arg_txt = m.groups()
@@ -241,45 +250,31 @@ def parse_bench(text: str) -> Netlist:
                 outputs.append(net)
             continue
         func_txt = func_txt.upper()
-        args = [a for a in map(str.strip, arg_txt.split(",")) if a]
+        args = _FANIN_RE.findall(arg_txt)
         if not args:
             raise BenchSyntaxError(f"gate {out!r} has no fanins", lineno)
         if out in defined:
             raise BenchSyntaxError(f"net {out!r} defined twice", lineno)
         defined.add(out)
-        if func_txt == "DFF":
-            if len(args) != 1:
-                raise ArityMismatchError(
-                    f"DFF {out!r} takes 1 fanin, got {len(args)}", lineno)
-            if args[0] in declared_out:
-                raise BenchSyntaxError(
-                    f"net {args[0]!r} is both an OUTPUT and a DFF data net",
-                    lineno)
-            flop_data.add(args[0])
-            pseudo_in.append(out)
-            inputs.append(out)
-            pseudo_out.append(args[0])
-            outputs.append(args[0])
+        try:
+            arity, func, flavor = _TOKENS[func_txt]
+        except KeyError:
+            raise BenchSyntaxError(f"unknown function {func_txt!r}",
+                                   lineno) from None
+        if len(args) != arity if arity else len(args) < 2:
+            raise ArityMismatchError(
+                f"{func_txt} {out!r} {_NEEDS[arity]}, got {len(args)}", lineno)
+        if func_txt != "DFF":
+            gates.append(Gate(out, tuple(args), func, flavor))
             continue
-        if func_txt in _PLAIN_SINGLE:
-            if len(args) != 1:
-                raise ArityMismatchError(
-                    f"{func_txt} {out!r} takes 1 fanin, got {len(args)}", lineno)
-            gates.append(Gate(out, tuple(args), func=_PLAIN_SINGLE[func_txt]))
-        elif func_txt in _PLAIN_MULTI:
-            if len(args) < 2:
-                raise ArityMismatchError(
-                    f"{func_txt} {out!r} needs >= 2 fanins, got {len(args)}",
-                    lineno)
-            gates.append(Gate(out, tuple(args), func=_PLAIN_MULTI[func_txt]))
-        elif func_txt in _FLAVORS:
-            if len(args) != 2:
-                raise ArityMismatchError(
-                    f"{func_txt} {out!r} takes 2 fanins, got {len(args)}",
-                    lineno)
-            gates.append(Gate(out, tuple(args), flavor=_FLAVORS[func_txt]))
-        else:
-            raise BenchSyntaxError(f"unknown function {func_txt!r}", lineno)
+        if args[0] in declared_out:
+            raise BenchSyntaxError(
+                f"net {args[0]!r} is both an OUTPUT and a DFF data net", lineno)
+        flop_data.add(args[0])
+        pseudo_in.append(out)
+        inputs.append(out)
+        pseudo_out.append(args[0])
+        outputs.append(args[0])
     return Netlist(tuple(inputs), tuple(outputs), tuple(gates),
                    tuple(pseudo_in), tuple(pseudo_out))
 
@@ -306,7 +301,7 @@ def serialize_bench(net: Netlist) -> str:
             lines.append("{} = DFF({})".format(*next(flops)))
             i, o = i + 1, o + 1
     for g in net.gates:
-        tag = g.flavor.value if g.is_camo else g.func.value
+        tag = (g.func if g.flavor is None else g.flavor).value
         lines.append(f"{g.gate_id} = {tag}({', '.join(g.fanins)})")
     return "\n".join(lines) + "\n"
 
@@ -440,7 +435,7 @@ def _compile(net: Netlist) -> _Program:
     for n in net._order:
         g = net.gates[n - width]
         fanins = [index[f] for f in net._fanins[n]]
-        if g.is_camo:
+        if g.flavor is not None:
             code, inverted = _UNKNOWN, False
         else:
             code, inverted = _OPS[g.func]

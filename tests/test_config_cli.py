@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import vtcamo
 from conftest import bench_text
+from reference_parser import assert_parses_like_reference
 from vtcamo.camouflage import apply_camouflage
 from vtcamo.cell import CellFlavor
 from vtcamo.cli import main
@@ -550,6 +551,16 @@ def mutated(draw, text: str) -> str:
 
 
 _FUZZ_TEXTS = {"bench": LOCKED_C17, "key": LOCKED_C17_KEY, "cfg": GOOD_CONFIG}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([LOCKED_C17, bench_text("synth_mix.bench")]).flatmap(
+    mutated))
+def test_mutated_bench_parses_as_the_reference_does(text):
+    """A fuzzed .bench file gives the netlist, or the error class, message,
+    line and column, that the parser's earlier line loop gives."""
+    assert_parses_like_reference(text)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None,

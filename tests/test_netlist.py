@@ -7,7 +7,7 @@ import pytest
 
 from conftest import bench_text, random_netlist
 from vtcamo.camouflage import (SelectionPolicy, apply_camouflage,
-                               overhead_report, select_gates)
+                               eligible_gates, overhead_report, select_gates)
 from vtcamo.cell import CellFlavor, GateFunction
 from vtcamo.errors import (
     ArityMismatchError,
@@ -156,6 +156,26 @@ class TestParseErrors:
         with pytest.raises(ArityMismatchError):
             parse_bench(f"INPUT(a)\nINPUT(b)\nOUTPUT(y)\n{line}\n")
 
+    @pytest.mark.parametrize("inputs, gates, name", [
+        (("a",), (Gate("g", ("a",), func=GateFunction.NOT),
+                  Gate("g", ("a",), func=GateFunction.BUFF)), "g"),
+        (("a", "b", "a"), (Gate("g", ("a", "b"), func=GateFunction.AND),), "a"),
+        (("a", "g"), (Gate("h", ("a",), func=GateFunction.NOT),
+                      Gate("g", ("a",), func=GateFunction.NOT),
+                      Gate("h", ("g",), func=GateFunction.NOT)), "g"),
+    ], ids=["gate", "input", "gate-over-input-first"])
+    def test_direct_netlist_rejects_a_net_defined_twice(self, inputs, gates,
+                                                        name):
+        with pytest.raises(BenchSyntaxError) as err:
+            Netlist(inputs, ("a",), gates)
+        assert str(err.value) == f"net {name!r} defined twice"
+        assert err.value.line is None
+
+    def test_parser_names_the_line_of_a_second_definition(self):
+        with pytest.raises(BenchSyntaxError) as err:
+            parse_bench("INPUT(a)\nOUTPUT(g)\ng = NOT(a)\ng = BUFF(a)\n")
+        assert str(err.value) == "net 'g' defined twice (line 4)"
+
     def test_cycle_detection(self):
         with pytest.raises(NetlistCycleError):
             parse_bench("INPUT(c)\nOUTPUT(a)\n"
@@ -258,7 +278,47 @@ class TestSimulation:
                 filter_assignments(c17, [], [()], [(vec, bad)])
 
 
+class TestGate:
+    def test_fields_are_read_only(self):
+        gate = Gate("g", ("a",), func=GateFunction.NOT)
+        with pytest.raises(AttributeError):
+            gate.fanins = ("b",)
+
+    def test_keyword_construction_and_defaults(self):
+        plain = Gate(gate_id="g", fanins=("a",), func=GateFunction.NOT)
+        camo = Gate("c", ("a", "b"), flavor=CellFlavor.CAMO8)
+        assert (plain.func, plain.flavor, plain.is_camo) == (
+            GateFunction.NOT, None, False)
+        assert (camo.func, camo.flavor, camo.is_camo) == (
+            None, CellFlavor.CAMO8, True)
+
+    def test_repr(self):
+        assert repr(Gate("g", ("a",), func=GateFunction.NOT)) == (
+            "Gate(gate_id='g', fanins=('a',), func=NOT, flavor=None)")
+
+    def test_equal_gates_hash_equally(self):
+        a = Gate("g", ("a", "b"), func=GateFunction.AND)
+        b = Gate("g", ("a", "b"), GateFunction.AND, None)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Gate("g", ("a", "b"), func=GateFunction.OR)
+
+
 class TestIndexProgram:
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_locking_never_resolves_names(self, synth_mix, monkeypatch, seed):
+        eligible = eligible_gates(synth_mix, CellFlavor.CAMO8)
+
+        def resolve(self):
+            raise AssertionError("Netlist.__post_init__ ran")
+        monkeypatch.setattr(Netlist, "__post_init__", resolve)
+        locked, key = apply_camouflage(synth_mix, eligible, CellFlavor.CAMO8,
+                                       decoy_seed=seed)
+        monkeypatch.undo()
+        assert any(e.decoy_net for e in key.entries.values())
+        assert locked._index is synth_mix._index
+        assert locked._names is synth_mix._names
+        assert locked == parse_bench(serialize_bench(locked))
+
     def test_locking_never_builds_the_program(self, synth_wide):
         net = parse_bench(serialize_bench(synth_wide))
         selected = select_gates(net, SelectionPolicy(

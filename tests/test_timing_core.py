@@ -9,11 +9,12 @@ every ranked gate. The properties check that ``topo_order``, the
 ``select_gates(strategy="greedy_effort")`` give exactly what the
 references give. ``levels``, ``fanout_map``, ``fanin_cone`` and the
 decoys ``apply_camouflage`` wires are checked the same way against the
-name-keyed dict code they replaced. All run on generated netlists with
-shuffled file order,
-interleaved net names (so name order, file order and topological order
-all differ) and flop cuts. Delays come from a unit model, which gives
-many ties, and from a weighted model with zero and inexact weights.
+name-keyed dict code they replaced, and the numbering a locked netlist
+inherits from its input against a fresh build of it. All run on
+generated netlists with shuffled file order, interleaved net names (so
+name order, file order and topological order all differ) and flop
+cuts. Delays come from a unit model, which gives many ties, and from a
+weighted model with zero and inexact weights.
 """
 
 from __future__ import annotations
@@ -279,6 +280,45 @@ def test_structure_and_decoys_match_name_keyed_references(net, seed, data):
     _, key = apply_camouflage(net, chosen, CellFlavor.CAMO8, seed)
     assert {gid: e.decoy_net for gid, e in key.entries.items()
             if e.decoy_net} == want
+
+
+_NUMBERING = ("_index", "_names", "_fanins", "_fanouts", "_order", "_camo",
+              "topo_order")
+
+
+def _assert_numbered_as_built(locked: Netlist) -> None:
+    fresh = Netlist(locked.inputs, locked.outputs, locked.gates,
+                    locked.pseudo_inputs, locked.pseudo_outputs)
+    for name in _NUMBERING:
+        assert getattr(locked, name) == getattr(fresh, name), name
+
+
+@_SETTINGS
+@given(netlist_args(), st.none() | st.integers(0, 9), st.data())
+def test_locked_numbering_equals_a_fresh_build(args, seed, data):
+    net, before = Netlist(*args), Netlist(*args)
+    eligible = eligible_gates(net, CellFlavor.CAMO8)
+    chosen = data.draw(st.lists(st.sampled_from(eligible), unique=True)
+                       ) if eligible else []
+    try:
+        locked, _ = apply_camouflage(net, chosen, CellFlavor.CAMO8, seed)
+    except DecoySelectionError:
+        return
+    _assert_numbered_as_built(locked)
+    for name in _NUMBERING:  # the input's own lists are untouched
+        assert getattr(net, name) == getattr(before, name), name
+
+
+@pytest.mark.parametrize("seed", [None, 0])
+def test_a_decoy_that_is_already_a_fanin_is_read_twice(seed):
+    # y's fanout cone holds y and z, so a is its only legal decoy
+    net = Netlist(("a",), ("z",), (Gate("y", ("a",), func=F.NOT),
+                                   Gate("z", ("y", "a"), func=F.AND)))
+    locked, key = apply_camouflage(net, ["y"], CellFlavor.CAMO8, seed)
+    assert key.entries["y"].decoy_net == "a"
+    assert locked.gate("y").fanins == ("a", "a")
+    assert locked._fanouts[0] == [1, 1, 2]
+    _assert_numbered_as_built(locked)
 
 
 @_SETTINGS
