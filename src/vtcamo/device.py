@@ -34,11 +34,17 @@ computed at the loop level where its inputs last change:
   each kind; bias searches and VT sweeps vary neither, so they compute it
   and every (cell, vector) core-path sum (``CellModel.core``) once a call;
 - per operating point (bias, vdd_actual, t, params), ``operating_point``
-  gives the LVT and HVT switch members of each polarity;
+  gives the LVT and HVT switch members of each polarity; a bias search or
+  VT sweep computes each distinct (vgs, nominal vt) member once a call;
 - per (function, input vector), ``_VECTOR_TABLE``, built at import, holds
-  the cell output and leaking core paths as (device kinds, stack divisor);
+  the cell output and leaking core paths as (device kind, stack divisor);
 - per config, ``CellModel`` holds the decoded function and the route and
-  HVT switch counts (``_FLAVOR_CELLS`` has every flavor's cells).
+  HVT switch counts (``_FLAVOR_CELLS`` has every flavor's cells);
+- per (route count, HVT count, output), a worst-case delay reads only the
+  row with the most core leakage, and ``CellModel.delay`` divides once by
+  the least drive of the two edges: a drive falls as contention rises,
+  and a rounded division falls as its divisor rises. A collapse takes the
+  per-edge path (``CellModel.detail``), in row order, to name its config.
 
 A leakage or delay figure is a few products and sums of those numbers.
 A signature set computes the bias and currents once per temperature for
@@ -50,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from . import cell as _cell
@@ -68,7 +75,7 @@ OFF_STACK_FACTOR = 5.0
 #: Largest allowed half-width of the bias optimizer search box (volts).
 MAX_SEARCH_WINDOW_V = 0.2
 
-#: Most points a sweep or bias search evaluates (~0.08 ms each, 2 vCPUs).
+#: Most points a sweep or bias search evaluates (~0.01 ms each, 2 vCPUs).
 MAX_GRID_POINTS = 100_000
 
 
@@ -202,17 +209,32 @@ def operating_point(bias: BiasPoint, vdd_actual: float, t: float,
     assumed width-compensated). The N member sees vgs = vg_n, the P member
     vgs_mag = vdd_actual - vg_p, both at full-rail vds.
     """
-    def member(vgs: float, vt_nominal: float) -> float:
-        vt = vt_at_temperature(vt_nominal, t, params)
-        return drain_current(vgs, vdd_actual, vt, t, params, kind="n")
+    return _points(vdd_actual, t, params)(bias, params.delta_hvt,
+                                          params.delta_lvt)
 
-    vg_p_mag = vdd_actual - bias.vg_p
-    on_n = member(bias.vg_n, params.vtn0 - params.delta_lvt)
-    on_p = member(vg_p_mag, params.vtp0_mag - params.delta_lvt)
-    off_n = member(bias.vg_n, params.vtn0 + params.delta_hvt)
-    off_p = member(vg_p_mag, params.vtp0_mag + params.delta_hvt)
-    return OperatingPoint(vdd_actual, params.c_load, on_n, on_p, off_n,
-                          off_p)
+
+def _points(vdd_actual: float, t: float, params: DeviceParams):
+    """``operating_point`` of (bias, delta_hvt, delta_lvt) for grid walks:
+    each distinct (vgs, nominal vt) member is computed once, on first use,
+    so a walk raises the first error where a per-point walk would."""
+    members = {}
+
+    def member(vgs: float, vt_nominal: float) -> float:
+        current = members.get((vgs, vt_nominal))
+        if current is None:
+            vt = vt_at_temperature(vt_nominal, t, params)
+            current = members[vgs, vt_nominal] = drain_current(
+                vgs, vdd_actual, vt, t, params, kind="n")
+        return current
+
+    def point(bias: BiasPoint, delta_hvt: float, delta_lvt: float):
+        vg_p_mag = vdd_actual - bias.vg_p
+        return OperatingPoint(vdd_actual, params.c_load,
+                              member(bias.vg_n, params.vtn0 - delta_lvt),
+                              member(vg_p_mag, params.vtp0_mag - delta_lvt),
+                              member(bias.vg_n, params.vtn0 + delta_hvt),
+                              member(vg_p_mag, params.vtp0_mag + delta_hvt))
+    return point
 
 
 def core_currents(t: float, params: DeviceParams) -> dict[str, float]:
@@ -274,7 +296,7 @@ _CORES: dict[GateFunction, tuple[tuple, tuple]] = {
 
 
 def _off_paths(func: GateFunction, inputs: tuple[int, int]) -> tuple:
-    """(OFF device kinds, stack divisor) of each leaking core path."""
+    """(OFF device kind, stack divisor) of each leaking core path."""
     base = _cell.UNDERLYING.get(func, func)
     a, b = (0, inputs[1]) if base is not func else inputs  # INV/BUF tie
     sig = {"a": a, "b": b, "na": 1 - a, "nb": 1 - b}
@@ -287,15 +309,16 @@ def _off_paths(func: GateFunction, inputs: tuple[int, int]) -> tuple:
         for path in network:
             off = [kind for kind, s in path
                    if (sig[s] == 0 if kind == "n" else sig[s] == 1)]
-            if off:  # a conducting path has no subthreshold leakage
-                terms.append((tuple(off), OFF_STACK_FACTOR ** (len(off) - 1)))
+            if off:  # conducting paths do not leak; OFF devices share a kind
+                terms.append((off[0], OFF_STACK_FACTOR ** (len(off) - 1)))
     return tuple(terms)
 
 
-#: (func, inputs) -> (cell output, OFF core paths) for every cell function.
+#: func -> inputs -> (cell output, OFF core paths) for every cell function.
 _VECTOR_TABLE = {
-    (func, vec): (_cell.behavior_table(func)[vec], _off_paths(func, vec))
-    for func in _cell.CAMOUFLAGEABLE for vec in LOCAL_VECTORS
+    func: {vec: (_cell.behavior_table(func)[vec], _off_paths(func, vec))
+           for vec in LOCAL_VECTORS}
+    for func in _cell.CAMOUFLAGEABLE
 }
 
 
@@ -307,11 +330,13 @@ class CellModel:
     HVT switch, the tie network included (switch leakage).
     """
 
-    __slots__ = ("config", "func", "n_route", "n_hvt", "n_hvt_all")
+    __slots__ = ("config", "func", "vectors", "n_route", "n_hvt",
+                 "n_hvt_all")
 
     def __init__(self, config: CamoConfig):
         self.config = config
         self.func = _cell.decode(config)
+        self.vectors = _VECTOR_TABLE[self.func]
         self.n_route = sum(1 for v in config.switch_vt[:10] if v is VT.LVT)
         self.n_hvt = 10 - self.n_route
         self.n_hvt_all = sum(1 for v in config.switch_vt if v is VT.HVT)
@@ -319,18 +344,31 @@ class CellModel:
     def core(self, inputs: tuple[int, int],
              core_off: dict[str, float]) -> tuple[int, float]:
         """Output and OFF core-path leakage (weakest device, stacked)."""
-        out, paths = _VECTOR_TABLE[self.func, inputs]
+        out, paths = self.vectors[inputs]
         total = 0.0
-        for kinds, divisor in paths:
-            total += min(core_off[kind] for kind in kinds) / divisor
+        for kind, divisor in paths:
+            total += core_off[kind] / divisor
         return out, total
 
     def leakage(self, core: float, point: OperatingPoint) -> float:
         """OFF switch plus OFF core current (``core`` from ``self.core``)."""
         return self.n_hvt_all * (point.off_n + point.off_p) + core
 
-    def delay(self, out: int, core: float, point: OperatingPoint,
-              include_contention: bool = True) -> tuple:
+    def delay(self, out: int, core: float, point: OperatingPoint) -> float:
+        """``detail(...)[0]`` from the least drive (see the module notes)."""
+        n_route, n_hvt = self.n_route, self.n_hvt
+        rise = n_route * point.on_p - (n_hvt * point.off_n
+                                       + (core if out else 0.0))
+        fall = n_route * point.on_n - (n_hvt * point.off_p
+                                       + (0.0 if out else core))
+        i_eff = rise if rise < fall else fall
+        if i_eff <= 0.0:
+            self.detail(out, core, point)  # raises ContentionCollapseError
+        return point.c_load * point.vdd_actual / (
+            2.0 * max(i_eff, CONTENTION_CLAMP_A))
+
+    def detail(self, out: int, core: float, point: OperatingPoint,
+               include_contention: bool = True) -> tuple:
         """``DelayDetail`` fields of the slower edge (see delay_detail)."""
         n_hvt, core = (self.n_hvt, core) if include_contention else (0, 0.0)
         primary = self._edge(out == 1, point, n_hvt, core)
@@ -365,13 +403,23 @@ _FLAVOR_CELLS = {
 
 
 def _core_rows(flavor: CellFlavor, core_off: dict[str, float]) -> tuple:
-    """(cell, output, core-path leakage) of every cell and local vector."""
-    return tuple((cell, *cell.core(vec, core_off))
+    """(cell, output, core-path leakage) of every cell and local vector,
+    and of each (n_route, n_hvt, output) the row with the most leakage."""
+    rows = tuple((cell, *cell.core(vec, core_off))
                  for cell in _FLAVOR_CELLS[flavor] for vec in LOCAL_VECTORS)
+    worst = {(row[0].n_route, row[0].n_hvt, row[1]): row  # largest last
+             for row in sorted(rows, key=itemgetter(2))}
+    return rows, tuple(worst.values())
 
 
-def _worst_delay(rows: tuple, point: OperatingPoint) -> float:
-    delay = max(cell.delay(out, core, point)[0] for cell, out, core in rows)
+def _worst_delay(cores: tuple, point: OperatingPoint) -> float:
+    rows, worst = cores
+    try:
+        delay = max(cell.delay(out, core, point) for cell, out, core in worst)
+    except ContentionCollapseError:  # the first collapsing row names itself
+        for cell, out, core in rows:
+            cell.detail(out, core, point)
+        raise
     if delay == math.inf:  # c_load * vdd_actual / (2 * i_eff) overflowed
         raise InvalidParameterError(
             f"cell delay overflows with c_load = {point.c_load} F")
@@ -434,7 +482,7 @@ def delay_detail(config: CamoConfig, inputs: tuple[int, int],
     cell = CellModel(config)
     point = operating_point(bias, vdd_actual, t, params)
     out, core = cell.core(inputs, core_currents(t, params))
-    return DelayDetail(*cell.delay(out, core, point, include_contention))
+    return DelayDetail(*cell.detail(out, core, point, include_contention))
 
 
 def cell_worst_delay(bias: BiasPoint, t: float, params: DeviceParams,
@@ -491,11 +539,14 @@ def sweep_vt_window(hvt_range: tuple[float, float],
     """
     _grid_size(*lvt_range, step, _grid_size(*hvt_range, step))
     cores = _core_rows(CellFlavor.CAMO8, core_currents(t, params))
+    hvts, lvts = _grid(*hvt_range, step), _grid(*lvt_range, step)
+    # the first point has the least offsets: reject a negative one there
+    replace(params, delta_hvt=hvts[0], delta_lvt=lvts[0])
+    grid_point = _points(params.vdd, t, params)
     rows = []
-    for dh in _grid(*hvt_range, step):
-        for dl in _grid(*lvt_range, step):
-            p = replace(params, delta_hvt=dh, delta_lvt=dl)
-            point = operating_point(bias, p.vdd, t, p)
+    for dh in hvts:
+        for dl in lvts:
+            point = grid_point(bias, dh, dl)
             rows.append(SweepRow(dh, dl, point.ratio(),
                                  _worst_delay(cores, point)))
     return rows
@@ -551,29 +602,25 @@ def optimize_bias(params: DeviceParams, search_window: float = 0.1,
     k = int(math.floor(search_window / grid_step + 1e-12))
     offsets = [i * grid_step for i in range(-k, k + 1)]
     cores = _core_rows(CellFlavor.CAMO8, core_currents(t, params))
-    d_default = _worst_delay(cores, operating_point(base_bias, params.vdd,
-                                                    t, params))
+    grid_point = _points(params.vdd, t, params)
+    d_default = _worst_delay(cores, grid_point(base_bias, params.delta_hvt,
+                                               params.delta_lvt))
+    hvts, lvts = ([x for x in (c + d for d in offsets) if 0 < x < params.vdd]
+                  for c in (params.delta_hvt, params.delta_lvt))  # trims
     best = None
     for dvn in offsets:
         for dvp in offsets:
             bias = BiasPoint(base_bias.vg_n + dvn, base_bias.vg_p + dvp)
-            for dh in offsets:
-                new_dh = params.delta_hvt + dh
-                if new_dh <= 0 or new_dh >= params.vdd:
-                    continue
-                for dl in offsets:
-                    new_dl = params.delta_lvt + dl
-                    if new_dl <= 0 or new_dl >= params.vdd:
-                        continue
-                    point = operating_point(bias, params.vdd, t, replace(
-                        params, delta_hvt=new_dh, delta_lvt=new_dl))
+            for dh in hvts:
+                for dl in lvts:
+                    point = grid_point(bias, dh, dl)
                     try:
                         d = _worst_delay(cores, point)
                     # an overflowing delay is never the optimum
                     except (ContentionCollapseError, InvalidParameterError):
                         continue
                     if best is None or d < best[0]:
-                        best = (d, bias, new_dh, new_dl)
+                        best = (d, bias, dh, dl)
     if best is None:
         raise InvalidParameterError("bias search grid is empty")
     d_opt, bias, dh, dl = best

@@ -65,6 +65,8 @@ _TOKENS = {"DFF": (1, None, None), "NOT": (1, GateFunction.NOT, None),
            **{f.value: (0, f, None) for f in BASE_FUNCTIONS},
            **{f.value: (2, None, f) for f in CellFlavor}}
 _NEEDS = {0: "needs >= 2 fanins", 1: "takes 1 fanin", 2: "takes 2 fanins"}
+#: Function or flavor -> its .bench token (``Enum.value`` is a slow property).
+_TAGS = {m: m.value for m in (*GateFunction, *CellFlavor)}
 
 
 class Gate(NamedTuple):
@@ -301,7 +303,7 @@ def serialize_bench(net: Netlist) -> str:
             lines.append("{} = DFF({})".format(*next(flops)))
             i, o = i + 1, o + 1
     for g in net.gates:
-        tag = (g.func if g.flavor is None else g.flavor).value
+        tag = _TAGS[g.func if g.flavor is None else g.flavor]
         lines.append(f"{g.gate_id} = {tag}({', '.join(g.fanins)})")
     return "\n".join(lines) + "\n"
 

@@ -18,10 +18,13 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .cell import (LOCAL_VECTORS, CamoConfig, CellFlavor, GateFunction,
                    config_for)
 from .device import (
+    _FLAVOR_CELLS,
     BiasPoint,
     CellModel,
     DeviceParams,
@@ -111,21 +114,20 @@ def _bias_for(policy: str, t: float, params: DeviceParams) -> BiasPoint:
 
 def _signatures(cells, temperatures, params: DeviceParams | None,
                 bias_policy: str) -> list[Signature]:
-    """Signatures of (gate_id, config) cells, one point per temperature."""
+    """Signatures of (gate_id, CellModel) cells, one point per temperature."""
     params = params or DeviceParams()
     points = [(t, operating_point(_bias_for(bias_policy, t, params),
                                   params.vdd, t, params),
                core_currents(t, params))
               for t in _check_temperatures(temperatures)]
     sigs = []
-    for gate_id, config in cells:
-        cell = CellModel(config)
+    for gate_id, cell in cells:
         obs = []
         for vec in LOCAL_VECTORS:
             for t, point, core_off in points:
                 out, core = cell.core(vec, core_off)
                 obs.append(Observation(vec, t, cell.leakage(core, point),
-                                       cell.delay(out, core, point)[0]))
+                                       cell.delay(out, core, point)))
         sigs.append(Signature(gate_id, tuple(obs)))
     return sigs
 
@@ -135,7 +137,7 @@ def cell_signature(config: CamoConfig, temperatures=DEFAULT_TEMPERATURES,
                    bias_policy: str = "fixed",
                    gate_id: str = "cell") -> Signature:
     """Fingerprint of one cell at every local vector and temperature."""
-    return _signatures([(gate_id, config)], temperatures, params,
+    return _signatures([(gate_id, CellModel(config))], temperatures, params,
                        bias_policy)[0]
 
 
@@ -145,10 +147,10 @@ def template_signatures(flavor: CellFlavor,
                         bias_policy: str = "fixed",
                         ) -> dict[GateFunction, Signature]:
     """Reference signature of every function a flavor can express."""
-    funcs = sorted(flavor.function_set, key=lambda f: f.value)
-    return dict(zip(funcs, _signatures(
-        [(f.value, config_for(f, flavor)) for f in funcs], temperatures,
-        params, bias_policy)))
+    cells = _FLAVOR_CELLS[flavor]
+    return dict(zip((c.func for c in cells), _signatures(
+        [(c.func.value, c) for c in cells], temperatures, params,
+        bias_policy)))
 
 
 def measure_signature(net: Netlist, key: CamoKey,
@@ -163,19 +165,20 @@ def measure_signature(net: Netlist, key: CamoKey,
     models chip-level instruments: leakage sums over all cells and delay
     averages, returned as a single signature keyed "aggregate".
     """
+    if mode not in ("per_gate", "aggregate_only"):
+        raise InvalidParameterError(f"unknown measurement mode {mode!r}")
     cells = []
     for g in net.camo_gates():
         entry = key.entries.get(g.gate_id)
         if entry is None:
             raise InvalidParameterError(
                 f"key has no entry for camouflaged gate {g.gate_id!r}")
-        cells.append((g.gate_id, config_for(entry.function, g.flavor)))
+        cells.append((g.gate_id,
+                      CellModel(config_for(entry.function, g.flavor))))
     per_gate = {sig.gate_id: sig for sig in
                 _signatures(cells, temperatures, params, bias_policy)}
     if mode == "per_gate":
         return per_gate
-    if mode != "aggregate_only":
-        raise InvalidParameterError(f"unknown measurement mode {mode!r}")
     if not per_gate:
         raise InvalidParameterError("netlist has no camouflaged gates")
     obs = tuple(Observation(col[0].vector, col[0].temperature,
@@ -207,16 +210,15 @@ def add_measurement_noise(signature: Signature, sigma: float,
 def _features(signature: Signature) -> list[float]:
     """Log-leakage and log-delay per point, plus thermal slopes per vector."""
     feats = []
-    by_vector: dict[tuple[int, int], list[Observation]] = {}
+    by_vector: dict[tuple[int, int], list[tuple[float, float]]] = {}
     for o in signature.observations:
-        feats.append(math.log10(max(o.leakage_a, _LOG_FLOOR)))
+        leak = math.log10(max(o.leakage_a, _LOG_FLOOR))
+        feats.append(leak)
         feats.append(math.log10(max(o.delay_s, _LOG_FLOOR)))
-        by_vector.setdefault(o.vector, []).append(o)
+        by_vector.setdefault(o.vector, []).append((o.temperature, leak))
     for vec in sorted(by_vector):
-        pts = sorted(by_vector[vec], key=lambda o: o.temperature)
-        lo, hi = pts[0], pts[-1]
-        feats.append(math.log10(max(hi.leakage_a, _LOG_FLOOR))
-                     - math.log10(max(lo.leakage_a, _LOG_FLOOR)))
+        pts = sorted(by_vector[vec], key=itemgetter(0))
+        feats.append(pts[-1][1] - pts[0][1])
     return feats
 
 
@@ -241,36 +243,29 @@ def classify_function(signature: Signature,
     """
     if len(templates) < 2:
         raise TemplateSetError("need at least two templates to classify")
-    grids = {f: s.grid() for f, s in templates.items()}
-    reference_grid = next(iter(grids.values()))
-    if any(g != reference_grid for g in grids.values()):
+    grids = [s.grid() for s in templates.values()]
+    if any(g != grids[0] for g in grids):
         raise TemplateSetError("templates cover different measurement grids")
-    if signature.grid() != reference_grid:
+    if signature.grid() != grids[0]:
         raise TemplateSetError(
             "signature measurement grid does not match the templates")
     order = sorted(templates, key=lambda f: f.value)
-    vectors = {f: _features(templates[f]) for f in order}
+    rows = [_features(templates[f]) for f in order]
     probe = _features(signature)
-    dims = len(probe)
-    if any(not math.isfinite(x) for v in vectors.values() for x in v):
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
         raise TemplateSetError("template features are not finite")
-    means = [sum(vectors[f][i] for f in order) / len(order)
-             for i in range(dims)]
-    stds = []
-    for i in range(dims):
-        var = sum((vectors[f][i] - means[i]) ** 2 for f in order) / len(order)
-        stds.append(math.sqrt(var))
-    distances = {}
-    for f in order:
-        d = 0.0
-        for i in range(dims):
-            if stds[i] == 0.0:
-                continue
-            d += ((vectors[f][i] - means[i]) / stds[i]
-                  - (probe[i] - means[i]) / stds[i]) ** 2
-        distances[f] = math.sqrt(d)
-    ranked = sorted(order, key=lambda f: (distances[f], f.value))
-    best, second = ranked[0], ranked[1]
+    n = len(order)
+    sums = [0.0] * n   # each template's squared distance, column by column
+    for col, x_probe in zip(zip(*rows), probe):
+        mean = sum(col) / n
+        std = math.sqrt(sum((x - mean) ** 2 for x in col) / n)
+        if std == 0.0:
+            continue
+        z_probe = (x_probe - mean) / std
+        sums = [d + ((x - mean) / std - z_probe) ** 2
+                for d, x in zip(sums, col)]
+    distances = dict(zip(order, map(math.sqrt, sums)))
+    best, second = sorted(order, key=lambda f: (distances[f], f.value))[:2]
     peak = max(-distances[f] for f in order)
     weights = {f: math.exp(-distances[f] - peak) for f in order}
     total = sum(weights.values())

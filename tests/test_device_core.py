@@ -8,7 +8,8 @@ were hoisted out of the loops; ``ref_sweep`` and ``ref_optimize_bias``
 walk their grids with them, one point at a time. The properties require
 bit-identical floats, the same ``clamped`` flag and, where the reference
 raises ``ContentionCollapseError`` or ``InvalidParameterError``, the same
-exception type and message.
+exception type and message. ``ref_classify`` is template matching as it
+was before it went column by column, with the same requirements.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ import math
 import warnings
 from dataclasses import replace
 
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import bench_text
-from vtcamo import sidechannel
+from vtcamo import device, sidechannel
 from vtcamo.camouflage import apply_camouflage, eligible_gates
 from vtcamo.cell import (
     UNDERLYING,
@@ -55,10 +56,16 @@ from vtcamo.errors import (
     BiasClampWarning,
     ContentionCollapseError,
     InvalidParameterError,
+    TemplateSetError,
 )
 from vtcamo.netlist import parse_bench
 from vtcamo.sidechannel import (
+    Classification,
+    Observation,
+    Signature,
+    add_measurement_noise,
     cell_signature,
+    classify_function,
     measure_signature,
     template_signatures,
     thermal_compensated_bias,
@@ -187,11 +194,67 @@ def ref_optimize_bias(p, window, step, t):
     return BiasOptimum(bias, dh, dl, d_default, d_opt), skipped
 
 
+def ref_features(signature):
+    feats = []
+    by_vector = {}
+    for o in signature.observations:
+        feats.append(math.log10(max(o.leakage_a, 1e-300)))
+        feats.append(math.log10(max(o.delay_s, 1e-300)))
+        by_vector.setdefault(o.vector, []).append(o)
+    for vec in sorted(by_vector):
+        pts = sorted(by_vector[vec], key=lambda o: o.temperature)
+        lo, hi = pts[0], pts[-1]
+        feats.append(math.log10(max(hi.leakage_a, 1e-300))
+                     - math.log10(max(lo.leakage_a, 1e-300)))
+    return feats
+
+
+def ref_classify(signature, templates):
+    if len(templates) < 2:
+        raise TemplateSetError("need at least two templates to classify")
+    grids = {f: s.grid() for f, s in templates.items()}
+    reference_grid = next(iter(grids.values()))
+    if any(g != reference_grid for g in grids.values()):
+        raise TemplateSetError("templates cover different measurement grids")
+    if signature.grid() != reference_grid:
+        raise TemplateSetError(
+            "signature measurement grid does not match the templates")
+    order = sorted(templates, key=lambda f: f.value)
+    vectors = {f: ref_features(templates[f]) for f in order}
+    probe = ref_features(signature)
+    dims = len(probe)
+    if any(not math.isfinite(x) for v in vectors.values() for x in v):
+        raise TemplateSetError("template features are not finite")
+    means = [sum(vectors[f][i] for f in order) / len(order)
+             for i in range(dims)]
+    stds = []
+    for i in range(dims):
+        var = sum((vectors[f][i] - means[i]) ** 2 for f in order) / len(order)
+        stds.append(math.sqrt(var))
+    distances = {}
+    for f in order:
+        d = 0.0
+        for i in range(dims):
+            if stds[i] == 0.0:
+                continue
+            d += ((vectors[f][i] - means[i]) / stds[i]
+                  - (probe[i] - means[i]) / stds[i]) ** 2
+        distances[f] = math.sqrt(d)
+    ranked = sorted(order, key=lambda f: (distances[f], f.value))
+    best, second = ranked[0], ranked[1]
+    peak = max(-distances[f] for f in order)
+    weights = {f: math.exp(-distances[f] - peak) for f in order}
+    total = sum(weights.values())
+    confidence = (weights[best] - weights[second]) / total
+    return Classification(best, confidence, distances)
+
+
 def outcome(fn, *args, **kwargs):
     """The value, or the type and message of the error ``fn`` raises."""
     try:
         return fn(*args, **kwargs)
-    except (ContentionCollapseError, InvalidParameterError) as exc:
+    except (ContentionCollapseError, InvalidParameterError,
+            TemplateSetError) as exc:
         return (type(exc), str(exc))
 
 
@@ -218,6 +281,13 @@ FLAT = (DeviceParams(delta_hvt=0.0, delta_lvt=0.0),
 # only point fails the offset filter (delta_hvt >= vdd)
 NARROW = DeviceParams(delta_hvt=0.1, delta_lvt=0.1)
 EMPTY = DeviceParams(delta_hvt=1.0)
+# the first collapsing row is AND at (1, 1), whose core leakage is below
+# OR's, the row kept for (route count, HVT count, output) = (2, 8, 1)
+COLLAPSE_AND = (NARROW, BiasPoint(0.0, 1.1), 300.0)
+# a starved N rail: a two-route cell's fall edge sets the worst delay, and
+# the cores of that (route count, HVT count, output) group differ
+TWO_ROUTE = (DeviceParams(vtn0=0.2, vtp0_mag=0.4), BiasPoint(-0.34, 0.56),
+             300.0)
 
 #: (search window, grid step) pairs; window 0.2 at step 0.05 is 6,561
 #: points, too many for the per-point reference (about 2 ms a point).
@@ -244,6 +314,8 @@ SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 @example(*NOMINAL, CellFlavor.CAMO8, None)
 @example(*NOMINAL, CellFlavor.CMOS3B, 0.8)
 @example(*FLAT, CellFlavor.CAMO8, None)
+@example(*COLLAPSE_AND, CellFlavor.CAMO8, None)
+@example(*TWO_ROUTE, CellFlavor.CAMO8, None)
 def test_cell_worst_delay_matches_reference(p, bias, t, flavor, vdd):
     want = outcome(ref_worst_delay, bias, t, p,
                    p.vdd if vdd is None else vdd, flavor)
@@ -306,6 +378,8 @@ def test_switch_ratio_matches_reference(p, bias, t, dh, dl):
        st.sampled_from((0.0, 0.1, 0.25, 0.35)), st.integers(0, 3))
 @example(*NOMINAL, 0.05, 0.3, 3, 0.3, 3)
 @example(*NOMINAL, 0.1, 0.0, 1, 0.0, 1)   # collapses at the (0, 0) corner
+@example(*NOMINAL, 0.1, -0.1, 2, 0.3, 1)  # a negative offset is rejected
+@example(*NOMINAL, 0.1, 0.3, 1, -0.2, 3)
 def test_sweep_vt_window_matches_reference(p, bias, t, step, h_lo, h_n,
                                            l_lo, l_n):
     hvt, lvt = (h_lo, h_lo + h_n * step), (l_lo, l_lo + l_n * step)
@@ -338,6 +412,11 @@ def test_examples_reach_clamp_and_collapse():
         InvalidParameterError, "bias search grid is empty")
     assert outcome(ref_sweep, (0.0, 0.1), (0.0, 0.1), 0.1, *NOMINAL[1:],
                    NOMINAL[0])[0] is ContentionCollapseError
+    message = outcome(ref_worst_delay, *COLLAPSE_AND[1:], NARROW, 1.0,
+                      CellFlavor.CAMO8)[1]
+    assert message.startswith("OFF-switch contention (2.201e-10 A) exceeds "
+                              "the rise drive")
+    assert message.endswith(config_for(F.AND, CellFlavor.CAMO8).serialize())
 
 
 def test_clamped_rail_warns_once_per_temperature():
@@ -390,3 +469,98 @@ def test_clamped_template_set_warns_once_per_clamped_temperature():
                             "thermal_compensated")
     # one per clamped temperature, not one per (function, temperature)
     assert [w.category for w in caught] == [BiasClampWarning] * 2
+
+
+def _locked_mix():
+    net = parse_bench(bench_text("synth_mix.bench"))
+    return apply_camouflage(
+        net, eligible_gates(net, CellFlavor.CAMO8)[:12], CellFlavor.CAMO8)
+
+
+def test_unknown_mode_raises_before_measuring(monkeypatch):
+    locked, key = _locked_mix()
+    calls = _count_points(monkeypatch)
+    assert outcome(measure_signature, locked, key, "per_cell") == (
+        InvalidParameterError, "unknown measurement mode 'per_cell'")
+    assert calls == []
+
+
+def test_grid_walks_compute_each_member_once(monkeypatch):
+    """Each distinct (vgs, vt) switch member once, plus the two core
+    currents: the same currents the per-point reference computes."""
+    got, want = [], []
+
+    def counter(calls, real=drain_current):
+        def counted(vgs, vds, vt, t, params, kind="n"):
+            calls.append((vgs, vds, vt, t, kind))
+            return real(vgs, vds, vt, t, params, kind)
+        return counted
+
+    monkeypatch.setattr(device, "drain_current", counter(got))
+    walks = [(optimize_bias, ref_optimize_bias, (NARROW, 0.05, 0.05, 300.0)),
+             (sweep_vt_window, ref_sweep,
+              ((0.3, 0.45), (0.3, 0.45), 0.05, *NOMINAL[1:], NOMINAL[0]))]
+    for walk, ref, args in walks:
+        got.clear()
+        walk(*args)
+        assert len(got) == len(set(got))
+        with monkeypatch.context() as m:
+            m.setitem(globals(), "drain_current", counter(want))
+            want.clear()
+            ref(*args)
+        assert set(got) == set(want)
+
+
+def _corrupt(signature, how):
+    obs = list(signature.observations)
+    if how == "grid":
+        obs[0] = Observation(obs[0].vector, obs[0].temperature + 1.0,
+                             obs[0].leakage_a, obs[0].delay_s)
+    elif how == "nonfinite":
+        obs[-1] = Observation(obs[-1].vector, obs[-1].temperature,
+                              math.inf, obs[-1].delay_s)
+    return Signature(signature.gate_id, tuple(obs))
+
+
+def _bits(result):
+    """A classification with its floats as hex, so -0.0 and 0.0 differ."""
+    if isinstance(result, tuple):
+        return result
+    return (result.function, result.confidence.hex(),
+            [(f, d.hex()) for f, d in result.distances.items()])
+
+
+flavor_subset_st = st.sampled_from(list(CellFlavor)).flatmap(
+    lambda fl: st.tuples(st.just(fl), st.sets(
+        st.sampled_from(sorted(fl.function_set, key=lambda f: f.value)),
+        min_size=2)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(flavor_subset_st, st.sampled_from(("fixed", "thermal_compensated")),
+       st.one_of(st.just(DeviceParams()), search_params_st),
+       st.lists(temp_st, min_size=1, max_size=3),
+       st.integers(0, 7), st.floats(0.0, 0.3), st.integers(0, 2 ** 16),
+       st.sampled_from((None, "probe", "template")),
+       st.sampled_from(("grid", "nonfinite")))
+@example((CellFlavor.CAMO8, set(CellFlavor.CAMO8.function_set)), "fixed",
+         DeviceParams(), [250.0, 300.0, 350.0], 0, 0.0, 0, None, "grid")
+def test_classify_function_matches_reference(flavor_subset, policy, p, temps,
+                                             pick, sigma, seed, where, how):
+    flavor, funcs = flavor_subset
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BiasClampWarning)
+        try:
+            full = template_signatures(flavor, temps, p, policy)
+        except ContentionCollapseError:
+            reject()
+    order = sorted(full, key=lambda f: f.value)
+    templates = {f: full[f] for f in order if f in funcs}
+    probe = add_measurement_noise(full[order[pick % len(order)]], sigma, seed)
+    if where == "probe":
+        probe = _corrupt(probe, how)
+    elif where == "template":
+        last = max(templates, key=lambda f: f.value)
+        templates[last] = _corrupt(templates[last], how)
+    want = _bits(outcome(ref_classify, probe, templates))
+    assert _bits(outcome(classify_function, probe, templates)) == want
