@@ -12,7 +12,10 @@ points and a ``sweep`` that exits 1) were written before the nominal
 core currents were hoisted out of the grids. The
 ``greedy-effort``, ``off-critical`` and ``report --key`` CLI runs were
 written by the full-pass timing code (one ``critical_path`` per greedy
-trial) that the incremental cone check replaced.
+trial) that the incremental cone check replaced. ``cli_usage.json`` pins
+the argparse usage, help and error texts (with ``COLUMNS=80``) and the
+``parse`` and ``estimate`` runs, written before the subcommand table
+replaced the hand-written parser.
 
 Regenerate the fixtures from the code on the import path with
 ``PYTHONPATH=src python tests/test_golden.py``; do that only when an
@@ -217,6 +220,59 @@ def device_cases(workdir: Path) -> dict:
     return cases
 
 
+#: Usage, help and argparse error texts; none of them reads a file.
+_USAGE_ARGVS = [
+    ["-h"],
+    ["--help"],
+    [],
+    ["no-such-command"],
+    *([name, "-h"] for name in ("parse", "lock", "sim", "equiv", "attack",
+                                "sidechannel", "sweep", "bias-opt",
+                                "estimate", "report")),
+    ["lock", "x.bench"],  # missing required options
+    ["parse"],  # missing positional
+    ["lock", "x.bench", "--flavor", "camo9", "--out-bench", "o",
+     "--out-key", "k"],  # bad choice
+    ["estimate", "--inputs", "four", "--gates", "2"],  # bad type
+    ["bias-opt", "--jobs", "2"],  # extra arguments from here on
+    ["report", "x", "--key", "k", "extra"],
+    ["parse", "x.bench", "y.bench"],
+    ["sweep", "--hvt", "0.3:0.4", "--lvt", "0.3:0.4", "--jobs"],
+]
+
+#: Successful runs of the subcommands no other fixture runs.
+_USAGE_RUNS = [
+    ["parse", "c17.bench", "--no-timestamp"],
+    ["estimate", "--inputs", "50", "--gates", "10", "--no-timestamp"],
+]
+
+
+def _run_usage(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+def cli_usage_cases(workdir: Path) -> dict:
+    """Usage texts and the otherwise unpinned runs, inside ``workdir``.
+
+    argparse wraps help to ``COLUMNS``; callers set it to 80.
+    """
+    old = os.getcwd()
+    os.chdir(workdir)
+    try:
+        Path("c17.bench").write_text(bench_text("c17.bench"))
+        return {"usage": [_run_usage(argv) for argv in _USAGE_ARGVS],
+                "runs": [_run_usage(argv) for argv in _USAGE_RUNS]}
+    finally:
+        os.chdir(old)
+
+
 def _load(name: str) -> dict:
     return json.loads((GOLDEN / name).read_text())
 
@@ -251,8 +307,19 @@ def test_device_outputs_match_golden(tmp_path):
             assert got == want, want["argv"]
 
 
+def test_cli_usage_matches_golden(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = _load("cli_usage.json")
+    fresh = cli_usage_cases(tmp_path)
+    assert fresh.keys() == golden.keys()
+    for name in golden:
+        for got, want in zip(fresh[name], golden[name], strict=True):
+            assert got == want, want["argv"]
+
+
 if __name__ == "__main__":
     import tempfile
+    os.environ["COLUMNS"] = "80"
     GOLDEN.mkdir(exist_ok=True)
     (GOLDEN / "attack_reports.json").write_text(
         json.dumps(attack_cases(), indent=1, sort_keys=True) + "\n")
@@ -262,5 +329,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         (GOLDEN / "device_outputs.json").write_text(
             json.dumps(device_cases(Path(tmp)), indent=1, sort_keys=True)
+            + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        (GOLDEN / "cli_usage.json").write_text(
+            json.dumps(cli_usage_cases(Path(tmp)), indent=1, sort_keys=True)
             + "\n")
     sys.exit(0)
