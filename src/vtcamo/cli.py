@@ -1,12 +1,16 @@
 """Command line interface.
 
-Every subcommand emits a JSON report on stdout (or to --out) and exits 0
-on success. Domain failures, malformed inputs, missing files, bad keys,
-oversized attacks, print a one-line JSON error object to stderr and exit
-1; argparse usage errors exit 2 as usual. Output files are written to a
-temporary name and renamed into place so a crash cannot leave a partial
-file, and reruns with --no-timestamp are byte-identical for the same
-inputs and seed.
+The subcommands are declared once, in ``COMMANDS``: handler, help line
+and argument specs, then the common --config, --seed, --no-timestamp and
+--out options. A call builds only the subparser its first argument names
+(every one when it names none). A handler returns its report, which
+``main`` emits as JSON on stdout (or to --out) with exit 0; ``sweep``
+writes its CSV itself. Domain failures, malformed inputs, missing files,
+bad keys, oversized attacks, print a one-line JSON error object to
+stderr and exit 1; argparse usage errors print usage to stderr and
+exit 2. Output files are written to a temporary name and renamed into
+place so a crash cannot leave a partial file, and reruns with
+--no-timestamp are byte-identical for the same inputs and seed.
 """
 
 from __future__ import annotations
@@ -22,15 +26,9 @@ from datetime import datetime, timezone
 
 from . import attack as attack_mod
 from . import sidechannel as side_mod
-from .camouflage import (
-    SelectionPolicy,
-    apply_camouflage,
-    effort_estimate,
-    overhead_report,
-    select_gates,
-)
-from .cell import CellFlavor, GateFunction
-from .config import RunConfig, load_config
+from .camouflage import (SelectionPolicy, apply_camouflage, effort_estimate,
+                         overhead_report, select_gates)
+from .config import FLAVOR_NAMES, RunConfig, load_config
 from .device import BiasPoint, default_bias, optimize_bias, sweep_to_csv, sweep_vt_window
 from .errors import InvalidParameterError, VtcamoError
 from .netlist import (
@@ -45,7 +43,6 @@ from .netlist import (
 
 #: Most digits of a printed effort count (CPython's int-to-str limit).
 MAX_COUNT_DIGITS = 4300
-_FLAVORS = {f.value.lower(): f for f in CellFlavor}
 _STRATEGIES = {
     "random": "random",
     "xor-seq": "xor_sequence",
@@ -67,15 +64,18 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(report: dict, args) -> None:
-    if not getattr(args, "no_timestamp", False):
-        report["generated_at"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
-    out = getattr(args, "out", None)
+def _write(text: str, out: str | None) -> None:
     if out:
         _write_atomic(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(report: dict, args) -> None:
+    if not args.no_timestamp:
+        report["generated_at"] = datetime.now(timezone.utc).isoformat()
+    _write(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n",
+           args.out)
 
 
 def _read_text(path: str) -> str:
@@ -93,7 +93,7 @@ def _load_key(path: str) -> CamoKey:
 
 def _config_for(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
@@ -118,17 +118,15 @@ def _net_summary(net: Netlist) -> dict:
     }
 
 
-def _cmd_parse(args) -> int:
-    net = _load_net(args.bench)
-    _emit({"command": "parse", "file": args.bench,
-           "netlist": _net_summary(net)}, args)
-    return 0
+def _cmd_parse(args) -> dict:
+    return {"command": "parse", "file": args.bench,
+            "netlist": _net_summary(_load_net(args.bench))}
 
 
-def _cmd_lock(args) -> int:
+def _cmd_lock(args) -> dict:
     cfg = _config_for(args)
     net = _load_net(args.bench)
-    flavor = _FLAVORS[args.flavor]
+    flavor = FLAVOR_NAMES[args.flavor]
     policy = SelectionPolicy(strategy=_STRATEGIES[args.strategy],
                              budget=args.budget,
                              delay_budget=args.delay_budget,
@@ -139,7 +137,7 @@ def _cmd_lock(args) -> int:
     _write_atomic(args.locked_out, serialize_bench(locked))
     _write_atomic(args.key_out, key.serialize())
     overhead = overhead_report(locked, cfg.cost)
-    _emit({
+    return {
         "command": "lock",
         "file": args.bench,
         "flavor": args.flavor,
@@ -154,11 +152,10 @@ def _cmd_lock(args) -> int:
             "delay_pct": overhead.delay_pct,
         },
         "config": cfg.resolved_dict(),
-    }, args)
-    return 0
+    }
 
 
-def _cmd_sim(args) -> int:
+def _cmd_sim(args) -> dict:
     net = _load_net(args.bench)
     key = _load_key(args.key) if args.key else None
     results = []
@@ -167,12 +164,10 @@ def _cmd_sim(args) -> int:
         out = simulate(net, vec, key)
         results.append({"inputs": "".join(map(str, vec)),
                         "outputs": "".join(map(str, out))})
-    _emit({"command": "sim", "file": args.bench,
-           "results": results}, args)
-    return 0
+    return {"command": "sim", "file": args.bench, "results": results}
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args) -> dict:
     cfg = _config_for(args)
     net_a = _load_net(args.bench_a)
     net_b = _load_net(args.bench_b)
@@ -194,11 +189,10 @@ def _cmd_equiv(args) -> int:
             "outputs_a": "".join(map(str, verdict.outputs_a)),
             "outputs_b": "".join(map(str, verdict.outputs_b)),
         }
-    _emit(report, args)
-    return 0
+    return report
 
 
-def _cmd_attack(args) -> int:
+def _cmd_attack(args) -> dict:
     cfg = _config_for(args)
     net = _load_net(args.bench)
     key = _load_key(args.key)
@@ -216,7 +210,7 @@ def _cmd_attack(args) -> int:
     true_key_survives = all(
         key.entries[gid].function.value in funcs
         for gid, funcs in resolved.items())
-    _emit({
+    return {
         "command": "attack",
         "method": args.method,
         "seed": cfg.seed,
@@ -226,8 +220,7 @@ def _cmd_attack(args) -> int:
         "candidate_space_log2_final": report.candidate_space_log2_final,
         "resolved": resolved,
         "true_key_survives": true_key_survives,
-    }, args)
-    return 0
+    }
 
 
 def _parse_temps(raw: str) -> tuple[float, ...]:
@@ -239,21 +232,29 @@ def _parse_temps(raw: str) -> tuple[float, ...]:
             f"got {raw!r}") from None
 
 
-def _cmd_sidechannel(args) -> int:
+def _cmd_sidechannel(args) -> dict:
     cfg = _config_for(args)
     net = _load_net(args.bench)
     key = _load_key(args.key)
     validate_key(net, key)
-    balance_info = None
+    report = {
+        "command": "sidechannel",
+        "mode": args.mode,
+        "bias_policy": args.bias_policy,
+        "noise_sigma": args.noise,
+        "seed": cfg.seed,
+        "config": cfg.resolved_dict(),
+    }
     if args.balance:
         net, key, bal = side_mod.balance_flavors(net, key)
-        balance_info = {
+        report["balance"] = {
             "added": {gid: func.value for gid, func in sorted(bal.added.items())},
             "counts_after": {f.value: c for f, c
                              in sorted(bal.counts_after.items(),
                                        key=lambda kv: kv[0].value)},
         }
     temps = _parse_temps(args.temps)
+    report["temperatures"] = list(temps)
     policy = args.bias_policy.replace("-", "_")
     mode = args.mode.replace("-", "_")
     sigs = side_mod.measure_signature(net, key, mode=mode,
@@ -263,21 +264,8 @@ def _cmd_sidechannel(args) -> int:
         sigs = {gid: side_mod.add_measurement_noise(s, args.noise,
                                                     seed=cfg.seed + i)
                 for i, (gid, s) in enumerate(sorted(sigs.items()))}
-    report = {
-        "command": "sidechannel",
-        "mode": args.mode,
-        "bias_policy": args.bias_policy,
-        "temperatures": list(temps),
-        "noise_sigma": args.noise,
-        "seed": cfg.seed,
-        "config": cfg.resolved_dict(),
-    }
-    if balance_info:
-        report["balance"] = balance_info
     if mode == "per_gate":
         classifications = {}
-        correct = 0
-        graded = 0
         templates = {}
         for gid in sorted(sigs):
             flavor = net.gate(gid).flavor
@@ -293,18 +281,17 @@ def _cmd_sidechannel(args) -> int:
                 "actual": truth.value,
                 "correct": cls.function is truth,
             }
-            graded += 1
-            correct += cls.function is truth
         report["classification"] = classifications
-        report["accuracy"] = correct / graded if graded else None
+        report["accuracy"] = (
+            sum(c["correct"] for c in classifications.values())
+            / len(classifications) if classifications else None)
     else:
         sig = sigs["aggregate"]
         report["aggregate"] = [
             {"vector": "".join(map(str, o.vector)), "t": o.temperature,
              "leakage_a": o.leakage_a, "delay_s": o.delay_s}
             for o in sig.observations]
-    _emit(report, args)
-    return 0
+    return report
 
 
 def _parse_range(raw: str) -> tuple[float, float]:
@@ -317,7 +304,7 @@ def _parse_range(raw: str) -> tuple[float, float]:
     raise InvalidParameterError(f"range must be lo:hi in volts, got {raw!r}")
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     cfg = _config_for(args)
     bias = default_bias(cfg.device)
     if args.vg_n is not None or args.vg_p is not None:
@@ -325,19 +312,14 @@ def _cmd_sweep(args) -> int:
                          args.vg_p if args.vg_p is not None else bias.vg_p)
     rows = sweep_vt_window(_parse_range(args.hvt), _parse_range(args.lvt),
                            args.step, bias, args.t, cfg.device)
-    csv = sweep_to_csv(rows)
-    if args.out:
-        _write_atomic(args.out, csv)
-    else:
-        sys.stdout.write(csv)
-    return 0
+    _write(sweep_to_csv(rows), args.out)
 
 
-def _cmd_bias_opt(args) -> int:
+def _cmd_bias_opt(args) -> dict:
     cfg = _config_for(args)
     best = optimize_bias(cfg.device, search_window=args.window,
                          grid_step=args.step, t=args.t)
-    _emit({
+    return {
         "command": "bias-opt",
         "vg_n": best.bias.vg_n,
         "vg_p": best.bias.vg_p,
@@ -347,8 +329,7 @@ def _cmd_bias_opt(args) -> int:
         "delay_opt_s": best.delay_opt_s,
         "delay_gain": best.delay_gain,
         "config": cfg.resolved_dict(),
-    }, args)
-    return 0
+    }
 
 
 def _effort(n_inputs: int, k_camo: int, functions: int, **kwargs):
@@ -360,10 +341,10 @@ def _effort(n_inputs: int, k_camo: int, functions: int, **kwargs):
     return effort_estimate(n_inputs, k_camo, functions, **kwargs)
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> dict:
     est = _effort(args.inputs, args.gates, args.functions,
                   test_frequency_hz=args.freq)
-    _emit({
+    return {
         "command": "estimate",
         "pattern_count": str(est.pattern_count),
         "candidate_count": str(est.candidate_count),
@@ -372,11 +353,10 @@ def _cmd_estimate(args) -> int:
         "years_raw": est.years_raw,
         "years_retest": est.years_retest,
         "note": est.note,
-    }, args)
-    return 0
+    }
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> dict:
     cfg = _config_for(args)
     net = _load_net(args.bench)
     if args.key:
@@ -385,7 +365,7 @@ def _cmd_report(args) -> int:
     camo = net.camo_gates()
     est = _effort(len(net.inputs), len(camo), max(
         (len(g.flavor.function_set) for g in camo), default=1))
-    _emit({
+    return {
         "command": "report",
         "file": args.bench,
         "netlist": _net_summary(net),
@@ -402,139 +382,131 @@ def _cmd_report(args) -> int:
             "years_retest": est.years_retest,
         },
         "config": cfg.resolved_dict(),
-    }, args)
-    return 0
+    }
 
 
-def _add_common(p: argparse.ArgumentParser, out: bool = True) -> None:
-    p.add_argument("--config", help="key=value configuration file")
-    p.add_argument("--seed", type=int, help="override the configured seed")
-    p.add_argument("--no-timestamp", action="store_true",
-                   help="omit generated_at so reruns are byte-identical")
-    if out:
-        p.add_argument("--out", help="write the JSON report to this file")
+def _arg(*flags, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMON = (
+    _arg("--config", help="key=value configuration file"),
+    _arg("--seed", type=int, help="override the configured seed"),
+    _arg("--no-timestamp", action="store_true",
+         help="omit generated_at so reruns are byte-identical"),
+    _arg("--out", help="write the JSON report to this file"),
+)
+
+#: name -> (handler, help, argument specs); _COMMON follows every entry.
+COMMANDS = {
+    "parse": (_cmd_parse, "parse a .bench file and summarize it",
+              [_arg("bench")]),
+    "lock": (_cmd_lock, "select and camouflage gates", [
+        _arg("bench"),
+        _arg("--flavor", choices=sorted(FLAVOR_NAMES), default="camo8"),
+        _arg("--strategy", choices=sorted(_STRATEGIES), default="random"),
+        _arg("--budget", type=float, default=0.05,
+             help="fraction of gates to camouflage, in (0, 1]; 1 means "
+                  "every eligible gate"),
+        _arg("--delay-budget", type=float, default=0.05,
+             help="allowed critical path growth for greedy-effort"),
+        _arg("--out-bench", dest="locked_out", required=True,
+             help="path for the locked netlist"),
+        _arg("--out-key", dest="key_out", required=True,
+             help="path for the key file"),
+    ]),
+    "sim": (_cmd_sim, "simulate vectors through a netlist", [
+        _arg("bench"),
+        _arg("--key", help="key file for camouflaged gates"),
+        _arg("--inputs", action="append", required=True,
+             help="bit string, one per flag occurrence"),
+    ]),
+    "equiv": (_cmd_equiv, "check two netlists for equivalence", [
+        _arg("bench_a"), _arg("bench_b"), _arg("--key-a"), _arg("--key-b"),
+        _arg("--mode", choices=("exhaustive", "random"),
+             default="exhaustive"),
+        _arg("--vectors", type=int, default=10000,
+             help="sample size for random mode"),
+    ]),
+    "attack": (_cmd_attack, "run a reverse engineering attack", [
+        _arg("bench", help="locked netlist (the oracle is built from it "
+                           "plus --key)"),
+        _arg("--key", required=True),
+        _arg("--method", choices=("brute", "sensitization"),
+             default="sensitization"),
+        _arg("--pattern-source", choices=("exhaustive", "random"),
+             default="exhaustive"),
+        _arg("--budget", type=int, help="maximum oracle queries"),
+        _arg("--no-flavor-knowledge", action="store_true",
+             help="attacker does not know each cell's flavor"),
+    ]),
+    "sidechannel": (_cmd_sidechannel,
+                    "side channel measurement and classification", [
+        _arg("bench"),
+        _arg("--key", required=True),
+        _arg("--mode", choices=("per-gate", "aggregate-only"),
+             default="per-gate"),
+        _arg("--temps", default="250,300,350",
+             help="comma separated temperatures in kelvin"),
+        _arg("--bias-policy", choices=("fixed", "thermal-compensated"),
+             default="fixed"),
+        _arg("--noise", type=float, default=0.0,
+             help="lognormal measurement noise sigma"),
+        _arg("--balance", action="store_true",
+             help="insert balancing dummies before measuring"),
+    ]),
+    "sweep": (_cmd_sweep, "ratio/delay sweep over VT offsets", [
+        _arg("--hvt", required=True, help="range lo:hi in volts"),
+        _arg("--lvt", required=True, help="range lo:hi in volts"),
+        _arg("--step", type=float, default=0.05),
+        _arg("--t", type=float, default=300.0),
+        _arg("--vg-n", type=float), _arg("--vg-p", type=float),
+    ]),
+    "bias-opt": (_cmd_bias_opt, "search for a faster bias point", [
+        _arg("--window", type=float, default=0.1),
+        _arg("--step", type=float, default=0.05),
+        _arg("--t", type=float),
+    ]),
+    "estimate": (_cmd_estimate, "brute force effort estimate", [
+        _arg("--inputs", type=int, required=True),
+        _arg("--gates", type=int, required=True),
+        _arg("--functions", type=int, default=8),
+        _arg("--freq", type=float, default=1e9),
+    ]),
+    "report": (_cmd_report, "combined netlist/overhead report",
+               [_arg("bench"), _arg("--key")]),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The root parser; only argv's subcommand when argv[0] names one.
+
+    argparse prints an unrecognized-arguments error with the root usage,
+    so a one-subcommand parser spells out every choice as its metavar.
+    """
+    only = argv[0] if argv and argv[0] in COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="vtcamo",
         description="Threshold-programmed camouflaged logic toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse a .bench file and summarize it")
-    p.add_argument("bench")
-    _add_common(p)
-    p.set_defaults(func=_cmd_parse)
-
-    p = sub.add_parser("lock", help="select and camouflage gates")
-    p.add_argument("bench")
-    p.add_argument("--flavor", choices=sorted(_FLAVORS), default="camo8")
-    p.add_argument("--strategy", choices=sorted(_STRATEGIES),
-                   default="random")
-    p.add_argument("--budget", type=float, default=0.05,
-                   help="fraction of gates to camouflage, in (0, 1]; 1 "
-                        "means every eligible gate")
-    p.add_argument("--delay-budget", type=float, default=0.05,
-                   help="allowed critical path growth for greedy-effort")
-    p.add_argument("--out-bench", dest="locked_out", required=True,
-                   help="path for the locked netlist")
-    p.add_argument("--out-key", dest="key_out", required=True,
-                   help="path for the key file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_lock)
-
-    p = sub.add_parser("sim", help="simulate vectors through a netlist")
-    p.add_argument("bench")
-    p.add_argument("--key", help="key file for camouflaged gates")
-    p.add_argument("--inputs", action="append", required=True,
-                   help="bit string, one per flag occurrence")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sim)
-
-    p = sub.add_parser("equiv", help="check two netlists for equivalence")
-    p.add_argument("bench_a")
-    p.add_argument("bench_b")
-    p.add_argument("--key-a")
-    p.add_argument("--key-b")
-    p.add_argument("--mode", choices=("exhaustive", "random"),
-                   default="exhaustive")
-    p.add_argument("--vectors", type=int, default=10000,
-                   help="sample size for random mode")
-    _add_common(p)
-    p.set_defaults(func=_cmd_equiv)
-
-    p = sub.add_parser("attack", help="run a reverse engineering attack")
-    p.add_argument("bench", help="locked netlist (the oracle is built "
-                                 "from it plus --key)")
-    p.add_argument("--key", required=True)
-    p.add_argument("--method", choices=("brute", "sensitization"),
-                   default="sensitization")
-    p.add_argument("--pattern-source", choices=("exhaustive", "random"),
-                   default="exhaustive")
-    p.add_argument("--budget", type=int, default=None,
-                   help="maximum oracle queries")
-    p.add_argument("--no-flavor-knowledge", action="store_true",
-                   help="attacker does not know each cell's flavor")
-    _add_common(p)
-    p.set_defaults(func=_cmd_attack)
-
-    p = sub.add_parser("sidechannel",
-                       help="side channel measurement and classification")
-    p.add_argument("bench")
-    p.add_argument("--key", required=True)
-    p.add_argument("--mode", choices=("per-gate", "aggregate-only"),
-                   default="per-gate")
-    p.add_argument("--temps", default="250,300,350",
-                   help="comma separated temperatures in kelvin")
-    p.add_argument("--bias-policy",
-                   choices=("fixed", "thermal-compensated"),
-                   default="fixed")
-    p.add_argument("--noise", type=float, default=0.0,
-                   help="lognormal measurement noise sigma")
-    p.add_argument("--balance", action="store_true",
-                   help="insert balancing dummies before measuring")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sidechannel)
-
-    p = sub.add_parser("sweep", help="ratio/delay sweep over VT offsets")
-    p.add_argument("--hvt", required=True, help="range lo:hi in volts")
-    p.add_argument("--lvt", required=True, help="range lo:hi in volts")
-    p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--t", type=float, default=300.0)
-    p.add_argument("--vg-n", type=float, default=None)
-    p.add_argument("--vg-p", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("bias-opt", help="search for a faster bias point")
-    p.add_argument("--window", type=float, default=0.1)
-    p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--t", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_bias_opt)
-
-    p = sub.add_parser("estimate", help="brute force effort estimate")
-    p.add_argument("--inputs", type=int, required=True)
-    p.add_argument("--gates", type=int, required=True)
-    p.add_argument("--functions", type=int, default=8)
-    p.add_argument("--freq", type=float, default=1e9)
-    _add_common(p)
-    p.set_defaults(func=_cmd_estimate)
-
-    p = sub.add_parser("report", help="combined netlist/overhead report")
-    p.add_argument("bench")
-    p.add_argument("--key")
-    _add_common(p)
-    p.set_defaults(func=_cmd_report)
-
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{%s}" % ",".join(COMMANDS) if only else None)
+    for name, (_, help_text, specs) in COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flags, kwargs in (*specs, *_COMMON):
+                p.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
-        return args.func(args)
+        report = COMMANDS[args.command][0](args)
+        if report is not None:
+            _emit(report, args)
+        return 0
     except (VtcamoError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)

@@ -23,7 +23,7 @@ from .errors import ConfigFileError, VtcamoError
 
 _DEVICE_FIELDS = {f.name for f in dataclasses.fields(DeviceParams)}
 _COST_AXES = ("area", "power", "delay")
-_FLAVOR_NAMES = {f.value.lower(): f for f in CellFlavor}
+FLAVOR_NAMES = {f.value.lower(): f for f in CellFlavor}
 
 
 @dataclass(frozen=True)
@@ -82,13 +82,13 @@ def parse_config(text: str) -> RunConfig:
             device_over[name] = _parse_scalar(key, raw, float)
         elif key.startswith("cost."):
             parts = key.split(".")
-            if (len(parts) != 3 or parts[1] not in _FLAVOR_NAMES
+            if (len(parts) != 3 or parts[1] not in FLAVOR_NAMES
                     or parts[2] not in _COST_AXES):
                 raise ConfigFileError(
                     f"line {lineno}: cost keys look like "
                     f"cost.<camo8|cmos3a|cmos3b>.<area|power|delay>, "
                     f"got {key!r}")
-            flavor = _FLAVOR_NAMES[parts[1]]
+            flavor = FLAVOR_NAMES[parts[1]]
             cost_over.setdefault(flavor, {})[parts[2]] = _parse_scalar(
                 key, raw, float)
         elif key == "seed":

@@ -20,7 +20,7 @@ from conftest import bench_text
 from reference_parser import assert_parses_like_reference
 from vtcamo.camouflage import apply_camouflage
 from vtcamo.cell import CellFlavor
-from vtcamo.cli import main
+from vtcamo.cli import _COMMON, COMMANDS, build_parser, main
 from vtcamo.config import RunConfig, load_config, parse_config
 from vtcamo.errors import ConfigFileError
 from vtcamo.netlist import CamoKey, parse_bench, serialize_bench
@@ -599,3 +599,46 @@ def test_fuzzed_files_exit_cleanly(which, data):
                 lines = stderr.getvalue().splitlines()
                 assert len(lines) == 1, argv
                 assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+#: Tokens no subcommand accepts in that place, or that stop the parse.
+_JUNK = ("--jobs", "x", "-h", "--help", "--", "2")
+_VALUES = {int: ("3", "-1", "x"), float: ("0.5", "inf", "x"),
+           None: ("a.bench", "0.3:0.4")}
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A subcommand name, then some of its options with drawn values,
+    and a little junk at drawn places."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    tokens = []
+    for flags, kwargs in (*COMMANDS[name][2], *_COMMON):
+        if not draw(st.integers(0, 3)):
+            continue  # leave it out, required or not
+        values = kwargs.get("choices") or _VALUES[kwargs.get("type")]
+        if flags[0].startswith("-"):
+            tokens.append(draw(st.sampled_from(flags)))
+        if kwargs.get("action") != "store_true":
+            tokens.append(draw(st.sampled_from(values)))
+    for junk in draw(st.lists(st.sampled_from(_JUNK), max_size=2)):
+        tokens.insert(draw(st.integers(0, len(tokens))), junk)
+    return [name, *tokens]
+
+
+def _parse_outcome(parser_argv: list[str], argv: list[str]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = build_parser(parser_argv).parse_args(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(command_lines())
+def test_one_subcommand_parser_agrees_with_the_full_one(argv):
+    """The parser built for argv[0] alone reads argv as the full one does:
+    an equal Namespace, or the same exit code, help and error text."""
+    assert _parse_outcome(argv, argv) == _parse_outcome([], argv)

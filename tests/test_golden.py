@@ -226,9 +226,7 @@ _USAGE_ARGVS = [
     ["--help"],
     [],
     ["no-such-command"],
-    *([name, "-h"] for name in ("parse", "lock", "sim", "equiv", "attack",
-                                "sidechannel", "sweep", "bias-opt",
-                                "estimate", "report")),
+    *([name, "-h"] for name in cli.COMMANDS),
     ["lock", "x.bench"],  # missing required options
     ["parse"],  # missing positional
     ["lock", "x.bench", "--flavor", "camo9", "--out-bench", "o",
@@ -315,6 +313,19 @@ def test_cli_usage_matches_golden(tmp_path, monkeypatch):
     for name in golden:
         for got, want in zip(fresh[name], golden[name], strict=True):
             assert got == want, want["argv"]
+
+
+def test_every_subcommand_is_pinned():
+    """Each subcommand in the table has a pinned -h text and a pinned run."""
+    usage = _load("cli_usage.json")
+    helped = {c["argv"][0] for c in usage["usage"] if c["argv"][1:] == ["-h"]}
+    ran = {c["argv"][0] for c in usage["runs"] if c["exit"] == 0}
+    for case in _load("cli_outputs.json").values():
+        ran.update(c["argv"][0] for c in case["runs"] if c["exit"] == 0)
+    for runs in _load("device_outputs.json").values():
+        ran.update(c["argv"][0] for c in runs if c["exit"] == 0)
+    assert set(cli.COMMANDS) <= helped
+    assert set(cli.COMMANDS) <= ran
 
 
 if __name__ == "__main__":
