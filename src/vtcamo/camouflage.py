@@ -102,22 +102,20 @@ class SelectionPolicy:
                 f"delay_budget must be >= 0, got {self.delay_budget}")
 
 
-def _camo_function(gate: Gate, flavor: CellFlavor) -> GateFunction | None:
-    """Camouflaged function that preserves a plain gate, or None."""
-    func = _CAMO_FOR_PLAIN.get(gate.func)  # None for a camouflaged gate
-    if len(gate.fanins) > 2 or func not in flavor.function_set:
-        return None
-    return func
+#: Per flavor, the plain functions its cells can stand in for (in a tuple,
+#: tested by identity: no ``Enum.__hash__`` call).
+_PLAIN_FOR = {flavor: tuple([p for p, c in _CAMO_FOR_PLAIN.items()
+                             if c in flavor.function_set])
+              for flavor in CellFlavor}
 
 
 def camo_function_for(gate: Gate, flavor: CellFlavor) -> GateFunction:
     """Camouflaged function that preserves a plain gate, or raise."""
-    func = _camo_function(gate, flavor)
-    if func is not None:
+    func = _CAMO_FOR_PLAIN.get(gate.func)  # None for a camouflaged gate
+    if gate.func in _PLAIN_FOR[flavor] and len(gate.fanins) <= 2:
         return func
     if gate.is_camo:
         raise FlavorMismatchError(f"gate {gate.gate_id!r} is already camouflaged")
-    func = _CAMO_FOR_PLAIN.get(gate.func)
     if func is None or len(gate.fanins) > 2:
         raise FlavorMismatchError(
             f"gate {gate.gate_id!r} ({gate.func!r}, {len(gate.fanins)} fanins)"
@@ -128,8 +126,9 @@ def camo_function_for(gate: Gate, flavor: CellFlavor) -> GateFunction:
 
 def eligible_gates(net: Netlist, flavor: CellFlavor) -> list[str]:
     """Gate ids (file order) that apply_camouflage would accept."""
+    plain = _PLAIN_FOR[flavor]
     return [g.gate_id for g in net.gates
-            if _camo_function(g, flavor) is not None]
+            if g.func in plain and len(g.fanins) <= 2]
 
 
 def _pick_decoy(net: Netlist, fanout: list[list[int]], n: int,
@@ -183,13 +182,15 @@ def apply_camouflage(net: Netlist, gate_ids, flavor: CellFlavor,
         else:
             entries[g.gate_id] = KeyEntry(func)
         new_gates.append(Gate(g.gate_id, reads, flavor=flavor))
-    # same ports, names and order of gate ids: keep the net's numbering;
-    # set fields as the constructor does (a real __dict__ slows each read)
+    # same ports, names and gate order: keep the numbering, and the Kahn
+    # order unless a decoy edge was added; set fields as the constructor
+    # does (a real __dict__ slows each read)
     locked = object.__new__(Netlist)
     for name in ("inputs", "outputs", "pseudo_inputs", "pseudo_outputs"):
         object.__setattr__(locked, name, getattr(net, name))
     object.__setattr__(locked, "gates", tuple(new_gates))
-    locked._settle(net._index, net._names, fanins, fanouts)
+    locked._settle(net._index, net._names, fanins, fanouts,
+                   net._order if fanouts is net._fanouts else None)
     return locked, CamoKey(entries)
 
 
@@ -281,13 +282,14 @@ def overhead_report(net: Netlist,
         extra_area += m.area - 1.0
         extra_power += m.power - 1.0
     total = len(net.gates)
-    base = IncrementalTiming(net).delay()
-    with_camo = IncrementalTiming(net, [
+    timing = IncrementalTiming(net, [
         1.0 if g.flavor is None else cost_table.for_flavor(g.flavor).delay
-        for g in net.gates]).delay()
+        for g in net.gates])
+    # under unit delays an arrival is the net's depth, exact as a float
+    base = float(max(map(net._depths().__getitem__, timing.ends), default=0))
     delay_pct = 0.0
     if base > 0:
-        delay_pct = 100.0 * (with_camo - base) / base
+        delay_pct = 100.0 * (timing.delay() - base) / base
     return OverheadReport(
         area_pct=100.0 * extra_area / total if total else 0.0,
         power_pct=100.0 * extra_power / total if total else 0.0,

@@ -114,7 +114,7 @@ def _net_summary(net: Netlist) -> dict:
         "camo_count": len(net.camo_gates()),
         "pseudo_inputs": list(net.pseudo_inputs),
         "pseudo_outputs": list(net.pseudo_outputs),
-        "depth": max(net.levels().values(), default=0),
+        "depth": max(net._depths(), default=0),
     }
 
 

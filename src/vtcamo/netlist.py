@@ -1,17 +1,17 @@
 """Combinational netlists in the .bench dialect.
 
 Grammar per line: ``INPUT(n)``, ``OUTPUT(n)``, ``n = FUNC(a, b, ...)``,
-``#`` comments, blank lines. FUNC is one of the plain primitives (NOT and
-BUFF with one fanin, AND/OR/NAND/NOR/XOR with two or more) or a
-camouflaged-cell flavor token (CAMO8, CMOS3A, CMOS3B) with exactly two
-fanins. ``n = DFF(m)`` is accepted and cut: the flop output becomes a
-pseudo primary input and its data net a pseudo primary output, so the
-combinational core can be simulated and compared on its own. Ports keep
-line order: ``inputs`` lists INPUT nets and flop outputs, ``outputs``
-lists OUTPUT nets and flop data nets, each as their lines appear. A net
-may be declared OUTPUT once, and not also be a flop's data net (route
-one of the two through a BUFF); ``serialize_bench`` relies on this to
-give back the same port order.
+``#`` comments, blank lines; fanins are comma-separated, so no ``n``
+holds a comma. FUNC is one of the plain primitives (NOT and BUFF with one
+fanin, AND/OR/NAND/NOR/XOR with two or more) or a camouflaged-cell flavor
+token (CAMO8, CMOS3A, CMOS3B) with exactly two fanins. ``n = DFF(m)`` is
+accepted and cut: the flop output becomes a pseudo primary input and its
+data net a pseudo primary output, so the combinational core can be
+simulated and compared on its own. Ports keep line order: ``inputs``
+lists INPUT nets and flop outputs, ``outputs`` lists OUTPUT nets and flop
+data nets, each as their lines appear. A net may be declared OUTPUT once,
+and not also be a flop's data net (route one of the two through a BUFF);
+``serialize_bench`` relies on this to give back the same port order.
 
 A gate is a named tuple, identified by its output net name. Iteration
 order always follows file order, which keeps every downstream report
@@ -22,9 +22,9 @@ then the gates in file order. Its constructor is the one place that
 resolves net names. It keeps each gate's fanins and each net's readers
 as numbers, and its topological order is Kahn's algorithm over them.
 A locked netlist (``apply_camouflage``) keeps its input's names, so it
-inherits that numbering: only its decoyed gates are rewired, and Kahn
-runs again. The structural queries, the timing passes and the
-simulator all read that one numbering.
+inherits that numbering, and also its order unless an INV/BUF cell's
+decoy edge was added: then Kahn runs again. The structural queries,
+the timing passes and the simulator all read that one numbering.
 
 Simulation has one evaluator: an index program that turns each gate into
 an op code, an inversion flag and two fanin op nets (see ``simulate``).
@@ -40,7 +40,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, groupby, islice, product, repeat
-from operator import attrgetter, eq, itemgetter
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .cell import BASE_FUNCTIONS, CellFlavor, GateFunction
@@ -65,8 +65,6 @@ _TOKENS = {"DFF": (1, None, None), "NOT": (1, GateFunction.NOT, None),
            **{f.value: (0, f, None) for f in BASE_FUNCTIONS},
            **{f.value: (2, None, f) for f in CellFlavor}}
 _NEEDS = {0: "needs >= 2 fanins", 1: "takes 1 fanin", 2: "takes 2 fanins"}
-#: Function or flavor -> its .bench token (``Enum.value`` is a slow property).
-_TAGS = {m: m.value for m in (*GateFunction, *CellFlavor)}
 
 
 class Gate(NamedTuple):
@@ -88,12 +86,13 @@ class Netlist:
 
     Net number i is ``inputs[i]``, then gate ``i - len(inputs)`` of
     ``gates``. The constructor resolves every name (a name defined twice
-    raises BenchSyntaxError, an undefined fanin or output
-    UndefinedNetError) and keeps, per net number, its fanins (none for
-    an input) in ``_fanins`` and its readers (once per fanin, in file
-    order) in ``_fanouts``, and in ``_order`` the gates' numbers in Kahn
-    order over them (``_settle``). A locked netlist skips the name
-    resolution and inherits its input's ``_index`` and ``_names``.
+    or a gate with no fanins raises BenchSyntaxError, an undefined fanin
+    or output UndefinedNetError) and keeps, per net number, its fanins
+    (none for an input) in ``_fanins``, its readers (once per fanin, in
+    file order) in ``_fanouts`` and in ``_order`` the gates' numbers in
+    Kahn order over them (``_settle``). A locked netlist skips the name
+    resolution and inherits its input's ``_index`` and ``_names``, and
+    ``_order`` too when no INV/BUF cell (decoy edge) was added.
     """
 
     inputs: tuple[str, ...]
@@ -111,19 +110,23 @@ class Netlist:
 
     def __post_init__(self):
         gates, width = self.gates, len(self.inputs)
-        names = self.inputs + tuple(map(attrgetter("gate_id"), gates))
+        names = self.inputs + tuple(map(itemgetter(0), gates))
         index = dict(zip(names, range(len(names))))
         if len(index) != len(names):
             twice = next(n for k, n in enumerate(names) if names.index(n) < k)
             raise BenchSyntaxError(f"net {twice!r} defined twice")
         fanins, get = [()] * width, index.__getitem__
         try:
-            fanins += [tuple(map(get, g.fanins)) for g in gates]
+            fanins += [(get(f[0]), get(f[1])) if len(f) == 2 else
+                       tuple(map(get, f)) for f in map(itemgetter(1), gates)]
         except KeyError as exc:
             # the first gate with an undefined fanin is the first to name it
             gate = next(g for g in gates if exc.args[0] in g.fanins)
             raise UndefinedNetError(f"gate {gate.gate_id!r} uses undefined "
                                     f"net {exc.args[0]!r}") from None
+        if () in fanins[width:]:  # as the parser does
+            raise BenchSyntaxError(
+                f"gate {names[fanins.index((), width)]!r} has no fanins")
         for net in self.outputs:
             if net not in index:
                 raise UndefinedNetError(f"OUTPUT({net}) is never defined")
@@ -133,24 +136,24 @@ class Netlist:
                 fanouts[f].append(n)
         self._settle(index, names, fanins, fanouts)
 
-    def _settle(self, index, names, fanins, fanouts) -> None:
-        """Keep a numbering of this netlist's nets; order the gates by
-        Kahn over ``fanouts`` (ready gates leave in FIFO order)."""
+    def _settle(self, index, names, fanins, fanouts, order=None) -> None:
+        """Keep this numbering and ``order`` (by default Kahn's, FIFO)."""
         gates, width = self.gates, len(self.inputs)
-        indeg = [0] * len(names)
-        for readers in islice(fanouts, width, None):
-            for n in readers:
-                indeg[n] += 1
-        # the list is its own queue
-        order = [n for n in range(width, len(names)) if not indeg[n]]
-        for n in order:
-            for succ in fanouts[n]:
-                indeg[succ] -= 1
-                if not indeg[succ]:
-                    order.append(succ)
-        if len(order) != len(gates):
-            left = sorted(g.gate_id for g, d in zip(gates, indeg[width:]) if d)
-            raise NetlistCycleError(f"cycle through gates {left}")
+        if order is None:
+            indeg = list(map(len, fanins))  # less the input fanins:
+            for readers in islice(fanouts, width):
+                for n in readers:
+                    indeg[n] -= 1
+            # the list is its own queue
+            order = [n for n in range(width, len(names)) if not indeg[n]]
+            for n in order:
+                for succ in fanouts[n]:
+                    indeg[succ] -= 1
+                    if not indeg[succ]:
+                        order.append(succ)
+            if len(order) != len(gates):
+                left = sorted(names[n] for n, d in enumerate(indeg) if d)
+                raise NetlistCycleError(f"cycle through gates {left}")
         camo = tuple([g for g in gates if g.flavor is not None])
         for name, value in (("_index", index), ("_names", names),
                             ("_fanins", fanins), ("_fanouts", fanouts),
@@ -180,9 +183,12 @@ class Netlist:
 
     def _depths(self) -> list[int]:
         """Topological depth per net number (inputs at 0)."""
-        depth = [0] * len(self._names)
+        depth, fanins = [0] * len(self._names), self._fanins
         for n in self._order:
-            depth[n] = 1 + max([depth[f] for f in self._fanins[n]])
+            f = fanins[n]
+            a, b = depth[f[0]], depth[f[-1]]  # every fanin, if 1 or 2
+            depth[n] = 1 + ((a if a > b else b) if len(f) < 3
+                            else max(map(depth.__getitem__, f)))
         return depth
 
     def levels(self) -> dict[str, int]:
@@ -212,10 +218,14 @@ def reachable(edges, start) -> set:
     return seen
 
 
+#: One line; a list of one or two fanins is captured, stripped, as ``a`` and
+#: ``b``, any other as ``args``.
+_FIELD = r"[^\s,()]+(?:\s+[^\s,()]+)*"
 _LINE_RE = re.compile(
-    r"^\s*(?:(?P<io>INPUT|OUTPUT)\s*\(\s*(?P<ionet>[^\s()]+)\s*\)"
-    r"|(?P<out>[^\s=()]+)\s*=\s*(?P<func>[A-Za-z0-9_]+)\s*"
-    r"\(\s*(?P<args>[^()]*)\))\s*$")
+    r"^\s*(?:(?P<io>INPUT|OUTPUT)\s*\(\s*(?P<ionet>[^\s(),]+)\s*\)"
+    r"|(?P<out>[^\s=(),]+)\s*=\s*(?P<func>[A-Za-z0-9_]+)\s*\(\s*"
+    rf"(?:(?P<a>{_FIELD})\s*(?:,\s*(?P<b>{_FIELD})\s*)?|(?P<args>[^()]*))"
+    r"\))\s*$")
 #: A comma-separated fanin field, stripped; an empty field has no match.
 _FANIN_RE = re.compile(r"[^\s,](?:[^,]*[^\s,])?")
 
@@ -233,7 +243,7 @@ def parse_bench(text: str) -> Netlist:
                 continue
             col = len(raw) - len(raw.lstrip()) + 1
             raise BenchSyntaxError(f"unparseable line {line!r}", lineno, col)
-        io, net, out, func_txt, arg_txt = m.groups()
+        io, net, out, func_txt, a, b, arg_txt = m.groups()
         if io:
             if io == "INPUT":
                 if net in defined:
@@ -252,7 +262,8 @@ def parse_bench(text: str) -> Netlist:
                 outputs.append(net)
             continue
         func_txt = func_txt.upper()
-        args = _FANIN_RE.findall(arg_txt)
+        args = ((a,) if b is None else (a, b)) if a else tuple(
+            _FANIN_RE.findall(arg_txt))
         if not args:
             raise BenchSyntaxError(f"gate {out!r} has no fanins", lineno)
         if out in defined:
@@ -267,7 +278,7 @@ def parse_bench(text: str) -> Netlist:
             raise ArityMismatchError(
                 f"{func_txt} {out!r} {_NEEDS[arity]}, got {len(args)}", lineno)
         if func_txt != "DFF":
-            gates.append(Gate(out, tuple(args), func, flavor))
+            gates.append(tuple.__new__(Gate, (out, args, func, flavor)))
             continue
         if args[0] in declared_out:
             raise BenchSyntaxError(
@@ -303,7 +314,8 @@ def serialize_bench(net: Netlist) -> str:
             lines.append("{} = DFF({})".format(*next(flops)))
             i, o = i + 1, o + 1
     for g in net.gates:
-        tag = _TAGS[g.func if g.flavor is None else g.flavor]
+        # ``Enum.value`` is a property; ``_value_`` a plain attribute
+        tag = (g.func if g.flavor is None else g.flavor)._value_
         lines.append(f"{g.gate_id} = {tag}({', '.join(g.fanins)})")
     return "\n".join(lines) + "\n"
 
@@ -402,14 +414,14 @@ _TABLE_BITS = 1 << 28
 #: UNKNOWN are a forced gate and an unassigned camouflaged gate.
 _AND, _OR, _XOR, _PORT0, _PORT1, _CONST, _UNKNOWN = range(7)
 
-#: Function -> (op code, output inverted). Camouflaged INV/BUF read port 1,
-#: the real input; port 0 carries the decoy net and is ignored.
+#: Function ``_value_`` (no Python-level ``Enum.__hash__``) -> (op code,
+#: output inverted). Camouflaged INV/BUF read port 1; port 0 is the decoy.
 _OPS = {
-    GateFunction.AND: (_AND, False), GateFunction.NAND: (_AND, True),
-    GateFunction.OR: (_OR, False), GateFunction.NOR: (_OR, True),
-    GateFunction.XOR: (_XOR, False), GateFunction.XNOR: (_XOR, True),
-    GateFunction.BUFF: (_PORT0, False), GateFunction.NOT: (_PORT0, True),
-    GateFunction.BUF: (_PORT1, False), GateFunction.INV: (_PORT1, True),
+    "AND": (_AND, False), "NAND": (_AND, True),
+    "OR": (_OR, False), "NOR": (_OR, True),
+    "XOR": (_XOR, False), "XNOR": (_XOR, True),
+    "BUFF": (_PORT0, False), "NOT": (_PORT0, True),
+    "BUF": (_PORT1, False), "INV": (_PORT1, True),
 }
 
 
@@ -431,24 +443,21 @@ class _Program(NamedTuple):
 
 
 def _compile(net: Netlist) -> _Program:
-    width = len(net.inputs)
-    index = list(range(width)) + [0] * len(net.gates)
-    ops = []
+    width, gates, fanins = len(net.inputs), net.gates, net._fanins
+    index, ops = list(range(width)) + [0] * len(gates), []
     for n in net._order:
-        g = net.gates[n - width]
-        fanins = [index[f] for f in net._fanins[n]]
-        if g.flavor is not None:
-            code, inverted = _UNKNOWN, False
-        else:
-            code, inverted = _OPS[g.func]
-            if len(fanins) == 1:  # NOT, BUFF or a one-input AND/OR/XOR
-                code = _PORT0
-        a = fanins[0]
-        if len(fanins) > 2:  # fold left through temporary nets
-            for b in fanins[1:-1]:
-                ops.append((code, False, a, b))
+        g, f = gates[n - width], fanins[n]
+        code, inverted = (_OPS[g.func._value_] if g.flavor is None
+                          else (_UNKNOWN, False))
+        if len(f) == 2:
+            ops.append((code, inverted, index[f[0]], index[f[1]]))
+        else:  # one fanin (NOT, BUFF, a one-input AND...), or a fold left
+            code = _PORT0 if len(f) == 1 and g.flavor is None else code
+            a = index[f[0]]
+            for k in f[1:-1]:  # through temporary nets
+                ops.append((code, False, a, index[k]))
                 a = width + len(ops) - 1
-        ops.append((code, inverted, a, fanins[-1]))
+            ops.append((code, inverted, a, index[f[-1]]))
         index[n] = width + len(ops) - 1
     return _Program(width, index, tuple(ops),
                     tuple(index[net._index[n]] for n in net.outputs))
@@ -473,7 +482,7 @@ def _resolve(net: Netlist, assignment,
     for gid, func in assignment:
         k = _op(net, gid)
         if k >= 0 and prog.ops[k][0] == _UNKNOWN:
-            ops[k] = (*_OPS[func], *ops[k][2:])
+            ops[k] = (*_OPS[func._value_], *ops[k][2:])
     for gid, bit in (forced or {}).items():
         k = _op(net, gid)
         if k >= 0:
@@ -747,8 +756,8 @@ class OutputTables:
             size = len(may1)
             for func, sub in buckets.items():
                 del rails[0][size:], may1[size:]
-                descend(depth + 1, sub, _run(self._segments[depth][func],
-                                             words, mask, rails))
+                segment = self._segments[depth][func._value_]
+                descend(depth + 1, sub, _run(segment, words, mask, rails))
 
         descend(0, range(len(rows)), _run(self._head, words, mask))
         return rows if expected is None else [r is not None for r in rows]
@@ -804,11 +813,20 @@ def all_vectors(width: int):
     yield from product((0, 1), repeat=width)
 
 
+#: ``randint(0, 1)`` is a 32-bit word's top two bits, drawn again if 2 or 3.
+_TOP_BITS, _REDRAWN = bytes(b >> 6 for b in range(256)), bytes(range(128, 256))
+
+
 def random_vectors(width: int, count: int, seed: int):
-    """Reproducible uniform input vectors (may repeat), drawn lazily."""
-    rng = random.Random(seed)
+    """Reproducible uniform input vectors (may repeat), drawn lazily: the
+    bits ``randint(0, 1)`` gives on ``random.Random(seed)``, one per call."""
+    rng, bits = random.Random(seed), b""
     for _ in range(count):
-        yield tuple(rng.randint(0, 1) for _ in range(width))
+        while len(bits) < width:
+            words = rng.getrandbits(32 * width).to_bytes(4 * width, "little")
+            bits += words[3::4].translate(_TOP_BITS, _REDRAWN)
+        yield tuple(bits[:width])
+        bits = bits[width:]
 
 
 @dataclass(frozen=True)

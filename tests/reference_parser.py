@@ -3,9 +3,11 @@ reference, and a check that the two parsers agree on a text.
 
 ``reference_parse_bench`` strips every line and every fanin field with
 ``str.strip`` and tests the function token against three tables in
-turn. Both parsers hand their ports and gates to the same ``Netlist``
-constructor, so they must return equal netlists, or raise the same
-exception class with the same message, line and column.
+turn. As in ``parse_bench``, a line whose INPUT, OUTPUT or gate output
+name has a comma does not match, since no fanin list could name it. Both
+parsers hand their ports and gates to the same ``Netlist`` constructor,
+so they must return equal netlists, or raise the same exception class
+with the same message, line and column.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ _PLAIN_SINGLE = {"NOT": GateFunction.NOT, "BUFF": GateFunction.BUFF}
 _FLAVORS = {f.value: f for f in CellFlavor}
 
 _LINE_RE = re.compile(
-    r"^\s*(?:(?P<io>INPUT|OUTPUT)\s*\(\s*(?P<ionet>[^\s()]+)\s*\)"
-    r"|(?P<out>[^\s=()]+)\s*=\s*(?P<func>[A-Za-z0-9_]+)\s*"
+    r"^\s*(?:(?P<io>INPUT|OUTPUT)\s*\(\s*(?P<ionet>[^\s(),]+)\s*\)"
+    r"|(?P<out>[^\s=(),]+)\s*=\s*(?P<func>[A-Za-z0-9_]+)\s*"
     r"\(\s*(?P<args>[^()]*)\))\s*$")
 
 

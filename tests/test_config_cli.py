@@ -422,6 +422,43 @@ class TestCliFailures:
             "error": "InvalidPolicyError",
             "message": "budget must be in (0, 1], got 2.0"}
 
+    def test_a_comma_in_a_net_name_is_rejected_at_parse(self, capsys,
+                                                        tmp_path):
+        # fanins are comma-separated: a locked netlist that read such a net
+        # would give y = CAMO8(a,b, c), which no parse could read back
+        bench = tmp_path / "x.bench"
+        bench.write_text("INPUT(a,b)\nINPUT(c)\nOUTPUT(y)\ny = NOT(c)\n")
+        code, out, err = _run(capsys, [
+            "lock", str(bench), "--budget", "1.0", "--seed", "1",
+            "--out-bench", str(tmp_path / "l.bench"),
+            "--out-key", str(tmp_path / "l.key")])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "BenchSyntaxError",
+            "message": "unparseable line 'INPUT(a,b)' (line 1, col 1)"}
+        assert not (tmp_path / "l.bench").exists()
+        for line, col in (("OUTPUT(y,z)", 1), (" y,z = NOT(a)", 2)):
+            bench.write_text(f"INPUT(a)\n{line}\n")
+            code, out, err = _run(capsys, ["parse", str(bench)])
+            assert (code, out) == (1, "")
+            assert json.loads(err)["message"] == (
+                f"unparseable line {line.strip()!r} (line 2, col {col})")
+
+    def test_locking_a_camouflaged_netlist_still_locks(self, capsys,
+                                                       tmp_path, c17_file):
+        # the second key covers only the new cells (see the fuzz test)
+        locked, _, _ = _lock_c17(tmp_path, c17_file)
+        again = str(tmp_path / "again.bench")
+        code, _, _ = _run(capsys, [
+            "lock", locked, "--budget", "1.0", "--out-bench", again,
+            "--out-key", str(tmp_path / "again.key")])
+        assert code == 0
+        with open(locked, encoding="utf-8") as fh:
+            first = parse_bench(fh.read()).camo_gates()
+        with open(again, encoding="utf-8") as fh:
+            assert set(first) < set(parse_bench(fh.read()).camo_gates())
+
     def test_attack_with_an_out_of_scope_key(self, capsys, tmp_path,
                                              c17_file):
         locked, keyfile, _ = _lock_c17(tmp_path, c17_file)
@@ -565,9 +602,10 @@ def test_mutated_bench_parses_as_the_reference_does(text):
 
 @settings(max_examples=150, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(sorted(_FUZZ_TEXTS)), st.data())
+@given(st.sampled_from([*sorted(_FUZZ_TEXTS), "plain"]), st.data())
 def test_fuzzed_files_exit_cleanly(which, data):
-    """One of the three files is mutated; every command exits cleanly."""
+    """One of the four files is mutated; every command exits cleanly, and
+    a netlist and key that ``lock`` writes can be parsed and reported."""
     texts = dict(_FUZZ_TEXTS, plain=bench_text("c17.bench"))
     texts[which] = data.draw(mutated(texts[which]))
     with tempfile.TemporaryDirectory() as tmp:
@@ -576,19 +614,11 @@ def test_fuzzed_files_exit_cleanly(which, data):
             with open(paths[name], "w", encoding="utf-8") as fh:
                 fh.write(text)
         b, k, c = paths["bench"], paths["key"], paths["cfg"]
+        again_b = os.path.join(tmp, "again.bench")
+        again_k = os.path.join(tmp, "again.key")
         out = ["--no-timestamp", "--out", os.path.join(tmp, "report.json")]
-        for argv in (
-                ["parse", b],
-                ["sim", b, "--key", k, "--inputs", "00000",
-                 "--inputs", "10110"],
-                ["attack", b, "--key", k, "--method", "brute",
-                 "--config", c],
-                ["attack", b, "--key", k, "--budget", "4", "--config", c],
-                ["equiv", b, paths["plain"], "--key-a", k, "--config", c],
-                ["report", b, "--key", k, "--config", c],
-                ["lock", b, "--budget", "0.5", "--config", c,
-                 "--out-bench", os.path.join(tmp, "again.bench"),
-                 "--out-key", os.path.join(tmp, "again.key")]):
+
+        def run(argv) -> int:
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), \
                     contextlib.redirect_stderr(stderr):
@@ -599,6 +629,27 @@ def test_fuzzed_files_exit_cleanly(which, data):
                 lines = stderr.getvalue().splitlines()
                 assert len(lines) == 1, argv
                 assert set(json.loads(lines[0])) == {"error", "message"}
+            return code
+
+        for argv in (
+                ["parse", b],
+                ["sim", b, "--key", k, "--inputs", "00000",
+                 "--inputs", "10110"],
+                ["attack", b, "--key", k, "--method", "brute",
+                 "--config", c],
+                ["attack", b, "--key", k, "--budget", "4", "--config", c],
+                ["equiv", b, paths["plain"], "--key-a", k, "--config", c],
+                ["report", b, "--key", k, "--config", c]):
+            run(argv)
+        for bench in (b, paths["plain"]):  # locked, then plain
+            if run(["lock", bench, "--budget", "0.5", "--config", c,
+                    "--out-bench", again_b, "--out-key", again_k]) == 0:
+                assert run(["parse", again_b]) == 0
+                with open(bench, encoding="utf-8") as fh:
+                    # a key laid over camouflaged cells cannot cover them
+                    layered = parse_bench(fh.read()).camo_gates()
+                code = run(["report", again_b, "--key", again_k])
+                assert code == 0 or layered
 
 
 #: Tokens no subcommand accepts in that place, or that stop the parse.

@@ -1,0 +1,126 @@
+"""The lock path's fast loops against the code they replaced.
+
+``_compile``, ``random_vectors``, ``overhead_report`` and
+``eligible_gates`` must give exactly what the references in
+``reference_fast_paths.py`` give: the same ``_Program``, the same vectors,
+the same report (floats compared by ``float.hex``) and the same gate ids.
+Netlists are drawn in shuffled file order with gates of one to four
+fanins (so one-input AND/OR/XOR gates built directly, and gates folded
+through temporary nets), camouflaged cells built directly, and cells
+added by ``apply_camouflage`` with and without INV/BUF decoys.
+"""
+
+from __future__ import annotations
+
+from itertools import islice
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from reference_fast_paths import (
+    reference_compile,
+    reference_eligible_gates,
+    reference_overhead_report,
+    reference_random_vectors,
+)
+from vtcamo.camouflage import (CostMultiples, CostTable, apply_camouflage,
+                               eligible_gates, overhead_report)
+from vtcamo.cell import CellFlavor, GateFunction
+from vtcamo.errors import DecoySelectionError
+from vtcamo.netlist import Gate, Netlist, _compile, random_vectors
+
+F = GateFunction
+_KINDS = (F.AND, F.OR, F.NAND, F.NOR, F.XOR, F.XNOR, F.NOT, F.BUFF,
+          *CellFlavor)
+
+_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def netlists(draw):
+    width = draw(st.integers(1, 4))
+    names = [f"n{k}" for k in draw(st.permutations(
+        range(width + draw(st.integers(0, 14)))))]
+    ins, ids = names[:width], names[width:]
+    gates = []
+    for k, gid in enumerate(ids):
+        kind = draw(st.sampled_from(_KINDS))
+        if kind in (F.NOT, F.BUFF):
+            arity = 1
+        else:
+            arity = draw(st.integers(1, 2 if kind in CellFlavor else 4))
+        pool = ins + ids[:k]
+        fanins = tuple(draw(st.sampled_from(pool)) for _ in range(arity))
+        gates.append(Gate(gid, fanins, flavor=kind) if kind in CellFlavor
+                     else Gate(gid, fanins, func=kind))
+    outputs = draw(st.lists(st.sampled_from(names), max_size=4, unique=True))
+    return Netlist(tuple(ins), tuple(outputs),
+                   tuple(draw(st.permutations(gates))))
+
+
+@st.composite
+def locked_netlists(draw):
+    """A drawn netlist, with some of its eligible gates camouflaged."""
+    net = draw(netlists())
+    flavor = draw(st.sampled_from(list(CellFlavor)))
+    eligible = eligible_gates(net, flavor)
+    if not eligible:
+        return net
+    chosen = draw(st.lists(st.sampled_from(eligible), unique=True))
+    try:
+        return apply_camouflage(net, chosen, flavor,
+                                draw(st.none() | st.integers(0, 9)))[0]
+    except DecoySelectionError:
+        return net
+
+
+_TABLES = st.sampled_from([CostTable(), CostTable({
+    CellFlavor.CAMO8: CostMultiples(4.0, 4.0, 1.0),
+    CellFlavor.CMOS3A: CostMultiples(2.0, 2.0, 1.3),
+    CellFlavor.CMOS3B: CostMultiples(2.0, 2.0, 3.0),
+}), CostTable({
+    CellFlavor.CAMO8: CostMultiples(1.1, 3.3, 1.7),
+    CellFlavor.CMOS3A: CostMultiples(1.0, 1.0, 1.1),
+    CellFlavor.CMOS3B: CostMultiples(7.0, 1.5, 2.3),
+})])
+
+
+@_SETTINGS
+@given(locked_netlists())
+def test_compile_matches_the_per_gate_fanin_lists(net):
+    assert _compile(net) == reference_compile(net)
+
+
+@_SETTINGS
+@given(st.integers(0, 40), st.integers(0, 40), st.integers())
+def test_random_vectors_match_per_bit_randint(width, count, seed):
+    assert (list(random_vectors(width, count, seed))
+            == list(reference_random_vectors(width, count, seed)))
+
+
+def test_random_vectors_are_drawn_lazily():
+    huge = 10 ** 12
+    assert (list(islice(random_vectors(33, huge, 5), 3))
+            == list(islice(reference_random_vectors(33, huge, 5), 3)))
+
+
+def _floats_as_hex(report) -> tuple:
+    return (report.area_pct.hex(), report.power_pct.hex(),
+            report.delay_pct.hex(), report.gate_total, report.camo_count,
+            report.per_gate)
+
+
+@_SETTINGS
+@given(locked_netlists(), _TABLES)
+def test_overhead_report_matches_two_timing_passes(net, table):
+    assert (_floats_as_hex(overhead_report(net, table))
+            == _floats_as_hex(reference_overhead_report(net, table)))
+
+
+@_SETTINGS
+@given(locked_netlists())
+def test_eligible_gates_match_the_camo_function_filter(net):
+    for flavor in CellFlavor:
+        assert (eligible_gates(net, flavor)
+                == reference_eligible_gates(net, flavor))

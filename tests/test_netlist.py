@@ -171,6 +171,15 @@ class TestParseErrors:
         assert str(err.value) == f"net {name!r} defined twice"
         assert err.value.line is None
 
+    def test_direct_netlist_rejects_a_gate_with_no_fanins(self):
+        # the parser rejects one too; the timing and depth passes read a
+        # gate's first fanin
+        gates = (Gate("g", ("a",), func=GateFunction.NOT),
+                 Gate("h", (), func=GateFunction.BUFF))
+        with pytest.raises(BenchSyntaxError) as err:
+            Netlist(("a",), ("g",), gates)
+        assert str(err.value) == "gate 'h' has no fanins"
+
     def test_parser_names_the_line_of_a_second_definition(self):
         with pytest.raises(BenchSyntaxError) as err:
             parse_bench("INPUT(a)\nOUTPUT(g)\ng = NOT(a)\ng = BUFF(a)\n")

@@ -296,10 +296,18 @@ def _assert_numbered_as_built(locked: Netlist) -> None:
 @_SETTINGS
 @given(netlist_args(), st.none() | st.integers(0, 9), st.data())
 def test_locked_numbering_equals_a_fresh_build(args, seed, data):
+    """With INV/BUF cells (decoy edges, Kahn runs again) and without them
+    (the input's order is kept), the locked netlist is numbered and
+    ordered as a fresh build of it."""
     net, before = Netlist(*args), Netlist(*args)
     eligible = eligible_gates(net, CellFlavor.CAMO8)
     chosen = data.draw(st.lists(st.sampled_from(eligible), unique=True)
                        ) if eligible else []
+    no_decoy = [gid for gid in chosen
+                if net.gate(gid).func not in (F.NOT, F.BUFF)]
+    locked, _ = apply_camouflage(net, no_decoy, CellFlavor.CAMO8, seed)
+    _assert_numbered_as_built(locked)
+    assert locked._order is net._order
     try:
         locked, _ = apply_camouflage(net, chosen, CellFlavor.CAMO8, seed)
     except DecoySelectionError:
