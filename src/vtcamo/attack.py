@@ -45,8 +45,8 @@ from .cell import (CAMOUFLAGEABLE, LOCAL_VECTORS, GateFunction, behavior_table,
 from .errors import (AttackTooLargeError, InvalidParameterError,
                      UnresolvedFaninError)
 from .netlist import (EXHAUSTIVE_INPUT_LIMIT, CamoKey, Netlist, OutputTables,
-                      all_vectors, bits_at, filter_assignments,
-                      keyed_simulator, random_vectors, simulate_words)
+                      all_vectors, filter_assignments, forced_rails,
+                      keyed_simulator, random_vectors)
 
 #: Most camouflaged gates the joint brute-force enumeration accepts.
 MAX_BRUTE_GATES = 8
@@ -269,24 +269,21 @@ def find_sensitizing_vector(net: Netlist,
         raise UnresolvedFaninError(
             f"fanin cone of {target_gate!r} has unresolved camouflaged "
             f"gates {sorted(unresolved)}")
-    (f0, f1), (p0, p1) = gate.fanins, local_pattern
-    for (_, rails0), (_, rails1) in zip(
-            simulate_words(net, partial_assignment, forced={target_gate: 0}),
-            simulate_words(net, partial_assignment, forced={target_gate: 1})):
+    p0, p1 = local_pattern
+    for words, rails0, rails1 in forced_rails(
+            net, partial_assignment, target_gate, gate.fanins + net.outputs):
         # the resolved cone makes both fanins known, so "may be p" is "is p"
-        local = rails0[f0][p0] & rails0[f1][p1]
+        local = rails0[0][p0] & rails0[1][p1]
         # an output flips where both passes are definite and differ
         flips = [(z0 & ~o0 & o1 & ~z1) | (o0 & ~z0 & z1 & ~o1)
-                 for (z0, o0), (z1, o1) in zip(map(rails0.get, net.outputs),
-                                               map(rails1.get, net.outputs))]
+                 for (z0, o0), (z1, o1) in zip(rails0[2:], rails1[2:])]
         hit = local & reduce(or_, flips, 0)
         if hit:
             j = (hit & -hit).bit_length() - 1
             i = next(i for i, flip in enumerate(flips) if flip >> j & 1)
-            po = net.outputs[i]
-            return SensitizingVector(bits_at(rails0, net.inputs, j), i,
-                                     rails0[po][1] >> j & 1,
-                                     rails1[po][1] >> j & 1)
+            return SensitizingVector(tuple([w >> j & 1 for w in words]), i,
+                                     rails0[2 + i][1] >> j & 1,
+                                     rails1[2 + i][1] >> j & 1)
     return None
 
 

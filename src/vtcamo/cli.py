@@ -234,6 +234,8 @@ def _parse_temps(raw: str) -> tuple[float, ...]:
 
 def _cmd_sidechannel(args) -> dict:
     cfg = _config_for(args)
+    # check sigma before any measuring, even where no signature gets noise
+    side_mod.add_measurement_noise(side_mod.Signature("", ()), args.noise)
     net = _load_net(args.bench)
     key = _load_key(args.key)
     validate_key(net, key)

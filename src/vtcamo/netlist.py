@@ -181,15 +181,20 @@ class Netlist:
     def camo_gates(self) -> tuple[Gate, ...]:
         return self._camo
 
-    def _depths(self) -> list[int]:
-        """Topological depth per net number (inputs at 0)."""
-        depth, fanins = [0] * len(self._names), self._fanins
+    def _arrivals(self, delays) -> list:
+        """Per net number, the latest arrival at its fanins plus its delay
+        (an input arrives at its delay), in one topological pass."""
+        arrival, fanins = list(delays), self._fanins
         for n in self._order:
             f = fanins[n]
-            a, b = depth[f[0]], depth[f[-1]]  # every fanin, if 1 or 2
-            depth[n] = 1 + ((a if a > b else b) if len(f) < 3
-                            else max(map(depth.__getitem__, f)))
-        return depth
+            a, b = arrival[f[0]], arrival[f[-1]]  # every fanin, if 1 or 2
+            arrival[n] = ((a if a > b else b) if len(f) < 3 else
+                          max(map(arrival.__getitem__, f))) + delays[n]
+        return arrival
+
+    def _depths(self) -> list[int]:
+        """Topological depth per net number (inputs at 0)."""
+        return self._arrivals([0] * len(self.inputs) + [1] * len(self.gates))
 
     def levels(self) -> dict[str, int]:
         """Topological depth per net (primary inputs at level 0)."""
@@ -582,20 +587,20 @@ def _blocks(width: int, vectors=None):
         yield first, *_block_words(width, first)
 
 
-def simulate_words(net: Netlist, assignment: dict[str, GateFunction],
-                   forced: dict[str, int] | None = None):
-    """Yield ``(first, rails)`` per block of ``all_vectors``.
+def forced_rails(net: Netlist, assignment: dict[str, GateFunction],
+                 target: str, nets):
+    """Yield ``(words, rails0, rails1)`` per block of ``all_vectors``.
 
-    Bit j of a block's words is vector ``first + j``; ``rails`` maps every
-    net name to its ``(may0, may1)`` pair. Camouflaged gates are unknown
-    unless ``assignment`` gives their function; ``forced`` pins gate
-    outputs to 0 or 1. Keys are not validated.
+    ``words`` are the block's input words; ``rails0`` and ``rails1`` hold
+    the ``(may0, may1)`` pair of each of ``nets``, in order, with gate
+    ``target`` forced to 0 and to 1. Camouflaged gates are unknown unless
+    ``assignment`` gives their function. Keys are not validated.
     """
-    ops = _resolve(net, assignment.items(), forced)
-    for first, words, mask in _blocks(len(net.inputs)):
-        may0, may1 = _run(ops, words, mask)
-        yield first, {n: (may0[i], may1[i])
-                      for n, i in zip(net._names, net._prog.index)}
+    where = [net._program().index[net._index[n]] for n in nets]
+    ops = [_resolve(net, assignment.items(), {target: b}) for b in (0, 1)]
+    for _, words, mask in _blocks(len(net.inputs)):
+        yield words, *([(may0[i], may1[i]) for i in where]
+                       for may0, may1 in (_run(o, words, mask) for o in ops))
 
 
 def filter_assignments(net: Netlist, gate_ids, candidates, observations,
@@ -619,11 +624,6 @@ def _outputs(prog: _Program, ops, words, mask: int) -> list[int]:
     """Output words (may1 rails) of one run."""
     may1 = _run(ops, words, mask)[1]
     return [may1[i] for i in prog.outputs]
-
-
-def bits_at(rails: dict[str, tuple], nets, j: int) -> tuple[int, ...]:
-    """Values of ``nets`` under vector j of a batch (their may1 rails)."""
-    return tuple(rails[n][1] >> j & 1 for n in nets)
 
 
 def _key_ops(net: Netlist, key: CamoKey | None) -> list:
@@ -895,15 +895,6 @@ def unit_delay_model(gate: Gate) -> float:
     return 1.0
 
 
-def _latest(arrival: list[float], fanins) -> float:
-    """The latest arrival over ``fanins`` (-inf for none)."""
-    when = float("-inf")
-    for f in fanins:
-        if arrival[f] > when:
-            when = arrival[f]
-    return when
-
-
 class IncrementalTiming:
     """Arrival time per net number under per-gate delays, kept exact as
     gate delays change one by one.
@@ -920,14 +911,12 @@ class IncrementalTiming:
         self.net, width = net, len(net.inputs)
         self.delays = [0.0] * width + ([1.0] * len(net.gates)
                                        if delays is None else list(delays))
-        self.arrival = arrival = [0.0] * len(net._names)
+        self.arrival = net._arrivals(self.delays)
         self.rank = rank = [0] * len(net._names)
-        delays, fanins = self.delays, net._fanins
         for r, n in enumerate(net._order):
             rank[n] = r
-            arrival[n] = _latest(arrival, fanins[n]) + delays[n]
         self.ends = ({n for n in map(net._index.get, net.outputs)
-                      if n >= width} or range(width, len(arrival)))
+                      if n >= width} or range(width, len(net._names)))
 
     def delay(self) -> float:
         """The latest arrival at an end (0.0 for a netlist with no gates)."""
@@ -944,7 +933,7 @@ class IncrementalTiming:
         heap, queued = [self.rank[start]], {start}
         while heap:
             n = net._order[heapq.heappop(heap)]
-            t = _latest(arrival, net._fanins[n]) + delays[n]
+            t = max(map(arrival.__getitem__, net._fanins[n])) + delays[n]
             if t == arrival[n]:
                 continue
             if n in self.ends and not t <= bound:

@@ -7,6 +7,8 @@ calls ``randint(0, 1)`` once per bit. ``reference_overhead_report`` times
 the netlist twice, once with unit delays and once with the cells' delay
 multiples. ``reference_eligible_gates`` filters the gates through
 ``_camo_function``, which looked functions up by ``GateFunction`` member.
+``reference_arrivals`` is ``IncrementalTiming``'s arrival pass with one
+``_latest`` call per gate.
 """
 
 from __future__ import annotations
@@ -92,3 +94,23 @@ def _camo_function(gate: Gate, flavor: CellFlavor) -> GateFunction | None:
 def reference_eligible_gates(net: Netlist, flavor: CellFlavor) -> list[str]:
     return [g.gate_id for g in net.gates
             if _camo_function(g, flavor) is not None]
+
+
+def _latest(arrival: list[float], fanins) -> float:
+    """The latest arrival over ``fanins`` (-inf for none)."""
+    when = float("-inf")
+    for f in fanins:
+        if arrival[f] > when:
+            when = arrival[f]
+    return when
+
+
+def reference_arrivals(net: Netlist, delays=None) -> list[float]:
+    """Arrival per net number: inputs at 0.0, each gate its delay (one per
+    gate in file order, unit by default) after its latest fanin."""
+    delays = [0.0] * len(net.inputs) + ([1.0] * len(net.gates)
+                                        if delays is None else list(delays))
+    arrival = [0.0] * len(net._names)
+    for n in net._order:
+        arrival[n] = _latest(arrival, net._fanins[n]) + delays[n]
+    return arrival

@@ -39,8 +39,7 @@ from vtcamo.errors import (
     UnresolvedGateError,
 )
 from vtcamo.netlist import (CamoKey, KeyEntry, all_vectors,
-                            filter_assignments, parse_bench, simulate,
-                            simulate_words)
+                            filter_assignments, parse_bench, simulate)
 
 SINGLE = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n"
 CHAIN2 = ("INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\n"
@@ -343,9 +342,12 @@ def reference_equivalent(net, gate_ids, survivors, fixed) -> bool:
         return True
     if len(survivors) > attack.EQUIV_CHECK_LIMIT:
         return False
-    tables = [[[rails[n][1] for n in net.outputs] for _, rails in
-               simulate_words(net, {**fixed, **dict(zip(gate_ids, a))})]
-              for a in survivors]
+    outputs, tables = net._program().outputs, []
+    for a in survivors:  # each survivor's ops, run over every block
+        ops = netlist._resolve(net, [*fixed.items(), *zip(gate_ids, a)])
+        tables.append([[may1[i] for i in outputs] for may1 in (
+            netlist._run(ops, words, mask)[1]
+            for _, words, mask in netlist._blocks(len(net.inputs)))])
     return all(table == tables[0] for table in tables)
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -389,6 +390,27 @@ class TestCliFailures:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error
+
+    @pytest.mark.parametrize("sigma", ["-0.5", "nan", "inf"])
+    @pytest.mark.parametrize("locked", [True, False],
+                             ids=["locked", "no-cells"])
+    def test_bad_noise_sigma_is_one_json_line(self, capsys, tmp_path,
+                                              c17_file, sigma, locked):
+        # a negative sigma used to be reported and ignored, and NaN came
+        # out as a bare NaN in the JSON; with no cells nothing got noise
+        if locked:
+            bench, keyfile, _ = _lock_c17(tmp_path, c17_file)
+        else:
+            bench, keyfile = c17_file, tmp_path / "empty.key"
+            keyfile.write_text("")
+        with mock.patch("vtcamo.sidechannel.measure_signature") as measure:
+            code, out, err = _run(capsys, [
+                "sidechannel", bench, "--key", str(keyfile),
+                f"--noise={sigma}", "--no-timestamp"])
+        assert (code, out, measure.call_count) == (1, "", 0)
+        assert [json.loads(line) for line in err.splitlines()] == [{
+            "error": "InvalidParameterError",
+            "message": f"noise sigma must be finite and >= 0: {float(sigma)}"}]
 
     @pytest.mark.parametrize("argv", [
         ["bias-opt", "--no-timestamp"],

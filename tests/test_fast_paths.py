@@ -1,9 +1,11 @@
 """The lock path's fast loops against the code they replaced.
 
-``_compile``, ``random_vectors``, ``overhead_report`` and
-``eligible_gates`` must give exactly what the references in
-``reference_fast_paths.py`` give: the same ``_Program``, the same vectors,
-the same report (floats compared by ``float.hex``) and the same gate ids.
+``_compile``, ``random_vectors``, ``overhead_report``, ``eligible_gates``
+and ``IncrementalTiming``'s arrival pass must give exactly what the
+references in ``reference_fast_paths.py`` give: the same ``_Program``, the
+same vectors, the same report and arrivals (floats compared by
+``float.hex``) and the same gate ids; ``levels`` must give the unit
+arrivals as ``int``s.
 Netlists are drawn in shuffled file order with gates of one to four
 fanins (so one-input AND/OR/XOR gates built directly, and gates folded
 through temporary nets), camouflaged cells built directly, and cells
@@ -18,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reference_fast_paths import (
+    reference_arrivals,
     reference_compile,
     reference_eligible_gates,
     reference_overhead_report,
@@ -27,7 +30,8 @@ from vtcamo.camouflage import (CostMultiples, CostTable, apply_camouflage,
                                eligible_gates, overhead_report)
 from vtcamo.cell import CellFlavor, GateFunction
 from vtcamo.errors import DecoySelectionError
-from vtcamo.netlist import Gate, Netlist, _compile, random_vectors
+from vtcamo.netlist import (Gate, IncrementalTiming, Netlist, _compile,
+                            random_vectors)
 
 F = GateFunction
 _KINDS = (F.AND, F.OR, F.NAND, F.NOR, F.XOR, F.XNOR, F.NOT, F.BUFF,
@@ -124,3 +128,30 @@ def test_eligible_gates_match_the_camo_function_filter(net):
     for flavor in CellFlavor:
         assert (eligible_gates(net, flavor)
                 == reference_eligible_gates(net, flavor))
+
+
+#: Zero, inexact and unequal gate delays.
+_DELAYS = st.sampled_from([0.0, 0.1, 0.3, 1.0, 1.7, 2.2]) | st.floats(1, 8)
+
+
+@_SETTINGS
+@given(locked_netlists(), st.data())
+def test_arrivals_match_the_latest_fanin_loop(net, data):
+    gates = st.lists(_DELAYS, min_size=len(net.gates),
+                     max_size=len(net.gates))
+    delays = data.draw(st.none() | gates)
+    timing = IncrementalTiming(net, delays)
+    want = reference_arrivals(net, delays)
+    assert list(map(float.hex, timing.arrival)) == list(map(float.hex, want))
+    levels = list(net.levels().values())
+    assert all(type(d) is int for d in levels)
+    assert levels == list(map(int, reference_arrivals(net)))
+    if net.gates:  # a kept delay re-times exactly as a full pass does
+        k = data.draw(st.integers(0, len(net.gates) - 1))
+        new = data.draw(_DELAYS)
+        assert timing.try_delay(net.gates[k].gate_id, new, float("inf"))
+        delays = list(timing.delays[len(net.inputs):])
+        assert delays[k] == new
+        want = reference_arrivals(net, delays)
+        assert (list(map(float.hex, timing.arrival))
+                == list(map(float.hex, want)))

@@ -4,10 +4,12 @@
 unknown value: a gate is known when every completion of its unknown
 inputs gives the same output. Camouflaged cells use ``behavior_table``,
 the cell's own truth table over its two physical ports. The properties
-check ``simulate_words``, ``filter_assignments``, ``simulate``,
-``CountingOracle``, ``check_equivalence`` and ``find_sensitizing_vector``
-against it on generated locked netlists with unresolved and forced gates;
-the oracle is fed sequential, repeated and block-hopping streams.
+check ``forced_rails`` (every net, with a drawn gate forced to 0 and
+to 1), ``filter_assignments``, ``simulate``, ``CountingOracle``,
+``check_equivalence`` and ``find_sensitizing_vector`` against it on
+generated locked netlists with unresolved gates, over blocks of 2, 4 and
+4,096 vectors; the oracle is fed sequential, repeated and block-hopping
+streams.
 
 The depth-first joint replay behind ``filter_assignments`` and
 ``OutputTables`` is also checked against ``reference_filter``, the
@@ -37,8 +39,8 @@ from vtcamo.netlist import (
     all_vectors,
     check_equivalence,
     filter_assignments,
+    forced_rails,
     simulate,
-    simulate_words,
 )
 
 F = GateFunction
@@ -91,7 +93,7 @@ _FUNCS = (F.AND, F.OR, F.NAND, F.NOR, F.XOR, F.XNOR, F.NOT, F.BUFF)
 
 @st.composite
 def locked_cases(draw, max_cells=5):
-    """(plain netlist, its locked copy, key, partial assignment, forced)."""
+    """(plain netlist, its locked copy, key, partial assignment, a gate)."""
     width = draw(st.integers(1, 6))
     nets = [f"i{k}" for k in range(width)]
     gates = []
@@ -116,10 +118,7 @@ def locked_cases(draw, max_cells=5):
         func = draw(st.none() | st.sampled_from(functions))
         if func is not None:
             assignment[g.gate_id] = func
-    forced = {}
-    if draw(st.booleans()):
-        forced[draw(st.sampled_from(nets[width:]))] = draw(st.integers(0, 1))
-    return net, locked, key, assignment, forced
+    return net, locked, key, assignment, draw(st.sampled_from(nets[width:]))
 
 
 _SETTINGS = settings(max_examples=120, derandomize=True, deadline=None,
@@ -129,21 +128,29 @@ _SETTINGS = settings(max_examples=120, derandomize=True, deadline=None,
 @_SETTINGS
 @given(locked_cases(), st.sampled_from([1, 2, 12]))
 def test_words_match_the_scalar_reference(case, block_log2):
-    _, locked, _, assignment, forced = case
+    _, locked, _, assignment, target = case
+    nets = locked.inputs + tuple(g.gate_id for g in locked.gates)
     vectors = list(all_vectors(len(locked.inputs)))
     with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
-        blocks = list(simulate_words(locked, assignment, forced))
-    step = 1 << block_log2
-    assert [first for first, _ in blocks] == list(range(0, len(vectors), step))
-    for first, rails in blocks:
-        for j, vec in enumerate(vectors[first:first + step]):
-            want = reference_values(locked, vec, assignment, forced)
-            for n, value in want.items():
-                may0, may1 = rails[n][0] >> j & 1, rails[n][1] >> j & 1
-                if value is None:
-                    assert (may0, may1) == (1, 1), (n, vec)
-                else:
-                    assert (may0, may1) == (1 - value, value), (n, vec)
+        blocks = list(forced_rails(locked, assignment, target, nets))
+    step = min(1 << block_log2, len(vectors))
+    assert len(blocks) == len(vectors) // step
+    for k, (words, *forcings) in enumerate(blocks):
+        # the input words decode to this block's vectors and no others
+        assert len(words) == len(locked.inputs)
+        assert all(w >> step == 0 for w in words)
+        for j, vec in enumerate(vectors[k * step:(k + 1) * step]):
+            assert tuple(w >> j & 1 for w in words) == vec
+            for bit, rails in enumerate(forcings):
+                want = reference_values(locked, vec, assignment,
+                                        {target: bit})
+                for n, (may0, may1) in zip(nets, rails):
+                    value = want[n]
+                    got = (may0 >> j & 1, may1 >> j & 1)
+                    if value is None:
+                        assert got == (1, 1), (n, vec, bit)
+                    else:
+                        assert got == (1 - value, value), (n, vec, bit)
 
 
 @_SETTINGS
@@ -188,13 +195,16 @@ def test_simulate_matches_the_reference_under_the_key(case):
 
 
 @_SETTINGS
-@given(locked_cases(), st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]))
-def test_sensitizing_vector_matches_the_scalar_search(case, pattern):
+@given(locked_cases(), st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]),
+       st.sampled_from([1, 2, 12]))
+def test_sensitizing_vector_matches_the_scalar_search(case, pattern,
+                                                      block_log2):
     _, locked, _, assignment, _ = case
     for g in locked.camo_gates():
         try:
-            got = find_sensitizing_vector(locked, assignment, g.gate_id,
-                                          pattern)
+            with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
+                got = find_sensitizing_vector(locked, assignment, g.gate_id,
+                                              pattern)
         except UnresolvedFaninError:
             continue
         want = reference_sensitizing(locked, assignment, g.gate_id, pattern)
