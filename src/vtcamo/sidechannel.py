@@ -20,6 +20,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
+from typing import NamedTuple
 
 from .cell import (LOCAL_VECTORS, CamoConfig, CellFlavor, GateFunction,
                    config_for)
@@ -50,8 +51,7 @@ DEFAULT_TEMPERATURES = (250.0, 300.0, 350.0)
 _LOG_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """One measurement point: a local input vector at one temperature."""
 
     vector: tuple[int, int]
@@ -69,7 +69,7 @@ class Signature:
 
     def grid(self) -> tuple[tuple[tuple[int, int], float], ...]:
         """The (vector, temperature) points this signature covers."""
-        return tuple((o.vector, o.temperature) for o in self.observations)
+        return tuple(map(itemgetter(0, 1), self.observations))
 
 
 def _check_temperatures(temperatures) -> tuple[float, ...]:
@@ -126,8 +126,9 @@ def _signatures(cells, temperatures, params: DeviceParams | None,
         for vec in LOCAL_VECTORS:
             for t, point, core_off in points:
                 out, core = cell.core(vec, core_off)
-                obs.append(Observation(vec, t, cell.leakage(core, point),
-                                       cell.delay(out, core, point)))
+                obs.append(tuple.__new__(Observation, (
+                    vec, t, cell.leakage(core, point),
+                    cell.delay(out, core, point))))
         sigs.append(Signature(gate_id, tuple(obs)))
     return sigs
 
@@ -199,27 +200,34 @@ def add_measurement_noise(signature: Signature, sigma: float,
         raise InvalidParameterError(f"noise sigma must be finite and >= 0: "
                                     f"{sigma}")
     rng = random.Random(seed)
-    obs = tuple(
-        Observation(o.vector, o.temperature,
-                    o.leakage_a * math.exp(rng.gauss(0.0, sigma)),
-                    o.delay_s * math.exp(rng.gauss(0.0, sigma)))
-        for o in signature.observations)
+    try:
+        obs = tuple(
+            Observation(o.vector, o.temperature,
+                        o.leakage_a * math.exp(rng.gauss(0.0, sigma)),
+                        o.delay_s * math.exp(rng.gauss(0.0, sigma)))
+            for o in signature.observations)
+    except OverflowError:
+        raise InvalidParameterError(f"noise sigma {sigma} is too large: "
+                                    f"a noise factor overflows") from None
     return Signature(signature.gate_id, obs)
 
 
-def _features(signature: Signature) -> list[float]:
+def _spans(grid) -> list[tuple[int, int]]:
+    """Per vector in sorted order, the feature indices of the log leakage
+    at its first coolest and its last hottest point (stable sort)."""
+    by_vector: dict[tuple[int, int], list[tuple[float, int]]] = {}
+    for i, (vec, t) in enumerate(grid):
+        by_vector.setdefault(vec, []).append((t, 2 * i))
+    return [(pts[0][1], pts[-1][1]) for pts in
+            (sorted(by_vector[vec], key=itemgetter(0))
+             for vec in sorted(by_vector))]
+
+
+def _features(obs: tuple[Observation, ...], spans) -> list[float]:
     """Log-leakage and log-delay per point, plus thermal slopes per vector."""
-    feats = []
-    by_vector: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    for o in signature.observations:
-        leak = math.log10(max(o.leakage_a, _LOG_FLOOR))
-        feats.append(leak)
-        feats.append(math.log10(max(o.delay_s, _LOG_FLOOR)))
-        by_vector.setdefault(o.vector, []).append((o.temperature, leak))
-    for vec in sorted(by_vector):
-        pts = sorted(by_vector[vec], key=itemgetter(0))
-        feats.append(pts[-1][1] - pts[0][1])
-    return feats
+    log10 = math.log10
+    feats = [log10(max(x, _LOG_FLOOR)) for o in obs for x in o[2:]]
+    return feats + [feats[hot] - feats[cool] for cool, hot in spans]
 
 
 @dataclass(frozen=True)
@@ -249,28 +257,30 @@ def classify_function(signature: Signature,
     if signature.grid() != grids[0]:
         raise TemplateSetError(
             "signature measurement grid does not match the templates")
-    order = sorted(templates, key=lambda f: f.value)
-    rows = [_features(templates[f]) for f in order]
-    probe = _features(signature)
+    order, sigs = zip(*sorted(templates.items(), key=lambda kv: kv[0].value))
+    spans = _spans(grids[0])
+    rows = [_features(s.observations, spans) for s in sigs]
+    probe = _features(signature.observations, spans)
     if not all(map(math.isfinite, chain.from_iterable(rows))):
         raise TemplateSetError("template features are not finite")
     n = len(order)
     sums = [0.0] * n   # each template's squared distance, column by column
     for col, x_probe in zip(zip(*rows), probe):
         mean = sum(col) / n
-        std = math.sqrt(sum((x - mean) ** 2 for x in col) / n)
+        # keep ** 2: pow(x, 2) is not always the correctly rounded x * x
+        std = math.sqrt(sum([(x - mean) ** 2 for x in col]) / n)
         if std == 0.0:
             continue
         z_probe = (x_probe - mean) / std
         sums = [d + ((x - mean) / std - z_probe) ** 2
                 for d, x in zip(sums, col)]
-    distances = dict(zip(order, map(math.sqrt, sums)))
-    best, second = sorted(order, key=lambda f: (distances[f], f.value))[:2]
-    peak = max(-distances[f] for f in order)
-    weights = {f: math.exp(-distances[f] - peak) for f in order}
-    total = sum(weights.values())
-    confidence = (weights[best] - weights[second]) / total
-    return Classification(best, confidence, distances)
+    dists = list(map(math.sqrt, sums))
+    peak = max([-d for d in dists])
+    weights = [math.exp(-d - peak) for d in dists]
+    # order is by function value, so the index breaks ties as the value did
+    best, second = sorted(range(n), key=lambda i: (dists[i], i))[:2]
+    confidence = (weights[best] - weights[second]) / sum(weights)
+    return Classification(order[best], confidence, dict(zip(order, dists)))
 
 
 @dataclass(frozen=True)

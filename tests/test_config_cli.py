@@ -412,6 +412,19 @@ class TestCliFailures:
             "error": "InvalidParameterError",
             "message": f"noise sigma must be finite and >= 0: {float(sigma)}"}]
 
+    def test_overflowing_noise_is_one_json_line(self, capsys, tmp_path,
+                                                c17_file):
+        # the noise factor exp(N(0, 800)) overflows after measuring
+        bench, keyfile, _ = _lock_c17(tmp_path, c17_file)
+        code, out, err = _run(capsys, [
+            "sidechannel", bench, "--key", keyfile, "--noise", "800",
+            "--no-timestamp"])
+        assert (code, out) == (1, "")
+        assert [json.loads(line) for line in err.splitlines()] == [{
+            "error": "InvalidParameterError",
+            "message": "noise sigma 800.0 is too large: a noise factor "
+                       "overflows"}]
+
     @pytest.mark.parametrize("argv", [
         ["bias-opt", "--no-timestamp"],
         ["sweep", "--hvt", "0.3:0.3", "--lvt", "0.3:0.3"],

@@ -511,14 +511,32 @@ def test_grid_walks_compute_each_member_once(monkeypatch):
         assert set(got) == set(want)
 
 
+# values at and below sidechannel._LOG_FLOOR (1e-300), which the features
+# floor before taking logs; 1e-310 is subnormal
+_FLOORED = {"floor": 1e-300, "zero": 0.0, "negative": -1e-12,
+            "subnormal": 1e-310}
+
+
 def _corrupt(signature, how):
     obs = list(signature.observations)
+    first, last = obs[0], obs[-1]
     if how == "grid":
-        obs[0] = Observation(obs[0].vector, obs[0].temperature + 1.0,
-                             obs[0].leakage_a, obs[0].delay_s)
+        obs[0] = Observation(first.vector, first.temperature + 1.0,
+                             first.leakage_a, first.delay_s)
     elif how == "nonfinite":
-        obs[-1] = Observation(obs[-1].vector, obs[-1].temperature,
-                              math.inf, obs[-1].delay_s)
+        obs[-1] = Observation(last.vector, last.temperature,
+                              math.inf, last.delay_s)
+    elif how == "nan_leakage":
+        obs[-1] = Observation(last.vector, last.temperature,
+                              math.nan, last.delay_s)
+    elif how == "nan_delay":
+        obs[0] = Observation(first.vector, first.temperature,
+                             first.leakage_a, math.nan)
+    else:
+        obs[0] = Observation(first.vector, first.temperature,
+                             _FLOORED[how], first.delay_s)
+        obs[-1] = Observation(last.vector, last.temperature,
+                              last.leakage_a, _FLOORED[how])
     return Signature(signature.gate_id, tuple(obs))
 
 
@@ -542,9 +560,25 @@ flavor_subset_st = st.sampled_from(list(CellFlavor)).flatmap(
        st.lists(temp_st, min_size=1, max_size=3),
        st.integers(0, 7), st.floats(0.0, 0.3), st.integers(0, 2 ** 16),
        st.sampled_from((None, "probe", "template")),
-       st.sampled_from(("grid", "nonfinite")))
+       st.sampled_from(("grid", "nonfinite", "nan_leakage", "nan_delay",
+                        *_FLOORED)))
 @example((CellFlavor.CAMO8, set(CellFlavor.CAMO8.function_set)), "fixed",
          DeviceParams(), [250.0, 300.0, 350.0], 0, 0.0, 0, None, "grid")
+# a column whose spread changes in its last bit when (x - mean) ** 2 is
+# computed as (x - mean) * (x - mean)
+@example((CellFlavor.CAMO8, set(CellFlavor.CAMO8.function_set)), "fixed",
+         DeviceParams(), [328.5, 300.0, 350.0], 3, 0.0, 0, None, "grid")
+@example((CellFlavor.CAMO8, set(CellFlavor.CAMO8.function_set)), "fixed",
+         DeviceParams(), [250.0, 300.0, 350.0], 3, 0.05, 1, "probe",
+         "nan_leakage")
+@example((CellFlavor.CAMO8, set(CellFlavor.CAMO8.function_set)), "fixed",
+         DeviceParams(), [250.0, 300.0, 350.0], 5, 0.05, 2, "probe",
+         "nan_delay")
+@example((CellFlavor.CAMO8, set(CellFlavor.CAMO8.function_set)), "fixed",
+         DeviceParams(), [300.0, 250.0], 1, 0.05, 3, "probe", "zero")
+@example((CellFlavor.CAMO8, set(CellFlavor.CAMO8.function_set)), "fixed",
+         DeviceParams(), [250.0, 350.0], 2, 0.05, 4, "template",
+         "subnormal")
 def test_classify_function_matches_reference(flavor_subset, policy, p, temps,
                                              pick, sigma, seed, where, how):
     flavor, funcs = flavor_subset

@@ -1,6 +1,7 @@
 """Physical fingerprints: signatures, classification, countermeasures."""
 
 import dataclasses
+import inspect
 import math
 
 import pytest
@@ -19,6 +20,7 @@ from vtcamo.sidechannel import (
     DEFAULT_TEMPERATURES,
     MAX_TEMPERATURE_K,
     MIN_TEMPERATURE_K,
+    Observation,
     add_measurement_noise,
     balance_flavors,
     cell_signature,
@@ -139,12 +141,30 @@ class TestClassification:
         sig = cell_signature(config_for(GateFunction.NAND, CellFlavor.CAMO8))
         templates = dict(template_signatures(CellFlavor.CAMO8))
         broken = templates[GateFunction.OR]
-        first = dataclasses.replace(broken.observations[0],
-                                    leakage_a=math.inf)
+        first = broken.observations[0]
+        first = Observation(first.vector, first.temperature, math.inf,
+                            first.delay_s)
         templates[GateFunction.OR] = dataclasses.replace(
             broken, observations=(first,) + broken.observations[1:])
         with pytest.raises(TemplateSetError, match="finite"):
             classify_function(sig, templates)
+
+
+class TestObservation:
+    def test_contract(self):
+        names = ["vector", "temperature", "leakage_a", "delay_s"]
+        values = [(0, 1), 300.0, 1e-09, 2e-11]
+        assert list(inspect.signature(Observation).parameters) == names
+        point = Observation(*values)
+        same = Observation(**dict(zip(names, values)))
+        assert [getattr(point, name) for name in names] == values
+        assert point == same
+        assert hash(point) == hash(same)
+        assert point != Observation((0, 1), 300.0, 1e-09, 3e-11)
+        assert repr(point) == ("Observation(vector=(0, 1), temperature=300.0,"
+                               " leakage_a=1e-09, delay_s=2e-11)")
+        with pytest.raises(AttributeError):
+            point.leakage_a = 0.0
 
 
 class TestNoise:
@@ -165,6 +185,12 @@ class TestNoise:
         sig = cell_signature(config_for(GateFunction.XOR, CellFlavor.CAMO8))
         with pytest.raises(InvalidParameterError):
             add_measurement_noise(sig, sigma)
+
+    def test_overflowing_noise_factor_rejected(self):
+        # exp(N(0, 800)) overflows a float for almost every draw
+        sig = cell_signature(config_for(GateFunction.XOR, CellFlavor.CAMO8))
+        with pytest.raises(InvalidParameterError, match="800.0"):
+            add_measurement_noise(sig, 800.0)
 
 
 class TestThermalCompensation:
