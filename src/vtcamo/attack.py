@@ -7,21 +7,24 @@ validates once at construction, and counts invocations independently, so
 reported query counts can be audited.
 
 Both attacks end in one joint step, _resolve_jointly: it enumerates the
-product of some gates' candidate sets, replays the query transcript
-through filter_assignments, queries further vectors until one assignment
-is left, the rest are provably interchangeable or the budget runs out,
-and assigns the status. brute_force_attack queries its whole pattern
-source first and hands every gate to that step. sensitization_attack
-first resolves gates one at a time in topological order: for the local
-input patterns that tell a gate's candidates apart, it finds a
-primary-input vector that drives the pattern onto the gate and provably
-propagates the gate's output to a primary output, and reads the hidden
-truth table entry off the oracle response. The residue goes to the
-joint step, which walks the input space in counting order (_walk) and
-drops the survivors whose outputs differ from each new reply. The
-replay and the walk run the candidates depth first (netlist.OutputTables):
-candidates that agree up to a camouflaged gate share one run of the
-logic before it, and the replay drops a group at its first wrong output.
+product of some gates' candidate sets into one netlist.OutputTables,
+replays the query transcript into it, queries further vectors until one
+assignment is left, the rest are provably interchangeable or the budget
+runs out, and assigns the status. The survivors are interchangeable
+(settled) when the transcript holds every input vector or when they give
+the same outputs on every vector; nothing else settles them.
+brute_force_attack queries its whole pattern source first and hands
+every gate to that step. sensitization_attack first resolves gates one
+at a time in topological order: for the local input patterns that tell a
+gate's candidates apart, it finds a primary-input vector that drives the
+pattern onto the gate and provably propagates the gate's output to a
+primary output, and reads the hidden truth table entry off the oracle
+response. The residue goes to the joint step, which walks the input
+space in counting order (_walk) and drops the survivors whose outputs
+differ from each new reply. The replay and the walk run the candidates
+depth first: candidates that agree up to a camouflaged gate share one
+run of the logic before it, and the replay drops a group at its first
+wrong output.
 
 Propagation is checked on the netlist module's bit-parallel dual-rail
 core with the target forced to 0 and to 1, every unresolved camouflaged
@@ -36,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product, takewhile
+from itertools import product
 from operator import or_
 from typing import Callable, Iterable
 
@@ -45,8 +48,8 @@ from .cell import (CAMOUFLAGEABLE, LOCAL_VECTORS, GateFunction, behavior_table,
 from .errors import (AttackTooLargeError, InvalidParameterError,
                      UnresolvedFaninError)
 from .netlist import (EXHAUSTIVE_INPUT_LIMIT, CamoKey, Netlist, OutputTables,
-                      all_vectors, filter_assignments, forced_rails,
-                      keyed_simulator, random_vectors)
+                      all_vectors, forced_rails, keyed_simulator,
+                      random_vectors)
 
 #: Most camouflaged gates the joint brute-force enumeration accepts.
 MAX_BRUTE_GATES = 8
@@ -130,21 +133,20 @@ def _space_log2(sets: Iterable[frozenset]) -> float:
     return sum(math.log2(len(s)) for s in sets)
 
 
-def _walk(net: Netlist, cache: _QueryCache, tables,
-          ) -> tuple[bool, bool]:
+def _walk(net: Netlist, cache: _QueryCache, tables) -> bool:
     """Query all_vectors in counting order until ``tables.items`` settle.
 
     A new reply drops the survivors whose outputs, read from ``tables``,
     differ from it; a reply already in the transcript is skipped, since
-    the replay filtered it. Returns whether the survivors settled (became
-    mutually equivalent) and whether the walk completed; a spent budget
-    ends it with neither.
+    the replay filtered it. Returns whether the survivors settled: became
+    mutually equivalent, or the transcript came to hold every vector. A
+    spent budget ends the walk unsettled.
     """
     for vec in all_vectors(len(net.inputs)):
         known = len(cache.transcript)
         out = cache.query(vec)
         if out is None:
-            return False, False
+            return False
         if len(cache.transcript) == known:
             continue
         keep = tables.matches(vec, out)
@@ -152,32 +154,32 @@ def _walk(net: Netlist, cache: _QueryCache, tables,
             continue
         tables.keep(keep)
         if tables.agree(EQUIV_CHECK_LIMIT):
-            return True, False
-    return False, True
+            return True
+    return True
 
 
 def _resolve_jointly(net: Netlist, cache: _QueryCache, sets: dict,
                      gate_ids: list[str], fixed: dict | None = None,
-                     complete: bool = False,
                      walk: bool = False) -> tuple[str, float]:
     """Filter the joint assignments of ``gate_ids``; narrow ``sets``.
 
     Replays the transcript (``fixed`` assigns the other cells), then,
-    until the survivors are settled (``complete`` or mutually equivalent),
-    ``walk``s the input space. Returns the status and the survivors' log2.
+    until the survivors are settled (the transcript holds every vector or
+    they are mutually equivalent), ``walk``s the input space. Returns the
+    status and the survivors' log2.
     """
-    tables = OutputTables(net, gate_ids, filter_assignments(
-        net, gate_ids,
-        product(*(sorted(sets[g], key=lambda f: f.value) for g in gate_ids)),
-        cache.transcript.items(), fixed), fixed)
-    settled = complete or tables.agree(EQUIV_CHECK_LIMIT)
+    tables = OutputTables(net, gate_ids, product(
+        *(sorted(sets[g], key=lambda f: f.value) for g in gate_ids)),
+        fixed).replay(cache.transcript.items())
+    settled = (len(cache.transcript) == 1 << len(net.inputs)
+               or tables.agree(EQUIV_CHECK_LIMIT))
     if walk and not settled:
-        settled, complete = _walk(net, cache, tables)
+        settled = _walk(net, cache, tables)
     survivors = tables.items
     for i, gid in enumerate(gate_ids):
         sets[gid] = {a[i] for a in survivors}
     status = ("unique" if len(survivors) == 1 else "equivalent_class"
-              if settled or complete else "budget_exhausted")
+              if settled else "budget_exhausted")
     return status, (math.log2(len(survivors)) if survivors
                     else float("-inf"))
 
@@ -213,10 +215,10 @@ def brute_force_attack(net: Netlist, oracle: Callable,
     cache = _QueryCache(oracle, query_budget)
     # once every vector is in the transcript, later draws are cache hits
     space = 1 << len(net.inputs)
-    complete = all(cache.query(vec) is not None for vec in
-                   takewhile(lambda _: len(cache.transcript) < space, vectors))
-    status, final_log2 = _resolve_jointly(net, cache, sets, list(sets),
-                                          complete=complete)
+    for vec in vectors:
+        if len(cache.transcript) == space or cache.query(vec) is None:
+            break
+    status, final_log2 = _resolve_jointly(net, cache, sets, list(sets))
     return AttackReport({gid: frozenset(s) for gid, s in sets.items()},
                         len(cache.transcript), initial_log2, final_log2,
                         status, tuple(cache.transcript.items()))

@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .cell import BASE_FUNCTIONS, CellFlavor, GateFunction
+from .cell import BASE_FUNCTIONS, UNDERLYING, CellFlavor, GateFunction
 from .errors import (
     DecoySelectionError,
     FlavorMismatchError,
@@ -169,7 +169,7 @@ def apply_camouflage(net: Netlist, gate_ids, flavor: CellFlavor,
             new_gates.append(g)
             continue
         func, reads = camo_function_for(g, flavor), g.fanins
-        if func in (GateFunction.INV, GateFunction.BUF):
+        if func in UNDERLYING:
             if fanins is net._fanins:
                 depth = net._depths() if rng is None else None
                 fanins, fanouts = list(fanins), list(fanouts)

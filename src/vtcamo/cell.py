@@ -122,7 +122,9 @@ SELECTION_LVT = {
     GateFunction.XNOR: (10,),
 }
 
-#: Base function each camouflageable function is programmed through.
+#: Base function each camouflageable function is programmed through. The
+#: keys are the tied functions: port 0 is tied off (its net is a decoy) and
+#: port 1 is read.
 UNDERLYING = {
     GateFunction.INV: GateFunction.XNOR,
     GateFunction.BUF: GateFunction.XOR,
@@ -214,8 +216,9 @@ _BEHAVIOR_TABLES = {f: MappingProxyType(_port_table(f)) for f in GateFunction}
 def behavior_table(func: GateFunction) -> Mapping[tuple[int, int], int]:
     """Truth table over the cell's two physical ports (read-only, shared).
 
-    INV/BUF (and the plain NOT/BUFF primitives) ignore port 1 because the
-    tie network replaces it with a constant 0 feeding XNOR/XOR.
+    INV/BUF (and the plain NOT/BUFF primitives) read port 1 and ignore
+    port 0, the decoy: the tie network replaces port 0 with a constant 0
+    feeding XNOR/XOR.
     """
     try:
         return _BEHAVIOR_TABLES[func]

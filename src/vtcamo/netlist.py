@@ -43,7 +43,7 @@ from itertools import compress, groupby, islice, product, repeat
 from operator import eq, itemgetter
 from typing import NamedTuple
 
-from .cell import BASE_FUNCTIONS, CellFlavor, GateFunction
+from .cell import BASE_FUNCTIONS, UNDERLYING, CellFlavor, GateFunction
 from .errors import (
     ArityMismatchError,
     BenchSyntaxError,
@@ -394,7 +394,7 @@ def validate_key(net: Netlist, key: CamoKey) -> None:
         if entry.function not in gate.flavor.function_set:
             raise KeyScopeError(f"gate {gid!r}: {entry.function!r} is "
                                 f"outside {gate.flavor!r}")
-        needs_decoy = entry.function in (GateFunction.INV, GateFunction.BUF)
+        needs_decoy = entry.function in UNDERLYING
         if needs_decoy and entry.decoy_net is None:
             raise KeyScopeError(f"gate {gid!r} needs a decoy net")
         if needs_decoy and entry.decoy_net != gate.fanins[0]:
@@ -603,23 +603,6 @@ def forced_rails(net: Netlist, assignment: dict[str, GateFunction],
                        for may0, may1 in (_run(o, words, mask) for o in ops))
 
 
-def filter_assignments(net: Netlist, gate_ids, candidates, observations,
-                       fixed: dict[str, GateFunction] | None = None) -> list:
-    """Candidates that reproduce every observed ``(vector, outputs)`` pair.
-
-    A candidate is a tuple of functions for ``gate_ids``; ``fixed`` assigns
-    the other camouflaged gates. Observations are replayed over the
-    survivors block by block (OutputTables.run); survivors keep their order.
-    """
-    tables = OutputTables(net, gate_ids, candidates, fixed)
-    observations = list(observations)
-    for (_, words, mask), (_, expected, _) in zip(
-            _blocks(len(net.inputs), [v for v, _ in observations]),
-            _blocks(len(net.outputs), [o for _, o in observations])):
-        tables.keep(tables.run(words, mask, expected))
-    return tables.items
-
-
 def _outputs(prog: _Program, ops, words, mask: int) -> list[int]:
     """Output words (may1 rails) of one run."""
     may1 = _run(ops, words, mask)[1]
@@ -761,6 +744,17 @@ class OutputTables:
 
         descend(0, range(len(rows)), _run(self._head, words, mask))
         return rows if expected is None else [r is not None for r in rows]
+
+    def replay(self, observations) -> OutputTables:
+        """Keep the items that reproduce every observed ``(vector,
+        outputs)`` pair; the pairs are packed into blocks and each block
+        filters by one ``run``. Items keep their order. Returns self."""
+        observations = list(observations)
+        for (_, words, mask), (_, expected, _) in zip(
+                _blocks(self._width, [v for v, _ in observations]),
+                _blocks(len(self._outputs), [o for _, o in observations])):
+            self.keep(self.run(words, mask, expected))
+        return self
 
     def matches(self, vec, out) -> list[bool]:
         """Per item, whether its outputs under ``vec``, a checked 0/1

@@ -22,8 +22,8 @@ from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
-from .cell import (LOCAL_VECTORS, CamoConfig, CellFlavor, GateFunction,
-                   config_for)
+from .cell import (LOCAL_VECTORS, UNDERLYING, CamoConfig, CellFlavor,
+                   GateFunction, config_for)
 from .device import (
     _FLAVOR_CELLS,
     BiasPoint,
@@ -339,9 +339,7 @@ def balance_flavors(net: Netlist, key: CamoKey,
         for func in funcs:
             while counts_after[func] < target:
                 name = fresh_name()
-                decoy = None
-                if func in (GateFunction.INV, GateFunction.BUF):
-                    decoy = tap_a
+                decoy = tap_a if func in UNDERLYING else None
                 new_gates.append(Gate(name, (tap_a, tap_b), flavor=flavor))
                 new_entries[name] = KeyEntry(func, decoy)
                 added[name] = func

@@ -4,10 +4,13 @@ Besides the worked cases, ``test_every_attack_is_sound`` is a property
 over generated locked netlists: each attack keeps the true function of
 every gate, its query count is the oracle's and the transcript's, and
 without a budget sensitization with flavor knowledge keeps no candidate
-brute force dropped. ``test_walk_matches_the_per_query_reference`` checks
-the joint step's walk, which reads survivors' outputs off output tables,
-against
-``reference_resolve_jointly``, which filters once per oracle reply.
+brute force dropped. ``test_settled_random_brute_force_is_the_whole_class``
+checks that a random-source brute force reports ``unique`` or
+``equivalent_class`` only when it left what the exhaustive run leaves.
+``test_walk_matches_the_per_query_reference`` checks the joint step's
+walk, which reads survivors' outputs off output tables, against
+``reference_resolve_jointly``, which filters each candidate on its own
+once per oracle reply.
 """
 
 import math
@@ -19,6 +22,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_netlist
+from test_simulation_core import reference_filter
 from vtcamo import attack, netlist
 from vtcamo.attack import (
     CountingOracle,
@@ -38,8 +42,8 @@ from vtcamo.errors import (
     UnresolvedFaninError,
     UnresolvedGateError,
 )
-from vtcamo.netlist import (CamoKey, KeyEntry, all_vectors,
-                            filter_assignments, parse_bench, simulate)
+from vtcamo.netlist import (CamoKey, KeyEntry, OutputTables, all_vectors,
+                            parse_bench, simulate)
 
 SINGLE = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n"
 CHAIN2 = ("INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\n"
@@ -112,6 +116,18 @@ class TestBruteForce:
         assert report.status == "equivalent_class"
         assert report.resolved["g"] == CellFlavor.CAMO8.function_set
 
+    def test_covered_space_settles_any_number_of_survivors(self):
+        # 8**4 survivors is past EQUIV_CHECK_LIMIT, but every vector was
+        # queried, so they are proved interchangeable all the same
+        text = "INPUT(a)\nINPUT(b)\n" + "".join(
+            f"OUTPUT(x{k})\ng{k} = NAND(a, b)\nx{k} = XOR(g{k}, g{k})\n"
+            for k in range(4))
+        _, locked, key = _lock(text, [f"g{k}" for k in range(4)])
+        report = brute_force_attack(locked, CountingOracle(locked, key))
+        assert 2 ** report.candidate_space_log2_final > (
+            attack.EQUIV_CHECK_LIMIT)
+        assert report.status == "equivalent_class"
+
     def test_gate_count_guard(self):
         net = random_netlist(4, 24, seed=0)
         eligible = eligible_gates(net, CellFlavor.CAMO8)
@@ -150,6 +166,19 @@ class TestBruteForce:
             all_vectors(4))
         assert (report.status, report.resolved) == (exhaustive.status,
                                                     exhaustive.resolved)
+
+    def test_random_source_settles_only_what_it_proved(self, c17):
+        # 11 distinct draws leave 3 survivors that differ elsewhere in the
+        # space, so the class is not proved; the exhaustive run pins one
+        locked, key = apply_camouflage(c17, ["10", "22"], CellFlavor.CAMO8)
+        report = brute_force_attack(locked, CountingOracle(locked, key),
+                                    pattern_source="random",
+                                    query_budget=12, seed=5)
+        assert (report.status, report.query_count) == ("budget_exhausted", 11)
+        assert report.candidate_space_log2_final == pytest.approx(
+            math.log2(3))
+        exhaustive = brute_force_attack(locked, CountingOracle(locked, key))
+        assert exhaustive.status == "unique"
 
     def test_unknown_source_rejected(self):
         _, locked, key = _lock(SINGLE, ["y"])
@@ -337,6 +366,42 @@ def test_every_attack_is_sound(case):
             assert sens.resolved[gid] <= brute.resolved[gid], gid
 
 
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(attack_cases(), st.integers(0, 40), st.integers(0, 99))
+def test_settled_random_brute_force_is_the_whole_class(case, budget, seed):
+    # every assignment equivalent to the key survives every reply, so a
+    # settled survivor set is the key's class: what exhaustive leaves
+    locked, key, _ = case
+    report = brute_force_attack(locked, CountingOracle(locked, key),
+                                pattern_source="random", query_budget=budget,
+                                seed=seed)
+    assume(report.status != "budget_exhausted")
+    exhaustive = brute_force_attack(locked, CountingOracle(locked, key))
+    assert report.resolved == exhaustive.resolved
+    assert (report.candidate_space_log2_final
+            == exhaustive.candidate_space_log2_final)
+
+
+def test_each_joint_step_builds_one_table(c17):
+    built = []
+
+    class Spy(OutputTables):
+        def __init__(self, *args, **kw):
+            built.append(args[1])
+            super().__init__(*args, **kw)
+
+    locked, key = apply_camouflage(c17, ["10", "22"], CellFlavor.CAMO8)
+    with mock.patch.object(attack, "OutputTables", Spy):
+        brute = brute_force_attack(locked, CountingOracle(locked, key),
+                                   pattern_source="random", query_budget=6,
+                                   seed=2)
+        assert built == [["10", "22"]]
+        sens = sensitization_attack(locked, CountingOracle(locked, key))
+    assert built == [["10", "22"]] * 2
+    assert (brute.status, sens.status) == ("budget_exhausted", "unique")
+
+
 def reference_equivalent(net, gate_ids, survivors, fixed) -> bool:
     if len(survivors) <= 1:
         return True
@@ -354,32 +419,32 @@ def reference_equivalent(net, gate_ids, survivors, fixed) -> bool:
 def reference_resolve_jointly(net, cache, sets, gate_ids, fixed):
     """The joint step with a walk that filters once per oracle reply.
 
-    Returns the status, the survivors' log2 and the survivors.
+    Every filter is ``reference_filter``, which runs each candidate on its
+    own. Returns the status, the survivors' log2 and the survivors.
     """
-    survivors = filter_assignments(
+    survivors = reference_filter(
         net, gate_ids,
         product(*(sorted(sets[g], key=lambda f: f.value) for g in gate_ids)),
-        cache.transcript.items(), fixed)
+        list(cache.transcript.items()), fixed)
     settled = reference_equivalent(net, gate_ids, survivors, fixed)
-    complete = False
     if not settled:
         for vec in all_vectors(len(net.inputs)):
             out = cache.query(vec)
             if out is None:
                 break
             before = len(survivors)
-            survivors = filter_assignments(net, gate_ids, survivors,
-                                           [(vec, out)], fixed)
+            survivors = reference_filter(net, gate_ids, survivors,
+                                         [(vec, out)], fixed)
             if len(survivors) != before and reference_equivalent(
                     net, gate_ids, survivors, fixed):
                 settled = True
                 break
         else:
-            complete = True
+            settled = True  # every vector is in the transcript
     for i, gid in enumerate(gate_ids):
         sets[gid] = {a[i] for a in survivors}
     status = ("unique" if len(survivors) == 1 else "equivalent_class"
-              if settled or complete else "budget_exhausted")
+              if settled else "budget_exhausted")
     log2 = math.log2(len(survivors)) if survivors else float("-inf")
     return status, log2, survivors
 

@@ -15,7 +15,12 @@ written by the full-pass timing code (one ``critical_path`` per greedy
 trial) that the incremental cone check replaced. ``cli_usage.json`` pins
 the argparse usage, help and error texts (with ``COLUMNS=80``) and the
 ``parse`` and ``estimate`` runs, written before the subcommand table
-replaced the hand-written parser.
+replaced the hand-written parser. Four ``status`` fields of
+random-source brute force (``brute_random`` for ``c17_mutual_mask`` and
+``random_6``, and the ``--pattern-source random`` CLI runs on ``c17``
+and ``synth_mix``) were re-pinned from ``equivalent_class`` to
+``budget_exhausted`` when the joint step stopped calling a random run's
+survivors settled without proof.
 
 Regenerate the fixtures from the code on the import path with
 ``PYTHONPATH=src python tests/test_golden.py``; do that only when an

@@ -26,10 +26,10 @@ from vtcamo.netlist import (
     Gate,
     KeyEntry,
     Netlist,
+    OutputTables,
     all_vectors,
     check_equivalence,
     critical_path,
-    filter_assignments,
     parse_bench,
     random_vectors,
     reachable,
@@ -281,10 +281,10 @@ class TestSimulation:
     def test_packed_bits_must_be_0_or_1(self, c17):
         vec = (0, 1, 1, 0, 1)
         out = simulate(c17, vec)
-        assert filter_assignments(c17, [], [()], [(vec, out)]) == [()]
+        assert OutputTables(c17, [], [()]).replay([(vec, out)]).items == [()]
         for bad in ((2, *out[1:]), (None, *out[1:]), (0.5, *out[1:])):
             with pytest.raises(InputWidthError):
-                filter_assignments(c17, [], [()], [(vec, bad)])
+                OutputTables(c17, [], [()]).replay([(vec, bad)])
 
 
 class TestGate:

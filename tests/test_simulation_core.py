@@ -5,16 +5,16 @@ unknown value: a gate is known when every completion of its unknown
 inputs gives the same output. Camouflaged cells use ``behavior_table``,
 the cell's own truth table over its two physical ports. The properties
 check ``forced_rails`` (every net, with a drawn gate forced to 0 and
-to 1), ``filter_assignments``, ``simulate``, ``CountingOracle``,
+to 1), ``OutputTables.replay``, ``simulate``, ``CountingOracle``,
 ``check_equivalence`` and ``find_sensitizing_vector`` against it on
 generated locked netlists with unresolved gates, over blocks of 2, 4 and
 4,096 vectors; the oracle is fed sequential, repeated and block-hopping
 streams.
 
-The depth-first joint replay behind ``filter_assignments`` and
-``OutputTables`` is also checked against ``reference_filter``, the
-per-candidate filter it replaced: each candidate's ops resolved on their
-own and the whole netlist run once per candidate.
+The depth-first joint replay behind ``OutputTables`` is also checked
+against ``reference_filter``, the per-candidate filter it replaced: each
+candidate's ops resolved on their own and the whole netlist run once per
+candidate.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from vtcamo.netlist import (
     OutputTables,
     all_vectors,
     check_equivalence,
-    filter_assignments,
     forced_rails,
     simulate,
 )
@@ -178,7 +177,8 @@ def test_filter_matches_the_scalar_reference(case, block_log2, rnd):
             if all(outputs(dict(zip(gate_ids, c)), vec) == out
                    for vec, out in observed)]
     with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
-        got = filter_assignments(locked, gate_ids, candidates, observed)
+        got = OutputTables(locked, gate_ids, candidates).replay(
+            observed).items
     assert got == want
     assert got[-1] == candidates[-1]
 
@@ -399,8 +399,8 @@ def replay_cases(draw):
 def test_replay_matches_the_per_candidate_filter(case, block_log2):
     locked, gate_ids, candidates, fixed, observed = case
     with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
-        got = filter_assignments(locked, gate_ids, candidates, observed,
-                                 fixed)
+        got = OutputTables(locked, gate_ids, candidates, fixed).replay(
+            observed).items
         want = reference_filter(locked, gate_ids, candidates, observed,
                                 fixed)
     assert got == want
