@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from operator import or_
+from operator import add, or_
 from typing import Callable, Iterable
 
 from .cell import (CAMOUFLAGEABLE, LOCAL_VECTORS, GateFunction, behavior_table,
@@ -130,7 +130,8 @@ def _candidate_sets(net: Netlist, flavor_knowledge: bool,
 
 
 def _space_log2(sets: Iterable[frozenset]) -> float:
-    return sum(math.log2(len(s)) for s in sets)
+    # a left fold from 0, as sum() was before Python 3.12 compensated it
+    return reduce(add, [math.log2(len(s)) for s in sets], 0)
 
 
 def _walk(net: Netlist, cache: _QueryCache, tables) -> bool:

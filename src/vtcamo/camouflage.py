@@ -214,8 +214,6 @@ def select_gates(net: Netlist, policy: SelectionPolicy,
     eligible = eligible_gates(net, flavor)
     count = min(math.floor(policy.budget * len(net.gates) + 1e-9),
                 len(eligible))
-    if policy.budget == 1.0:
-        count = len(eligible)
     if policy.strategy == "random":
         rng = random.Random(policy.seed if policy.seed is not None else 0)
         return sorted(rng.sample(eligible, count))

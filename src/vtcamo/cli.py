@@ -3,8 +3,10 @@
 The subcommands are declared once, in ``COMMANDS``: handler, help line
 and argument specs, then the common --config, --seed, --no-timestamp and
 --out options. A call builds only the subparser its first argument names
-(every one when it names none). A handler returns its report, which
-``main`` emits as JSON on stdout (or to --out) with exit 0; ``sweep``
+(every one when it names none). ``main`` loads the run config once
+(--config, then --seed) and hands it to the handler with the arguments;
+the handler returns its report, which ``main`` emits with its
+``command`` as JSON on stdout (or to --out) with exit 0; ``sweep``
 writes its CSV itself. Domain failures, malformed inputs, missing files,
 bad keys, oversized attacks, print a one-line JSON error object to
 stderr and exit 1; argparse usage errors print usage to stderr and
@@ -30,7 +32,7 @@ from .camouflage import (SelectionPolicy, apply_camouflage, effort_estimate,
                          overhead_report, select_gates)
 from .config import FLAVOR_NAMES, RunConfig, load_config
 from .device import BiasPoint, default_bias, optimize_bias, sweep_to_csv, sweep_vt_window
-from .errors import InvalidParameterError, VtcamoError
+from .errors import FlavorMismatchError, InvalidParameterError, VtcamoError
 from .netlist import (
     CamoKey,
     Netlist,
@@ -91,13 +93,6 @@ def _load_key(path: str) -> CamoKey:
     return CamoKey.deserialize(_read_text(path))
 
 
-def _config_for(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
-
-
 def _vector_arg(raw: str, width: int) -> tuple[int, ...]:
     bits = raw.strip()
     if len(bits) != width or any(c not in "01" for c in bits):
@@ -118,27 +113,31 @@ def _net_summary(net: Netlist) -> dict:
     }
 
 
-def _cmd_parse(args) -> dict:
-    return {"command": "parse", "file": args.bench,
-            "netlist": _net_summary(_load_net(args.bench))}
+def _overhead(report) -> dict:
+    return {"area_pct": report.area_pct, "power_pct": report.power_pct,
+            "delay_pct": report.delay_pct}
 
 
-def _cmd_lock(args) -> dict:
-    cfg = _config_for(args)
+def _cmd_parse(args, cfg) -> dict:
+    return {"file": args.bench, "netlist": _net_summary(_load_net(args.bench))}
+
+
+def _cmd_lock(args, cfg) -> dict:
     net = _load_net(args.bench)
     flavor = FLAVOR_NAMES[args.flavor]
     policy = SelectionPolicy(strategy=_STRATEGIES[args.strategy],
                              budget=args.budget,
                              delay_budget=args.delay_budget,
                              seed=cfg.seed)
+    camo = [g.gate_id for g in net.camo_gates()]
+    if camo:  # a new key could not cover these cells
+        raise FlavorMismatchError(f"gates {camo!r} are already camouflaged")
     selected = select_gates(net, policy, cost_table=cfg.cost, flavor=flavor)
     locked, key = apply_camouflage(net, selected, flavor,
                                    decoy_seed=cfg.seed)
     _write_atomic(args.locked_out, serialize_bench(locked))
     _write_atomic(args.key_out, key.serialize())
-    overhead = overhead_report(locked, cfg.cost)
     return {
-        "command": "lock",
         "file": args.bench,
         "flavor": args.flavor,
         "strategy": args.strategy,
@@ -146,16 +145,12 @@ def _cmd_lock(args) -> dict:
         "selected_gates": list(selected),
         "locked_file": args.locked_out,
         "key_file": args.key_out,
-        "overhead": {
-            "area_pct": overhead.area_pct,
-            "power_pct": overhead.power_pct,
-            "delay_pct": overhead.delay_pct,
-        },
+        "overhead": _overhead(overhead_report(locked, cfg.cost)),
         "config": cfg.resolved_dict(),
     }
 
 
-def _cmd_sim(args) -> dict:
+def _cmd_sim(args, cfg) -> dict:
     net = _load_net(args.bench)
     key = _load_key(args.key) if args.key else None
     results = []
@@ -164,11 +159,10 @@ def _cmd_sim(args) -> dict:
         out = simulate(net, vec, key)
         results.append({"inputs": "".join(map(str, vec)),
                         "outputs": "".join(map(str, out))})
-    return {"command": "sim", "file": args.bench, "results": results}
+    return {"file": args.bench, "results": results}
 
 
-def _cmd_equiv(args) -> dict:
-    cfg = _config_for(args)
+def _cmd_equiv(args, cfg) -> dict:
     net_a = _load_net(args.bench_a)
     net_b = _load_net(args.bench_b)
     key_a = _load_key(args.key_a) if args.key_a else None
@@ -177,7 +171,6 @@ def _cmd_equiv(args) -> dict:
                                 mode=args.mode, num_vectors=args.vectors,
                                 seed=cfg.seed)
     report = {
-        "command": "equiv",
         "mode": args.mode,
         "seed": cfg.seed,
         "equivalent": verdict.equivalent,
@@ -192,8 +185,7 @@ def _cmd_equiv(args) -> dict:
     return report
 
 
-def _cmd_attack(args) -> dict:
-    cfg = _config_for(args)
+def _cmd_attack(args, cfg) -> dict:
     net = _load_net(args.bench)
     key = _load_key(args.key)
     oracle = attack_mod.CountingOracle(net, key)  # validates the key
@@ -211,7 +203,6 @@ def _cmd_attack(args) -> dict:
         key.entries[gid].function.value in funcs
         for gid, funcs in resolved.items())
     return {
-        "command": "attack",
         "method": args.method,
         "seed": cfg.seed,
         "status": report.status,
@@ -232,15 +223,13 @@ def _parse_temps(raw: str) -> tuple[float, ...]:
             f"got {raw!r}") from None
 
 
-def _cmd_sidechannel(args) -> dict:
-    cfg = _config_for(args)
+def _cmd_sidechannel(args, cfg) -> dict:
     # check sigma before any measuring, even where no signature gets noise
     side_mod.add_measurement_noise(side_mod.Signature("", ()), args.noise)
     net = _load_net(args.bench)
     key = _load_key(args.key)
     validate_key(net, key)
     report = {
-        "command": "sidechannel",
         "mode": args.mode,
         "bias_policy": args.bias_policy,
         "noise_sigma": args.noise,
@@ -306,8 +295,7 @@ def _parse_range(raw: str) -> tuple[float, float]:
     raise InvalidParameterError(f"range must be lo:hi in volts, got {raw!r}")
 
 
-def _cmd_sweep(args) -> None:
-    cfg = _config_for(args)
+def _cmd_sweep(args, cfg) -> None:
     bias = default_bias(cfg.device)
     if args.vg_n is not None or args.vg_p is not None:
         bias = BiasPoint(args.vg_n if args.vg_n is not None else bias.vg_n,
@@ -317,12 +305,10 @@ def _cmd_sweep(args) -> None:
     _write(sweep_to_csv(rows), args.out)
 
 
-def _cmd_bias_opt(args) -> dict:
-    cfg = _config_for(args)
+def _cmd_bias_opt(args, cfg) -> dict:
     best = optimize_bias(cfg.device, search_window=args.window,
                          grid_step=args.step, t=args.t)
     return {
-        "command": "bias-opt",
         "vg_n": best.bias.vg_n,
         "vg_p": best.bias.vg_p,
         "delta_hvt": best.delta_hvt,
@@ -343,11 +329,10 @@ def _effort(n_inputs: int, k_camo: int, functions: int, **kwargs):
     return effort_estimate(n_inputs, k_camo, functions, **kwargs)
 
 
-def _cmd_estimate(args) -> dict:
+def _cmd_estimate(args, cfg) -> dict:
     est = _effort(args.inputs, args.gates, args.functions,
                   test_frequency_hz=args.freq)
     return {
-        "command": "estimate",
         "pattern_count": str(est.pattern_count),
         "candidate_count": str(est.candidate_count),
         "seconds_raw": est.seconds_raw,
@@ -358,8 +343,7 @@ def _cmd_estimate(args) -> dict:
     }
 
 
-def _cmd_report(args) -> dict:
-    cfg = _config_for(args)
+def _cmd_report(args, cfg) -> dict:
     net = _load_net(args.bench)
     if args.key:
         validate_key(net, _load_key(args.key))
@@ -368,15 +352,9 @@ def _cmd_report(args) -> dict:
     est = _effort(len(net.inputs), len(camo), max(
         (len(g.flavor.function_set) for g in camo), default=1))
     return {
-        "command": "report",
         "file": args.bench,
         "netlist": _net_summary(net),
-        "overhead": {
-            "area_pct": overhead.area_pct,
-            "power_pct": overhead.power_pct,
-            "delay_pct": overhead.delay_pct,
-            "camo_count": overhead.camo_count,
-        },
+        "overhead": {**_overhead(overhead), "camo_count": overhead.camo_count},
         "effort": {
             "pattern_count": str(est.pattern_count),
             "candidate_count": str(est.candidate_count),
@@ -505,9 +483,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
-        report = COMMANDS[args.command][0](args)
+        cfg = load_config(args.config) if args.config else RunConfig()
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        report = COMMANDS[args.command][0](args, cfg)
         if report is not None:
-            _emit(report, args)
+            _emit({"command": args.command, **report}, args)
         return 0
     except (VtcamoError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}

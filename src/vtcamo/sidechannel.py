@@ -18,8 +18,9 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .cell import (LOCAL_VECTORS, UNDERLYING, CamoConfig, CellFlavor,
@@ -182,9 +183,12 @@ def measure_signature(net: Netlist, key: CamoKey,
         return per_gate
     if not per_gate:
         raise InvalidParameterError("netlist has no camouflaged gates")
+    # reduce(add, xs, 0) is sum() before Python 3.12 compensated float
+    # sums: a plain left fold, so every version gives the same bits
     obs = tuple(Observation(col[0].vector, col[0].temperature,
-                            sum(o.leakage_a for o in col),
-                            sum(o.delay_s for o in col) / len(col))
+                            reduce(add, [o.leakage_a for o in col], 0),
+                            reduce(add, [o.delay_s for o in col], 0)
+                            / len(col))
                 for col in zip(*(s.observations for s in per_gate.values())))
     return {"aggregate": Signature("aggregate", obs)}
 
@@ -247,7 +251,8 @@ def classify_function(signature: Signature,
     Features (log leakage, log delay, thermal leakage slope) are z-scored
     across the template set; the winner is the nearest template in L2
     distance. Confidence is the softmax probability margin between the
-    best and second-best match, so 0 means a coin flip.
+    best and second-best match, so 0 means a coin flip. A template or
+    probe with an infinite or NaN feature raises TemplateSetError.
     """
     if len(templates) < 2:
         raise TemplateSetError("need at least two templates to classify")
@@ -263,12 +268,14 @@ def classify_function(signature: Signature,
     probe = _features(signature.observations, spans)
     if not all(map(math.isfinite, chain.from_iterable(rows))):
         raise TemplateSetError("template features are not finite")
+    if not all(map(math.isfinite, probe)):
+        raise TemplateSetError("signature features are not finite")
     n = len(order)
     sums = [0.0] * n   # each template's squared distance, column by column
     for col, x_probe in zip(zip(*rows), probe):
-        mean = sum(col) / n
+        mean = reduce(add, col, 0) / n  # sum() before 3.12, as above
         # keep ** 2: pow(x, 2) is not always the correctly rounded x * x
-        std = math.sqrt(sum([(x - mean) ** 2 for x in col]) / n)
+        std = math.sqrt(reduce(add, [(x - mean) ** 2 for x in col], 0) / n)
         if std == 0.0:
             continue
         z_probe = (x_probe - mean) / std
@@ -279,7 +286,7 @@ def classify_function(signature: Signature,
     weights = [math.exp(-d - peak) for d in dists]
     # order is by function value, so the index breaks ties as the value did
     best, second = sorted(range(n), key=lambda i: (dists[i], i))[:2]
-    confidence = (weights[best] - weights[second]) / sum(weights)
+    confidence = (weights[best] - weights[second]) / reduce(add, weights, 0)
     return Classification(order[best], confidence, dict(zip(order, dists)))
 
 

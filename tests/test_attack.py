@@ -210,6 +210,16 @@ class TestSensitizingVectors:
                                      (0, 1))
         assert sv is not None
 
+    def test_too_many_inputs_is_refused(self):
+        width = netlist.EXHAUSTIVE_INPUT_LIMIT + 1
+        text = "".join(f"INPUT(i{k})\n" for k in range(width))
+        _, locked, _ = _lock(text + "OUTPUT(y)\ny = NAND(i0, i1)\n", ["y"])
+        with pytest.raises(AttackTooLargeError) as err:
+            find_sensitizing_vector(locked, {}, "y", (0, 1))
+        assert str(err.value) == (
+            f"{width} inputs exceeds the sensitization search limit of "
+            f"{netlist.EXHAUSTIVE_INPUT_LIMIT}")
+
     def test_non_camo_target_rejected(self, c17):
         with pytest.raises(InvalidParameterError):
             find_sensitizing_vector(c17, {}, "10", (0, 0))
@@ -275,6 +285,25 @@ class TestSensitization:
         report = sensitization_attack(locked, oracle)
         assert report.status == "equivalent_class"
         assert report.resolved["g"] == CellFlavor.CAMO8.function_set
+
+    def test_residue_past_the_enumeration_limit_is_not_enumerated(self):
+        # seven masked cells leave 8**7 = 2**21 joint candidates, past
+        # RESIDUE_ENUM_LIMIT; the observable cell y is still resolved
+        text = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n" + "".join(
+            f"OUTPUT(x{k})\ng{k} = NAND(a, b)\nx{k} = XOR(g{k}, g{k})\n"
+            for k in range(7))
+        masked = [f"g{k}" for k in range(7)]
+        _, locked, key = _lock(text, ["y", *masked])
+        assert 8 ** len(masked) > attack.RESIDUE_ENUM_LIMIT
+        with mock.patch.object(attack, "_resolve_jointly",
+                               side_effect=AssertionError("enumerated")):
+            report = sensitization_attack(locked, CountingOracle(locked, key))
+        assert report.status == "budget_exhausted"
+        assert report.resolved["y"] == {key.entries["y"].function}
+        assert all(report.resolved[g] == CellFlavor.CAMO8.function_set
+                   for g in masked)
+        assert report.candidate_space_log2_initial == 24.0
+        assert report.candidate_space_log2_final == 21.0
 
     def test_budget_exhaustion_is_reported(self):
         _, locked, key = _lock(CHAIN2, ["g1", "z"])

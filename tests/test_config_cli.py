@@ -17,12 +17,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import vtcamo
-from conftest import bench_text
+from conftest import bench_text, random_netlist
 from reference_parser import assert_parses_like_reference
-from vtcamo.camouflage import apply_camouflage
+from vtcamo.camouflage import apply_camouflage, eligible_gates
 from vtcamo.cell import CellFlavor
-from vtcamo.cli import _COMMON, COMMANDS, build_parser, main
-from vtcamo.config import RunConfig, load_config, parse_config
+from vtcamo.cli import _COMMON, _STRATEGIES, COMMANDS, build_parser, main
+from vtcamo.config import FLAVOR_NAMES, RunConfig, load_config, parse_config
 from vtcamo.errors import ConfigFileError
 from vtcamo.netlist import CamoKey, parse_bench, serialize_bench
 
@@ -320,6 +320,23 @@ class TestCliFailures:
         assert code == 1
         assert json.loads(err)["error"] == "ConfigFileError"
 
+    @pytest.mark.parametrize("argv", [
+        ["parse", "{bench}"],
+        ["sim", "{bench}", "--inputs", "00000"],
+        ["estimate", "--inputs", "4", "--gates", "2"],
+    ], ids=["parse", "sim", "estimate"])
+    def test_missing_config_fails_commands_that_read_no_key_of_it(
+            self, capsys, tmp_path, c17_file, argv):
+        ghost = str(tmp_path / "ghost.cfg")
+        argv = [a.format(bench=c17_file) for a in argv]
+        code, out, err = _run(capsys, [*argv, "--config", ghost])
+        assert (code, out) == (1, "")
+        assert err == json.dumps({
+            "error": "ConfigFileError",
+            "message": f"cannot read config {ghost!r}: [Errno 2] "
+                       f"No such file or directory: {ghost!r}"},
+            sort_keys=True) + "\n"
+
     def test_usage_errors_exit_two(self, capsys, c17_file):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
@@ -480,19 +497,23 @@ class TestCliFailures:
             assert json.loads(err)["message"] == (
                 f"unparseable line {line.strip()!r} (line 2, col {col})")
 
-    def test_locking_a_camouflaged_netlist_still_locks(self, capsys,
-                                                       tmp_path, c17_file):
-        # the second key covers only the new cells (see the fuzz test)
+    def test_locking_a_camouflaged_netlist_is_refused(self, capsys,
+                                                      tmp_path, c17_file):
+        # a second key would cover only the new cells, so nothing is written
         locked, _, _ = _lock_c17(tmp_path, c17_file)
-        again = str(tmp_path / "again.bench")
-        code, _, _ = _run(capsys, [
-            "lock", locked, "--budget", "1.0", "--out-bench", again,
-            "--out-key", str(tmp_path / "again.key")])
-        assert code == 0
+        again = tmp_path / "again.bench"
+        again_key = tmp_path / "again.key"
+        code, out, err = _run(capsys, [
+            "lock", locked, "--budget", "1.0", "--out-bench", str(again),
+            "--out-key", str(again_key)])
+        assert (code, out) == (1, "")
         with open(locked, encoding="utf-8") as fh:
-            first = parse_bench(fh.read()).camo_gates()
-        with open(again, encoding="utf-8") as fh:
-            assert set(first) < set(parse_bench(fh.read()).camo_gates())
+            camo = [g.gate_id for g in parse_bench(fh.read()).camo_gates()]
+        assert camo
+        assert json.loads(err) == {
+            "error": "FlavorMismatchError",
+            "message": f"gates {camo!r} are already camouflaged"}
+        assert not again.exists() and not again_key.exists()
 
     def test_attack_with_an_out_of_scope_key(self, capsys, tmp_path,
                                              c17_file):
@@ -680,11 +701,50 @@ def test_fuzzed_files_exit_cleanly(which, data):
             if run(["lock", bench, "--budget", "0.5", "--config", c,
                     "--out-bench", again_b, "--out-key", again_k]) == 0:
                 assert run(["parse", again_b]) == 0
-                with open(bench, encoding="utf-8") as fh:
-                    # a key laid over camouflaged cells cannot cover them
-                    layered = parse_bench(fh.read()).camo_gates()
-                code = run(["report", again_b, "--key", again_k])
-                assert code == 0 or layered
+                assert run(["report", again_b, "--key", again_k]) == 0
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(2, 6), st.integers(2, 16), st.integers(0, 2 ** 16),
+       st.integers(0, 2), st.sampled_from(sorted(FLAVOR_NAMES)),
+       st.sampled_from(sorted(_STRATEGIES)), st.floats(0.05, 1.0),
+       st.integers(0, 9))
+def test_what_lock_writes_reports_and_is_equivalent(
+        n_inputs, n_gates, seed, prelocked, flavor, strategy, budget,
+        lock_seed):
+    """For every netlist ``lock`` accepts, ``report OUT --key KEY`` exits
+    0 and ``equiv IN OUT --key-b KEY`` finds the two equivalent; input
+    that already has camouflaged cells is refused with nothing written."""
+    net = random_netlist(n_inputs, n_gates, seed)
+    two_input = [gid for gid in eligible_gates(net, CellFlavor.CAMO8)
+                 if len(net.gate(gid).fanins) == 2]
+    net, _ = apply_camouflage(net, two_input[:prelocked], CellFlavor.CAMO8)
+    with tempfile.TemporaryDirectory() as tmp:
+        bench, out_b, out_k = (os.path.join(tmp, name) for name in
+                               ("in.bench", "out.bench", "out.key"))
+        with open(bench, "w", encoding="utf-8") as fh:
+            fh.write(serialize_bench(net))
+
+        def run(argv) -> tuple[int, str, str]:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                code = main(argv + ["--no-timestamp"])
+            return code, stdout.getvalue(), stderr.getvalue()
+
+        code, _, err = run(["lock", bench, "--flavor", flavor,
+                            "--strategy", strategy, "--budget", str(budget),
+                            "--seed", str(lock_seed),
+                            "--out-bench", out_b, "--out-key", out_k])
+        if net.camo_gates():
+            assert json.loads(err)["error"] == "FlavorMismatchError"
+        if code != 0:
+            assert code == 1 and len(err.splitlines()) == 1
+            assert not os.path.exists(out_b) and not os.path.exists(out_k)
+            return
+        assert run(["report", out_b, "--key", out_k])[0] == 0
+        code, out, _ = run(["equiv", bench, out_b, "--key-b", out_k])
+        assert code == 0 and json.loads(out)["equivalent"] is True
 
 
 #: Tokens no subcommand accepts in that place, or that stop the parse.

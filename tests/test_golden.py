@@ -24,7 +24,10 @@ survivors settled without proof.
 
 Regenerate the fixtures from the code on the import path with
 ``PYTHONPATH=src python tests/test_golden.py``; do that only when an
-output change is intended, and say why in CHANGES.md.
+output change is intended, and say why in CHANGES.md. To compare the
+fixtures without pytest, under any interpreter, run
+``python tools/golden_check.py``: it writes them into a temporary
+directory and names every entry that differs.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ import hashlib
 import io
 import json
 import os
-import sys
+import tempfile
 from pathlib import Path
 
-from conftest import bench_text, random_netlist
+from netlists import bench_text, random_netlist
 from vtcamo import cli
 from vtcamo.attack import (
     CountingOracle,
@@ -333,21 +336,21 @@ def test_every_subcommand_is_pinned():
     assert set(cli.COMMANDS) <= ran
 
 
+def write_fixtures(directory: Path) -> None:
+    """Write the four fixtures, from the code on the import path, into
+    ``directory``; argparse wraps help to ``COLUMNS``, so set it to 80."""
+    (directory / "attack_reports.json").write_text(
+        json.dumps(attack_cases(), indent=1, sort_keys=True) + "\n")
+    for name, cases in (("cli_outputs.json", cli_cases),
+                        ("device_outputs.json", device_cases),
+                        ("cli_usage.json", cli_usage_cases)):
+        with tempfile.TemporaryDirectory() as tmp:
+            (directory / name).write_text(
+                json.dumps(cases(Path(tmp)), indent=1, sort_keys=True)
+                + "\n")
+
+
 if __name__ == "__main__":
-    import tempfile
     os.environ["COLUMNS"] = "80"
     GOLDEN.mkdir(exist_ok=True)
-    (GOLDEN / "attack_reports.json").write_text(
-        json.dumps(attack_cases(), indent=1, sort_keys=True) + "\n")
-    with tempfile.TemporaryDirectory() as tmp:
-        (GOLDEN / "cli_outputs.json").write_text(
-            json.dumps(cli_cases(Path(tmp)), indent=1, sort_keys=True) + "\n")
-    with tempfile.TemporaryDirectory() as tmp:
-        (GOLDEN / "device_outputs.json").write_text(
-            json.dumps(device_cases(Path(tmp)), indent=1, sort_keys=True)
-            + "\n")
-    with tempfile.TemporaryDirectory() as tmp:
-        (GOLDEN / "cli_usage.json").write_text(
-            json.dumps(cli_usage_cases(Path(tmp)), indent=1, sort_keys=True)
-            + "\n")
-    sys.exit(0)
+    write_fixtures(GOLDEN)

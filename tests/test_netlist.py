@@ -180,6 +180,12 @@ class TestParseErrors:
             Netlist(("a",), ("g",), gates)
         assert str(err.value) == "gate 'h' has no fanins"
 
+    def test_parser_names_the_line_of_a_gate_with_no_fanins(self):
+        with pytest.raises(BenchSyntaxError) as err:
+            parse_bench("INPUT(a)\nOUTPUT(x)\nx = AND()\n")
+        assert str(err.value) == "gate 'x' has no fanins (line 3)"
+        assert err.value.line == 3
+
     def test_parser_names_the_line_of_a_second_definition(self):
         with pytest.raises(BenchSyntaxError) as err:
             parse_bench("INPUT(a)\nOUTPUT(g)\ng = NOT(a)\ng = BUFF(a)\n")
