@@ -252,14 +252,17 @@ def find_sensitizing_vector(net: Netlist,
                             ) -> SensitizingVector | None:
     """Search the input space for a vector that observes one table entry.
 
-    The vector must set the target's fanins to ``local_pattern`` and make
-    some primary output provably follow the target's output. Returns None
-    when no such vector exists. The target's fanin cone must already be
-    resolved (its camouflaged gates present in ``partial_assignment``).
+    The vector must set the target's fanins to ``local_pattern``, one of
+    ``LOCAL_VECTORS``, and make some primary output provably follow the
+    target's output. Returns None when no such vector exists. The target's
+    fanin cone must already be resolved (its camouflaged gates present in
+    ``partial_assignment``).
     """
     gate = net.gate(target_gate)
     if not gate.is_camo:
         raise InvalidParameterError(f"{target_gate!r} is not camouflaged")
+    if local_pattern not in LOCAL_VECTORS:
+        raise InvalidParameterError(f"bad local pattern {local_pattern!r}")
     if len(net.inputs) > EXHAUSTIVE_INPUT_LIMIT:
         raise AttackTooLargeError(
             f"{len(net.inputs)} inputs exceeds the sensitization search "

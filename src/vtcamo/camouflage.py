@@ -79,8 +79,8 @@ class SelectionPolicy:
 
     strategy: "random" (uniform, seeded), "xor_sequence" (prefer gates
     feeding XOR/XNOR consumers), "off_critical" (avoid the critical
-    path), or "greedy_effort" (rank by candidate-space growth net of
-    normalized overhead, subject to the delay budget).
+    path), or "greedy_effort" (rank by observability, subject to the
+    delay budget: see select_gates).
     budget is the largest fraction of gates to convert; delay_budget is
     the acceptable fractional critical-path growth for greedy_effort.
     """
@@ -102,17 +102,10 @@ class SelectionPolicy:
                 f"delay_budget must be >= 0, got {self.delay_budget}")
 
 
-#: Per flavor, the plain functions its cells can stand in for (in a tuple,
-#: tested by identity: no ``Enum.__hash__`` call).
-_PLAIN_FOR = {flavor: tuple([p for p, c in _CAMO_FOR_PLAIN.items()
-                             if c in flavor.function_set])
-              for flavor in CellFlavor}
-
-
 def camo_function_for(gate: Gate, flavor: CellFlavor) -> GateFunction:
     """Camouflaged function that preserves a plain gate, or raise."""
     func = _CAMO_FOR_PLAIN.get(gate.func)  # None for a camouflaged gate
-    if gate.func in _PLAIN_FOR[flavor] and len(gate.fanins) <= 2:
+    if func in flavor.function_set and len(gate.fanins) <= 2:
         return func
     if gate.is_camo:
         raise FlavorMismatchError(f"gate {gate.gate_id!r} is already camouflaged")
@@ -126,9 +119,9 @@ def camo_function_for(gate: Gate, flavor: CellFlavor) -> GateFunction:
 
 def eligible_gates(net: Netlist, flavor: CellFlavor) -> list[str]:
     """Gate ids (file order) that apply_camouflage would accept."""
-    plain = _PLAIN_FOR[flavor]
+    camo_for, functions = _CAMO_FOR_PLAIN.get, flavor.function_set
     return [g.gate_id for g in net.gates
-            if g.func in plain and len(g.fanins) <= 2]
+            if camo_for(g.func) in functions and len(g.fanins) <= 2]
 
 
 def _pick_decoy(net: Netlist, fanout: list[list[int]], n: int,
@@ -202,13 +195,18 @@ def select_gates(net: Netlist, policy: SelectionPolicy,
     The result is a deterministic function of (netlist, policy, flavor);
     the random strategy derives everything from the policy seed.
 
-    greedy_effort keeps a ranked gate when the critical path, with it and
-    the gates kept so far at the flavor's delay multiple, stays within
-    ``delay_budget`` of the unit-delay path (to 1e-12). A trial re-times
-    only the gate's fanout cone, bit-identically to a full pass
-    (``IncrementalTiming``), and checks only the ends there whose arrival
-    changed: every other end passed when the last gate was kept, and the
-    unit-delay start passes because ``delay_budget >= 0``.
+    greedy_effort ranks by the effort-versus-overhead trade-off of
+    Rajendran et al. (CCS 2013): candidate-space growth, halved at a
+    primary output, less normalized area overhead. Growth (log2 of the
+    flavor's function count, so positive) and overhead are the same for
+    every cell of one flavor, so non-output gates come first, then the
+    outputs, each in file order. A ranked gate is kept when the critical
+    path, with it and the gates kept so far at the flavor's delay
+    multiple, stays within ``delay_budget`` of the unit-delay path (to
+    1e-12). A trial re-times only the gate's fanout cone, bit-identically
+    to a full pass (``IncrementalTiming``), and checks only the ends there
+    whose arrival changed: every other end passed when the last gate was
+    kept, and the unit-delay start passes because ``delay_budget >= 0``.
     """
     cost_table = cost_table or CostTable()
     eligible = eligible_gates(net, flavor)
@@ -230,22 +228,15 @@ def select_gates(net: Netlist, policy: SelectionPolicy,
         on_path = set(critical_path(net).gate_ids)
         keep = [gid for gid in eligible if gid not in on_path]
         return sorted(keep[:count])
-    # greedy_effort
+    # greedy_effort: a stable sort keeps file order within each group
     timing = IncrementalTiming(net)
     bound = timing.delay() * (1.0 + policy.delay_budget) + 1e-12
-    multiples = cost_table.for_flavor(flavor)
-    overhead_norm = (multiples.area - 1.0) / multiples.area
-    po_set = set(net.outputs)
-    gains = math.log2(len(flavor.function_set))
-    def metric(gid: str) -> float:
-        observability = 0.5 if gid in po_set else 1.0
-        return gains * observability - overhead_norm
-    ranked = sorted(eligible, key=lambda g: -metric(g))
+    delay = cost_table.for_flavor(flavor).delay
     chosen: list[str] = []
-    for gid in ranked:
+    for gid in sorted(eligible, key=set(net.outputs).__contains__):
         if len(chosen) >= count:
             break
-        if timing.try_delay(gid, multiples.delay, bound):
+        if timing.try_delay(gid, delay, bound):
             chosen.append(gid)
     return sorted(chosen)
 

@@ -23,6 +23,11 @@ Switch map (kept as data so a different wiring can be dropped in):
 Exactly one selection group carries LVT programming in a valid config:
 both members for the four transmission-gate pairs, exactly one member for
 the complementary parity pair.
+
+GateFunction, CellFlavor and VT share one base, ``_CellEnum``: a member
+prints as its value and hashes by identity. Members are singletons
+compared by identity, so this agrees with equality, and unlike the
+Python-level ``Enum.__hash__`` it runs in C: tables key by member.
 """
 
 from __future__ import annotations
@@ -39,7 +44,14 @@ from .errors import (
 )
 
 
-class GateFunction(enum.Enum):
+class _CellEnum(enum.Enum):
+    __hash__ = object.__hash__  # see the module docstring
+
+    def __repr__(self) -> str:  # keep reports compact
+        return self.value
+
+
+class GateFunction(_CellEnum):
     """Cell functions plus the plain netlist primitives.
 
     The first eight are realizable by a camouflaged cell. NOT and BUFF are
@@ -58,9 +70,6 @@ class GateFunction(enum.Enum):
     NOT = "NOT"
     BUFF = "BUFF"
 
-    def __repr__(self) -> str:  # keep reports compact
-        return self.value
-
 
 #: Functions a camouflaged cell can realize.
 CAMOUFLAGEABLE = frozenset({
@@ -75,7 +84,7 @@ BASE_FUNCTIONS = (
 )
 
 
-class CellFlavor(enum.Enum):
+class CellFlavor(_CellEnum):
     """Which cell variant was placed (visible in layout, unlike the key)."""
 
     CAMO8 = "CAMO8"
@@ -85,9 +94,6 @@ class CellFlavor(enum.Enum):
     @property
     def function_set(self) -> frozenset[GateFunction]:
         return _FLAVOR_SETS[self]
-
-    def __repr__(self) -> str:
-        return self.value
 
 
 _FLAVOR_SETS = {
@@ -99,14 +105,11 @@ _FLAVOR_SETS = {
 }
 
 
-class VT(enum.Enum):
+class VT(_CellEnum):
     """Threshold programming of one switch."""
 
     HVT = "H"
     LVT = "L"
-
-    def __repr__(self) -> str:
-        return self.value
 
 
 NUM_SWITCHES = 14

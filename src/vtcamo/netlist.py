@@ -419,14 +419,14 @@ _TABLE_BITS = 1 << 28
 #: UNKNOWN are a forced gate and an unassigned camouflaged gate.
 _AND, _OR, _XOR, _PORT0, _PORT1, _CONST, _UNKNOWN = range(7)
 
-#: Function ``_value_`` (no Python-level ``Enum.__hash__``) -> (op code,
-#: output inverted). Camouflaged INV/BUF read port 1; port 0 is the decoy.
+#: Function -> (op code, output inverted). Camouflaged INV/BUF read port
+#: 1; port 0 is the decoy.
 _OPS = {
-    "AND": (_AND, False), "NAND": (_AND, True),
-    "OR": (_OR, False), "NOR": (_OR, True),
-    "XOR": (_XOR, False), "XNOR": (_XOR, True),
-    "BUFF": (_PORT0, False), "NOT": (_PORT0, True),
-    "BUF": (_PORT1, False), "INV": (_PORT1, True),
+    GateFunction.AND: (_AND, False), GateFunction.NAND: (_AND, True),
+    GateFunction.OR: (_OR, False), GateFunction.NOR: (_OR, True),
+    GateFunction.XOR: (_XOR, False), GateFunction.XNOR: (_XOR, True),
+    GateFunction.BUFF: (_PORT0, False), GateFunction.NOT: (_PORT0, True),
+    GateFunction.BUF: (_PORT1, False), GateFunction.INV: (_PORT1, True),
 }
 
 
@@ -452,7 +452,7 @@ def _compile(net: Netlist) -> _Program:
     index, ops = list(range(width)) + [0] * len(gates), []
     for n in net._order:
         g, f = gates[n - width], fanins[n]
-        code, inverted = (_OPS[g.func._value_] if g.flavor is None
+        code, inverted = (_OPS[g.func] if g.flavor is None
                           else (_UNKNOWN, False))
         if len(f) == 2:
             ops.append((code, inverted, index[f[0]], index[f[1]]))
@@ -487,7 +487,7 @@ def _resolve(net: Netlist, assignment,
     for gid, func in assignment:
         k = _op(net, gid)
         if k >= 0 and prog.ops[k][0] == _UNKNOWN:
-            ops[k] = (*_OPS[func._value_], *ops[k][2:])
+            ops[k] = (*_OPS[func], *ops[k][2:])
     for gid, bit in (forced or {}).items():
         k = _op(net, gid)
         if k >= 0:
@@ -739,7 +739,7 @@ class OutputTables:
             size = len(may1)
             for func, sub in buckets.items():
                 del rails[0][size:], may1[size:]
-                segment = self._segments[depth][func._value_]
+                segment = self._segments[depth][func]
                 descend(depth + 1, sub, _run(segment, words, mask, rails))
 
         descend(0, range(len(rows)), _run(self._head, words, mask))

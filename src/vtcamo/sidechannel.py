@@ -40,7 +40,7 @@ from .errors import (
     InvalidParameterError,
     TemplateSetError,
 )
-from .netlist import CamoKey, Gate, KeyEntry, Netlist
+from .netlist import CamoKey, Gate, KeyEntry, Netlist, validate_key
 
 #: Operating range the measurement fixtures support.
 MIN_TEMPERATURE_K = 200.0
@@ -308,8 +308,10 @@ def balance_flavors(net: Netlist, key: CamoKey,
     camouflaged dummy gates whose outputs drive nothing, so the circuit
     function is untouched but aggregate leakage no longer depends on the
     real mix. Dummies tap the first available nets in definition order
-    and are named bal0, bal1, ... skipping names already taken.
+    and are named bal0, bal1, ... skipping names already taken. The key
+    is checked first, as ``validate_key`` checks it.
     """
+    validate_key(net, key)
     camo = net.camo_gates()
     if not camo:
         raise InsertionError("netlist has no camouflaged gates to balance")

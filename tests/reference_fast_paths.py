@@ -21,9 +21,6 @@ from vtcamo.netlist import (_OPS, _PORT0, _UNKNOWN, Gate, IncrementalTiming,
                             Netlist, _Program)
 
 
-_MEMBER_OPS = {GateFunction(tag): op for tag, op in _OPS.items()}
-
-
 def reference_compile(net: Netlist) -> _Program:
     width = len(net.inputs)
     index = list(range(width)) + [0] * len(net.gates)
@@ -34,7 +31,7 @@ def reference_compile(net: Netlist) -> _Program:
         if g.flavor is not None:
             code, inverted = _UNKNOWN, False
         else:
-            code, inverted = _MEMBER_OPS[g.func]
+            code, inverted = _OPS[g.func]
             if len(fanins) == 1:  # NOT, BUFF or a one-input AND/OR/XOR
                 code = _PORT0
         a = fanins[0]

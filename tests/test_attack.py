@@ -224,6 +224,13 @@ class TestSensitizingVectors:
         with pytest.raises(InvalidParameterError):
             find_sensitizing_vector(c17, {}, "10", (0, 0))
 
+    @pytest.mark.parametrize("pattern", [(0, 2), (0,), (-1, 0)])
+    def test_pattern_outside_local_vectors_rejected(self, c17, pattern):
+        locked, key = apply_camouflage(c17, ["10", "22"], CellFlavor.CAMO8)
+        resolved = {"10": key.entries["10"].function}
+        with pytest.raises(InvalidParameterError, match="local pattern"):
+            find_sensitizing_vector(locked, resolved, "22", pattern)
+
     def test_unknown_sink_blocks_propagation(self):
         # while the sink cell is unresolved its output is treated as
         # unknown, so nothing upstream can be observed through it

@@ -116,6 +116,14 @@ class TestConfigs:
         assert len(CAMOUFLAGEABLE) == 8
 
 
+class TestEnums:
+    def test_members_hash_by_identity(self):
+        # member-keyed tables then never call the Python-level Enum.__hash__
+        for member in (*GateFunction, *CellFlavor, *VT):
+            assert hash(member) == object.__hash__(member), member
+            assert repr(member) == member.value
+
+
 class TestSerialization:
     @pytest.mark.parametrize("flavor", list(CellFlavor))
     def test_round_trip(self, flavor):

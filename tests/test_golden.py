@@ -15,7 +15,9 @@ written by the full-pass timing code (one ``critical_path`` per greedy
 trial) that the incremental cone check replaced. ``cli_usage.json`` pins
 the argparse usage, help and error texts (with ``COLUMNS=80``) and the
 ``parse`` and ``estimate`` runs, written before the subcommand table
-replaced the hand-written parser. Four ``status`` fields of
+replaced the hand-written parser; Python 3.13's argparse wraps usage
+lines differently, so it reads ``cli_usage_py313.json``, written under
+3.13.0, which differs only in those wrapped texts. Four ``status`` fields of
 random-source brute force (``brute_random`` for ``c17_mutual_mask`` and
 ``random_6``, and the ``--pattern-source random`` CLI runs on ``c17``
 and ``synth_mix``) were re-pinned from ``equivalent_class`` to
@@ -37,6 +39,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -52,6 +55,10 @@ from vtcamo.cell import CellFlavor
 from vtcamo.netlist import parse_bench
 
 GOLDEN = Path(__file__).with_name("golden")
+
+#: The usage fixture of the running interpreter's argparse behaviour.
+USAGE_FIXTURE = ("cli_usage.json" if sys.version_info < (3, 13)
+                 else "cli_usage_py313.json")
 
 MASKED = ("INPUT(a)\nINPUT(b)\nOUTPUT(x)\n"
           "g = NAND(a, b)\nx = XOR(g, g)\n")
@@ -315,7 +322,7 @@ def test_device_outputs_match_golden(tmp_path):
 
 def test_cli_usage_matches_golden(tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    golden = _load("cli_usage.json")
+    golden = _load(USAGE_FIXTURE)
     fresh = cli_usage_cases(tmp_path)
     assert fresh.keys() == golden.keys()
     for name in golden:
@@ -325,7 +332,7 @@ def test_cli_usage_matches_golden(tmp_path, monkeypatch):
 
 def test_every_subcommand_is_pinned():
     """Each subcommand in the table has a pinned -h text and a pinned run."""
-    usage = _load("cli_usage.json")
+    usage = _load(USAGE_FIXTURE)
     helped = {c["argv"][0] for c in usage["usage"] if c["argv"][1:] == ["-h"]}
     ran = {c["argv"][0] for c in usage["runs"] if c["exit"] == 0}
     for case in _load("cli_outputs.json").values():
@@ -338,12 +345,13 @@ def test_every_subcommand_is_pinned():
 
 def write_fixtures(directory: Path) -> None:
     """Write the four fixtures, from the code on the import path, into
-    ``directory``; argparse wraps help to ``COLUMNS``, so set it to 80."""
+    ``directory`` (the usage one as ``USAGE_FIXTURE``); argparse wraps
+    help to ``COLUMNS``, so set it to 80."""
     (directory / "attack_reports.json").write_text(
         json.dumps(attack_cases(), indent=1, sort_keys=True) + "\n")
     for name, cases in (("cli_outputs.json", cli_cases),
                         ("device_outputs.json", device_cases),
-                        ("cli_usage.json", cli_usage_cases)):
+                        (USAGE_FIXTURE, cli_usage_cases)):
         with tempfile.TemporaryDirectory() as tmp:
             (directory / name).write_text(
                 json.dumps(cases(Path(tmp)), indent=1, sort_keys=True)

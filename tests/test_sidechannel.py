@@ -13,7 +13,9 @@ from vtcamo.errors import (
     BiasClampWarning,
     InsertionError,
     InvalidParameterError,
+    KeyScopeError,
     TemplateSetError,
+    UnresolvedGateError,
 )
 from vtcamo.netlist import CamoKey, KeyEntry, check_equivalence, parse_bench
 from vtcamo.sidechannel import (
@@ -298,6 +300,15 @@ class TestBalancing:
     def test_plain_netlist_rejected(self, c17):
         with pytest.raises(InsertionError):
             balance_flavors(c17, CamoKey({}))
+
+    def test_key_is_checked_first(self, c17):
+        locked, key = apply_camouflage(c17, ["10", "22"], CellFlavor.CAMO8)
+        with pytest.raises(UnresolvedGateError):
+            balance_flavors(locked, CamoKey({"10": key.entries["10"]}))
+        locked, key = apply_camouflage(c17, ["10", "22"], CellFlavor.CMOS3A)
+        outside = CamoKey({**key.entries, "22": KeyEntry(GateFunction.AND)})
+        with pytest.raises(KeyScopeError):
+            balance_flavors(locked, outside)
 
     def test_aggregate_hides_the_real_mix_once_balanced(self):
         readings = []

@@ -336,11 +336,13 @@ def test_critical_path_matches_the_sorted_fanin_reference(net, weights):
         assert critical_path(net, model) == reference_critical_path(net, model)
 
 
+#: The last two differ only in area, which greedy_effort's rank must ignore.
 _TABLES = (CostTable(), CostTable({
     CellFlavor.CAMO8: CostMultiples(4.0, 4.0, 1.0),
     CellFlavor.CMOS3A: CostMultiples(2.0, 2.0, 1.3),
     CellFlavor.CMOS3B: CostMultiples(2.0, 2.0, 3.0),
-}))
+}), *(CostTable({f: CostMultiples(area, 1.0, 1.5) for f in CellFlavor})
+      for area in (1.0, 50.0)))
 
 
 @_SETTINGS

@@ -9,7 +9,10 @@ fixtures can be checked on every Python version::
 
 It imports ``vtcamo`` from ``src/`` and the generators of
 ``tests/test_golden.py``, writes the four fixtures into a temporary
-directory with ``COLUMNS=80``, and names every entry that differs.
+directory with ``COLUMNS=80``, and names every entry that differs. The
+usage texts are compared with the fixture of the running interpreter's
+argparse behaviour (``test_golden.USAGE_FIXTURE``: ``cli_usage.json``
+before Python 3.13, ``cli_usage_py313.json`` from 3.13 on).
 Exit status: 0 when every fixture is byte-identical, 1 otherwise.
 """
 
@@ -58,8 +61,8 @@ def main() -> int:
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         write_fixtures(Path(tmp))
-        for pinned in sorted(GOLDEN.glob("*.json")):
-            fresh = Path(tmp) / pinned.name
+        for fresh in sorted(Path(tmp).glob("*.json")):
+            pinned = GOLDEN / fresh.name
             if fresh.read_bytes() == pinned.read_bytes():
                 print(f"{pinned.name}: byte-identical")
                 continue
