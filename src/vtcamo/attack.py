@@ -21,17 +21,18 @@ pattern onto the gate and provably propagates the gate's output to a
 primary output, and reads the hidden truth table entry off the oracle
 response. The residue goes to the joint step, which walks the input
 space in counting order (_walk) and drops the survivors whose outputs
-differ from each new reply. The replay and the walk run the candidates
-depth first: candidates that agree up to a camouflaged gate share one
-run of the logic before it, and the replay drops a group at its first
-wrong output.
+differ from each new reply: one check where they all agree on its
+vector. The replay and the walk run the candidates depth first:
+candidates that agree up to a camouflaged gate share one run of the
+logic before it, and the replay drops a group at its first wrong output.
 
 Propagation is checked on the netlist module's bit-parallel dual-rail
 core with the target forced to 0 and to 1, every unresolved camouflaged
 gate an unknown. A flip counts only where both runs give definite,
 differing values at some output, so a resolution is sound whatever the
 unresolved gates are; the lowest bit set in both the local-pattern and
-the flip mask is the first such vector in counting order.
+the flip mask is the first such vector in counting order. A gate visit
+runs the two passes once for all its patterns (_visit_search).
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
-from operator import add, or_
+from itertools import chain, product
+from operator import add
 from typing import Callable, Iterable
 
 from .cell import (CAMOUFLAGEABLE, LOCAL_VECTORS, GateFunction, behavior_table,
@@ -245,6 +246,56 @@ class SensitizingVector:
             "oracle response inconsistent with the propagation analysis")
 
 
+def _summary(block) -> tuple:
+    """A forced_rails block's input words, fanin rails, flip mask and, per
+    output that flips first on some vectors, (those vectors, index, its
+    value at target 0)."""
+    words, rails0, rails1 = block
+    flips, owners = 0, []
+    for i, ((z0, o0), (z1, o1)) in enumerate(zip(rails0[2:], rails1[2:])):
+        # an output flips where both passes are definite (one rail) and differ
+        new = (z0 ^ o0) & (z1 ^ o1) & (o0 ^ o1) & ~flips
+        if new:
+            flips |= new
+            owners.append((new, i, new & o0))
+    return words, rails0[:2], flips, owners
+
+
+def _visit_search(net: Netlist, assignment: dict[str, GateFunction],
+                  target: str, keep: bool = True) -> Callable:
+    """find_sensitizing_vector for one gate visit's patterns: the checks
+    run once, here, and the forced passes once per block, when a pattern
+    first reaches it; ``keep`` keeps its summary for the later patterns."""
+    if len(net.inputs) > EXHAUSTIVE_INPUT_LIMIT:
+        raise AttackTooLargeError(
+            f"{len(net.inputs)} inputs exceeds the sensitization search "
+            f"limit of {EXHAUSTIVE_INPUT_LIMIT}")
+    cone = net.fanin_cone(target) - {target} - assignment.keys()
+    unresolved = [g.gate_id for g in net.camo_gates() if g.gate_id in cone]
+    if unresolved:
+        raise UnresolvedFaninError(
+            f"fanin cone of {target!r} has unresolved camouflaged "
+            f"gates {sorted(unresolved)}")
+    done, fresh = [], map(_summary, forced_rails(
+        net, assignment, target, net.gate(target).fanins + net.outputs))
+
+    def search(local_pattern: tuple[int, int]) -> SensitizingVector | None:
+        p0, p1 = local_pattern
+        for k, block in enumerate(chain(done, fresh)):
+            if keep and k == len(done):
+                done.append(block)
+            words, (fanin0, fanin1), flips, owners = block
+            # the resolved cone makes both fanins known: "may be p" is "is p"
+            hit = fanin0[p0] & fanin1[p1] & flips
+            if hit:
+                j = (hit & -hit).bit_length() - 1
+                _, i, low = next(o for o in owners if o[0] >> j & 1)
+                return SensitizingVector(tuple([w >> j & 1 for w in words]),
+                                         i, low >> j & 1, 1 ^ low >> j & 1)
+        return None
+    return search
+
+
 def find_sensitizing_vector(net: Netlist,
                             partial_assignment: dict[str, GateFunction],
                             target_gate: str,
@@ -256,41 +307,15 @@ def find_sensitizing_vector(net: Netlist,
     ``LOCAL_VECTORS``, and make some primary output provably follow the
     target's output. Returns None when no such vector exists. The target's
     fanin cone must already be resolved (its camouflaged gates present in
-    ``partial_assignment``).
+    ``partial_assignment``). It streams the forced passes, which a
+    sensitization_attack visit runs once for all its patterns.
     """
-    gate = net.gate(target_gate)
-    if not gate.is_camo:
+    if not net.gate(target_gate).is_camo:
         raise InvalidParameterError(f"{target_gate!r} is not camouflaged")
     if local_pattern not in LOCAL_VECTORS:
         raise InvalidParameterError(f"bad local pattern {local_pattern!r}")
-    if len(net.inputs) > EXHAUSTIVE_INPUT_LIMIT:
-        raise AttackTooLargeError(
-            f"{len(net.inputs)} inputs exceeds the sensitization search "
-            f"limit of {EXHAUSTIVE_INPUT_LIMIT}")
-    cone = net.fanin_cone(target_gate)
-    unresolved = [g.gate_id for g in net.camo_gates()
-                  if g.gate_id in cone and g.gate_id != target_gate
-                  and g.gate_id not in partial_assignment]
-    if unresolved:
-        raise UnresolvedFaninError(
-            f"fanin cone of {target_gate!r} has unresolved camouflaged "
-            f"gates {sorted(unresolved)}")
-    p0, p1 = local_pattern
-    for words, rails0, rails1 in forced_rails(
-            net, partial_assignment, target_gate, gate.fanins + net.outputs):
-        # the resolved cone makes both fanins known, so "may be p" is "is p"
-        local = rails0[0][p0] & rails0[1][p1]
-        # an output flips where both passes are definite and differ
-        flips = [(z0 & ~o0 & o1 & ~z1) | (o0 & ~z0 & z1 & ~o1)
-                 for (z0, o0), (z1, o1) in zip(rails0[2:], rails1[2:])]
-        hit = local & reduce(or_, flips, 0)
-        if hit:
-            j = (hit & -hit).bit_length() - 1
-            i = next(i for i, flip in enumerate(flips) if flip >> j & 1)
-            return SensitizingVector(tuple([w >> j & 1 for w in words]), i,
-                                     rails0[2 + i][1] >> j & 1,
-                                     rails1[2 + i][1] >> j & 1)
-    return None
+    return _visit_search(net, partial_assignment, target_gate,
+                         keep=False)(local_pattern)
 
 
 def sensitization_attack(net: Netlist, oracle: Callable,
@@ -318,7 +343,7 @@ def sensitization_attack(net: Netlist, oracle: Callable,
         for gid in camo_order:
             if len(sets[gid]) <= 1:
                 continue
-            assignment = resolved_assignment()
+            assignment, search = resolved_assignment(), None
             patterns = list(distinguishing_set(frozenset(sets[gid])))
             patterns += [p for p in LOCAL_VECTORS if p not in patterns]
             for pattern in patterns:
@@ -327,15 +352,13 @@ def sensitization_attack(net: Netlist, oracle: Callable,
                 if len({behavior_table(f)[pattern] for f in sets[gid]}) == 1:
                     continue  # pattern no longer splits the survivors
                 try:
-                    sv = find_sensitizing_vector(net, assignment, gid, pattern)
+                    search = search or _visit_search(net, assignment, gid)
+                    sv = search(pattern)
                 except UnresolvedFaninError:
                     break
                 if sv is None:
                     continue
-                out = cache.query(sv.vector)
-                if out is None:
-                    break
-                bit = sv.infer_gate_output(out)
+                bit = sv.infer_gate_output(cache.query(sv.vector))
                 sets[gid] = {f for f in sets[gid]
                              if behavior_table(f)[pattern] == bit}
                 progress = True

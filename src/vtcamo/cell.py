@@ -35,6 +35,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import combinations
 from types import MappingProxyType
 
 from .errors import (
@@ -294,6 +295,15 @@ def evaluate(config: CamoConfig, inputs: tuple[int, int]) -> int:
     return behavior_table(func)[tuple(inputs)]
 
 
+#: Port behavior as a 4-bit code: bit k is the output on LOCAL_VECTORS[k].
+_CODES = {f: sum(t[v] << k for k, v in enumerate(LOCAL_VECTORS))
+          for f, t in _BEHAVIOR_TABLES.items()}
+
+#: Non-empty subsets of LOCAL_VECTORS and their code masks, by (size, lex).
+_SUBSETS = [(c, sum(1 << LOCAL_VECTORS.index(v) for v in c))
+            for n in range(1, 5) for c in combinations(LOCAL_VECTORS, n)]
+
+
 def distinguishing_set(
         candidates: frozenset[GateFunction] | set[GateFunction],
 ) -> tuple[tuple[int, int], ...]:
@@ -308,22 +318,17 @@ def distinguishing_set(
     if len(cand) < 2:
         raise UnsupportedFunctionError(
             "need at least two candidate functions to distinguish")
-    tables = {}
     for f in cand:
-        if f not in CAMOUFLAGEABLE and f not in (GateFunction.NOT,
-                                                 GateFunction.BUFF):
+        if f not in _CODES:
             raise UnsupportedFunctionError(
                 f"{f!r} has no two-input cell behavior")
-        tables[f] = behavior_table(f)
-    for i, f in enumerate(cand):
-        for g in cand[i + 1:]:
-            if tables[f] == tables[g]:
-                raise IndistinguishableError(
-                    f"{f!r} and {g!r} have identical truth tables")
-    from itertools import combinations
-    for size in range(1, len(LOCAL_VECTORS) + 1):
-        for combo in combinations(LOCAL_VECTORS, size):
-            responses = {tuple(tables[f][v] for v in combo) for f in cand}
-            if len(responses) == len(cand):
-                return combo
+    codes = [_CODES[f] for f in cand]
+    if len(set(codes)) < len(codes):
+        f, g = next((f, g) for i, f in enumerate(cand) for g in cand[i + 1:]
+                    if _CODES[f] == _CODES[g])
+        raise IndistinguishableError(
+            f"{f!r} and {g!r} have identical truth tables")
+    for combo, mask in _SUBSETS:
+        if len({c & mask for c in codes}) == len(codes):
+            return combo
     raise IndistinguishableError("no distinguishing set exists")  # unreachable

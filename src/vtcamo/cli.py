@@ -186,6 +186,12 @@ def _cmd_equiv(args, cfg) -> dict:
 
 
 def _cmd_attack(args, cfg) -> dict:
+    if args.method == "brute" and args.no_flavor_knowledge:
+        raise InvalidParameterError(
+            "--no-flavor-knowledge applies to --method sensitization only")
+    if args.method == "sensitization" and args.pattern_source != "exhaustive":
+        raise InvalidParameterError(
+            "--pattern-source applies to --method brute only")
     net = _load_net(args.bench)
     key = _load_key(args.key)
     oracle = attack_mod.CountingOracle(net, key)  # validates the key

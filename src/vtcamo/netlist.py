@@ -38,9 +38,9 @@ import heapq
 import random
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress, groupby, islice, product, repeat
-from operator import eq, itemgetter
+from operator import eq, itemgetter, or_
 from typing import NamedTuple
 
 from .cell import BASE_FUNCTIONS, UNDERLYING, CellFlavor, GateFunction
@@ -564,7 +564,7 @@ def _block_words(width: int, first: int) -> tuple[list[int], int]:
     """Input words and mask of the all_vectors block starting at ``first``."""
     bits = min(width, _BLOCK_LOG2)
     mask, periodic = _periodic(bits)
-    return [periodic[s] if s < bits else mask * (first >> s & 1)
+    return [periodic[s] if s < bits else mask if first >> s & 1 else 0
             for s in reversed(range(width))], mask
 
 
@@ -710,7 +710,7 @@ class OutputTables:
         self._checks = [[(o, n) for o, n in enumerate(prog.outputs)
                          if lo <= n < hi] for lo, hi in zip((0, *ends), ends)]
         self._outputs, self._width = prog.outputs, prog.width
-        self._tables = None
+        self._tables = self._differ = None
 
     def run(self, words, mask: int, expected=None) -> list:
         """Per item, its output words, or whether they equal ``expected``.
@@ -758,13 +758,18 @@ class OutputTables:
 
     def matches(self, vec, out) -> list[bool]:
         """Per item, whether its outputs under ``vec``, a checked 0/1
-        vector, are ``out``."""
+        vector, are ``out``; checked once where the items' tables agree."""
         tables = self._whole_space()
         if tables is None:
             return self.run(vec, 1, out)
+        if self._differ is None:  # where some item differs from the first
+            self._differ = reduce(or_, (w ^ col[0] for col in zip(*tables)
+                                        for w in col), 0)
         bit = 1 << _word(vec)
         want = [bit if b else 0 for b in out]
-        return [all(map(eq, want, map(bit.__and__, t))) for t in tables]
+        rows = tables if self._differ & bit else tables[:1]
+        got = [all(map(eq, want, map(bit.__and__, t))) for t in rows]
+        return got if rows is tables else got * len(tables)
 
     def _whole_space(self) -> list | None:
         """Each item's output words over the whole space, if they fit."""
@@ -779,6 +784,7 @@ class OutputTables:
         self.items = list(compress(self.items, selectors))
         if self._tables is not None:
             self._tables = list(compress(self._tables, selectors))
+            self._differ = None
 
     def agree(self, limit: int) -> bool:
         """True when all items give the same outputs on every vector.

@@ -8,17 +8,30 @@ the netlist twice, once with unit delays and once with the cells' delay
 multiples. ``reference_eligible_gates`` filters the gates through
 ``_camo_function``, which looked functions up by ``GateFunction`` member.
 ``reference_arrivals`` is ``IncrementalTiming``'s arrival pass with one
-``_latest`` call per gate.
+``_latest`` call per gate. ``reference_distinguishing_set`` searches the
+subsets of ``LOCAL_VECTORS`` by comparing response tuples read off the
+behavior tables. ``reference_find_sensitizing_vector`` runs both forced
+passes for its one pattern, from the first block, and reads the flips
+of every output.
 """
 
 from __future__ import annotations
 
 import random
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
+from vtcamo.attack import SensitizingVector
 from vtcamo.camouflage import _CAMO_FOR_PLAIN, CostTable, OverheadReport
-from vtcamo.cell import CellFlavor, GateFunction
-from vtcamo.netlist import (_OPS, _PORT0, _UNKNOWN, Gate, IncrementalTiming,
-                            Netlist, _Program)
+from vtcamo.cell import (CAMOUFLAGEABLE, LOCAL_VECTORS, CellFlavor,
+                         GateFunction, behavior_table)
+from vtcamo.errors import (AttackTooLargeError, IndistinguishableError,
+                           InvalidParameterError, UnresolvedFaninError,
+                           UnsupportedFunctionError)
+from vtcamo.netlist import (_OPS, _PORT0, _UNKNOWN, EXHAUSTIVE_INPUT_LIMIT,
+                            Gate, IncrementalTiming, Netlist, _Program,
+                            forced_rails)
 
 
 def reference_compile(net: Netlist) -> _Program:
@@ -111,3 +124,63 @@ def reference_arrivals(net: Netlist, delays=None) -> list[float]:
     for n in net._order:
         arrival[n] = _latest(arrival, net._fanins[n]) + delays[n]
     return arrival
+
+
+def reference_distinguishing_set(candidates):
+    cand = sorted(candidates, key=lambda f: f.value)
+    if len(cand) < 2:
+        raise UnsupportedFunctionError(
+            "need at least two candidate functions to distinguish")
+    tables = {}
+    for f in cand:
+        if f not in CAMOUFLAGEABLE and f not in (GateFunction.NOT,
+                                                 GateFunction.BUFF):
+            raise UnsupportedFunctionError(
+                f"{f!r} has no two-input cell behavior")
+        tables[f] = behavior_table(f)
+    for i, f in enumerate(cand):
+        for g in cand[i + 1:]:
+            if tables[f] == tables[g]:
+                raise IndistinguishableError(
+                    f"{f!r} and {g!r} have identical truth tables")
+    for size in range(1, len(LOCAL_VECTORS) + 1):
+        for combo in combinations(LOCAL_VECTORS, size):
+            responses = {tuple(tables[f][v] for v in combo) for f in cand}
+            if len(responses) == len(cand):
+                return combo
+    raise IndistinguishableError("no distinguishing set exists")
+
+
+def reference_find_sensitizing_vector(net: Netlist, partial_assignment,
+                                      target_gate: str, local_pattern):
+    gate = net.gate(target_gate)
+    if not gate.is_camo:
+        raise InvalidParameterError(f"{target_gate!r} is not camouflaged")
+    if local_pattern not in LOCAL_VECTORS:
+        raise InvalidParameterError(f"bad local pattern {local_pattern!r}")
+    if len(net.inputs) > EXHAUSTIVE_INPUT_LIMIT:
+        raise AttackTooLargeError(
+            f"{len(net.inputs)} inputs exceeds the sensitization search "
+            f"limit of {EXHAUSTIVE_INPUT_LIMIT}")
+    cone = net.fanin_cone(target_gate)
+    unresolved = [g.gate_id for g in net.camo_gates()
+                  if g.gate_id in cone and g.gate_id != target_gate
+                  and g.gate_id not in partial_assignment]
+    if unresolved:
+        raise UnresolvedFaninError(
+            f"fanin cone of {target_gate!r} has unresolved camouflaged "
+            f"gates {sorted(unresolved)}")
+    p0, p1 = local_pattern
+    for words, rails0, rails1 in forced_rails(
+            net, partial_assignment, target_gate, gate.fanins + net.outputs):
+        local = rails0[0][p0] & rails0[1][p1]
+        flips = [(z0 & ~o0 & o1 & ~z1) | (o0 & ~z0 & z1 & ~o1)
+                 for (z0, o0), (z1, o1) in zip(rails0[2:], rails1[2:])]
+        hit = local & reduce(or_, flips, 0)
+        if hit:
+            j = (hit & -hit).bit_length() - 1
+            i = next(i for i, flip in enumerate(flips) if flip >> j & 1)
+            return SensitizingVector(tuple([w >> j & 1 for w in words]), i,
+                                     rails0[2 + i][1] >> j & 1,
+                                     rails1[2 + i][1] >> j & 1)
+    return None

@@ -10,10 +10,14 @@ checks that a random-source brute force reports ``unique`` or
 ``test_walk_matches_the_per_query_reference`` checks the joint step's
 walk, which reads survivors' outputs off output tables, against
 ``reference_resolve_jointly``, which filters each candidate on its own
-once per oracle reply.
+once per oracle reply. ``test_visit_search_matches_a_fresh_search_per_pattern``
+checks that one gate visit's shared search, which keeps each block's
+summary for its later patterns, answers every pattern as a fresh
+``find_sensitizing_vector`` and ``reference_find_sensitizing_vector`` do.
 """
 
 import math
+import tracemalloc
 from itertools import product
 from unittest import mock
 
@@ -22,6 +26,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_netlist
+from reference_fast_paths import reference_find_sensitizing_vector
 from test_simulation_core import reference_filter
 from vtcamo import attack, netlist
 from vtcamo.attack import (
@@ -33,7 +38,7 @@ from vtcamo.attack import (
     sensitization_attack,
 )
 from vtcamo.camouflage import apply_camouflage, eligible_gates
-from vtcamo.cell import CellFlavor, GateFunction
+from vtcamo.cell import LOCAL_VECTORS, CellFlavor, GateFunction
 from vtcamo.errors import (
     AttackTooLargeError,
     InputWidthError,
@@ -238,6 +243,43 @@ class TestSensitizingVectors:
         for pattern in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             assert find_sensitizing_vector(locked, {}, "g1", pattern) is None
 
+    def test_visit_search_resumes_where_the_last_pattern_stopped(self):
+        # y reads inputs a and d: patterns with a = 1 hit only in the back
+        # half of the space, which 2-vector blocks split into 8 blocks
+        text = ("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\n"
+                "y = NAND(a, d)\n")
+        _, locked, _ = _lock(text, ["y"])
+        summaries, real = [], attack._summary
+
+        def spy(block):
+            summaries.append(block[0])
+            return real(block)
+
+        patterns = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        with mock.patch.object(netlist, "_BLOCK_LOG2", 1):
+            with mock.patch.object(attack, "_summary", spy):
+                search = attack._visit_search(locked, {}, "y")
+                got = [search(p) for p in patterns]
+            assert got == [find_sensitizing_vector(locked, {}, "y", p)
+                           for p in patterns]
+        assert [sv.vector for sv in got] == [
+            (0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 1)]
+        assert len(summaries) == 5  # blocks 0-4, each once
+
+    def test_standalone_search_keeps_no_block(self):
+        # no vector drives the pattern, so the search reads all 256 blocks
+        # of 4,096 vectors; kept summaries would hold about 0.5 MB
+        text = ("".join(f"INPUT(i{k})\n" for k in range(20))
+                + "OUTPUT(y)\nn = NOT(i0)\ny = NAND(i0, n)\n")
+        _, locked, _ = _lock(text, ["y"])
+        tracemalloc.start()
+        try:
+            assert find_sensitizing_vector(locked, {}, "y", (0, 0)) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
     def test_plain_downstream_logic_propagates(self):
         _, locked, key = _lock(CHAIN2, ["g1"])
         sv = find_sensitizing_vector(locked, {}, "g1", (0, 0))
@@ -417,6 +459,66 @@ def test_settled_random_brute_force_is_the_whole_class(case, budget, seed):
     assert report.resolved == exhaustive.resolved
     assert (report.candidate_space_log2_final
             == exhaustive.candidate_space_log2_final)
+
+
+@st.composite
+def visit_cases(draw):
+    """A locked netlist, a camouflaged target, the key's functions of
+    some other cells, a pattern sequence and a block size."""
+    locked, key, _ = draw(attack_cases())
+    target = draw(st.sampled_from(sorted(key.entries)))
+    assignment = {gid: e.function for gid, e in key.entries.items()
+                  if gid != target and draw(st.booleans())}
+    return (locked, target, assignment,
+            draw(st.lists(st.sampled_from(LOCAL_VECTORS), min_size=1,
+                          max_size=8)),
+            draw(st.sampled_from([1, 2, 12])))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(visit_cases())
+def test_visit_search_matches_a_fresh_search_per_pattern(case):
+    # with small blocks an early hit leaves blocks unread, which a later
+    # pattern then resumes after re-reading the kept ones
+    locked, target, assignment, patterns, block_log2 = case
+    with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
+        try:
+            search = attack._visit_search(locked, assignment, target)
+        except UnresolvedFaninError as exc:
+            with pytest.raises(UnresolvedFaninError) as fresh:
+                find_sensitizing_vector(locked, assignment, target,
+                                        patterns[0])
+            assert str(fresh.value) == str(exc)
+            return
+        for pattern in patterns:
+            got = search(pattern)
+            assert got == find_sensitizing_vector(locked, assignment, target,
+                                                  pattern)
+            assert got == reference_find_sensitizing_vector(
+                locked, assignment, target, pattern)
+
+
+def test_each_gate_visit_runs_the_forced_passes_once(c17):
+    # a CAMO8 cell takes at least three patterns to resolve
+    events, real_rails, real_set = [], attack.forced_rails, \
+        attack.distinguishing_set
+
+    def rails(*args):
+        events.append("rails")
+        return real_rails(*args)
+
+    def visit(*args):
+        events.append("visit")
+        return real_set(*args)
+
+    locked, key = apply_camouflage(c17, ["10", "16", "22"], CellFlavor.CAMO8)
+    with mock.patch.object(attack, "forced_rails", rails), \
+            mock.patch.object(attack, "distinguishing_set", visit):
+        report = sensitization_attack(locked, CountingOracle(locked, key))
+    assert report.status == "unique"
+    runs = "".join(e[0] for e in events)
+    assert runs.startswith("v") and "r" in runs and "rr" not in runs
 
 
 def test_each_joint_step_builds_one_table(c17):

@@ -216,6 +216,29 @@ class TestCliCommands:
         assert brute["query_count"] == 32
         assert brute["true_key_survives"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ["--method", "brute", "--no-flavor-knowledge"],
+        ["--method", "sensitization", "--pattern-source", "random"],
+        ["--pattern-source", "random", "--budget", "4"],
+    ], ids=["brute-no-flavor-knowledge", "sensitization-random",
+            "default-method-random"])
+    def test_attack_refuses_an_option_its_method_ignores(
+            self, capsys, tmp_path, c17_file, argv):
+        # both used to run and report as if the option were not given
+        locked, keyfile = (str(tmp_path / n) for n in ("l.bench", "l.key"))
+        assert main(["lock", c17_file, "--flavor", "cmos3a", "--budget",
+                     "0.4", "--seed", "1", "--out-bench", locked,
+                     "--out-key", keyfile, "--out", os.devnull]) == 0
+        capsys.readouterr()
+        never = mock.Mock(side_effect=AssertionError("oracle built"))
+        with mock.patch("vtcamo.attack.CountingOracle", never):
+            code, out, err = _run(capsys, ["attack", locked, "--key",
+                                           keyfile, *argv])
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InvalidParameterError"
+
     def test_sidechannel_subcommand_classifies(self, capsys, tmp_path,
                                                c17_file):
         locked, keyfile, _ = _lock_c17(tmp_path, c17_file)

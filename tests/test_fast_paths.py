@@ -5,7 +5,8 @@ and ``IncrementalTiming``'s arrival pass must give exactly what the
 references in ``reference_fast_paths.py`` give: the same ``_Program``, the
 same vectors, the same report and arrivals (floats compared by
 ``float.hex``) and the same gate ids; ``levels`` must give the unit
-arrivals as ``int``s.
+arrivals as ``int``s. On the attack path, ``distinguishing_set`` must give
+the reference's subset, or raise its error, for every candidate set.
 Netlists are drawn in shuffled file order with gates of one to four
 fanins (so one-input AND/OR/XOR gates built directly, and gates folded
 through temporary nets), camouflaged cells built directly, and cells
@@ -14,7 +15,9 @@ added by ``apply_camouflage`` with and without INV/BUF decoys.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import combinations, islice
+
+import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,14 +25,15 @@ from hypothesis import strategies as st
 from reference_fast_paths import (
     reference_arrivals,
     reference_compile,
+    reference_distinguishing_set,
     reference_eligible_gates,
     reference_overhead_report,
     reference_random_vectors,
 )
 from vtcamo.camouflage import (CostMultiples, CostTable, apply_camouflage,
                                eligible_gates, overhead_report)
-from vtcamo.cell import CellFlavor, GateFunction
-from vtcamo.errors import DecoySelectionError
+from vtcamo.cell import CellFlavor, GateFunction, distinguishing_set
+from vtcamo.errors import DecoySelectionError, VtcamoError
 from vtcamo.netlist import (Gate, IncrementalTiming, Netlist, _compile,
                             random_vectors)
 
@@ -155,3 +159,23 @@ def test_arrivals_match_the_latest_fanin_loop(net, data):
         want = reference_arrivals(net, delays)
         assert (list(map(float.hex, timing.arrival))
                 == list(map(float.hex, want)))
+
+
+def _outcome(search, candidates):
+    try:
+        return search(candidates)
+    except VtcamoError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("extra", [(), (CellFlavor.CAMO8,)],
+                         ids=["functions", "with-a-flavor"])
+def test_distinguishing_set_matches_the_response_tuples(extra):
+    # every subset of GateFunction: results, or error classes and messages
+    # (the first identical pair in sorted order), must agree
+    members = list(GateFunction)
+    for size in range(len(members) + 1):
+        for subset in combinations(members, size):
+            candidates = frozenset(subset + extra)
+            assert (_outcome(distinguishing_set, candidates)
+                    == _outcome(reference_distinguishing_set, candidates))

@@ -430,10 +430,23 @@ def test_tables_match_per_candidate_runs(case, block_log2, rnd):
                 tables.keep(keep)
                 items = [c for c, k in zip(items, keep) if k]
                 assert tables.items == items
-        rows = {tuple(tuple(reference_outputs(
+        rows = [tuple(tuple(reference_outputs(
             locked, gate_ids, c, fixed, words, mask)) for _, words, mask
-            in netlist._blocks(len(locked.inputs))) for c in items}
-        assert tables.agree(len(items)) == (len(rows) <= 1)
+            in netlist._blocks(len(locked.inputs))) for c in items]
+        assert tables.agree(len(items)) == (len(set(rows)) <= 1)
+        # survivors that agree on every vector: a reply keeps all or none,
+        # and the tables know that no vector tells them apart
+        same = [row == rows[0] for row in rows]
+        tables.keep(same)
+        items = [c for c, k in zip(items, same) if k]
+        for vec in vectors if items else ():
+            want = tuple(reference_outputs(locked, gate_ids, items[0], fixed,
+                                           vec, 1))
+            absent = next(r for r in product((0, 1), repeat=len(want))
+                          if r != want)
+            assert tables.matches(vec, want) == [True] * len(items)
+            assert tables.matches(vec, absent) == [False] * len(items)
+            assert tables._differ in (None, 0)
 
 
 def _chain(width: int, outputs: int = 1) -> Netlist:
