@@ -32,7 +32,9 @@ gate an unknown. A flip counts only where both runs give definite,
 differing values at some output, so a resolution is sound whatever the
 unresolved gates are; the lowest bit set in both the local-pattern and
 the flip mask is the first such vector in counting order. A gate visit
-runs the two passes once for all its patterns (_visit_search).
+runs the two passes once for all its patterns (_visit_search): each block
+it reads records the first hit of every pattern, so a visit keeps at most
+four blocks.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, product
-from operator import add
+from itertools import product
+from operator import add, or_
 from typing import Callable, Iterable
 
 from .cell import (CAMOUFLAGEABLE, LOCAL_VECTORS, GateFunction, behavior_table,
@@ -246,26 +248,13 @@ class SensitizingVector:
             "oracle response inconsistent with the propagation analysis")
 
 
-def _summary(block) -> tuple:
-    """A forced_rails block's input words, fanin rails, flip mask and, per
-    output that flips first on some vectors, (those vectors, index, its
-    value at target 0)."""
-    words, rails0, rails1 = block
-    flips, owners = 0, []
-    for i, ((z0, o0), (z1, o1)) in enumerate(zip(rails0[2:], rails1[2:])):
-        # an output flips where both passes are definite (one rail) and differ
-        new = (z0 ^ o0) & (z1 ^ o1) & (o0 ^ o1) & ~flips
-        if new:
-            flips |= new
-            owners.append((new, i, new & o0))
-    return words, rails0[:2], flips, owners
-
-
 def _visit_search(net: Netlist, assignment: dict[str, GateFunction],
-                  target: str, keep: bool = True) -> Callable:
+                  target: str) -> Callable:
     """find_sensitizing_vector for one gate visit's patterns: the checks
-    run once, here, and the forced passes once per block, when a pattern
-    first reaches it; ``keep`` keeps its summary for the later patterns."""
+    run once, here, and the forced passes once per block. A block read
+    records the first hit of every pattern it holds one of, so a pattern
+    already hit is answered at once and any other resumes the passes; at
+    most the four blocks that hold a first hit are kept."""
     if len(net.inputs) > EXHAUSTIVE_INPUT_LIMIT:
         raise AttackTooLargeError(
             f"{len(net.inputs)} inputs exceeds the sensitization search "
@@ -276,23 +265,33 @@ def _visit_search(net: Netlist, assignment: dict[str, GateFunction],
         raise UnresolvedFaninError(
             f"fanin cone of {target!r} has unresolved camouflaged "
             f"gates {sorted(unresolved)}")
-    done, fresh = [], map(_summary, forced_rails(
-        net, assignment, target, net.gate(target).fanins + net.outputs))
+    blocks = forced_rails(net, assignment, target,
+                          net.gate(target).fanins + net.outputs)
+    found: dict[tuple[int, int], tuple] = {}  # pattern: (hit, flips, block)
 
     def search(local_pattern: tuple[int, int]) -> SensitizingVector | None:
-        p0, p1 = local_pattern
-        for k, block in enumerate(chain(done, fresh)):
-            if keep and k == len(done):
-                done.append(block)
-            words, (fanin0, fanin1), flips, owners = block
-            # the resolved cone makes both fanins known: "may be p" is "is p"
-            hit = fanin0[p0] & fanin1[p1] & flips
-            if hit:
-                j = (hit & -hit).bit_length() - 1
-                _, i, low = next(o for o in owners if o[0] >> j & 1)
-                return SensitizingVector(tuple([w >> j & 1 for w in words]),
-                                         i, low >> j & 1, 1 ^ low >> j & 1)
-        return None
+        if local_pattern not in found:
+            for block in blocks:
+                _, rails0, rails1 = block
+                # an output flips where both passes are definite and differ
+                flips = [(z0 ^ o0) & (z1 ^ o1) & (o0 ^ o1)
+                         for (z0, o0), (z1, o1) in zip(rails0[2:], rails1[2:])]
+                flipped = reduce(or_, flips, 0)
+                for p0, p1 in LOCAL_VECTORS:
+                    # the cone is resolved, so "may be p" is "is p"
+                    hit = rails0[0][p0] & rails0[1][p1] & flipped
+                    if hit and (p0, p1) not in found:
+                        found[p0, p1] = hit, flips, block
+                if local_pattern in found:
+                    break
+            else:
+                return None
+        hit, flips, (words, rails0, rails1) = found[local_pattern]
+        j = (hit & -hit).bit_length() - 1
+        i = next(i for i, flip in enumerate(flips) if flip >> j & 1)
+        return SensitizingVector(tuple([w >> j & 1 for w in words]), i,
+                                 rails0[2 + i][1] >> j & 1,
+                                 rails1[2 + i][1] >> j & 1)
     return search
 
 
@@ -314,8 +313,7 @@ def find_sensitizing_vector(net: Netlist,
         raise InvalidParameterError(f"{target_gate!r} is not camouflaged")
     if local_pattern not in LOCAL_VECTORS:
         raise InvalidParameterError(f"bad local pattern {local_pattern!r}")
-    return _visit_search(net, partial_assignment, target_gate,
-                         keep=False)(local_pattern)
+    return _visit_search(net, partial_assignment, target_gate)(local_pattern)
 
 
 def sensitization_attack(net: Netlist, oracle: Callable,

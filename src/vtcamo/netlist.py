@@ -564,7 +564,7 @@ def _block_words(width: int, first: int) -> tuple[list[int], int]:
     """Input words and mask of the all_vectors block starting at ``first``."""
     bits = min(width, _BLOCK_LOG2)
     mask, periodic = _periodic(bits)
-    return [periodic[s] if s < bits else mask if first >> s & 1 else 0
+    return [periodic[s] if s < bits else mask * (first >> s & 1)
             for s in reversed(range(width))], mask
 
 

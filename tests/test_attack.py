@@ -11,8 +11,9 @@ checks that a random-source brute force reports ``unique`` or
 walk, which reads survivors' outputs off output tables, against
 ``reference_resolve_jointly``, which filters each candidate on its own
 once per oracle reply. ``test_visit_search_matches_a_fresh_search_per_pattern``
-checks that one gate visit's shared search, which keeps each block's
-summary for its later patterns, answers every pattern as a fresh
+checks that one gate visit's shared search, which records each
+pattern's first hit as it reads a block and resumes the forced passes for
+a pattern not yet hit, answers every pattern as a fresh
 ``find_sensitizing_vector`` and ``reference_find_sensitizing_vector`` do.
 """
 
@@ -249,32 +250,43 @@ class TestSensitizingVectors:
         text = ("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\n"
                 "y = NAND(a, d)\n")
         _, locked, _ = _lock(text, ["y"])
-        summaries, real = [], attack._summary
+        read, real = [], attack.forced_rails
 
-        def spy(block):
-            summaries.append(block[0])
-            return real(block)
+        def spy(*args):
+            for block in real(*args):
+                read.append(block[0])
+                yield block
 
         patterns = [(0, 0), (1, 0), (0, 1), (1, 1)]
         with mock.patch.object(netlist, "_BLOCK_LOG2", 1):
-            with mock.patch.object(attack, "_summary", spy):
+            with mock.patch.object(attack, "forced_rails", spy):
                 search = attack._visit_search(locked, {}, "y")
                 got = [search(p) for p in patterns]
             assert got == [find_sensitizing_vector(locked, {}, "y", p)
                            for p in patterns]
         assert [sv.vector for sv in got] == [
             (0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 1)]
-        assert len(summaries) == 5  # blocks 0-4, each once
+        # block 0 answers (0, 0) and (0, 1); blocks 1-4 (1, 0) and (1, 1)
+        assert len(read) == 5
 
-    def test_standalone_search_keeps_no_block(self):
-        # no vector drives the pattern, so the search reads all 256 blocks
-        # of 4,096 vectors; kept summaries would hold about 0.5 MB
+    @pytest.mark.parametrize("visit", [False, True])
+    def test_search_memory_does_not_grow_with_the_space(self, visit):
+        # no vector drives (0, 0), so the search reads all 256 blocks of
+        # 4,096 vectors, each of the three outputs flipping on every
+        # vector; only the two blocks that hold a first hit are kept
         text = ("".join(f"INPUT(i{k})\n" for k in range(20))
-                + "OUTPUT(y)\nn = NOT(i0)\ny = NAND(i0, n)\n")
+                + "OUTPUT(y)\nOUTPUT(u)\nOUTPUT(v)\nn = NOT(i0)\n"
+                "y = NAND(i0, n)\nu = NOT(y)\nv = BUFF(y)\n")
         _, locked, _ = _lock(text, ["y"])
         tracemalloc.start()
         try:
-            assert find_sensitizing_vector(locked, {}, "y", (0, 0)) is None
+            if visit:
+                search = attack._visit_search(locked, {}, "y")
+                got = [search(p) for p in LOCAL_VECTORS]
+                assert [sv is None for sv in got] == [True, False, False,
+                                                      True]
+            else:
+                assert find_sensitizing_vector(locked, {}, "y", (0, 0)) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -480,7 +492,7 @@ def visit_cases(draw):
 @given(visit_cases())
 def test_visit_search_matches_a_fresh_search_per_pattern(case):
     # with small blocks an early hit leaves blocks unread, which a later
-    # pattern then resumes after re-reading the kept ones
+    # pattern not hit on the way then resumes
     locked, target, assignment, patterns, block_log2 = case
     with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
         try:
