@@ -70,9 +70,9 @@ class CountingOracle:
     The key is validated once, here, so a bad key fails at construction;
     each query still checks its vector's width and 0/1 bits. Replies come
     from netlist.keyed_simulator: on an input space that fits in one
-    netlist block, the second query runs the whole space once into a
-    table of replies, and every later one reads its row. Every call is
-    counted, whether it runs the netlist or looks a reply up.
+    netlist block, the second query runs the whole space once into a dict
+    of replies by vector, and every later one looks its reply up. Every
+    call is counted, whether it runs the netlist or looks a reply up.
     """
 
     def __init__(self, net: Netlist, key: CamoKey | None = None):
@@ -118,11 +118,9 @@ class _QueryCache:
         return self._budget is not None and len(self.transcript) >= self._budget
 
     def query(self, vector: tuple[int, ...]) -> tuple[int, ...] | None:
-        if vector in self.transcript:
-            return self.transcript[vector]
-        if self.exhausted:
-            return None
-        out = self.transcript[vector] = tuple(self._oracle(vector))
+        out = self.transcript.get(vector)
+        if out is None and not self.exhausted:
+            out = self.transcript[vector] = tuple(self._oracle(vector))
         return out
 
 
@@ -141,18 +139,17 @@ def _walk(net: Netlist, cache: _QueryCache, tables) -> bool:
     """Query all_vectors in counting order until ``tables.items`` settle.
 
     A new reply drops the survivors whose outputs, read from ``tables``,
-    differ from it; a reply already in the transcript is skipped, since
-    the replay filtered it. Returns whether the survivors settled: became
-    mutually equivalent, or the transcript came to hold every vector. A
-    spent budget ends the walk unsettled.
+    differ from it; a vector already in the transcript is skipped, since
+    the replay filtered its reply. Returns whether the survivors settled:
+    became mutually equivalent, or the transcript came to hold every
+    vector. A spent budget ends the walk unsettled.
     """
     for vec in all_vectors(len(net.inputs)):
-        known = len(cache.transcript)
+        if vec in cache.transcript:
+            continue
         out = cache.query(vec)
         if out is None:
             return False
-        if len(cache.transcript) == known:
-            continue
         keep = tables.matches(vec, out)
         if all(keep):
             continue

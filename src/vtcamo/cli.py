@@ -37,9 +37,9 @@ from .netlist import (
     CamoKey,
     Netlist,
     check_equivalence,
+    keyed_simulator,
     parse_bench,
     serialize_bench,
-    simulate,
     validate_key,
 )
 
@@ -153,22 +153,27 @@ def _cmd_lock(args, cfg) -> dict:
 def _cmd_sim(args, cfg) -> dict:
     net = _load_net(args.bench)
     key = _load_key(args.key) if args.key else None
-    results = []
+    results, query = [], None
     for raw in args.inputs:
         vec = _vector_arg(raw, len(net.inputs))
-        out = simulate(net, vec, key)
+        if query is None:  # after the first vector, so its error comes first
+            query = keyed_simulator(net, key)
+        out = query(vec)
         results.append({"inputs": "".join(map(str, vec)),
                         "outputs": "".join(map(str, out))})
     return {"file": args.bench, "results": results}
 
 
 def _cmd_equiv(args, cfg) -> dict:
+    if args.mode == "exhaustive" and args.vectors is not None:
+        raise InvalidParameterError("--vectors applies to --mode random only")
     net_a = _load_net(args.bench_a)
     net_b = _load_net(args.bench_b)
     key_a = _load_key(args.key_a) if args.key_a else None
     key_b = _load_key(args.key_b) if args.key_b else None
+    vectors = 10000 if args.vectors is None else args.vectors
     verdict = check_equivalence(net_a, net_b, key_a=key_a, key_b=key_b,
-                                mode=args.mode, num_vectors=args.vectors,
+                                mode=args.mode, num_vectors=vectors,
                                 seed=cfg.seed)
     report = {
         "mode": args.mode,
@@ -411,8 +416,7 @@ COMMANDS = {
         _arg("bench_a"), _arg("bench_b"), _arg("--key-a"), _arg("--key-b"),
         _arg("--mode", choices=("exhaustive", "random"),
              default="exhaustive"),
-        _arg("--vectors", type=int, default=10000,
-             help="sample size for random mode"),
+        _arg("--vectors", type=int, help="sample size for random mode"),
     ]),
     "attack": (_cmd_attack, "run a reverse engineering attack", [
         _arg("bench", help="locked netlist (the oracle is built from it "

@@ -411,8 +411,9 @@ def validate_key(net: Netlist, key: CamoKey) -> None:
 #: bounds memory up to EXHAUSTIVE_INPUT_LIMIT inputs.
 _BLOCK_LOG2 = 12
 
-#: Most bits of output words an OutputTables keeps, counting 256 bits of
-#: object overhead per word (about 32 MB).
+#: Most bits a whole-space table keeps (about 32 MB): OutputTables counts
+#: 256 bits of overhead per output word; keyed_simulator's reply dict, a
+#: 64-bit word per input and output bit and 20 of overhead per vector.
 _TABLE_BITS = 1 << 28
 
 #: Op codes of the index program. PORT0/PORT1 copy one fanin; CONST and
@@ -646,40 +647,37 @@ def keyed_simulator(net: Netlist, key: CamoKey | None = None):
     """``simulate`` with ``key`` validated and applied once, up front.
 
     Returns a function from one input vector to the output tuple; each
-    call still checks the vector's width and 0/1 bits. On a space of at
-    most ``_BLOCK_LOG2`` inputs, the second call runs the whole space into
-    a table of replies (vector j's output bits are bytes j*outs onward),
-    kept while it fits in _TABLE_BITS; each later call reads its row.
-    Otherwise a call runs its one vector.
+    call checks the vector's width and 0/1 bits, then looks its reply up.
+    On a space of at most ``_BLOCK_LOG2`` inputs, the second call runs the
+    whole space once into a dict from each vector to its reply, kept while
+    it fits in _TABLE_BITS. Otherwise a call runs its one vector.
     """
     prog, ops = net._program(), _key_ops(net, key)
     width, outs = len(net.inputs), len(prog.outputs)
-    fits = width <= _BLOCK_LOG2 and 8 * outs << width <= _TABLE_BITS
-    table, calls = None, 0
+    fits = (width <= _BLOCK_LOG2
+            and 64 * (width + outs + 20) << width <= _TABLE_BITS)
+    replies, calls = {}, 0
 
     def query(input_vector) -> tuple[int, ...]:
-        nonlocal table, calls
+        nonlocal calls
         vec = tuple(input_vector)
-        if table is not None and len(vec) == width:
-            try:
-                j = _word(vec) * outs
-                return tuple(table[j:j + outs])
-            except InputWidthError:
-                pass  # bits such as 1.0 pass the check below
         if len(vec) != width:
             raise InputWidthError(
                 f"expected {width} input bits, got {len(vec)}")
         if vec.count(0) + vec.count(1) != width:
             raise InputWidthError(f"input bits must be 0/1: {vec!r}")
-        vec, calls = list(map(int, vec)), calls + 1
-        if table is None and fits and calls > 1:
+        out = replies.get(vec)  # True/False and 0.0/1.0 bits key as 0/1
+        if out is not None:
+            return out
+        calls += 1
+        if fits and calls > 1:
             size, digits = 1 << width, bytes.maketrans(b"01", b"\0\1")
             columns = [format(w, f"0{size}b")[::-1].encode().translate(digits)
                        for w in _outputs(prog, ops, *_block_words(width, 0))]
-            table = b"".join(map(bytes, zip(*columns)))
-        if table is None:
-            return tuple(_outputs(prog, ops, vec, 1))
-        return query(vec)
+            replies.update(zip(all_vectors(width),
+                               zip(*columns) if columns else repeat(())))
+            return replies[vec]
+        return tuple(_outputs(prog, ops, list(map(int, vec)), 1))
     return query
 
 

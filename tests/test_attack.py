@@ -627,7 +627,13 @@ def test_walk_matches_the_per_query_reference(case):
     walked, real_walk = [], attack._walk
 
     def spy(net, cache, tables):
-        result = real_walk(net, cache, tables)
+        known = set(cache.transcript)
+        with mock.patch.object(tables, "matches",
+                               wraps=tables.matches) as matches:
+            result = real_walk(net, cache, tables)
+        # the walk checks each new reply once, and no earlier one
+        assert [c.args[0] for c in matches.call_args_list] == [
+            vec for vec in cache.transcript if vec not in known]
         walked.append(tables.items)
         return result
 

@@ -239,6 +239,49 @@ class TestCliCommands:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "InvalidParameterError"
 
+    def test_equiv_refuses_vectors_in_exhaustive_mode(self, capsys, tmp_path,
+                                                      c17_file):
+        # it used to check all 32 vectors and exit 0; refused before the
+        # netlists are read
+        ghost = str(tmp_path / "ghost.bench")
+        for argv in ([c17_file, c17_file], [ghost, ghost, "--mode",
+                                             "exhaustive"]):
+            code, out, err = _run(capsys, ["equiv", *argv, "--vectors", "5"])
+            assert (code, out) == (1, "")
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == "InvalidParameterError"
+        # random mode keeps its default, and still refuses zero
+        code, out, _ = _run(capsys, ["equiv", c17_file, c17_file, "--mode",
+                                     "random", "--no-timestamp"])
+        assert code == 0
+        assert json.loads(out)["vectors_checked"] == 10000
+        code, _, err = _run(capsys, ["equiv", c17_file, c17_file, "--mode",
+                                     "random", "--vectors", "0"])
+        assert code == 1
+        assert "got 0" in json.loads(err)["message"]
+
+    def test_sim_keys_once_after_the_first_vector(self, capsys, tmp_path,
+                                                  c17_file):
+        locked, keyfile, _ = _lock_c17(tmp_path, c17_file)
+        # c17 has no camouflaged gates, so the locked key is a bad key
+        for inputs, error in ((["1010"], "VtcamoError"),
+                              (["00000", "1010"], "KeyScopeError"),
+                              (["00000", "1"], "KeyScopeError")):
+            code, out, err = _run(capsys, [
+                "sim", c17_file, "--key", keyfile,
+                *(f"--inputs={v}" for v in inputs)])
+            assert (code, out) == (1, "")
+            assert json.loads(err)["error"] == error, inputs
+        with mock.patch("vtcamo.cli.keyed_simulator",
+                        wraps=vtcamo.cli.keyed_simulator) as keyed:
+            code, out, _ = _run(capsys, [
+                "sim", locked, "--key", keyfile, "--no-timestamp",
+                *(f"--inputs={v:05b}" for v in range(3))])
+        assert code == 0 and keyed.call_count == 1
+        assert [r["inputs"] for r in json.loads(out)["results"]] == [
+            "00000", "00001", "00010"]
+
     def test_sidechannel_subcommand_classifies(self, capsys, tmp_path,
                                                c17_file):
         locked, keyfile, _ = _lock_c17(tmp_path, c17_file)

@@ -281,6 +281,20 @@ def test_oracle_reads_a_table_only_when_one_block_is_the_whole_space(
     assert oracle.query_count == len(stream)
 
 
+def test_oracle_keeps_a_table_only_while_its_reply_dict_fits(c17):
+    # c17's dict holds 32 vectors, each 64 bits per input and output bit
+    # plus 20 words of overhead
+    footprint = 64 * (5 + 2 + 20) << 5
+    vectors = list(all_vectors(len(c17.inputs)))
+    want = {vec: simulate(c17, vec) for vec in vectors}
+    for bits, masks in ((footprint - 1, [1] * 64),
+                        (footprint, [1, (1 << 32) - 1])):
+        with mock.patch.object(netlist, "_TABLE_BITS", bits):
+            oracle = CountingOracle(c17)
+            assert _run_masks(oracle, vectors[::-1] * 2, want) == masks
+        assert oracle.query_count == 64
+
+
 _TOGGLED = {**_NEGATED, **{base: neg for neg, base in _NEGATED.items()}}
 
 
@@ -473,15 +487,19 @@ def _check_oracle(net, stream):
         bad += [first[1:], *((bit, *first[1:]) for bit in _BAD_BITS)]
     oracle = CountingOracle(net)
     for i, vec in enumerate(stream):
+        if i < 2:  # before any reply, and once a table would be built
+            for vector in bad:
+                with pytest.raises(InputWidthError):
+                    oracle(vector)
+        # a list and a generator read as their tuple; the first two calls
+        # are the one before a reply table and the one that builds it
+        assert oracle(list(vec)) == want[vec], vec
+        assert oracle(bit for bit in vec) == want[vec], vec
         assert oracle(vec) == want[vec], vec
         # True/False and 0.0/1.0 bits read as 0/1, as in simulate
         assert oracle(tuple(map(bool, vec))) == want[vec]
         assert oracle(tuple(map(float, vec))) == want[vec]
-        if i < 2:  # before and after the reply list is built
-            for vector in bad:
-                with pytest.raises(InputWidthError):
-                    oracle(vector)
-    assert oracle.query_count == 3 * len(stream) + 2 * len(bad)
+    assert oracle.query_count == 5 * len(stream) + 2 * len(bad)
 
 
 @pytest.mark.parametrize("width, outputs", [
