@@ -203,6 +203,12 @@ class TestSensitizingVectors:
         out = simulate(locked, sv.vector, key)
         assert sv.infer_gate_output(out) == 1  # NAND(0, 1)
 
+    def test_response_matching_neither_prediction_is_rejected(self):
+        sv = SensitizingVector((0, 1), po_index=0, po_if_0=0, po_if_1=1)
+        with pytest.raises(InvalidParameterError, match="^oracle response "
+                           "inconsistent with the propagation analysis$"):
+            sv.infer_gate_output((2,))
+
     def test_masked_gate_has_no_witness(self):
         _, locked, _ = _lock(MASKED, ["g"])
         for pattern in [(0, 0), (0, 1), (1, 0), (1, 1)]:

@@ -21,6 +21,7 @@ from vtcamo.cell import CellFlavor, GateFunction
 from vtcamo.errors import (
     FlavorMismatchError,
     InvalidCostTableError,
+    InvalidParameterError,
     InvalidPolicyError,
 )
 from vtcamo.netlist import (
@@ -101,6 +102,12 @@ class TestApply:
         with pytest.raises(FlavorMismatchError):
             apply_camouflage(synth_mix, ["n3"], CellFlavor.CMOS3A)
 
+    def test_camouflaged_gate_cannot_be_locked_again(self, c17):
+        locked, _ = apply_camouflage(c17, ["10"], CellFlavor.CAMO8)
+        with pytest.raises(FlavorMismatchError,
+                           match="^gate '10' is already camouflaged$"):
+            apply_camouflage(locked, ["10"], CellFlavor.CAMO8)
+
     def test_wide_gates_are_not_eligible(self, synth_mix):
         # n9 has three fanins, no camouflaged cell matches it
         assert "n9" not in eligible_gates(synth_mix, CellFlavor.CAMO8)
@@ -177,6 +184,12 @@ class TestCostsAndOverhead:
         with pytest.raises(InvalidCostTableError):
             CostTable({CellFlavor.CAMO8: CostMultiples(0.9, 4.0, 2.0)})
 
+    def test_cost_table_without_the_flavor(self):
+        table = CostTable({CellFlavor.CAMO8: CostMultiples(4.0, 4.0, 2.0)})
+        with pytest.raises(InvalidCostTableError,
+                           match="^no cost entry for flavor CMOS3A$"):
+            table.for_flavor(CellFlavor.CMOS3A)
+
     def test_overhead_on_c17(self, c17):
         locked, _ = apply_camouflage(c17, ["10", "16"], CellFlavor.CAMO8)
         report = overhead_report(locked)
@@ -229,6 +242,10 @@ class TestEffort:
     def test_rejects_nonsense(self):
         with pytest.raises(Exception):
             effort_estimate(-1, 5, 8)
+        for hz in (0.0, -1e9, float("nan")):
+            with pytest.raises(InvalidParameterError, match=(
+                    f"^test frequency must be positive, got {hz}$")):
+                effort_estimate(4, 2, 8, test_frequency_hz=hz)
 
 
 class TestOnRandomNetlists:

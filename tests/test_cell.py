@@ -54,6 +54,14 @@ class TestTruthTables:
             assert inv[(a, b)] == 1 - b
             assert buf[(a, b)] == b
 
+    def test_unknown_function_has_no_table(self):
+        with pytest.raises(UnsupportedFunctionError,
+                           match="^no truth table for CAMO8$"):
+            truth_table(CellFlavor.CAMO8)
+        with pytest.raises(UnsupportedFunctionError,
+                           match="^no truth table for CAMO8$"):
+            behavior_table(CellFlavor.CAMO8)
+
     def test_behavior_table_is_shared_and_read_only(self):
         table = behavior_table(GateFunction.NAND)
         assert table is behavior_table(GateFunction.NAND)
@@ -68,6 +76,13 @@ class TestTruthTables:
         table = behavior_table(func)
         for vec in _VECTORS:
             assert evaluate(config, vec) == table[vec]
+
+    @pytest.mark.parametrize("inputs", [(0, 2), (1,), (0, 1, 1)])
+    def test_evaluate_rejects_non_bit_inputs(self, inputs):
+        config = config_for(GateFunction.NAND, CellFlavor.CAMO8)
+        with pytest.raises(MalformedConfigError) as exc:
+            evaluate(config, inputs)
+        assert str(exc.value) == f"cell inputs must be two bits: {inputs!r}"
 
 
 class TestConfigs:
@@ -100,7 +115,8 @@ class TestConfigs:
         assert len(seen) == len(CAMOUFLAGEABLE)
 
     def test_flavor_restrictions(self):
-        with pytest.raises(UnsupportedFunctionError):
+        with pytest.raises(UnsupportedFunctionError,
+                           match="^XOR is not realizable by flavor CMOS3B$"):
             config_for(GateFunction.XOR, CellFlavor.CMOS3B)
         with pytest.raises(UnsupportedFunctionError):
             config_for(GateFunction.INV, CellFlavor.CMOS3A)
@@ -184,6 +200,31 @@ class TestDecodeValidation:
         switches[10], switches[11] = VT.HVT, VT.HVT
         bad = CamoConfig(tuple(switches), base.flavor, base.tie_first_input)
         with pytest.raises(MalformedConfigError):
+            decode(bad)
+
+    @pytest.mark.parametrize("count", [0, 10, 15])
+    def test_rejects_wrong_switch_count(self, count):
+        base = self._raw()
+        switches = (base.switch_vt * 2)[:count]
+        bad = CamoConfig(switches, base.flavor, base.tie_first_input)
+        with pytest.raises(MalformedConfigError,
+                           match=f"^expected 14 switches, got {count}$"):
+            decode(bad)
+
+    def test_rejects_tie_flag_disagreeing_with_switches(self):
+        base = self._raw()
+        bad = CamoConfig(base.switch_vt, base.flavor, True)
+        with pytest.raises(MalformedConfigError, match=r"^tie flag disagrees "
+                           r"with switches 11\.\.14$"):
+            decode(bad)
+
+    def test_rejects_tie_with_a_monotone_selection(self):
+        base = self._raw()
+        tied = config_for(GateFunction.INV, CellFlavor.CAMO8)
+        bad = CamoConfig(base.switch_vt[:10] + tied.switch_vt[10:],
+                         base.flavor, True)
+        with pytest.raises(MalformedConfigError, match="^input tie combined "
+                           "with NAND selection$"):
             decode(bad)
 
     def test_rejects_function_outside_flavor(self):

@@ -379,6 +379,20 @@ class TestCliFailures:
         assert code == 1
         assert json.loads(err)["error"] == "FileNotFoundError"
 
+    def test_out_naming_a_directory_leaves_no_temporary(self, capsys,
+                                                         tmp_path):
+        target = tmp_path / "report"
+        target.mkdir()
+        code, out, err = _run(capsys, [*ESTIMATE_ARGV, "--out", str(target)])
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "IsADirectoryError"
+        assert doc["message"].endswith(f" -> {str(target)!r}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report"]
+        assert list(target.iterdir()) == []
+
     def test_bad_config_is_handled(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("jobs = 0\n")
@@ -422,6 +436,8 @@ class TestCliFailures:
          "InvalidParameterError"),
         (["sweep", "--hvt", "0.3:0.4", "--lvt", "0.3:inf"],
          "InvalidParameterError"),
+        (["sweep", "--hvt", "a:b", "--lvt", "0.3:0.4"],
+         "InvalidParameterError"),
         (["sidechannel", "{bench}", "--key", "{key}", "--temps", "250,abc"],
          "InvalidParameterError"),
         (["sidechannel", "{bench}", "--key", "{key}", "--temps", ","],
@@ -435,6 +451,7 @@ class TestCliFailures:
          "InvalidParameterError"),
         (["bias-opt", "--window", "0.1", "--step", "1e-300"],
          "InvalidParameterError"),
+        (["bias-opt", "--window", "-1"], "InvalidParameterError"),
         # the thermal voltage squared overflows: a drain current is not
         # finite (it used to come out as NaN in the JSON and the CSV)
         (["bias-opt", "--t", "1e200"], "InvalidParameterError"),
@@ -455,9 +472,10 @@ class TestCliFailures:
          "InvalidParameterError"),
         (["attack", "{bench}", "--key", "{key}", "--method", "brute",
           "--budget", "-3"], "InvalidParameterError"),
-    ], ids=["range-no-colon", "range-nan", "range-inf", "temps-word",
-            "temps-empty", "estimate-wide", "estimate-many-gates",
-            "sweep-tiny-step", "bias-opt-tiny-step", "bias-opt-huge-t",
+    ], ids=["range-no-colon", "range-nan", "range-inf", "range-words",
+            "temps-word", "temps-empty", "estimate-wide",
+            "estimate-many-gates", "sweep-tiny-step", "bias-opt-tiny-step",
+            "bias-opt-negative-window", "bias-opt-huge-t",
             "sweep-huge-t", "bias-opt-tiny-t", "sweep-tiny-t",
             "delay-budget-nan",
             "equiv-negative-vectors", "attack-negative-budget",

@@ -127,6 +127,14 @@ class TestTemperature:
             0.3 - params.kvt * 100.0, rel=REL_TOL)
         assert vt_at_temperature(0.3, 250.0, params) > 0.3
 
+    @pytest.mark.parametrize("t", [0.0, -5.0, float("nan"), float("inf")])
+    def test_non_positive_temperature_is_rejected(self, params, t):
+        message = f"^temperature must be positive, got {t}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            thermal_voltage(t)
+        with pytest.raises(InvalidParameterError, match=message):
+            vt_at_temperature(0.3, t, params)
+
 
 class TestSwitchRatio:
     def test_default_offsets_reach_programming_margin(self, params):
@@ -149,6 +157,12 @@ class TestSwitchRatio:
         values = [switch_ratio(0.2, d, bias, 300.0, params)
                   for d in (0.0, 0.1, 0.2, 0.3)]
         assert values == sorted(values) and len(set(values)) == len(values)
+
+    @pytest.mark.parametrize("hvt, lvt", [(-0.1, 0.1), (0.1, -0.1)])
+    def test_negative_offsets_are_rejected(self, params, hvt, lvt):
+        with pytest.raises(InvalidParameterError,
+                           match="^threshold offsets must be >= 0$"):
+            switch_ratio(hvt, lvt, default_bias(params), 300.0, params)
 
 
 class TestLeakage:
@@ -266,6 +280,10 @@ class TestOptimizeBias:
             optimize_bias(params, search_window=0.25)
         with pytest.raises(InvalidParameterError):
             optimize_bias(params, grid_step=0.0)
+        for window in (-0.1, float("nan")):
+            with pytest.raises(InvalidParameterError, match=(
+                    f"^search_window must be >= 0, got {window}$")):
+                optimize_bias(params, search_window=window)
 
 
 class TestDeviceParams:

@@ -397,6 +397,11 @@ class TestKeyHandling:
         with pytest.raises(BenchSyntaxError, match="empty decoy"):
             CamoKey.deserialize("y=INV,decoy= \n")
 
+    def test_duplicate_entry_is_rejected(self):
+        with pytest.raises(BenchSyntaxError,
+                           match=r"^duplicate key entry 'y' \(line 2\)$"):
+            CamoKey.deserialize("y=NAND\ny=NOR\n")
+
     def test_key_serialization_round_trip(self):
         key = CamoKey({"g2": KeyEntry(GateFunction.INV, decoy_net="n4"),
                        "g1": KeyEntry(GateFunction.XOR)})
@@ -425,6 +430,11 @@ class TestEquivalence:
         a = check_equivalence(synth_wide, synth_wide, mode="random",
                               num_vectors=50, seed=3)
         assert a.equivalent and a.vectors_checked == 50
+
+    def test_unknown_mode_is_rejected(self, c17):
+        with pytest.raises(InvalidParameterError,
+                           match="^unknown equivalence mode 'bogus'$"):
+            check_equivalence(c17, c17, mode="bogus")
 
     def test_incompatible_interfaces(self, c17, synth_mix):
         with pytest.raises(IncompatibleNetlistsError):

@@ -260,6 +260,12 @@ class TestAggregate:
         with pytest.raises(InvalidParameterError):
             measure_signature(locked, partial)
 
+    def test_aggregate_of_a_plain_netlist_is_rejected(self, c17):
+        assert measure_signature(c17, CamoKey({})) == {}
+        with pytest.raises(InvalidParameterError,
+                           match="^netlist has no camouflaged gates$"):
+            measure_signature(c17, CamoKey({}), mode="aggregate_only")
+
 
 class TestBalancing:
     def test_counts_equalize_with_sink_dummies(self):
