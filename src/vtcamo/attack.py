@@ -170,7 +170,7 @@ def _resolve_jointly(net: Netlist, cache: _QueryCache, sets: dict,
     status and the survivors' log2.
     """
     tables = OutputTables(net, gate_ids, product(
-        *(sorted(sets[g], key=lambda f: f.value) for g in gate_ids)),
+        *(sorted(sets[g]) for g in gate_ids)),
         fixed).replay(cache.transcript.items())
     settled = (len(cache.transcript) == 1 << len(net.inputs)
                or tables.agree(EQUIV_CHECK_LIMIT))

@@ -24,10 +24,14 @@ Exactly one selection group carries LVT programming in a valid config:
 both members for the four transmission-gate pairs, exactly one member for
 the complementary parity pair.
 
+Each function's outputs on ``LOCAL_VECTORS`` are one row of ``_OUTPUTS``;
+its truth tables and 4-bit code are read off that row.
+
 GateFunction, CellFlavor and VT share one base, ``_CellEnum``: a member
 prints as its value and hashes by identity. Members are singletons
 compared by identity, so this agrees with equality, and unlike the
 Python-level ``Enum.__hash__`` it runs in C: tables key by member.
+Members of one enum sort by value; comparing two enums raises TypeError.
 """
 
 from __future__ import annotations
@@ -51,6 +55,11 @@ class _CellEnum(enum.Enum):
     def __repr__(self) -> str:  # keep reports compact
         return self.value
 
+    def __lt__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._value_ < other._value_
+
 
 class GateFunction(_CellEnum):
     """Cell functions plus the plain netlist primitives.
@@ -72,17 +81,30 @@ class GateFunction(_CellEnum):
     BUFF = "BUFF"
 
 
-#: Functions a camouflaged cell can realize.
-CAMOUFLAGEABLE = frozenset({
-    GateFunction.NAND, GateFunction.AND, GateFunction.NOR, GateFunction.OR,
-    GateFunction.XOR, GateFunction.XNOR, GateFunction.INV, GateFunction.BUF,
-})
+#: (switch, switch) that must be LVT to select each base function.
+#: For XOR/XNOR only the named member of the parity pair goes LVT.
+SELECTION_LVT = {
+    GateFunction.NAND: (1, 2),
+    GateFunction.AND: (3, 4),
+    GateFunction.NOR: (5, 6),
+    GateFunction.OR: (7, 8),
+    GateFunction.XOR: (9,),
+    GateFunction.XNOR: (10,),
+}
+
+#: Base function each camouflageable function is programmed through. The
+#: keys are the tied functions: port 0 is tied off (its net is a decoy) and
+#: port 1 is read.
+UNDERLYING = {
+    GateFunction.INV: GateFunction.XNOR,
+    GateFunction.BUF: GateFunction.XOR,
+}
 
 #: The six functions selected purely by switches 1..10 (no input tie).
-BASE_FUNCTIONS = (
-    GateFunction.NAND, GateFunction.AND, GateFunction.NOR,
-    GateFunction.OR, GateFunction.XOR, GateFunction.XNOR,
-)
+BASE_FUNCTIONS = tuple(SELECTION_LVT)
+
+#: Functions a camouflaged cell can realize.
+CAMOUFLAGEABLE = frozenset({*SELECTION_LVT, *UNDERLYING})
 
 
 class CellFlavor(_CellEnum):
@@ -115,27 +137,23 @@ class VT(_CellEnum):
 
 NUM_SWITCHES = 14
 
-#: (switch, switch) that must be LVT to select each base function.
-#: For XOR/XNOR only the named member of the parity pair goes LVT.
-SELECTION_LVT = {
-    GateFunction.NAND: (1, 2),
-    GateFunction.AND: (3, 4),
-    GateFunction.NOR: (5, 6),
-    GateFunction.OR: (7, 8),
-    GateFunction.XOR: (9,),
-    GateFunction.XNOR: (10,),
-}
-
-#: Base function each camouflageable function is programmed through. The
-#: keys are the tied functions: port 0 is tied off (its net is a decoy) and
-#: port 1 is read.
-UNDERLYING = {
-    GateFunction.INV: GateFunction.XNOR,
-    GateFunction.BUF: GateFunction.XOR,
-}
-
 #: The four local input vectors (port 0, port 1), in counting order.
 LOCAL_VECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+#: Each function's outputs on LOCAL_VECTORS. INV/BUF (and the plain
+#: NOT/BUFF primitives) read port 1 and ignore port 0, the decoy.
+_OUTPUTS = {
+    GateFunction.NAND: (1, 1, 1, 0),
+    GateFunction.AND: (0, 0, 0, 1),
+    GateFunction.NOR: (1, 0, 0, 0),
+    GateFunction.OR: (0, 1, 1, 1),
+    GateFunction.XOR: (0, 1, 1, 0),
+    GateFunction.XNOR: (1, 0, 0, 1),
+    GateFunction.INV: (1, 0, 1, 0),
+    GateFunction.BUF: (0, 1, 0, 1),
+    GateFunction.NOT: (1, 0, 1, 0),
+    GateFunction.BUFF: (0, 1, 0, 1),
+}
 
 _TIE_OFF = (VT.LVT, VT.LVT, VT.HVT, VT.HVT)   # switches 11..14, input 1 live
 _TIE_ON = (VT.HVT, VT.HVT, VT.LVT, VT.LVT)    # input 1 cut, port tied to 0
@@ -184,51 +202,29 @@ class CamoConfig:
         return CamoConfig(tuple(VT(c) for c in bits), flavor, tie)
 
 
-def truth_table(func: GateFunction) -> dict[tuple[int, ...], int]:
-    """Truth table keyed by input tuple; one-input functions use 1-tuples."""
-    if func in (GateFunction.INV, GateFunction.NOT):
-        return {(0,): 1, (1,): 0}
-    if func in (GateFunction.BUF, GateFunction.BUFF):
-        return {(0,): 0, (1,): 1}
-    if func not in _TWO_INPUT_EVAL:
-        raise UnsupportedFunctionError(f"no truth table for {func!r}")
-    f = _TWO_INPUT_EVAL[func]
-    return {(a, b): f(a, b) for a in (0, 1) for b in (0, 1)}
-
-
-_TWO_INPUT_EVAL = {
-    GateFunction.NAND: lambda a, b: 1 - (a & b),
-    GateFunction.AND: lambda a, b: a & b,
-    GateFunction.NOR: lambda a, b: 1 - (a | b),
-    GateFunction.OR: lambda a, b: a | b,
-    GateFunction.XOR: lambda a, b: a ^ b,
-    GateFunction.XNOR: lambda a, b: 1 - (a ^ b),
-}
-
-
-def _port_table(func: GateFunction) -> dict[tuple[int, int], int]:
-    if func in (GateFunction.INV, GateFunction.NOT):
-        return {(a, b): 1 - b for a in (0, 1) for b in (0, 1)}
-    if func in (GateFunction.BUF, GateFunction.BUFF):
-        return {(a, b): b for a in (0, 1) for b in (0, 1)}
-    return truth_table(func)
-
-
-_BEHAVIOR_TABLES = {f: MappingProxyType(_port_table(f)) for f in GateFunction}
+_BEHAVIOR_TABLES = {f: MappingProxyType(dict(zip(LOCAL_VECTORS, row)))
+                    for f, row in _OUTPUTS.items()}
 
 
 def behavior_table(func: GateFunction) -> Mapping[tuple[int, int], int]:
     """Truth table over the cell's two physical ports (read-only, shared).
 
     INV/BUF (and the plain NOT/BUFF primitives) read port 1 and ignore
-    port 0, the decoy: the tie network replaces port 0 with a constant 0
-    feeding XNOR/XOR.
+    port 0, the decoy.
     """
     try:
         return _BEHAVIOR_TABLES[func]
     except KeyError:
         raise UnsupportedFunctionError(
             f"no truth table for {func!r}") from None
+
+
+def truth_table(func: GateFunction) -> dict[tuple[int, ...], int]:
+    """Truth table keyed by input tuple; one-input functions use 1-tuples."""
+    table = behavior_table(func)
+    if all(table[0, b] == table[1, b] for b in (0, 1)):  # ignores port 0
+        return {(b,): table[0, b] for b in (0, 1)}
+    return dict(table)
 
 
 def config_for(func: GateFunction, flavor: CellFlavor) -> CamoConfig:
@@ -243,6 +239,11 @@ def config_for(func: GateFunction, flavor: CellFlavor) -> CamoConfig:
     return CamoConfig(sel + (_TIE_ON if tie else _TIE_OFF), flavor, tie)
 
 
+_BASE_FOR_LVT = {frozenset(lvt): f for f, lvt in SELECTION_LVT.items()}
+_TIE_FOR_BITS = {_TIE_ON: True, _TIE_OFF: False}
+_TIED = {base: f for f, base in UNDERLYING.items()}
+
+
 def decode(config: CamoConfig) -> GateFunction:
     """Recover the realized function from the switch programming.
 
@@ -253,34 +254,21 @@ def decode(config: CamoConfig) -> GateFunction:
     if len(config.switch_vt) != NUM_SWITCHES:
         raise MalformedConfigError(
             f"expected {NUM_SWITCHES} switches, got {len(config.switch_vt)}")
-    lvt = {i for i in range(1, 11) if config.switch_vt[i - 1] is VT.LVT}
-    base = None
-    for func, members in SELECTION_LVT.items():
-        if lvt == set(members):
-            base = func
-            break
+    lvt = frozenset(i for i in range(1, 11)
+                    if config.switch_vt[i - 1] is VT.LVT)
+    base = _BASE_FOR_LVT.get(lvt)
     if base is None:
         raise MalformedConfigError(
             f"selection switches {sorted(lvt)} do not pick one function")
-    tie_bits = config.switch_vt[10:14]
-    if tie_bits == _TIE_ON:
-        tie = True
-    elif tie_bits == _TIE_OFF:
-        tie = False
-    else:
+    tie = _TIE_FOR_BITS.get(config.switch_vt[10:])
+    if tie is None:
         raise MalformedConfigError("tie switches 11..14 are inconsistent")
     if tie != config.tie_first_input:
         raise MalformedConfigError("tie flag disagrees with switches 11..14")
-    if tie:
-        if base is GateFunction.XNOR:
-            func = GateFunction.INV
-        elif base is GateFunction.XOR:
-            func = GateFunction.BUF
-        else:
-            raise MalformedConfigError(
-                f"input tie combined with {base!r} selection")
-    else:
-        func = base
+    func = _TIED.get(base) if tie else base
+    if func is None:
+        raise MalformedConfigError(
+            f"input tie combined with {base!r} selection")
     if func not in config.flavor.function_set:
         raise MalformedConfigError(
             f"{func!r} decoded from a {config.flavor!r} cell")
@@ -291,13 +279,12 @@ def evaluate(config: CamoConfig, inputs: tuple[int, int]) -> int:
     """Boolean output of a programmed cell for a two-bit input vector."""
     if len(inputs) != 2 or any(b not in (0, 1) for b in inputs):
         raise MalformedConfigError(f"cell inputs must be two bits: {inputs!r}")
-    func = decode(config)
-    return behavior_table(func)[tuple(inputs)]
+    return _BEHAVIOR_TABLES[decode(config)][tuple(inputs)]
 
 
 #: Port behavior as a 4-bit code: bit k is the output on LOCAL_VECTORS[k].
-_CODES = {f: sum(t[v] << k for k, v in enumerate(LOCAL_VECTORS))
-          for f, t in _BEHAVIOR_TABLES.items()}
+_CODES = {f: sum(bit << k for k, bit in enumerate(row))
+          for f, row in _OUTPUTS.items()}
 
 #: Non-empty subsets of LOCAL_VECTORS and their code masks, by (size, lex).
 _SUBSETS = [(c, sum(1 << LOCAL_VECTORS.index(v) for v in c))
@@ -314,14 +301,14 @@ def distinguishing_set(
     cells; a pair with identical port behavior cannot be split and raises
     IndistinguishableError naming the pair.
     """
-    cand = sorted(candidates, key=lambda f: f.value)
-    if len(cand) < 2:
+    if len(candidates) < 2:
         raise UnsupportedFunctionError(
             "need at least two candidate functions to distinguish")
-    for f in cand:
-        if f not in _CODES:
-            raise UnsupportedFunctionError(
-                f"{f!r} has no two-input cell behavior")
+    bad = sorted(repr(f) for f in candidates if f not in _CODES)
+    if bad:  # checked first: members of two enums do not sort together
+        raise UnsupportedFunctionError(
+            f"{bad[0]} has no two-input cell behavior")
+    cand = sorted(candidates)
     codes = [_CODES[f] for f in cand]
     if len(set(codes)) < len(codes):
         f, g = next((f, g) for i, f in enumerate(cand) for g in cand[i + 1:]

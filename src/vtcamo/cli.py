@@ -252,8 +252,7 @@ def _cmd_sidechannel(args, cfg) -> dict:
         report["balance"] = {
             "added": {gid: func.value for gid, func in sorted(bal.added.items())},
             "counts_after": {f.value: c for f, c
-                             in sorted(bal.counts_after.items(),
-                                       key=lambda kv: kv[0].value)},
+                             in sorted(bal.counts_after.items())},
         }
     temps = _parse_temps(args.temps)
     report["temperatures"] = list(temps)

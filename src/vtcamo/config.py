@@ -39,7 +39,7 @@ class RunConfig:
         out = {}
         for f in dataclasses.fields(DeviceParams):
             out[f"device.{f.name}"] = getattr(self.device, f.name)
-        for flavor in sorted(self.cost.entries, key=lambda fl: fl.value):
+        for flavor in sorted(self.cost.entries):
             m = self.cost.entries[flavor]
             for axis in _COST_AXES:
                 out[f"cost.{flavor.value.lower()}.{axis}"] = getattr(m, axis)

@@ -397,7 +397,7 @@ class CellModel:
 #: Every flavor's cells in function-name order, as cell_worst_delay walks them.
 _FLAVOR_CELLS = {
     flavor: tuple(CellModel(_cell.config_for(func, flavor))
-                  for func in sorted(flavor.function_set, key=lambda f: f.value))
+                  for func in sorted(flavor.function_set))
     for flavor in CellFlavor
 }
 

@@ -262,7 +262,7 @@ def classify_function(signature: Signature,
     if signature.grid() != grids[0]:
         raise TemplateSetError(
             "signature measurement grid does not match the templates")
-    order, sigs = zip(*sorted(templates.items(), key=lambda kv: kv[0].value))
+    order, sigs = zip(*sorted(templates.items()))
     spans = _spans(grids[0])
     rows = [_features(s.observations, spans) for s in sigs]
     probe = _features(signature.observations, spans)
@@ -320,7 +320,7 @@ def balance_flavors(net: Netlist, key: CamoKey,
         raise InsertionError("netlist has no nets to tap for dummy inputs")
     tap_a = taps[0]
     tap_b = taps[1] if len(taps) > 1 else taps[0]
-    flavors = sorted({g.flavor for g in camo}, key=lambda f: f.value)
+    flavors = sorted({g.flavor for g in camo})
     counts_before: dict[GateFunction, int] = {}
     for flavor in flavors:
         for func in flavor.function_set:
@@ -343,7 +343,7 @@ def balance_flavors(net: Netlist, key: CamoKey,
     added: dict[str, GateFunction] = {}
     counts_after = dict(counts_before)
     for flavor in flavors:
-        funcs = sorted(flavor.function_set, key=lambda f: f.value)
+        funcs = sorted(flavor.function_set)
         target = max(counts_after[f] for f in funcs)
         for func in funcs:
             while counts_after[func] < target:

@@ -12,7 +12,11 @@ multiples. ``reference_eligible_gates`` filters the gates through
 subsets of ``LOCAL_VECTORS`` by comparing response tuples read off the
 behavior tables. ``reference_find_sensitizing_vector`` runs both forced
 passes for its one pattern, from the first block, and reads the flips
-of every output.
+of every output. ``reference_truth_table``, ``reference_behavior_table``
+and ``reference_code`` build a cell function's tables from one lambda
+per two-input function and a branch per one-input function, and
+``reference_decode`` finds the selected function with a loop over
+``SELECTION_LVT`` and the tie state with an if-chain.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ from operator import or_
 
 from vtcamo.attack import SensitizingVector
 from vtcamo.camouflage import _CAMO_FOR_PLAIN, CostTable, OverheadReport
-from vtcamo.cell import (CAMOUFLAGEABLE, LOCAL_VECTORS, CellFlavor,
-                         GateFunction, behavior_table)
+from vtcamo.cell import (_TIE_OFF, _TIE_ON, CAMOUFLAGEABLE, LOCAL_VECTORS,
+                         NUM_SWITCHES, SELECTION_LVT, VT, CamoConfig,
+                         CellFlavor, GateFunction, behavior_table)
 from vtcamo.errors import (AttackTooLargeError, IndistinguishableError,
-                           InvalidParameterError, UnresolvedFaninError,
-                           UnsupportedFunctionError)
+                           InvalidParameterError, MalformedConfigError,
+                           UnresolvedFaninError, UnsupportedFunctionError)
 from vtcamo.netlist import (_OPS, _PORT0, _UNKNOWN, EXHAUSTIVE_INPUT_LIMIT,
                             Gate, IncrementalTiming, Netlist, _Program,
                             forced_rails)
@@ -149,6 +154,78 @@ def reference_distinguishing_set(candidates):
             if len(responses) == len(cand):
                 return combo
     raise IndistinguishableError("no distinguishing set exists")
+
+
+_TWO_INPUT_EVAL = {
+    GateFunction.NAND: lambda a, b: 1 - (a & b),
+    GateFunction.AND: lambda a, b: a & b,
+    GateFunction.NOR: lambda a, b: 1 - (a | b),
+    GateFunction.OR: lambda a, b: a | b,
+    GateFunction.XOR: lambda a, b: a ^ b,
+    GateFunction.XNOR: lambda a, b: 1 - (a ^ b),
+}
+
+
+def reference_truth_table(func: GateFunction) -> dict[tuple[int, ...], int]:
+    if func in (GateFunction.INV, GateFunction.NOT):
+        return {(0,): 1, (1,): 0}
+    if func in (GateFunction.BUF, GateFunction.BUFF):
+        return {(0,): 0, (1,): 1}
+    if func not in _TWO_INPUT_EVAL:
+        raise UnsupportedFunctionError(f"no truth table for {func!r}")
+    f = _TWO_INPUT_EVAL[func]
+    return {(a, b): f(a, b) for a in (0, 1) for b in (0, 1)}
+
+
+def reference_behavior_table(func: GateFunction) -> dict[tuple[int, int], int]:
+    if func in (GateFunction.INV, GateFunction.NOT):
+        return {(a, b): 1 - b for a in (0, 1) for b in (0, 1)}
+    if func in (GateFunction.BUF, GateFunction.BUFF):
+        return {(a, b): b for a in (0, 1) for b in (0, 1)}
+    return reference_truth_table(func)
+
+
+def reference_code(func: GateFunction) -> int:
+    table = reference_behavior_table(func)
+    return sum(table[v] << k for k, v in enumerate(LOCAL_VECTORS))
+
+
+def reference_decode(config: CamoConfig) -> GateFunction:
+    if len(config.switch_vt) != NUM_SWITCHES:
+        raise MalformedConfigError(
+            f"expected {NUM_SWITCHES} switches, got {len(config.switch_vt)}")
+    lvt = {i for i in range(1, 11) if config.switch_vt[i - 1] is VT.LVT}
+    base = None
+    for func, members in SELECTION_LVT.items():
+        if lvt == set(members):
+            base = func
+            break
+    if base is None:
+        raise MalformedConfigError(
+            f"selection switches {sorted(lvt)} do not pick one function")
+    tie_bits = config.switch_vt[10:14]
+    if tie_bits == _TIE_ON:
+        tie = True
+    elif tie_bits == _TIE_OFF:
+        tie = False
+    else:
+        raise MalformedConfigError("tie switches 11..14 are inconsistent")
+    if tie != config.tie_first_input:
+        raise MalformedConfigError("tie flag disagrees with switches 11..14")
+    if tie:
+        if base is GateFunction.XNOR:
+            func = GateFunction.INV
+        elif base is GateFunction.XOR:
+            func = GateFunction.BUF
+        else:
+            raise MalformedConfigError(
+                f"input tie combined with {base!r} selection")
+    else:
+        func = base
+    if func not in config.flavor.function_set:
+        raise MalformedConfigError(
+            f"{func!r} decoded from a {config.flavor!r} cell")
+    return func
 
 
 def reference_find_sensitizing_vector(net: Netlist, partial_assignment,

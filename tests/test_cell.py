@@ -139,6 +139,23 @@ class TestEnums:
             assert hash(member) == object.__hash__(member), member
             assert repr(member) == member.value
 
+    @pytest.mark.parametrize("enum", [GateFunction, CellFlavor, VT])
+    def test_members_sort_by_value(self, enum):
+        members = list(enum)[::-1]
+        for size in range(len(members) + 1):
+            for subset in itertools.combinations(members, size):
+                assert sorted(subset) == sorted(subset, key=lambda m: m.value)
+
+    @pytest.mark.parametrize("a, b", [
+        (GateFunction.AND, CellFlavor.CAMO8), (CellFlavor.CAMO8, VT.LVT),
+        (VT.HVT, GateFunction.AND), (GateFunction.AND, "AND"),
+        ("AND", GateFunction.AND), (VT.LVT, 1)])
+    def test_members_of_two_enums_do_not_compare(self, a, b):
+        with pytest.raises(TypeError):
+            a < b
+        with pytest.raises(TypeError):
+            sorted([a, b])
+
 
 class TestSerialization:
     @pytest.mark.parametrize("flavor", list(CellFlavor))

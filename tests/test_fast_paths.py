@@ -6,7 +6,11 @@ references in ``reference_fast_paths.py`` give: the same ``_Program``, the
 same vectors, the same report and arrivals (floats compared by
 ``float.hex``) and the same gate ids; ``levels`` must give the unit
 arrivals as ``int``s. On the attack path, ``distinguishing_set`` must give
-the reference's subset, or raise its error, for every candidate set.
+the reference's subset, or raise its error, for every candidate set. In
+the cell library, the tables read off each function's output row must
+equal the ones built from lambdas, and ``decode``'s table lookups must
+give the reference's function, or raise its error, for every switch
+pattern, flavor and tie flag.
 Netlists are drawn in shuffled file order with gates of one to four
 fanins (so one-input AND/OR/XOR gates built directly, and gates folded
 through temporary nets), camouflaged cells built directly, and cells
@@ -15,7 +19,7 @@ added by ``apply_camouflage`` with and without INV/BUF decoys.
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -24,15 +28,22 @@ from hypothesis import strategies as st
 
 from reference_fast_paths import (
     reference_arrivals,
+    reference_behavior_table,
+    reference_code,
     reference_compile,
+    reference_decode,
     reference_distinguishing_set,
     reference_eligible_gates,
     reference_overhead_report,
     reference_random_vectors,
+    reference_truth_table,
 )
+from vtcamo import cell
 from vtcamo.camouflage import (CostMultiples, CostTable, apply_camouflage,
                                eligible_gates, overhead_report)
-from vtcamo.cell import CellFlavor, GateFunction, distinguishing_set
+from vtcamo.cell import (NUM_SWITCHES, VT, CamoConfig, CellFlavor,
+                         GateFunction, behavior_table, decode,
+                         distinguishing_set, truth_table)
 from vtcamo.errors import DecoySelectionError, VtcamoError
 from vtcamo.netlist import (Gate, IncrementalTiming, Netlist, _compile,
                             random_vectors)
@@ -179,3 +190,35 @@ def test_distinguishing_set_matches_the_response_tuples(extra):
             candidates = frozenset(subset + extra)
             assert (_outcome(distinguishing_set, candidates)
                     == _outcome(reference_distinguishing_set, candidates))
+
+
+@pytest.mark.parametrize("func", [*GateFunction, CellFlavor.CAMO8],
+                         ids=repr)
+def test_function_tables_match_the_lambdas(func):
+    assert (_outcome(lambda f: list(truth_table(f).items()), func)
+            == _outcome(lambda f: list(reference_truth_table(f).items()),
+                        func))
+    assert (_outcome(lambda f: list(behavior_table(f).items()), func)
+            == _outcome(lambda f: list(reference_behavior_table(f).items()),
+                        func))
+    if isinstance(func, GateFunction):
+        assert cell._CODES[func] == reference_code(func)
+
+
+def test_decode_matches_the_loop_and_if_chain():
+    # every switch pattern x flavor x tie flag, then wrong-length tuples
+    decoded = 0
+    for bits in product(VT, repeat=NUM_SWITCHES):
+        for flavor in CellFlavor:
+            for tie in (False, True):
+                config = CamoConfig(bits, flavor, tie)
+                got = _outcome(decode, config)
+                assert got == _outcome(reference_decode, config)
+                decoded += isinstance(got, GateFunction)
+    assert decoded == sum(len(f.function_set) for f in CellFlavor)
+    nand = cell.config_for(GateFunction.NAND, CellFlavor.CAMO8).switch_vt
+    for n in (*range(NUM_SWITCHES), NUM_SWITCHES + 1, 2 * NUM_SWITCHES):
+        for bits in ((VT.HVT,) * n, (VT.LVT,) * n, (nand * 2)[:n]):
+            config = CamoConfig(bits, CellFlavor.CAMO8, False)
+            assert (_outcome(decode, config)
+                    == _outcome(reference_decode, config))
