@@ -123,11 +123,14 @@ def _cmd_parse(args, cfg) -> dict:
 
 
 def _cmd_lock(args, cfg) -> dict:
+    if args.delay_budget is not None and args.strategy != "greedy-effort":
+        raise InvalidParameterError(
+            "--delay-budget applies to --strategy greedy-effort only")
+    delay_budget = 0.05 if args.delay_budget is None else args.delay_budget
     net = _load_net(args.bench)
     flavor = FLAVOR_NAMES[args.flavor]
     policy = SelectionPolicy(strategy=_STRATEGIES[args.strategy],
-                             budget=args.budget,
-                             delay_budget=args.delay_budget,
+                             budget=args.budget, delay_budget=delay_budget,
                              seed=cfg.seed)
     camo = [g.gate_id for g in net.camo_gates()]
     if camo:  # a new key could not cover these cells
@@ -398,7 +401,7 @@ COMMANDS = {
         _arg("--budget", type=float, default=0.05,
              help="fraction of gates to camouflage, in (0, 1]; 1 means "
                   "every eligible gate"),
-        _arg("--delay-budget", type=float, default=0.05,
+        _arg("--delay-budget", type=float,
              help="allowed critical path growth for greedy-effort"),
         _arg("--out-bench", dest="locked_out", required=True,
              help="path for the locked netlist"),

@@ -239,6 +239,44 @@ class TestCliCommands:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "InvalidParameterError"
 
+    @pytest.mark.parametrize("strategy", ["random", "xor-seq",
+                                          "off-critical"])
+    def test_lock_refuses_a_delay_budget_its_strategy_ignores(
+            self, capsys, tmp_path, strategy):
+        # it used to write the same netlist and key for any value; refused
+        # before the bench is read
+        code, out, err = _run(capsys, [
+            "lock", str(tmp_path / "ghost.bench"), "--strategy", strategy,
+            "--delay-budget", "0.2", "--out-bench", str(tmp_path / "x.bench"),
+            "--out-key", str(tmp_path / "x.key")])
+        assert (code, out) == (1, "")
+        assert err == json.dumps({
+            "error": "InvalidParameterError",
+            "message": "--delay-budget applies to --strategy greedy-effort "
+                       "only"}, sort_keys=True) + "\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_greedy_effort_delay_budget_defaults_to_five_percent(
+            self, capsys, tmp_path):
+        bench = tmp_path / "synth_wide.bench"
+        bench.write_text(bench_text("synth_wide.bench"))
+        written = {}
+        for budget in ([], ["--delay-budget", "0.05"],
+                       ["--delay-budget", "0"]):
+            stem = str(tmp_path / "_".join(["x", *budget]))
+            code, out, _ = _run(capsys, [
+                "lock", str(bench), "--strategy", "greedy-effort",
+                "--budget", "1", *budget, "--out-bench", f"{stem}.bench",
+                "--out-key", f"{stem}.key", "--no-timestamp"])
+            assert code == 0
+            written[tuple(budget)] = (
+                json.loads(out)["overhead"]["delay_pct"],
+                Path(f"{stem}.bench").read_text(),
+                Path(f"{stem}.key").read_text())
+        assert written[()] == written[("--delay-budget", "0.05")]
+        assert written[()][0] == 5.0
+        assert written[("--delay-budget", "0")][0] == 0.0
+
     def test_equiv_refuses_vectors_in_exhaustive_mode(self, capsys, tmp_path,
                                                       c17_file):
         # it used to check all 32 vectors and exit 0; refused before the

@@ -150,8 +150,8 @@ def _cli_runs(stem: str) -> list[list[str]]:
          "--out-key", f"{stem}_greedy3a.key"],
         ["report", f"{stem}_greedy3a.bench", "--key", f"{stem}_greedy3a.key"],
         ["lock", f"{stem}.bench", "--strategy", "off-critical", "--budget",
-         "0.5", "--delay-budget", "0.2", "--out-bench",
-         f"{stem}_offcrit.bench", "--out-key", f"{stem}_offcrit.key"],
+         "0.5", "--out-bench", f"{stem}_offcrit.bench",
+         "--out-key", f"{stem}_offcrit.key"],
         ["report", f"{stem}_offcrit.bench", "--key", f"{stem}_offcrit.key"],
     ]
 
