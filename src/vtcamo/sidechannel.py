@@ -315,11 +315,8 @@ def balance_flavors(net: Netlist, key: CamoKey,
     camo = net.camo_gates()
     if not camo:
         raise InsertionError("netlist has no camouflaged gates to balance")
-    taps = list(net.inputs) + [g.gate_id for g in net.gates]
-    if not taps:
-        raise InsertionError("netlist has no nets to tap for dummy inputs")
-    tap_a = taps[0]
-    tap_b = taps[1] if len(taps) > 1 else taps[0]
+    # a cell and its first fanin are two nets, so there are two taps
+    tap_a, tap_b = (list(net.inputs) + [g.gate_id for g in net.gates])[:2]
     flavors = sorted({g.flavor for g in camo})
     counts_before: dict[GateFunction, int] = {}
     for flavor in flavors:

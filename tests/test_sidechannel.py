@@ -304,7 +304,8 @@ class TestBalancing:
         assert len(report.added) == 5
 
     def test_plain_netlist_rejected(self, c17):
-        with pytest.raises(InsertionError):
+        with pytest.raises(InsertionError, match="^netlist has no "
+                           "camouflaged gates to balance$"):
             balance_flavors(c17, CamoKey({}))
 
     def test_key_is_checked_first(self, c17):
