@@ -2,27 +2,31 @@
 
 Both attacks treat the fabricated chip as an input/output oracle: a
 callable taking a primary-input vector and returning the primary-output
-vector. CountingOracle wraps a reference netlist plus its key, which it
-validates once at construction, and counts invocations independently, so
-reported query counts can be audited.
+vector. The oracle lives in the netlist module and is re-exported here:
+CountingOracle keys a reference netlist once, at construction, and
+counts every call independently, so reported query counts can be
+audited.
 
-Both attacks end in one joint step, _resolve_jointly: it enumerates the
-product of some gates' candidate sets into one netlist.OutputTables,
-replays the query transcript into it, queries further vectors until one
-assignment is left, the rest are provably interchangeable or the budget
-runs out, and assigns the status. The survivors are interchangeable
-(settled) when the transcript holds every input vector or when they give
-the same outputs on every vector; nothing else settles them.
-brute_force_attack queries its whole pattern source first and hands
-every gate to that step. sensitization_attack first resolves gates one
-at a time in topological order: for the local input patterns that tell a
-gate's candidates apart, it finds a primary-input vector that drives the
-pattern onto the gate and provably propagates the gate's output to a
-primary output, and reads the hidden truth table entry off the oracle
-response. The residue goes to the joint step, which walks the input
-space in counting order (_walk) and drops the survivors whose outputs
-differ from each new reply: one check where they all agree on its
-vector. The replay and the walk run the candidates depth first:
+An attack keeps its state in one object, _AttackRun: the net, the
+oracle and its budget, the query transcript, each gate's candidate set
+and the space's initial log2. Both attacks end in its joint step,
+_AttackRun.resolve: it enumerates the product of some gates' candidate
+sets into one netlist.OutputTables, the other gates fixed to their one
+candidate, replays the transcript into it, queries further vectors until
+one assignment is left, the rest are provably interchangeable or the
+budget runs out, and assigns the status. The survivors are
+interchangeable (settled) when the transcript holds every input vector
+or when they give the same outputs on every vector; nothing else settles
+them. brute_force_attack queries its whole pattern source first and
+hands every gate to that step. sensitization_attack first resolves gates
+one at a time in topological order: for the local input patterns that
+tell a gate's candidates apart, it finds a primary-input vector that
+drives the pattern onto the gate and provably propagates the gate's
+output to a primary output, and reads the hidden truth table entry off
+the oracle response. The residue goes to the joint step, which walks the
+input space in counting order (_AttackRun.walk) and drops the survivors
+whose outputs differ from each new reply: one check where they all agree
+on its vector. The replay and the walk run the candidates depth first:
 candidates that agree up to a camouflaged gate share one run of the
 logic before it, and the replay drops a group at its first wrong output.
 
@@ -50,9 +54,8 @@ from .cell import (CAMOUFLAGEABLE, LOCAL_VECTORS, GateFunction, behavior_table,
                    distinguishing_set)
 from .errors import (AttackTooLargeError, InvalidParameterError,
                      UnresolvedFaninError)
-from .netlist import (EXHAUSTIVE_INPUT_LIMIT, CamoKey, Netlist, OutputTables,
-                      all_vectors, forced_rails, keyed_simulator,
-                      random_vectors)
+from .netlist import (EXHAUSTIVE_INPUT_LIMIT, CountingOracle, Netlist,
+                      OutputTables, all_vectors, forced_rails, random_vectors)
 
 #: Most camouflaged gates the joint brute-force enumeration accepts.
 MAX_BRUTE_GATES = 8
@@ -62,26 +65,6 @@ RESIDUE_ENUM_LIMIT = 1 << 20
 
 #: Survivor-set size up to which mutual output-equivalence is verified.
 EQUIV_CHECK_LIMIT = 1024
-
-
-class CountingOracle:
-    """I/O oracle over a reference netlist; counts every invocation.
-
-    The key is validated once, here, so a bad key fails at construction;
-    each query still checks its vector's width and 0/1 bits. Replies come
-    from netlist.keyed_simulator: on an input space that fits in one
-    netlist block, the second query runs the whole space once into a dict
-    of replies by vector, and every later one looks its reply up. Every
-    call is counted, whether it runs the netlist or looks a reply up.
-    """
-
-    def __init__(self, net: Netlist, key: CamoKey | None = None):
-        self._simulate = keyed_simulator(net, key)
-        self.query_count = 0
-
-    def __call__(self, vector) -> tuple[int, ...]:
-        self.query_count += 1
-        return self._simulate(vector)
 
 
 @dataclass(frozen=True)
@@ -102,87 +85,101 @@ class AttackReport:
     transcript: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
-class _QueryCache:
-    """Attacker-side memo; ``transcript`` maps vectors to replies in order."""
+def _space_log2(sets: Iterable[frozenset]) -> float:
+    # a left fold from 0, as sum() was before Python 3.12 compensated it
+    return reduce(add, [math.log2(len(s)) for s in sets], 0)
 
-    def __init__(self, oracle: Callable, budget: int | None):
+
+class _AttackRun:
+    """One attack's state and the steps that read and narrow it.
+
+    ``transcript`` maps each queried vector to its reply, in query order;
+    ``sets`` maps each camouflaged gate to its surviving candidates.
+    """
+
+    def __init__(self, net: Netlist, oracle: Callable, budget: int | None,
+                 flavor_knowledge: bool = True):
         if budget is not None and budget < 0:
             raise InvalidParameterError(
                 f"query budget must be >= 0, got {budget}")
-        self._oracle = oracle
-        self._budget = budget
+        self.net, self._oracle, self._budget = net, oracle, budget
         self.transcript: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.sets = {g.gate_id: g.flavor.function_set if flavor_knowledge
+                     else CAMOUFLAGEABLE for g in net.camo_gates()}
+        self.initial_log2 = _space_log2(self.sets.values())
 
     @property
     def exhausted(self) -> bool:
         return self._budget is not None and len(self.transcript) >= self._budget
 
     def query(self, vector: tuple[int, ...]) -> tuple[int, ...] | None:
+        """The oracle's reply, asked once per vector; None once spent."""
         out = self.transcript.get(vector)
         if out is None and not self.exhausted:
             out = self.transcript[vector] = tuple(self._oracle(vector))
         return out
 
+    def assignment(self) -> dict[str, GateFunction]:
+        """The function of every gate with one candidate left."""
+        return {gid: next(iter(s)) for gid, s in self.sets.items()
+                if len(s) == 1}
 
-def _candidate_sets(net: Netlist, flavor_knowledge: bool,
-                    ) -> dict[str, frozenset[GateFunction]]:
-    return {g.gate_id: g.flavor.function_set if flavor_knowledge
-            else CAMOUFLAGEABLE for g in net.camo_gates()}
+    def walk(self, tables) -> bool:
+        """Query all_vectors in counting order until ``tables.items`` settle.
 
+        A new reply drops the survivors whose outputs, read from ``tables``,
+        differ from it; a vector already in the transcript is skipped, since
+        the replay filtered its reply. Returns whether the survivors settled:
+        became mutually equivalent, or the transcript came to hold every
+        vector. A spent budget ends the walk unsettled.
+        """
+        for vec in all_vectors(len(self.net.inputs)):
+            if vec in self.transcript:
+                continue
+            out = self.query(vec)
+            if out is None:
+                return False
+            keep = tables.matches(vec, out)
+            if all(keep):
+                continue
+            tables.keep(keep)
+            if tables.agree(EQUIV_CHECK_LIMIT):
+                return True
+        return True
 
-def _space_log2(sets: Iterable[frozenset]) -> float:
-    # a left fold from 0, as sum() was before Python 3.12 compensated it
-    return reduce(add, [math.log2(len(s)) for s in sets], 0)
+    def resolve(self, gate_ids: list[str],
+                walk: bool = False) -> tuple[str, float]:
+        """Filter the joint assignments of ``gate_ids``; narrow ``sets``.
 
+        Replays the transcript, each gate outside ``gate_ids`` with one
+        candidate fixed to it, then, until the survivors are settled (the
+        transcript holds every vector or they are mutually equivalent),
+        ``walk``s the input space. Returns the status and the survivors'
+        log2.
+        """
+        sets = self.sets
+        fixed = {gid: f for gid, f in self.assignment().items()
+                 if gid not in gate_ids}
+        tables = OutputTables(self.net, gate_ids, product(
+            *(sorted(sets[g]) for g in gate_ids)),
+            fixed).replay(self.transcript.items())
+        settled = (len(self.transcript) == 1 << len(self.net.inputs)
+                   or tables.agree(EQUIV_CHECK_LIMIT))
+        if walk and not settled:
+            settled = self.walk(tables)
+        survivors = tables.items
+        for i, gid in enumerate(gate_ids):
+            sets[gid] = {a[i] for a in survivors}
+        status = ("unique" if len(survivors) == 1 else "equivalent_class"
+                  if settled else "budget_exhausted")
+        return status, (math.log2(len(survivors)) if survivors
+                        else float("-inf"))
 
-def _walk(net: Netlist, cache: _QueryCache, tables) -> bool:
-    """Query all_vectors in counting order until ``tables.items`` settle.
-
-    A new reply drops the survivors whose outputs, read from ``tables``,
-    differ from it; a vector already in the transcript is skipped, since
-    the replay filtered its reply. Returns whether the survivors settled:
-    became mutually equivalent, or the transcript came to hold every
-    vector. A spent budget ends the walk unsettled.
-    """
-    for vec in all_vectors(len(net.inputs)):
-        if vec in cache.transcript:
-            continue
-        out = cache.query(vec)
-        if out is None:
-            return False
-        keep = tables.matches(vec, out)
-        if all(keep):
-            continue
-        tables.keep(keep)
-        if tables.agree(EQUIV_CHECK_LIMIT):
-            return True
-    return True
-
-
-def _resolve_jointly(net: Netlist, cache: _QueryCache, sets: dict,
-                     gate_ids: list[str], fixed: dict | None = None,
-                     walk: bool = False) -> tuple[str, float]:
-    """Filter the joint assignments of ``gate_ids``; narrow ``sets``.
-
-    Replays the transcript (``fixed`` assigns the other cells), then,
-    until the survivors are settled (the transcript holds every vector or
-    they are mutually equivalent), ``walk``s the input space. Returns the
-    status and the survivors' log2.
-    """
-    tables = OutputTables(net, gate_ids, product(
-        *(sorted(sets[g]) for g in gate_ids)),
-        fixed).replay(cache.transcript.items())
-    settled = (len(cache.transcript) == 1 << len(net.inputs)
-               or tables.agree(EQUIV_CHECK_LIMIT))
-    if walk and not settled:
-        settled = _walk(net, cache, tables)
-    survivors = tables.items
-    for i, gid in enumerate(gate_ids):
-        sets[gid] = {a[i] for a in survivors}
-    status = ("unique" if len(survivors) == 1 else "equivalent_class"
-              if settled else "budget_exhausted")
-    return status, (math.log2(len(survivors)) if survivors
-                    else float("-inf"))
+    def report(self, status: str, final_log2: float) -> AttackReport:
+        return AttackReport(
+            {gid: frozenset(s) for gid, s in self.sets.items()},
+            len(self.transcript), self.initial_log2, final_log2, status,
+            tuple(self.transcript.items()))
 
 
 def brute_force_attack(net: Netlist, oracle: Callable,
@@ -197,12 +194,11 @@ def brute_force_attack(net: Netlist, oracle: Callable,
     vector has been queried. The true programming always survives because
     it reproduces every oracle response by definition.
     """
-    sets = _candidate_sets(net, flavor_knowledge=True)
-    if len(sets) > MAX_BRUTE_GATES:
+    camo = len(net.camo_gates())
+    if camo > MAX_BRUTE_GATES:
         raise AttackTooLargeError(
-            f"{len(sets)} camouflaged gates exceeds the joint enumeration "
+            f"{camo} camouflaged gates exceeds the joint enumeration "
             f"guard of {MAX_BRUTE_GATES}; use sensitization_attack")
-    initial_log2 = _space_log2(sets.values())
     if pattern_source == "exhaustive":
         vectors = all_vectors(len(net.inputs))
     elif pattern_source == "random":
@@ -213,16 +209,13 @@ def brute_force_attack(net: Netlist, oracle: Callable,
     else:
         raise InvalidParameterError(
             f"unknown pattern source {pattern_source!r}")
-    cache = _QueryCache(oracle, query_budget)
+    run = _AttackRun(net, oracle, query_budget)
     # once every vector is in the transcript, later draws are cache hits
     space = 1 << len(net.inputs)
     for vec in vectors:
-        if len(cache.transcript) == space or cache.query(vec) is None:
+        if len(run.transcript) == space or run.query(vec) is None:
             break
-    status, final_log2 = _resolve_jointly(net, cache, sets, list(sets))
-    return AttackReport({gid: frozenset(s) for gid, s in sets.items()},
-                        len(cache.transcript), initial_log2, final_log2,
-                        status, tuple(cache.transcript.items()))
+    return run.report(*run.resolve(list(run.sets)))
 
 
 @dataclass(frozen=True)
@@ -324,25 +317,20 @@ def sensitization_attack(net: Netlist, oracle: Callable,
     guarded joint enumeration over the residue. Without flavor knowledge
     every gate starts from the full eight-function candidate set.
     """
-    sets = _candidate_sets(net, flavor_knowledge)
-    initial_log2 = _space_log2(sets.values())
-    cache = _QueryCache(oracle, query_budget)
+    run = _AttackRun(net, oracle, query_budget, flavor_knowledge)
+    sets = run.sets
     camo_order = [g.gate_id for g in net.topo_order if g.is_camo]
-
-    def resolved_assignment() -> dict[str, GateFunction]:
-        return {gid: next(iter(s)) for gid, s in sets.items() if len(s) == 1}
-
     progress = True
-    while progress and not cache.exhausted:
+    while progress and not run.exhausted:
         progress = False
         for gid in camo_order:
             if len(sets[gid]) <= 1:
                 continue
-            assignment, search = resolved_assignment(), None
+            assignment, search = run.assignment(), None
             patterns = list(distinguishing_set(frozenset(sets[gid])))
             patterns += [p for p in LOCAL_VECTORS if p not in patterns]
             for pattern in patterns:
-                if len(sets[gid]) <= 1 or cache.exhausted:
+                if len(sets[gid]) <= 1 or run.exhausted:
                     break
                 if len({behavior_table(f)[pattern] for f in sets[gid]}) == 1:
                     continue  # pattern no longer splits the survivors
@@ -353,21 +341,16 @@ def sensitization_attack(net: Netlist, oracle: Callable,
                     break
                 if sv is None:
                     continue
-                bit = sv.infer_gate_output(cache.query(sv.vector))
+                bit = sv.infer_gate_output(run.query(sv.vector))
                 sets[gid] = {f for f in sets[gid]
                              if behavior_table(f)[pattern] == bit}
                 progress = True
 
     residue = [gid for gid in camo_order if len(sets[gid]) > 1]
     if not residue:
-        status, final_log2 = "unique", 0.0
-    elif math.prod(len(sets[gid]) for gid in residue) > RESIDUE_ENUM_LIMIT:
-        status = "budget_exhausted"
-        final_log2 = _space_log2(sets[gid] for gid in residue)
-    else:
-        status, final_log2 = _resolve_jointly(
-            net, cache, sets, residue, resolved_assignment(),
-            walk=len(net.inputs) <= EXHAUSTIVE_INPUT_LIMIT)
-    return AttackReport({gid: frozenset(s) for gid, s in sets.items()},
-                        len(cache.transcript), initial_log2, final_log2,
-                        status, tuple(cache.transcript.items()))
+        return run.report("unique", 0.0)
+    if math.prod(len(sets[gid]) for gid in residue) > RESIDUE_ENUM_LIMIT:
+        return run.report("budget_exhausted",
+                          _space_log2(sets[gid] for gid in residue))
+    return run.report(*run.resolve(
+        residue, walk=len(net.inputs) <= EXHAUSTIVE_INPUT_LIMIT))

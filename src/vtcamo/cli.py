@@ -35,9 +35,9 @@ from .device import BiasPoint, default_bias, optimize_bias, sweep_to_csv, sweep_
 from .errors import FlavorMismatchError, InvalidParameterError, VtcamoError
 from .netlist import (
     CamoKey,
+    CountingOracle,
     Netlist,
     check_equivalence,
-    keyed_simulator,
     parse_bench,
     serialize_bench,
     validate_key,
@@ -126,7 +126,8 @@ def _cmd_lock(args, cfg) -> dict:
     if args.delay_budget is not None and args.strategy != "greedy-effort":
         raise InvalidParameterError(
             "--delay-budget applies to --strategy greedy-effort only")
-    delay_budget = 0.05 if args.delay_budget is None else args.delay_budget
+    delay_budget = (SelectionPolicy.delay_budget if args.delay_budget is None
+                    else args.delay_budget)
     net = _load_net(args.bench)
     flavor = FLAVOR_NAMES[args.flavor]
     policy = SelectionPolicy(strategy=_STRATEGIES[args.strategy],
@@ -160,7 +161,7 @@ def _cmd_sim(args, cfg) -> dict:
     for raw in args.inputs:
         vec = _vector_arg(raw, len(net.inputs))
         if query is None:  # after the first vector, so its error comes first
-            query = keyed_simulator(net, key)
+            query = CountingOracle(net, key)
         out = query(vec)
         results.append({"inputs": "".join(map(str, vec)),
                         "outputs": "".join(map(str, out))})
@@ -342,18 +343,20 @@ def _effort(n_inputs: int, k_camo: int, functions: int, **kwargs):
     return effort_estimate(n_inputs, k_camo, functions, **kwargs)
 
 
+def _effort_fields(est, *times: str) -> dict:
+    """The exact counts as strings, then the years and ``times`` in JSON:
+    null where a figure overflowed a float, as JSON has no Infinity."""
+    floats = {k: getattr(est, k) for k in ("years_raw", "years_retest", *times)}
+    return {"pattern_count": str(est.pattern_count),
+            "candidate_count": str(est.candidate_count),
+            **{k: x if math.isfinite(x) else None for k, x in floats.items()}}
+
+
 def _cmd_estimate(args, cfg) -> dict:
     est = _effort(args.inputs, args.gates, args.functions,
                   test_frequency_hz=args.freq)
-    return {
-        "pattern_count": str(est.pattern_count),
-        "candidate_count": str(est.candidate_count),
-        "seconds_raw": est.seconds_raw,
-        "seconds_retest": est.seconds_retest,
-        "years_raw": est.years_raw,
-        "years_retest": est.years_retest,
-        "note": est.note,
-    }
+    return {**_effort_fields(est, "seconds_raw", "seconds_retest"),
+            "note": est.note}
 
 
 def _cmd_report(args, cfg) -> dict:
@@ -368,12 +371,7 @@ def _cmd_report(args, cfg) -> dict:
         "file": args.bench,
         "netlist": _net_summary(net),
         "overhead": {**_overhead(overhead), "camo_count": overhead.camo_count},
-        "effort": {
-            "pattern_count": str(est.pattern_count),
-            "candidate_count": str(est.candidate_count),
-            "years_raw": est.years_raw,
-            "years_retest": est.years_retest,
-        },
+        "effort": _effort_fields(est),
         "config": cfg.resolved_dict(),
     }
 

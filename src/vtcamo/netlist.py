@@ -30,6 +30,11 @@ Simulation has one evaluator: an index program that turns each gate into
 an op code, an inversion flag and two fanin op nets (see ``simulate``).
 A netlist compiles it on first use and keeps it; parsing, serializing,
 locking and the structural queries never build it.
+
+The oracle lives here too: CountingOracle is that evaluator under a key,
+validated once, answering one vector per call and counting every call.
+``simulate`` is its one-call case, ``vtcamo sim`` keeps one for a run,
+and the attacks query one as the working chip.
 """
 
 from __future__ import annotations
@@ -412,7 +417,7 @@ def validate_key(net: Netlist, key: CamoKey) -> None:
 _BLOCK_LOG2 = 12
 
 #: Most bits a whole-space table keeps (about 32 MB): OutputTables counts
-#: 256 bits of overhead per output word; keyed_simulator's reply dict, a
+#: 256 bits of overhead per output word; CountingOracle's reply dict, a
 #: 64-bit word per input and output bit and 20 of overhead per vector.
 _TABLE_BITS = 1 << 28
 
@@ -640,45 +645,49 @@ def simulate(net: Netlist, input_vector, key: CamoKey | None = None):
     reaches) has both. Here every word is one bit wide and each output's
     may1 rail is its value.
     """
-    return keyed_simulator(net, key)(input_vector)
+    return CountingOracle(net, key)(input_vector)
 
 
-def keyed_simulator(net: Netlist, key: CamoKey | None = None):
-    """``simulate`` with ``key`` validated and applied once, up front.
+class CountingOracle:
+    """I/O oracle over a netlist under its key; counts every query.
 
-    Returns a function from one input vector to the output tuple; each
-    call checks the vector's width and 0/1 bits, then looks its reply up.
-    On a space of at most ``_BLOCK_LOG2`` inputs, the second call runs the
-    whole space once into a dict from each vector to its reply, kept while
-    it fits in _TABLE_BITS. Otherwise a call runs its one vector.
+    The key is validated and applied once, here, so a bad key fails at
+    construction. Each call counts, checks the vector's width and 0/1
+    bits, then looks its reply up; a refused vector counts too, so a
+    reported query count can be audited against ``query_count``. On a
+    space of at most ``_BLOCK_LOG2`` inputs, the second run fills a dict
+    from each vector to its reply with the whole space, kept while it
+    fits in _TABLE_BITS. Otherwise a call runs its one vector.
     """
-    prog, ops = net._program(), _key_ops(net, key)
-    width, outs = len(net.inputs), len(prog.outputs)
-    fits = (width <= _BLOCK_LOG2
-            and 64 * (width + outs + 20) << width <= _TABLE_BITS)
-    replies, calls = {}, 0
 
-    def query(input_vector) -> tuple[int, ...]:
-        nonlocal calls
-        vec = tuple(input_vector)
+    def __init__(self, net: Netlist, key: CamoKey | None = None):
+        self._prog, self._ops = net._program(), _key_ops(net, key)
+        self._width = width = len(net.inputs)
+        self._fits = (width <= _BLOCK_LOG2 and 64 * (
+            width + len(self._prog.outputs) + 20) << width <= _TABLE_BITS)
+        self._replies, self._runs, self.query_count = {}, 0, 0
+
+    def __call__(self, input_vector) -> tuple[int, ...]:
+        self.query_count += 1
+        vec, width = tuple(input_vector), self._width
         if len(vec) != width:
             raise InputWidthError(
                 f"expected {width} input bits, got {len(vec)}")
         if vec.count(0) + vec.count(1) != width:
             raise InputWidthError(f"input bits must be 0/1: {vec!r}")
-        out = replies.get(vec)  # True/False and 0.0/1.0 bits key as 0/1
+        out = self._replies.get(vec)  # True/False and 0.0/1.0 bits key as 0/1
         if out is not None:
             return out
-        calls += 1
-        if fits and calls > 1:
+        self._runs += 1
+        prog, ops = self._prog, self._ops
+        if self._fits and self._runs > 1:
             size, digits = 1 << width, bytes.maketrans(b"01", b"\0\1")
             columns = [format(w, f"0{size}b")[::-1].encode().translate(digits)
                        for w in _outputs(prog, ops, *_block_words(width, 0))]
-            replies.update(zip(all_vectors(width),
-                               zip(*columns) if columns else repeat(())))
-            return replies[vec]
+            self._replies.update(zip(all_vectors(width), zip(*columns)
+                                     if columns else repeat(())))
+            return self._replies[vec]
         return tuple(_outputs(prog, ops, list(map(int, vec)), 1))
-    return query
 
 
 class OutputTables:

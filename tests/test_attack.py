@@ -362,7 +362,7 @@ class TestSensitization:
         masked = [f"g{k}" for k in range(7)]
         _, locked, key = _lock(text, ["y", *masked])
         assert 8 ** len(masked) > attack.RESIDUE_ENUM_LIMIT
-        with mock.patch.object(attack, "_resolve_jointly",
+        with mock.patch.object(attack._AttackRun, "resolve",
                                side_effect=AssertionError("enumerated")):
             report = sensitization_attack(locked, CountingOracle(locked, key))
         assert report.status == "budget_exhausted"
@@ -630,13 +630,13 @@ def test_walk_matches_the_per_query_reference(case):
     vectors = list(all_vectors(len(locked.inputs)))
     fixed = {gid: e.function for gid, e in key.entries.items()
              if gid not in residue}
-    walked, real_walk = [], attack._walk
+    walked, real_walk = [], attack._AttackRun.walk
 
-    def spy(net, cache, tables):
+    def spy(cache, tables):
         known = set(cache.transcript)
         with mock.patch.object(tables, "matches",
                                wraps=tables.matches) as matches:
-            result = real_walk(net, cache, tables)
+            result = real_walk(cache, tables)
         # the walk checks each new reply once, and no earlier one
         assert [c.args[0] for c in matches.call_args_list] == [
             vec for vec in cache.transcript if vec not in known]
@@ -645,20 +645,21 @@ def test_walk_matches_the_per_query_reference(case):
 
     def run(joint):
         oracle = CountingOracle(locked, key)
-        cache = attack._QueryCache(oracle, budget)
+        cache = attack._AttackRun(locked, oracle, budget, knowledge)
         for i in prior:
             cache.query(vectors[i])
-        sets = {**attack._candidate_sets(locked, knowledge),
-                **{gid: {func} for gid, func in fixed.items()}}
+        cache.sets = sets = {**cache.sets,
+                             **{gid: {func} for gid, func in fixed.items()}}
         with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2), \
                 mock.patch.object(netlist, "_TABLE_BITS", bits), \
                 mock.patch.object(attack, "EQUIV_CHECK_LIMIT", equiv_limit), \
-                mock.patch.object(attack, "_walk", spy):
+                mock.patch.object(attack._AttackRun, "walk", spy):
             result = joint(locked, cache, sets, residue, fixed)
         return result, sets, oracle.query_count, list(cache.transcript.items())
 
     (status, log2), *state = run(
-        lambda *args: attack._resolve_jointly(*args, walk=True))
+        lambda net, cache, sets, gate_ids, fixed: cache.resolve(gate_ids,
+                                                                walk=True))
     (want_status, want_log2, survivors), *want_state = run(
         reference_resolve_jointly)
     assert (status, log2, state) == (want_status, want_log2, want_state)

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 import vtcamo
 from conftest import bench_text, random_netlist
 from reference_parser import assert_parses_like_reference
-from vtcamo.camouflage import apply_camouflage, eligible_gates
+from vtcamo.camouflage import (SECONDS_PER_YEAR, apply_camouflage,
+                               eligible_gates)
 from vtcamo.cell import CellFlavor
 from vtcamo.cli import _COMMON, _STRATEGIES, COMMANDS, build_parser, main
 from vtcamo.config import FLAVOR_NAMES, RunConfig, load_config, parse_config
@@ -311,8 +312,8 @@ class TestCliCommands:
                 *(f"--inputs={v}" for v in inputs)])
             assert (code, out) == (1, "")
             assert json.loads(err)["error"] == error, inputs
-        with mock.patch("vtcamo.cli.keyed_simulator",
-                        wraps=vtcamo.cli.keyed_simulator) as keyed:
+        with mock.patch("vtcamo.cli.CountingOracle",
+                        wraps=vtcamo.cli.CountingOracle) as keyed:
             code, out, _ = _run(capsys, [
                 "sim", locked, "--key", keyfile, "--no-timestamp",
                 *(f"--inputs={v:05b}" for v in range(3))])
@@ -377,6 +378,37 @@ class TestCliCommands:
         assert doc["netlist"]["camo_count"] > 0
         assert doc["overhead"]["camo_count"] == doc["netlist"]["camo_count"]
         assert int(doc["effort"]["pattern_count"]) == 2 ** 5
+
+    def test_effort_past_a_float_is_null(self, capsys, tmp_path):
+        # json.dumps writes an overflowed float as Infinity, which no
+        # strict JSON reader accepts
+        def strict(text):
+            def refuse(name):
+                raise ValueError(f"{name} is not JSON")
+            return json.loads(text, parse_constant=refuse)
+
+        code, out, _ = _run(capsys, ["estimate", "--inputs", "1100",
+                                     "--gates", "1", "--no-timestamp"])
+        assert code == 0
+        doc = strict(out)
+        assert int(doc["pattern_count"]) == 2 ** 1100
+        assert [doc[k] for k in ("seconds_raw", "seconds_retest", "years_raw",
+                                 "years_retest")] == [None] * 4
+        bench = tmp_path / "wide.bench"
+        bench.write_text(
+            "".join(f"INPUT(i{k})\n" for k in range(32))
+            + "".join(f"OUTPUT(g{k})\ng{k} = NAND(i{k % 32}, i{(k + 1) % 32})\n"
+                      for k in range(400)))
+        locked, keyfile = (str(tmp_path / n) for n in ("l.bench", "l.key"))
+        assert main(["lock", str(bench), "--budget", "1", "--out-bench",
+                     locked, "--out-key", keyfile, "--out", os.devnull]) == 0
+        capsys.readouterr()
+        code, out, _ = _run(capsys, ["report", locked, "--no-timestamp"])
+        assert code == 0
+        effort = strict(out)["effort"]
+        assert int(effort["candidate_count"]) == 8 ** 400
+        assert effort["years_raw"] == 2 ** 32 / 1e9 / SECONDS_PER_YEAR
+        assert effort["years_retest"] is None
 
     def test_config_file_feeds_the_run(self, capsys, tmp_path, c17_file):
         cfg = tmp_path / "run.cfg"

@@ -26,7 +26,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vtcamo import netlist
+import vtcamo
+from vtcamo import attack, netlist
 from vtcamo.attack import (MAX_BRUTE_GATES, CountingOracle,
                            find_sensitizing_vector)
 from vtcamo.camouflage import apply_camouflage, eligible_gates
@@ -279,6 +280,19 @@ def test_oracle_reads_a_table_only_when_one_block_is_the_whole_space(
     oracle = CountingOracle(synth_wide)
     assert _run_masks(oracle, stream, want) == [1] * len(stream)
     assert oracle.query_count == len(stream)
+
+
+def test_one_oracle_class_and_simulate_is_its_one_call_case(c17):
+    assert (vtcamo.CountingOracle is attack.CountingOracle
+            is netlist.CountingOracle)
+    # a fresh oracle per call: one one-vector run each, never a table
+    vectors = list(all_vectors(len(c17.inputs)))
+    want = {vec: reference_values(c17, vec, {}) for vec in vectors}
+    with mock.patch.object(netlist, "_run", wraps=netlist._run) as run:
+        for vec in vectors:
+            assert simulate(c17, vec) == tuple(want[vec][n]
+                                               for n in c17.outputs)
+    assert [call.args[2] for call in run.call_args_list] == [1] * 32
 
 
 def test_oracle_keeps_a_table_only_while_its_reply_dict_fits(c17):
