@@ -17,7 +17,8 @@ from vtcamo.errors import (
     TemplateSetError,
     UnresolvedGateError,
 )
-from vtcamo.netlist import CamoKey, KeyEntry, check_equivalence, parse_bench
+from vtcamo.netlist import (CamoKey, KeyEntry, check_equivalence, parse_bench,
+                            serialize_bench)
 from vtcamo.sidechannel import (
     DEFAULT_TEMPERATURES,
     MAX_TEMPERATURE_K,
@@ -57,6 +58,31 @@ g2 = NOR(a, g1)
 g3 = NOR(b, g1)
 y = NAND(g2, g3)
 """
+
+BAL_NAMES_TAKEN = """\
+INPUT(a)
+INPUT(b)
+OUTPUT(y)
+OUTPUT(bal0)
+OUTPUT(bal2)
+g1 = NAND(a, b)
+g2 = NAND(a, g1)
+bal0 = AND(a, g1)
+bal2 = OR(b, g2)
+y = NOR(g2, bal0)
+"""
+
+MIXED_FLAVORS = """\
+INPUT(a)
+INPUT(b)
+OUTPUT(y)
+g1 = CAMO8(a, b)
+g2 = CMOS3A(a, g1)
+g3 = CMOS3A(b, g1)
+y = CAMO8(g2, g3)
+"""
+
+F_CAMO8 = CellFlavor.CAMO8.function_set
 
 
 def _accuracy(flavor, sigma, trials=NOISE_TRIALS):
@@ -331,6 +357,51 @@ class TestBalancing:
         for a, b in zip(first.observations, second.observations):
             assert a.leakage_a == pytest.approx(b.leakage_a, rel=AGG_REL_TOL)
             assert a.delay_s == pytest.approx(b.delay_s, rel=AGG_REL_TOL)
+
+    def test_camo8_dummies_skip_taken_bal_names(self):
+        net = parse_bench(BAL_NAMES_TAKEN)
+        locked, key = apply_camouflage(net, ["g1", "g2", "y"],
+                                       CellFlavor.CAMO8)
+        balanced, new_key, report = balance_flavors(locked, key)
+        F = GateFunction
+        assert list(report.added.items()) == [
+            ("bal1", F.AND), ("bal3", F.AND), ("bal4", F.BUF),
+            ("bal5", F.BUF), ("bal6", F.INV), ("bal7", F.INV),
+            ("bal8", F.NOR), ("bal9", F.OR), ("bal10", F.OR),
+            ("bal11", F.XNOR), ("bal12", F.XNOR), ("bal13", F.XOR),
+            ("bal14", F.XOR)]
+        assert report.counts_before == {**dict.fromkeys(F_CAMO8, 0),
+                                        F.NAND: 2, F.NOR: 1}
+        assert report.counts_after == dict.fromkeys(F_CAMO8, 2)
+        assert new_key.serialize() == (
+            "bal1=AND\nbal10=OR\nbal11=XNOR\nbal12=XNOR\nbal13=XOR\n"
+            "bal14=XOR\nbal3=AND\nbal4=BUF,decoy=a\nbal5=BUF,decoy=a\n"
+            "bal6=INV,decoy=a\nbal7=INV,decoy=a\nbal8=NOR\nbal9=OR\n"
+            "g1=NAND\ng2=NAND\ny=NOR\n")
+        assert serialize_bench(balanced) == serialize_bench(locked) + "".join(
+            f"{name} = CAMO8(a, b)\n" for name in report.added)
+
+    def test_functions_are_counted_across_flavors(self):
+        net = parse_bench(MIXED_FLAVORS)
+        key = CamoKey.deserialize("g1=NAND\ng2=NAND\ng3=XOR\ny=NOR\n")
+        balanced, new_key, report = balance_flavors(net, key)
+        F = GateFunction
+        assert list(report.added.items()) == [
+            ("bal0", F.AND), ("bal1", F.AND), ("bal2", F.BUF),
+            ("bal3", F.BUF), ("bal4", F.INV), ("bal5", F.INV),
+            ("bal6", F.NOR), ("bal7", F.OR), ("bal8", F.OR),
+            ("bal9", F.XNOR), ("bal10", F.XNOR), ("bal11", F.XOR)]
+        # g1 (CAMO8) and g2 (CMOS3A) are both NAND
+        assert report.counts_before == {**dict.fromkeys(F_CAMO8, 0),
+                                        F.NAND: 2, F.NOR: 1, F.XOR: 1}
+        assert report.counts_after == dict.fromkeys(F_CAMO8, 2)
+        assert new_key.serialize() == (
+            "bal0=AND\nbal1=AND\nbal10=XNOR\nbal11=XOR\n"
+            "bal2=BUF,decoy=a\nbal3=BUF,decoy=a\nbal4=INV,decoy=a\n"
+            "bal5=INV,decoy=a\nbal6=NOR\nbal7=OR\nbal8=OR\nbal9=XNOR\n"
+            "g1=NAND\ng2=NAND\ng3=XOR\ny=NOR\n")
+        assert serialize_bench(balanced) == MIXED_FLAVORS + "".join(
+            f"bal{i} = CAMO8(a, b)\n" for i in range(12))
 
 
 class TestBalancedC8:
