@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from .camouflage import CostMultiples, CostTable
+from .camouflage import CostTable
 from .cell import CellFlavor
 from .device import DeviceParams
 from .errors import ConfigFileError, VtcamoError
@@ -99,11 +99,7 @@ def parse_config(text: str) -> RunConfig:
         device = DeviceParams(**device_over)
         entries = dict(CostTable().entries)
         for flavor, axes in cost_over.items():
-            current = entries[flavor]
-            entries[flavor] = CostMultiples(
-                area=axes.get("area", current.area),
-                power=axes.get("power", current.power),
-                delay=axes.get("delay", current.delay))
+            entries[flavor] = dataclasses.replace(entries[flavor], **axes)
         cost = CostTable(entries)
     except VtcamoError as exc:
         raise ConfigFileError(str(exc)) from exc

@@ -19,7 +19,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
+from itertools import chain, count, islice
 from operator import add, itemgetter
 from typing import NamedTuple
 
@@ -318,23 +318,12 @@ def balance_flavors(net: Netlist, key: CamoKey,
     # a cell and its first fanin are two nets, so there are two taps
     tap_a, tap_b = (list(net.inputs) + [g.gate_id for g in net.gates])[:2]
     flavors = sorted({g.flavor for g in camo})
-    counts_before: dict[GateFunction, int] = {}
-    for flavor in flavors:
-        for func in flavor.function_set:
-            counts_before.setdefault(func, 0)
+    counts_before = dict.fromkeys(
+        chain.from_iterable(f.function_set for f in flavors), 0)
     for g in camo:
         counts_before[key.entries[g.gate_id].function] += 1
     used = {g.gate_id for g in net.gates} | set(net.inputs)
-    next_index = 0
-
-    def fresh_name() -> str:
-        nonlocal next_index
-        while f"bal{next_index}" in used:
-            next_index += 1
-        name = f"bal{next_index}"
-        used.add(name)
-        return name
-
+    names = (n for n in map("bal{}".format, count()) if n not in used)
     new_gates = list(net.gates)
     new_entries = dict(key.entries)
     added: dict[str, GateFunction] = {}
@@ -343,13 +332,12 @@ def balance_flavors(net: Netlist, key: CamoKey,
         funcs = sorted(flavor.function_set)
         target = max(counts_after[f] for f in funcs)
         for func in funcs:
-            while counts_after[func] < target:
-                name = fresh_name()
-                decoy = tap_a if func in UNDERLYING else None
+            decoy = tap_a if func in UNDERLYING else None
+            for name in islice(names, target - counts_after[func]):
                 new_gates.append(Gate(name, (tap_a, tap_b), flavor=flavor))
                 new_entries[name] = KeyEntry(func, decoy)
                 added[name] = func
-                counts_after[func] += 1
+            counts_after[func] = target
     balanced = Netlist(net.inputs, net.outputs, tuple(new_gates),
                        net.pseudo_inputs, net.pseudo_outputs)
     return (balanced, CamoKey(new_entries),
