@@ -258,7 +258,8 @@ def _cmd_sidechannel(args, cfg) -> dict:
             "counts_after": {f.value: c for f, c
                              in sorted(bal.counts_after.items())},
         }
-    temps = _parse_temps(args.temps)
+    temps = (side_mod.DEFAULT_TEMPERATURES if args.temps is None
+             else _parse_temps(args.temps))
     report["temperatures"] = list(temps)
     policy = args.bias_policy.replace("-", "_")
     mode = args.mode.replace("-", "_")
@@ -314,8 +315,9 @@ def _cmd_sweep(args, cfg) -> None:
     if args.vg_n is not None or args.vg_p is not None:
         bias = BiasPoint(args.vg_n if args.vg_n is not None else bias.vg_n,
                          args.vg_p if args.vg_p is not None else bias.vg_p)
+    t = cfg.device.t_ref if args.t is None else args.t
     rows = sweep_vt_window(_parse_range(args.hvt), _parse_range(args.lvt),
-                           args.step, bias, args.t, cfg.device)
+                           args.step, bias, t, cfg.device)
     _write(sweep_to_csv(rows), args.out)
 
 
@@ -396,7 +398,7 @@ COMMANDS = {
         _arg("bench"),
         _arg("--flavor", choices=sorted(FLAVOR_NAMES), default="camo8"),
         _arg("--strategy", choices=sorted(_STRATEGIES), default="random"),
-        _arg("--budget", type=float, default=0.05,
+        _arg("--budget", type=float, default=SelectionPolicy.budget,
              help="fraction of gates to camouflage, in (0, 1]; 1 means "
                   "every eligible gate"),
         _arg("--delay-budget", type=float,
@@ -436,8 +438,7 @@ COMMANDS = {
         _arg("--key", required=True),
         _arg("--mode", choices=("per-gate", "aggregate-only"),
              default="per-gate"),
-        _arg("--temps", default="250,300,350",
-             help="comma separated temperatures in kelvin"),
+        _arg("--temps", help="comma separated temperatures in kelvin"),
         _arg("--bias-policy", choices=("fixed", "thermal-compensated"),
              default="fixed"),
         _arg("--noise", type=float, default=0.0,
@@ -449,7 +450,7 @@ COMMANDS = {
         _arg("--hvt", required=True, help="range lo:hi in volts"),
         _arg("--lvt", required=True, help="range lo:hi in volts"),
         _arg("--step", type=float, default=0.05),
-        _arg("--t", type=float, default=300.0),
+        _arg("--t", type=float),
         _arg("--vg-n", type=float), _arg("--vg-p", type=float),
     ]),
     "bias-opt": (_cmd_bias_opt, "search for a faster bias point", [

@@ -358,6 +358,22 @@ class TestCliCommands:
         assert doc["delay_gain"] > 0.0
         assert doc["delay_opt_s"] < doc["delay_default_s"]
 
+    def test_sweep_takes_t_from_the_configured_t_ref(self, capsys,
+                                                     tmp_path):
+        cfg = tmp_path / "warm.cfg"
+        cfg.write_text("device.t_ref = 320\n")
+        csvs = {}
+        for t in (None, "320", "300"):
+            out_csv = tmp_path / f"sweep-{t}.csv"
+            argv = ["sweep", "--hvt", "0.3:0.4", "--lvt", "0.3:0.4",
+                    "--step", "0.05", "--config", str(cfg),
+                    "--out", str(out_csv)]
+            assert main(argv + (["--t", t] if t else [])) == 0
+            csvs[t] = out_csv.read_text()
+        capsys.readouterr()
+        assert csvs[None] == csvs["320"]
+        assert csvs[None] != csvs["300"]
+
     def test_estimate_emits_exact_counts_as_strings(self, capsys):
         code, out, _ = _run(capsys, ["estimate", "--inputs", "50",
                                      "--gates", "10", "--no-timestamp"])
