@@ -309,6 +309,31 @@ def test_oracle_keeps_a_table_only_while_its_reply_dict_fits(c17):
         assert oracle.query_count == 64
 
 
+#: c17 vectors the oracle refuses: an unhashable bit, a NaN bit, a short
+#: vector and a 2 bit.
+_REFUSED = [(1, [1], 0, 0, 0), (float("nan"), 0, 0, 0, 0), (0, 0, 0, 0),
+            (0, 2, 0, 0, 0)]
+
+
+def test_oracle_refuses_the_same_vectors_once_its_table_is_filled(c17):
+    vectors = list(all_vectors(len(c17.inputs)))
+    want = {vec: simulate(c17, vec) for vec in vectors}
+    oracle = CountingOracle(c17)
+    # no table yet, then the first run, then the second run fills it
+    for filled, vec in ((0, None), (0, vectors[5]), (32, vectors[9])):
+        if vec is not None:
+            assert oracle(vec) == want[vec]
+        assert len(oracle._replies) == filled
+        for vector in _REFUSED:
+            with pytest.raises(InputWidthError):
+                oracle(vector)
+    # True/False and 0.0/1.0 bits still answer, from the table
+    for vec in vectors:
+        assert oracle(tuple(map(bool, vec))) == want[vec]
+        assert oracle(tuple(map(float, vec))) == want[vec]
+    assert oracle.query_count == 3 * len(_REFUSED) + 2 + 2 * len(vectors)
+
+
 _TOGGLED = {**_NEGATED, **{base: neg for neg, base in _NEGATED.items()}}
 
 
