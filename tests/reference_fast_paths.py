@@ -17,6 +17,10 @@ and ``reference_code`` build a cell function's tables from one lambda
 per two-input function and a branch per one-input function, and
 ``reference_decode`` finds the selected function with a loop over
 ``SELECTION_LVT`` and the tie state with an if-chain.
+``reference_brute_force_transcript`` is brute force's query loop as it
+was before it became one inline loop: each draw asks a per-vector query
+step, which returns a transcript hit, asks the oracle while the budget
+lasts, or ends the loop.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from vtcamo.errors import (AttackTooLargeError, IndistinguishableError,
                            UnresolvedFaninError, UnsupportedFunctionError)
 from vtcamo.netlist import (_OPS, _PORT0, _UNKNOWN, EXHAUSTIVE_INPUT_LIMIT,
                             Gate, IncrementalTiming, Netlist, _Program,
-                            forced_rails)
+                            all_vectors, forced_rails, random_vectors)
 
 
 def reference_compile(net: Netlist) -> _Program:
@@ -261,3 +265,28 @@ def reference_find_sensitizing_vector(net: Netlist, partial_assignment,
                                      rails0[2 + i][1] >> j & 1,
                                      rails1[2 + i][1] >> j & 1)
     return None
+
+
+def reference_brute_force_transcript(net: Netlist, oracle, pattern_source,
+                                     query_budget, seed):
+    """The transcript brute force asks of ``oracle``, vector: reply, in
+    query order."""
+    width = len(net.inputs)
+    if pattern_source == "exhaustive":
+        vectors = all_vectors(width)
+    else:
+        vectors = random_vectors(width, query_budget, seed)
+    transcript = {}
+
+    def query(vector):
+        out = transcript.get(vector)
+        exhausted = (query_budget is not None
+                     and len(transcript) >= query_budget)
+        if out is None and not exhausted:
+            out = transcript[vector] = tuple(oracle(vector))
+        return out
+
+    for vec in vectors:
+        if len(transcript) == 1 << width or query(vec) is None:
+            break
+    return transcript

@@ -10,7 +10,10 @@ the reference's subset, or raise its error, for every candidate set. In
 the cell library, the tables read off each function's output row must
 equal the ones built from lambdas, and ``decode``'s table lookups must
 give the reference's function, or raise its error, for every switch
-pattern, flavor and tie flag.
+pattern, flavor and tie flag. ``brute_force_attack`` must ask the same
+vectors in the same order, and count the same queries, as the
+per-vector query loop it replaced, for both pattern sources at budgets
+from 0 past the size of the space.
 Netlists are drawn in shuffled file order with gates of one to four
 fanins (so one-input AND/OR/XOR gates built directly, and gates folded
 through temporary nets), camouflaged cells built directly, and cells
@@ -26,9 +29,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from netlists import random_netlist
 from reference_fast_paths import (
     reference_arrivals,
     reference_behavior_table,
+    reference_brute_force_transcript,
     reference_code,
     reference_compile,
     reference_decode,
@@ -39,6 +44,7 @@ from reference_fast_paths import (
     reference_truth_table,
 )
 from vtcamo import cell
+from vtcamo.attack import CountingOracle, brute_force_attack
 from vtcamo.camouflage import (CostMultiples, CostTable, apply_camouflage,
                                eligible_gates, overhead_report)
 from vtcamo.cell import (NUM_SWITCHES, VT, CamoConfig, CellFlavor,
@@ -222,3 +228,25 @@ def test_decode_matches_the_loop_and_if_chain():
             config = CamoConfig(bits, CellFlavor.CAMO8, False)
             assert (_outcome(decode, config)
                     == _outcome(reference_decode, config))
+
+
+@pytest.mark.parametrize("source", ["exhaustive", "random"])
+@pytest.mark.parametrize("width", [3, 5])
+def test_brute_force_asks_what_the_per_vector_query_loop_asks(width, source):
+    net = random_netlist(width, 3 * width, seed=width)
+    locked, key = apply_camouflage(
+        net, eligible_gates(net, CellFlavor.CAMO8)[:2], CellFlavor.CAMO8)
+    space = 1 << width
+    budgets = [0, 1, space - 1, space, 10 ** 9]
+    for budget in budgets + [None] * (source == "exhaustive"):
+        for seed in range(3):
+            if source == "random":  # the draws repeat before they cover
+                assert len(set(random_vectors(width, space, seed))) < space
+            oracle, again = CountingOracle(locked, key), CountingOracle(
+                locked, key)
+            report = brute_force_attack(locked, oracle, source, budget, seed)
+            want = reference_brute_force_transcript(locked, again, source,
+                                                    budget, seed)
+            assert report.transcript == tuple(want.items())
+            assert (report.query_count == oracle.query_count
+                    == again.query_count == len(want))

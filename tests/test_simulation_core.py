@@ -460,6 +460,50 @@ def test_replay_matches_the_per_candidate_filter(case, block_log2):
     assert got  # the candidate the outputs came from survives
 
 
+def _whole_space(locked, gate_ids, source, fixed) -> list:
+    """Every vector in counting order, with ``source``'s outputs."""
+    return [(vec, tuple(reference_outputs(locked, gate_ids, source, fixed,
+                                          vec, 1)))
+            for vec in all_vectors(len(locked.inputs))]
+
+
+@_SETTINGS
+@given(replay_cases(), st.sampled_from([1, 2, 12]),
+       st.randoms(use_true_random=False))
+def test_whole_space_replay_matches_the_per_candidate_filter(case,
+                                                             block_log2, rnd):
+    locked, gate_ids, candidates, fixed, _ = case
+    observed = _whole_space(locked, gate_ids, rnd.choice(candidates), fixed)
+    shuffled = rnd.sample(observed, len(observed))
+    with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
+        for order in (observed, shuffled):
+            got = OutputTables(locked, gate_ids, candidates, fixed).replay(
+                order).items
+            assert got == reference_filter(locked, gate_ids, candidates,
+                                           order, fixed)
+            assert got
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_replay_refuses_a_reply_bit_of_2(c17, shuffled):
+    locked, key = apply_camouflage(c17, ["10", "22"], CellFlavor.CAMO8)
+    gate_ids = sorted(key.entries)
+    source = tuple(key.entries[g].function for g in gate_ids)
+    observed = _whole_space(locked, gate_ids, source, {})
+    if shuffled:
+        observed = observed[7:] + observed[:7]
+    vec, out = observed[12]
+    observed[12] = vec, (out[0], 2)
+    # one block: the error names the second output's column, last vector
+    # first, as packing it always has
+    column = tuple(out[1] for _, out in observed)[::-1]
+    with pytest.raises(InputWidthError) as err:
+        OutputTables(locked, gate_ids, product(
+            *(sorted(locked.gate(g).flavor.function_set) for g in gate_ids)),
+        ).replay(observed)
+    assert str(err.value) == f"bits must be 0/1: {column!r}"
+
+
 @_SETTINGS
 @given(replay_cases(), st.sampled_from([1, 2, 12]),
        st.randoms(use_true_random=False))
