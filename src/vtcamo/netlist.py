@@ -652,12 +652,13 @@ class CountingOracle:
     """I/O oracle over a netlist under its key; counts every query.
 
     The key is validated and applied once, here, so a bad key fails at
-    construction. Each call counts, checks the vector's width and 0/1
-    bits, then looks its reply up; a refused vector counts too, so a
-    reported query count can be audited against ``query_count``. On a
-    space of at most ``_BLOCK_LOG2`` inputs, the second run fills a dict
-    from each vector to its reply with the whole space, kept while it
-    fits in _TABLE_BITS. Otherwise a call runs its one vector.
+    construction. Each call counts, then looks its reply up in a dict
+    keyed by checked vectors, so only a miss checks the vector's width
+    and 0/1 bits; a refused vector counts too, so a reported query count
+    can be audited against ``query_count``. On a space of at most
+    ``_BLOCK_LOG2`` inputs, the second run fills the dict with the whole
+    space, kept while it fits in _TABLE_BITS. Otherwise a call runs its
+    one vector.
     """
 
     def __init__(self, net: Netlist, key: CamoKey | None = None):
@@ -670,14 +671,15 @@ class CountingOracle:
     def __call__(self, input_vector) -> tuple[int, ...]:
         self.query_count += 1
         vec, width = tuple(input_vector), self._width
+        try:  # a key is a checked vector; True/False, 0.0/1.0 bits key as 0/1
+            return self._replies[vec]
+        except (KeyError, TypeError):  # a miss, or an unhashable bit
+            pass
         if len(vec) != width:
             raise InputWidthError(
                 f"expected {width} input bits, got {len(vec)}")
         if vec.count(0) + vec.count(1) != width:
             raise InputWidthError(f"input bits must be 0/1: {vec!r}")
-        out = self._replies.get(vec)  # True/False and 0.0/1.0 bits key as 0/1
-        if out is not None:
-            return out
         self._runs += 1
         prog, ops = self._prog, self._ops
         if self._fits and self._runs > 1:

@@ -334,6 +334,20 @@ def test_oracle_refuses_the_same_vectors_once_its_table_is_filled(c17):
     assert oracle.query_count == 3 * len(_REFUSED) + 2 + 2 * len(vectors)
 
 
+def test_oracle_table_hit_makes_no_width_or_bit_check(c17):
+    vectors = list(all_vectors(len(c17.inputs)))
+    oracle = CountingOracle(c17)
+    oracle(vectors[0])
+    oracle(vectors[1])  # the second run fills the table
+    # under a wrong width every width or bit check refuses: a hit makes none
+    with mock.patch.object(oracle, "_width", 99):
+        for vec in vectors:
+            assert oracle(vec) == simulate(c17, vec)
+        with pytest.raises(InputWidthError, match="^expected 99 input bits"):
+            oracle((0, 2, 0, 0, 0))  # a miss is checked
+    assert oracle.query_count == 3 + len(vectors)
+
+
 _TOGGLED = {**_NEGATED, **{base: neg for neg, base in _NEGATED.items()}}
 
 
