@@ -755,13 +755,16 @@ class OutputTables:
         return rows if expected is None else [r is not None for r in rows]
 
     def replay(self, observations) -> OutputTables:
-        """Keep the items that reproduce every observed ``(vector,
-        outputs)`` pair; the pairs are packed into blocks and each block
-        filters by one ``run``. Items keep their order. Returns self."""
-        observations = list(observations)
+        """Keep the items, in order, that reproduce every ``(vector,
+        outputs)`` pair, packed in blocks that each filter by one ``run``
+        (a whole space in counting order packs only outputs). Returns self."""
+        vectors, outputs = [*zip(*observations)] or ((), ())
+        if len(vectors) == 1 << self._width and all(
+                map(eq, vectors, all_vectors(self._width))):
+            vectors = None  # the blocks of all_vectors, known unpacked
         for (_, words, mask), (_, expected, _) in zip(
-                _blocks(self._width, [v for v, _ in observations]),
-                _blocks(len(self._outputs), [o for _, o in observations])):
+                _blocks(self._width, vectors),
+                _blocks(len(self._outputs), outputs)):
             self.keep(self.run(words, mask, expected))
         return self
 

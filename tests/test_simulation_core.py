@@ -498,6 +498,20 @@ def test_whole_space_replay_matches_the_per_candidate_filter(case,
             assert got
 
 
+def test_whole_space_replay_packs_no_input_column(c17):
+    locked, key = apply_camouflage(c17, ["10", "22"], CellFlavor.CAMO8)
+    gate_ids = sorted(key.entries)
+    source = tuple(key.entries[g].function for g in gate_ids)
+    observed = _whole_space(locked, gate_ids, source, {})
+    for order, columns in ((observed, 2), (observed[::-1], 5 + 2)):
+        tables = OutputTables(locked, gate_ids, product(
+            *(sorted(locked.gate(g).flavor.function_set) for g in gate_ids)))
+        with mock.patch.object(netlist, "_word", wraps=netlist._word) as word:
+            tables.replay(order)
+        assert word.call_count == columns
+        assert source in tables.items
+
+
 @pytest.mark.parametrize("shuffled", [False, True])
 def test_replay_refuses_a_reply_bit_of_2(c17, shuffled):
     locked, key = apply_camouflage(c17, ["10", "22"], CellFlavor.CAMO8)
