@@ -2,33 +2,32 @@
 
 Both attacks treat the fabricated chip as an input/output oracle: a
 callable taking a primary-input vector and returning the primary-output
-vector. The oracle lives in the netlist module and is re-exported here:
-CountingOracle keys a reference netlist once, at construction, and
-counts every call independently, so reported query counts can be
-audited.
+vector, such as the netlist module's CountingOracle (re-exported here),
+which counts every call, so reported query counts can be audited.
 
-An attack keeps its state in one object, _AttackRun: the net, the
-oracle and its budget, the query transcript, each gate's candidate set
-and the space's initial log2. Both attacks end in its joint step,
-_AttackRun.resolve: it enumerates the product of some gates' candidate
-sets into one netlist.OutputTables, the other gates fixed to their one
-candidate, replays the transcript into it, queries further vectors until
-one assignment is left, the rest are provably interchangeable or the
-budget runs out, and assigns the status. The survivors are
-interchangeable (settled) when the transcript holds every input vector
-or when they give the same outputs on every vector; nothing else settles
-them. brute_force_attack queries its whole pattern source first and
-hands every gate to that step. sensitization_attack first resolves gates
-one at a time in topological order: for the local input patterns that
-tell a gate's candidates apart, it finds a primary-input vector that
-drives the pattern onto the gate and provably propagates the gate's
-output to a primary output, and reads the hidden truth table entry off
-the oracle response. The residue goes to the joint step, which walks the
-input space in counting order (_AttackRun.walk) and drops the survivors
-whose outputs differ from each new reply: one check where they all agree
-on its vector. The replay and the walk run the candidates depth first:
-candidates that agree up to a camouflaged gate share one run of the
-logic before it, and the replay drops a group at its first wrong output.
+An attack keeps its state in one _AttackRun: the net, the oracle and its
+budget, the transcript (each vector's reply entered once, as a tuple of
+the right length), each gate's candidate set and the initial log2. Both
+attacks end in the joint step, _AttackRun.resolve: it enumerates the
+product of some gates' candidate sets into one netlist.OutputTables, the
+other gates fixed to their one candidate, replays the transcript into
+it, queries further vectors until one assignment is left, the rest are
+provably interchangeable or the budget runs out, and assigns the status.
+The survivors are interchangeable (settled) when the transcript holds
+every input vector or when they give the same outputs on every vector.
+brute_force_attack asks its whole pattern source in one loop that calls
+nothing per vector but the oracle, then hands every gate to that step.
+sensitization_attack first resolves gates one at a time in topological
+order: for the local input patterns that tell a gate's candidates apart,
+it finds a primary-input vector that drives the pattern onto the gate
+and provably propagates the gate's output to a primary output, and reads
+the hidden truth table entry off the oracle response. The residue goes
+to the joint step, which walks the input space in counting order
+(_AttackRun.walk) and drops the survivors whose outputs differ from each
+new reply: one check where they all agree on its vector. The replay and
+the walk run the candidates depth first: candidates that agree up to a
+camouflaged gate share one run of the logic before it, and the replay
+drops a group at its first wrong output.
 
 Propagation is checked on the netlist module's bit-parallel dual-rail
 core with the target forced to 0 and to 1, every unresolved camouflaged
@@ -46,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
+from itertools import islice, product
 from operator import add, or_
 from typing import Callable, Iterable
 
@@ -117,6 +116,8 @@ class _AttackRun:
         out = self.transcript.get(vector)
         if out is None and not self.exhausted:
             out = self.transcript[vector] = tuple(self._oracle(vector))
+            if len(out) != len(self.net.outputs):
+                raise InvalidParameterError(f"bad oracle reply width: {out!r}")
         return out
 
     def assignment(self) -> dict[str, GateFunction]:
@@ -190,17 +191,18 @@ def brute_force_attack(net: Netlist, oracle: Callable,
 
     Exhaustive mode consumes the entire input space (no early exit), so
     its query count is exactly min(2**n, query_budget). Random mode draws
-    seeded vectors and requires a budget; it stops drawing once every
-    vector has been queried. The true programming always survives because
-    it reproduces every oracle response by definition.
+    ``query_budget`` seeded vectors and stops once every vector has been
+    queried. The true programming always survives because it reproduces
+    every oracle response by definition.
     """
     camo = len(net.camo_gates())
     if camo > MAX_BRUTE_GATES:
         raise AttackTooLargeError(
             f"{camo} camouflaged gates exceeds the joint enumeration "
             f"guard of {MAX_BRUTE_GATES}; use sensitization_attack")
+    run = _AttackRun(net, oracle, query_budget)
     if pattern_source == "exhaustive":
-        vectors = all_vectors(len(net.inputs))
+        vectors = islice(all_vectors(len(net.inputs)), query_budget)
     elif pattern_source == "random":
         if query_budget is None:
             raise InvalidParameterError(
@@ -209,12 +211,15 @@ def brute_force_attack(net: Netlist, oracle: Callable,
     else:
         raise InvalidParameterError(
             f"unknown pattern source {pattern_source!r}")
-    run = _AttackRun(net, oracle, query_budget)
-    # once every vector is in the transcript, later draws are cache hits
+    transcript, outputs = run.transcript, len(net.outputs)
     space = 1 << len(net.inputs)
     for vec in vectors:
-        if len(run.transcript) == space or run.query(vec) is None:
-            break
+        if vec not in transcript:
+            out = transcript[vec] = tuple(oracle(vec))
+            if len(out) != outputs:
+                raise InvalidParameterError(f"bad oracle reply width: {out!r}")
+            if len(transcript) == space:
+                break
     return run.report(*run.resolve(list(run.sets)))
 
 

@@ -193,6 +193,19 @@ class TestBruteForce:
                                pattern_source="walk")
 
 
+@pytest.mark.parametrize("reshape", [lambda out: out[:1],
+                                     lambda out: (*out, 0)],
+                         ids=["short", "long"])
+@pytest.mark.parametrize("run", [brute_force_attack, sensitization_attack])
+def test_reply_of_the_wrong_length_is_refused(c17, run, reshape):
+    locked, key = apply_camouflage(c17, ["10", "22"], CellFlavor.CAMO8)
+    good = CountingOracle(locked, key)
+    with pytest.raises(InvalidParameterError,
+                       match=r"^bad oracle reply width: \("):
+        run(locked, lambda v: reshape(good(v)))
+    assert good.query_count == 1  # refused where it enters the transcript
+
+
 class TestSensitizingVectors:
     def test_direct_observation(self):
         _, locked, key = _lock(SINGLE, ["y"])
