@@ -17,7 +17,13 @@ the argparse usage, help and error texts (with ``COLUMNS=80``) and the
 ``parse`` and ``estimate`` runs, written before the subcommand table
 replaced the hand-written parser; Python 3.13's argparse wraps usage
 lines differently, so it reads ``cli_usage_py313.json``, written under
-3.13.0, which differs only in those wrapped texts. Four ``status`` fields of
+3.13.0, which differs only in those wrapped texts. Later 3.13 releases
+(3.13.13 here) no longer quote the choices in an invalid-choice error,
+so an argparse that does not is probed for and reads a fixture with
+``_unquoted`` in its name: ``cli_usage_py313_unquoted.json``, written
+under 3.13.13, differs from ``cli_usage_py313.json`` in those two error
+texts. An argparse with no fixture for its behaviour fails the usage
+tests, naming the fixture it lacks. Four ``status`` fields of
 random-source brute force (``brute_random`` for ``c17_mutual_mask`` and
 ``random_6``, and the ``--pattern-source random`` CLI runs on ``c17``
 and ``synth_mix``) were re-pinned from ``equivalent_class`` to
@@ -34,6 +40,7 @@ directory and names every entry that differs.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -56,9 +63,28 @@ from vtcamo.netlist import parse_bench
 
 GOLDEN = Path(__file__).with_name("golden")
 
+
+def quotes_choices() -> bool:
+    """Whether the running argparse quotes the choices of an invalid-choice
+    error, as it did before the later 3.13 releases."""
+    parser = argparse.ArgumentParser(exit_on_error=False)
+    parser.add_argument("x", choices=["a"])
+    try:
+        parser.parse_args(["b"])
+    except argparse.ArgumentError as exc:
+        return "(choose from 'a')" in str(exc)
+    return False
+
+
+def usage_fixture(wraps_as_313: bool, quotes: bool) -> str:
+    """The usage fixture of one argparse behaviour: how it wraps usage
+    lines (3.13 and on, or before) and whether it quotes choices."""
+    return (f"cli_usage{'_py313' if wraps_as_313 else ''}"
+            f"{'' if quotes else '_unquoted'}.json")
+
+
 #: The usage fixture of the running interpreter's argparse behaviour.
-USAGE_FIXTURE = ("cli_usage.json" if sys.version_info < (3, 13)
-                 else "cli_usage_py313.json")
+USAGE_FIXTURE = usage_fixture(sys.version_info >= (3, 13), quotes_choices())
 
 MASKED = ("INPUT(a)\nINPUT(b)\nOUTPUT(x)\n"
           "g = NAND(a, b)\nx = XOR(g, g)\n")
@@ -328,6 +354,28 @@ def test_cli_usage_matches_golden(tmp_path, monkeypatch):
     for name in golden:
         for got, want in zip(fresh[name], golden[name], strict=True):
             assert got == want, want["argv"]
+
+
+def test_each_argparse_behaviour_reads_its_own_usage_fixture():
+    assert [usage_fixture(wraps, quotes) for wraps in (False, True)
+            for quotes in (True, False)] == [
+        "cli_usage.json", "cli_usage_unquoted.json", "cli_usage_py313.json",
+        "cli_usage_py313_unquoted.json"]
+    assert USAGE_FIXTURE == usage_fixture(sys.version_info >= (3, 13),
+                                          quotes_choices())
+    for name in ("cli_usage.json", "cli_usage_py313.json",
+                 "cli_usage_py313_unquoted.json"):
+        assert (GOLDEN / name).is_file(), name
+    # the pinned texts quote their choices as the probe says they would
+    for name in ("cli_usage_py313.json", "cli_usage_py313_unquoted.json"):
+        quoted = "choose from 'parse'" in json.dumps(_load(name))
+        assert quoted == (name == "cli_usage_py313.json")
+    # no fixture pins an argparse that wraps as before 3.13 and does not
+    # quote: such an interpreter fails, naming the fixture it lacks
+    import pytest  # here, so tools/golden_check.py needs no pytest
+    missing = usage_fixture(False, False)
+    with pytest.raises(FileNotFoundError, match=missing):
+        _load(missing)
 
 
 def test_every_subcommand_is_pinned():
