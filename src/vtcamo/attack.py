@@ -200,7 +200,7 @@ def brute_force_attack(net: Netlist, oracle: Callable,
         raise AttackTooLargeError(
             f"{camo} camouflaged gates exceeds the joint enumeration "
             f"guard of {MAX_BRUTE_GATES}; use sensitization_attack")
-    run = _AttackRun(net, oracle, query_budget)
+    run = _AttackRun(net, oracle, query_budget)  # refuses a budget below 0
     if pattern_source == "exhaustive":
         vectors = islice(all_vectors(len(net.inputs)), query_budget)
     elif pattern_source == "random":

@@ -758,13 +758,13 @@ class OutputTables:
         """Keep the items, in order, that reproduce every ``(vector,
         outputs)`` pair, packed in blocks that each filter by one ``run``
         (a whole space in counting order packs only outputs). Returns self."""
-        vectors, outputs = [*zip(*observations)] or ((), ())
+        vectors, replies = [*zip(*observations)] or ((), ())
         if len(vectors) == 1 << self._width and all(
                 map(eq, vectors, all_vectors(self._width))):
-            vectors = None  # the blocks of all_vectors, known unpacked
+            vectors = None  # _blocks gives all_vectors' words unpacked
         for (_, words, mask), (_, expected, _) in zip(
                 _blocks(self._width, vectors),
-                _blocks(len(self._outputs), outputs)):
+                _blocks(len(self._outputs), replies)):
             self.keep(self.run(words, mask, expected))
         return self
 

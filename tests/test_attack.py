@@ -149,6 +149,15 @@ class TestBruteForce:
             brute_force_attack(locked, CountingOracle(locked, key),
                                pattern_source="random")
 
+    @pytest.mark.parametrize("source", ["exhaustive", "random"])
+    def test_negative_budget_is_refused_before_any_query(self, source):
+        _, locked, key = _lock(SINGLE, ["y"])
+        oracle = CountingOracle(locked, key)
+        with pytest.raises(InvalidParameterError,
+                           match="^query budget must be >= 0, got -1$"):
+            brute_force_attack(locked, oracle, source, query_budget=-1)
+        assert oracle.query_count == 0
+
     def test_random_source_is_budget_bound(self):
         _, locked, key = _lock(CHAIN2, ["g1", "z"])
         oracle = CountingOracle(locked, key)
