@@ -14,7 +14,10 @@ streams.
 The depth-first joint replay behind ``OutputTables`` is also checked
 against ``reference_filter``, the per-candidate filter it replaced: each
 candidate's ops resolved on their own and the whole netlist run once per
-candidate.
+candidate, also on whole-space transcripts in counting order (whose input
+columns the replay does not pack) and shuffled. The oracle refuses the
+same vectors before and after its reply table fills, and a table hit is
+answered with no width or bit check.
 """
 
 from __future__ import annotations
@@ -498,26 +501,29 @@ def test_whole_space_replay_matches_the_per_candidate_filter(case,
             assert got
 
 
-def test_whole_space_replay_packs_no_input_column(c17):
+def _c17_tables(c17):
+    """Tables over every assignment of two CAMO8 cells on c17, the true
+    one and the whole space with its outputs."""
     locked, key = apply_camouflage(c17, ["10", "22"], CellFlavor.CAMO8)
     gate_ids = sorted(key.entries)
     source = tuple(key.entries[g].function for g in gate_ids)
-    observed = _whole_space(locked, gate_ids, source, {})
-    for order, columns in ((observed, 2), (observed[::-1], 5 + 2)):
-        tables = OutputTables(locked, gate_ids, product(
-            *(sorted(locked.gate(g).flavor.function_set) for g in gate_ids)))
+    tables = OutputTables(locked, gate_ids, product(
+        *(sorted(locked.gate(g).flavor.function_set) for g in gate_ids)))
+    return tables, source, _whole_space(locked, gate_ids, source, {})
+
+
+def test_whole_space_replay_packs_no_input_column(c17):
+    for reverse, columns in ((False, 2), (True, 5 + 2)):
+        tables, source, observed = _c17_tables(c17)
         with mock.patch.object(netlist, "_word", wraps=netlist._word) as word:
-            tables.replay(order)
+            tables.replay(observed[::-1] if reverse else observed)
         assert word.call_count == columns
         assert source in tables.items
 
 
 @pytest.mark.parametrize("shuffled", [False, True])
 def test_replay_refuses_a_reply_bit_of_2(c17, shuffled):
-    locked, key = apply_camouflage(c17, ["10", "22"], CellFlavor.CAMO8)
-    gate_ids = sorted(key.entries)
-    source = tuple(key.entries[g].function for g in gate_ids)
-    observed = _whole_space(locked, gate_ids, source, {})
+    tables, _, observed = _c17_tables(c17)
     if shuffled:
         observed = observed[7:] + observed[:7]
     vec, out = observed[12]
@@ -526,9 +532,7 @@ def test_replay_refuses_a_reply_bit_of_2(c17, shuffled):
     # first, as packing it always has
     column = tuple(out[1] for _, out in observed)[::-1]
     with pytest.raises(InputWidthError) as err:
-        OutputTables(locked, gate_ids, product(
-            *(sorted(locked.gate(g).flavor.function_set) for g in gate_ids)),
-        ).replay(observed)
+        tables.replay(observed)
     assert str(err.value) == f"bits must be 0/1: {column!r}"
 
 
