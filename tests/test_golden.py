@@ -18,8 +18,8 @@ the argparse usage, help and error texts (with ``COLUMNS=80``) and the
 replaced the hand-written parser; Python 3.13's argparse wraps usage
 lines differently, so it reads ``cli_usage_py313.json``, written under
 3.13.0, which differs only in those wrapped texts. Later 3.13 releases
-(3.13.13 here) no longer quote the choices in an invalid-choice error,
-so an argparse that does not is probed for and reads a fixture with
+(3.13.13 among them) no longer quote the choices in an invalid-choice
+error, so an argparse that does not is probed for and reads a fixture with
 ``_unquoted`` in its name: ``cli_usage_py313_unquoted.json``, written
 under 3.13.13, differs from ``cli_usage_py313.json`` in those two error
 texts. An argparse with no fixture for its behaviour fails the usage
