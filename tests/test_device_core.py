@@ -517,10 +517,44 @@ def test_grid_walks_compute_each_member_once(monkeypatch):
         assert set(got) == set(want)
 
 
+def test_delay_clamps_the_drive_as_max_does():
+    """``CellModel.delay`` divides by ``max(i_eff, CONTENTION_CLAMP_A)``:
+    a drive just below the clamp is raised to it, one at or above it is
+    kept, and a NaN drive stays NaN (``i_eff > clamp`` is false for NaN,
+    so ``i_eff if i_eff > clamp else clamp`` would clamp it)."""
+    cell = device.CellModel(config_for(F.AND, CellFlavor.CAMO8))
+    assert cell.n_route == 2   # so halving the drive per member is exact
+    clamp = CONTENTION_CLAMP_A
+    for drive in (math.nextafter(clamp, 0.0), clamp,
+                  math.nextafter(clamp, 1.0), 1e-6, math.nan):
+        # both edges drive exactly ``drive``: no OFF member, no core leakage
+        point = device.OperatingPoint(vdd_actual=1.0, c_load=1e-15,
+                                      on_n=drive / 2, on_p=drive / 2,
+                                      off_n=0.0, off_p=0.0)
+        want = (point.c_load * point.vdd_actual
+                / (2.0 * max(drive, clamp))).hex()
+        for out in (0, 1):
+            assert cell.delay(out, 0.0, point).hex() == want, (drive, out)
+
+
+#: each side of sidechannel._LOG_FLOOR (1e-300), both zeros, both
+#: infinities and NaN, which max() keeps (``NaN > floor`` is false)
+_FLOOR_EDGES = (math.nan, -math.inf, -1.0, -0.0, 0.0, 5e-324, 1e-310, 1e-300,
+                math.nextafter(1e-300, 1.0), 1.0, math.inf)
+
+
+def test_features_floor_as_max_does():
+    for x in _FLOOR_EDGES:
+        obs = (Observation((0, 0), 300.0, x, x),)
+        want = math.log10(max(x, 1e-300)).hex()
+        got = sidechannel._features(obs, ())
+        assert [f.hex() for f in got] == [want, want], x
+
+
 # values at and below sidechannel._LOG_FLOOR (1e-300), which the features
 # floor before taking logs; 1e-310 is subnormal
-_FLOORED = {"floor": 1e-300, "zero": 0.0, "negative": -1e-12,
-            "subnormal": 1e-310}
+_FLOORED = {"floor": 1e-300, "zero": 0.0, "negative_zero": -0.0,
+            "negative": -1e-12, "subnormal": 1e-310}
 
 
 def _corrupt(signature, how):
@@ -585,6 +619,15 @@ flavor_subset_st = st.sampled_from(list(CellFlavor)).flatmap(
 @example((CellFlavor.CAMO8, set(CellFlavor.CAMO8.function_set)), "fixed",
          DeviceParams(), [250.0, 350.0], 2, 0.05, 4, "template",
          "subnormal")
+@example((CellFlavor.CAMO8, set(CellFlavor.CAMO8.function_set)), "fixed",
+         DeviceParams(), [250.0, 350.0], 2, 0.05, 4, "template", "floor")
+@example((CellFlavor.CAMO8, set(CellFlavor.CAMO8.function_set)), "fixed",
+         DeviceParams(), [250.0, 350.0], 2, 0.05, 4, "template", "zero")
+@example((CellFlavor.CAMO8, set(CellFlavor.CAMO8.function_set)),
+         "thermal_compensated", DeviceParams(), [300.0, 250.0], 6, 0.05, 5,
+         "template", "negative_zero")
+@example((CellFlavor.CAMO8, set(CellFlavor.CAMO8.function_set)), "fixed",
+         DeviceParams(), [250.0, 350.0], 2, 0.05, 4, "template", "negative")
 def test_classify_function_matches_reference(flavor_subset, policy, p, temps,
                                              pick, sigma, seed, where, how):
     flavor, funcs = flavor_subset
