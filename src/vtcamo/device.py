@@ -364,8 +364,9 @@ class CellModel:
         i_eff = rise if rise < fall else fall
         if i_eff <= 0.0:
             self.detail(out, core, point)  # raises ContentionCollapseError
-        return point.c_load * point.vdd_actual / (
-            2.0 * max(i_eff, CONTENTION_CLAMP_A))
+        # max(i_eff, CONTENTION_CLAMP_A) without a call: a NaN i_eff is kept
+        return point.c_load * point.vdd_actual / (2.0 * (
+            CONTENTION_CLAMP_A if CONTENTION_CLAMP_A > i_eff else i_eff))
 
     def detail(self, out: int, core: float, point: OperatingPoint,
                include_contention: bool = True) -> tuple:

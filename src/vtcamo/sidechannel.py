@@ -230,7 +230,9 @@ def _spans(grid) -> list[tuple[int, int]]:
 def _features(obs: tuple[Observation, ...], spans) -> list[float]:
     """Log-leakage and log-delay per point, plus thermal slopes per vector."""
     log10 = math.log10
-    feats = [log10(max(x, _LOG_FLOOR)) for o in obs for x in o[2:]]
+    # max(x, _LOG_FLOOR) without a call per value: NaN is kept, then refused
+    feats = [log10(_LOG_FLOOR if _LOG_FLOOR > x else x)
+             for o in obs for x in o[2:]]
     return feats + [feats[hot] - feats[cool] for cool, hot in spans]
 
 
