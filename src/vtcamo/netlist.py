@@ -820,9 +820,10 @@ class OutputTables:
 
 
 def all_vectors(width: int):
-    """All input vectors of a width, in binary counting order."""
+    """All input vectors of a width, in binary counting order (a width
+    over the exhaustive limit is refused at the call, not the first draw)."""
     _check_exhaustive(width)
-    yield from product((0, 1), repeat=width)
+    return product((0, 1), repeat=width)
 
 
 #: ``randint(0, 1)`` is a 32-bit word's top two bits, drawn again if 2 or 3.

@@ -158,6 +158,18 @@ class TestBruteForce:
             brute_force_attack(locked, oracle, source, query_budget=-1)
         assert oracle.query_count == 0
 
+    @pytest.mark.parametrize("budget", [0, 1, 5])
+    def test_exhaustive_source_refuses_a_wide_net_at_any_budget(self, budget):
+        width = netlist.EXHAUSTIVE_INPUT_LIMIT + 1
+        text = "".join(f"INPUT(i{k})\n" for k in range(width))
+        _, locked, key = _lock(text + "OUTPUT(y)\ny = NAND(i0, i1)\n", ["y"])
+        oracle = CountingOracle(locked, key)
+        with pytest.raises(InvalidParameterError, match=(
+                f"^{width} inputs exceeds the exhaustive limit of "
+                f"{netlist.EXHAUSTIVE_INPUT_LIMIT}$")):
+            brute_force_attack(locked, oracle, "exhaustive", budget)
+        assert oracle.query_count == 0
+
     def test_random_source_is_budget_bound(self):
         _, locked, key = _lock(CHAIN2, ["g1", "z"])
         oracle = CountingOracle(locked, key)

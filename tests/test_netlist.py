@@ -1,7 +1,7 @@
 """Netlist parsing, simulation, equivalence, and timing analysis."""
 
 import random
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -261,6 +261,16 @@ class TestSimulation:
     def test_exhaustive_guard(self):
         with pytest.raises(InvalidParameterError):
             list(all_vectors(EXHAUSTIVE_INPUT_LIMIT + 1))
+
+    def test_exhaustive_guard_refuses_at_the_call(self):
+        with pytest.raises(InvalidParameterError, match=(
+                "^25 inputs exceeds the exhaustive limit of 24$")):
+            all_vectors(EXHAUSTIVE_INPUT_LIMIT + 1)
+
+    @pytest.mark.parametrize("width", range(4))
+    def test_vectors_are_the_binary_product(self, width):
+        assert list(all_vectors(width)) == list(product((0, 1),
+                                                        repeat=width))
 
     def test_random_vectors_are_seeded(self):
         a = list(random_vectors(8, 20, seed=9))
