@@ -240,15 +240,18 @@ class TestCliCommands:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "InvalidParameterError"
 
-    @pytest.mark.parametrize("strategy", ["random", "xor-seq",
-                                          "off-critical"])
+    @pytest.mark.parametrize("strategy, delay_budget", [
+        ("random", "0.2"), ("xor-seq", "0.2"), ("off-critical", "0.2"),
+        ("random", "0"),
+    ], ids=["random", "xor-seq", "off-critical", "random-zero"])
     def test_lock_refuses_a_delay_budget_its_strategy_ignores(
-            self, capsys, tmp_path, strategy):
+            self, capsys, tmp_path, strategy, delay_budget):
         # it used to write the same netlist and key for any value; refused
-        # before the bench is read
+        # before the bench is read, a zero budget too
         code, out, err = _run(capsys, [
             "lock", str(tmp_path / "ghost.bench"), "--strategy", strategy,
-            "--delay-budget", "0.2", "--out-bench", str(tmp_path / "x.bench"),
+            "--delay-budget", delay_budget,
+            "--out-bench", str(tmp_path / "x.bench"),
             "--out-key", str(tmp_path / "x.key")])
         assert (code, out) == (1, "")
         assert err == json.dumps({
@@ -281,11 +284,12 @@ class TestCliCommands:
     def test_equiv_refuses_vectors_in_exhaustive_mode(self, capsys, tmp_path,
                                                       c17_file):
         # it used to check all 32 vectors and exit 0; refused before the
-        # netlists are read
+        # netlists are read, a zero sample size too
         ghost = str(tmp_path / "ghost.bench")
-        for argv in ([c17_file, c17_file], [ghost, ghost, "--mode",
-                                             "exhaustive"]):
-            code, out, err = _run(capsys, ["equiv", *argv, "--vectors", "5"])
+        for argv in ([c17_file, c17_file, "--vectors", "5"],
+                     [ghost, ghost, "--mode", "exhaustive", "--vectors", "5"],
+                     [c17_file, c17_file, "--vectors", "0"]):
+            code, out, err = _run(capsys, ["equiv", *argv])
             assert (code, out) == (1, "")
             lines = err.splitlines()
             assert len(lines) == 1
