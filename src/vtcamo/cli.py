@@ -3,16 +3,16 @@
 The subcommands are declared once, in ``COMMANDS``: handler, help line
 and argument specs, then the common --config, --seed, --no-timestamp and
 --out options. A call builds only the subparser its first argument names
-(every one when it names none). ``main`` loads the run config once
-(--config, then --seed) and hands it to the handler with the arguments;
-the handler returns its report, which ``main`` emits with its
-``command`` as JSON on stdout (or to --out) with exit 0; ``sweep``
-writes its CSV itself. Domain failures, malformed inputs, missing files,
-bad keys, oversized attacks, print a one-line JSON error object to
-stderr and exit 1; argparse usage errors print usage to stderr and
-exit 2. Output files are written to a temporary name and renamed into
-place so a crash cannot leave a partial file, and reruns with
---no-timestamp are byte-identical for the same inputs and seed.
+(every one when it names none). ``main`` loads the run config (--config,
+then --seed), refuses an option given under any but the one value of
+another that ``_APPLIES_UNDER`` names, and hands config and arguments to
+the handler; ``main`` emits its report with its ``command`` as JSON on
+stdout (or to --out) with exit 0; ``sweep`` writes its CSV itself.
+Domain failures, malformed inputs, missing files, bad keys, oversized
+attacks, print a one-line JSON error to stderr and exit 1; argparse
+usage errors print usage to stderr and exit 2. Output files are renamed
+into place from a temporary name, so a crash leaves no partial file, and
+reruns with --no-timestamp are byte-identical for the same inputs.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from . import sidechannel as side_mod
 from .camouflage import (SelectionPolicy, apply_camouflage, effort_estimate,
                          overhead_report, select_gates)
 from .config import FLAVOR_NAMES, RunConfig, load_config
-from .device import BiasPoint, default_bias, optimize_bias, sweep_to_csv, sweep_vt_window
+from .device import default_bias, optimize_bias, sweep_to_csv, sweep_vt_window
 from .errors import FlavorMismatchError, InvalidParameterError, VtcamoError
 from .netlist import (
     CamoKey,
@@ -113,6 +113,12 @@ def _net_summary(net: Netlist) -> dict:
     }
 
 
+def _given(args, *options: str) -> dict:
+    """The options given, by dest: not None nor, by identity, False."""
+    found = {o: getattr(args, o, None) for o in options}
+    return {o: v for o, v in found.items() if v is not None and v is not False}
+
+
 def _overhead(report) -> dict:
     return {"area_pct": report.area_pct, "power_pct": report.power_pct,
             "delay_pct": report.delay_pct}
@@ -123,16 +129,11 @@ def _cmd_parse(args, cfg) -> dict:
 
 
 def _cmd_lock(args, cfg) -> dict:
-    if args.delay_budget is not None and args.strategy != "greedy-effort":
-        raise InvalidParameterError(
-            "--delay-budget applies to --strategy greedy-effort only")
-    delay_budget = (SelectionPolicy.delay_budget if args.delay_budget is None
-                    else args.delay_budget)
     net = _load_net(args.bench)
     flavor = FLAVOR_NAMES[args.flavor]
     policy = SelectionPolicy(strategy=_STRATEGIES[args.strategy],
-                             budget=args.budget, delay_budget=delay_budget,
-                             seed=cfg.seed)
+                             budget=args.budget, seed=cfg.seed,
+                             **_given(args, "delay_budget"))
     camo = [g.gate_id for g in net.camo_gates()]
     if camo:  # a new key could not cover these cells
         raise FlavorMismatchError(f"gates {camo!r} are already camouflaged")
@@ -169,8 +170,6 @@ def _cmd_sim(args, cfg) -> dict:
 
 
 def _cmd_equiv(args, cfg) -> dict:
-    if args.mode == "exhaustive" and args.vectors is not None:
-        raise InvalidParameterError("--vectors applies to --mode random only")
     net_a = _load_net(args.bench_a)
     net_b = _load_net(args.bench_b)
     key_a = _load_key(args.key_a) if args.key_a else None
@@ -195,19 +194,13 @@ def _cmd_equiv(args, cfg) -> dict:
 
 
 def _cmd_attack(args, cfg) -> dict:
-    if args.method == "brute" and args.no_flavor_knowledge:
-        raise InvalidParameterError(
-            "--no-flavor-knowledge applies to --method sensitization only")
-    if args.method == "sensitization" and args.pattern_source != "exhaustive":
-        raise InvalidParameterError(
-            "--pattern-source applies to --method brute only")
     net = _load_net(args.bench)
     key = _load_key(args.key)
     oracle = attack_mod.CountingOracle(net, key)  # validates the key
     if args.method == "brute":
         report = attack_mod.brute_force_attack(
-            net, oracle, pattern_source=args.pattern_source,
-            query_budget=args.budget, seed=cfg.seed)
+            net, oracle, query_budget=args.budget, seed=cfg.seed,
+            **_given(args, "pattern_source"))
     else:
         report = attack_mod.sensitization_attack(
             net, oracle, flavor_knowledge=not args.no_flavor_knowledge,
@@ -311,10 +304,8 @@ def _parse_range(raw: str) -> tuple[float, float]:
 
 
 def _cmd_sweep(args, cfg) -> None:
-    bias = default_bias(cfg.device)
-    if args.vg_n is not None or args.vg_p is not None:
-        bias = BiasPoint(args.vg_n if args.vg_n is not None else bias.vg_n,
-                         args.vg_p if args.vg_p is not None else bias.vg_p)
+    bias = dataclasses.replace(default_bias(cfg.device),
+                               **_given(args, "vg_n", "vg_p"))
     t = cfg.device.t_ref if args.t is None else args.t
     rows = sweep_vt_window(_parse_range(args.hvt), _parse_range(args.lvt),
                            args.step, bias, t, cfg.device)
@@ -426,8 +417,7 @@ COMMANDS = {
         _arg("--key", required=True),
         _arg("--method", choices=("brute", "sensitization"),
              default="sensitization"),
-        _arg("--pattern-source", choices=("exhaustive", "random"),
-             default="exhaustive"),
+        _arg("--pattern-source", choices=("exhaustive", "random")),
         _arg("--budget", type=int, help="maximum oracle queries"),
         _arg("--no-flavor-knowledge", action="store_true",
              help="attacker does not know each cell's flavor"),
@@ -468,6 +458,12 @@ COMMANDS = {
                [_arg("bench"), _arg("--key")]),
 }
 
+#: option -> (the option it depends on, the one value it applies under)
+_APPLIES_UNDER = {"delay_budget": ("strategy", "greedy-effort"),
+                  "vectors": ("mode", "random"),
+                  "no_flavor_knowledge": ("method", "sensitization"),
+                  "pattern_source": ("method", "brute")}
+
 
 def build_parser(argv=()) -> argparse.ArgumentParser:
     """The root parser; only argv's subcommand when argv[0] names one.
@@ -497,6 +493,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
+        for option, (on, value) in _APPLIES_UNDER.items():
+            if _given(args, option) and getattr(args, on) != value:
+                raise InvalidParameterError(f"--{option.replace('_', '-')} "
+                                            f"applies to --{on} {value} only")
         report = COMMANDS[args.command][0](args, cfg)
         if report is not None:
             _emit({"command": args.command, **report}, args)

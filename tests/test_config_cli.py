@@ -221,11 +221,13 @@ class TestCliCommands:
         ["--method", "brute", "--no-flavor-knowledge"],
         ["--method", "sensitization", "--pattern-source", "random"],
         ["--pattern-source", "random", "--budget", "4"],
+        ["--method", "sensitization", "--pattern-source", "exhaustive"],
     ], ids=["brute-no-flavor-knowledge", "sensitization-random",
-            "default-method-random"])
+            "default-method-random", "sensitization-exhaustive"])
     def test_attack_refuses_an_option_its_method_ignores(
             self, capsys, tmp_path, c17_file, argv):
-        # both used to run and report as if the option were not given
+        # each used to run and report as if the option were not given; the
+        # brute default spelled out is refused too
         locked, keyfile = (str(tmp_path / n) for n in ("l.bench", "l.key"))
         assert main(["lock", c17_file, "--flavor", "cmos3a", "--budget",
                      "0.4", "--seed", "1", "--out-bench", locked,
