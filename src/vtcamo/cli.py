@@ -357,9 +357,9 @@ def _cmd_report(args, cfg) -> dict:
     if args.key:
         validate_key(net, _load_key(args.key))
     overhead = overhead_report(net, cfg.cost)
-    camo = net.camo_gates()
-    est = _effort(len(net.inputs), len(camo), max(
-        (len(g.flavor.function_set) for g in camo), default=1))
+    sets = [len(g.flavor.function_set) for g in net.camo_gates()]
+    est = _effort(len(net.inputs), 1, math.prod(  # each cell's own set
+        f ** sets.count(f) for f in set(sets)))
     return {
         "file": args.bench,
         "netlist": _net_summary(net),

@@ -401,6 +401,29 @@ class TestCliCommands:
         assert doc["overhead"]["camo_count"] == doc["netlist"]["camo_count"]
         assert int(doc["effort"]["pattern_count"]) == 2 ** 5
 
+    def test_report_counts_each_cells_own_function_set(self, capsys,
+                                                       tmp_path):
+        # it used to count 8 ** 2 once one cell was CAMO8; the attacks
+        # start from 8 x 3
+        bench, key = tmp_path / "m.bench", tmp_path / "m.key"
+        bench.write_text("INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\n"
+                         "y = CAMO8(a, b)\nz = CMOS3A(a, b)\n")
+        key.write_text("y=NAND\nz=NOR\n")
+        code, out, _ = _run(capsys, ["report", str(bench), "--key", str(key),
+                                     "--no-timestamp"])
+        assert code == 0
+        effort = json.loads(out)["effort"]
+        assert effort["candidate_count"] == "24"
+        assert effort["years_retest"] == pytest.approx(
+            4 * 24 / 1e9 / SECONDS_PER_YEAR)
+        for method in ("brute", "sensitization"):
+            code, out, _ = _run(capsys, ["attack", str(bench), "--key",
+                                         str(key), "--method", method,
+                                         "--no-timestamp"])
+            assert code == 0
+            log2 = json.loads(out)["candidate_space_log2_initial"]
+            assert round(2 ** log2) == 24
+
     def test_effort_past_a_float_is_null(self, capsys, tmp_path):
         # json.dumps writes an overflowed float as Infinity, which no
         # strict JSON reader accepts
