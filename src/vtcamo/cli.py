@@ -114,7 +114,7 @@ def _net_summary(net: Netlist) -> dict:
 
 
 def _given(args, *options: str) -> dict:
-    """The options given, by dest: not None nor, by identity, False."""
+    """The options given, by dest: neither None nor (by identity) False."""
     found = {o: getattr(args, o, None) for o in options}
     return {o: v for o, v in found.items() if v is not None and v is not False}
 
