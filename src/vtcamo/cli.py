@@ -358,7 +358,7 @@ def _cmd_report(args, cfg) -> dict:
         validate_key(net, _load_key(args.key))
     overhead = overhead_report(net, cfg.cost)
     sets = [len(g.flavor.function_set) for g in net.camo_gates()]
-    est = _effort(len(net.inputs), 1, math.prod(  # each cell's own set
+    est = _effort(len(net.inputs), 1, math.prod(  # k=1: per-cell set product
         f ** sets.count(f) for f in set(sets)))
     return {
         "file": args.bench,
