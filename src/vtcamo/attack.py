@@ -25,9 +25,10 @@ the hidden truth table entry off the oracle response. The residue goes
 to the joint step, which walks the input space in counting order
 (_AttackRun.walk) and drops the survivors whose outputs differ from each
 new reply: one check where they all agree on its vector. The replay and
-the walk run the candidates depth first: candidates that agree up to a
-camouflaged gate share one run of the logic before it, and the replay
-drops a group at its first wrong output.
+the walk run the candidates depth first, one camouflaged gate at a time:
+candidates that agree on the gates so far share one run of the logic
+that the last of them reaches and no later one does, and the replay
+drops a group at the first output that logic gets wrong.
 
 Propagation is checked on the netlist module's bit-parallel dual-rail
 core with the target forced to 0 and to 1, every unresolved camouflaged

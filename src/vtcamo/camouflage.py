@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from .cell import BASE_FUNCTIONS, UNDERLYING, CellFlavor, GateFunction
 from .errors import (
-    DecoySelectionError,
     FlavorMismatchError,
     InvalidCostTableError,
     InvalidParameterError,
@@ -128,11 +127,9 @@ def _pick_decoy(net: Netlist, fanout: list[list[int]], n: int,
                 depth: list[int] | None, rng: random.Random | None) -> int:
     """The decoy net number for gate net ``n`` (see module docstring)."""
     cone = reachable(fanout, n)
-    # net numbers run in definition order, inputs first
+    # net numbers run in definition order, inputs first; a netlist with a
+    # gate has an input, and no input is in a fanout cone: never empty
     candidates = [m for m in range(len(fanout)) if m not in cone]
-    if not candidates:
-        raise DecoySelectionError(
-            f"no net outside the fanout cone of {net._names[n]!r}")
     if rng is not None:
         return rng.choice(sorted(candidates, key=net._names.__getitem__))
     # min() breaks ties by definition order

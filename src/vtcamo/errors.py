@@ -90,7 +90,8 @@ class FlavorMismatchError(VtcamoError):
 
 
 class DecoySelectionError(VtcamoError):
-    """No legal decoy net exists for a single-input camouflaged gate."""
+    """No legal decoy net for a single-input camouflaged gate (never raised:
+    no primary input is in a gate's fanout cone; kept for callers)."""
 
 
 class InvalidCostTableError(VtcamoError):

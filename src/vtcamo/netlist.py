@@ -701,6 +701,11 @@ class OutputTables:
     words over it are computed once, while all items' words fit in
     _TABLE_BITS, and every query is a bit lookup. Otherwise a query runs
     the items on its one vector.
+
+    The ops are sorted, stably, by level: a slot's rank in op order, any
+    other op's deepest fanin level (an input's is 0). Level d runs once
+    per group of items that agree on the first d slots, then checks the
+    outputs of its level.
     """
 
     def __init__(self, net: Netlist, gate_ids, candidates,
@@ -709,25 +714,37 @@ class OutputTables:
         where = {k: i for i, k in enumerate(map(_op, repeat(net), gate_ids))
                  if k >= 0 and prog.ops[k][0] == _UNKNOWN}
         slots = sorted(where)
-        ends = [prog.width + k for k in (*slots, len(ops))]
+        rank = {k: r for r, k in enumerate(slots, 1)}
+        level = [0] * prog.width  # per net: the last slot it is or reads
+        for k, (_, _, a, b) in enumerate(ops):
+            level.append(rank.get(k) or max(level[a], level[b]))
+        # stable, so still topological, and each slot leads its level
+        order = sorted(range(len(ops)), key=level[prog.width:].__getitem__)
+        new = list(range(prog.width + len(ops)))
+        for p, k in enumerate(order):
+            new[prog.width + k] = prog.width + p
+        ops = [(*ops[k][:2], new[ops[k][2]], new[ops[k][3]]) for k in order]
+        ends = [new[prog.width + k] - prog.width for k in slots] + [len(ops)]
         self.items = list(candidates)
-        self._head = ops[:slots[0] if slots else len(ops)]
+        self._head = ops[:ends[0]]
         self._positions = [where[k] for k in slots]
         self._segments = [
-            {f: ((*op, *ops[k][2:]), *ops[k + 1:end - prog.width])
-             for f, op in _OPS.items()} for k, end in zip(slots, ends[1:])]
-        self._checks = [[(o, n) for o, n in enumerate(prog.outputs)
-                         if lo <= n < hi] for lo, hi in zip((0, *ends), ends)]
-        self._outputs, self._width = prog.outputs, prog.width
+            {f: ((*op, *ops[k][2:]), *ops[k + 1:end])
+             for f, op in _OPS.items()} for k, end in zip(ends, ends[1:])]
+        self._checks = [[] for _ in ends]
+        for o, n in enumerate(prog.outputs):  # checked once its level ran
+            self._checks[level[n]].append((o, new[n]))
+        self._outputs = tuple(map(new.__getitem__, prog.outputs))
+        self._width = prog.width
         self._tables = self._differ = None
 
     def run(self, words, mask: int, expected=None) -> list:
         """Per item, its output words, or whether they equal ``expected``.
 
         Depth first: at each slot, in op order, the items are grouped by
-        their function there; a group shares one run of the ops up to the
-        next slot, on rail lists cut back to the slot, and is dropped once
-        an output run so far is not as expected."""
+        their function there; a group shares one run of the slot's level,
+        on rail lists cut back to the level before, and is dropped once an
+        output run so far is not as expected."""
         rows = [None] * len(self.items)
 
         def descend(depth, group, rails):

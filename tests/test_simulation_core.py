@@ -15,9 +15,13 @@ The depth-first joint replay behind ``OutputTables`` is also checked
 against ``reference_filter``, the per-candidate filter it replaced: each
 candidate's ops resolved on their own and the whole netlist run once per
 candidate, also on whole-space transcripts in counting order (whose input
-columns the replay does not pack) and shuffled. The oracle refuses the
-same vectors before and after its reply table fills, and a table hit is
-answered with no width or bit check.
+columns the replay does not pack) and shuffled. Its program, sorted by
+slot level, must stay topological and give every net the rails of the
+compiled program; on a hand-built net, a group's run holds only the
+logic its slot reaches, and a wrong output prunes a group before its
+deeper slots run. The oracle refuses the same vectors before and after
+its reply table fills, and a table hit is answered with no width or bit
+check.
 """
 
 from __future__ import annotations
@@ -426,7 +430,7 @@ def replay_cases(draw):
         gates.append(Gate(f"g{k}", tuple(rnd.choices(nets, k=arity)),
                           func=func))
         nets.append(f"g{k}")
-    outputs = rnd.sample(nets, rnd.randint(1, 4))
+    outputs = rnd.sample(nets, rnd.randint(1, min(4, len(nets))))
     net = Netlist(tuple(nets[:width]), tuple(outputs), tuple(gates))
     flavor = draw(st.sampled_from(list(CellFlavor)))
     eligible = eligible_gates(net, flavor)
@@ -475,6 +479,79 @@ def test_replay_matches_the_per_candidate_filter(case, block_log2):
                                 fixed)
     assert got == want
     assert got  # the candidate the outputs came from survives
+
+
+def reference_levels(prog, slots) -> list:
+    """Per op: a slot's rank in ``slots`` (op order, from 1), else the
+    deepest level among its fanins (an input's is 0)."""
+    level = [0] * prog.width
+    for k, (_, _, a, b) in enumerate(prog.ops):
+        level.append(slots.index(k) + 1 if k in slots
+                     else max(level[a], level[b]))
+    return level[prog.width:]
+
+
+@_SETTINGS
+@given(replay_cases())
+def test_leveled_program_keeps_every_nets_rails(case):
+    """Under a full assignment, the head and one segment per slot are the
+    program's ops sorted stably by level, still topological, and each net
+    has the rails it has in the program as compiled."""
+    locked, gate_ids, candidates, fixed, _ = case
+    prog, width = locked._program(), len(locked.inputs)
+    slots = sorted(k for k in map(netlist._op, [locked] * len(gate_ids),
+                                  gate_ids)
+                   if k >= 0 and prog.ops[k][0] == netlist._UNKNOWN)
+    level = reference_levels(prog, slots)
+    order = sorted(range(len(prog.ops)), key=level.__getitem__)
+    tables = OutputTables(locked, gate_ids, candidates, fixed)
+    words, mask = netlist._block_words(width, 0)
+    for candidate in candidates[:4]:
+        ops = [*tables._head]
+        for segments, at in zip(tables._segments, tables._positions):
+            ops += segments[candidate[at]]
+        for p, (_, _, a, b) in enumerate(ops):
+            assert a < width + p and b < width + p
+        want = netlist._resolve(locked, [*fixed.items(),
+                                         *zip(gate_ids, candidate)])
+        old = netlist._run(want, words, mask)
+        new = netlist._run(ops, words, mask)
+        for rails, was in zip(new, old):
+            assert rails[:width] == was[:width]
+            assert rails[width:] == [was[width + k] for k in order]
+        assert [new[1][n] for n in tables._outputs] == [
+            old[1][n] for n in prog.outputs]
+
+
+def _cone_net() -> Netlist:
+    """Two CAMO8 slots; after the second in file order, logic that reads
+    only the first, ending in output y; z reads the second."""
+    camo = CellFlavor.CAMO8
+    return Netlist(("a", "b", "c"), ("y", "z"), (
+        Gate("s1", ("a", "b"), flavor=camo),
+        Gate("p", ("s1", "c"), func=F.AND),
+        Gate("s2", ("b", "c"), flavor=camo),
+        Gate("r", ("p", "c"), func=F.XOR),
+        Gate("y", ("r", "a"), func=F.NAND),
+        Gate("z", ("s2", "a"), func=F.OR)))
+
+
+def test_each_group_runs_only_the_logic_its_slot_reaches():
+    net = _cone_net()
+    tables = OutputTables(net, ["s1", "s2"], product(
+        (F.NAND, F.NOR), (F.AND, F.OR)))
+    cone = netlist.reachable(net._fanouts, net._index["s2"])
+    # a=1, b=0, c=1: y is s1, so NOR's y is wrong; z is 1 for both s2s
+    for expected, depths in ((None, [0, 1, 2, 2, 1, 2, 2]),
+                             ([1, 1], [0, 1, 2, 2, 1])):
+        with mock.patch.object(netlist, "_run", wraps=netlist._run) as run:
+            rows = tables.run([1, 0, 1], 1, expected)
+        sizes = [len(call.args[0]) for call in run.call_args_list]
+        # the head is empty; the first segment holds s1, p, r and y, and
+        # each leaf's segment only s2 and z, the fanout cone of s2
+        assert sizes == [(0, 4, len(cone))[d] for d in depths]
+        assert rows == ([[1, 1]] * 2 + [[0, 1]] * 2 if expected is None
+                        else [True, True, False, False])
 
 
 def _whole_space(locked, gate_ids, source, fixed) -> list:
