@@ -315,7 +315,6 @@ def distinguishing_set(
                     if _CODES[f] == _CODES[g])
         raise IndistinguishableError(
             f"{f!r} and {g!r} have identical truth tables")
-    for combo, mask in _SUBSETS:
-        if len({c & mask for c in codes}) == len(codes):
-            return combo
-    raise IndistinguishableError("no distinguishing set exists")  # unreachable
+    # the full mask ends _SUBSETS and separates any distinct codes
+    return next(combo for combo, mask in _SUBSETS
+                if len({c & mask for c in codes}) == len(codes))

@@ -129,6 +129,10 @@ def _cmd_parse(args, cfg) -> dict:
 
 
 def _cmd_lock(args, cfg) -> dict:
+    outs = [os.path.realpath(p) for p in (args.locked_out, args.key_out,
+                                          args.out) if p]
+    if len(set(outs)) < len(outs):  # a later write would replace the file
+        raise InvalidParameterError("each output option needs its own file")
     net = _load_net(args.bench)
     flavor = FLAVOR_NAMES[args.flavor]
     policy = SelectionPolicy(strategy=_STRATEGIES[args.strategy],
@@ -505,7 +509,3 @@ def main(argv=None) -> int:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

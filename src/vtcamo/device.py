@@ -451,7 +451,7 @@ def gate_leakage(config: CamoConfig, inputs: tuple[int, int], t: float,
 
 @dataclass(frozen=True)
 class DelayDetail:
-    """Breakdown of a delay estimate, used by sweeps and tests."""
+    """``delay_detail``'s breakdown of a delay estimate."""
 
     delay_s: float
     i_on: float

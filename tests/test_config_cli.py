@@ -262,6 +262,32 @@ class TestCliCommands:
                        "only"}, sort_keys=True) + "\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("bench_out, key_out, out", [
+        ("l.bench", "l.key", "l.bench"), ("x", "x", None),
+        ("l.bench", "d/../l.key", "l.key"),
+    ], ids=["bench-and-report", "bench-and-key", "key-and-report"])
+    def test_lock_refuses_two_outputs_in_one_file(
+            self, capsys, tmp_path, c17_file, bench_out, key_out, out):
+        # the later write used to replace the earlier one, with exit 0;
+        # refused before the bench is read and before anything is written
+        (tmp_path / "d").mkdir()
+        argv = ["lock", str(tmp_path / "ghost.bench"),
+                "--out-bench", str(tmp_path / bench_out),
+                "--out-key", str(tmp_path / key_out)]
+        argv += ["--out", str(tmp_path / out)] if out else []
+        code, stdout, err = _run(capsys, argv)
+        assert (code, stdout) == (1, "")
+        assert err == json.dumps({
+            "error": "InvalidParameterError",
+            "message": "each output option needs its own file"},
+            sort_keys=True) + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c17.bench", "d"]
+        argv[1] = c17_file  # a readable bench is refused the same way
+        assert _run(capsys, argv) == (code, stdout, err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c17.bench", "d"]
+
     def test_greedy_effort_delay_budget_defaults_to_five_percent(
             self, capsys, tmp_path):
         bench = tmp_path / "synth_wide.bench"

@@ -28,6 +28,7 @@ from conftest import bench_text
 from vtcamo import device, sidechannel
 from vtcamo.camouflage import apply_camouflage, eligible_gates
 from vtcamo.cell import (
+    LOCAL_VECTORS,
     UNDERLYING,
     VT,
     CellFlavor,
@@ -535,6 +536,41 @@ def test_delay_clamps_the_drive_as_max_does():
                 / (2.0 * max(drive, clamp))).hex()
         for out in (0, 1):
             assert cell.delay(out, 0.0, point).hex() == want, (drive, out)
+
+
+def _delay_agrees_with_detail(p, bias, t, vdd=None) -> int:
+    """Check ``CellModel.delay`` against ``detail`` on every flavor's cells
+    times LOCAL_VECTORS: the same collapse, else the same delay bits.
+    Returns how many rows collapse."""
+    core_off = device.core_currents(t, p)
+    point = device.operating_point(bias, p.vdd if vdd is None else vdd, t, p)
+    collapsed = 0
+    for flavor, cells in device._FLAVOR_CELLS.items():
+        for cell in cells:
+            for vec in LOCAL_VECTORS:
+                out, core = cell.core(vec, core_off)
+                want = outcome(lambda: cell.detail(out, core, point)[0].hex())
+                got = outcome(lambda: cell.delay(out, core, point).hex())
+                assert got == want, (flavor, cell.func, vec)
+                collapsed += isinstance(want, tuple)
+    return collapsed
+
+
+def test_delay_collapses_exactly_when_detail_does():
+    """``_worst_delay`` keeps its re-raise: it runs only if ``delay``
+    collapses on a worst row while ``detail`` returns on every row, which
+    this pins as impossible on every row at these points. FLAT is the
+    golden ``sweep`` corner at VT offsets (0, 0)."""
+    counts = [_delay_agrees_with_detail(*point) for point in
+              (NOMINAL, STARVED, FLAT, COLLAPSE_AND, TWO_ROUTE)]
+    rows = sum(len(cells) for cells in device._FLAVOR_CELLS.values()) * 4
+    assert counts == [0, rows, rows, 20, 0]
+
+
+@SETTINGS
+@given(params_st, bias_st, temp_st, st.one_of(st.none(), st.floats(0.5, 1.5)))
+def test_delay_agrees_with_detail_at_any_point(p, bias, t, vdd):
+    _delay_agrees_with_detail(p, bias, t, vdd)
 
 
 #: each side of sidechannel._LOG_FLOOR (1e-300), both zeros, both

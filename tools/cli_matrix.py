@@ -6,8 +6,11 @@ budgets 0.2/0.5/1.0 x seeds 0/5 on ``c17`` and ``synth_mix``, and
 budget 0.2 on ``synth_wide``; then ``report --key``, exhaustive
 ``equiv``, and brute and sensitization ``attack`` on each locked
 output; plus ``sim``, ``sidechannel``, ``sweep``, ``bias-opt``,
-``estimate`` and the option-rule refusals. Standard library only, like
-``tools/golden_check.py``, whose helpers it uses::
+``estimate``, the option-rule refusals and a ``lock`` that names one
+file twice; then every ``vtcamo`` command of README's ``sh`` blocks.
+It also runs README's ``python`` blocks, and names each printed line
+that differs from the ``# `` comment line under it. Standard library
+only, like ``tools/golden_check.py``, whose helpers it uses::
 
     python3 tools/cli_matrix.py           # compare with the fixture
     python3 tools/cli_matrix.py --write   # re-pin the fixture
@@ -15,10 +18,12 @@ output; plus ``sim``, ``sidechannel``, ``sweep``, ``bias-opt``,
 Every run calls ``vtcamo.cli.main`` in this process with
 ``--no-timestamp``, inside a temporary directory that is the working
 directory, with relative paths, so no absolute path reaches a digest.
-A run's digest covers its exit code, stdout, stderr and every file it
-wrote. The fixture is ``tests/golden/cli_matrix.json``; each argv whose
-digest differs from it is named. Exit status: 0 when every digest
-matches, 1 otherwise.
+The bundled benches sit there under their own names and under
+``src/vtcamo/benches``, the paths README uses. A run's digest covers its
+exit code, stdout, stderr and every file it wrote. The fixture is
+``tests/golden/cli_matrix.json``; each argv whose digest differs from it
+is named. Exit status: 0 when every digest matches and every README
+``python`` line prints what README says, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -26,9 +31,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import platform
+import re
+import shlex
 import sys
 import tempfile
 import time
@@ -38,6 +46,7 @@ from pathlib import Path
 from golden_check import GOLDEN, ROOT, differences
 
 FIXTURE = GOLDEN / "cli_matrix.json"
+README = ROOT / "README.md"
 BENCHES = ("c17", "synth_mix", "synth_wide")
 FLAVORS = ("camo8", "cmos3a", "cmos3b")
 STRATEGIES = ("random", "xor-seq", "off-critical", "greedy-effort")
@@ -56,6 +65,49 @@ def _locks():
                                       strategy, "--budget", budget,
                                       "--seed", seed],
                                f"{name}.bench", f"{name}.key")
+
+
+def _fenced(lang: str) -> list[str]:
+    """The body of each README code block fenced as ``lang``."""
+    return re.findall(rf"^```{lang}\n(.*?)^```$",
+                      README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def readme_argvs() -> list[list[str]]:
+    """The argv of each ``vtcamo`` (or ``python -m vtcamo``) command in
+    README's ``sh`` blocks; other commands are not the CLI's."""
+    argvs = []
+    for block in _fenced("sh"):
+        for command in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(command, comments=True)
+            while words and "=" in words[0]:  # VAR=value before a command
+                words.pop(0)
+            if words[:1] == ["vtcamo"]:
+                argvs.append(words[1:])
+            elif words[:3] == ["python", "-m", "vtcamo"]:
+                argvs.append(words[3:])
+    return argvs
+
+
+def readme_python() -> list[str]:
+    """Run README's ``python`` blocks in the working directory; name each
+    printed line that differs from the ``# `` comment lines."""
+    wrong = []
+    for n, block in enumerate(_fenced("python"), 1):
+        want = [line[2:] for line in block.splitlines()
+                if line.startswith("# ")]
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                exec(compile(block, f"README python block {n}", "exec"), {})
+        except Exception as exc:  # named like a wrong line
+            wrong.append(f"README python block {n} raised {exc!r}")
+        got = out.getvalue().splitlines()
+        wrong += [f"README python block {n}, line {i}: printed {g!r}, "
+                  f"README says {w!r}"
+                  for i, (g, w) in enumerate(itertools.zip_longest(got, want),
+                                             1) if g != w]
+    return wrong
 
 
 def matrix() -> list[list[str]]:
@@ -91,6 +143,9 @@ def matrix() -> list[list[str]]:
         ["attack", locked, "--key", key, "--method", "brute",
          "--no-flavor-knowledge"],
         ["attack", locked, "--key", key, "--pattern-source", "random"],
+        # two outputs in one file
+        ["lock", "c17.bench", "--out-bench", "refused.bench", "--out-key",
+         "refused.key", "--out", "refused.bench"],
     ]
     for locked, key in (("c17_cmos3a_random_0.5_0.bench",
                          "c17_cmos3a_random_0.5_0.key"),
@@ -110,7 +165,7 @@ def matrix() -> list[list[str]]:
         ["estimate", "--inputs", "5", "--gates", "3", "--functions", "3",
          "--freq", "1e6"],
     ]
-    return runs
+    return runs + readme_argvs()
 
 
 def _snapshot() -> dict[str, tuple[int, int, int]]:
@@ -142,35 +197,42 @@ def digest(argv: list[str]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def run_matrix() -> dict:
-    """Run the matrix in a temporary directory; its fixture document."""
+def run_matrix() -> tuple[dict, list[str]]:
+    """Run the matrix in a temporary directory: its fixture document, and
+    each README ``python`` line that prints something else."""
     sys.path.insert(0, str(ROOT / "src"))
     old = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            benches = Path("src", "vtcamo", "benches")
+            benches.mkdir(parents=True)
             for stem in BENCHES:
-                bench = ROOT / "src" / "vtcamo" / "benches" / f"{stem}.bench"
+                bench = ROOT / benches / f"{stem}.bench"
                 Path(f"{stem}.bench").write_bytes(bench.read_bytes())
+                (benches / f"{stem}.bench").write_bytes(bench.read_bytes())
             runs = [{"argv": argv, "digest": digest(argv)}
                     for argv in matrix()]
+            wrong = readme_python()
         finally:
             os.chdir(old)
-    return {"runs": runs}
+    return {"runs": runs}, wrong
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     print(f"Python {platform.python_version()}")
     start = time.perf_counter()
-    fresh = run_matrix()
+    fresh, wrong = run_matrix()
     took = time.perf_counter() - start
     print(f"{len(fresh['runs'])} runs in {took:.1f} s")
+    for line in wrong:
+        print(line)
     text = json.dumps(fresh, indent=1, sort_keys=True) + "\n"
     if argv == ["--write"]:
         FIXTURE.write_text(text)
         print(f"wrote {FIXTURE.name}")
-        return 0
+        return 1 if wrong else 0
     if argv:
         print("usage: cli_matrix.py [--write]", file=sys.stderr)
         return 2
@@ -179,7 +241,7 @@ def main(argv=None) -> int:
         return 1
     if text == FIXTURE.read_text():
         print(f"{FIXTURE.name}: byte-identical")
-        return 0
+        return 1 if wrong else 0
     found = differences(fresh, json.loads(FIXTURE.read_text()))
     print(f"{FIXTURE.name}: differs in {len(found)} entries")
     for line in found or ["(same JSON, different bytes)"]:
