@@ -8,13 +8,13 @@ which counts every call, so reported query counts can be audited.
 An attack keeps its state in one _AttackRun: the net, the oracle and its
 budget, the transcript (each vector's reply entered once, as a tuple of
 the right length), each gate's candidate set and the initial log2. Both
-attacks end in the joint step, _AttackRun.resolve: it enumerates the
-product of some gates' candidate sets into one netlist.OutputTables, the
-other gates fixed to their one candidate, replays the transcript into
-it, queries further vectors until one assignment is left, the rest are
-provably interchangeable or the budget runs out, and assigns the status.
-The survivors are interchangeable (settled) when the transcript holds
-every input vector or when they give the same outputs on every vector.
+attacks end in the joint step, _AttackRun.resolve: a netlist.OutputTables
+indexes the product of some gates' candidate sets, the other gates fixed
+to their one candidate; the step replays the transcript into it, queries
+further vectors until one assignment is left, the rest are provably
+interchangeable or the budget runs out, and assigns the status. The
+survivors are interchangeable (settled) when the transcript holds every
+input vector or when they give the same outputs on every vector.
 brute_force_attack asks its whole pattern source in one loop that calls
 nothing per vector but the oracle, then hands every gate to that step.
 sensitization_attack first resolves gates one at a time in topological
@@ -26,9 +26,9 @@ to the joint step, which walks the input space in counting order
 (_AttackRun.walk) and drops the survivors whose outputs differ from each
 new reply: one check where they all agree on its vector. The replay and
 the walk run the candidates depth first, one camouflaged gate at a time:
-candidates that agree on the gates so far share one run of the logic
-that the last of them reaches and no later one does, and the replay
-drops a group at the first output that logic gets wrong.
+candidates that agree on the gates so far, consecutive indices, share
+one run of the logic that the last of them reaches and no later one
+does, and the replay drops a group at the first output it gets wrong.
 
 Propagation is checked on the netlist module's bit-parallel dual-rail
 core with the target forced to 0 and to 1, every unresolved camouflaged
@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice, product
+from itertools import islice
 from operator import add, or_
 from typing import Callable, Iterable
 
@@ -153,29 +153,26 @@ class _AttackRun:
                 walk: bool = False) -> tuple[str, float]:
         """Filter the joint assignments of ``gate_ids``; narrow ``sets``.
 
-        Replays the transcript, each gate outside ``gate_ids`` with one
-        candidate fixed to it, then, until the survivors are settled (the
-        transcript holds every vector or they are mutually equivalent),
-        ``walk``s the input space. Returns the status and the survivors'
-        log2.
+        Replays the transcript, each gate with one candidate fixed to it, then
+        ``walk``s the input space until the survivors settle (the transcript
+        holds every vector or they are mutually equivalent). Returns the status
+        and the survivors' log2; refuses replies no assignment reproduces.
         """
         sets = self.sets
-        fixed = {gid: f for gid, f in self.assignment().items()
-                 if gid not in gate_ids}
-        tables = OutputTables(self.net, gate_ids, product(
-            *(sorted(sets[g]) for g in gate_ids)),
-            fixed).replay(self.transcript.items())
+        tables = OutputTables(self.net, {g: sorted(sets[g]) for g in gate_ids},
+                              self.assignment()).replay(self.transcript.items())
         settled = (len(self.transcript) == 1 << len(self.net.inputs)
                    or tables.agree(EQUIV_CHECK_LIMIT))
         if walk and not settled:
             settled = self.walk(tables)
-        survivors = tables.items
-        for i, gid in enumerate(gate_ids):
-            sets[gid] = {a[i] for a in survivors}
-        status = ("unique" if len(survivors) == 1 else "equivalent_class"
-                  if settled else "budget_exhausted")
-        return status, (math.log2(len(survivors)) if survivors
-                        else float("-inf"))
+        survivors = len(tables.items)
+        if not survivors:
+            raise InvalidParameterError("no candidate assignment reproduces "
+                                        "the oracle's replies")
+        for gid in gate_ids:
+            sets[gid] = {f for f, in tables.survivors([gid])}
+        return ("unique" if survivors == 1 else "equivalent_class" if settled
+                else "budget_exhausted"), math.log2(survivors)
 
     def report(self, status: str, final_log2: float) -> AttackReport:
         return AttackReport(

@@ -42,10 +42,11 @@ from __future__ import annotations
 import heapq
 import random
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from itertools import compress, groupby, islice, product, repeat
-from operator import eq, itemgetter, or_
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, compress, islice, product, repeat
+from operator import eq, itemgetter, mul, or_
 from typing import NamedTuple
 
 from .cell import BASE_FUNCTIONS, UNDERLYING, CellFlavor, GateFunction
@@ -475,29 +476,21 @@ def _compile(net: Netlist) -> _Program:
 
 
 def _op(net: Netlist, gate_id: str) -> int:
-    """Position in the program's ops of a gate's last op; -1 for a name
-    that is no gate."""
-    prog, n = net._program(), net._index.get(gate_id, -1)
-    return prog.index[n] - prog.width if n >= prog.width else -1
+    """Position in the program's ops of a gate's last op."""
+    prog = net._program()
+    return prog.index[net._index[gate_id]] - prog.width
 
 
 def _resolve(net: Netlist, assignment,
              forced: dict[str, int] | None = None) -> list:
-    """The program's ops with ``(gate id, function)`` pairs in their slots.
-
-    A pair naming no camouflaged gate is ignored. A ``forced`` gate
-    becomes a constant.
-    """
-    prog = net._program()
-    ops = list(prog.ops)
+    """The program's ops with ``(camouflaged gate id, function)`` pairs in
+    their slots and each ``forced`` gate a constant."""
+    ops = list(net._program().ops)
     for gid, func in assignment:
         k = _op(net, gid)
-        if k >= 0 and prog.ops[k][0] == _UNKNOWN:
-            ops[k] = (*_OPS[func], *ops[k][2:])
+        ops[k] = (*_OPS[func], *ops[k][2:])
     for gid, bit in (forced or {}).items():
-        k = _op(net, gid)
-        if k >= 0:
-            ops[k] = (_CONST, bool(bit), 0, 0)
+        ops[_op(net, gid)] = (_CONST, bool(bit), 0, 0)
     return ops
 
 
@@ -693,28 +686,28 @@ class CountingOracle:
 
 
 class OutputTables:
-    """Candidate assignments' outputs on one netlist, one vector at a time.
+    """Joint candidates' outputs on one netlist, one vector at a time.
 
-    ``items`` are tuples of functions for ``gate_ids`` (an id naming no
-    camouflaged gate is ignored); ``fixed`` assigns the other camouflaged
-    gates. On a space of at most ``_BLOCK_LOG2`` inputs, each item's output
-    words over it are computed once, while all items' words fit in
-    _TABLE_BITS, and every query is a bit lookup. Otherwise a query runs
-    the items on its one vector.
+    A candidate is a mixed-radix index into the product of ``choices``
+    (camouflaged gate: candidate functions), a digit per gate in slot (op)
+    order, the first most significant; ``items`` is a ``range`` until the
+    first ``keep``, then an ascending list. ``fixed`` assigns other cells.
+    On a space of at most ``_BLOCK_LOG2`` inputs, each item's output words
+    over it are computed once, while all items' words fit in _TABLE_BITS,
+    and every query is a bit lookup. Otherwise a query runs the items on
+    its one vector.
 
     The ops are sorted, stably, by level: a slot's rank in op order, any
-    other op's deepest fanin level (an input's is 0). Level d runs once
-    per group of items that agree on the first d slots, then checks the
-    outputs of its level.
+    other op's deepest fanin level (an input's is 0). Level d runs once per
+    group of consecutive items that agree on the first d digits, then
+    checks the outputs of its level.
     """
 
-    def __init__(self, net: Netlist, gate_ids, candidates,
+    def __init__(self, net: Netlist, choices: dict[str, list[GateFunction]],
                  fixed: dict[str, GateFunction] | None = None):
         prog, ops = net._program(), _resolve(net, (fixed or {}).items())
-        where = {k: i for i, k in enumerate(map(_op, repeat(net), gate_ids))
-                 if k >= 0 and prog.ops[k][0] == _UNKNOWN}
-        slots = sorted(where)
-        rank = {k: r for r, k in enumerate(slots, 1)}
+        gates = sorted(choices, key=partial(_op, net))  # in slot order
+        rank = {_op(net, gid): r for r, gid in enumerate(gates, 1)}
         level = [0] * prog.width  # per net: the last slot it is or reads
         for k, (_, _, a, b) in enumerate(ops):
             level.append(rank.get(k) or max(level[a], level[b]))
@@ -724,13 +717,15 @@ class OutputTables:
         for p, k in enumerate(order):
             new[prog.width + k] = prog.width + p
         ops = [(*ops[k][:2], new[ops[k][2]], new[ops[k][3]]) for k in order]
-        ends = [new[prog.width + k] - prog.width for k in slots] + [len(ops)]
-        self.items = list(candidates)
+        ends = [new[prog.width + k] - prog.width for k in rank] + [len(ops)]
+        funcs = list(map(choices.get, gates))
+        *steps, size = accumulate(map(len, funcs[::-1]), mul, initial=1)
+        self.items, self._steps = range(size), steps[::-1]  # place values
+        self._digits = dict(zip(gates, zip(self._steps, funcs)))
         self._head = ops[:ends[0]]
-        self._positions = [where[k] for k in slots]
-        self._segments = [
-            {f: ((*op, *ops[k][2:]), *ops[k + 1:end])
-             for f, op in _OPS.items()} for k, end in zip(ends, ends[1:])]
+        self._segments = [[((*_OPS[f], *ops[k][2:]), *ops[k + 1:end])
+                           for f in fs]
+                          for k, end, fs in zip(ends, ends[1:], funcs)]
         self._checks = [[] for _ in ends]
         for o, n in enumerate(prog.outputs):  # checked once its level ran
             self._checks[level[n]].append((o, new[n]))
@@ -741,35 +736,31 @@ class OutputTables:
     def run(self, words, mask: int, expected=None) -> list:
         """Per item, its output words, or whether they equal ``expected``.
 
-        Depth first: at each slot, in op order, the items are grouped by
-        their function there; a group shares one run of the slot's level,
-        on rail lists cut back to the level before, and is dropped once an
-        output run so far is not as expected."""
-        rows = [None] * len(self.items)
+        Depth first, slot by slot: a group splits by its digit into consecutive
+        parts, one ``bisect_left`` each; a part shares one run of the slot's
+        level on rails cut back to the one before, dropped at a bad output."""
+        items, rows = self.items, [False] * len(self.items)
 
-        def descend(depth, group, rails):
+        def descend(depth, lo, hi, first, rails):  # items[lo:hi] >= first
             may1 = rails[1]
             if expected is not None and any(may1[n] != expected[o]
                                             for o, n in self._checks[depth]):
                 return
-            if depth == len(self._positions):
-                row = True if expected is not None else [
+            if depth == len(self._segments):  # one item
+                rows[lo] = True if expected is not None else [
                     may1[n] for n in self._outputs]
-                for j in group:
-                    rows[j] = row
                 return
-            buckets, pick = {}, itemgetter(self._positions[depth])
-            funcs = map(pick, map(self.items.__getitem__, group))
-            for func, run in groupby(zip(funcs, group), itemgetter(0)):
-                buckets.setdefault(func, []).extend(map(itemgetter(1), run))
-            size = len(may1)
-            for func, sub in buckets.items():
-                del rails[0][size:], may1[size:]
-                segment = self._segments[depth][func]
-                descend(depth + 1, sub, _run(segment, words, mask, rails))
+            size, step = len(may1), self._steps[depth]
+            for segment in self._segments[depth]:
+                end = bisect_left(items, first + step, lo, hi)
+                if lo < end:
+                    del rails[0][size:], may1[size:]
+                    descend(depth + 1, lo, end, first,
+                            _run(segment, words, mask, rails))
+                lo, first = end, first + step
 
-        descend(0, range(len(rows)), _run(self._head, words, mask))
-        return rows if expected is None else [r is not None for r in rows]
+        descend(0, 0, len(rows), 0, _run(self._head, words, mask))
+        return rows  # every row is filled unless ``expected`` pruned it
 
     def replay(self, observations) -> OutputTables:
         """Keep the items, in order, that reproduce every ``(vector,
@@ -834,6 +825,18 @@ class OutputTables:
             if any(row != rows[0] for row in rows):
                 return False
         return True
+
+    def survivors(self, gate_ids) -> list[tuple]:
+        """The items' distinct function tuples at ``gate_ids``, in item order
+        (every item's when all gates are named), skipping by bisection."""
+        digits = [self._digits[gid] for gid in gate_ids]
+        step = min([s for s, _ in digits], default=1)
+        found, j, most = {}, 0, reduce(mul, [len(fs) for _, fs in digits], 1)
+        while j < len(self.items) and len(found) < most:
+            i = self.items[j]
+            found[tuple([fs[i // s % len(fs)] for s, fs in digits])] = None
+            j = bisect_left(self.items, i - i % step + step, j)
+        return list(found)
 
 
 def all_vectors(width: int):

@@ -227,6 +227,22 @@ def test_reply_of_the_wrong_length_is_refused(c17, run, reshape):
     assert good.query_count == 1  # refused where it enters the transcript
 
 
+@pytest.mark.parametrize("run, cells, oracle, queries", [
+    (brute_force_attack, ["10", "16"],
+     lambda v: (1, 1) if v[0] else (0, 0), 32),
+    # sensitization reads two bits, then the residue's replay finds none
+    (sensitization_attack, ["10", "22"], lambda v: (0, 0), 2),
+], ids=["brute", "sensitization_residue"])
+def test_replies_no_assignment_reproduces_are_refused(c17, run, cells, oracle,
+                                                      queries):
+    locked, _ = apply_camouflage(c17, cells, CellFlavor.CAMO8)
+    counted = mock.Mock(side_effect=oracle)
+    with pytest.raises(InvalidParameterError, match="^no candidate "
+                       "assignment reproduces the oracle's replies$"):
+        run(locked, counted)
+    assert counted.call_count == queries
+
+
 class TestSensitizingVectors:
     def test_direct_observation(self):
         _, locked, key = _lock(SINGLE, ["y"])
@@ -578,7 +594,7 @@ def test_each_joint_step_builds_one_table(c17):
 
     class Spy(OutputTables):
         def __init__(self, *args, **kw):
-            built.append(args[1])
+            built.append(list(args[1]))
             super().__init__(*args, **kw)
 
     locked, key = apply_camouflage(c17, ["10", "22"], CellFlavor.CAMO8)
@@ -674,20 +690,21 @@ def test_walk_matches_the_per_query_reference(case):
         # the walk checks each new reply once, and no earlier one
         assert [c.args[0] for c in matches.call_args_list] == [
             vec for vec in cache.transcript if vec not in known]
-        walked.append(tables.items)
+        walked.append(sorted(tables.survivors(residue)))
         return result
 
     def run(joint):
-        oracle = CountingOracle(locked, key)
-        cache = attack._AttackRun(locked, oracle, budget, knowledge)
-        for i in prior:
-            cache.query(vectors[i])
-        cache.sets = sets = {**cache.sets,
-                             **{gid: {func} for gid, func in fixed.items()}}
+        # the oracle too is built and asked under the patched block size
         with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2), \
                 mock.patch.object(netlist, "_TABLE_BITS", bits), \
                 mock.patch.object(attack, "EQUIV_CHECK_LIMIT", equiv_limit), \
                 mock.patch.object(attack._AttackRun, "walk", spy):
+            oracle = CountingOracle(locked, key)
+            cache = attack._AttackRun(locked, oracle, budget, knowledge)
+            for i in prior:
+                cache.query(vectors[i])
+            cache.sets = sets = {**cache.sets, **{
+                gid: {func} for gid, func in fixed.items()}}
             result = joint(locked, cache, sets, residue, fixed)
         return result, sets, oracle.query_count, list(cache.transcript.items())
 
@@ -698,4 +715,4 @@ def test_walk_matches_the_per_query_reference(case):
         reference_resolve_jointly)
     assert (status, log2, state) == (want_status, want_log2, want_state)
     if walked:
-        assert walked[0] == survivors
+        assert walked[0] == sorted(survivors)

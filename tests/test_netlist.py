@@ -292,10 +292,11 @@ class TestSimulation:
     def test_packed_bits_must_be_0_or_1(self, c17):
         vec = (0, 1, 1, 0, 1)
         out = simulate(c17, vec)
-        assert OutputTables(c17, [], [()]).replay([(vec, out)]).items == [()]
+        tables = OutputTables(c17, {}).replay([(vec, out)])
+        assert tables.items == [0] and list(tables.survivors([])) == [()]
         for bad in ((2, *out[1:]), (None, *out[1:]), (0.5, *out[1:])):
             with pytest.raises(InputWidthError):
-                OutputTables(c17, [], [()]).replay([(vec, bad)])
+                OutputTables(c17, {}).replay([(vec, bad)])
 
 
 class TestGate:

@@ -14,8 +14,11 @@ streams.
 The depth-first joint replay behind ``OutputTables`` is also checked
 against ``reference_filter``, the per-candidate filter it replaced: each
 candidate's ops resolved on their own and the whole netlist run once per
-candidate, also on whole-space transcripts in counting order (whose input
-columns the replay does not pack) and shuffled. Its program, sorted by
+candidate, over the product of per-gate choices of up to MAX_BRUTE_GATES
+cells, also on whole-space transcripts in counting order (whose input
+columns the replay does not pack) and shuffled. The table keeps its
+candidates as mixed-radix indices in slot order, so survivors are
+compared with the reference as sorted lists. Its program, sorted by
 slot level, must stay topological and give every net the rails of the
 compiled program; on a hand-built net, a group's run holds only the
 logic its slot reaches, and a wrong output prunes a group before its
@@ -165,14 +168,16 @@ def test_words_match_the_scalar_reference(case, block_log2):
        st.randoms(use_true_random=False))
 def test_filter_matches_the_scalar_reference(case, block_log2, rnd):
     _, locked, key, _, _ = case
-    camo = locked.camo_gates()
-    gate_ids = [g.gate_id for g in camo]
-    spaces = [sorted(g.flavor.function_set, key=lambda f: f.value)
-              for g in camo]
-    space = list(product(*spaces))
-    candidates = rnd.sample(space, min(12, len(space)))
     truth = {gid: e.function for gid, e in key.entries.items()}
-    candidates.append(tuple(truth[gid] for gid in gate_ids))
+    choices, size = {}, 1
+    for g in rnd.sample(locked.camo_gates(), len(locked.camo_gates())):
+        others = sorted(g.flavor.function_set - {truth[g.gate_id]},
+                        key=lambda f: f.value)
+        picked = rnd.sample(others, rnd.randint(0, min(2, 16 // size - 1)))
+        choices[g.gate_id] = [truth[g.gate_id], *picked]
+        size *= len(choices[g.gate_id])
+    gate_ids = list(choices)
+    candidates = list(product(*choices.values()))
     vectors = list(all_vectors(len(locked.inputs)))
     rnd.shuffle(vectors)
     vectors = vectors[:rnd.randint(1, len(vectors))]
@@ -185,10 +190,10 @@ def test_filter_matches_the_scalar_reference(case, block_log2, rnd):
             if all(outputs(dict(zip(gate_ids, c)), vec) == out
                    for vec, out in observed)]
     with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
-        got = OutputTables(locked, gate_ids, candidates).replay(
-            observed).items
-    assert got == want
-    assert got[-1] == candidates[-1]
+        got = sorted(OutputTables(locked, choices).replay(
+            observed).survivors(gate_ids))
+    assert got == sorted(want)
+    assert candidates[0] in got  # the truth
 
 
 @_SETTINGS
@@ -411,13 +416,13 @@ def reference_filter(net, gate_ids, candidates, observations, fixed):
 
 @st.composite
 def replay_cases(draw):
-    """A locked netlist, gate ids, candidates, fixed cells, observations.
+    """A locked netlist, gate ids, choices, fixed cells, observations.
 
     Up to MAX_BRUTE_GATES cells; each is a candidate slot, fixed or left
-    unknown. The gate ids come in any order and may name a plain gate.
-    Candidates are the full product of per-gate function sets, or a
-    shuffled draw from it with duplicates. Observed outputs are one
-    candidate's, so some survive.
+    unknown. ``choices`` maps each slot's gate to a draw from its function
+    set, the gates in any order; ``gate_ids`` lists them in that order.
+    Observed outputs are those of one candidate of the product of the
+    choices, so some survive.
     """
     rnd = draw(st.randoms(use_true_random=False))
     width = draw(st.integers(1, 5))
@@ -444,41 +449,63 @@ def replay_cases(draw):
             gate_ids.append(g.gate_id)
         elif role == "fixed":
             fixed[g.gate_id] = key.entries[g.gate_id].function
-    if draw(st.booleans()):
-        gate_ids.append(rnd.choice([g.gate_id for g in gates]))
     rnd.shuffle(gate_ids)
-    sets, size = [], 1
+    choices, size = {}, 1
     for gid in gate_ids:
-        gate = locked.gate(gid)
-        funcs = sorted(gate.flavor.function_set if gate.is_camo else _FUNCS,
+        funcs = sorted(locked.gate(gid).flavor.function_set,
                        key=lambda f: f.value)
         count = min(rnd.randint(1, 3), max(1, 512 // size))
-        sets.append(rnd.sample(funcs, count))
+        choices[gid] = rnd.sample(funcs, count)
         size *= count
-    candidates = list(product(*sets))
-    if draw(st.booleans()):
-        candidates = rnd.choices(candidates, k=len(candidates) + 3)
     vectors = list(all_vectors(width))
     rnd.shuffle(vectors)
     vectors = vectors[:rnd.randint(1, len(vectors))]
-    source = rnd.choice(candidates)
+    source = [rnd.choice(funcs) for funcs in choices.values()]
     observed = [(vec, tuple(reference_outputs(locked, gate_ids, source,
                                               fixed, vec, 1)))
                 for vec in vectors]
-    return locked, gate_ids, candidates, fixed, observed
+    return locked, gate_ids, choices, fixed, observed
+
+
+def replay_survivors(tables, gate_ids, observed) -> list:
+    """Sorted survivors of a replay: the table orders items by slot."""
+    return sorted(tables.replay(observed).survivors(gate_ids))
 
 
 @_SETTINGS
 @given(replay_cases(), st.sampled_from([1, 2, 12]))
 def test_replay_matches_the_per_candidate_filter(case, block_log2):
-    locked, gate_ids, candidates, fixed, observed = case
+    locked, gate_ids, choices, fixed, observed = case
+    tables = OutputTables(locked, choices, fixed)
     with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
-        got = OutputTables(locked, gate_ids, candidates, fixed).replay(
-            observed).items
-        want = reference_filter(locked, gate_ids, candidates, observed,
-                                fixed)
-    assert got == want
+        got = replay_survivors(tables, gate_ids, observed)
+        want = reference_filter(locked, gate_ids,
+                                product(*choices.values()), observed, fixed)
+    assert got == sorted(want)
     assert got  # the candidate the outputs came from survives
+    # one gate's survivors are its distinct functions, each once
+    for k, gid in enumerate(gate_ids):
+        assert sorted(tables.survivors([gid])) == sorted(
+            {(c[k],) for c in want})
+
+
+def test_a_fresh_table_is_a_range_and_keep_leaves_ascending_ints():
+    net = _chain(9)  # eight two-input gates
+    locked, _ = apply_camouflage(net, [g.gate_id for g in net.gates],
+                                 CellFlavor.CAMO8)
+    funcs = sorted(CellFlavor.CAMO8.function_set)
+    gate_ids = [g.gate_id for g in net.gates]  # in slot order
+    tables = OutputTables(locked, {g: funcs for g in gate_ids[::-1]})
+    assert tables.items == range(8 ** 8)
+    tables.keep(map({1, 8 ** 7 + 2, 8 ** 8 - 1}.__contains__, tables.items))
+    assert tables.items == [1, 8 ** 7 + 2, 8 ** 8 - 1]
+    # the first slot is the most significant digit
+    first, second, third, last = *funcs[:3], funcs[-1]
+    assert list(tables.survivors(gate_ids)) == [
+        (first,) * 7 + (second,), (second,) + (first,) * 6 + (third,),
+        (last,) * 8]
+    assert list(tables.survivors(gate_ids[:1])) == [
+        (first,), (second,), (last,)]
 
 
 def reference_levels(prog, slots) -> list:
@@ -497,19 +524,17 @@ def test_leveled_program_keeps_every_nets_rails(case):
     """Under a full assignment, the head and one segment per slot are the
     program's ops sorted stably by level, still topological, and each net
     has the rails it has in the program as compiled."""
-    locked, gate_ids, candidates, fixed, _ = case
+    locked, gate_ids, choices, fixed, _ = case
     prog, width = locked._program(), len(locked.inputs)
-    slots = sorted(k for k in map(netlist._op, [locked] * len(gate_ids),
-                                  gate_ids)
-                   if k >= 0 and prog.ops[k][0] == netlist._UNKNOWN)
+    slots = sorted(netlist._op(locked, gid) for gid in gate_ids)
     level = reference_levels(prog, slots)
     order = sorted(range(len(prog.ops)), key=level.__getitem__)
-    tables = OutputTables(locked, gate_ids, candidates, fixed)
+    tables = OutputTables(locked, choices, fixed)
     words, mask = netlist._block_words(width, 0)
-    for candidate in candidates[:4]:
+    for i, candidate in zip(tables.items[:4], tables.survivors(gate_ids)):
         ops = [*tables._head]
-        for segments, at in zip(tables._segments, tables._positions):
-            ops += segments[candidate[at]]
+        for segments, step in zip(tables._segments, tables._steps):
+            ops += segments[i // step % len(segments)]
         for p, (_, _, a, b) in enumerate(ops):
             assert a < width + p and b < width + p
         want = netlist._resolve(locked, [*fixed.items(),
@@ -538,8 +563,7 @@ def _cone_net() -> Netlist:
 
 def test_each_group_runs_only_the_logic_its_slot_reaches():
     net = _cone_net()
-    tables = OutputTables(net, ["s1", "s2"], product(
-        (F.NAND, F.NOR), (F.AND, F.OR)))
+    tables = OutputTables(net, {"s2": [F.AND, F.OR], "s1": [F.NAND, F.NOR]})
     cone = netlist.reachable(net._fanouts, net._index["s2"])
     # a=1, b=0, c=1: y is s1, so NOR's y is wrong; z is 1 for both s2s
     for expected, depths in ((None, [0, 1, 2, 2, 1, 2, 2]),
@@ -566,15 +590,16 @@ def _whole_space(locked, gate_ids, source, fixed) -> list:
        st.randoms(use_true_random=False))
 def test_whole_space_replay_matches_the_per_candidate_filter(case,
                                                              block_log2, rnd):
-    locked, gate_ids, candidates, fixed, _ = case
+    locked, gate_ids, choices, fixed, _ = case
+    candidates = list(product(*choices.values()))
     observed = _whole_space(locked, gate_ids, rnd.choice(candidates), fixed)
     shuffled = rnd.sample(observed, len(observed))
     with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
         for order in (observed, shuffled):
-            got = OutputTables(locked, gate_ids, candidates, fixed).replay(
-                order).items
-            assert got == reference_filter(locked, gate_ids, candidates,
-                                           order, fixed)
+            got = replay_survivors(OutputTables(locked, choices, fixed),
+                                   gate_ids, order)
+            assert got == sorted(reference_filter(locked, gate_ids,
+                                                  candidates, order, fixed))
             assert got
 
 
@@ -584,23 +609,24 @@ def _c17_tables(c17):
     locked, key = apply_camouflage(c17, ["10", "22"], CellFlavor.CAMO8)
     gate_ids = sorted(key.entries)
     source = tuple(key.entries[g].function for g in gate_ids)
-    tables = OutputTables(locked, gate_ids, product(
-        *(sorted(locked.gate(g).flavor.function_set) for g in gate_ids)))
-    return tables, source, _whole_space(locked, gate_ids, source, {})
+    tables = OutputTables(locked, {
+        g: sorted(locked.gate(g).flavor.function_set) for g in gate_ids})
+    return tables, gate_ids, source, _whole_space(locked, gate_ids, source,
+                                                  {})
 
 
 def test_whole_space_replay_packs_no_input_column(c17):
     for reverse, columns in ((False, 2), (True, 5 + 2)):
-        tables, source, observed = _c17_tables(c17)
+        tables, gate_ids, source, observed = _c17_tables(c17)
         with mock.patch.object(netlist, "_word", wraps=netlist._word) as word:
             tables.replay(observed[::-1] if reverse else observed)
         assert word.call_count == columns
-        assert source in tables.items
+        assert source in tables.survivors(gate_ids)
 
 
 @pytest.mark.parametrize("shuffled", [False, True])
 def test_replay_refuses_a_reply_bit_of_2(c17, shuffled):
-    tables, _, observed = _c17_tables(c17)
+    tables, _, _, observed = _c17_tables(c17)
     if shuffled:
         observed = observed[7:] + observed[:7]
     vec, out = observed[12]
@@ -617,12 +643,13 @@ def test_replay_refuses_a_reply_bit_of_2(c17, shuffled):
 @given(replay_cases(), st.sampled_from([1, 2, 12]),
        st.randoms(use_true_random=False))
 def test_tables_match_per_candidate_runs(case, block_log2, rnd):
-    locked, gate_ids, candidates, fixed, _ = case
+    locked, gate_ids, choices, fixed, _ = case
     vectors = list(all_vectors(len(locked.inputs)))
     stream = vectors + rnd.sample(vectors, len(vectors))
     with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
-        tables = OutputTables(locked, gate_ids, candidates, fixed)
-        items = list(candidates)
+        tables = OutputTables(locked, choices, fixed)
+        items = list(tables.survivors(gate_ids))
+        assert sorted(items) == sorted(product(*choices.values()))
         for i, vec in enumerate(stream):
             want = [tuple(reference_outputs(locked, gate_ids, c, fixed,
                                             vec, 1)) for c in items]
@@ -635,7 +662,7 @@ def test_tables_match_per_candidate_runs(case, block_log2, rnd):
                 keep = [rnd.random() < 0.7 for _ in items]
                 tables.keep(keep)
                 items = [c for c, k in zip(items, keep) if k]
-                assert tables.items == items
+                assert list(tables.survivors(gate_ids)) == items
         rows = [tuple(tuple(reference_outputs(
             locked, gate_ids, c, fixed, words, mask)) for _, words, mask
             in netlist._blocks(len(locked.inputs))) for c in items]

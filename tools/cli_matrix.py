@@ -6,8 +6,9 @@ budgets 0.2/0.5/1.0 x seeds 0/5 on ``c17`` and ``synth_mix``, and
 budget 0.2 on ``synth_wide``; then ``report --key``, exhaustive
 ``equiv``, and brute and sensitization ``attack`` on each locked
 output; plus ``sim``, ``sidechannel``, ``sweep``, ``bias-opt``,
-``estimate``, the option-rule refusals and a ``lock`` that names one
-file twice; then every ``vtcamo`` command of README's ``sh`` blocks.
+``estimate``, the option-rule refusals, a ``lock`` that names one file
+twice and both attacks on an 8-cell ``synth_mix`` lock (the largest
+brute force); then every ``vtcamo`` command of README's ``sh`` blocks.
 It also runs README's ``python`` blocks, and names each printed line
 that differs from the ``# `` comment line under it. Standard library
 only, like ``tools/golden_check.py``, whose helpers it uses::
@@ -146,6 +147,15 @@ def matrix() -> list[list[str]]:
         # two outputs in one file
         ["lock", "c17.bench", "--out-bench", "refused.bench", "--out-key",
          "refused.key", "--out", "refused.bench"],
+    ]
+    # the largest brute force: 8 CAMO8 cells, the MAX_BRUTE_GATES guard
+    locked, key = "synth_mix_8cells.bench", "synth_mix_8cells.key"
+    runs += [
+        ["lock", "synth_mix.bench", "--flavor", "camo8", "--strategy",
+         "random", "--budget", "0.73", "--seed", "0", "--out-bench", locked,
+         "--out-key", key],
+        ["attack", locked, "--key", key, "--method", "brute"],
+        ["attack", locked, "--key", key, "--method", "sensitization"],
     ]
     for locked, key in (("c17_cmos3a_random_0.5_0.bench",
                          "c17_cmos3a_random_0.5_0.key"),
