@@ -13,6 +13,10 @@ attacks, print a one-line JSON error to stderr and exit 1; argparse
 usage errors print usage to stderr and exit 2. Output files are renamed
 into place from a temporary name, so a crash leaves no partial file, and
 reruns with --no-timestamp are byte-identical for the same inputs.
+
+Importing this module loads the cell, device, netlist, camouflage and
+config layers, which ``COMMANDS`` and ``RunConfig`` need; the attack and
+side-channel layers load only when ``attack`` or ``sidechannel`` runs.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ import sys
 import tempfile
 from datetime import datetime, timezone
 
-from . import attack as attack_mod
-from . import sidechannel as side_mod
 from .camouflage import (SelectionPolicy, apply_camouflage, effort_estimate,
                          overhead_report, select_gates)
 from .config import FLAVOR_NAMES, RunConfig, load_config
@@ -198,6 +200,8 @@ def _cmd_equiv(args, cfg) -> dict:
 
 
 def _cmd_attack(args, cfg) -> dict:
+    from . import attack as attack_mod
+
     net = _load_net(args.bench)
     key = _load_key(args.key)
     oracle = attack_mod.CountingOracle(net, key)  # validates the key
@@ -236,6 +240,8 @@ def _parse_temps(raw: str) -> tuple[float, ...]:
 
 
 def _cmd_sidechannel(args, cfg) -> dict:
+    from . import sidechannel as side_mod
+
     # check sigma before any measuring, even where no signature gets noise
     side_mod.add_measurement_noise(side_mod.Signature("", ()), args.noise)
     net = _load_net(args.bench)

@@ -1,5 +1,6 @@
 """Run configuration parsing and the command line front end."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -785,7 +786,13 @@ class TestEntryPoint:
         # resolve the ``[project.scripts]`` target and exit with its result.
         tomllib = pytest.importorskip("tomllib")
         with open(PYPROJECT, "rb") as fh:
-            scripts = tomllib.load(fh)["project"]["scripts"]
+            pyproject = tomllib.load(fh)
+        # the version is stated once, in vtcamo/__init__.py
+        assert pyproject["project"]["dynamic"] == ["version"]
+        assert "version" not in pyproject["project"]
+        assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "vtcamo.__version__"}
+        scripts = pyproject["project"]["scripts"]
         assert scripts["vtcamo"] == "vtcamo.cli:main"
         module, attr = scripts["vtcamo"].split(":")
         assert getattr(importlib.import_module(module), attr) is main
@@ -832,6 +839,95 @@ class TestEntryPoint:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "FileNotFoundError"
+
+    @staticmethod
+    def _vtcamo_modules(tmp_path, code, *argv) -> set[str]:
+        """The ``vtcamo`` modules a child ``python -c code *argv`` holds
+        at exit, which it prints as the last line of stderr."""
+        probe = ("import atexit, sys\n"
+                 "atexit.register(lambda: print(sorted(m for m in sys.modules"
+                 " if m.split('.')[0] == 'vtcamo'), file=sys.stderr))\n"
+                 + code)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path,
+            env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        return set(ast.literal_eval(proc.stderr.splitlines()[-1]))
+
+    def test_import_loads_no_layer(self, tmp_path):
+        assert self._vtcamo_modules(tmp_path, "import vtcamo") == {"vtcamo"}
+        assert self._vtcamo_modules(
+            tmp_path, "import vtcamo\nvtcamo.errors") == {
+            "vtcamo", "vtcamo.errors"}
+        # CountingOracle is defined in netlist; attack only re-exports it
+        assert self._vtcamo_modules(
+            tmp_path, "from vtcamo import CountingOracle") == {
+            "vtcamo", "vtcamo.cell", "vtcamo.errors", "vtcamo.netlist"}
+
+    def test_parse_loads_neither_attack_nor_sidechannel(self, tmp_path,
+                                                        c17_file):
+        # what ``python -m vtcamo parse c17.bench`` runs
+        loaded = self._vtcamo_modules(
+            tmp_path, "import runpy\n"
+            "runpy.run_module('vtcamo', run_name='__main__', alter_sys=True)",
+            "parse", c17_file, "--no-timestamp")
+        assert "vtcamo.cli" in loaded
+        assert not loaded & {"vtcamo.attack", "vtcamo.sidechannel"}
+
+
+class TestPublicNames:
+    """``vtcamo``'s names, each bound on first lookup from its module."""
+
+    #: the package's public names, in the order it has always listed them
+    PUBLIC_NAMES = [
+        "CAMOUFLAGEABLE", "CamoConfig", "CellFlavor", "GateFunction", "VT",
+        "behavior_table", "config_for", "decode", "distinguishing_set",
+        "evaluate", "truth_table",
+        "BiasPoint", "DeviceParams", "cell_worst_delay", "default_bias",
+        "drain_current", "gate_leakage", "optimize_bias",
+        "sweep_to_csv", "sweep_vt_window", "switch_ratio",
+        "CamoKey", "Gate", "KeyEntry", "Netlist", "check_equivalence",
+        "critical_path", "parse_bench", "serialize_bench", "simulate",
+        "validate_key",
+        "CostTable", "SelectionPolicy", "apply_camouflage", "effort_estimate",
+        "overhead_report", "select_gates",
+        "AttackReport", "CountingOracle", "brute_force_attack",
+        "find_sensitizing_vector", "sensitization_attack",
+        "Signature", "add_measurement_noise", "balance_flavors",
+        "classify_function", "measure_signature", "template_signatures",
+        "thermal_compensated_bias",
+        "errors",
+        "__version__",
+    ]
+    LAYERS = ("cell", "device", "netlist", "camouflage", "attack",
+              "sidechannel")
+
+    def test_all_lists_the_public_names(self):
+        assert vtcamo.__all__ == self.PUBLIC_NAMES
+
+    def test_each_name_is_the_object_its_layers_bind(self):
+        layers = [importlib.import_module(f"vtcamo.{m}") for m in self.LAYERS]
+        for name in vtcamo.__all__[:-2]:
+            value = getattr(vtcamo, name)
+            assert name in vars(vtcamo)  # the next lookup is a plain read
+            holders = [m for m in layers if hasattr(m, name)]
+            assert holders, name
+            assert all(getattr(m, name) is value for m in holders), name
+
+    def test_dir_lists_every_public_name(self):
+        assert set(vtcamo.__all__) <= set(dir(vtcamo))
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            vtcamo.no_such_name
+        assert not hasattr(vtcamo, "no_such_name")
+
+    def test_errors_is_the_errors_module(self):
+        errors = importlib.import_module("vtcamo.errors")
+        assert vtcamo.errors is errors
+        # what a lookup finds before any layer has imported errors
+        assert vtcamo.__getattr__("errors") is errors
 
 
 def _locked_c17_texts() -> tuple[str, str]:
