@@ -99,6 +99,62 @@ class TestParseConfig:
         with pytest.raises(ConfigFileError, match=fragment):
             parse_config(text)
 
+    @pytest.mark.parametrize("text,message", [
+        ("just a line\n", "line 1: expected key = value, got 'just a line'"),
+        (" = 3\n", "line 1: empty key or value"),
+        ("seed = 1\ndevice.vdd =\n", "line 2: empty key or value"),
+        ("seed = 1\nseed = 2\n", "line 2: duplicate key 'seed'"),
+        ("device.vdd = 0.9\nwhatever = 3\n", "line 2: unknown key 'whatever'"),
+        ("device.gamma = 1\n", "line 1: unknown device parameter 'gamma'"),
+        ("device. = 1\n", "line 1: unknown device parameter ''"),
+        ("cost.camo8 = 2\n", "line 1: cost keys look like "
+         "cost.<camo8|cmos3a|cmos3b>.<area|power|delay>, got 'cost.camo8'"),
+        ("cost.CAMO8.area = 2\n", "line 1: cost keys look like "
+         "cost.<camo8|cmos3a|cmos3b>.<area|power|delay>, "
+         "got 'cost.CAMO8.area'"),
+        ("cost.camo8.speed = 2\n", "line 1: cost keys look like "
+         "cost.<camo8|cmos3a|cmos3b>.<area|power|delay>, "
+         "got 'cost.camo8.speed'"),
+        ("device.vdd = fast\n", "device.vdd: expected a float, got 'fast'"),
+        ("seed = 1.5\n", "seed: expected a int, got '1.5'"),
+        ("device.vdd = -0.5\n", "vdd must be positive, got -0.5"),
+        ("cost.camo8.area = 0.5\n",
+         "CAMO8 area multiple must be >= 1, got 0.5"),
+        # range errors come after every line is read: device, then cost in
+        # flavor order
+        ("cost.camo8.area = 0.5\ndevice.kvt = -1\n",
+         "kvt must be non-negative, got -1.0"),
+        ("cost.cmos3b.delay = 0.5\ncost.camo8.power = 0.9\n",
+         "CAMO8 power multiple must be >= 1, got 0.9"),
+    ])
+    def test_each_refusal_text_is_pinned(self, text, message):
+        with pytest.raises(ConfigFileError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_written_keys_read_back_over_the_defaults(self, data):
+        """Any subset of ``resolved_dict`` keys, written as ``key =
+        repr(value)`` lines in any order among comments and blank lines,
+        parses to the defaults updated by those values, byte for byte.
+        Float values are their default times a factor in [1, 2]; the
+        seed's default is 0, so it is drawn as an int."""
+        defaults = RunConfig().resolved_dict()
+        keys = data.draw(st.lists(st.sampled_from(list(defaults)),
+                                  unique=True))
+        values = {key: data.draw(st.integers(0, 2 ** 63))
+                  if isinstance(defaults[key], int)
+                  else defaults[key] * data.draw(st.floats(1, 2))
+                  for key in keys}
+        lines = [f"{key} = {value!r}" + data.draw(st.sampled_from(
+                     ("", "  # note", "#"))) for key, value in values.items()]
+        for filler in data.draw(st.lists(st.sampled_from(
+                ("", "   ", "# a comment", "  # seed = 3")), max_size=4)):
+            lines.insert(data.draw(st.integers(0, len(lines))), filler)
+        parsed = parse_config("\n".join(lines)).resolved_dict()
+        assert json.dumps(parsed) == json.dumps({**defaults, **values})
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigFileError):
             load_config(str(tmp_path / "nope.cfg"))
