@@ -86,8 +86,8 @@ class AttackReport:
 
 
 def _space_log2(sets: Iterable[frozenset]) -> float:
-    # a left fold from 0, as sum() was before Python 3.12 compensated it
-    return reduce(add, [math.log2(len(s)) for s in sets], 0)
+    # a left fold from 0.0, as sum() was before Python 3.12 compensated it
+    return reduce(add, [math.log2(len(s)) for s in sets], 0.0)
 
 
 class _AttackRun:

@@ -34,7 +34,8 @@ from .camouflage import (SelectionPolicy, apply_camouflage, effort_estimate,
                          overhead_report, select_gates)
 from .config import FLAVOR_NAMES, RunConfig, load_config
 from .device import default_bias, optimize_bias, sweep_to_csv, sweep_vt_window
-from .errors import FlavorMismatchError, InvalidParameterError, VtcamoError
+from .errors import (FlavorMismatchError, InvalidParameterError,
+                     InvalidPolicyError, VtcamoError)
 from .netlist import (
     CamoKey,
     CountingOracle,
@@ -144,6 +145,10 @@ def _cmd_lock(args, cfg) -> dict:
     if camo:  # a new key could not cover these cells
         raise FlavorMismatchError(f"gates {camo!r} are already camouflaged")
     selected = select_gates(net, policy, cost_table=cfg.cost, flavor=flavor)
+    if not selected:  # a key that hides nothing
+        raise InvalidPolicyError(
+            f"--flavor {args.flavor}, --strategy {args.strategy} and "
+            f"--budget {args.budget} select no gate to camouflage")
     locked, key = apply_camouflage(net, selected, flavor,
                                    decoy_seed=cfg.seed)
     _write_atomic(args.locked_out, serialize_bench(locked))

@@ -1,7 +1,9 @@
 """Flat key=value run configuration shared by the command line tools.
 
 The format is a plain text file of ``key = value`` lines with ``#``
-comments. Keys live in a few fixed namespaces:
+comments. The accepted keys are exactly those of
+``RunConfig().resolved_dict()``, and each value is read with the type of
+its key's default:
 
     device.<field>          any DeviceParams field, e.g. device.vdd = 0.9
     cost.<flavor>.<axis>    cost multiples, e.g. cost.camo8.area = 4
@@ -16,12 +18,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from .camouflage import CostTable
+from .camouflage import CostMultiples, CostTable
 from .cell import CellFlavor
 from .device import DeviceParams
 from .errors import ConfigFileError, VtcamoError
 
-_DEVICE_FIELDS = {f.name for f in dataclasses.fields(DeviceParams)}
 _COST_AXES = ("area", "power", "delay")
 FLAVOR_NAMES = {f.value.lower(): f for f in CellFlavor}
 
@@ -47,20 +48,19 @@ class RunConfig:
         return out
 
 
-def _parse_scalar(key: str, raw: str, kind: type) -> float | int:
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigFileError(f"{key}: expected a {kind.__name__}, "
-                              f"got {raw!r}") from None
+def _unknown(key: str) -> str:
+    if key.startswith("device."):
+        return f"unknown device parameter {key[len('device.'):]!r}"
+    if key.startswith("cost."):
+        return ("cost keys look like "
+                f"cost.<camo8|cmos3a|cmos3b>.<area|power|delay>, got {key!r}")
+    return f"unknown key {key!r}"
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse key=value configuration text into a RunConfig."""
-    device_over: dict[str, float] = {}
-    cost_over: dict[CellFlavor, dict[str, float]] = {}
-    scalars: dict[str, int] = {}
-    seen: set[str] = set()
+    defaults = RunConfig().resolved_dict()
+    given: dict[str, float | int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -71,39 +71,27 @@ def parse_config(text: str) -> RunConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if not key or not raw:
             raise ConfigFileError(f"line {lineno}: empty key or value")
-        if key in seen:
+        if key in given:
             raise ConfigFileError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
-        if key.startswith("device."):
-            name = key[len("device."):]
-            if name not in _DEVICE_FIELDS:
-                raise ConfigFileError(f"line {lineno}: unknown device "
-                                      f"parameter {name!r}")
-            device_over[name] = _parse_scalar(key, raw, float)
-        elif key.startswith("cost."):
-            parts = key.split(".")
-            if (len(parts) != 3 or parts[1] not in FLAVOR_NAMES
-                    or parts[2] not in _COST_AXES):
-                raise ConfigFileError(
-                    f"line {lineno}: cost keys look like "
-                    f"cost.<camo8|cmos3a|cmos3b>.<area|power|delay>, "
-                    f"got {key!r}")
-            flavor = FLAVOR_NAMES[parts[1]]
-            cost_over.setdefault(flavor, {})[parts[2]] = _parse_scalar(
-                key, raw, float)
-        elif key == "seed":
-            scalars["seed"] = _parse_scalar(key, raw, int)
-        else:
-            raise ConfigFileError(f"line {lineno}: unknown key {key!r}")
+        if key not in defaults:
+            raise ConfigFileError(f"line {lineno}: {_unknown(key)}")
+        kind = type(defaults[key])
+        try:
+            given[key] = kind(raw)
+        except ValueError:
+            raise ConfigFileError(f"{key}: expected a {kind.__name__}, "
+                                  f"got {raw!r}") from None
+    flat = defaults | given
     try:
-        device = DeviceParams(**device_over)
-        entries = dict(CostTable().entries)
-        for flavor, axes in cost_over.items():
-            entries[flavor] = dataclasses.replace(entries[flavor], **axes)
-        cost = CostTable(entries)
+        device = DeviceParams(**{key[len("device."):]: value
+                                 for key, value in flat.items()
+                                 if key.startswith("device.")})
+        cost = CostTable({flavor: CostMultiples(
+            *(flat[f"cost.{name}.{axis}"] for axis in _COST_AXES))
+            for name, flavor in FLAVOR_NAMES.items()})
     except VtcamoError as exc:
         raise ConfigFileError(str(exc)) from exc
-    return RunConfig(device=device, cost=cost, **scalars)
+    return RunConfig(device=device, cost=cost, seed=flat["seed"])
 
 
 def load_config(path: str) -> RunConfig:

@@ -357,6 +357,16 @@ class TestSensitizingVectors:
         assert sv.infer_gate_output(out) == 1  # NOR(0, 0)
 
 
+@pytest.mark.parametrize("run", [brute_force_attack, sensitization_attack])
+def test_a_net_with_no_cell_has_float_spaces(c17, run):
+    # an empty product folded from the int 0, so the initial log2 was 0
+    report = run(c17, CountingOracle(c17, CamoKey({})))
+    spaces = (report.candidate_space_log2_initial,
+              report.candidate_space_log2_final)
+    assert [(type(v), v) for v in spaces] == [(float, 0.0)] * 2
+    assert report.status == "unique"
+
+
 class TestSensitization:
     def test_single_cell_needs_few_queries(self):
         _, locked, key = _lock(SINGLE, ["y"])

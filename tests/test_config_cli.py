@@ -797,6 +797,49 @@ class TestCliFailures:
             "message": f"gates {camo!r} are already camouflaged"}
         assert not again.exists() and not again_key.exists()
 
+    @pytest.mark.parametrize("bench, options, message", [
+        ("c17", [], "--flavor camo8, --strategy random and --budget 0.05 "
+         "select no gate to camouflage"),
+        ("c17", ["--flavor", "cmos3b", "--budget", "1"],
+         "--flavor cmos3b, --strategy random and --budget 1.0 select no "
+         "gate to camouflage"),
+        ("chain", ["--strategy", "greedy-effort", "--budget", "1",
+                   "--delay-budget", "0"],
+         "--flavor camo8, --strategy greedy-effort and --budget 1.0 select "
+         "no gate to camouflage"),
+    ], ids=["default-budget", "no-eligible-gate", "no-cell-fits-the-delay"])
+    def test_lock_that_selects_no_gate_is_refused(self, capsys, tmp_path,
+                                                  c17_file, bench, options,
+                                                  message):
+        # it used to exit 0 and write a key that hides nothing: floor(0.05 *
+        # 6) is 0 on c17, CMOS3B has no 2-input NAND to stand in for, and
+        # every cell of a two-gate chain lengthens its critical path
+        chain = tmp_path / "chain.bench"
+        chain.write_text("INPUT(a)\nINPUT(b)\nOUTPUT(z)\n"
+                         "g1 = NAND(a, b)\nz = NAND(g1, a)\n")
+        path = c17_file if bench == "c17" else str(chain)
+        code, out, err = _run(capsys, [
+            "lock", path, *options, "--out-bench", str(tmp_path / "l.bench"),
+            "--out-key", str(tmp_path / "l.key")])
+        assert (code, out) == (1, "")
+        assert err == json.dumps({"error": "InvalidPolicyError",
+                                  "message": message}, sort_keys=True) + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c17.bench", "chain.bench"]
+
+    @pytest.mark.parametrize("method", ["brute", "sensitization"])
+    def test_attack_on_a_net_with_no_cell_reports_float_spaces(
+            self, capsys, tmp_path, c17_file, method):
+        # the initial log2 was the int 0 and the final one the float 0.0
+        key = tmp_path / "empty.key"
+        key.write_text("")
+        code, out, _ = _run(capsys, ["attack", c17_file, "--key", str(key),
+                                     "--method", method, "--no-timestamp"])
+        assert code == 0
+        assert '"candidate_space_log2_initial": 0.0,' in out
+        assert '"candidate_space_log2_final": 0.0,' in out
+        assert json.loads(out)["status"] == "unique"
+
     def test_attack_with_an_out_of_scope_key(self, capsys, tmp_path,
                                              c17_file):
         locked, keyfile, _ = _lock_c17(tmp_path, c17_file)

@@ -7,8 +7,10 @@ budget 0.2 on ``synth_wide``; then ``report --key``, exhaustive
 ``equiv``, and brute and sensitization ``attack`` on each locked
 output; plus ``sim``, ``sidechannel``, ``sweep``, ``bias-opt``,
 ``estimate``, the option-rule refusals, a ``lock`` that names one file
-twice and both attacks on an 8-cell ``synth_mix`` lock (the largest
-brute force); then every ``vtcamo`` command of README's ``sh`` blocks.
+twice, a ``lock`` of ``c17`` at the default budget (it selects no gate),
+both attacks on ``c17`` with an empty key (no camouflaged cell) and on
+an 8-cell ``synth_mix`` lock (the largest brute force); then every
+``vtcamo`` command of README's ``sh`` blocks.
 It also runs README's ``python`` blocks, and names each printed line
 that differs from the ``# `` comment line under it. Standard library
 only, like ``tools/golden_check.py``, whose helpers it uses::
@@ -20,7 +22,8 @@ Every run calls ``vtcamo.cli.main`` in this process with
 ``--no-timestamp``, inside a temporary directory that is the working
 directory, with relative paths, so no absolute path reaches a digest.
 The bundled benches sit there under their own names and under
-``src/vtcamo/benches``, the paths README uses. A run's digest covers its
+``src/vtcamo/benches``, the paths README uses, beside an empty key file,
+``empty.key``. A run's digest covers its
 exit code, stdout, stderr and every file it wrote. The fixture is
 ``tests/golden/cli_matrix.json``; each argv whose digest differs from it
 is named. Exit status: 0 when every digest matches and every README
@@ -147,6 +150,13 @@ def matrix() -> list[list[str]]:
         # two outputs in one file
         ["lock", "c17.bench", "--out-bench", "refused.bench", "--out-key",
          "refused.key", "--out", "refused.bench"],
+        # a lock that would hide nothing: floor(0.05 * 6) gates of c17
+        ["lock", "c17.bench", "--out-bench", "refused.bench", "--out-key",
+         "refused.key"],
+        # no camouflaged cell: both log2 figures are 0.0
+        ["attack", "c17.bench", "--key", "empty.key", "--method", "brute"],
+        ["attack", "c17.bench", "--key", "empty.key", "--method",
+         "sensitization"],
     ]
     # the largest brute force: 8 CAMO8 cells, the MAX_BRUTE_GATES guard
     locked, key = "synth_mix_8cells.bench", "synth_mix_8cells.key"
@@ -221,6 +231,7 @@ def run_matrix() -> tuple[dict, list[str]]:
                 bench = ROOT / benches / f"{stem}.bench"
                 Path(f"{stem}.bench").write_bytes(bench.read_bytes())
                 (benches / f"{stem}.bench").write_bytes(bench.read_bytes())
+            Path("empty.key").write_text("")
             runs = [{"argv": argv, "digest": digest(argv)}
                     for argv in matrix()]
             wrong = readme_python()
