@@ -176,31 +176,6 @@ class CamoConfig:
         bits = "".join(v.value for v in self.switch_vt)
         return f"{self.flavor.value}:{bits}:TIE={int(self.tie_first_input)}"
 
-    @staticmethod
-    def deserialize(text: str) -> "CamoConfig":
-        """Parse ``serialize`` output.
-
-        A ten-character switch string is also accepted; the tie switches
-        are then filled in from the TIE flag.
-        """
-        parts = text.strip().split(":")
-        if len(parts) != 3 or not parts[2].startswith("TIE="):
-            raise MalformedConfigError(f"bad config string {text!r}")
-        try:
-            flavor = CellFlavor(parts[0])
-        except ValueError:
-            raise MalformedConfigError(f"unknown flavor {parts[0]!r}") from None
-        tie_txt = parts[2][len("TIE="):]
-        if tie_txt not in ("0", "1"):
-            raise MalformedConfigError(f"bad tie flag in {text!r}")
-        tie = tie_txt == "1"
-        bits = parts[1]
-        if len(bits) == 10:
-            bits += "".join(v.value for v in (_TIE_ON if tie else _TIE_OFF))
-        if len(bits) != NUM_SWITCHES or any(c not in "HL" for c in bits):
-            raise MalformedConfigError(f"bad switch string in {text!r}")
-        return CamoConfig(tuple(VT(c) for c in bits), flavor, tie)
-
 
 _BEHAVIOR_TABLES = {f: MappingProxyType(dict(zip(LOCAL_VECTORS, row)))
                     for f, row in _OUTPUTS.items()}

@@ -89,11 +89,6 @@ class FlavorMismatchError(VtcamoError):
     """A gate's function is not coverable by the chosen cell flavor."""
 
 
-class DecoySelectionError(VtcamoError):
-    """No legal decoy net for a single-input camouflaged gate (never raised:
-    no primary input is in a gate's fanout cone; kept for callers)."""
-
-
 class InvalidCostTableError(VtcamoError):
     """A cost table entry is missing or below unity."""
 

@@ -202,16 +202,6 @@ class Netlist:
         """Topological depth per net number (inputs at 0)."""
         return self._arrivals([0] * len(self.inputs) + [1] * len(self.gates))
 
-    def levels(self) -> dict[str, int]:
-        """Topological depth per net (primary inputs at level 0)."""
-        return dict(zip(self._names, self._depths()))
-
-    def fanout_map(self) -> dict[str, list[str]]:
-        """Net name -> gate ids that consume it, in file order."""
-        names = self._names
-        return {names[n]: [names[s] for s in fo]
-                for n, fo in enumerate(self._fanouts)}
-
     def fanin_cone(self, gate_id: str) -> set[str]:
         """All net names feeding a gate, inclusive of the gate itself."""
         return {self._names[n]

@@ -23,8 +23,8 @@ from itertools import chain, count, islice
 from operator import add, itemgetter
 from typing import NamedTuple
 
-from .cell import (LOCAL_VECTORS, UNDERLYING, CamoConfig, CellFlavor,
-                   GateFunction, config_for)
+from .cell import (LOCAL_VECTORS, UNDERLYING, CellFlavor, GateFunction,
+                   config_for)
 from .device import (
     _FLAVOR_CELLS,
     BiasPoint,
@@ -132,15 +132,6 @@ def _signatures(cells, temperatures, params: DeviceParams | None,
                     cell.delay(out, core, point))))
         sigs.append(Signature(gate_id, tuple(obs)))
     return sigs
-
-
-def cell_signature(config: CamoConfig, temperatures=DEFAULT_TEMPERATURES,
-                   params: DeviceParams | None = None,
-                   bias_policy: str = "fixed",
-                   gate_id: str = "cell") -> Signature:
-    """Fingerprint of one cell at every local vector and temperature."""
-    return _signatures([(gate_id, CellModel(config))], temperatures, params,
-                       bias_policy)[0]
 
 
 def template_signatures(flavor: CellFlavor,

@@ -47,7 +47,6 @@ from vtcamo.netlist import CamoKey, KeyEntry, check_equivalence, parse_bench
 from vtcamo.sidechannel import (
     add_measurement_noise,
     balance_flavors,
-    cell_signature,
     classify_function,
     measure_signature,
     template_signatures,
@@ -308,8 +307,7 @@ def test_criterion_09_sidechannel_and_countermeasures():
     for flavor in CellFlavor:
         templates = template_signatures(flavor)
         for func in flavor.function_set:
-            sig = cell_signature(config_for(func, flavor),
-                                 gate_id=func.value)
+            sig = template_signatures(flavor)[func]
             assert classify_function(sig, templates).function is func
 
     # compensated bias pins the overdrive and crushes the thermal spread
@@ -322,10 +320,9 @@ def test_criterion_09_sidechannel_and_countermeasures():
         assert abs(bias.vg_n + drift - base.vg_n) < 1e-12
         assert abs(bias.vg_p - drift - base.vg_p) < 1e-12
 
-    config = config_for(GateFunction.NAND, CellFlavor.CAMO8)
-
     def worst_spread(policy):
-        sig = cell_signature(config, temperatures=temps, bias_policy=policy)
+        sig = template_signatures(CellFlavor.CAMO8, temperatures=temps,
+                                  bias_policy=policy)[GateFunction.NAND]
         spread = 0.0
         for vec in LOCAL_PATTERNS:
             leaks = [o.leakage_a for o in sig.observations

@@ -63,7 +63,8 @@ class TestApply:
         assert entry.function is GateFunction.INV
         assert len(gate.fanins) == 2
         assert gate.fanins == (entry.decoy_net, "m")
-        assert entry.decoy_net not in reachable(net.fanout_map(), "y")
+        cone = reachable(net._fanouts, net._index["y"])
+        assert entry.decoy_net not in {net._names[n] for n in cone}
         assert check_equivalence(net, locked, key_b=key).equivalent
 
     def test_decoys_chosen_in_one_call_never_close_a_cycle(self):

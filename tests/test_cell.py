@@ -157,13 +157,44 @@ class TestEnums:
             sorted([a, b])
 
 
+#: ``serialize`` of every flavor's config for each function; the
+#: ``ContentionCollapseError`` text names a config by it
+_SERIALIZED = {
+    CellFlavor.CAMO8: {
+        GateFunction.AND: "CAMO8:HHLLHHHHHHLLHH:TIE=0",
+        GateFunction.BUF: "CAMO8:HHHHHHHHLHHHLL:TIE=1",
+        GateFunction.INV: "CAMO8:HHHHHHHHHLHHLL:TIE=1",
+        GateFunction.NAND: "CAMO8:LLHHHHHHHHLLHH:TIE=0",
+        GateFunction.NOR: "CAMO8:HHHHLLHHHHLLHH:TIE=0",
+        GateFunction.OR: "CAMO8:HHHHHHLLHHLLHH:TIE=0",
+        GateFunction.XNOR: "CAMO8:HHHHHHHHHLLLHH:TIE=0",
+        GateFunction.XOR: "CAMO8:HHHHHHHHLHLLHH:TIE=0",
+    },
+    CellFlavor.CMOS3A: {
+        GateFunction.NAND: "CMOS3A:LLHHHHHHHHLLHH:TIE=0",
+        GateFunction.NOR: "CMOS3A:HHHHLLHHHHLLHH:TIE=0",
+        GateFunction.XOR: "CMOS3A:HHHHHHHHLHLLHH:TIE=0",
+    },
+    CellFlavor.CMOS3B: {
+        GateFunction.AND: "CMOS3B:HHLLHHHHHHLLHH:TIE=0",
+        GateFunction.OR: "CMOS3B:HHHHHHLLHHLLHH:TIE=0",
+        GateFunction.XNOR: "CMOS3B:HHHHHHHHHLLLHH:TIE=0",
+    },
+}
+
+
 class TestSerialization:
     @pytest.mark.parametrize("flavor", list(CellFlavor))
     def test_round_trip(self, flavor):
-        for func in sorted(flavor.function_set, key=lambda f: f.value):
+        """The pinned text of each config, read back field by field."""
+        texts = _SERIALIZED[flavor]
+        assert set(texts) == flavor.function_set
+        for func, text in texts.items():
             config = config_for(func, flavor)
-            text = config.serialize()
-            assert CamoConfig.deserialize(text) == config
+            assert config.serialize() == text
+            name, switches, tie = text.split(":")
+            assert config == CamoConfig(tuple(map(VT, switches)),
+                                        CellFlavor(name), tie == "TIE=1")
 
     def test_serialized_shape(self):
         text = config_for(GateFunction.NAND, CellFlavor.CAMO8).serialize()
@@ -171,24 +202,6 @@ class TestSerialization:
         assert flavor == "CAMO8"
         assert len(switches) == 14 and set(switches) <= {"H", "L"}
         assert tie in ("TIE=0", "TIE=1")
-
-    def test_accepts_ten_switch_form(self):
-        full = config_for(GateFunction.XNOR, CellFlavor.CAMO8)
-        text = full.serialize()
-        flavor, switches, tie = text.split(":")
-        short = f"{flavor}:{switches[:10]}:{tie}"
-        assert CamoConfig.deserialize(short) == full
-
-    @pytest.mark.parametrize("text", [
-        "CAMO8",
-        "CAMO8:HHHH:TIE=0",
-        "CAMO9:HHLLHHHHHHLLHH:TIE=0",
-        "CAMO8:HHLLHHHHHHLLHH:TIE=2",
-        "CAMO8:HHXLHHHHHHLLHH:TIE=0",
-    ])
-    def test_rejects_malformed_text(self, text):
-        with pytest.raises(MalformedConfigError):
-            CamoConfig.deserialize(text)
 
 
 class TestDecodeValidation:

@@ -429,6 +429,17 @@ class TestCliCommands:
         assert "balance" in doc
         assert len(doc["aggregate"]) == 4 * 3
 
+    def test_sidechannel_without_camouflaged_cells(self, capsys, tmp_path,
+                                                   c17_file):
+        keyfile = tmp_path / "empty.key"
+        keyfile.write_text("")
+        code, out, _ = _run(capsys, ["sidechannel", c17_file, "--key",
+                                     str(keyfile), "--no-timestamp"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["classification"] == {}
+        assert doc["accuracy"] is None
+
     def test_sweep_writes_csv(self, capsys, tmp_path):
         out_csv = tmp_path / "sweep.csv"
         code = main(["sweep", "--hvt", "0.1:0.2", "--lvt", "0.1:0.2",
@@ -1027,6 +1038,24 @@ class TestPublicNames:
         assert vtcamo.errors is errors
         # what a lookup finds before any layer has imported errors
         assert vtcamo.__getattr__("errors") is errors
+
+    def test_every_error_class_is_raised(self):
+        """Each error class is raised somewhere in the package, or is the
+        base of one that is (as ``BenchParseError`` is)."""
+        raised = set()
+        for path in Path(vtcamo.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(
+                        node.exc, ast.Call) else node.exc
+                    raised.add(exc.attr if isinstance(exc, ast.Attribute)
+                               else getattr(exc, "id", None))
+        errors = importlib.import_module("vtcamo.errors")
+        classes = [c for c in vars(errors).values() if isinstance(c, type)
+                   and issubclass(c, errors.VtcamoError)]
+        raised = [c for c in classes if c.__name__ in raised]
+        assert [c.__name__ for c in classes
+                if not any(issubclass(r, c) for r in raised)] == []
 
 
 def _locked_c17_texts() -> tuple[str, str]:

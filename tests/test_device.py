@@ -1,6 +1,7 @@
 """Device model: currents, ratios, leakage, delay, sweeps, bias search."""
 
 import math
+from dataclasses import replace
 from decimal import Decimal, getcontext
 
 import pytest
@@ -14,6 +15,7 @@ from vtcamo.device import (
     delay_detail,
     drain_current,
     gate_leakage,
+    operating_point,
     optimize_bias,
     sweep_to_csv,
     sweep_vt_window,
@@ -157,6 +159,14 @@ class TestSwitchRatio:
         values = [switch_ratio(0.2, d, bias, 300.0, params)
                   for d in (0.0, 0.1, 0.2, 0.3)]
         assert values == sorted(values) and len(set(values)) == len(values)
+
+    def test_underflowing_off_current_gives_inf(self, params):
+        bias = default_bias(params)
+        assert switch_ratio(20.0, 0.35, bias, 300.0, params) == (
+            pytest.approx(7.66e259, rel=1e-3))
+        wide = replace(params, delta_hvt=25.0)
+        assert operating_point(bias, params.vdd, 300.0, wide).off_n == 0.0
+        assert switch_ratio(25.0, 0.35, bias, 300.0, params) == math.inf
 
     @pytest.mark.parametrize("hvt, lvt", [(-0.1, 0.1), (0.1, -0.1)])
     def test_negative_offsets_are_rejected(self, params, hvt, lvt):

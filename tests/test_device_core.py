@@ -61,13 +61,12 @@ from vtcamo.errors import (
     InvalidParameterError,
     TemplateSetError,
 )
-from vtcamo.netlist import parse_bench
+from vtcamo.netlist import CamoKey, KeyEntry, parse_bench
 from vtcamo.sidechannel import (
     Classification,
     Observation,
     Signature,
     add_measurement_noise,
-    cell_signature,
     classify_function,
     measure_signature,
     template_signatures,
@@ -346,12 +345,24 @@ def test_delay_detail_matches_reference(p, bias, t, func, vec, vdd, include):
     assert got == want
 
 
+#: one CAMO8 cell: only the cell the key programs is measured, so a
+#: collapse is this cell's own
+ONE_CELL = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = CAMO8(a, b)\n")
+
+
+def measured(func, temps, p, policy):
+    """The signature of ``ONE_CELL`` programmed as ``func``."""
+    return measure_signature(ONE_CELL, CamoKey({"y": KeyEntry(func)}),
+                             temperatures=temps, params=p,
+                             bias_policy=policy)["y"]
+
+
 @SETTINGS
 @given(params_st, func_st, st.lists(temp_st, min_size=1, max_size=4),
        st.sampled_from(("fixed", "thermal_compensated")))
 @example(DeviceParams(), F.OR, [250.0, 300.0, 350.0], "thermal_compensated")
 @example(FLAT[0], F.NOR, [300.0], "fixed")
-def test_cell_signature_matches_reference(p, func, temps, policy):
+def test_measured_signature_matches_reference(p, func, temps, policy):
     config = config_for(func, CellFlavor.CAMO8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BiasClampWarning)
@@ -364,7 +375,7 @@ def test_cell_signature_matches_reference(p, func, temps, policy):
                              outcome(lambda: ref_delay_detail(
                                  config, func, vec, bias, p.vdd, t, p
                              ).delay_s)))
-        sig = outcome(cell_signature, config, temps, p, policy)
+        sig = outcome(measured, func, temps, p, policy)
     collapsed = [w[3] for w in want if isinstance(w[3], tuple)]
     if collapsed:
         assert sig == collapsed[0]
@@ -428,11 +439,9 @@ def test_examples_reach_clamp_and_collapse():
 
 def test_clamped_rail_warns_once_per_temperature():
     p = DeviceParams(kvt=0.008)   # rails clamp at 200 K and at 400 K
-    config = config_for(F.AND, CellFlavor.CAMO8)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        cell_signature(config, (200.0, 300.0, 400.0), p,
-                       "thermal_compensated")
+        measured(F.AND, (200.0, 300.0, 400.0), p, "thermal_compensated")
     assert [w.category for w in caught] == [BiasClampWarning] * 2
 
 

@@ -508,12 +508,14 @@ class TestCriticalPath:
 
 class TestTopology:
     def test_levels(self, c17):
-        levels = c17.levels()
+        levels = dict(zip(c17._names, c17._depths()))
         assert levels["10"] == 1 and levels["16"] == 2 and levels["23"] == 3
         assert levels["1"] == 0
 
     def test_fanout_cone_includes_self_and_successors(self, c17):
-        assert reachable(c17.fanout_map(), "11") == {"11", "16", "19", "22", "23"}
+        cone = reachable(c17._fanouts, c17._index["11"])
+        assert {c17._names[n] for n in cone} == {"11", "16", "19", "22",
+                                                  "23"}
 
     def test_fanin_cone_includes_inputs(self, c17):
         assert c17.fanin_cone("22") == {"1", "2", "3", "6", "10", "11",

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from vtcamo.camouflage import apply_camouflage
-from vtcamo.cell import CellFlavor, GateFunction, config_for
+from vtcamo.cell import CellFlavor, GateFunction
 from vtcamo.device import DeviceParams, default_bias
 from vtcamo.errors import (
     BiasClampWarning,
@@ -26,7 +26,6 @@ from vtcamo.sidechannel import (
     Observation,
     add_measurement_noise,
     balance_flavors,
-    cell_signature,
     classify_function,
     measure_signature,
     template_signatures,
@@ -85,11 +84,16 @@ y = CAMO8(g2, g3)
 F_CAMO8 = CellFlavor.CAMO8.function_set
 
 
+def _signature(func, flavor=CellFlavor.CAMO8, **kwargs):
+    """The signature of one cell of ``flavor`` programmed as ``func``."""
+    return template_signatures(flavor, **kwargs)[func]
+
+
 def _accuracy(flavor, sigma, trials=NOISE_TRIALS):
     templates = template_signatures(flavor)
     hits = total = 0
     for func in sorted(flavor.function_set, key=lambda f: f.value):
-        clean = cell_signature(config_for(func, flavor), gate_id=func.value)
+        clean = templates[func]
         for seed in range(trials):
             noisy = add_measurement_noise(clean, sigma, seed=seed)
             total += 1
@@ -100,7 +104,7 @@ def _accuracy(flavor, sigma, trials=NOISE_TRIALS):
 
 class TestSignatures:
     def test_grid_covers_vectors_and_temperatures(self):
-        sig = cell_signature(config_for(GateFunction.NAND, CellFlavor.CAMO8))
+        sig = _signature(GateFunction.NAND)
         assert len(sig.observations) == 4 * len(DEFAULT_TEMPERATURES)
         keys = {(o.vector, o.temperature) for o in sig.observations}
         assert len(keys) == len(sig.observations)
@@ -113,14 +117,12 @@ class TestSignatures:
         (),
     ])
     def test_temperature_window_is_enforced(self, temps):
-        config = config_for(GateFunction.NAND, CellFlavor.CAMO8)
         with pytest.raises(InvalidParameterError):
-            cell_signature(config, temperatures=temps)
+            _signature(GateFunction.NAND, temperatures=temps)
 
     def test_window_bounds_are_inclusive(self):
-        config = config_for(GateFunction.NAND, CellFlavor.CAMO8)
-        sig = cell_signature(
-            config, temperatures=(MIN_TEMPERATURE_K, MAX_TEMPERATURE_K))
+        sig = _signature(GateFunction.NAND, temperatures=(
+            MIN_TEMPERATURE_K, MAX_TEMPERATURE_K))
         assert len(sig.observations) == 8
 
 
@@ -129,8 +131,7 @@ class TestClassification:
     def test_noiseless_recovery_is_perfect(self, flavor):
         templates = template_signatures(flavor)
         for func in flavor.function_set:
-            sig = cell_signature(config_for(func, flavor),
-                                 gate_id=func.value)
+            sig = _signature(func, flavor)
             result = classify_function(sig, templates)
             assert result.function is func
             assert 0.0 < result.confidence <= 1.0
@@ -153,7 +154,7 @@ class TestClassification:
                 key.entries[gid].function
 
     def test_template_set_is_validated(self):
-        sig = cell_signature(config_for(GateFunction.NAND, CellFlavor.CAMO8))
+        sig = _signature(GateFunction.NAND)
         templates = template_signatures(CellFlavor.CAMO8)
         with pytest.raises(TemplateSetError):
             classify_function(sig, {})
@@ -166,7 +167,7 @@ class TestClassification:
             classify_function(sig, shifted)
 
     def test_non_finite_template_rejected(self):
-        sig = cell_signature(config_for(GateFunction.NAND, CellFlavor.CAMO8))
+        sig = _signature(GateFunction.NAND)
         templates = dict(template_signatures(CellFlavor.CAMO8))
         broken = templates[GateFunction.OR]
         first = broken.observations[0]
@@ -197,7 +198,7 @@ class TestObservation:
 
 class TestNoise:
     def test_same_seed_reproduces(self):
-        sig = cell_signature(config_for(GateFunction.XOR, CellFlavor.CAMO8))
+        sig = _signature(GateFunction.XOR)
         a = add_measurement_noise(sig, 0.3, seed=7)
         b = add_measurement_noise(sig, 0.3, seed=7)
         c = add_measurement_noise(sig, 0.3, seed=8)
@@ -205,18 +206,18 @@ class TestNoise:
         assert a != c
 
     def test_zero_sigma_is_identity(self):
-        sig = cell_signature(config_for(GateFunction.XOR, CellFlavor.CAMO8))
+        sig = _signature(GateFunction.XOR)
         assert add_measurement_noise(sig, 0.0, seed=1) == sig
 
     @pytest.mark.parametrize("sigma", [-0.1, math.inf, math.nan])
     def test_bad_sigma_rejected(self, sigma):
-        sig = cell_signature(config_for(GateFunction.XOR, CellFlavor.CAMO8))
+        sig = _signature(GateFunction.XOR)
         with pytest.raises(InvalidParameterError):
             add_measurement_noise(sig, sigma)
 
     def test_overflowing_noise_factor_rejected(self):
         # exp(N(0, 800)) overflows a float for almost every draw
-        sig = cell_signature(config_for(GateFunction.XOR, CellFlavor.CAMO8))
+        sig = _signature(GateFunction.XOR)
         with pytest.raises(InvalidParameterError, match="800.0"):
             add_measurement_noise(sig, 800.0)
 
@@ -238,11 +239,10 @@ class TestThermalCompensation:
         assert 0.0 <= bias.vg_p <= params.vdd
 
     def test_leakage_spread_shrinks(self):
-        config = config_for(GateFunction.NAND, CellFlavor.CAMO8)
-        fixed = cell_signature(config, temperatures=SPREAD_TEMPS,
-                               bias_policy="fixed")
-        comp = cell_signature(config, temperatures=SPREAD_TEMPS,
-                              bias_policy="thermal_compensated")
+        fixed = _signature(GateFunction.NAND, temperatures=SPREAD_TEMPS,
+                           bias_policy="fixed")
+        comp = _signature(GateFunction.NAND, temperatures=SPREAD_TEMPS,
+                          bias_policy="thermal_compensated")
 
         def worst_spread(sig):
             spread = 0.0
@@ -255,9 +255,8 @@ class TestThermalCompensation:
         assert worst_spread(fixed) >= 5.0 * worst_spread(comp)
 
     def test_unknown_policy_rejected(self):
-        config = config_for(GateFunction.NAND, CellFlavor.CAMO8)
         with pytest.raises(InvalidParameterError):
-            cell_signature(config, bias_policy="adaptive")
+            _signature(GateFunction.NAND, bias_policy="adaptive")
 
 
 class TestAggregate:

@@ -9,8 +9,11 @@ output; plus ``sim``, ``sidechannel``, ``sweep``, ``bias-opt``,
 ``estimate``, the option-rule refusals, a ``lock`` that names one file
 twice, a ``lock`` of ``c17`` at the default budget (it selects no gate),
 both attacks on ``c17`` with an empty key (no camouflaged cell) and on
-an 8-cell ``synth_mix`` lock (the largest brute force); then every
-``vtcamo`` command of README's ``sh`` blocks.
+an 8-cell ``synth_mix`` lock (the largest brute force); an ``equiv`` that
+finds a counterexample, ``sidechannel --temps`` (read and refused),
+``report --config`` (read and refused), a ``parse`` that names the line
+and column of a syntax error, and a ``sidechannel`` with no camouflaged
+cell; then every ``vtcamo`` command of README's ``sh`` blocks.
 It also runs README's ``python`` blocks, and names each printed line
 that differs from the ``# `` comment line under it. Standard library
 only, like ``tools/golden_check.py``, whose helpers it uses::
@@ -22,8 +25,9 @@ Every run calls ``vtcamo.cli.main`` in this process with
 ``--no-timestamp``, inside a temporary directory that is the working
 directory, with relative paths, so no absolute path reaches a digest.
 The bundled benches sit there under their own names and under
-``src/vtcamo/benches``, the paths README uses, beside an empty key file,
-``empty.key``. A run's digest covers its
+``src/vtcamo/benches``, the paths README uses, beside ``c17_nor.bench``
+(``c17`` with gate 22 a NOR) and the small files of ``FILES``. A run's
+digest covers its
 exit code, stdout, stderr and every file it wrote. The fixture is
 ``tests/golden/cli_matrix.json``; each argv whose digest differs from it
 is named. Exit status: 0 when every digest matches and every README
@@ -54,6 +58,12 @@ README = ROOT / "README.md"
 BENCHES = ("c17", "synth_mix", "synth_wide")
 FLAVORS = ("camo8", "cmos3a", "cmos3b")
 STRATEGIES = ("random", "xor-seq", "off-critical", "greedy-effort")
+#: an empty key, run config files (one read, one refused) and a .bench
+#: whose third line does not parse
+FILES = {"empty.key": "",
+         "run.cfg": "device.vdd = 1.1\nseed = 3\n",
+         "bad.cfg": "device.vdd = high\n",
+         "bad.bench": "INPUT(a)\nOUTPUT(y)\n  y = AND(a\n"}
 
 
 def _locks():
@@ -185,6 +195,17 @@ def matrix() -> list[list[str]]:
         ["estimate", "--inputs", "5", "--gates", "3", "--functions", "3",
          "--freq", "1e6"],
     ]
+    locked, key = "c17_camo8_random_0.5_0.bench", "c17_camo8_random_0.5_0.key"
+    runs += [
+        ["equiv", "c17.bench", "c17_nor.bench"],
+        ["sidechannel", locked, "--key", key, "--temps", "250,300,350,400"],
+        ["sidechannel", locked, "--key", key, "--temps", "250,x"],
+        ["report", "c17.bench", "--config", "run.cfg"],
+        ["report", "c17.bench", "--config", "bad.cfg"],
+        ["parse", "bad.bench"],
+        # no camouflaged cell: an empty classification and no accuracy
+        ["sidechannel", "c17.bench", "--key", "empty.key"],
+    ]
     return runs + readme_argvs()
 
 
@@ -231,7 +252,10 @@ def run_matrix() -> tuple[dict, list[str]]:
                 bench = ROOT / benches / f"{stem}.bench"
                 Path(f"{stem}.bench").write_bytes(bench.read_bytes())
                 (benches / f"{stem}.bench").write_bytes(bench.read_bytes())
-            Path("empty.key").write_text("")
+            Path("c17_nor.bench").write_text(Path("c17.bench").read_text(
+                ).replace("22 = NAND", "22 = NOR"))
+            for name, text in FILES.items():
+                Path(name).write_text(text)
             runs = [{"argv": argv, "digest": digest(argv)}
                     for argv in matrix()]
             wrong = readme_python()
