@@ -41,15 +41,17 @@ computed at the loop level where its inputs last change:
 - per config, ``CellModel`` holds the decoded function and the route and
   HVT switch counts (``_FLAVOR_CELLS`` has every flavor's cells);
 - per (route count, HVT count, output), a worst-case delay reads only the
-  row with the most core leakage, and ``CellModel.delay`` divides once by
-  the least drive of the two edges: a drive falls as contention rises,
-  and a rounded division falls as its divisor rises. A collapse takes the
-  per-edge path (``CellModel.detail``), in row order, to name its config.
+  row with the most core leakage and divides once by the least drive of
+  the two edges: a drive falls as contention rises, and a rounded
+  division falls as its divisor rises. A collapse takes the per-edge path
+  (``CellModel.detail``), in row order, to name its config.
 
 A leakage or delay figure is a few products and sums of those numbers.
-A signature set computes the bias and currents once per temperature for
-all its cells; ``gate_leakage``, ``delay_detail``, ``cell_worst_delay``
-and ``switch_ratio`` use the same code on one point.
+``CellModel._edge`` and ``detail`` form them one edge at a time and raise
+a collapse: the reference that ``gate_leakage`` and ``delay_detail`` use.
+``_worst_delay`` and ``sidechannel._signatures`` form the same drives
+inline and call ``detail`` only to raise; ``tests/test_device_core.py``
+pins both to it bit for bit.
 """
 
 from __future__ import annotations
@@ -354,20 +356,6 @@ class CellModel:
         """OFF switch plus OFF core current (``core`` from ``self.core``)."""
         return self.n_hvt_all * (point.off_n + point.off_p) + core
 
-    def delay(self, out: int, core: float, point: OperatingPoint) -> float:
-        """``detail(...)[0]`` from the least drive (see the module notes)."""
-        n_route, n_hvt = self.n_route, self.n_hvt
-        rise = n_route * point.on_p - (n_hvt * point.off_n
-                                       + (core if out else 0.0))
-        fall = n_route * point.on_n - (n_hvt * point.off_p
-                                       + (0.0 if out else core))
-        i_eff = rise if rise < fall else fall
-        if i_eff <= 0.0:
-            self.detail(out, core, point)  # raises ContentionCollapseError
-        # max(i_eff, CONTENTION_CLAMP_A) without a call: a NaN i_eff is kept
-        return point.c_load * point.vdd_actual / (2.0 * (
-            CONTENTION_CLAMP_A if CONTENTION_CLAMP_A > i_eff else i_eff))
-
     def detail(self, out: int, core: float, point: OperatingPoint,
                include_contention: bool = True) -> tuple:
         """``DelayDetail`` fields of the slower edge (see delay_detail)."""
@@ -395,10 +383,10 @@ class CellModel:
         return (delay, i_on, i_contend, clamped, edge)
 
 
-#: Every flavor's cells in function-name order, as cell_worst_delay walks them.
+#: Each flavor's cells by function, in the name order cell_worst_delay walks.
 _FLAVOR_CELLS = {
-    flavor: tuple(CellModel(_cell.config_for(func, flavor))
-                  for func in sorted(flavor.function_set))
+    flavor: {func: CellModel(_cell.config_for(func, flavor))
+             for func in sorted(flavor.function_set)}
     for flavor in CellFlavor
 }
 
@@ -407,7 +395,8 @@ def _core_rows(flavor: CellFlavor, core_off: dict[str, float]) -> tuple:
     """(cell, output, core-path leakage) of every cell and local vector,
     and of each (n_route, n_hvt, output) the row with the most leakage."""
     rows = tuple((cell, *cell.core(vec, core_off))
-                 for cell in _FLAVOR_CELLS[flavor] for vec in LOCAL_VECTORS)
+                 for cell in _FLAVOR_CELLS[flavor].values()
+                 for vec in LOCAL_VECTORS)
     worst = {(row[0].n_route, row[0].n_hvt, row[1]): row  # largest last
              for row in sorted(rows, key=itemgetter(2))}
     return rows, tuple(worst.values())
@@ -415,12 +404,20 @@ def _core_rows(flavor: CellFlavor, core_off: dict[str, float]) -> tuple:
 
 def _worst_delay(cores: tuple, point: OperatingPoint) -> float:
     rows, worst = cores
-    try:
-        delay = max(cell.delay(out, core, point) for cell, out, core in worst)
-    except ContentionCollapseError:  # the first collapsing row names itself
-        for cell, out, core in rows:
-            cell.detail(out, core, point)
-        raise
+    vdd_actual, c_load, on_n, on_p, off_n, off_p = point
+    delays = []
+    for cell, out, core in worst:
+        n_route, n_hvt = cell.n_route, cell.n_hvt
+        rise = n_route * on_p - (n_hvt * off_n + (core if out else 0.0))
+        fall = n_route * on_n - (n_hvt * off_p + (0.0 if out else core))
+        i_eff = rise if rise < fall else fall
+        if i_eff <= 0.0:  # the first collapsing row names its config
+            for row in rows:
+                row[0].detail(*row[1:], point)
+        if CONTENTION_CLAMP_A > i_eff:  # max() with no call; keeps a NaN
+            i_eff = CONTENTION_CLAMP_A
+        delays.append(c_load * vdd_actual / (2.0 * i_eff))
+    delay = max(delays)
     if delay == math.inf:  # c_load * vdd_actual / (2 * i_eff) overflowed
         raise InvalidParameterError(
             f"cell delay overflows with c_load = {point.c_load} F")

@@ -9,7 +9,8 @@ inserting sink-terminated dummy cells until every function of a flavor
 appears equally often (so chip-level aggregate measurements carry no
 information about the mix), and shifting the pass-switch bias rails with
 temperature so the switch overdrive, and with it the leakage spread a
-thermal attacker relies on, stays put.
+thermal attacker relies on, stays put. A signature set forms its bias
+and currents once per temperature and each cell's drives in one loop.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .cell import (LOCAL_VECTORS, UNDERLYING, CellFlavor, GateFunction,
                    config_for)
 from .device import (
     _FLAVOR_CELLS,
+    CONTENTION_CLAMP_A,
     BiasPoint,
     CellModel,
     DeviceParams,
@@ -123,13 +125,27 @@ def _signatures(cells, temperatures, params: DeviceParams | None,
               for t in _check_temperatures(temperatures)]
     sigs = []
     for gate_id, cell in cells:
+        n_route, n_hvt = cell.n_route, cell.n_hvt
+        terms = [(t, core_off, pt, cell.n_hvt_all * (pt.off_n + pt.off_p),
+                  n_route * pt.on_p, n_hvt * pt.off_n, n_route * pt.on_n,
+                  n_hvt * pt.off_p, pt.c_load * pt.vdd_actual)
+                 for t, pt, core_off in points]
         obs = []
         for vec in LOCAL_VECTORS:
-            for t, point, core_off in points:
-                out, core = cell.core(vec, core_off)
+            out, paths = cell.vectors[vec]
+            for t, core_off, pt, switch, on_p, off_n, on_n, off_p, q in terms:
+                core = 0.0
+                for kind, divisor in paths:
+                    core += core_off[kind] / divisor
+                rise = on_p - (off_n + (core if out else 0.0))
+                fall = on_n - (off_p + (0.0 if out else core))
+                i_eff = rise if rise < fall else fall
+                if i_eff <= 0.0:
+                    cell.detail(out, core, pt)  # raises the collapse
+                if CONTENTION_CLAMP_A > i_eff:  # max() with no call; keeps NaN
+                    i_eff = CONTENTION_CLAMP_A
                 obs.append(tuple.__new__(Observation, (
-                    vec, t, cell.leakage(core, point),
-                    cell.delay(out, core, point))))
+                    vec, t, switch + core, q / (2.0 * i_eff))))
         sigs.append(Signature(gate_id, tuple(obs)))
     return sigs
 
@@ -141,8 +157,8 @@ def template_signatures(flavor: CellFlavor,
                         ) -> dict[GateFunction, Signature]:
     """Reference signature of every function a flavor can express."""
     cells = _FLAVOR_CELLS[flavor]
-    return dict(zip((c.func for c in cells), _signatures(
-        [(c.func.value, c) for c in cells], temperatures, params,
+    return dict(zip(cells, _signatures(
+        [(f.value, c) for f, c in cells.items()], temperatures, params,
         bias_policy)))
 
 
@@ -166,8 +182,10 @@ def measure_signature(net: Netlist, key: CamoKey,
         if entry is None:
             raise InvalidParameterError(
                 f"key has no entry for camouflaged gate {g.gate_id!r}")
+        # a miss builds the config, which refuses an out-of-flavor function
         cells.append((g.gate_id,
-                      CellModel(config_for(entry.function, g.flavor))))
+                      _FLAVOR_CELLS[g.flavor].get(entry.function)
+                      or CellModel(config_for(entry.function, g.flavor))))
     per_gate = {sig.gate_id: sig for sig in
                 _signatures(cells, temperatures, params, bias_policy)}
     if mode == "per_gate":
@@ -197,9 +215,9 @@ def add_measurement_noise(signature: Signature, sigma: float,
     rng = random.Random(seed)
     try:
         obs = tuple(
-            Observation(o.vector, o.temperature,
-                        o.leakage_a * math.exp(rng.gauss(0.0, sigma)),
-                        o.delay_s * math.exp(rng.gauss(0.0, sigma)))
+            tuple.__new__(Observation, (
+                o[0], o[1], o[2] * math.exp(rng.gauss(0.0, sigma)),
+                o[3] * math.exp(rng.gauss(0.0, sigma))))
             for o in signature.observations)
     except OverflowError:
         raise InvalidParameterError(f"noise sigma {sigma} is too large: "

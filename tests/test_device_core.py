@@ -21,6 +21,7 @@ from dataclasses import replace
 from functools import reduce
 from operator import add
 
+import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
@@ -385,6 +386,51 @@ def test_measured_signature_matches_reference(p, func, temps, policy):
 
 
 @SETTINGS
+@given(params_st, st.sampled_from(list(CellFlavor)),
+       st.lists(temp_st, min_size=1, max_size=3),
+       st.sampled_from(("fixed", "thermal_compensated")))
+@example(DeviceParams(), CellFlavor.CMOS3A, [250.0, 300.0, 350.0], "fixed")
+@example(DeviceParams(), CellFlavor.CMOS3B, [250.0, 300.0, 350.0],
+         "thermal_compensated")
+@example(DeviceParams(kvt=0.008), CellFlavor.CAMO8, [200.0, 300.0, 400.0],
+         "thermal_compensated")
+@example(FLAT[0], CellFlavor.CMOS3A, [300.0], "fixed")
+# the second and third CMOS3A functions collapse, the first does not
+@example(DeviceParams(vtn0=0.15, vtp0_mag=0.15, delta_hvt=0.0, delta_lvt=0.1,
+                      kvt=0.003), CellFlavor.CMOS3A, [250.0, 300.0, 350.0],
+         "thermal_compensated")
+def test_template_signatures_match_reference(p, flavor, temps, policy):
+    """Every function of the flavor, observation by observation, in bits;
+    where any cell collapses, the set raises the first collapse in
+    (function, vector, temperature) order."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BiasClampWarning)
+        want = {}
+        for func in sorted(flavor.function_set, key=lambda f: f.value):
+            config = config_for(func, flavor)
+            want[func] = rows = []
+            for vec in VECTORS:
+                for t in temps:
+                    bias = (default_bias(p) if policy == "fixed"
+                            else thermal_compensated_bias(t, p))
+                    rows.append((vec, t, ref_leakage(config, func, vec, bias,
+                                                     t, p).hex(),
+                                 outcome(lambda: ref_delay_detail(
+                                     config, func, vec, bias, p.vdd, t, p
+                                 ).delay_s.hex())))
+        got = outcome(template_signatures, flavor, temps, p, policy)
+    collapsed = [row[3] for rows in want.values() for row in rows
+                 if isinstance(row[3], tuple)]
+    if collapsed:
+        assert got == collapsed[0]
+    else:
+        assert list(got) == list(want)
+        assert {f: [(o.vector, o.temperature, o.leakage_a.hex(),
+                     o.delay_s.hex()) for o in sig.observations]
+                for f, sig in got.items()} == want
+
+
+@SETTINGS
 @given(params_st, bias_st, temp_st, st.floats(0.0, 0.5), st.floats(0.0, 0.5))
 def test_switch_ratio_matches_reference(p, bias, t, dh, dl):
     assert switch_ratio(dh, dl, bias, t, p) == ref_ratio(dh, dl, bias, t, p)
@@ -527,49 +573,74 @@ def test_grid_walks_compute_each_member_once(monkeypatch):
         assert set(got) == set(want)
 
 
-def test_delay_clamps_the_drive_as_max_does():
-    """``CellModel.delay`` divides by ``max(i_eff, CONTENTION_CLAMP_A)``:
-    a drive just below the clamp is raised to it, one at or above it is
-    kept, and a NaN drive stays NaN (``i_eff > clamp`` is false for NaN,
-    so ``i_eff if i_eff > clamp else clamp`` would clamp it)."""
-    cell = device.CellModel(config_for(F.AND, CellFlavor.CAMO8))
+def test_delay_clamps_the_drive_as_max_does(monkeypatch):
+    """Both delay loops divide by ``max(i_eff, CONTENTION_CLAMP_A)``: a
+    drive just below the clamp is raised to it, one at or above it is kept,
+    and a NaN drive stays NaN (``i_eff > clamp`` is false for NaN, so
+    ``i_eff if i_eff > clamp else clamp`` would clamp it)."""
+    cell = device._FLAVOR_CELLS[CellFlavor.CAMO8][F.AND]
     assert cell.n_route == 2   # so halving the drive per member is exact
+    assert sorted(out for out, _ in cell.vectors.values()) == [0, 0, 0, 1]
     clamp = CONTENTION_CLAMP_A
+    # no core leakage: with no OFF member either, both edges drive ``drive``
+    monkeypatch.setattr(sidechannel, "core_currents",
+                        lambda t, params: {"n": 0.0, "p": 0.0})
     for drive in (math.nextafter(clamp, 0.0), clamp,
                   math.nextafter(clamp, 1.0), 1e-6, math.nan):
-        # both edges drive exactly ``drive``: no OFF member, no core leakage
         point = device.OperatingPoint(vdd_actual=1.0, c_load=1e-15,
                                       on_n=drive / 2, on_p=drive / 2,
                                       off_n=0.0, off_p=0.0)
         want = (point.c_load * point.vdd_actual
                 / (2.0 * max(drive, clamp))).hex()
         for out in (0, 1):
-            assert cell.delay(out, 0.0, point).hex() == want, (drive, out)
+            row = ((cell, out, 0.0),)
+            got = device._worst_delay((row, row), point)
+            assert got.hex() == want, (drive, out)
+        monkeypatch.setattr(sidechannel, "operating_point",
+                            lambda *args, _point=point: _point)
+        sig, = sidechannel._signatures([("y", cell)], (300.0,), None, "fixed")
+        assert [o.delay_s.hex() for o in sig.observations] == [want] * 4, drive
 
 
 def _delay_agrees_with_detail(p, bias, t, vdd=None) -> int:
-    """Check ``CellModel.delay`` against ``detail`` on every flavor's cells
-    times LOCAL_VECTORS: the same collapse, else the same delay bits.
-    Returns how many rows collapse."""
+    """Check both delay loops against ``CellModel.detail`` on every
+    flavor's cells times LOCAL_VECTORS. ``_worst_delay`` on each row alone
+    gives the same collapse or the same delay bits; ``_signatures`` of each
+    cell at this point gives its first collapse in vector order, or the
+    same delay bits at every vector. Returns how many rows collapse."""
     core_off = device.core_currents(t, p)
     point = device.operating_point(bias, p.vdd if vdd is None else vdd, t, p)
     collapsed = 0
-    for flavor, cells in device._FLAVOR_CELLS.items():
-        for cell in cells:
-            for vec in LOCAL_VECTORS:
-                out, core = cell.core(vec, core_off)
-                want = outcome(lambda: cell.detail(out, core, point)[0].hex())
-                got = outcome(lambda: cell.delay(out, core, point).hex())
-                assert got == want, (flavor, cell.func, vec)
-                collapsed += isinstance(want, tuple)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sidechannel, "operating_point", lambda *args: point)
+        for flavor, cells in device._FLAVOR_CELLS.items():
+            for cell in cells.values():
+                wants = []
+                for vec in LOCAL_VECTORS:
+                    row = (cell, *cell.core(vec, core_off))
+                    want = outcome(
+                        lambda: cell.detail(*row[1:], point)[0].hex())
+                    got = outcome(lambda: device._worst_delay(
+                        ((row,), (row,)), point).hex())
+                    assert got == want, (flavor, cell.func, vec)
+                    wants.append(want)
+                sig = outcome(sidechannel._signatures, [("y", cell)], (t,), p,
+                              "fixed")
+                errors = [w for w in wants if isinstance(w, tuple)]
+                if errors:
+                    assert sig == errors[0], (flavor, cell.func)
+                else:
+                    assert [o.delay_s.hex() for o in sig[0].observations] == (
+                        wants), (flavor, cell.func)
+                collapsed += len(errors)
     return collapsed
 
 
 def test_delay_collapses_exactly_when_detail_does():
-    """``_worst_delay`` keeps its re-raise: it runs only if ``delay``
-    collapses on a worst row while ``detail`` returns on every row, which
-    this pins as impossible on every row at these points. FLAT is the
-    golden ``sweep`` corner at VT offsets (0, 0)."""
+    """Both loops call ``detail`` only where their least drive is not
+    positive, and ``detail`` raises there, at points where no row, every
+    row or some rows collapse (COLLAPSE_AND also pins which row a walk
+    names). FLAT is the golden ``sweep`` corner at VT offsets (0, 0)."""
     counts = [_delay_agrees_with_detail(*point) for point in
               (NOMINAL, STARVED, FLAT, COLLAPSE_AND, TWO_ROUTE)]
     rows = sum(len(cells) for cells in device._FLAVOR_CELLS.values()) * 4

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from vtcamo.camouflage import apply_camouflage
-from vtcamo.cell import CellFlavor, GateFunction
+from vtcamo.cell import CellFlavor, GateFunction, config_for
 from vtcamo.device import DeviceParams, default_bias
 from vtcamo.errors import (
     BiasClampWarning,
@@ -16,6 +16,7 @@ from vtcamo.errors import (
     KeyScopeError,
     TemplateSetError,
     UnresolvedGateError,
+    UnsupportedFunctionError,
 )
 from vtcamo.netlist import (CamoKey, KeyEntry, check_equivalence, parse_bench,
                             serialize_bench)
@@ -284,6 +285,17 @@ class TestAggregate:
         partial = CamoKey({"10": key.entries["10"]})
         with pytest.raises(InvalidParameterError):
             measure_signature(locked, partial)
+
+    def test_out_of_flavor_key_entry_rejected(self, c17):
+        """A function the gate's flavor cannot take is refused as
+        ``config_for`` refuses it."""
+        locked, _ = apply_camouflage(c17, ["10"], CellFlavor.CMOS3A)
+        wrong = CamoKey({"10": KeyEntry(GateFunction.AND)})
+        with pytest.raises(UnsupportedFunctionError) as want:
+            config_for(GateFunction.AND, CellFlavor.CMOS3A)
+        with pytest.raises(UnsupportedFunctionError) as got:
+            measure_signature(locked, wrong)
+        assert str(got.value) == str(want.value)
 
     def test_aggregate_of_a_plain_netlist_is_rejected(self, c17):
         assert measure_signature(c17, CamoKey({})) == {}

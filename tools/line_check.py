@@ -14,7 +14,7 @@ Exit status: 0 when the lines that never ran are exactly the ones that
 ``ALLOWED`` names; 1 when another line never ran, when an ``ALLOWED``
 entry matches no such line, or when Tier-1 fails. Standard library only,
 apart from the pytest that Tier-1 itself needs. Traced, Tier-1 takes
-about 2.5 times as long.
+about 2.6 times as long.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ ALLOWED = {
     ("__main__.py", None, None):
         "runs only as `python -m vtcamo`, in the child interpreters of "
         "test_python_m_runs and test_python_m_error_is_one_json_line",
-    ("device.py", "_worst_delay", "raise"):
-        "runs only if CellModel.delay collapses where CellModel.detail "
-        "returns on every row; test_delay_collapses_exactly_when_detail_does "
-        "pins that they agree",
 }
 
 
