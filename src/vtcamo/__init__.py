@@ -24,7 +24,7 @@ _TABLE = (  # (defining module, public names), in ``__all__`` order
     ("camouflage", "CostTable SelectionPolicy apply_camouflage "
      "effort_estimate overhead_report select_gates"),
     ("attack", "AttackReport"),
-    ("netlist", "CountingOracle"),  # attack re-exports it
+    ("netlist", "CountingOracle"),  # the oracle the attacks query
     ("attack", "brute_force_attack find_sensitizing_vector "
      "sensitization_attack"),
     ("sidechannel", "Signature add_measurement_noise balance_flavors "

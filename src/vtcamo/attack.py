@@ -2,8 +2,8 @@
 
 Both attacks treat the fabricated chip as an input/output oracle: a
 callable taking a primary-input vector and returning the primary-output
-vector, such as the netlist module's CountingOracle (re-exported here),
-which counts every call, so reported query counts can be audited.
+vector, such as ``netlist.CountingOracle``, which counts every call, so
+reported query counts can be audited.
 
 An attack keeps its state in one _AttackRun: the net, the oracle and its
 budget, the transcript (each vector's reply entered once, as a tuple of
@@ -54,8 +54,8 @@ from .cell import (CAMOUFLAGEABLE, LOCAL_VECTORS, GateFunction, behavior_table,
                    distinguishing_set)
 from .errors import (AttackTooLargeError, InvalidParameterError,
                      UnresolvedFaninError)
-from .netlist import (EXHAUSTIVE_INPUT_LIMIT, CountingOracle, Netlist,
-                      OutputTables, all_vectors, forced_rails, random_vectors)
+from .netlist import (EXHAUSTIVE_INPUT_LIMIT, Netlist, OutputTables,
+                      all_vectors, forced_rails, random_vectors)
 
 #: Most camouflaged gates the joint brute-force enumeration accepts.
 MAX_BRUTE_GATES = 8

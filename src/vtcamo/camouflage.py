@@ -245,9 +245,7 @@ class OverheadReport:
     area_pct: float
     power_pct: float
     delay_pct: float
-    gate_total: int
     camo_count: int
-    per_gate: dict[str, CostMultiples]
 
 
 def overhead_report(net: Netlist,
@@ -260,11 +258,10 @@ def overhead_report(net: Netlist,
     delay multiple, against the same path with every gate plain.
     """
     cost_table = cost_table or CostTable()
-    per_gate = {}
+    camo = net.camo_gates()
     extra_area = extra_power = 0.0
-    for g in net.camo_gates():
+    for g in camo:
         m = cost_table.for_flavor(g.flavor)
-        per_gate[g.gate_id] = m
         extra_area += m.area - 1.0
         extra_power += m.power - 1.0
     total = len(net.gates)
@@ -280,9 +277,7 @@ def overhead_report(net: Netlist,
         area_pct=100.0 * extra_area / total if total else 0.0,
         power_pct=100.0 * extra_power / total if total else 0.0,
         delay_pct=delay_pct,
-        gate_total=total,
-        camo_count=len(per_gate),
-        per_gate=per_gate,
+        camo_count=len(camo),
     )
 
 
@@ -299,10 +294,6 @@ EFFORT_NOTE = (
 class EffortEstimate:
     """Exact brute-force effort arithmetic (Python integers, no rounding)."""
 
-    n_inputs: int
-    k_camo: int
-    functions_per_gate: int
-    test_frequency_hz: float
     pattern_count: int
     candidate_count: int
     seconds_raw: float
@@ -343,10 +334,6 @@ def effort_estimate(n_inputs: int, k_camo: int, functions_per_gate: int,
     patterns = 1 << n_inputs
     candidates = functions_per_gate ** k_camo
     return EffortEstimate(
-        n_inputs=n_inputs,
-        k_camo=k_camo,
-        functions_per_gate=functions_per_gate,
-        test_frequency_hz=test_frequency_hz,
         pattern_count=patterns,
         candidate_count=candidates,
         seconds_raw=_as_seconds(patterns, test_frequency_hz),

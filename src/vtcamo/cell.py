@@ -163,13 +163,17 @@ _TIE_ON = (VT.HVT, VT.HVT, VT.LVT, VT.LVT)    # input 1 cut, port tied to 0
 class CamoConfig:
     """Full programming state of one cell.
 
-    switch_vt holds switches 1..14 in order. tie_first_input mirrors the
-    state of switches 11..14 and is true exactly for INV/BUF programming.
+    switch_vt holds switches 1..14 in order. The tie flag is read off
+    switches 11..14: ``tie_first_input`` is true exactly when they hold the
+    tie programming, as for INV/BUF.
     """
 
     switch_vt: tuple[VT, ...]
     flavor: CellFlavor
-    tie_first_input: bool
+
+    @property
+    def tie_first_input(self) -> bool:
+        return self.switch_vt[10:] == _TIE_ON
 
     def serialize(self) -> str:
         """Encode as ``FLAVOR:<14 H/L chars>:TIE=<0|1>``."""
@@ -211,7 +215,7 @@ def config_for(func: GateFunction, flavor: CellFlavor) -> CamoConfig:
     base = UNDERLYING.get(func, func)
     lvt = set(SELECTION_LVT[base])
     sel = tuple(VT.LVT if i in lvt else VT.HVT for i in range(1, 11))
-    return CamoConfig(sel + (_TIE_ON if tie else _TIE_OFF), flavor, tie)
+    return CamoConfig(sel + (_TIE_ON if tie else _TIE_OFF), flavor)
 
 
 _BASE_FOR_LVT = {frozenset(lvt): f for f, lvt in SELECTION_LVT.items()}
@@ -223,8 +227,8 @@ def decode(config: CamoConfig) -> GateFunction:
     """Recover the realized function from the switch programming.
 
     Raises MalformedConfigError unless exactly one selection group is
-    programmed, the tie switches agree with the tie flag, and the decoded
-    function belongs to the config's flavor.
+    programmed, the tie switches hold one of their two programmings, and
+    the decoded function belongs to the config's flavor.
     """
     if len(config.switch_vt) != NUM_SWITCHES:
         raise MalformedConfigError(
@@ -238,8 +242,6 @@ def decode(config: CamoConfig) -> GateFunction:
     tie = _TIE_FOR_BITS.get(config.switch_vt[10:])
     if tie is None:
         raise MalformedConfigError("tie switches 11..14 are inconsistent")
-    if tie != config.tie_first_input:
-        raise MalformedConfigError("tie flag disagrees with switches 11..14")
     func = _TIED.get(base) if tie else base
     if func is None:
         raise MalformedConfigError(

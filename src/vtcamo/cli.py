@@ -57,7 +57,7 @@ _STRATEGIES = {
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -209,7 +209,7 @@ def _cmd_attack(args, cfg) -> dict:
 
     net = _load_net(args.bench)
     key = _load_key(args.key)
-    oracle = attack_mod.CountingOracle(net, key)  # validates the key
+    oracle = CountingOracle(net, key)  # validates the key
     if args.method == "brute":
         report = attack_mod.brute_force_attack(
             net, oracle, query_budget=args.budget, seed=cfg.seed,

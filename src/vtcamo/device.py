@@ -40,15 +40,18 @@ computed at the loop level where its inputs last change:
   the cell output and leaking core paths as (device kind, stack divisor);
 - per config, ``CellModel`` holds the decoded function and the route and
   HVT switch counts (``_FLAVOR_CELLS`` has every flavor's cells);
-- per (route count, HVT count, output), a worst-case delay reads only the
-  row with the most core leakage and divides once by the least drive of
-  the two edges: a drive falls as contention rises, and a rounded
-  division falls as its divisor rises. A collapse takes the per-edge path
-  (``CellModel.detail``), in row order, to name its config.
+- per (route count, HVT count, output) of the CAMO8 cells, a worst-case
+  delay reads only the row with the most core leakage and divides once by
+  the least drive of the two edges: a drive falls as contention rises,
+  and a rounded division falls as its divisor rises. A collapse takes the
+  per-edge path (``CellModel.detail``), in row order, to name its config.
 
 A leakage or delay figure is a few products and sums of those numbers.
 ``CellModel._edge`` and ``detail`` form them one edge at a time and raise
 a collapse: the reference that ``gate_leakage`` and ``delay_detail`` use.
+``detail`` always counts contention: both edges see the cell's OFF
+switch members, and the edge arriving at the output adds the OFF core
+paths at that vector.
 ``_worst_delay`` and ``sidechannel._signatures`` form the same drives
 inline and call ``detail`` only to raise; ``tests/test_device_core.py``
 pins both to it bit for bit.
@@ -356,19 +359,16 @@ class CellModel:
         """OFF switch plus OFF core current (``core`` from ``self.core``)."""
         return self.n_hvt_all * (point.off_n + point.off_p) + core
 
-    def detail(self, out: int, core: float, point: OperatingPoint,
-               include_contention: bool = True) -> tuple:
+    def detail(self, out: int, core: float, point: OperatingPoint) -> tuple:
         """``DelayDetail`` fields of the slower edge (see delay_detail)."""
-        n_hvt, core = (self.n_hvt, core) if include_contention else (0, 0.0)
-        primary = self._edge(out == 1, point, n_hvt, core)
-        secondary = self._edge(out != 1, point, n_hvt, 0.0)
+        primary = self._edge(out == 1, point, core)
+        secondary = self._edge(out != 1, point, 0.0)
         return primary if primary[0] >= secondary[0] else secondary
 
-    def _edge(self, rise: bool, point: OperatingPoint, n_hvt: int,
-              core: float) -> tuple:
-        # currents are finite and >= 0, so "+ 0.0" and "0 *" are exact
+    def _edge(self, rise: bool, point: OperatingPoint, core: float) -> tuple:
+        # currents are finite and >= 0, so "+ 0.0" is exact
         i_on = self.n_route * (point.on_p if rise else point.on_n)
-        i_contend = n_hvt * (point.off_n if rise else point.off_p) + core
+        i_contend = self.n_hvt * (point.off_n if rise else point.off_p) + core
         i_eff = i_on - i_contend
         edge = "rise" if rise else "fall"
         if i_eff <= 0.0:
@@ -391,11 +391,12 @@ _FLAVOR_CELLS = {
 }
 
 
-def _core_rows(flavor: CellFlavor, core_off: dict[str, float]) -> tuple:
-    """(cell, output, core-path leakage) of every cell and local vector,
-    and of each (n_route, n_hvt, output) the row with the most leakage."""
+def _core_rows(core_off: dict[str, float]) -> tuple:
+    """(cell, output, core-path leakage) of every CAMO8 cell and local
+    vector, and of each (n_route, n_hvt, output) the row with the most
+    leakage."""
     rows = tuple((cell, *cell.core(vec, core_off))
-                 for cell in _FLAVOR_CELLS[flavor].values()
+                 for cell in _FLAVOR_CELLS[CellFlavor.CAMO8].values()
                  for vec in LOCAL_VECTORS)
     worst = {(row[0].n_route, row[0].n_hvt, row[1]): row  # largest last
              for row in sorted(rows, key=itemgetter(2))}
@@ -464,8 +465,7 @@ def _check_vdd(vdd_actual: float) -> None:
 
 def delay_detail(config: CamoConfig, inputs: tuple[int, int],
                  bias: BiasPoint, vdd_actual: float, t: float,
-                 params: DeviceParams,
-                 include_contention: bool = True) -> DelayDetail:
+                 params: DeviceParams) -> DelayDetail:
     """Worst-edge delay with its drive/contention breakdown.
 
     The edge arriving at the state f(inputs) additionally sees the OFF
@@ -480,19 +480,17 @@ def delay_detail(config: CamoConfig, inputs: tuple[int, int],
     cell = CellModel(config)
     point = operating_point(bias, vdd_actual, t, params)
     out, core = cell.core(inputs, core_currents(t, params))
-    return DelayDetail(*cell.detail(out, core, point, include_contention))
+    return DelayDetail(*cell.detail(out, core, point))
 
 
 def cell_worst_delay(bias: BiasPoint, t: float, params: DeviceParams,
-                     vdd_actual: float | None = None,
-                     flavor: CellFlavor = CellFlavor.CAMO8,
-                     ) -> float:
-    """Max delay over every function of the flavor and every input vector."""
+                     vdd_actual: float | None = None) -> float:
+    """Max delay over every CAMO8 function and every input vector."""
     if vdd_actual is None:
         vdd_actual = params.vdd
     _check_vdd(vdd_actual)
     point = operating_point(bias, vdd_actual, t, params)
-    return _worst_delay(_core_rows(flavor, core_currents(t, params)), point)
+    return _worst_delay(_core_rows(core_currents(t, params)), point)
 
 
 # --- sweeps and optimization ----------------------------------------------
@@ -536,7 +534,7 @@ def sweep_vt_window(hvt_range: tuple[float, float],
     Rows are emitted in row-major order: delta_hvt outer, delta_lvt inner.
     """
     _grid_size(*lvt_range, step, _grid_size(*hvt_range, step))
-    cores = _core_rows(CellFlavor.CAMO8, core_currents(t, params))
+    cores = _core_rows(core_currents(t, params))
     hvts, lvts = _grid(*hvt_range, step), _grid(*lvt_range, step)
     # the first point has the least offsets: reject a negative one there
     replace(params, delta_hvt=hvts[0], delta_lvt=lvts[0])
@@ -599,7 +597,7 @@ def optimize_bias(params: DeviceParams, search_window: float = 0.1,
     base_bias = default_bias(params)
     k = int(math.floor(search_window / grid_step + 1e-12))
     offsets = [i * grid_step for i in range(-k, k + 1)]
-    cores = _core_rows(CellFlavor.CAMO8, core_currents(t, params))
+    cores = _core_rows(core_currents(t, params))
     grid_point = _points(params.vdd, t, params)
     d_default = _worst_delay(cores, grid_point(base_bias, params.delta_hvt,
                                                params.delta_lvt))

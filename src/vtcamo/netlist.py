@@ -532,7 +532,7 @@ _DIGITS = b"01" + b"2" * 254
 def _word(bits) -> int:
     """The int whose binary digits, most significant first, are ``bits``."""
     try:
-        return int(bytes(bits).translate(_DIGITS) or b"0", 2)
+        return int(bytes(bits).translate(_DIGITS), 2)
     except (TypeError, ValueError):
         raise InputWidthError(f"bits must be 0/1: {tuple(bits)!r}") from None
 
@@ -913,11 +913,6 @@ class CriticalPath:
     delay: float
 
 
-def unit_delay_model(gate: Gate) -> float:
-    """Every gate costs one unit."""
-    return 1.0
-
-
 class IncrementalTiming:
     """Arrival time per net number under per-gate delays, kept exact as
     gate delays change one by one.
@@ -973,8 +968,9 @@ class IncrementalTiming:
         return True
 
 
-def critical_path(net: Netlist, delay_model=unit_delay_model) -> CriticalPath:
-    """Longest weighted path through the gate DAG, one topological pass.
+def critical_path(net: Netlist) -> CriticalPath:
+    """Longest path through the gate DAG under unit gate delays, one
+    topological pass.
 
     The path ends at the end with the latest arrival and steps back
     through each gate's latest-arriving fanin, to an input. A tie at
@@ -983,7 +979,7 @@ def critical_path(net: Netlist, delay_model=unit_delay_model) -> CriticalPath:
     """
     if not net.gates:
         return CriticalPath((), 0.0)
-    timing = IncrementalTiming(net, map(delay_model, net.gates))
+    timing = IncrementalTiming(net)
     arrival, names, width = timing.arrival, net._names, len(net.inputs)
     end = min(timing.ends, key=lambda n: (-arrival[n], names[n]))
     path, n = [], end

@@ -306,7 +306,6 @@ class BalanceReport:
     """What balance_flavors inserted and the resulting function counts."""
 
     added: dict[str, GateFunction]
-    counts_before: dict[GateFunction, int]
     counts_after: dict[GateFunction, int]
 
 
@@ -329,16 +328,15 @@ def balance_flavors(net: Netlist, key: CamoKey,
     # a cell and its first fanin are two nets, so there are two taps
     tap_a, tap_b = (list(net.inputs) + [g.gate_id for g in net.gates])[:2]
     flavors = sorted({g.flavor for g in camo})
-    counts_before = dict.fromkeys(
+    counts_after = dict.fromkeys(
         chain.from_iterable(f.function_set for f in flavors), 0)
     for g in camo:
-        counts_before[key.entries[g.gate_id].function] += 1
+        counts_after[key.entries[g.gate_id].function] += 1
     used = {g.gate_id for g in net.gates} | set(net.inputs)
     names = (n for n in map("bal{}".format, count()) if n not in used)
     new_gates = list(net.gates)
     new_entries = dict(key.entries)
     added: dict[str, GateFunction] = {}
-    counts_after = dict(counts_before)
     for flavor in flavors:
         funcs = sorted(flavor.function_set)
         target = max(counts_after[f] for f in funcs)
@@ -352,4 +350,4 @@ def balance_flavors(net: Netlist, key: CamoKey,
     balanced = Netlist(net.inputs, net.outputs, tuple(new_gates),
                        net.pseudo_inputs, net.pseudo_outputs)
     return (balanced, CamoKey(new_entries),
-            BalanceReport(added, counts_before, counts_after))
+            BalanceReport(added, counts_after))

@@ -77,11 +77,10 @@ def reference_overhead_report(net: Netlist,
                               cost_table: CostTable | None = None
                               ) -> OverheadReport:
     cost_table = cost_table or CostTable()
-    per_gate = {}
+    camo = net.camo_gates()
     extra_area = extra_power = 0.0
-    for g in net.camo_gates():
+    for g in camo:
         m = cost_table.for_flavor(g.flavor)
-        per_gate[g.gate_id] = m
         extra_area += m.area - 1.0
         extra_power += m.power - 1.0
     total = len(net.gates)
@@ -96,9 +95,7 @@ def reference_overhead_report(net: Netlist,
         area_pct=100.0 * extra_area / total if total else 0.0,
         power_pct=100.0 * extra_power / total if total else 0.0,
         delay_pct=delay_pct,
-        gate_total=total,
-        camo_count=len(per_gate),
-        per_gate=per_gate,
+        camo_count=len(camo),
     )
 
 
@@ -214,8 +211,6 @@ def reference_decode(config: CamoConfig) -> GateFunction:
         tie = False
     else:
         raise MalformedConfigError("tie switches 11..14 are inconsistent")
-    if tie != config.tie_first_input:
-        raise MalformedConfigError("tie flag disagrees with switches 11..14")
     if tie:
         if base is GateFunction.XNOR:
             func = GateFunction.INV

@@ -12,11 +12,7 @@ import time
 import pytest
 
 from conftest import random_netlist
-from vtcamo.attack import (
-    CountingOracle,
-    brute_force_attack,
-    sensitization_attack,
-)
+from vtcamo.attack import brute_force_attack, sensitization_attack
 from vtcamo.camouflage import (
     EFFORT_NOTE,
     SelectionPolicy,
@@ -43,7 +39,13 @@ from vtcamo.device import (
     optimize_bias,
     switch_ratio,
 )
-from vtcamo.netlist import CamoKey, KeyEntry, check_equivalence, parse_bench
+from vtcamo.netlist import (
+    CamoKey,
+    CountingOracle,
+    KeyEntry,
+    check_equivalence,
+    parse_bench,
+)
 from vtcamo.sidechannel import (
     add_measurement_noise,
     balance_flavors,

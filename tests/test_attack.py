@@ -31,7 +31,6 @@ from reference_fast_paths import reference_find_sensitizing_vector
 from test_simulation_core import reference_filter
 from vtcamo import attack, netlist
 from vtcamo.attack import (
-    CountingOracle,
     MAX_BRUTE_GATES,
     SensitizingVector,
     brute_force_attack,
@@ -48,8 +47,8 @@ from vtcamo.errors import (
     UnresolvedFaninError,
     UnresolvedGateError,
 )
-from vtcamo.netlist import (CamoKey, KeyEntry, OutputTables, all_vectors,
-                            parse_bench, simulate)
+from vtcamo.netlist import (CamoKey, CountingOracle, KeyEntry, OutputTables,
+                            all_vectors, parse_bench, simulate)
 
 SINGLE = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n"
 CHAIN2 = ("INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\n"
@@ -206,6 +205,22 @@ class TestBruteForce:
             math.log2(3))
         exhaustive = brute_force_attack(locked, CountingOracle(locked, key))
         assert exhaustive.status == "unique"
+
+    @pytest.mark.parametrize("width, status", [(24, "equivalent_class"),
+                                               (25, "budget_exhausted")])
+    def test_survivors_are_checked_up_to_the_exhaustive_limit(self, width,
+                                                              status):
+        # both cells are masked, so all 64 survivors of 3 draws agree
+        # everywhere; past EXHAUSTIVE_INPUT_LIMIT inputs that goes unchecked
+        text = ("".join(f"INPUT(i{k})\n" for k in range(width))
+                + "OUTPUT(x)\nOUTPUT(z)\ng = NAND(i0, i1)\n"
+                "h = NOR(i2, i3)\nx = XOR(g, g)\nz = XOR(h, h)\n")
+        _, locked, key = _lock(text, ["g", "h"])
+        report = brute_force_attack(locked, CountingOracle(locked, key),
+                                    pattern_source="random", query_budget=3,
+                                    seed=0)
+        assert (report.status, report.query_count) == (status, 3)
+        assert report.candidate_space_log2_final == 6.0
 
     def test_unknown_source_rejected(self):
         _, locked, key = _lock(SINGLE, ["y"])

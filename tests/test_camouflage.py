@@ -29,7 +29,6 @@ from vtcamo.netlist import (
     critical_path,
     parse_bench,
     reachable,
-    unit_delay_model,
 )
 
 CHAIN = ("INPUT(a)\nINPUT(b)\nOUTPUT(z)\n"
@@ -133,6 +132,12 @@ class TestSelection:
         other = SelectionPolicy(strategy="random", budget=0.05, seed=12)
         assert select_gates(synth_wide, pol) != select_gates(synth_wide,
                                                              other)
+        # no seed picks what seed 0 picks
+        unseeded = select_gates(synth_wide, SelectionPolicy(budget=0.3))
+        assert unseeded == select_gates(synth_wide,
+                                        SelectionPolicy(budget=0.3, seed=0))
+        assert unseeded != select_gates(synth_wide,
+                                        SelectionPolicy(budget=0.3, seed=1))
 
     def test_xor_sequence_prefers_gates_feeding_parity(self, synth_mix):
         sel = select_gates(synth_mix, SelectionPolicy(
@@ -144,7 +149,7 @@ class TestSelection:
     def test_off_critical_avoids_the_reported_path(self, synth_wide):
         sel = select_gates(synth_wide, SelectionPolicy(
             strategy="off_critical", budget=0.05))
-        on_path = set(critical_path(synth_wide, unit_delay_model).gate_ids)
+        on_path = set(critical_path(synth_wide).gate_ids)
         assert sel and not set(sel) & on_path
 
     def test_off_critical_on_a_single_path_selects_nothing(self):
@@ -185,6 +190,12 @@ class TestCostsAndOverhead:
         with pytest.raises(InvalidCostTableError):
             CostTable({CellFlavor.CAMO8: CostMultiples(0.9, 4.0, 2.0)})
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_cost_table_rejects_non_finite_multiples(self, value):
+        with pytest.raises(InvalidCostTableError, match=(
+                f"^CAMO8 delay multiple must be >= 1, got {value}$")):
+            CostTable({CellFlavor.CAMO8: CostMultiples(4.0, 4.0, value)})
+
     def test_cost_table_without_the_flavor(self):
         table = CostTable({CellFlavor.CAMO8: CostMultiples(4.0, 4.0, 2.0)})
         with pytest.raises(InvalidCostTableError,
@@ -199,7 +210,7 @@ class TestCostsAndOverhead:
         assert report.power_pct == pytest.approx(100.0)
         # path 11 -> 16 -> 22 carries one camouflaged cell at 2x delay
         assert report.delay_pct == pytest.approx(100.0 / 3.0)
-        assert report.gate_total == 6 and report.camo_count == 2
+        assert report.camo_count == 2
 
     def test_overhead_scales_linearly_in_the_excess(self, c17):
         locked, _ = apply_camouflage(c17, ["10", "16"], CellFlavor.CAMO8)
@@ -247,6 +258,11 @@ class TestEffort:
             with pytest.raises(InvalidParameterError, match=(
                     f"^test frequency must be positive, got {hz}$")):
                 effort_estimate(4, 2, 8, test_frequency_hz=hz)
+        for counts in ((4, -1, 8), (4, 2, 0)):
+            with pytest.raises(InvalidParameterError, match=(
+                    r"^counts must be non-negative "
+                    r"\(functions_per_gate >= 1\)$")):
+                effort_estimate(*counts)
 
 
 class TestOnRandomNetlists:

@@ -193,8 +193,9 @@ class TestSerialization:
             config = config_for(func, flavor)
             assert config.serialize() == text
             name, switches, tie = text.split(":")
-            assert config == CamoConfig(tuple(map(VT, switches)),
-                                        CellFlavor(name), tie == "TIE=1")
+            read = CamoConfig(tuple(map(VT, switches)), CellFlavor(name))
+            assert read == config
+            assert read.tie_first_input == (tie == "TIE=1")
 
     def test_serialized_shape(self):
         text = config_for(GateFunction.NAND, CellFlavor.CAMO8).serialize()
@@ -212,7 +213,7 @@ class TestDecodeValidation:
         base = self._raw()
         switches = list(base.switch_vt)
         switches[4] = VT.LVT  # a second route group turned on
-        bad = CamoConfig(tuple(switches), base.flavor, base.tie_first_input)
+        bad = CamoConfig(tuple(switches), base.flavor)
         with pytest.raises(MalformedConfigError):
             decode(bad)
 
@@ -220,7 +221,7 @@ class TestDecodeValidation:
         base = self._raw()
         switches = list(base.switch_vt)
         switches[1] = VT.HVT  # break one member of the conducting pair
-        bad = CamoConfig(tuple(switches), base.flavor, base.tie_first_input)
+        bad = CamoConfig(tuple(switches), base.flavor)
         with pytest.raises(MalformedConfigError):
             decode(bad)
 
@@ -228,7 +229,7 @@ class TestDecodeValidation:
         base = self._raw()
         switches = list(base.switch_vt)
         switches[10], switches[11] = VT.HVT, VT.HVT
-        bad = CamoConfig(tuple(switches), base.flavor, base.tie_first_input)
+        bad = CamoConfig(tuple(switches), base.flavor)
         with pytest.raises(MalformedConfigError):
             decode(bad)
 
@@ -236,31 +237,23 @@ class TestDecodeValidation:
     def test_rejects_wrong_switch_count(self, count):
         base = self._raw()
         switches = (base.switch_vt * 2)[:count]
-        bad = CamoConfig(switches, base.flavor, base.tie_first_input)
+        bad = CamoConfig(switches, base.flavor)
         with pytest.raises(MalformedConfigError,
                            match=f"^expected 14 switches, got {count}$"):
-            decode(bad)
-
-    def test_rejects_tie_flag_disagreeing_with_switches(self):
-        base = self._raw()
-        bad = CamoConfig(base.switch_vt, base.flavor, True)
-        with pytest.raises(MalformedConfigError, match=r"^tie flag disagrees "
-                           r"with switches 11\.\.14$"):
             decode(bad)
 
     def test_rejects_tie_with_a_monotone_selection(self):
         base = self._raw()
         tied = config_for(GateFunction.INV, CellFlavor.CAMO8)
         bad = CamoConfig(base.switch_vt[:10] + tied.switch_vt[10:],
-                         base.flavor, True)
+                         base.flavor)
         with pytest.raises(MalformedConfigError, match="^input tie combined "
                            "with NAND selection$"):
             decode(bad)
 
     def test_rejects_function_outside_flavor(self):
         xor = config_for(GateFunction.XOR, CellFlavor.CAMO8)
-        bad = CamoConfig(xor.switch_vt, CellFlavor.CMOS3B,
-                         xor.tie_first_input)
+        bad = CamoConfig(xor.switch_vt, CellFlavor.CMOS3B)
         with pytest.raises(MalformedConfigError):
             decode(bad)
 

@@ -291,7 +291,7 @@ class TestCliCommands:
                      "--out-key", keyfile, "--out", os.devnull]) == 0
         capsys.readouterr()
         never = mock.Mock(side_effect=AssertionError("oracle built"))
-        with mock.patch("vtcamo.attack.CountingOracle", never):
+        with mock.patch("vtcamo.cli.CountingOracle", never):
             code, out, err = _run(capsys, ["attack", locked, "--key",
                                            keyfile, *argv])
         assert (code, out) == (1, "")
@@ -483,6 +483,19 @@ class TestCliCommands:
         assert int(doc["pattern_count"]) == 2 ** 50
         assert int(doc["candidate_count"]) == 8 ** 10
         assert doc["years_retest"] > doc["years_raw"]
+
+    def test_estimate_with_one_function_skips_the_digit_bound(self, capsys):
+        # 1 ** k has one digit for any k, so no gate count is too long
+        code, out, _ = _run(capsys, ["estimate", "--inputs", "4", "--gates",
+                                     "100000", "--functions", "1",
+                                     "--no-timestamp"])
+        assert code == 0
+        assert json.loads(out)["candidate_count"] == "1"
+
+    def test_sim_refuses_a_vector_with_a_non_bit(self, capsys, c17_file):
+        code, out, err = _run(capsys, ["sim", c17_file, "--inputs", "01a01"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "VtcamoError"
 
     def test_report_combines_summary_and_effort(self, capsys, tmp_path,
                                                 c17_file):
@@ -970,7 +983,7 @@ class TestEntryPoint:
         assert self._vtcamo_modules(
             tmp_path, "import vtcamo\nvtcamo.errors") == {
             "vtcamo", "vtcamo.errors"}
-        # CountingOracle is defined in netlist; attack only re-exports it
+        # CountingOracle is defined in netlist: only it and its imports load
         assert self._vtcamo_modules(
             tmp_path, "from vtcamo import CountingOracle") == {
             "vtcamo", "vtcamo.cell", "vtcamo.errors", "vtcamo.netlist"}

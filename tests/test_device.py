@@ -200,28 +200,35 @@ class TestLeakage:
         config = config_for(GateFunction.NAND, CellFlavor.CAMO8)
         with pytest.raises(InvalidParameterError):
             gate_leakage(config, (0, 2), 300.0, default_bias(params), params)
+        with pytest.raises(InvalidParameterError, match=(
+                r"^cell inputs must be two bits: \(0, 1, 1\)$")):
+            gate_leakage(config, (0, 1, 1), 300.0, default_bias(params),
+                         params)
 
 
 class TestDelay:
     def test_closed_form_without_contention(self, params):
+        # the route is two LVT members (the default bias drives both rails
+        # alike), and the delay divides by its drive less the contention
         config = config_for(GateFunction.NAND, CellFlavor.CAMO8)
         bias = default_bias(params)
-        detail = delay_detail(config, (1, 1), bias, params.vdd, 300.0, params,
-                              include_contention=False)
+        detail = delay_detail(config, (1, 1), bias, params.vdd, 300.0, params)
         member = drain_current(bias.vg_n, params.vdd,
                                params.vtn0 - params.delta_lvt, 300.0, params)
-        closed = params.c_load * params.vdd / (2.0 * (2.0 * member))
+        assert detail.i_on == pytest.approx(2.0 * member,
+                                            rel=CLOSED_FORM_REL_TOL)
+        closed = params.c_load * params.vdd / (
+            2.0 * (detail.i_on - detail.i_contend))
         assert detail.delay_s == pytest.approx(closed,
                                                rel=CLOSED_FORM_REL_TOL)
 
     def test_contention_slows_the_cell(self, params):
         config = config_for(GateFunction.XOR, CellFlavor.CAMO8)
-        bias = default_bias(params)
-        with_c = delay_detail(config, (0, 1), bias, params.vdd, 300.0,
-                              params, include_contention=True).delay_s
-        without = delay_detail(config, (0, 1), bias, params.vdd, 300.0,
-                               params, include_contention=False).delay_s
-        assert with_c > without
+        detail = delay_detail(config, (0, 1), default_bias(params),
+                              params.vdd, 300.0, params)
+        assert detail.i_contend > 0
+        assert detail.delay_s > params.c_load * params.vdd / (
+            2.0 * detail.i_on)
 
     def test_worst_case_supply_response_is_u_shaped(self, params):
         bias = default_bias(params)
@@ -242,6 +249,10 @@ class TestDelay:
         with pytest.raises(InvalidParameterError):
             delay_detail(config, (1, 1), default_bias(params), -0.5,
                          300.0, params).delay_s
+        with pytest.raises(InvalidParameterError,
+                           match="^vdd_actual must be positive: nan$"):
+            cell_worst_delay(default_bias(params), 300.0, params,
+                             vdd_actual=math.nan)
 
 
 class TestSweep:
@@ -272,6 +283,18 @@ class TestSweep:
             sweep_vt_window((0.3, 0.1), (0.1, 0.2), 0.1, bias, 300.0, params)
         with pytest.raises(InvalidParameterError):
             sweep_vt_window((0.1, 0.3), (0.1, 0.2), 0.0, bias, 300.0, params)
+        with pytest.raises(InvalidParameterError,
+                           match="^grid step must be positive, got nan$"):
+            sweep_vt_window((0.1, 0.3), (0.1, 0.2), math.nan, bias, 300.0,
+                            params)
+
+    def test_a_rounded_point_past_the_range_is_dropped(self, params):
+        # (0.58 - 0.30) / 0.05 rounds to 6 steps, whose last point, 0.60,
+        # lies past the range
+        rows = sweep_vt_window((0.30, 0.58), (0.30, 0.30), 0.05,
+                               default_bias(params), 300.0, params)
+        assert [r.delta_hvt for r in rows] == [0.3, 0.35, 0.4, 0.45, 0.5,
+                                               0.55]
 
 
 class TestOptimizeBias:
@@ -301,6 +324,7 @@ class TestDeviceParams:
         ("vdd", 0.0), ("vdd", -1.0), ("kprime_n", 0.0),
         ("subthreshold_slope_n", -0.1), ("t_ref", 0.0),
         ("delta_hvt", -0.01), ("c_load", 0.0),
+        ("vdd", math.nan), ("kvt", math.inf),
     ])
     def test_rejects_invalid_fields(self, field, value):
         with pytest.raises(InvalidParameterError):

@@ -102,7 +102,7 @@ def ref_members(bias, vdd, vt_n, vt_p, t, p):
                           t, p))
 
 
-def ref_edge(config, func, contend, edge, bias, vdd, t, p, include):
+def ref_edge(config, func, contend, edge, bias, vdd, t, p):
     on_n, on_p = ref_members(bias, vdd, p.vtn0 - p.delta_lvt,
                              p.vtp0_mag - p.delta_lvt, t, p)
     off_n, off_p = ref_members(bias, vdd, p.vtn0 + p.delta_hvt,
@@ -111,10 +111,8 @@ def ref_edge(config, func, contend, edge, bias, vdd, t, p, include):
     n_hvt = sum(1 for v in config.switch_vt[:10] if v is VT.HVT)
     i_on = n_route * (on_p if edge == "rise" else on_n)
     i_contend = n_hvt * (off_n if edge == "rise" else off_p)
-    if include and contend is not None:
+    if contend is not None:
         i_contend += ref_core_off(func, contend, t, p)
-    if not include:
-        i_contend = 0.0
     i_eff = i_on - i_contend
     if i_eff <= 0.0:
         raise ContentionCollapseError(
@@ -126,12 +124,12 @@ def ref_edge(config, func, contend, edge, bias, vdd, t, p, include):
                        clamped, edge)
 
 
-def ref_delay_detail(config, func, inputs, bias, vdd, t, p, include=True):
+def ref_delay_detail(config, func, inputs, bias, vdd, t, p):
     rise = behavior_table(func)[inputs] == 1
     first = ref_edge(config, func, inputs, "rise" if rise else "fall", bias,
-                     vdd, t, p, include)
+                     vdd, t, p)
     second = ref_edge(config, func, None, "fall" if rise else "rise", bias,
-                      vdd, t, p, include)
+                      vdd, t, p)
     return first if first.delay_s >= second.delay_s else second
 
 
@@ -142,12 +140,12 @@ def ref_leakage(config, func, inputs, bias, t, p):
     return count * (off_n + off_p) + ref_core_off(func, inputs, t, p)
 
 
-def ref_worst_delay(bias, t, p, vdd, flavor):
+def ref_worst_delay(bias, t, p, vdd):
     worst = 0.0
-    for func in sorted(flavor.function_set, key=lambda f: f.value):
+    for func in sorted(CellFlavor.CAMO8.function_set, key=lambda f: f.value):
         for vec in VECTORS:
-            d = ref_delay_detail(config_for(func, flavor), func, vec, bias,
-                                 vdd, t, p).delay_s
+            d = ref_delay_detail(config_for(func, CellFlavor.CAMO8), func, vec,
+                                 bias, vdd, t, p).delay_s
             worst = d if d > worst else worst
     return worst
 
@@ -166,8 +164,7 @@ def ref_sweep(hvt, lvt, step, bias, t, p):
         for dl in _grid(*lvt, step):
             q = replace(p, delta_hvt=dh, delta_lvt=dl)
             rows.append(SweepRow(dh, dl, ref_ratio(dh, dl, bias, t, q),
-                                 ref_worst_delay(bias, t, q, q.vdd,
-                                                 CellFlavor.CAMO8)))
+                                 ref_worst_delay(bias, t, q, q.vdd)))
     return rows
 
 
@@ -176,7 +173,7 @@ def ref_optimize_bias(p, window, step, t):
     base = default_bias(p)
     k = int(math.floor(window / step + 1e-12))
     offsets = [i * step for i in range(-k, k + 1)]
-    d_default = ref_worst_delay(base, t, p, p.vdd, CellFlavor.CAMO8)
+    d_default = ref_worst_delay(base, t, p, p.vdd)
     best, skipped = None, 0
     for dvn, dvp, dh, dl in itertools.product(offsets, repeat=4):
         new_dh, new_dl = p.delta_hvt + dh, p.delta_lvt + dl
@@ -185,7 +182,7 @@ def ref_optimize_bias(p, window, step, t):
         bias = BiasPoint(base.vg_n + dvn, base.vg_p + dvp)
         q = replace(p, delta_hvt=new_dh, delta_lvt=new_dl)
         try:
-            d = ref_worst_delay(bias, t, q, q.vdd, CellFlavor.CAMO8)
+            d = ref_worst_delay(bias, t, q, q.vdd)
         except ContentionCollapseError:
             skipped += 1
             continue
@@ -279,9 +276,11 @@ temp_st = st.floats(200.0, 400.0)
 func_st = st.sampled_from(sorted(CellFlavor.CAMO8.function_set,
                                  key=lambda f: f.value))
 
-# default operating point; a starved N rail (clamped); no VT split (collapse)
+# default operating point; a starved N rail (every row collapses); both
+# rails starved (NAND at (0, 0) is clamped); no VT split (collapse)
 NOMINAL = (DeviceParams(), default_bias(DeviceParams()), 300.0)
 STARVED = (DeviceParams(), BiasPoint(-1.0, 0.0), 300.0)
+CLAMPED = (DeviceParams(), BiasPoint(-1.0, 1.4), 300.0)
 FLAT = (DeviceParams(delta_hvt=0.0, delta_lvt=0.0),
         default_bias(DeviceParams()), 300.0)
 # a bias search that skips 22 of its 81 points on collapse; one whose
@@ -316,34 +315,29 @@ SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 
 
 @SETTINGS
-@given(params_st, bias_st, temp_st, st.sampled_from(list(CellFlavor)),
+@given(params_st, bias_st, temp_st,
        st.one_of(st.none(), st.floats(0.5, 1.5)))
-@example(*NOMINAL, CellFlavor.CAMO8, None)
-@example(*NOMINAL, CellFlavor.CMOS3B, 0.8)
-@example(*FLAT, CellFlavor.CAMO8, None)
-@example(*COLLAPSE_AND, CellFlavor.CAMO8, None)
-@example(*TWO_ROUTE, CellFlavor.CAMO8, None)
-def test_cell_worst_delay_matches_reference(p, bias, t, flavor, vdd):
-    want = outcome(ref_worst_delay, bias, t, p,
-                   p.vdd if vdd is None else vdd, flavor)
-    assert outcome(cell_worst_delay, bias, t, p, vdd, flavor) == want
+@example(*NOMINAL, None)
+@example(*NOMINAL, 0.8)
+@example(*FLAT, None)
+@example(*COLLAPSE_AND, None)
+@example(*TWO_ROUTE, None)
+def test_cell_worst_delay_matches_reference(p, bias, t, vdd):
+    want = outcome(ref_worst_delay, bias, t, p, p.vdd if vdd is None else vdd)
+    assert outcome(cell_worst_delay, bias, t, p, vdd) == want
 
 
 @SETTINGS
 @given(params_st, bias_st, temp_st, func_st, st.sampled_from(VECTORS),
-       st.floats(0.5, 1.5), st.booleans())
-@example(*NOMINAL, F.AND, (1, 1), 1.0, True)
-@example(*STARVED, F.AND, (0, 1), 1.0, True)
-@example(*STARVED, F.AND, (0, 1), 1.0, False)
-@example(*FLAT, F.XOR, (0, 1), 1.0, True)
-@example(*FLAT, F.XOR, (0, 1), 1.0, False)
-def test_delay_detail_matches_reference(p, bias, t, func, vec, vdd, include):
+       st.floats(0.5, 1.5))
+@example(*NOMINAL, F.AND, (1, 1), 1.0)
+@example(*STARVED, F.AND, (0, 1), 1.0)
+@example(*CLAMPED, F.NAND, (0, 0), 1.0)
+@example(*FLAT, F.XOR, (0, 1), 1.0)
+def test_delay_detail_matches_reference(p, bias, t, func, vec, vdd):
     config = config_for(func, CellFlavor.CAMO8)
-    want = outcome(ref_delay_detail, config, func, vec, bias, vdd, t, p,
-                   include)
-    got = outcome(delay_detail, config, vec, bias, vdd, t, p,
-                  include_contention=include)
-    assert got == want
+    want = outcome(ref_delay_detail, config, func, vec, bias, vdd, t, p)
+    assert outcome(delay_detail, config, vec, bias, vdd, t, p) == want
 
 
 #: one CAMO8 cell: only the cell the key programs is measured, so a
@@ -462,13 +456,11 @@ def test_optimize_bias_matches_reference(p, grid, t):
 
 
 def test_examples_reach_clamp_and_collapse():
-    p, bias, t = STARVED
-    config = config_for(F.AND, CellFlavor.CAMO8)
-    assert ref_delay_detail(config, F.AND, (0, 1), bias, 1.0, t, p,
-                            include=False).clamped
+    p, bias, t = CLAMPED
+    config = config_for(F.NAND, CellFlavor.CAMO8)
+    assert ref_delay_detail(config, F.NAND, (0, 0), bias, 1.0, t, p).clamped
     p, bias, t = FLAT
-    assert isinstance(outcome(ref_worst_delay, bias, t, p, 1.0,
-                              CellFlavor.CAMO8), tuple)
+    assert isinstance(outcome(ref_worst_delay, bias, t, p, 1.0), tuple)
     assert ref_optimize_bias(NARROW, 0.05, 0.05, 300.0)[1] == 22
     assert outcome(ref_optimize_bias, FLAT[0], 0.05, 0.05, 300.0)[0] is (
         ContentionCollapseError)
@@ -476,8 +468,7 @@ def test_examples_reach_clamp_and_collapse():
         InvalidParameterError, "bias search grid is empty")
     assert outcome(ref_sweep, (0.0, 0.1), (0.0, 0.1), 0.1, *NOMINAL[1:],
                    NOMINAL[0])[0] is ContentionCollapseError
-    message = outcome(ref_worst_delay, *COLLAPSE_AND[1:], NARROW, 1.0,
-                      CellFlavor.CAMO8)[1]
+    message = outcome(ref_worst_delay, *COLLAPSE_AND[1:], NARROW, 1.0)[1]
     assert message.startswith("OFF-switch contention (2.201e-10 A) exceeds "
                               "the rise drive")
     assert message.endswith(config_for(F.AND, CellFlavor.CAMO8).serialize())

@@ -10,7 +10,7 @@ the reference's subset, or raise its error, for every candidate set. In
 the cell library, the tables read off each function's output row must
 equal the ones built from lambdas, and ``decode``'s table lookups must
 give the reference's function, or raise its error, for every switch
-pattern, flavor and tie flag. ``brute_force_attack`` must ask the same
+pattern and flavor. ``brute_force_attack`` must ask the same
 vectors in the same order, and count the same queries, as the
 per-vector query loop it replaced, for both pattern sources at budgets
 from 0 past the size of the space.
@@ -44,15 +44,15 @@ from reference_fast_paths import (
     reference_truth_table,
 )
 from vtcamo import cell
-from vtcamo.attack import CountingOracle, brute_force_attack
+from vtcamo.attack import brute_force_attack
 from vtcamo.camouflage import (CostMultiples, CostTable, apply_camouflage,
                                eligible_gates, overhead_report)
 from vtcamo.cell import (NUM_SWITCHES, VT, CamoConfig, CellFlavor,
                          GateFunction, behavior_table, decode,
                          distinguishing_set, truth_table)
 from vtcamo.errors import VtcamoError
-from vtcamo.netlist import (Gate, IncrementalTiming, Netlist, _compile,
-                            random_vectors)
+from vtcamo.netlist import (CountingOracle, Gate, IncrementalTiming, Netlist,
+                            _compile, random_vectors)
 
 F = GateFunction
 _KINDS = (F.AND, F.OR, F.NAND, F.NOR, F.XOR, F.XNOR, F.NOT, F.BUFF,
@@ -129,8 +129,7 @@ def test_random_vectors_are_drawn_lazily():
 
 def _floats_as_hex(report) -> tuple:
     return (report.area_pct.hex(), report.power_pct.hex(),
-            report.delay_pct.hex(), report.gate_total, report.camo_count,
-            report.per_gate)
+            report.delay_pct.hex(), report.camo_count)
 
 
 @_SETTINGS
@@ -209,20 +208,19 @@ def test_function_tables_match_the_lambdas(func):
 
 
 def test_decode_matches_the_loop_and_if_chain():
-    # every switch pattern x flavor x tie flag, then wrong-length tuples
+    # every switch pattern x flavor, then wrong-length tuples
     decoded = 0
     for bits in product(VT, repeat=NUM_SWITCHES):
         for flavor in CellFlavor:
-            for tie in (False, True):
-                config = CamoConfig(bits, flavor, tie)
-                got = _outcome(decode, config)
-                assert got == _outcome(reference_decode, config)
-                decoded += isinstance(got, GateFunction)
+            config = CamoConfig(bits, flavor)
+            got = _outcome(decode, config)
+            assert got == _outcome(reference_decode, config)
+            decoded += isinstance(got, GateFunction)
     assert decoded == sum(len(f.function_set) for f in CellFlavor)
     nand = cell.config_for(GateFunction.NAND, CellFlavor.CAMO8).switch_vt
     for n in (*range(NUM_SWITCHES), NUM_SWITCHES + 1, 2 * NUM_SWITCHES):
         for bits in ((VT.HVT,) * n, (VT.LVT,) * n, (nand * 2)[:n]):
-            config = CamoConfig(bits, CellFlavor.CAMO8, False)
+            config = CamoConfig(bits, CellFlavor.CAMO8)
             assert (_outcome(decode, config)
                     == _outcome(reference_decode, config))
 

@@ -52,14 +52,10 @@ from pathlib import Path
 
 from netlists import bench_text, random_netlist
 from vtcamo import cli
-from vtcamo.attack import (
-    CountingOracle,
-    brute_force_attack,
-    sensitization_attack,
-)
+from vtcamo.attack import brute_force_attack, sensitization_attack
 from vtcamo.camouflage import apply_camouflage, eligible_gates
 from vtcamo.cell import CellFlavor
-from vtcamo.netlist import parse_bench
+from vtcamo.netlist import CountingOracle, parse_bench
 
 GOLDEN = Path(__file__).with_name("golden")
 

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+from collections import Counter
 
 import pytest
 
@@ -310,9 +311,8 @@ class TestBalancing:
         locked, key = apply_camouflage(net, ["g1", "g2", "g3", "y"],
                                        CellFlavor.CMOS3A)
         balanced, new_key, report = balance_flavors(locked, key)
-        assert report.counts_before == {GateFunction.NAND: 3,
-                                        GateFunction.NOR: 1,
-                                        GateFunction.XOR: 0}
+        assert Counter(e.function for e in key.entries.values()) == {
+            GateFunction.NAND: 3, GateFunction.NOR: 1}
         assert report.counts_after == {GateFunction.NAND: 3,
                                        GateFunction.NOR: 3,
                                        GateFunction.XOR: 3}
@@ -381,8 +381,8 @@ class TestBalancing:
             ("bal8", F.NOR), ("bal9", F.OR), ("bal10", F.OR),
             ("bal11", F.XNOR), ("bal12", F.XNOR), ("bal13", F.XOR),
             ("bal14", F.XOR)]
-        assert report.counts_before == {**dict.fromkeys(F_CAMO8, 0),
-                                        F.NAND: 2, F.NOR: 1}
+        assert Counter(e.function for e in key.entries.values()) == {
+            F.NAND: 2, F.NOR: 1}
         assert report.counts_after == dict.fromkeys(F_CAMO8, 2)
         assert new_key.serialize() == (
             "bal1=AND\nbal10=OR\nbal11=XNOR\nbal12=XNOR\nbal13=XOR\n"
@@ -403,8 +403,8 @@ class TestBalancing:
             ("bal6", F.NOR), ("bal7", F.OR), ("bal8", F.OR),
             ("bal9", F.XNOR), ("bal10", F.XNOR), ("bal11", F.XOR)]
         # g1 (CAMO8) and g2 (CMOS3A) are both NAND
-        assert report.counts_before == {**dict.fromkeys(F_CAMO8, 0),
-                                        F.NAND: 2, F.NOR: 1, F.XOR: 1}
+        assert Counter(e.function for e in key.entries.values()) == {
+            F.NAND: 2, F.NOR: 1, F.XOR: 1}
         assert report.counts_after == dict.fromkeys(F_CAMO8, 2)
         assert new_key.serialize() == (
             "bal0=AND\nbal1=AND\nbal10=XNOR\nbal11=XOR\n"

@@ -12,8 +12,10 @@ both attacks on ``c17`` with an empty key (no camouflaged cell) and on
 an 8-cell ``synth_mix`` lock (the largest brute force); an ``equiv`` that
 finds a counterexample, ``sidechannel --temps`` (read and refused),
 ``report --config`` (read and refused), a ``parse`` that names the line
-and column of a syntax error, and a ``sidechannel`` with no camouflaged
-cell; then every ``vtcamo`` command of README's ``sh`` blocks.
+and column of a syntax error, a ``sidechannel`` with no camouflaged
+cell, a ``sim`` vector with a non-bit character and an ``estimate`` of
+one function per gate; then every ``vtcamo`` command of README's ``sh``
+blocks.
 It also runs README's ``python`` blocks, and names each printed line
 that differs from the ``# `` comment line under it. Standard library
 only, like ``tools/golden_check.py``, whose helpers it uses::
@@ -205,6 +207,11 @@ def matrix() -> list[list[str]]:
         ["parse", "bad.bench"],
         # no camouflaged cell: an empty classification and no accuracy
         ["sidechannel", "c17.bench", "--key", "empty.key"],
+        # a vector with a character other than 0/1
+        ["sim", "c17.bench", "--inputs", "01a01"],
+        # one function per gate: one candidate for any gate count
+        ["estimate", "--inputs", "4", "--gates", "100000", "--functions",
+         "1"],
     ]
     return runs + readme_argvs()
 
