@@ -14,8 +14,10 @@ finds a counterexample, ``sidechannel --temps`` (read and refused),
 ``report --config`` (read and refused), a ``parse`` that names the line
 and column of a syntax error, a ``sidechannel`` with no camouflaged
 cell, a ``sim`` vector with a non-bit character and an ``estimate`` of
-one function per gate; then every ``vtcamo`` command of README's ``sh``
-blocks.
+one function per gate; ``sidechannel``, ``sweep`` and ``bias-opt``
+refused by their device currents (an infinite threshold, an overflowing
+mobility factor, a temperature that is not positive); then every
+``vtcamo`` command of README's ``sh`` blocks.
 It also runs README's ``python`` blocks, and names each printed line
 that differs from the ``# `` comment line under it. Standard library
 only, like ``tools/golden_check.py``, whose helpers it uses::
@@ -60,11 +62,15 @@ README = ROOT / "README.md"
 BENCHES = ("c17", "synth_mix", "synth_wide")
 FLAVORS = ("camo8", "cmos3a", "cmos3b")
 STRATEGIES = ("random", "xor-seq", "off-critical", "greedy-effort")
-#: an empty key, run config files (one read, one refused) and a .bench
-#: whose third line does not parse
+#: an empty key, run config files (one read, one refused, two whose
+#: device currents are refused) and a .bench whose third line does not parse
 FILES = {"empty.key": "",
          "run.cfg": "device.vdd = 1.1\nseed = 3\n",
          "bad.cfg": "device.vdd = high\n",
+         # vt(t) is infinite away from t_ref
+         "kvt.cfg": "device.kvt = 1e308\n",
+         # the mobility factor overflows at any supported temperature
+         "tref.cfg": "device.t_ref = 1e300\n",
          "bad.bench": "INPUT(a)\nOUTPUT(y)\n  y = AND(a\n"}
 
 
@@ -212,6 +218,21 @@ def matrix() -> list[list[str]]:
         # one function per gate: one candidate for any gate count
         ["estimate", "--inputs", "4", "--gates", "100000", "--functions",
          "1"],
+    ]
+    # device currents refused: each device's vgs/vds/vt checks come
+    # before a bad temperature or an overflowing mobility factor
+    sweep = ["sweep", "--hvt", "0.3:0.4", "--lvt", "0.3:0.4"]
+    runs += [
+        ["sidechannel", locked, "--key", key, "--config", "kvt.cfg"],
+        ["sidechannel", locked, "--key", key, "--config", "tref.cfg"],
+        [*sweep, "--t", "350", "--config", "kvt.cfg"],
+        [*sweep, "--config", "tref.cfg"],
+        [*sweep, "--t", "350", "--config", "tref.cfg"],
+        [*sweep, "--t", "nan"],
+        ["bias-opt", "--t", "330", "--config", "kvt.cfg"],
+        ["bias-opt", "--config", "tref.cfg"],
+        ["bias-opt", "--t", "330", "--config", "tref.cfg"],
+        ["bias-opt", "--t", "-5"],
     ]
     return runs + readme_argvs()
 
