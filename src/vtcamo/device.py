@@ -30,6 +30,10 @@ the output swing faster than the fixed-bias pull-down route can follow.
 Cell estimates are split by what they depend on, and each number is
 computed at the loop level where its inputs last change:
 
+- per (t, params), ``_currents``, the one place the current formula is
+  written, forms phi_t, the mobility factor and each kind's ``i0 * mob``;
+  a signature set asks it once per temperature for the six devices below
+  (``_cell_currents``), a grid walk once a call;
 - per (t, nominal params), ``core_currents`` gives the OFF core device of
   each kind; bias searches and VT sweeps vary neither, so they compute it
   and every (cell, vector) core-path sum (``CellModel.core``) once a call;
@@ -142,16 +146,60 @@ def thermal_voltage(t: float) -> float:
 
 def vt_at_temperature(vt_nominal: float, t: float, params: DeviceParams) -> float:
     """Linear threshold shift: vt(t) = vt_nominal - kvt * (t - t_ref)."""
-    if not math.isfinite(t) or t <= 0:
-        raise InvalidParameterError(f"temperature must be positive, got {t}")
-    return vt_nominal - params.kvt * (t - params.t_ref)
+    return vt_nominal - _vt_shift(t, params)
 
 
-def _softplus(x: float) -> float:
-    # log(1 + e^x) without overflow for large |x|.
-    if x > 40.0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
+def _vt_shift(t: float, params: DeviceParams) -> float:
+    thermal_voltage(t)  # refuses a temperature that is not positive
+    return params.kvt * (t - params.t_ref)
+
+
+def _currents(t: float, params: DeviceParams):
+    """``drain(vgs, vds, vt, kind)``: ``drain_current(vgs, vds, vt, t,
+    params, kind)``, bit for bit and raising as it does, with phi_t, the
+    mobility factor and each kind's ``i0 * mob`` formed once."""
+    isfinite, exp, log1p = math.isfinite, math.exp, math.log1p
+    n = params.subthreshold_slope_n
+    try:  # raised by the first call whose own arguments pass their checks
+        phit = thermal_voltage(t)
+        mob = (t / params.t_ref) ** -1.5
+    except OverflowError:
+        fault = InvalidParameterError(f"drain current overflows at {t} K")
+    except Exception as exc:  # a bad t, or 0.0 ** -1.5
+        fault = exc
+    else:
+        fault, two_phit = None, 2.0 * phit
+        i0_mob = {"n": 2.0 * n * params.kprime_n * params.w_over_l * phit
+                  * phit * mob, "p": 2.0 * n * params.kprime_p
+                  * params.w_over_l * phit * phit * mob}
+
+    def drain(vgs: float, vds: float, vt: float, kind: str) -> float:
+        if not (isfinite(vgs) and isfinite(vds) and isfinite(vt)):
+            for name, v in (("vgs", vgs), ("vds", vds), ("vt", vt)):
+                if not isfinite(v):
+                    raise InvalidParameterError(
+                        f"{name} must be finite, got {v}")
+        if vds < 0:
+            raise InvalidParameterError(f"vds must be >= 0, got {vds}")
+        if kind != "n" and kind != "p":
+            raise InvalidParameterError(
+                f"device kind must be 'n' or 'p': {kind!r}")
+        if fault is not None:
+            raise fault
+        vp = (vgs - vt) / n
+        try:  # F(x), with ln(1 + e^x) kept from overflow for large x
+            x = vp / two_phit
+            fa = (x + log1p(exp(-x)) if x > 40.0 else log1p(exp(x))) ** 2
+            x = (vp - vds) / two_phit
+            fb = (x + log1p(exp(-x)) if x > 40.0 else log1p(exp(x))) ** 2
+        except OverflowError:
+            raise InvalidParameterError(
+                f"drain current overflows at {t} K") from None
+        current = i0_mob[kind] * (fa - fb)  # i0 * mob * (fa - fb)
+        if not isfinite(current):
+            raise InvalidParameterError(f"drain current is {current} at {t} K")
+        return current
+    return drain
 
 
 def drain_current(vgs: float, vds: float, vt: float, t: float,
@@ -162,32 +210,7 @@ def drain_current(vgs: float, vds: float, vt: float, t: float,
     the thermal voltage and the mobility factor. ``kind`` picks kprime_n
     or kprime_p; both polarities use magnitude conventions.
     """
-    for name, v in (("vgs", vgs), ("vds", vds), ("vt", vt)):
-        if not math.isfinite(v):
-            raise InvalidParameterError(f"{name} must be finite, got {v}")
-    if vds < 0:
-        raise InvalidParameterError(f"vds must be >= 0, got {vds}")
-    if kind == "n":
-        kprime = params.kprime_n
-    elif kind == "p":
-        kprime = params.kprime_p
-    else:
-        raise InvalidParameterError(f"device kind must be 'n' or 'p': {kind!r}")
-    phit = thermal_voltage(t)
-    n = params.subthreshold_slope_n
-    i0 = 2.0 * n * kprime * params.w_over_l * phit * phit
-    try:
-        mob = (t / params.t_ref) ** -1.5
-        vp = (vgs - vt) / n
-        fa = _softplus(vp / (2.0 * phit)) ** 2
-        fb = _softplus((vp - vds) / (2.0 * phit)) ** 2
-    except OverflowError:
-        raise InvalidParameterError(
-            f"drain current overflows at {t} K") from None
-    current = i0 * mob * (fa - fb)
-    if not math.isfinite(current):
-        raise InvalidParameterError(f"drain current is {current} at {t} K")
-    return current
+    return _currents(t, params)(vgs, vds, vt, kind)
 
 
 # --- per operating point ---------------------------------------------------
@@ -222,14 +245,13 @@ def _points(vdd_actual: float, t: float, params: DeviceParams):
     """``operating_point`` of (bias, delta_hvt, delta_lvt) for grid walks:
     each distinct (vgs, nominal vt) member is computed once, on first use,
     so a walk raises the first error where a per-point walk would."""
-    members = {}
+    drain, members = _currents(t, params), {}
 
     def member(vgs: float, vt_nominal: float) -> float:
         current = members.get((vgs, vt_nominal))
         if current is None:
-            vt = vt_at_temperature(vt_nominal, t, params)
-            current = members[vgs, vt_nominal] = drain_current(
-                vgs, vdd_actual, vt, t, params, kind="n")
+            current = members[vgs, vt_nominal] = drain(
+                vgs, vdd_actual, vt_at_temperature(vt_nominal, t, params), "n")
         return current
 
     def point(bias: BiasPoint, delta_hvt: float, delta_lvt: float):
@@ -244,10 +266,23 @@ def _points(vdd_actual: float, t: float, params: DeviceParams):
 
 def core_currents(t: float, params: DeviceParams) -> dict[str, float]:
     """OFF core device current by kind, at vgs = 0 and vds = params.vdd."""
-    return {kind: drain_current(0.0, params.vdd,
-                                vt_at_temperature(vt, t, params), t, params,
-                                kind=kind)
-            for kind, vt in (("n", params.vtn0), ("p", params.vtp0_mag))}
+    drain, shift = _currents(t, params), _vt_shift(t, params)
+    return {"n": drain(0.0, params.vdd, params.vtn0 - shift, "n"),
+            "p": drain(0.0, params.vdd, params.vtp0_mag - shift, "p")}
+
+
+def _cell_currents(bias: BiasPoint, t: float, params: DeviceParams):
+    """``operating_point(bias, params.vdd, t, params)`` and
+    ``core_currents(t, params)`` from one kernel, raising in that order."""
+    drain, shift, p = _currents(t, params), _vt_shift(t, params), params
+    vdd, vg_n, vg_p_mag = p.vdd, bias.vg_n, p.vdd - bias.vg_p
+    point = OperatingPoint(
+        vdd, p.c_load, drain(vg_n, vdd, p.vtn0 - p.delta_lvt - shift, "n"),
+        drain(vg_p_mag, vdd, p.vtp0_mag - p.delta_lvt - shift, "n"),
+        drain(vg_n, vdd, p.vtn0 + p.delta_hvt - shift, "n"),
+        drain(vg_p_mag, vdd, p.vtp0_mag + p.delta_hvt - shift, "n"))
+    return point, {"n": drain(0.0, vdd, p.vtn0 - shift, "n"),
+                   "p": drain(0.0, vdd, p.vtp0_mag - shift, "p")}
 
 
 def switch_ratio(delta_hvt: float, delta_lvt: float, bias: BiasPoint,

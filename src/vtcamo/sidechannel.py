@@ -9,8 +9,9 @@ inserting sink-terminated dummy cells until every function of a flavor
 appears equally often (so chip-level aggregate measurements carry no
 information about the mix), and shifting the pass-switch bias rails with
 temperature so the switch overdrive, and with it the leakage spread a
-thermal attacker relies on, stays put. A signature set forms its bias
-and currents once per temperature and each cell's drives in one loop.
+thermal attacker relies on, stays put. A signature set forms its bias and
+six device currents once per temperature (``device._cell_currents``) and
+each distinct cell's drives in one loop, which its gates then share.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from .device import (
     BiasPoint,
     CellModel,
     DeviceParams,
-    core_currents,
+    _cell_currents,
     default_bias,
-    operating_point,
 )
 from .errors import (
     BiasClampWarning,
@@ -117,14 +117,14 @@ def _bias_for(policy: str, t: float, params: DeviceParams) -> BiasPoint:
 
 def _signatures(cells, temperatures, params: DeviceParams | None,
                 bias_policy: str) -> list[Signature]:
-    """Signatures of (gate_id, CellModel) cells, one point per temperature."""
+    """Signatures of (gate_id, CellModel) cells: one kernel per
+    temperature, one observation tuple per distinct cell."""
     params = params or DeviceParams()
-    points = [(t, operating_point(_bias_for(bias_policy, t, params),
-                                  params.vdd, t, params),
-               core_currents(t, params))
+    points = [(t, *_cell_currents(_bias_for(bias_policy, t, params), t,
+                                  params))
               for t in _check_temperatures(temperatures)]
-    sigs = []
-    for gate_id, cell in cells:
+    observed = {}
+    for cell in dict.fromkeys(cell for _, cell in cells):
         n_route, n_hvt = cell.n_route, cell.n_hvt
         terms = [(t, core_off, pt, cell.n_hvt_all * (pt.off_n + pt.off_p),
                   n_route * pt.on_p, n_hvt * pt.off_n, n_route * pt.on_n,
@@ -146,8 +146,8 @@ def _signatures(cells, temperatures, params: DeviceParams | None,
                     i_eff = CONTENTION_CLAMP_A
                 obs.append(tuple.__new__(Observation, (
                     vec, t, switch + core, q / (2.0 * i_eff))))
-        sigs.append(Signature(gate_id, tuple(obs)))
-    return sigs
+        observed[cell] = tuple(obs)
+    return [Signature(gate_id, observed[cell]) for gate_id, cell in cells]
 
 
 def template_signatures(flavor: CellFlavor,

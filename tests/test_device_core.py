@@ -40,12 +40,15 @@ from vtcamo.cell import (
 from vtcamo.device import (
     _CORES,
     CONTENTION_CLAMP_A,
+    KB,
     OFF_STACK_FACTOR,
+    QE,
     BiasOptimum,
     BiasPoint,
     DelayDetail,
     DeviceParams,
     SweepRow,
+    _cell_currents,
     _grid,
     cell_worst_delay,
     default_bias,
@@ -76,6 +79,40 @@ from vtcamo.sidechannel import (
 
 F = GateFunction
 VECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def ref_drain_current(vgs, vds, vt, t, p, kind="n"):
+    """One device's current, every prefactor formed for it alone: the
+    scalar code that ``device._currents`` replaced."""
+    for name, v in (("vgs", vgs), ("vds", vds), ("vt", vt)):
+        if not math.isfinite(v):
+            raise InvalidParameterError(f"{name} must be finite, got {v}")
+    if vds < 0:
+        raise InvalidParameterError(f"vds must be >= 0, got {vds}")
+    if kind not in ("n", "p"):
+        raise InvalidParameterError(f"device kind must be 'n' or 'p': {kind!r}")
+    if not math.isfinite(t) or t <= 0:
+        raise InvalidParameterError(f"temperature must be positive, got {t}")
+    phit = KB * t / QE
+    n = p.subthreshold_slope_n
+    i0 = 2.0 * n * (p.kprime_n if kind == "n" else p.kprime_p) * p.w_over_l
+    i0 = i0 * phit * phit
+
+    def softplus(x):
+        return x + math.log1p(math.exp(-x)) if x > 40.0 else math.log1p(
+            math.exp(x))
+    try:
+        mob = (t / p.t_ref) ** -1.5
+        vp = (vgs - vt) / n
+        fa = softplus(vp / (2.0 * phit)) ** 2
+        fb = softplus((vp - vds) / (2.0 * phit)) ** 2
+    except OverflowError:
+        raise InvalidParameterError(
+            f"drain current overflows at {t} K") from None
+    current = i0 * mob * (fa - fb)
+    if not math.isfinite(current):
+        raise InvalidParameterError(f"drain current is {current} at {t} K")
+    return current
 
 
 def ref_core_off(func, inputs, t, p):
@@ -424,6 +461,99 @@ def test_template_signatures_match_reference(p, flavor, temps, policy):
                 for f, sig in got.items()} == want
 
 
+def _bits_or_error(fn, *args):
+    """Each float of ``fn``'s result as hex, or the type and message of
+    any error it raises (a t of 5e-324 K divides by zero)."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return (type(exc), str(exc))
+    return [x.hex() for x in result]
+
+
+#: temperatures that each refusal of a device current starts from
+wild_temp_st = st.one_of(temp_st, st.sampled_from(
+    (0.0, -1.0, math.nan, math.inf, 1e300, 1e-320, 5e-324)))
+wild_params_st = st.builds(
+    DeviceParams,
+    vdd=st.floats(0.1, 2.0),
+    vtn0=st.floats(0.0, 1.0),
+    vtp0_mag=st.floats(0.0, 1.0),
+    delta_hvt=st.floats(0.0, 1.0),
+    delta_lvt=st.floats(0.0, 1.0),
+    kprime_n=st.sampled_from((2.0e-4, 1e308)),
+    kvt=st.one_of(st.floats(0.0, 3e-3), st.sampled_from((1e300, 1e308))),
+    t_ref=st.sampled_from((300.0, 1e-300, 1e300)),
+)
+#: device parameters that refuse every current at 250 K, and the message
+REFUSALS = (
+    (DeviceParams(kvt=1e308), "vt must be finite, got inf"),
+    (DeviceParams(t_ref=1e300), "drain current overflows at 250.0 K"),
+    (DeviceParams(kprime_n=1e308, w_over_l=1e308),
+     "drain current is inf at 250.0 K"),
+)
+
+
+@SETTINGS
+@given(st.floats(), st.floats(), st.floats(), wild_temp_st, wild_params_st,
+       st.sampled_from(("n", "p", "x")))
+@example(math.nan, -1.0, math.inf, -1.0, DeviceParams(), "x")  # vgs first
+@example(0.3, -1.0, 0.2, math.nan, DeviceParams(), "x")        # then vds
+@example(0.3, 1.0, 0.2, -1.0, DeviceParams(), "x")             # then kind
+@example(0.3, 1.0, 0.2, -1.0, DeviceParams(), "p")             # then t
+@example(0.3, 1.0, 0.2, 250.0, DeviceParams(t_ref=1e300), "n")  # mobility
+@example(0.3, 1.0, 0.2, 5e-324, DeviceParams(), "n")           # 0.0 ** -1.5
+@example(1e200, 1.0, 0.2, 300.0, DeviceParams(), "n")          # F overflows
+@example(0.3, 1.0, 0.2, 1e300, DeviceParams(t_ref=1e300), "n")  # NaN
+def test_drain_current_matches_scalar_reference(vgs, vds, vt, t, p, kind):
+    want = _bits_or_error(lambda: [ref_drain_current(vgs, vds, vt, t, p,
+                                                     kind)])
+    assert _bits_or_error(lambda: [drain_current(vgs, vds, vt, t, p,
+                                                 kind)]) == want
+
+
+def ref_cell_currents(bias, t, p, drain):
+    """on_n, on_p, off_n, off_p, then the n and p core currents, one
+    ``drain`` call each, in the order operating_point and core_currents
+    raised."""
+    vdd, vg_p_mag = p.vdd, p.vdd - bias.vg_p
+    return [drain(vgs, vdd, vt_at_temperature(vt, t, p), t, p, kind)
+            for vgs, vt, kind in (
+                (bias.vg_n, p.vtn0 - p.delta_lvt, "n"),
+                (vg_p_mag, p.vtp0_mag - p.delta_lvt, "n"),
+                (bias.vg_n, p.vtn0 + p.delta_hvt, "n"),
+                (vg_p_mag, p.vtp0_mag + p.delta_hvt, "n"),
+                (0.0, p.vtn0, "n"), (0.0, p.vtp0_mag, "p"))]
+
+
+@SETTINGS
+@given(st.one_of(params_st, wild_params_st),
+       st.one_of(bias_st, st.builds(BiasPoint, st.floats(), st.floats())),
+       wild_temp_st)
+@example(REFUSALS[0][0], default_bias(DeviceParams()), 250.0)
+@example(REFUSALS[1][0], default_bias(DeviceParams()), 250.0)
+@example(REFUSALS[2][0], default_bias(DeviceParams()), 250.0)
+@example(DeviceParams(), BiasPoint(0.35, math.inf), 300.0)   # vgs of on_p
+@example(DeviceParams(), default_bias(DeviceParams()), -1.0)
+def test_cell_currents_match_drain_current(p, bias, t):
+    """The kernel's six currents at one temperature, bit for bit, or the
+    error of the first per-device call that raises."""
+    def got():
+        point, cores = _cell_currents(bias, t, p)
+        assert point[:2] == (p.vdd, p.c_load)
+        return [*point[2:], cores["n"], cores["p"]]
+    want = _bits_or_error(ref_cell_currents, bias, t, p, drain_current)
+    assert _bits_or_error(ref_cell_currents, bias, t, p,
+                          ref_drain_current) == want
+    assert _bits_or_error(got) == want
+
+
+def test_refusal_examples_refuse():
+    for p, message in REFUSALS:
+        assert _bits_or_error(_cell_currents, default_bias(p), 250.0, p) == (
+            InvalidParameterError, message)
+
+
 @SETTINGS
 @given(params_st, bias_st, temp_st, st.floats(0.0, 0.5), st.floats(0.0, 0.5))
 def test_switch_ratio_matches_reference(p, bias, t, dh, dl):
@@ -483,22 +613,21 @@ def test_clamped_rail_warns_once_per_temperature():
 
 
 def _count_points(monkeypatch) -> list:
-    """Temperatures that the signature code builds points and cores at."""
+    """Temperatures that the signature code forms its currents at (one
+    kernel pass: the operating point and the core currents)."""
     calls = []
-    for name in ("operating_point", "core_currents"):
-        real = getattr(sidechannel, name)
+    real = sidechannel._cell_currents
 
-        def counted(*args, _real=real, _name=name):
-            calls.append((_name, args[-2]))
-            return _real(*args)
-        monkeypatch.setattr(sidechannel, name, counted)
+    def counted(bias, t, params):
+        calls.append(t)
+        return real(bias, t, params)
+    monkeypatch.setattr(sidechannel, "_cell_currents", counted)
     return calls
 
 
 def test_signature_sets_build_one_point_per_temperature(monkeypatch):
     temps = (250.0, 300.0, 350.0)
-    once = [(name, t) for t in temps
-            for name in ("operating_point", "core_currents")]
+    once = list(temps)
     calls = _count_points(monkeypatch)
     for policy in ("fixed", "thermal_compensated"):
         calls.clear()
@@ -549,13 +678,24 @@ def test_grid_walks_compute_each_member_once(monkeypatch):
             return real(vgs, vds, vt, t, params, kind)
         return counted
 
-    monkeypatch.setattr(device, "drain_current", counter(got))
+    def kernel_counter(calls, real=device._currents):
+        def counted_kernel(t, params):
+            drain = real(t, params)
+
+            def counted(vgs, vds, vt, kind):
+                calls.append((vgs, vds, vt, t, kind))
+                return drain(vgs, vds, vt, kind)
+            return counted
+        return counted_kernel
+
     walks = [(optimize_bias, ref_optimize_bias, (NARROW, 0.05, 0.05, 300.0)),
              (sweep_vt_window, ref_sweep,
               ((0.3, 0.45), (0.3, 0.45), 0.05, *NOMINAL[1:], NOMINAL[0]))]
     for walk, ref, args in walks:
-        got.clear()
-        walk(*args)
+        with monkeypatch.context() as m:
+            m.setattr(device, "_currents", kernel_counter(got))
+            got.clear()
+            walk(*args)
         assert len(got) == len(set(got))
         with monkeypatch.context() as m:
             m.setitem(globals(), "drain_current", counter(want))
@@ -574,8 +714,7 @@ def test_delay_clamps_the_drive_as_max_does(monkeypatch):
     assert sorted(out for out, _ in cell.vectors.values()) == [0, 0, 0, 1]
     clamp = CONTENTION_CLAMP_A
     # no core leakage: with no OFF member either, both edges drive ``drive``
-    monkeypatch.setattr(sidechannel, "core_currents",
-                        lambda t, params: {"n": 0.0, "p": 0.0})
+    no_core = {"n": 0.0, "p": 0.0}
     for drive in (math.nextafter(clamp, 0.0), clamp,
                   math.nextafter(clamp, 1.0), 1e-6, math.nan):
         point = device.OperatingPoint(vdd_actual=1.0, c_load=1e-15,
@@ -587,8 +726,8 @@ def test_delay_clamps_the_drive_as_max_does(monkeypatch):
             row = ((cell, out, 0.0),)
             got = device._worst_delay((row, row), point)
             assert got.hex() == want, (drive, out)
-        monkeypatch.setattr(sidechannel, "operating_point",
-                            lambda *args, _point=point: _point)
+        monkeypatch.setattr(sidechannel, "_cell_currents",
+                            lambda *args, _point=point: (_point, no_core))
         sig, = sidechannel._signatures([("y", cell)], (300.0,), None, "fixed")
         assert [o.delay_s.hex() for o in sig.observations] == [want] * 4, drive
 
@@ -603,7 +742,8 @@ def _delay_agrees_with_detail(p, bias, t, vdd=None) -> int:
     point = device.operating_point(bias, p.vdd if vdd is None else vdd, t, p)
     collapsed = 0
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(sidechannel, "operating_point", lambda *args: point)
+        m.setattr(sidechannel, "_cell_currents",
+                  lambda *args: (point, core_off))
         for flavor, cells in device._FLAVOR_CELLS.items():
             for cell in cells.values():
                 wants = []
