@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .cell import BASE_FUNCTIONS, UNDERLYING, CellFlavor, GateFunction
 from .errors import (
@@ -298,7 +299,7 @@ class EffortEstimate:
     candidate_count: int
     seconds_raw: float
     seconds_retest: float
-    note: str = EFFORT_NOTE
+    note: ClassVar[str] = EFFORT_NOTE
 
     @property
     def years_raw(self) -> float:

@@ -298,7 +298,9 @@ def serialize_bench(net: Netlist) -> str:
 
     The port lines walk ``inputs`` and ``outputs`` together: a plain input
     gives INPUT, else a plain output gives OUTPUT, else the next flop,
-    whose output and data net are then at the head of both.
+    whose output and data net are then at the head of both. Both lists
+    hold the flops in file order, so while a flop output is left in
+    ``inputs`` its data net is left in ``outputs``.
     """
     plain_in = set(net.inputs) - set(net.pseudo_inputs)
     plain_out = set(net.outputs) - set(net.pseudo_outputs)
@@ -308,7 +310,7 @@ def serialize_bench(net: Netlist) -> str:
         if i < len(net.inputs) and net.inputs[i] in plain_in:
             lines.append(f"INPUT({net.inputs[i]})")
             i += 1
-        elif o < len(net.outputs) and net.outputs[o] in plain_out:
+        elif net.outputs[o] in plain_out:
             lines.append(f"OUTPUT({net.outputs[o]})")
             o += 1
         else:

@@ -12,6 +12,7 @@ from vtcamo.camouflage import (
     SECONDS_PER_YEAR,
     SelectionPolicy,
     apply_camouflage,
+    camo_function_for,
     effort_estimate,
     eligible_gates,
     overhead_report,
@@ -25,6 +26,7 @@ from vtcamo.errors import (
     InvalidPolicyError,
 )
 from vtcamo.netlist import (
+    Gate,
     check_equivalence,
     critical_path,
     parse_bench,
@@ -107,6 +109,15 @@ class TestApply:
         with pytest.raises(FlavorMismatchError,
                            match="^gate '10' is already camouflaged$"):
             apply_camouflage(locked, ["10"], CellFlavor.CAMO8)
+
+    def test_plain_gate_of_a_cell_function_has_no_equivalent(self):
+        # the parser never builds a plain INV or BUF gate (NOT and BUFF are
+        # the plain primitives), but a directly built gate may carry one
+        gate = Gate("g", ("a",), func=GateFunction.INV)
+        with pytest.raises(FlavorMismatchError,
+                           match=r"^gate 'g' \(INV, 1 fanins\) has no "
+                                 r"two-input camouflaged equivalent$"):
+            camo_function_for(gate, CellFlavor.CAMO8)
 
     def test_wide_gates_are_not_eligible(self, synth_mix):
         # n9 has three fanins, no camouflaged cell matches it
