@@ -30,10 +30,9 @@ the output swing faster than the fixed-bias pull-down route can follow.
 Cell estimates are split by what they depend on, and each number is
 computed at the loop level where its inputs last change:
 
-- per (t, params), ``_currents``, the one place the current formula is
-  written, forms phi_t, the mobility factor and each kind's ``i0 * mob``;
-  a signature set asks it once per temperature for the six devices below
-  (``_cell_currents``), a grid walk once a call;
+- per (t, params), ``_currents`` (the only copy of the current formula)
+  forms phi_t, the mobility factor and each kind's ``i0 * mob``, once a
+  signature-set temperature (``_cell_currents``) or a grid walk;
 - per (t, nominal params), ``core_currents`` gives the OFF core device of
   each kind; bias searches and VT sweeps vary neither, so they compute it
   and every (cell, vector) core-path sum (``CellModel.core``) once a call;
@@ -163,9 +162,7 @@ def _currents(t: float, params: DeviceParams):
     try:  # raised by the first call whose own arguments pass their checks
         phit = thermal_voltage(t)
         mob = (t / params.t_ref) ** -1.5
-    except OverflowError:
-        fault = InvalidParameterError(f"drain current overflows at {t} K")
-    except Exception as exc:  # a bad t, or 0.0 ** -1.5
+    except Exception as exc:  # a bad t, 0.0 ** -1.5 or an overflow
         fault = exc
     else:
         fault, two_phit = None, 2.0 * phit
@@ -174,20 +171,18 @@ def _currents(t: float, params: DeviceParams):
                   * params.w_over_l * phit * phit * mob}
 
     def drain(vgs: float, vds: float, vt: float, kind: str) -> float:
-        if not (isfinite(vgs) and isfinite(vds) and isfinite(vt)):
-            for name, v in (("vgs", vgs), ("vds", vds), ("vt", vt)):
-                if not isfinite(v):
-                    raise InvalidParameterError(
-                        f"{name} must be finite, got {v}")
+        for name, v in (("vgs", vgs), ("vds", vds), ("vt", vt)):
+            if not isfinite(v):
+                raise InvalidParameterError(f"{name} must be finite, got {v}")
         if vds < 0:
             raise InvalidParameterError(f"vds must be >= 0, got {vds}")
         if kind != "n" and kind != "p":
             raise InvalidParameterError(
                 f"device kind must be 'n' or 'p': {kind!r}")
-        if fault is not None:
-            raise fault
         vp = (vgs - vt) / n
         try:  # F(x), with ln(1 + e^x) kept from overflow for large x
+            if fault is not None:
+                raise fault  # a mobility overflow is reported as below
             x = vp / two_phit
             fa = (x + log1p(exp(-x)) if x > 40.0 else log1p(exp(x))) ** 2
             x = (vp - vds) / two_phit
@@ -237,21 +232,22 @@ def operating_point(bias: BiasPoint, vdd_actual: float, t: float,
     assumed width-compensated). The N member sees vgs = vg_n, the P member
     vgs_mag = vdd_actual - vg_p, both at full-rail vds.
     """
-    return _points(vdd_actual, t, params)(bias, params.delta_hvt,
-                                          params.delta_lvt)
+    return _points(_currents(t, params), _vt_shift(t, params), vdd_actual,
+                   params)(bias, params.delta_hvt, params.delta_lvt)
 
 
-def _points(vdd_actual: float, t: float, params: DeviceParams):
-    """``operating_point`` of (bias, delta_hvt, delta_lvt) for grid walks:
-    each distinct (vgs, nominal vt) member is computed once, on first use,
-    so a walk raises the first error where a per-point walk would."""
-    drain, members = _currents(t, params), {}
+def _points(drain, shift: float, vdd_actual: float, params: DeviceParams):
+    """``operating_point`` of (bias, delta_hvt, delta_lvt) from the kernel
+    ``drain`` and the threshold shift at its temperature: each distinct
+    (vgs, nominal vt) member is computed once, on first use, so a walk
+    raises the first error where a per-point walk would."""
+    members = {}
 
     def member(vgs: float, vt_nominal: float) -> float:
         current = members.get((vgs, vt_nominal))
         if current is None:
             current = members[vgs, vt_nominal] = drain(
-                vgs, vdd_actual, vt_at_temperature(vt_nominal, t, params), "n")
+                vgs, vdd_actual, vt_nominal - shift, "n")
         return current
 
     def point(bias: BiasPoint, delta_hvt: float, delta_lvt: float):
@@ -266,7 +262,11 @@ def _points(vdd_actual: float, t: float, params: DeviceParams):
 
 def core_currents(t: float, params: DeviceParams) -> dict[str, float]:
     """OFF core device current by kind, at vgs = 0 and vds = params.vdd."""
-    drain, shift = _currents(t, params), _vt_shift(t, params)
+    return _cores(_currents(t, params), _vt_shift(t, params), params)
+
+
+def _cores(drain, shift: float, params: DeviceParams) -> dict[str, float]:
+    """``core_currents`` from the kernel ``drain`` and the threshold shift."""
     return {"n": drain(0.0, params.vdd, params.vtn0 - shift, "n"),
             "p": drain(0.0, params.vdd, params.vtp0_mag - shift, "p")}
 
@@ -274,15 +274,9 @@ def core_currents(t: float, params: DeviceParams) -> dict[str, float]:
 def _cell_currents(bias: BiasPoint, t: float, params: DeviceParams):
     """``operating_point(bias, params.vdd, t, params)`` and
     ``core_currents(t, params)`` from one kernel, raising in that order."""
-    drain, shift, p = _currents(t, params), _vt_shift(t, params), params
-    vdd, vg_n, vg_p_mag = p.vdd, bias.vg_n, p.vdd - bias.vg_p
-    point = OperatingPoint(
-        vdd, p.c_load, drain(vg_n, vdd, p.vtn0 - p.delta_lvt - shift, "n"),
-        drain(vg_p_mag, vdd, p.vtp0_mag - p.delta_lvt - shift, "n"),
-        drain(vg_n, vdd, p.vtn0 + p.delta_hvt - shift, "n"),
-        drain(vg_p_mag, vdd, p.vtp0_mag + p.delta_hvt - shift, "n"))
-    return point, {"n": drain(0.0, vdd, p.vtn0 - shift, "n"),
-                   "p": drain(0.0, vdd, p.vtp0_mag - shift, "p")}
+    drain, shift = _currents(t, params), _vt_shift(t, params)
+    return (_points(drain, shift, params.vdd, params)(
+        bias, params.delta_hvt, params.delta_lvt), _cores(drain, shift, params))
 
 
 def switch_ratio(delta_hvt: float, delta_lvt: float, bias: BiasPoint,
@@ -569,11 +563,12 @@ def sweep_vt_window(hvt_range: tuple[float, float],
     Rows are emitted in row-major order: delta_hvt outer, delta_lvt inner.
     """
     _grid_size(*lvt_range, step, _grid_size(*hvt_range, step))
-    cores = _core_rows(core_currents(t, params))
+    drain, shift = _currents(t, params), _vt_shift(t, params)
+    cores = _core_rows(_cores(drain, shift, params))
     hvts, lvts = _grid(*hvt_range, step), _grid(*lvt_range, step)
     # the first point has the least offsets: reject a negative one there
     replace(params, delta_hvt=hvts[0], delta_lvt=lvts[0])
-    grid_point = _points(params.vdd, t, params)
+    grid_point = _points(drain, shift, params.vdd, params)
     rows = []
     for dh in hvts:
         for dl in lvts:
@@ -632,8 +627,9 @@ def optimize_bias(params: DeviceParams, search_window: float = 0.1,
     base_bias = default_bias(params)
     k = int(math.floor(search_window / grid_step + 1e-12))
     offsets = [i * grid_step for i in range(-k, k + 1)]
-    cores = _core_rows(core_currents(t, params))
-    grid_point = _points(params.vdd, t, params)
+    drain, shift = _currents(t, params), _vt_shift(t, params)
+    cores = _core_rows(_cores(drain, shift, params))
+    grid_point = _points(drain, shift, params.vdd, params)
     d_default = _worst_delay(cores, grid_point(base_bias, params.delta_hvt,
                                                params.delta_lvt))
     hvts, lvts = ([x for x in (c + d for d in offsets) if 0 < x < params.vdd]

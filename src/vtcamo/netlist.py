@@ -91,14 +91,15 @@ class Netlist:
     """Immutable combinational DAG plus PI/PO bookkeeping.
 
     Net number i is ``inputs[i]``, then gate ``i - len(inputs)`` of
-    ``gates``. The constructor resolves every name (a name defined twice
-    or a gate with no fanins raises BenchSyntaxError, an undefined fanin
-    or output UndefinedNetError) and keeps, per net number, its fanins
-    (none for an input) in ``_fanins``, its readers (once per fanin, in
-    file order) in ``_fanouts`` and in ``_order`` the gates' numbers in
-    Kahn order over them (``_settle``). A locked netlist skips the name
-    resolution and inherits its input's ``_index`` and ``_names``, and
-    ``_order`` too when no INV/BUF cell (decoy edge) was added.
+    ``gates``. The constructor resolves every name (a name defined twice,
+    a gate with no fanins or unpaired DFF lists raise BenchSyntaxError, an
+    undefined fanin or output UndefinedNetError) and keeps, per net
+    number, its fanins (none for an input) in ``_fanins``, its readers
+    (once per fanin, in file order) in ``_fanouts`` and in ``_order`` the
+    gates' numbers in Kahn order over them (``_settle``). A locked netlist
+    skips the name resolution and inherits its input's ``_index`` and
+    ``_names``, and ``_order`` too when no INV/BUF cell (decoy edge) was
+    added.
     """
 
     inputs: tuple[str, ...]
@@ -136,6 +137,12 @@ class Netlist:
         for net in self.outputs:
             if net not in index:
                 raise UndefinedNetError(f"OUTPUT({net}) is never defined")
+        flops = (self.pseudo_inputs, self.pseudo_outputs)
+        if len(flops[0]) != len(flops[1]) or any(
+                tuple(filter(set(nets).__contains__, ports)) != nets
+                for ports, nets in zip((self.inputs, self.outputs), flops)):
+            raise BenchSyntaxError("each DFF output must be an input and its "
+                                   "data net an output, in DFF order")
         fanouts: list[list[int]] = [[] for _ in names]
         for n in range(width, len(names)):
             for f in fanins[n]:
@@ -298,9 +305,7 @@ def serialize_bench(net: Netlist) -> str:
 
     The port lines walk ``inputs`` and ``outputs`` together: a plain input
     gives INPUT, else a plain output gives OUTPUT, else the next flop,
-    whose output and data net are then at the head of both. Both lists
-    hold the flops in file order, so while a flop output is left in
-    ``inputs`` its data net is left in ``outputs``.
+    whose output and data net are then at the head of both.
     """
     plain_in = set(net.inputs) - set(net.pseudo_inputs)
     plain_out = set(net.outputs) - set(net.pseudo_outputs)

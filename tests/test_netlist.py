@@ -179,6 +179,16 @@ class TestParseErrors:
             Netlist(("a",), ("g",), gates)
         assert str(err.value) == "gate 'h' has no fanins"
 
+    @pytest.mark.parametrize("pseudo", [
+        (("q",), ("d",)), (("q",), ()), (("r", "q"), ("q", "r")),
+    ], ids=["data-net-not-an-output", "flop-without-data-net", "flop-order"])
+    def test_direct_netlist_rejects_unpaired_flops(self, pseudo):
+        # serialize_bench writes a DFF line from the head of both port lists
+        with pytest.raises(BenchSyntaxError) as err:
+            Netlist(("q", "r"), ("q", "r"), (), *pseudo)
+        assert str(err.value) == ("each DFF output must be an input and its "
+                                  "data net an output, in DFF order")
+
     def test_parser_names_the_line_of_a_gate_with_no_fanins(self):
         with pytest.raises(BenchSyntaxError) as err:
             parse_bench("INPUT(a)\nOUTPUT(x)\nx = AND()\n")
