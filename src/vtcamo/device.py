@@ -32,13 +32,13 @@ computed at the loop level where its inputs last change:
 
 - per (t, params), ``_currents`` (the only copy of the current formula)
   forms phi_t, the mobility factor and each kind's ``i0 * mob``, once a
-  signature-set temperature (``_cell_currents``) or a grid walk;
-- per (t, nominal params), ``core_currents`` gives the OFF core device of
-  each kind; bias searches and VT sweeps vary neither, so they compute it
-  and every (cell, vector) core-path sum (``CellModel.core``) once a call;
-- per operating point (bias, vdd_actual, t, params), ``operating_point``
-  gives the LVT and HVT switch members of each polarity; a bias search or
-  VT sweep computes each distinct (vgs, nominal vt) member once a call;
+  point, a signature-set temperature or a grid walk;
+- per operating point (bias, vdd_actual, t, params), ``_cell_currents``
+  gives the LVT and HVT switch members of each polarity (``_points``),
+  then the OFF core device of each kind (``_cores``); a bias search or VT
+  sweep computes the core devices and every (cell, vector) core-path sum
+  (``CellModel.core``) first, and each distinct (vgs, nominal vt) member,
+  once a call;
 - per (function, input vector), ``_VECTOR_TABLE``, built at import, holds
   the cell output and leaking core paths as (device kind, stack divisor);
 - per config, ``CellModel`` holds the decoded function and the route and
@@ -55,9 +55,9 @@ a collapse: the reference that ``gate_leakage`` and ``delay_detail`` use.
 ``detail`` always counts contention: both edges see the cell's OFF
 switch members, and the edge arriving at the output adds the OFF core
 paths at that vector.
-``_worst_delay`` and ``sidechannel._signatures`` form the same drives
-inline and call ``detail`` only to raise; ``tests/test_device_core.py``
-pins both to it bit for bit.
+``_worst_delay`` and ``_observations`` (a signature set's points) form
+the same drives inline, side by side here, and call ``detail`` only to
+raise; ``tests/test_device_core.py`` pins both to it bit for bit.
 """
 
 from __future__ import annotations
@@ -224,23 +224,14 @@ class OperatingPoint(NamedTuple):
         return math.inf if self.off_n == 0.0 else self.on_n / self.off_n
 
 
-def operating_point(bias: BiasPoint, vdd_actual: float, t: float,
-                    params: DeviceParams) -> OperatingPoint:
-    """The four switch-member currents a cell estimate at this point reads.
-
-    Switch members are drive-balanced: both use kprime_n (the P member is
-    assumed width-compensated). The N member sees vgs = vg_n, the P member
-    vgs_mag = vdd_actual - vg_p, both at full-rail vds.
-    """
-    return _points(_currents(t, params), _vt_shift(t, params), vdd_actual,
-                   params)(bias, params.delta_hvt, params.delta_lvt)
-
-
 def _points(drain, shift: float, vdd_actual: float, params: DeviceParams):
-    """``operating_point`` of (bias, delta_hvt, delta_lvt) from the kernel
-    ``drain`` and the threshold shift at its temperature: each distinct
-    (vgs, nominal vt) member is computed once, on first use, so a walk
-    raises the first error where a per-point walk would."""
+    """The ``OperatingPoint`` at (bias, delta_hvt, delta_lvt), from the
+    kernel ``drain`` and the threshold shift at its temperature. Switch
+    members are drive-balanced: both use kprime_n (the P member is assumed
+    width-compensated); the N member sees vgs = vg_n, the P member vgs_mag
+    = vdd_actual - vg_p, both at full-rail vds. Each distinct (vgs,
+    nominal vt) member is computed once, on first use, so a walk raises
+    the first error where a per-point walk would."""
     members = {}
 
     def member(vgs: float, vt_nominal: float) -> float:
@@ -260,22 +251,19 @@ def _points(drain, shift: float, vdd_actual: float, params: DeviceParams):
     return point
 
 
-def core_currents(t: float, params: DeviceParams) -> dict[str, float]:
-    """OFF core device current by kind, at vgs = 0 and vds = params.vdd."""
-    return _cores(_currents(t, params), _vt_shift(t, params), params)
-
-
 def _cores(drain, shift: float, params: DeviceParams) -> dict[str, float]:
-    """``core_currents`` from the kernel ``drain`` and the threshold shift."""
+    """OFF core device current by kind, at vgs = 0 and vds = params.vdd,
+    from the kernel ``drain`` and the threshold shift."""
     return {"n": drain(0.0, params.vdd, params.vtn0 - shift, "n"),
             "p": drain(0.0, params.vdd, params.vtp0_mag - shift, "p")}
 
 
-def _cell_currents(bias: BiasPoint, t: float, params: DeviceParams):
-    """``operating_point(bias, params.vdd, t, params)`` and
-    ``core_currents(t, params)`` from one kernel, raising in that order."""
+def _cell_currents(bias: BiasPoint, vdd_actual: float, t: float,
+                   params: DeviceParams):
+    """The switch members at this point (``_points``), then the core
+    devices (``_cores``), from one kernel, raising in that order."""
     drain, shift = _currents(t, params), _vt_shift(t, params)
-    return (_points(drain, shift, params.vdd, params)(
+    return (_points(drain, shift, vdd_actual, params)(
         bias, params.delta_hvt, params.delta_lvt), _cores(drain, shift, params))
 
 
@@ -290,7 +278,8 @@ def switch_ratio(delta_hvt: float, delta_lvt: float, bias: BiasPoint,
     if delta_hvt < 0 or delta_lvt < 0:
         raise InvalidParameterError("threshold offsets must be >= 0")
     p = replace(params, delta_hvt=delta_hvt, delta_lvt=delta_lvt)
-    return operating_point(bias, p.vdd, t, p).ratio()
+    return _points(_currents(t, p), _vt_shift(t, p), p.vdd, p)(
+        bias, delta_hvt, delta_lvt).ratio()
 
 
 # --- per (function, input vector) -------------------------------------------
@@ -454,6 +443,48 @@ def _worst_delay(cores: tuple, point: OperatingPoint) -> float:
     return delay
 
 
+class Observation(NamedTuple):
+    """One measurement point: a local input vector at one temperature."""
+
+    vector: tuple[int, int]
+    temperature: float
+    leakage_a: float
+    delay_s: float
+
+
+def _observations(cells, biases, params: DeviceParams) -> dict:
+    """Each distinct cell's observations, by vector, then temperature: one
+    kernel per ``(t, bias)`` of ``biases``, in turn; the first collapse in
+    that order raises."""
+    points = [(t, *_cell_currents(bias, params.vdd, t, params))
+              for t, bias in biases]
+    observed = {}
+    for cell in cells:
+        n_route, n_hvt = cell.n_route, cell.n_hvt
+        terms = [(t, core_off, pt, cell.n_hvt_all * (pt.off_n + pt.off_p),
+                  n_route * pt.on_p, n_hvt * pt.off_n, n_route * pt.on_n,
+                  n_hvt * pt.off_p, pt.c_load * pt.vdd_actual)
+                 for t, pt, core_off in points]
+        obs = []
+        for vec in LOCAL_VECTORS:
+            out, paths = cell.vectors[vec]
+            for t, core_off, pt, switch, on_p, off_n, on_n, off_p, q in terms:
+                core = 0.0
+                for kind, divisor in paths:
+                    core += core_off[kind] / divisor
+                rise = on_p - (off_n + (core if out else 0.0))
+                fall = on_n - (off_p + (0.0 if out else core))
+                i_eff = rise if rise < fall else fall
+                if i_eff <= 0.0:
+                    cell.detail(out, core, pt)  # raises the collapse
+                if CONTENTION_CLAMP_A > i_eff:  # max() with no call; keeps NaN
+                    i_eff = CONTENTION_CLAMP_A
+                obs.append(tuple.__new__(Observation, (
+                    vec, t, switch + core, q / (2.0 * i_eff))))
+        observed[cell] = tuple(obs)
+    return observed
+
+
 # --- per-point public estimates ---------------------------------------------
 
 def _check_inputs(inputs) -> tuple[int, int]:
@@ -472,8 +503,8 @@ def gate_leakage(config: CamoConfig, inputs: tuple[int, int], t: float,
     """
     inputs = _check_inputs(inputs)
     cell = CellModel(config)
-    point = operating_point(bias, params.vdd, t, params)
-    return cell.leakage(cell.core(inputs, core_currents(t, params))[1], point)
+    point, core_off = _cell_currents(bias, params.vdd, t, params)
+    return cell.leakage(cell.core(inputs, core_off)[1], point)
 
 
 @dataclass(frozen=True)
@@ -507,9 +538,8 @@ def delay_detail(config: CamoConfig, inputs: tuple[int, int],
     _check_vdd(vdd_actual)
     inputs = _check_inputs(inputs)
     cell = CellModel(config)
-    point = operating_point(bias, vdd_actual, t, params)
-    out, core = cell.core(inputs, core_currents(t, params))
-    return DelayDetail(*cell.detail(out, core, point))
+    point, core_off = _cell_currents(bias, vdd_actual, t, params)
+    return DelayDetail(*cell.detail(*cell.core(inputs, core_off), point))
 
 
 def cell_worst_delay(bias: BiasPoint, t: float, params: DeviceParams,
@@ -518,8 +548,8 @@ def cell_worst_delay(bias: BiasPoint, t: float, params: DeviceParams,
     if vdd_actual is None:
         vdd_actual = params.vdd
     _check_vdd(vdd_actual)
-    point = operating_point(bias, vdd_actual, t, params)
-    return _worst_delay(_core_rows(core_currents(t, params)), point)
+    point, core_off = _cell_currents(bias, vdd_actual, t, params)
+    return _worst_delay(_core_rows(core_off), point)
 
 
 # --- sweeps and optimization ----------------------------------------------

@@ -9,9 +9,9 @@ inserting sink-terminated dummy cells until every function of a flavor
 appears equally often (so chip-level aggregate measurements carry no
 information about the mix), and shifting the pass-switch bias rails with
 temperature so the switch overdrive, and with it the leakage spread a
-thermal attacker relies on, stays put. A signature set forms its bias and
-six device currents once per temperature (``device._cell_currents``) and
-each distinct cell's drives in one loop, which its gates then share.
+thermal attacker relies on, stays put. This module picks a set's
+temperatures and the bias at each; ``device._observations`` gives each
+distinct cell's leakage and delay there, which its gates then share.
 """
 
 from __future__ import annotations
@@ -23,17 +23,15 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, count, islice
 from operator import add, itemgetter
-from typing import NamedTuple
 
-from .cell import (LOCAL_VECTORS, UNDERLYING, CellFlavor, GateFunction,
-                   config_for)
+from .cell import UNDERLYING, CellFlavor, GateFunction, config_for
 from .device import (
     _FLAVOR_CELLS,
-    CONTENTION_CLAMP_A,
     BiasPoint,
     CellModel,
     DeviceParams,
-    _cell_currents,
+    Observation,
+    _observations,
     default_bias,
 )
 from .errors import (
@@ -52,15 +50,6 @@ DEFAULT_TEMPERATURES = (250.0, 300.0, 350.0)
 
 #: Floor applied before taking logs of measured quantities.
 _LOG_FLOOR = 1e-300
-
-
-class Observation(NamedTuple):
-    """One measurement point: a local input vector at one temperature."""
-
-    vector: tuple[int, int]
-    temperature: float
-    leakage_a: float
-    delay_s: float
 
 
 @dataclass(frozen=True)
@@ -120,33 +109,10 @@ def _signatures(cells, temperatures, params: DeviceParams | None,
     """Signatures of (gate_id, CellModel) cells: one kernel per
     temperature, one observation tuple per distinct cell."""
     params = params or DeviceParams()
-    points = [(t, *_cell_currents(_bias_for(bias_policy, t, params), t,
-                                  params))
-              for t in _check_temperatures(temperatures)]
-    observed = {}
-    for cell in dict.fromkeys(cell for _, cell in cells):
-        n_route, n_hvt = cell.n_route, cell.n_hvt
-        terms = [(t, core_off, pt, cell.n_hvt_all * (pt.off_n + pt.off_p),
-                  n_route * pt.on_p, n_hvt * pt.off_n, n_route * pt.on_n,
-                  n_hvt * pt.off_p, pt.c_load * pt.vdd_actual)
-                 for t, pt, core_off in points]
-        obs = []
-        for vec in LOCAL_VECTORS:
-            out, paths = cell.vectors[vec]
-            for t, core_off, pt, switch, on_p, off_n, on_n, off_p, q in terms:
-                core = 0.0
-                for kind, divisor in paths:
-                    core += core_off[kind] / divisor
-                rise = on_p - (off_n + (core if out else 0.0))
-                fall = on_n - (off_p + (0.0 if out else core))
-                i_eff = rise if rise < fall else fall
-                if i_eff <= 0.0:
-                    cell.detail(out, core, pt)  # raises the collapse
-                if CONTENTION_CLAMP_A > i_eff:  # max() with no call; keeps NaN
-                    i_eff = CONTENTION_CLAMP_A
-                obs.append(tuple.__new__(Observation, (
-                    vec, t, switch + core, q / (2.0 * i_eff))))
-        observed[cell] = tuple(obs)
+    observed = _observations(
+        dict.fromkeys(cell for _, cell in cells),
+        ((t, _bias_for(bias_policy, t, params))
+         for t in _check_temperatures(temperatures)), params)
     return [Signature(gate_id, observed[cell]) for gate_id, cell in cells]
 
 

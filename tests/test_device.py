@@ -10,12 +10,12 @@ from vtcamo.cell import CellFlavor, GateFunction, config_for
 from vtcamo.device import (
     BiasPoint,
     DeviceParams,
+    _cell_currents,
     cell_worst_delay,
     default_bias,
     delay_detail,
     drain_current,
     gate_leakage,
-    operating_point,
     optimize_bias,
     sweep_to_csv,
     sweep_vt_window,
@@ -165,7 +165,8 @@ class TestSwitchRatio:
         assert switch_ratio(20.0, 0.35, bias, 300.0, params) == (
             pytest.approx(7.66e259, rel=1e-3))
         wide = replace(params, delta_hvt=25.0)
-        assert operating_point(bias, params.vdd, 300.0, wide).off_n == 0.0
+        point, _ = _cell_currents(bias, params.vdd, 300.0, wide)
+        assert point.off_n == 0.0
         assert switch_ratio(25.0, 0.35, bias, 300.0, params) == math.inf
 
     @pytest.mark.parametrize("hvt, lvt", [(-0.1, 0.1), (0.1, -0.1)])

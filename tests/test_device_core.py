@@ -10,6 +10,11 @@ bit-identical floats, the same ``clamped`` flag and, where the reference
 raises ``ContentionCollapseError`` or ``InvalidParameterError``, the same
 exception type and message. ``ref_classify`` is template matching as it
 was before it went column by column, with the same requirements.
+
+``device._cell_currents`` is the one per-point currents call, and
+``device`` holds both inline delay loops, ``_worst_delay`` and
+``_observations`` (under every signature set); tests that feed the loops
+one operating point patch ``device._cell_currents``.
 """
 
 from __future__ import annotations
@@ -514,8 +519,7 @@ def test_drain_current_matches_scalar_reference(vgs, vds, vt, t, p, kind):
 
 def ref_cell_currents(bias, t, p, drain):
     """on_n, on_p, off_n, off_p, then the n and p core currents, one
-    ``drain`` call each, in the order operating_point and core_currents
-    raised."""
+    ``drain`` call each, in that order."""
     vdd, vg_p_mag = p.vdd, p.vdd - bias.vg_p
     return [drain(vgs, vdd, vt_at_temperature(vt, t, p), t, p, kind)
             for vgs, vt, kind in (
@@ -539,7 +543,7 @@ def test_cell_currents_match_drain_current(p, bias, t):
     """The kernel's six currents at one temperature, bit for bit, or the
     error of the first per-device call that raises."""
     def got():
-        point, cores = _cell_currents(bias, t, p)
+        point, cores = _cell_currents(bias, p.vdd, t, p)
         assert point[:2] == (p.vdd, p.c_load)
         return [*point[2:], cores["n"], cores["p"]]
     want = _bits_or_error(ref_cell_currents, bias, t, p, drain_current)
@@ -550,8 +554,8 @@ def test_cell_currents_match_drain_current(p, bias, t):
 
 def test_refusal_examples_refuse():
     for p, message in REFUSALS:
-        assert _bits_or_error(_cell_currents, default_bias(p), 250.0, p) == (
-            InvalidParameterError, message)
+        assert _bits_or_error(_cell_currents, default_bias(p), p.vdd, 250.0,
+                              p) == (InvalidParameterError, message)
 
 
 @SETTINGS
@@ -616,12 +620,12 @@ def _count_points(monkeypatch) -> list:
     """Temperatures that the signature code forms its currents at (one
     kernel pass: the operating point and the core currents)."""
     calls = []
-    real = sidechannel._cell_currents
+    real = device._cell_currents
 
-    def counted(bias, t, params):
+    def counted(bias, vdd_actual, t, params):
         calls.append(t)
-        return real(bias, t, params)
-    monkeypatch.setattr(sidechannel, "_cell_currents", counted)
+        return real(bias, vdd_actual, t, params)
+    monkeypatch.setattr(device, "_cell_currents", counted)
     return calls
 
 
@@ -726,7 +730,7 @@ def test_delay_clamps_the_drive_as_max_does(monkeypatch):
             row = ((cell, out, 0.0),)
             got = device._worst_delay((row, row), point)
             assert got.hex() == want, (drive, out)
-        monkeypatch.setattr(sidechannel, "_cell_currents",
+        monkeypatch.setattr(device, "_cell_currents",
                             lambda *args, _point=point: (_point, no_core))
         sig, = sidechannel._signatures([("y", cell)], (300.0,), None, "fixed")
         assert [o.delay_s.hex() for o in sig.observations] == [want] * 4, drive
@@ -738,12 +742,11 @@ def _delay_agrees_with_detail(p, bias, t, vdd=None) -> int:
     gives the same collapse or the same delay bits; ``_signatures`` of each
     cell at this point gives its first collapse in vector order, or the
     same delay bits at every vector. Returns how many rows collapse."""
-    core_off = device.core_currents(t, p)
-    point = device.operating_point(bias, p.vdd if vdd is None else vdd, t, p)
+    point, core_off = device._cell_currents(
+        bias, p.vdd if vdd is None else vdd, t, p)
     collapsed = 0
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(sidechannel, "_cell_currents",
-                  lambda *args: (point, core_off))
+        m.setattr(device, "_cell_currents", lambda *args: (point, core_off))
         for flavor, cells in device._FLAVOR_CELLS.items():
             for cell in cells.values():
                 wants = []
