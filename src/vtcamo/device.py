@@ -187,7 +187,8 @@ def _currents(t: float, params: DeviceParams):
             fa = (x + log1p(exp(-x)) if x > 40.0 else log1p(exp(x))) ** 2
             x = (vp - vds) / two_phit
             fb = (x + log1p(exp(-x)) if x > 40.0 else log1p(exp(x))) ** 2
-        except OverflowError:
+        # 0.0 ** -1.5, or x over a phi_t that underflowed to 0
+        except (OverflowError, ZeroDivisionError):
             raise InvalidParameterError(
                 f"drain current overflows at {t} K") from None
         current = i0_mob[kind] * (fa - fb)  # i0 * mob * (fa - fb)

@@ -111,7 +111,7 @@ def ref_drain_current(vgs, vds, vt, t, p, kind="n"):
         vp = (vgs - vt) / n
         fa = softplus(vp / (2.0 * phit)) ** 2
         fb = softplus((vp - vds) / (2.0 * phit)) ** 2
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # 0.0 ** -1.5, x / 0.0
         raise InvalidParameterError(
             f"drain current overflows at {t} K") from None
     current = i0 * mob * (fa - fb)
@@ -468,7 +468,7 @@ def test_template_signatures_match_reference(p, flavor, temps, policy):
 
 def _bits_or_error(fn, *args):
     """Each float of ``fn``'s result as hex, or the type and message of
-    any error it raises (a t of 5e-324 K divides by zero)."""
+    any error it raises."""
     try:
         result = fn(*args)
     except Exception as exc:
@@ -508,6 +508,7 @@ REFUSALS = (
 @example(0.3, 1.0, 0.2, -1.0, DeviceParams(), "p")             # then t
 @example(0.3, 1.0, 0.2, 250.0, DeviceParams(t_ref=1e300), "n")  # mobility
 @example(0.3, 1.0, 0.2, 5e-324, DeviceParams(), "n")           # 0.0 ** -1.5
+@example(0.3, 1.0, 0.2, 5e-324, DeviceParams(t_ref=5e-324), "n")  # phi_t 0
 @example(1e200, 1.0, 0.2, 300.0, DeviceParams(), "n")          # F overflows
 @example(0.3, 1.0, 0.2, 1e300, DeviceParams(t_ref=1e300), "n")  # NaN
 def test_drain_current_matches_scalar_reference(vgs, vds, vt, t, p, kind):
@@ -556,6 +557,15 @@ def test_refusal_examples_refuse():
     for p, message in REFUSALS:
         assert _bits_or_error(_cell_currents, default_bias(p), p.vdd, 250.0,
                               p) == (InvalidParameterError, message)
+
+
+def test_underflowing_temperatures_refuse():
+    """t / t_ref underflows (0.0 ** -1.5), or phi_t does (x / 0.0)."""
+    for p in (DeviceParams(), DeviceParams(t_ref=5e-324)):
+        for drain in (drain_current, ref_drain_current):
+            with pytest.raises(InvalidParameterError, match=(
+                    "^drain current overflows at 5e-324 K$")):
+                drain(0.3, 1.0, 0.2, 5e-324, p)
 
 
 @SETTINGS

@@ -16,7 +16,8 @@ and column of a syntax error, a ``sidechannel`` with no camouflaged
 cell, a ``sim`` vector with a non-bit character and an ``estimate`` of
 one function per gate; ``sidechannel``, ``sweep`` and ``bias-opt``
 refused by their device currents (an infinite threshold, an overflowing
-mobility factor, a temperature that is not positive); then every
+mobility factor, a temperature that is not positive, a temperature or
+``t_ref`` so small that a factor underflows to 0); then every
 ``vtcamo`` command of README's ``sh`` blocks.
 It also runs README's ``python`` blocks, and names each printed line
 that differs from the ``# `` comment line under it. Standard library
@@ -62,8 +63,9 @@ README = ROOT / "README.md"
 BENCHES = ("c17", "synth_mix", "synth_wide")
 FLAVORS = ("camo8", "cmos3a", "cmos3b")
 STRATEGIES = ("random", "xor-seq", "off-critical", "greedy-effort")
-#: an empty key, run config files (one read, one refused, two whose
-#: device currents are refused) and a .bench whose third line does not parse
+#: an empty key, run config files (one read, one refused, three whose
+#: device currents are refused) and a .bench whose third line does not
+#: parse
 FILES = {"empty.key": "",
          "run.cfg": "device.vdd = 1.1\nseed = 3\n",
          "bad.cfg": "device.vdd = high\n",
@@ -71,6 +73,8 @@ FILES = {"empty.key": "",
          "kvt.cfg": "device.kvt = 1e308\n",
          # the mobility factor overflows at any supported temperature
          "tref.cfg": "device.t_ref = 1e300\n",
+         # phi_t underflows to 0 at the default temperature, t_ref
+         "tiny.cfg": "device.t_ref = 5e-324\n",
          "bad.bench": "INPUT(a)\nOUTPUT(y)\n  y = AND(a\n"}
 
 
@@ -233,6 +237,10 @@ def matrix() -> list[list[str]]:
         ["bias-opt", "--config", "tref.cfg"],
         ["bias-opt", "--t", "330", "--config", "tref.cfg"],
         ["bias-opt", "--t", "-5"],
+        # t / t_ref or phi_t underflows to 0
+        ["bias-opt", "--t", "5e-324"],
+        [*sweep, "--t", "5e-324"],
+        ["bias-opt", "--config", "tiny.cfg"],
     ]
     return runs + readme_argvs()
 
