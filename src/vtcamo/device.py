@@ -455,8 +455,8 @@ class Observation(NamedTuple):
 
 def _observations(cells, biases, params: DeviceParams) -> dict:
     """Each distinct cell's observations, by vector, then temperature: one
-    kernel per ``(t, bias)`` of ``biases``, in turn; the first collapse in
-    that order raises."""
+    kernel per ``(t, bias)`` of ``biases``, in turn. A collapse raises
+    first (the first in that order), then an overflowing delay."""
     points = [(t, *_cell_currents(bias, params.vdd, t, params))
               for t, bias in biases]
     observed = {}
@@ -483,6 +483,13 @@ def _observations(cells, biases, params: DeviceParams) -> dict:
                 obs.append(tuple.__new__(Observation, (
                     vec, t, switch + core, q / (2.0 * i_eff))))
         observed[cell] = tuple(obs)
+    # a drive is NaN or at least the clamp: only a load whose clamped delay
+    # overflows can overflow a delay
+    if (params.c_load * params.vdd / (2.0 * CONTENTION_CLAMP_A) == math.inf
+            and any(math.inf in map(itemgetter(3), obs)
+                    for obs in observed.values())):
+        raise InvalidParameterError(
+            f"cell delay overflows with c_load = {params.c_load} F")
     return observed
 
 

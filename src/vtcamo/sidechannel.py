@@ -165,6 +165,9 @@ def measure_signature(net: Netlist, key: CamoKey,
                             reduce(add, [o.delay_s for o in col], 0)
                             / len(col))
                 for col in zip(*(s.observations for s in per_gate.values())))
+    if any(math.inf in o[2:] for o in obs):  # finite terms, an infinite sum
+        raise InvalidParameterError(
+            f"aggregate sum overflows over {len(per_gate)} cells")
     return {"aggregate": Signature("aggregate", obs)}
 
 

@@ -178,6 +178,14 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _strict_json(text):
+    """``json.loads``, refusing the Infinity and NaN that ``json.dumps``
+    writes for a non-finite float: no strict JSON reader accepts them."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def _lock_c17(tmp_path, c17_file, seed="0"):
     locked = str(tmp_path / "locked.bench")
     keyfile = str(tmp_path / "locked.key")
@@ -532,17 +540,10 @@ class TestCliCommands:
             assert round(2 ** log2) == 24
 
     def test_effort_past_a_float_is_null(self, capsys, tmp_path):
-        # json.dumps writes an overflowed float as Infinity, which no
-        # strict JSON reader accepts
-        def strict(text):
-            def refuse(name):
-                raise ValueError(f"{name} is not JSON")
-            return json.loads(text, parse_constant=refuse)
-
         code, out, _ = _run(capsys, ["estimate", "--inputs", "1100",
                                      "--gates", "1", "--no-timestamp"])
         assert code == 0
-        doc = strict(out)
+        doc = _strict_json(out)
         assert int(doc["pattern_count"]) == 2 ** 1100
         assert [doc[k] for k in ("seconds_raw", "seconds_retest", "years_raw",
                                  "years_retest")] == [None] * 4
@@ -557,7 +558,7 @@ class TestCliCommands:
         capsys.readouterr()
         code, out, _ = _run(capsys, ["report", locked, "--no-timestamp"])
         assert code == 0
-        effort = strict(out)["effort"]
+        effort = _strict_json(out)["effort"]
         assert int(effort["candidate_count"]) == 8 ** 400
         assert effort["years_raw"] == 2 ** 32 / 1e9 / SECONDS_PER_YEAR
         assert effort["years_retest"] is None
@@ -751,18 +752,29 @@ class TestCliFailures:
     @pytest.mark.parametrize("argv", [
         ["bias-opt", "--no-timestamp"],
         ["sweep", "--hvt", "0.3:0.3", "--lvt", "0.3:0.3"],
-    ], ids=["bias-opt", "sweep"])
-    def test_infinite_delay_is_one_json_line(self, capsys, tmp_path, argv):
+        ["sidechannel", "l.bench", "--key", "l.key", "--no-timestamp"],
+        ["sidechannel", "l.bench", "--key", "l.key", "--mode",
+         "aggregate-only", "--no-timestamp"],
+    ], ids=["bias-opt", "sweep", "sidechannel", "sidechannel-aggregate"])
+    def test_infinite_delay_is_one_json_line(self, capsys, tmp_path,
+                                             monkeypatch, argv):
         # c_load * vdd / (2 * drive) overflows: the delay used to come
-        # out as Infinity (and the gain as NaN) in the JSON, inf in the CSV
-        cfg = tmp_path / "heavy.cfg"
-        cfg.write_text("device.c_load = 1e308\n")
-        code, out, err = _run(capsys, [*argv, "--config", str(cfg)])
+        # out as Infinity (and the gain as NaN) in the JSON, inf in the
+        # CSV; per-gate side channels said "template features are not
+        # finite", aggregate ones printed Infinity and exited 0
+        monkeypatch.chdir(tmp_path)
+        Path("heavy.cfg").write_text("device.c_load = 1e308\n")
+        Path("mix.bench").write_text(bench_text("synth_mix.bench"))
+        assert main(["lock", "mix.bench", "--budget", "0.2", "--seed", "5",
+                     "--out-bench", "l.bench", "--out-key", "l.key",
+                     "--out", os.devnull]) == 0
+        capsys.readouterr()
+        code, out, err = _run(capsys, [*argv, "--config", "heavy.cfg"])
         assert code == 1
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0]) == {
+        assert _strict_json(lines[0]) == {
             "error": "InvalidParameterError",
             "message": "cell delay overflows with c_load = 1e+308 F"}
 

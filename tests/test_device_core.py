@@ -466,6 +466,24 @@ def test_template_signatures_match_reference(p, flavor, temps, policy):
                 for f, sig in got.items()} == want
 
 
+def test_a_collapse_raises_before_an_overflowing_delay():
+    """The first CMOS3A cell's delays overflow and the second one's drive
+    collapses: the set raises the collapse, the first cell alone the
+    overflow."""
+    p = DeviceParams(vtn0=0.15, vtp0_mag=0.15, delta_hvt=0.0, delta_lvt=0.1,
+                     kvt=0.003, c_load=1e308)
+    temps, policy = (250.0, 300.0, 350.0), "thermal_compensated"
+    first, second = sorted(CellFlavor.CMOS3A.function_set,
+                           key=lambda f: f.value)[:2]
+    got = outcome(template_signatures, CellFlavor.CMOS3A, temps, p, policy)
+    assert got[0] is ContentionCollapseError
+    assert got[1].endswith(config_for(second, CellFlavor.CMOS3A).serialize())
+    cell = device._FLAVOR_CELLS[CellFlavor.CMOS3A][first]
+    assert outcome(sidechannel._signatures, [("y", cell)], temps, p,
+                   policy) == (InvalidParameterError,
+                               "cell delay overflows with c_load = 1e+308 F")
+
+
 def _bits_or_error(fn, *args):
     """Each float of ``fn``'s result as hex, or the type and message of
     any error it raises."""

@@ -276,6 +276,17 @@ class TestAggregate:
                 sum(p.delay_s for p in points) / len(points),
                 rel=AGG_REL_TOL)
 
+    def test_overflowing_sum_rejected(self, c17):
+        # two NAND cells, each delay finite, their sum past the largest float
+        locked, key = apply_camouflage(c17, ["10", "16"], CellFlavor.CAMO8)
+        params = DeviceParams(c_load=1e304)
+        per_gate = measure_signature(locked, key, params=params)
+        assert all(math.isfinite(o.delay_s) for s in per_gate.values()
+                   for o in s.observations)
+        with pytest.raises(InvalidParameterError,
+                           match="^aggregate sum overflows over 2 cells$"):
+            measure_signature(locked, key, "aggregate_only", params=params)
+
     def test_unknown_mode_rejected(self, c17):
         locked, key = apply_camouflage(c17, ["10"], CellFlavor.CAMO8)
         with pytest.raises(InvalidParameterError):

@@ -17,8 +17,9 @@ cell, a ``sim`` vector with a non-bit character and an ``estimate`` of
 one function per gate; ``sidechannel``, ``sweep`` and ``bias-opt``
 refused by their device currents (an infinite threshold, an overflowing
 mobility factor, a temperature that is not positive, a temperature or
-``t_ref`` so small that a factor underflows to 0); then every
-``vtcamo`` command of README's ``sh`` blocks.
+``t_ref`` so small that a factor underflows to 0); ``sidechannel`` in
+both modes refused by an overflowing delay; then every ``vtcamo``
+command of README's ``sh`` blocks.
 It also runs README's ``python`` blocks, and names each printed line
 that differs from the ``# `` comment line under it. Standard library
 only, like ``tools/golden_check.py``, whose helpers it uses::
@@ -64,8 +65,8 @@ BENCHES = ("c17", "synth_mix", "synth_wide")
 FLAVORS = ("camo8", "cmos3a", "cmos3b")
 STRATEGIES = ("random", "xor-seq", "off-critical", "greedy-effort")
 #: an empty key, run config files (one read, one refused, three whose
-#: device currents are refused) and a .bench whose third line does not
-#: parse
+#: device currents are refused, one whose delays overflow) and a .bench
+#: whose third line does not parse
 FILES = {"empty.key": "",
          "run.cfg": "device.vdd = 1.1\nseed = 3\n",
          "bad.cfg": "device.vdd = high\n",
@@ -75,6 +76,8 @@ FILES = {"empty.key": "",
          "tref.cfg": "device.t_ref = 1e300\n",
          # phi_t underflows to 0 at the default temperature, t_ref
          "tiny.cfg": "device.t_ref = 5e-324\n",
+         # c_load * vdd / (2 * drive) overflows
+         "cload.cfg": "device.c_load = 1e308\n",
          "bad.bench": "INPUT(a)\nOUTPUT(y)\n  y = AND(a\n"}
 
 
@@ -241,6 +244,14 @@ def matrix() -> list[list[str]]:
         ["bias-opt", "--t", "5e-324"],
         [*sweep, "--t", "5e-324"],
         ["bias-opt", "--config", "tiny.cfg"],
+    ]
+    # an overflowing delay under a signature set, in both modes
+    locked, key = ("synth_mix_camo8_random_0.2_5.bench",
+                   "synth_mix_camo8_random_0.2_5.key")
+    runs += [
+        ["sidechannel", locked, "--key", key, "--config", "cload.cfg"],
+        ["sidechannel", locked, "--key", key, "--mode", "aggregate-only",
+         "--config", "cload.cfg"],
     ]
     return runs + readme_argvs()
 
