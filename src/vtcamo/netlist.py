@@ -756,7 +756,8 @@ class OutputTables:
                             _run(segment, words, mask, rails))
                 lo, first = end, first + step
 
-        descend(0, 0, len(rows), 0, _run(self._head, words, mask))
+        if rows:  # a replay may have dropped a slotless table's one item
+            descend(0, 0, len(rows), 0, _run(self._head, words, mask))
         return rows  # every row is filled unless ``expected`` pruned it
 
     def replay(self, observations) -> OutputTables:

@@ -47,8 +47,8 @@ from vtcamo.errors import (
     UnresolvedFaninError,
     UnresolvedGateError,
 )
-from vtcamo.netlist import (CamoKey, CountingOracle, KeyEntry, OutputTables,
-                            all_vectors, parse_bench, simulate)
+from vtcamo.netlist import (CamoKey, CountingOracle, Gate, KeyEntry, Netlist,
+                            OutputTables, all_vectors, parse_bench, simulate)
 
 SINGLE = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n"
 CHAIN2 = ("INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\n"
@@ -256,6 +256,20 @@ def test_replies_no_assignment_reproduces_are_refused(c17, run, cells, oracle,
                        "assignment reproduces the oracle's replies$"):
         run(locked, counted)
     assert counted.call_count == queries
+
+
+@pytest.mark.parametrize("width", [12, 13])
+def test_a_cellless_net_refuses_a_wrong_first_reply(width):
+    """Past 12 inputs the replay takes two blocks; the first drops the one
+    assignment of a net with no cell, and the second has none to run."""
+    inputs = tuple(f"i{k}" for k in range(width))
+    net = Netlist(inputs, ("y",), (Gate("y", ("i0", "i1"), GateFunction.AND),))
+
+    def oracle(v):
+        return (1,) if not any(v) else (v[0] & v[1],)
+    with pytest.raises(InvalidParameterError, match="^no candidate "
+                       "assignment reproduces the oracle's replies$"):
+        brute_force_attack(net, oracle)
 
 
 class TestSensitizingVectors:
