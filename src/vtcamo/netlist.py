@@ -92,14 +92,14 @@ class Netlist:
 
     Net number i is ``inputs[i]``, then gate ``i - len(inputs)`` of
     ``gates``. The constructor resolves every name (a name defined twice,
-    a gate with no fanins or unpaired DFF lists raise BenchSyntaxError, an
-    undefined fanin or output UndefinedNetError) and keeps, per net
-    number, its fanins (none for an input) in ``_fanins``, its readers
-    (once per fanin, in file order) in ``_fanouts`` and in ``_order`` the
-    gates' numbers in Kahn order over them (``_settle``). A locked netlist
-    skips the name resolution and inherits its input's ``_index`` and
-    ``_names``, and ``_order`` too when no INV/BUF cell (decoy edge) was
-    added.
+    a gate with no fanins, an output declared twice or unpaired DFF lists
+    raise BenchSyntaxError, an undefined fanin or output UndefinedNetError)
+    and keeps, per net number, its fanins (none for an input) in
+    ``_fanins``, its readers (once per fanin, in file order) in
+    ``_fanouts`` and in ``_order`` the gates' numbers in Kahn order over
+    them (``_settle``). A locked netlist skips the name resolution and
+    inherits its input's ``_index`` and ``_names``, and ``_order`` too
+    when no INV/BUF cell (decoy edge) was added.
     """
 
     inputs: tuple[str, ...]
@@ -134,9 +134,14 @@ class Netlist:
         if () in fanins[width:]:  # as the parser does
             raise BenchSyntaxError(
                 f"gate {names[fanins.index((), width)]!r} has no fanins")
-        for net in self.outputs:
+        flop_data, declared = set(self.pseudo_outputs), set()
+        for net in self.outputs:  # flops may share a data net, as parsed
             if net not in index:
                 raise UndefinedNetError(f"OUTPUT({net}) is never defined")
+            if net in declared:
+                raise BenchSyntaxError(f"net {net!r} declared OUTPUT twice")
+            if net not in flop_data:
+                declared.add(net)
         flops = (self.pseudo_inputs, self.pseudo_outputs)
         if len(flops[0]) != len(flops[1]) or any(
                 tuple(filter(set(nets).__contains__, ports)) != nets

@@ -189,6 +189,18 @@ class TestParseErrors:
         assert str(err.value) == ("each DFF output must be an input and its "
                                   "data net an output, in DFF order")
 
+    def test_direct_netlist_rejects_a_repeated_output(self):
+        # serialize_bench would write OUTPUT(y) twice, which the parser
+        # refuses
+        with pytest.raises(BenchSyntaxError) as err:
+            Netlist(("a", "b"), ("a", "y", "y"),
+                    (Gate("y", ("a", "b"), GateFunction.AND),))
+        assert str(err.value) == "net 'y' declared OUTPUT twice"
+        # two flops may share a data net
+        shared = parse_bench("INPUT(a)\nq = DFF(a)\nr = DFF(a)\n")
+        assert shared.outputs == ("a", "a")
+        assert parse_bench(serialize_bench(shared)) == shared
+
     def test_parser_names_the_line_of_a_gate_with_no_fanins(self):
         with pytest.raises(BenchSyntaxError) as err:
             parse_bench("INPUT(a)\nOUTPUT(x)\nx = AND()\n")
