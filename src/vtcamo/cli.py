@@ -79,8 +79,13 @@ def _write(text: str, out: str | None) -> None:
 def _emit(report: dict, args) -> None:
     if not args.no_timestamp:
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
-    _write(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n",
-           args.out)
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, default=str,
+                          allow_nan=False)
+    except ValueError:  # JSON has no Infinity or NaN
+        raise InvalidParameterError(
+            "the report holds a figure that is not finite") from None
+    _write(text + "\n", args.out)
 
 
 def _read_text(path: str) -> str:
@@ -123,8 +128,14 @@ def _given(args, *options: str) -> dict:
 
 
 def _overhead(report) -> dict:
-    return {"area_pct": report.area_pct, "power_pct": report.power_pct,
-            "delay_pct": report.delay_pct}
+    """The overhead percentages, refusing one that overflowed a float."""
+    figures = {"area_pct": report.area_pct, "power_pct": report.power_pct,
+               "delay_pct": report.delay_pct}
+    for name, x in figures.items():
+        if not math.isfinite(x):
+            raise InvalidParameterError(
+                f"overhead {name} overflows: a cost multiple is too large")
+    return figures
 
 
 def _cmd_parse(args, cfg) -> dict:
@@ -151,6 +162,8 @@ def _cmd_lock(args, cfg) -> dict:
             f"--budget {args.budget} select no gate to camouflage")
     locked, key = apply_camouflage(net, selected, flavor,
                                    decoy_seed=cfg.seed)
+    # before any write, so a refused overhead leaves no file
+    overhead = _overhead(overhead_report(locked, cfg.cost))
     _write_atomic(args.locked_out, serialize_bench(locked))
     _write_atomic(args.key_out, key.serialize())
     return {
@@ -161,7 +174,7 @@ def _cmd_lock(args, cfg) -> dict:
         "selected_gates": list(selected),
         "locked_file": args.locked_out,
         "key_file": args.key_out,
-        "overhead": _overhead(overhead_report(locked, cfg.cost)),
+        "overhead": overhead,
         "config": cfg.resolved_dict(),
     }
 

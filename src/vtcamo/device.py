@@ -51,10 +51,9 @@ computed at the loop level where its inputs last change:
 
 A leakage or delay figure is a few products and sums of those numbers.
 ``CellModel._edge`` and ``detail`` form them one edge at a time and raise
-a collapse: the reference that ``gate_leakage`` and ``delay_detail`` use.
-``detail`` always counts contention: both edges see the cell's OFF
-switch members, and the edge arriving at the output adds the OFF core
-paths at that vector.
+a collapse: the per-edge reference. ``detail`` always counts contention:
+both edges see the cell's OFF switch members, and the edge arriving at
+the output adds the OFF core paths at that vector.
 ``_worst_delay`` and ``_observations`` (a signature set's points) form
 the same drives inline, side by side here, and call ``detail`` only to
 raise; ``tests/test_device_core.py`` pins both to it bit for bit.
@@ -143,12 +142,8 @@ def thermal_voltage(t: float) -> float:
     return KB * t / QE
 
 
-def vt_at_temperature(vt_nominal: float, t: float, params: DeviceParams) -> float:
-    """Linear threshold shift: vt(t) = vt_nominal - kvt * (t - t_ref)."""
-    return vt_nominal - _vt_shift(t, params)
-
-
 def _vt_shift(t: float, params: DeviceParams) -> float:
+    """``kvt * (t - t_ref)``: a threshold vt is vt - this shift at t."""
     thermal_voltage(t)  # refuses a temperature that is not positive
     return params.kvt * (t - params.t_ref)
 
@@ -379,7 +374,7 @@ class CellModel:
         return self.n_hvt_all * (point.off_n + point.off_p) + core
 
     def detail(self, out: int, core: float, point: OperatingPoint) -> tuple:
-        """``DelayDetail`` fields of the slower edge (see delay_detail)."""
+        """(delay_s, i_on, i_contend, clamped, edge) of the slower edge."""
         primary = self._edge(out == 1, point, core)
         secondary = self._edge(out != 1, point, 0.0)
         return primary if primary[0] >= secondary[0] else secondary
@@ -515,39 +510,9 @@ def gate_leakage(config: CamoConfig, inputs: tuple[int, int], t: float,
     return cell.leakage(cell.core(inputs, core_off)[1], point)
 
 
-@dataclass(frozen=True)
-class DelayDetail:
-    """``delay_detail``'s breakdown of a delay estimate."""
-
-    delay_s: float
-    i_on: float
-    i_contend: float
-    clamped: bool
-    edge: str
-
-
 def _check_vdd(vdd_actual: float) -> None:
     if not math.isfinite(vdd_actual) or vdd_actual <= 0:
         raise InvalidParameterError(f"vdd_actual must be positive: {vdd_actual}")
-
-
-def delay_detail(config: CamoConfig, inputs: tuple[int, int],
-                 bias: BiasPoint, vdd_actual: float, t: float,
-                 params: DeviceParams) -> DelayDetail:
-    """Worst-edge delay with its drive/contention breakdown.
-
-    The edge arriving at the state f(inputs) additionally sees the OFF
-    functional network at that vector as contention; the opposite edge
-    sees only the OFF switch members. The reported figure is the slower
-    of the two edges, which is what a fixed-bias cell exhibits: at low
-    vdd the pull-up route starves, at high vdd the pull-down route's
-    fixed overdrive cannot keep up with the larger swing.
-    """
-    _check_vdd(vdd_actual)
-    inputs = _check_inputs(inputs)
-    cell = CellModel(config)
-    point, core_off = _cell_currents(bias, vdd_actual, t, params)
-    return DelayDetail(*cell.detail(*cell.core(inputs, core_off), point))
 
 
 def cell_worst_delay(bias: BiasPoint, t: float, params: DeviceParams,

@@ -5,6 +5,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -778,6 +779,85 @@ class TestCliFailures:
             "error": "InvalidParameterError",
             "message": "cell delay overflows with c_load = 1e+308 F"}
 
+    @pytest.mark.parametrize("key", ["area", "power", "delay"])
+    def test_overflowing_overhead_is_refused(self, capsys, tmp_path,
+                                             monkeypatch, key):
+        # a finite cost multiple whose percentage overflows used to print
+        # "Infinity" and exit 0, after lock had written both files
+        monkeypatch.chdir(tmp_path)
+        Path("cost.cfg").write_text(f"cost.camo8.{key} = 1e308\n")
+        Path("c17.bench").write_text(bench_text("c17.bench"))
+        lock = ["lock", "c17.bench", "--flavor", "camo8", "--budget", "1.0"]
+        assert main([*lock, "--out-bench", "locked.bench", "--out-key",
+                     "locked.key", "--out", os.devnull]) == 0
+        capsys.readouterr()
+        for argv in ([*lock, "--out-bench", "L", "--out-key", "K"],
+                     ["report", "locked.bench"]):
+            code, out, err = _run(capsys, [*argv, "--config", "cost.cfg"])
+            assert (code, out) == (1, "")
+            assert [json.loads(line) for line in err.splitlines()] == [{
+                "error": "InvalidParameterError",
+                "message": f"overhead {key}_pct overflows: a cost multiple "
+                           f"is too large"}]
+        assert sorted(os.listdir()) == ["c17.bench", "cost.cfg",
+                                        "locked.bench", "locked.key"]
+
+    def test_every_config_key_at_its_extremes(self, capsys, tmp_path,
+                                              monkeypatch):
+        # every key (so a new key is covered without an edit), then the
+        # keys that meet in one formula, at every pair of extremes; each
+        # run works and prints strict JSON (sweep's CSV aside), or exits 1
+        # with one JSON line
+        extremes = ("0", "-0.0", "5e-324", "1e-300", "1e-30", "1e30",
+                    "1e300", "1e308", "-1", "inf", "nan")
+        configs = [{key: x} for key in RunConfig().resolved_dict()
+                   for x in extremes]
+        configs += [{f"device.{a}": x, f"device.{b}": y}
+                    for a, b in (("vdd", "vtn0"), ("vdd", "vtp0_mag"),
+                                 ("c_load", "vdd"))
+                    for x in extremes for y in extremes]
+        monkeypatch.chdir(tmp_path)
+        Path("mix.bench").write_text(bench_text("synth_mix.bench"))
+        assert main(["lock", "mix.bench", "--budget", "0.2", "--seed", "5",
+                     "--out-bench", "l.bench", "--out-key", "l.key",
+                     "--out", os.devnull]) == 0
+        side = ["sidechannel", "l.bench", "--key", "l.key"]
+        commands = (["sweep", "--hvt", "0.3:0.4", "--lvt", "0.3:0.4"],
+                    ["bias-opt"], ["report", "l.bench", "--key", "l.key"],
+                    ["lock", "mix.bench", "--budget", "0.2", "--out-bench",
+                     "x.bench", "--out-key", "x.key"],
+                    side, [*side, "--mode", "aggregate-only"],
+                    [*side, "--balance"])
+        capsys.readouterr()
+        wrong = []
+        for config in configs:
+            Path("run.cfg").write_text("".join(f"{k} = {v}\n"
+                                               for k, v in config.items()))
+            for argv in commands:
+                code, out, err = _run(capsys, [*argv, "--config", "run.cfg",
+                                               "--no-timestamp"])
+                try:
+                    if code == 0 and argv[0] != "sweep":
+                        _strict_json(out)
+                    elif code == 1:
+                        assert out == "" and len(err.splitlines()) == 1
+                        _strict_json(err)
+                    else:
+                        assert code == 0
+                except (AssertionError, ValueError):
+                    wrong.append((config, argv[0], code, out[:200], err))
+        assert wrong == []
+
+    def test_a_float_json_cannot_carry_is_refused(self, capsys, monkeypatch):
+        # the last guard before stdout: no command prints Infinity or NaN
+        monkeypatch.setitem(COMMANDS, "estimate", (
+            lambda args, cfg: {"x": math.nan}, *COMMANDS["estimate"][1:]))
+        code, out, err = _run(capsys, ESTIMATE_ARGV)
+        assert (code, out) == (1, "")
+        assert [json.loads(line) for line in err.splitlines()] == [{
+            "error": "InvalidParameterError",
+            "message": "the report holds a figure that is not finite"}]
+
     def test_lock_budget_above_one_is_rejected(self, capsys, tmp_path,
                                                c17_file):
         code, out, err = _run(capsys, [
@@ -963,6 +1043,15 @@ class TestEntryPoint:
         assert doc["pattern_count"] == "16"
         assert main(ESTIMATE_ARGV) == 0
         assert proc.stdout == capsys.readouterr().out
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        # what the console script and ``python -m vtcamo`` call
+        monkeypatch.setattr(sys, "argv", ["vtcamo", *ESTIMATE_ARGV])
+        assert main() == 0
+        out = capsys.readouterr().out
+        assert main(ESTIMATE_ARGV) == 0
+        assert out == capsys.readouterr().out
+        assert json.loads(out)["pattern_count"] == "16"
 
     def test_python_m_error_is_one_json_line(self, tmp_path):
         proc = subprocess.run(

@@ -9,11 +9,12 @@ import pytest
 from vtcamo.cell import CellFlavor, GateFunction, config_for
 from vtcamo.device import (
     BiasPoint,
+    CellModel,
     DeviceParams,
     _cell_currents,
+    _vt_shift,
     cell_worst_delay,
     default_bias,
-    delay_detail,
     drain_current,
     gate_leakage,
     optimize_bias,
@@ -21,7 +22,6 @@ from vtcamo.device import (
     sweep_vt_window,
     switch_ratio,
     thermal_voltage,
-    vt_at_temperature,
     SWEEP_CSV_HEADER,
 )
 from vtcamo.errors import ContentionCollapseError, InvalidParameterError
@@ -124,10 +124,10 @@ class TestTemperature:
         assert thermal_voltage(300.0) == pytest.approx(0.02585199, rel=1e-6)
 
     def test_vt_drifts_down_with_temperature(self, params):
-        assert vt_at_temperature(0.3, 300.0, params) == 0.3
-        assert vt_at_temperature(0.3, 400.0, params) == pytest.approx(
+        assert 0.3 - _vt_shift(300.0, params) == 0.3
+        assert 0.3 - _vt_shift(400.0, params) == pytest.approx(
             0.3 - params.kvt * 100.0, rel=REL_TOL)
-        assert vt_at_temperature(0.3, 250.0, params) > 0.3
+        assert 0.3 - _vt_shift(250.0, params) > 0.3
 
     @pytest.mark.parametrize("t", [0.0, -5.0, float("nan"), float("inf")])
     def test_non_positive_temperature_is_rejected(self, params, t):
@@ -135,7 +135,7 @@ class TestTemperature:
         with pytest.raises(InvalidParameterError, match=message):
             thermal_voltage(t)
         with pytest.raises(InvalidParameterError, match=message):
-            vt_at_temperature(0.3, t, params)
+            drain_current(0.3, 1.0, 0.3, t, params)
 
 
 class TestSwitchRatio:
@@ -207,29 +207,33 @@ class TestLeakage:
                          params)
 
 
+def _detail(config, inputs, bias, vdd_actual, t, params):
+    """(delay_s, i_on, i_contend, clamped, edge) of the slower edge."""
+    cell = CellModel(config)
+    point, core_off = _cell_currents(bias, vdd_actual, t, params)
+    return cell.detail(*cell.core(inputs, core_off), point)
+
+
 class TestDelay:
     def test_closed_form_without_contention(self, params):
         # the route is two LVT members (the default bias drives both rails
         # alike), and the delay divides by its drive less the contention
         config = config_for(GateFunction.NAND, CellFlavor.CAMO8)
         bias = default_bias(params)
-        detail = delay_detail(config, (1, 1), bias, params.vdd, 300.0, params)
+        delay_s, i_on, i_contend, _, _ = _detail(config, (1, 1), bias,
+                                                 params.vdd, 300.0, params)
         member = drain_current(bias.vg_n, params.vdd,
                                params.vtn0 - params.delta_lvt, 300.0, params)
-        assert detail.i_on == pytest.approx(2.0 * member,
-                                            rel=CLOSED_FORM_REL_TOL)
-        closed = params.c_load * params.vdd / (
-            2.0 * (detail.i_on - detail.i_contend))
-        assert detail.delay_s == pytest.approx(closed,
-                                               rel=CLOSED_FORM_REL_TOL)
+        assert i_on == pytest.approx(2.0 * member, rel=CLOSED_FORM_REL_TOL)
+        closed = params.c_load * params.vdd / (2.0 * (i_on - i_contend))
+        assert delay_s == pytest.approx(closed, rel=CLOSED_FORM_REL_TOL)
 
     def test_contention_slows_the_cell(self, params):
         config = config_for(GateFunction.XOR, CellFlavor.CAMO8)
-        detail = delay_detail(config, (0, 1), default_bias(params),
-                              params.vdd, 300.0, params)
-        assert detail.i_contend > 0
-        assert detail.delay_s > params.c_load * params.vdd / (
-            2.0 * detail.i_on)
+        delay_s, i_on, i_contend, _, _ = _detail(
+            config, (0, 1), default_bias(params), params.vdd, 300.0, params)
+        assert i_contend > 0
+        assert delay_s > params.c_load * params.vdd / (2.0 * i_on)
 
     def test_worst_case_supply_response_is_u_shaped(self, params):
         bias = default_bias(params)
@@ -242,14 +246,14 @@ class TestDelay:
         params = DeviceParams(delta_hvt=0.0, delta_lvt=0.0)
         config = config_for(GateFunction.XOR, CellFlavor.CAMO8)
         with pytest.raises(ContentionCollapseError):
-            delay_detail(config, (0, 1), default_bias(params),
-                         params.vdd, 300.0, params).delay_s
+            _detail(config, (0, 1), default_bias(params), params.vdd, 300.0,
+                    params)
 
     def test_rejects_bad_supply(self, params):
-        config = config_for(GateFunction.NAND, CellFlavor.CAMO8)
-        with pytest.raises(InvalidParameterError):
-            delay_detail(config, (1, 1), default_bias(params), -0.5,
-                         300.0, params).delay_s
+        with pytest.raises(InvalidParameterError,
+                           match="^vdd_actual must be positive: -0.5$"):
+            cell_worst_delay(default_bias(params), 300.0, params,
+                             vdd_actual=-0.5)
         with pytest.raises(InvalidParameterError,
                            match="^vdd_actual must be positive: nan$"):
             cell_worst_delay(default_bias(params), 300.0, params,

@@ -2,14 +2,16 @@
 
 ``ref_delay_detail``, ``ref_leakage``, ``ref_worst_delay`` and
 ``ref_ratio`` recompute every threshold and every device current for each
-(config, vector, edge) from ``drain_current`` and ``vt_at_temperature``,
-the way the estimates were computed before the operating-point currents
-were hoisted out of the loops; ``ref_sweep`` and ``ref_optimize_bias``
-walk their grids with them, one point at a time. The properties require
-bit-identical floats, the same ``clamped`` flag and, where the reference
-raises ``ContentionCollapseError`` or ``InvalidParameterError``, the same
-exception type and message. ``ref_classify`` is template matching as it
-was before it went column by column, with the same requirements.
+(config, vector, edge) from ``drain_current`` and ``ref_vt``, the way the
+estimates were computed before the operating-point currents were hoisted
+out of the loops; ``ref_delay_detail`` is the per-edge ``CellModel.detail``
+as a (delay_s, i_on, i_contend, clamped, edge) tuple. ``ref_sweep`` and
+``ref_optimize_bias`` walk their grids with them, one point at a time.
+The properties require bit-identical floats, the same ``clamped`` flag
+and, where the reference raises ``ContentionCollapseError`` or
+``InvalidParameterError``, the same exception type and message.
+``ref_classify`` is template matching as it was before it went column by
+column, with the same requirements.
 
 ``device._cell_currents`` is the one per-point currents call, and
 ``device`` holds both inline delay loops, ``_worst_delay`` and
@@ -50,19 +52,17 @@ from vtcamo.device import (
     QE,
     BiasOptimum,
     BiasPoint,
-    DelayDetail,
     DeviceParams,
     SweepRow,
     _cell_currents,
     _grid,
     cell_worst_delay,
     default_bias,
-    delay_detail,
     drain_current,
     optimize_bias,
     switch_ratio,
     sweep_vt_window,
-    vt_at_temperature,
+    thermal_voltage,
 )
 from vtcamo.errors import (
     BiasClampWarning,
@@ -120,12 +120,19 @@ def ref_drain_current(vgs, vds, vt, t, p, kind="n"):
     return current
 
 
+def ref_vt(vt, t, p):
+    """``vt`` shifted to ``t``, refusing a temperature that is not positive
+    first, as the device model does."""
+    thermal_voltage(t)
+    return vt - p.kvt * (t - p.t_ref)
+
+
 def ref_core_off(func, inputs, t, p):
     base = UNDERLYING.get(func, func)
     a, b = (0, inputs[1]) if func in (F.INV, F.BUF) else inputs
     sig = {"a": a, "b": b, "na": 1 - a, "nb": 1 - b,
            "y1": 1 - (a & b) if base is F.AND else 1 - (a | b)}
-    i_off = {k: drain_current(0.0, p.vdd, vt_at_temperature(vt, t, p), t, p,
+    i_off = {k: drain_current(0.0, p.vdd, ref_vt(vt, t, p), t, p,
                               kind=k) for k, vt in (("n", p.vtn0),
                                                     ("p", p.vtp0_mag))}
     total = 0.0
@@ -139,8 +146,8 @@ def ref_core_off(func, inputs, t, p):
 
 
 def ref_members(bias, vdd, vt_n, vt_p, t, p):
-    return (drain_current(bias.vg_n, vdd, vt_at_temperature(vt_n, t, p), t, p),
-            drain_current(vdd - bias.vg_p, vdd, vt_at_temperature(vt_p, t, p),
+    return (drain_current(bias.vg_n, vdd, ref_vt(vt_n, t, p), t, p),
+            drain_current(vdd - bias.vg_p, vdd, ref_vt(vt_p, t, p),
                           t, p))
 
 
@@ -162,8 +169,7 @@ def ref_edge(config, func, contend, edge, bias, vdd, t, p):
             f"drive ({i_on:.3e} A) for config {config.serialize()}")
     clamped = i_eff < CONTENTION_CLAMP_A
     i_eff = CONTENTION_CLAMP_A if clamped else i_eff
-    return DelayDetail(p.c_load * vdd / (2.0 * i_eff), i_on, i_contend,
-                       clamped, edge)
+    return (p.c_load * vdd / (2.0 * i_eff), i_on, i_contend, clamped, edge)
 
 
 def ref_delay_detail(config, func, inputs, bias, vdd, t, p):
@@ -172,7 +178,7 @@ def ref_delay_detail(config, func, inputs, bias, vdd, t, p):
                      vdd, t, p)
     second = ref_edge(config, func, None, "fall" if rise else "rise", bias,
                       vdd, t, p)
-    return first if first.delay_s >= second.delay_s else second
+    return first if first[0] >= second[0] else second
 
 
 def ref_leakage(config, func, inputs, bias, t, p):
@@ -187,16 +193,16 @@ def ref_worst_delay(bias, t, p, vdd):
     for func in sorted(CellFlavor.CAMO8.function_set, key=lambda f: f.value):
         for vec in VECTORS:
             d = ref_delay_detail(config_for(func, CellFlavor.CAMO8), func, vec,
-                                 bias, vdd, t, p).delay_s
+                                 bias, vdd, t, p)[0]
             worst = d if d > worst else worst
     return worst
 
 
 def ref_ratio(dh, dl, bias, t, p):
     i_on = drain_current(bias.vg_n, p.vdd,
-                         vt_at_temperature(p.vtn0 - dl, t, p), t, p)
+                         ref_vt(p.vtn0 - dl, t, p), t, p)
     i_off = drain_current(bias.vg_n, p.vdd,
-                          vt_at_temperature(p.vtn0 + dh, t, p), t, p)
+                          ref_vt(p.vtn0 + dh, t, p), t, p)
     return float("inf") if i_off == 0.0 else i_on / i_off
 
 
@@ -378,8 +384,13 @@ def test_cell_worst_delay_matches_reference(p, bias, t, vdd):
 @example(*FLAT, F.XOR, (0, 1), 1.0)
 def test_delay_detail_matches_reference(p, bias, t, func, vec, vdd):
     config = config_for(func, CellFlavor.CAMO8)
+    cell = device.CellModel(config)
+
+    def detail():
+        point, core_off = _cell_currents(bias, vdd, t, p)
+        return cell.detail(*cell.core(vec, core_off), point)
     want = outcome(ref_delay_detail, config, func, vec, bias, vdd, t, p)
-    assert outcome(delay_detail, config, vec, bias, vdd, t, p) == want
+    assert outcome(detail) == want
 
 
 #: one CAMO8 cell: only the cell the key programs is measured, so a
@@ -410,8 +421,7 @@ def test_measured_signature_matches_reference(p, func, temps, policy):
                         else thermal_compensated_bias(t, p))
                 want.append((vec, t, ref_leakage(config, func, vec, bias, t, p),
                              outcome(lambda: ref_delay_detail(
-                                 config, func, vec, bias, p.vdd, t, p
-                             ).delay_s)))
+                                 config, func, vec, bias, p.vdd, t, p)[0])))
         sig = outcome(measured, func, temps, p, policy)
     collapsed = [w[3] for w in want if isinstance(w[3], tuple)]
     if collapsed:
@@ -453,7 +463,7 @@ def test_template_signatures_match_reference(p, flavor, temps, policy):
                                                      t, p).hex(),
                                  outcome(lambda: ref_delay_detail(
                                      config, func, vec, bias, p.vdd, t, p
-                                 ).delay_s.hex())))
+                                 )[0].hex())))
         got = outcome(template_signatures, flavor, temps, p, policy)
     collapsed = [row[3] for rows in want.values() for row in rows
                  if isinstance(row[3], tuple)]
@@ -540,7 +550,7 @@ def ref_cell_currents(bias, t, p, drain):
     """on_n, on_p, off_n, off_p, then the n and p core currents, one
     ``drain`` call each, in that order."""
     vdd, vg_p_mag = p.vdd, p.vdd - bias.vg_p
-    return [drain(vgs, vdd, vt_at_temperature(vt, t, p), t, p, kind)
+    return [drain(vgs, vdd, ref_vt(vt, t, p), t, p, kind)
             for vgs, vt, kind in (
                 (bias.vg_n, p.vtn0 - p.delta_lvt, "n"),
                 (vg_p_mag, p.vtp0_mag - p.delta_lvt, "n"),
@@ -620,7 +630,7 @@ def test_optimize_bias_matches_reference(p, grid, t):
 def test_examples_reach_clamp_and_collapse():
     p, bias, t = CLAMPED
     config = config_for(F.NAND, CellFlavor.CAMO8)
-    assert ref_delay_detail(config, F.NAND, (0, 0), bias, 1.0, t, p).clamped
+    assert ref_delay_detail(config, F.NAND, (0, 0), bias, 1.0, t, p)[3]
     p, bias, t = FLAT
     assert isinstance(outcome(ref_worst_delay, bias, t, p, 1.0), tuple)
     assert ref_optimize_bias(NARROW, 0.05, 0.05, 300.0)[1] == 22

@@ -18,8 +18,9 @@ one function per gate; ``sidechannel``, ``sweep`` and ``bias-opt``
 refused by their device currents (an infinite threshold, an overflowing
 mobility factor, a temperature that is not positive, a temperature or
 ``t_ref`` so small that a factor underflows to 0); ``sidechannel`` in
-both modes refused by an overflowing delay; then every ``vtcamo``
-command of README's ``sh`` blocks.
+both modes refused by an overflowing delay; ``lock`` and ``report``
+refused by an overflowing overhead; then every ``vtcamo`` command of
+README's ``sh`` blocks.
 It also runs README's ``python`` blocks, and names each printed line
 that differs from the ``# `` comment line under it. Standard library
 only, like ``tools/golden_check.py``, whose helpers it uses::
@@ -65,8 +66,8 @@ BENCHES = ("c17", "synth_mix", "synth_wide")
 FLAVORS = ("camo8", "cmos3a", "cmos3b")
 STRATEGIES = ("random", "xor-seq", "off-critical", "greedy-effort")
 #: an empty key, run config files (one read, one refused, three whose
-#: device currents are refused, one whose delays overflow) and a .bench
-#: whose third line does not parse
+#: device currents are refused, one whose delays overflow, one whose
+#: overhead overflows) and a .bench whose third line does not parse
 FILES = {"empty.key": "",
          "run.cfg": "device.vdd = 1.1\nseed = 3\n",
          "bad.cfg": "device.vdd = high\n",
@@ -78,6 +79,8 @@ FILES = {"empty.key": "",
          "tiny.cfg": "device.t_ref = 5e-324\n",
          # c_load * vdd / (2 * drive) overflows
          "cload.cfg": "device.c_load = 1e308\n",
+         # 100 * extra area / gate count overflows
+         "area.cfg": "cost.camo8.area = 1e308\n",
          "bad.bench": "INPUT(a)\nOUTPUT(y)\n  y = AND(a\n"}
 
 
@@ -252,6 +255,11 @@ def matrix() -> list[list[str]]:
         ["sidechannel", locked, "--key", key, "--config", "cload.cfg"],
         ["sidechannel", locked, "--key", key, "--mode", "aggregate-only",
          "--config", "cload.cfg"],
+        # an overflowing overhead: the lock writes neither file
+        ["lock", "src/vtcamo/benches/c17.bench", "--flavor", "camo8",
+         "--budget", "1.0", "--out-bench", "L", "--out-key", "K", "--config",
+         "area.cfg"],
+        ["report", "c17_camo8_random_1.0_0.bench", "--config", "area.cfg"],
     ]
     return runs + readme_argvs()
 
