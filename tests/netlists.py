@@ -1,6 +1,6 @@
 """Netlist inputs for the tests: bundled bench texts and seeded random
-DAGs. Plain Python, so scripts outside pytest (``tools/golden_check.py``)
-can import it; ``conftest.py`` re-exports both helpers."""
+DAGs. Plain Python, so the fixture writer ``tests/test_golden.py`` runs
+without pytest; ``conftest.py`` re-exports both helpers."""
 
 from __future__ import annotations
 

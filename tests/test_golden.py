@@ -30,12 +30,12 @@ and ``synth_mix``) were re-pinned from ``equivalent_class`` to
 ``budget_exhausted`` when the joint step stopped calling a random run's
 survivors settled without proof.
 
-Regenerate the fixtures from the code on the import path with
-``PYTHONPATH=src python tests/test_golden.py``; do that only when an
-output change is intended, and say why in CHANGES.md. To compare the
-fixtures without pytest, under any interpreter, run
-``python tools/golden_check.py``: it writes them into a temporary
-directory and names every entry that differs.
+``PYTHONPATH=src python tests/test_golden.py`` writes the fixtures in
+place from the code on the import path, under any interpreter and
+without pytest; ``git status --porcelain -- tests/golden`` then stays
+empty when every byte holds, and ``git diff`` shows each entry that
+moved. Commit a moved fixture only when the output change is intended,
+and say why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -368,7 +368,7 @@ def test_each_argparse_behaviour_reads_its_own_usage_fixture():
         assert quoted == (name == "cli_usage_py313.json")
     # no fixture pins an argparse that wraps as before 3.13 and does not
     # quote: such an interpreter fails, naming the fixture it lacks
-    import pytest  # here, so tools/golden_check.py needs no pytest
+    import pytest  # here, so writing the fixtures needs no pytest
     missing = usage_fixture(False, False)
     with pytest.raises(FileNotFoundError, match=missing):
         _load(missing)

@@ -1,4 +1,4 @@
-"""Run the CLI matrix and compare each run's digest with ``tests/golden``.
+"""Run the CLI matrix and write one digest per run to ``tests/golden``.
 
 The matrix is every subcommand on the bundled benches: ``parse`` and
 ``report`` of each bench; ``lock`` over 3 flavors x 4 strategies x
@@ -23,10 +23,11 @@ refused by an overflowing overhead; then every ``vtcamo`` command of
 README's ``sh`` blocks.
 It also runs README's ``python`` blocks, and names each printed line
 that differs from the ``# `` comment line under it. Standard library
-only, like ``tools/golden_check.py``, whose helpers it uses::
+only; it takes no option::
 
-    python3 tools/cli_matrix.py           # compare with the fixture
-    python3 tools/cli_matrix.py --write   # re-pin the fixture
+    python3 tools/cli_matrix.py
+    git status --porcelain -- tests/golden   # empty: every digest holds
+    git diff -- tests/golden                 # the argv of each moved digest
 
 Every run calls ``vtcamo.cli.main`` in this process with
 ``--no-timestamp``, inside a temporary directory that is the working
@@ -34,11 +35,11 @@ directory, with relative paths, so no absolute path reaches a digest.
 The bundled benches sit there under their own names and under
 ``src/vtcamo/benches``, the paths README uses, beside ``c17_nor.bench``
 (``c17`` with gate 22 a NOR) and the small files of ``FILES``. A run's
-digest covers its
-exit code, stdout, stderr and every file it wrote. The fixture is
-``tests/golden/cli_matrix.json``; each argv whose digest differs from it
-is named. Exit status: 0 when every digest matches and every README
-``python`` line prints what README says, 1 otherwise.
+digest covers its exit code, stdout, stderr and every file it wrote.
+The tool writes ``tests/golden/cli_matrix.json`` with one run per line,
+so git compares it with the pinned one and shows each moved digest on
+the line of its argv. Exit status: 1 when a README ``python`` line
+prints something else than README says, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -58,9 +59,8 @@ import time
 import warnings
 from pathlib import Path
 
-from golden_check import GOLDEN, ROOT, differences
-
-FIXTURE = GOLDEN / "cli_matrix.json"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE = ROOT / "tests" / "golden" / "cli_matrix.json"
 README = ROOT / "README.md"
 BENCHES = ("c17", "synth_mix", "synth_wide")
 FLAVORS = ("camo8", "cmos3a", "cmos3b")
@@ -293,9 +293,9 @@ def digest(argv: list[str]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def run_matrix() -> tuple[dict, list[str]]:
-    """Run the matrix in a temporary directory: its fixture document, and
-    each README ``python`` line that prints something else."""
+def run_matrix() -> tuple[list[dict], list[str]]:
+    """Run the matrix in a temporary directory: each run's argv and
+    digest, and each README ``python`` line that prints something else."""
     sys.path.insert(0, str(ROOT / "src"))
     old = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -316,37 +316,20 @@ def run_matrix() -> tuple[dict, list[str]]:
             wrong = readme_python()
         finally:
             os.chdir(old)
-    return {"runs": runs}, wrong
+    return runs, wrong
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def main() -> int:
     print(f"Python {platform.python_version()}")
     start = time.perf_counter()
-    fresh, wrong = run_matrix()
-    took = time.perf_counter() - start
-    print(f"{len(fresh['runs'])} runs in {took:.1f} s")
+    runs, wrong = run_matrix()
+    print(f"{len(runs)} runs in {time.perf_counter() - start:.1f} s")
     for line in wrong:
         print(line)
-    text = json.dumps(fresh, indent=1, sort_keys=True) + "\n"
-    if argv == ["--write"]:
-        FIXTURE.write_text(text)
-        print(f"wrote {FIXTURE.name}")
-        return 1 if wrong else 0
-    if argv:
-        print("usage: cli_matrix.py [--write]", file=sys.stderr)
-        return 2
-    if not FIXTURE.is_file():
-        print(f"{FIXTURE.name}: missing")
-        return 1
-    if text == FIXTURE.read_text():
-        print(f"{FIXTURE.name}: byte-identical")
-        return 1 if wrong else 0
-    found = differences(fresh, json.loads(FIXTURE.read_text()))
-    print(f"{FIXTURE.name}: differs in {len(found)} entries")
-    for line in found or ["(same JSON, different bytes)"]:
-        print(f"  {line}")
-    return 1
+    FIXTURE.write_text('{"runs": [\n' + ",\n".join(
+        json.dumps(run, sort_keys=True) for run in runs) + "\n]}\n")
+    print(f"wrote {FIXTURE.relative_to(ROOT)}")
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
