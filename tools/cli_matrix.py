@@ -19,8 +19,10 @@ refused by their device currents (an infinite threshold, an overflowing
 mobility factor, a temperature that is not positive, a temperature or
 ``t_ref`` so small that a factor underflows to 0); ``sidechannel`` in
 both modes refused by an overflowing delay; ``lock`` and ``report``
-refused by an overflowing overhead; then every ``vtcamo`` command of
-README's ``sh`` blocks.
+refused by an overflowing overhead; ``bias-opt`` with a bias window
+past both rails of a 0.4 V supply and ``sweep`` with ``--vg-n`` below 0
+and above ``vdd``; then every ``vtcamo`` command of README's ``sh``
+blocks.
 It also runs README's ``python`` blocks, and names each printed line
 that differs from the ``# `` comment line under it. Standard library
 only; it takes no option::
@@ -67,7 +69,8 @@ FLAVORS = ("camo8", "cmos3a", "cmos3b")
 STRATEGIES = ("random", "xor-seq", "off-critical", "greedy-effort")
 #: an empty key, run config files (one read, one refused, three whose
 #: device currents are refused, one whose delays overflow, one whose
-#: overhead overflows) and a .bench whose third line does not parse
+#: overhead overflows, one on a 0.4 V supply) and a .bench whose third
+#: line does not parse
 FILES = {"empty.key": "",
          "run.cfg": "device.vdd = 1.1\nseed = 3\n",
          "bad.cfg": "device.vdd = high\n",
@@ -81,6 +84,10 @@ FILES = {"empty.key": "",
          "cload.cfg": "device.c_load = 1e308\n",
          # 100 * extra area / gate count overflows
          "area.cfg": "cost.camo8.area = 1e308\n",
+         # a 0.2 V bias window reaches past both rails of a 0.4 V supply
+         "rails.cfg": "device.vdd = 0.4\ndevice.vtn0 = 0.25\n"
+                      "device.vtp0_mag = 0.25\ndevice.delta_hvt = 0.1\n"
+                      "device.delta_lvt = 0.05\n",
          "bad.bench": "INPUT(a)\nOUTPUT(y)\n  y = AND(a\n"}
 
 
@@ -260,6 +267,10 @@ def matrix() -> list[list[str]]:
          "--budget", "1.0", "--out-bench", "L", "--out-key", "K", "--config",
          "area.cfg"],
         ["report", "c17_camo8_random_1.0_0.bench", "--config", "area.cfg"],
+        # switch gate biases off the rails [0, vdd]
+        ["bias-opt", "--window", "0.2", "--config", "rails.cfg"],
+        ["sweep", "--hvt", "0.3:0.35", "--lvt", "0.3:0.35", "--vg-n", "-0.2"],
+        ["sweep", "--hvt", "0.3:0.35", "--lvt", "0.3:0.35", "--vg-n", "1.5"],
     ]
     return runs + readme_argvs()
 
