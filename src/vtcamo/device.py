@@ -136,6 +136,18 @@ def default_bias(params: DeviceParams) -> BiasPoint:
     return BiasPoint(vg_n=mid, vg_p=params.vdd - mid)
 
 
+def _on_rails(bias: BiasPoint, params: DeviceParams) -> bool:
+    """The rail rule: a switch gate bias lies in [0, vdd]."""
+    return 0.0 <= bias.vg_n <= params.vdd and 0.0 <= bias.vg_p <= params.vdd
+
+
+def _check_rails(bias: BiasPoint, params: DeviceParams) -> None:
+    if not _on_rails(bias, params):
+        raise InvalidParameterError(
+            f"switch gate bias (vg_n {bias.vg_n}, vg_p {bias.vg_p}) lies "
+            f"outside the rails [0, vdd = {params.vdd}] V")
+
+
 def thermal_voltage(t: float) -> float:
     if not math.isfinite(t) or t <= 0:
         raise InvalidParameterError(f"temperature must be positive, got {t}")
@@ -564,8 +576,10 @@ def sweep_vt_window(hvt_range: tuple[float, float],
     """Switch ratio and worst-case cell delay over a VT-offset grid.
 
     Rows are emitted in row-major order: delta_hvt outer, delta_lvt inner.
+    A bias off the rails is refused.
     """
     _grid_size(*lvt_range, step, _grid_size(*hvt_range, step))
+    _check_rails(bias, params)
     drain, shift = _currents(t, params), _vt_shift(t, params)
     cores = _core_rows(_cores(drain, shift, params))
     hvts, lvts = _grid(*hvt_range, step), _grid(*lvt_range, step)
@@ -612,8 +626,9 @@ def optimize_bias(params: DeviceParams, search_window: float = 0.1,
     """Exhaustive grid search over switch biases and VT offset trims.
 
     Explores (vg_n, vg_p, delta_hvt, delta_lvt) within +-search_window of
-    their defaults and minimizes the worst-case cell delay across all
-    eight functions and all input vectors. Enumeration is sorted, and
+    their defaults, biases on the rails only, and minimizes the worst-case
+    cell delay across all eight functions and all input vectors. A default
+    bias off the rails is refused. Enumeration is sorted, and
     only strict improvements replace the incumbent, so ties resolve to
     the smallest vg_n, then vg_p, then the offset trims.
     """
@@ -628,6 +643,7 @@ def optimize_bias(params: DeviceParams, search_window: float = 0.1,
     if t is None:
         t = params.t_ref
     base_bias = default_bias(params)
+    _check_rails(base_bias, params)
     k = int(math.floor(search_window / grid_step + 1e-12))
     offsets = [i * grid_step for i in range(-k, k + 1)]
     drain, shift = _currents(t, params), _vt_shift(t, params)
@@ -641,6 +657,8 @@ def optimize_bias(params: DeviceParams, search_window: float = 0.1,
     for dvn in offsets:
         for dvp in offsets:
             bias = BiasPoint(base_bias.vg_n + dvn, base_bias.vg_p + dvp)
+            if not _on_rails(bias, params):
+                continue
             for dh in hvts:
                 for dl in lvts:
                     point = grid_point(bias, dh, dl)

@@ -24,14 +24,14 @@ from functools import reduce
 from itertools import chain, count, islice
 from operator import add, itemgetter
 
-from .cell import UNDERLYING, CellFlavor, GateFunction, config_for
+from .cell import UNDERLYING, CellFlavor, GateFunction
 from .device import (
     _FLAVOR_CELLS,
     BiasPoint,
-    CellModel,
     DeviceParams,
     Observation,
     _observations,
+    _vt_shift,
     default_bias,
 )
 from .errors import (
@@ -81,10 +81,11 @@ def thermal_compensated_bias(t: float, params: DeviceParams) -> BiasPoint:
 
     The N rail follows the falling threshold down, the P rail mirrors it
     up. Values are clamped to the supply range; clamping is reported as a
-    BiasClampWarning because a clamped rail no longer compensates.
+    BiasClampWarning because a clamped rail no longer compensates. A
+    temperature that is not positive is refused.
     """
     base = default_bias(params)
-    shift = params.kvt * (t - params.t_ref)
+    shift = _vt_shift(t, params)
     vg_n = base.vg_n - shift
     vg_p = base.vg_p + shift
     clamped_n = min(max(vg_n, 0.0), params.vdd)
@@ -142,16 +143,10 @@ def measure_signature(net: Netlist, key: CamoKey,
     """
     if mode not in ("per_gate", "aggregate_only"):
         raise InvalidParameterError(f"unknown measurement mode {mode!r}")
-    cells = []
-    for g in net.camo_gates():
-        entry = key.entries.get(g.gate_id)
-        if entry is None:
-            raise InvalidParameterError(
-                f"key has no entry for camouflaged gate {g.gate_id!r}")
-        # a miss builds the config, which refuses an out-of-flavor function
-        cells.append((g.gate_id,
-                      _FLAVOR_CELLS[g.flavor].get(entry.function)
-                      or CellModel(config_for(entry.function, g.flavor))))
+    validate_key(net, key)
+    cells = [(g.gate_id,
+              _FLAVOR_CELLS[g.flavor][key.entries[g.gate_id].function])
+             for g in net.camo_gates()]
     per_gate = {sig.gate_id: sig for sig in
                 _signatures(cells, temperatures, params, bias_policy)}
     if mode == "per_gate":

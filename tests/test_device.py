@@ -293,6 +293,15 @@ class TestSweep:
             sweep_vt_window((0.1, 0.3), (0.1, 0.2), math.nan, bias, 300.0,
                             params)
 
+    @pytest.mark.parametrize("vg_n", [-0.2, 1.5, math.nan])
+    def test_rejects_a_bias_off_the_rails(self, params, vg_n):
+        bias = BiasPoint(vg_n, default_bias(params).vg_p)
+        with pytest.raises(InvalidParameterError, match=(
+                rf"^switch gate bias \(vg_n {vg_n}, vg_p 0.7\) lies outside "
+                rf"the rails \[0, vdd = 1.0\] V$")):
+            sweep_vt_window((0.3, 0.35), (0.3, 0.35), 0.05, bias, 300.0,
+                            params)
+
     def test_a_rounded_point_past_the_range_is_dropped(self, params):
         # (0.58 - 0.30) / 0.05 rounds to 6 steps, whose last point, 0.60,
         # lies past the range
@@ -312,6 +321,21 @@ class TestOptimizeBias:
         a = optimize_bias(params)
         b = optimize_bias(params)
         assert a == b
+
+    def test_searches_only_biases_on_the_rails(self):
+        # a 0.2 V window around (0.25, 0.15) reaches past both rails of a
+        # 0.4 V supply; the optimum of the whole box lies past them
+        params = DeviceParams(vdd=0.4, vtn0=0.25, vtp0_mag=0.25,
+                              delta_hvt=0.1, delta_lvt=0.05)
+        best = optimize_bias(params, search_window=0.2)
+        assert 0.0 <= best.bias.vg_n <= 0.4 and 0.0 <= best.bias.vg_p <= 0.4
+
+    def test_rejects_a_default_bias_off_the_rails(self):
+        params = DeviceParams(vdd=0.4, vtn0=0.5, vtp0_mag=0.5)
+        with pytest.raises(InvalidParameterError, match=(
+                r"^switch gate bias \(vg_n 0.5, vg_p -0.09999999999999998\) "
+                r"lies outside the rails \[0, vdd = 0.4\] V$")):
+            optimize_bias(params)
 
     def test_window_guard(self, params):
         with pytest.raises(InvalidParameterError):

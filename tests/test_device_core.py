@@ -206,7 +206,19 @@ def ref_ratio(dh, dl, bias, t, p):
     return float("inf") if i_off == 0.0 else i_on / i_off
 
 
+def ref_on_rails(bias, p):
+    return 0.0 <= bias.vg_n <= p.vdd and 0.0 <= bias.vg_p <= p.vdd
+
+
+def ref_check_rails(bias, p):
+    if not ref_on_rails(bias, p):
+        raise InvalidParameterError(
+            f"switch gate bias (vg_n {bias.vg_n}, vg_p {bias.vg_p}) lies "
+            f"outside the rails [0, vdd = {p.vdd}] V")
+
+
 def ref_sweep(hvt, lvt, step, bias, t, p):
+    ref_check_rails(bias, p)
     rows = []
     for dh in _grid(*hvt, step):
         for dl in _grid(*lvt, step):
@@ -217,8 +229,10 @@ def ref_sweep(hvt, lvt, step, bias, t, p):
 
 
 def ref_optimize_bias(p, window, step, t):
-    """The search's BiasOptimum and how many points it skipped on collapse."""
+    """The search's BiasOptimum and how many points it skipped on collapse;
+    it searches the biases on the rails only."""
     base = default_bias(p)
+    ref_check_rails(base, p)
     k = int(math.floor(window / step + 1e-12))
     offsets = [i * step for i in range(-k, k + 1)]
     d_default = ref_worst_delay(base, t, p, p.vdd)
@@ -228,6 +242,8 @@ def ref_optimize_bias(p, window, step, t):
         if not (0 < new_dh < p.vdd and 0 < new_dl < p.vdd):
             continue
         bias = BiasPoint(base.vg_n + dvn, base.vg_p + dvp)
+        if not ref_on_rails(bias, p):
+            continue
         q = replace(p, delta_hvt=new_dh, delta_lvt=new_dl)
         try:
             d = ref_worst_delay(bias, t, q, q.vdd)
@@ -320,6 +336,9 @@ params_st = st.builds(
     kvt=st.floats(0.0, 3e-3),
 )
 bias_st = st.builds(BiasPoint, st.floats(-1.0, 1.4), st.floats(-1.0, 1.4))
+#: biases on the rails of every drawn vdd (>= 0.6), and biases anywhere
+rails_or_any_bias_st = st.one_of(
+    st.builds(BiasPoint, st.floats(0.0, 0.6), st.floats(0.0, 0.6)), bias_st)
 temp_st = st.floats(200.0, 400.0)
 func_st = st.sampled_from(sorted(CellFlavor.CAMO8.function_set,
                                  key=lambda f: f.value))
@@ -335,6 +354,11 @@ FLAT = (DeviceParams(delta_hvt=0.0, delta_lvt=0.0),
 # only point fails the offset filter (delta_hvt >= vdd)
 NARROW = DeviceParams(delta_hvt=0.1, delta_lvt=0.1)
 EMPTY = DeviceParams(delta_hvt=1.0)
+# a 0.4 V supply: a 0.2 V window reaches past both rails; a default bias
+# past them (vg_n = 0.5 > vdd)
+LOW_RAIL = DeviceParams(vdd=0.4, vtn0=0.25, vtp0_mag=0.25, delta_hvt=0.1,
+                        delta_lvt=0.05)
+OFF_RAIL = DeviceParams(vdd=0.4, vtn0=0.5, vtp0_mag=0.5)
 # the first collapsing row is AND at (1, 1), whose core leakage is below
 # OR's, the row kept for (route count, HVT count, output) = (2, 8, 1)
 COLLAPSE_AND = (NARROW, BiasPoint(0.0, 1.1), 300.0)
@@ -399,8 +423,10 @@ ONE_CELL = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = CAMO8(a, b)\n")
 
 
 def measured(func, temps, p, policy):
-    """The signature of ``ONE_CELL`` programmed as ``func``."""
-    return measure_signature(ONE_CELL, CamoKey({"y": KeyEntry(func)}),
+    """The signature of ``ONE_CELL`` programmed as ``func``; a function
+    that passes one input through takes the first, ``a``, as its decoy."""
+    entry = KeyEntry(func, "a" if func in UNDERLYING else None)
+    return measure_signature(ONE_CELL, CamoKey({"y": entry}),
                              temperatures=temps, params=p,
                              bias_policy=policy)["y"]
 
@@ -603,13 +629,15 @@ def test_switch_ratio_matches_reference(p, bias, t, dh, dl):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(params_st, bias_st, temp_st, st.sampled_from((0.05, 0.1)),
+@given(params_st, rails_or_any_bias_st, temp_st, st.sampled_from((0.05, 0.1)),
        st.sampled_from((0.0, 0.1, 0.25, 0.35)), st.integers(0, 3),
        st.sampled_from((0.0, 0.1, 0.25, 0.35)), st.integers(0, 3))
 @example(*NOMINAL, 0.05, 0.3, 3, 0.3, 3)
 @example(*NOMINAL, 0.1, 0.0, 1, 0.0, 1)   # collapses at the (0, 0) corner
 @example(*NOMINAL, 0.1, -0.1, 2, 0.3, 1)  # a negative offset is rejected
 @example(*NOMINAL, 0.1, 0.3, 1, -0.2, 3)
+@example(NOMINAL[0], BiasPoint(-0.2, 0.7), 300.0, 0.05, 0.3, 1, 0.3, 1)
+@example(NOMINAL[0], BiasPoint(1.5, 0.7), 300.0, 0.05, 0.3, 1, 0.3, 1)
 def test_sweep_vt_window_matches_reference(p, bias, t, step, h_lo, h_n,
                                            l_lo, l_n):
     hvt, lvt = (h_lo, h_lo + h_n * step), (l_lo, l_lo + l_n * step)
@@ -622,9 +650,30 @@ def test_sweep_vt_window_matches_reference(p, bias, t, step, h_lo, h_n,
 @example(NARROW, (0.05, 0.05), 300.0)
 @example(FLAT[0], (0.05, 0.05), 300.0)   # the default point collapses
 @example(EMPTY, (0.0, 0.05), 300.0)
+@example(LOW_RAIL, (0.2, 0.1), 300.0)   # searches the biases on the rails
+@example(OFF_RAIL, (0.0, 0.05), 300.0)  # refuses its default bias
 def test_optimize_bias_matches_reference(p, grid, t):
     want = outcome(lambda: ref_optimize_bias(p, *grid, t)[0])
     assert outcome(optimize_bias, p, *grid, t) == want
+
+
+@SETTINGS
+@given(st.builds(DeviceParams, vdd=st.floats(0.2, 1.4),
+                 vtn0=st.floats(0.0, 0.6), vtp0_mag=st.floats(0.0, 0.6),
+                 delta_hvt=st.floats(0.0, 0.5), delta_lvt=st.floats(0.0, 0.5),
+                 kvt=st.floats(0.0, 3e-3)), temp_st)
+@example(LOW_RAIL, 300.0)
+@example(OFF_RAIL, 300.0)
+@example(DeviceParams(kvt=3e-3), 400.0)  # the compensated rails clamp
+def test_returned_biases_lie_on_the_rails(p, t):
+    best = outcome(optimize_bias, p, 0.2, 0.1, t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BiasClampWarning)
+        biases = [thermal_compensated_bias(t, p)]
+    if isinstance(best, BiasOptimum):
+        biases.append(best.bias)
+    for bias in biases:
+        assert 0.0 <= bias.vg_n <= p.vdd and 0.0 <= bias.vg_p <= p.vdd
 
 
 def test_examples_reach_clamp_and_collapse():

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from vtcamo.camouflage import apply_camouflage
-from vtcamo.cell import CellFlavor, GateFunction, config_for
+from vtcamo.cell import CellFlavor, GateFunction
 from vtcamo.device import DeviceParams, default_bias
 from vtcamo.errors import (
     BiasClampWarning,
@@ -17,10 +17,9 @@ from vtcamo.errors import (
     KeyScopeError,
     TemplateSetError,
     UnresolvedGateError,
-    UnsupportedFunctionError,
 )
 from vtcamo.netlist import (CamoKey, KeyEntry, check_equivalence, parse_bench,
-                            serialize_bench)
+                            serialize_bench, validate_key)
 from vtcamo.sidechannel import (
     DEFAULT_TEMPERATURES,
     MAX_TEMPERATURE_K,
@@ -260,6 +259,12 @@ class TestThermalCompensation:
         with pytest.raises(InvalidParameterError):
             _signature(GateFunction.NAND, bias_policy="adaptive")
 
+    @pytest.mark.parametrize("t", [math.nan, 0.0, -5.0])
+    def test_non_positive_temperature_rejected(self, params, t):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^temperature must be positive, got {t}$"):
+            thermal_compensated_bias(t, params)
+
 
 class TestAggregate:
     def test_aggregate_sums_leakage_and_averages_delay(self, c17):
@@ -295,17 +300,18 @@ class TestAggregate:
     def test_missing_key_entry_rejected(self, c17):
         locked, key = apply_camouflage(c17, ["10", "16"], CellFlavor.CAMO8)
         partial = CamoKey({"10": key.entries["10"]})
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(UnresolvedGateError, match=(
+                r"^no key entry for camouflaged gates \['16'\]$")):
             measure_signature(locked, partial)
 
     def test_out_of_flavor_key_entry_rejected(self, c17):
         """A function the gate's flavor cannot take is refused as
-        ``config_for`` refuses it."""
+        ``validate_key`` refuses it."""
         locked, _ = apply_camouflage(c17, ["10"], CellFlavor.CMOS3A)
         wrong = CamoKey({"10": KeyEntry(GateFunction.AND)})
-        with pytest.raises(UnsupportedFunctionError) as want:
-            config_for(GateFunction.AND, CellFlavor.CMOS3A)
-        with pytest.raises(UnsupportedFunctionError) as got:
+        with pytest.raises(KeyScopeError) as want:
+            validate_key(locked, wrong)
+        with pytest.raises(KeyScopeError) as got:
             measure_signature(locked, wrong)
         assert str(got.value) == str(want.value)
 
