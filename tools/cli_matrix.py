@@ -41,7 +41,7 @@ digest covers its exit code, stdout, stderr and every file it wrote.
 The tool writes ``tests/golden/cli_matrix.json`` with one run per line,
 so git compares it with the pinned one and shows each moved digest on
 the line of its argv. Exit status: 1 when a README ``python`` line
-prints something else than README says, 0 otherwise.
+prints other than what README says, 0 otherwise.
 """
 
 from __future__ import annotations
