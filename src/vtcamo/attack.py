@@ -160,7 +160,7 @@ class _AttackRun:
         """
         sets = self.sets
         tables = OutputTables(self.net, {g: sorted(sets[g]) for g in gate_ids},
-                              self.assignment()).replay(self.transcript.items())
+                              self.assignment()).replay(self.transcript)
         settled = (len(self.transcript) == 1 << len(self.net.inputs)
                    or tables.agree(EQUIV_CHECK_LIMIT))
         if walk and not settled:

@@ -45,7 +45,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, compress, islice, product, repeat
+from itertools import accumulate, compress, islice, product
 from operator import eq, itemgetter, mul, or_
 from typing import NamedTuple
 
@@ -420,8 +420,9 @@ def validate_key(net: Netlist, key: CamoKey) -> None:
 _BLOCK_LOG2 = 12
 
 #: Most bits a whole-space table keeps (about 32 MB): OutputTables counts
-#: 256 bits of overhead per output word; CountingOracle's reply dict, a
-#: 64-bit word per input and output bit and 20 of overhead per vector.
+#: 256 bits of overhead per output word; CountingOracle, per vector, a
+#: 64-bit word per input bit (its vector in the shared _vector_index) and
+#: per output bit (its reply) and 20 of overhead (index entry, list slot).
 _TABLE_BITS = 1 << 28
 
 #: Op codes of the index program. PORT0/PORT1 copy one fanin; CONST and
@@ -550,6 +551,13 @@ def _word(bits) -> int:
 
 
 @lru_cache(maxsize=None)
+def _vector_index(width: int) -> dict[tuple[int, ...], int]:
+    """Each vector of a width, in counting order, to its index; shared by
+    every caller, never mutated."""
+    return {vec: i for i, vec in enumerate(product((0, 1), repeat=width))}
+
+
+@lru_cache(maxsize=None)
 def _periodic(bits: int) -> tuple[int, tuple[int, ...]]:
     """Mask of a ``2**bits``-vector block and its counting-order columns.
 
@@ -651,9 +659,10 @@ class CountingOracle:
     keyed by checked vectors, so only a miss checks the vector's width
     and 0/1 bits; a refused vector counts too, so a reported query count
     can be audited against ``query_count``. On a space of at most
-    ``_BLOCK_LOG2`` inputs, the second run fills the dict with the whole
-    space, kept while it fits in _TABLE_BITS. Otherwise a call runs its
-    one vector.
+    ``_BLOCK_LOG2`` inputs, the second run fills a list of the whole
+    space's replies, kept while it fits in _TABLE_BITS, and the dict
+    becomes the shared ``_vector_index``: a hit is ``replies[index[vec]]``.
+    Otherwise a call runs its one vector.
     """
 
     def __init__(self, net: Netlist, key: CamoKey | None = None):
@@ -661,13 +670,13 @@ class CountingOracle:
         self._width = width = len(net.inputs)
         self._fits = (width <= _BLOCK_LOG2 and 64 * (
             width + len(self._prog.outputs) + 20) << width <= _TABLE_BITS)
-        self._replies, self._runs, self.query_count = {}, 0, 0
+        self._index, self._replies, self._runs, self.query_count = {}, [], 0, 0
 
     def __call__(self, input_vector) -> tuple[int, ...]:
         self.query_count += 1
         vec, width = tuple(input_vector), self._width
         try:  # a key is a checked vector; True/False, 0.0/1.0 bits key as 0/1
-            return self._replies[vec]
+            return self._replies[self._index[vec]]
         except (KeyError, TypeError):  # a miss, or an unhashable bit
             pass
         if len(vec) != width:
@@ -681,9 +690,9 @@ class CountingOracle:
             size, digits = 1 << width, bytes.maketrans(b"01", b"\0\1")
             columns = [format(w, f"0{size}b")[::-1].encode().translate(digits)
                        for w in _outputs(prog, ops, *_block_words(width, 0))]
-            self._replies.update(zip(all_vectors(width), zip(*columns)
-                                     if columns else repeat(())))
-            return self._replies[vec]
+            self._replies = list(zip(*columns)) if columns else [()] * size
+            self._index = _vector_index(width)
+            return self._replies[self._index[vec]]
         return tuple(_outputs(prog, ops, list(map(int, vec)), 1))
 
 
@@ -765,16 +774,19 @@ class OutputTables:
             descend(0, 0, len(rows), 0, _run(self._head, words, mask))
         return rows  # every row is filled unless ``expected`` pruned it
 
-    def replay(self, observations) -> OutputTables:
-        """Keep the items, in order, that reproduce every ``(vector,
-        outputs)`` pair, packed in blocks that each filter by one ``run``
-        (a whole space in counting order packs only outputs). Returns self."""
-        vectors, replies = [*zip(*observations)] or ((), ())
-        if len(vectors) == 1 << self._width and all(
-                map(eq, vectors, all_vectors(self._width))):
+    def replay(self, transcript) -> OutputTables:
+        """Keep the items, in order, that reproduce every reply of the
+        vector -> outputs ``transcript``, packed in blocks that each filter
+        by one ``run`` (a whole space in counting order packs only outputs).
+        Returns self."""
+        width = self._width
+        vectors, replies = list(transcript), list(transcript.values())
+        if len(vectors) == 1 << width and (
+                vectors == list(_vector_index(width)) if width <= _BLOCK_LOG2
+                else all(map(eq, vectors, all_vectors(width)))):
             vectors = None  # _blocks gives all_vectors' words unpacked
         for (_, words, mask), (_, expected, _) in zip(
-                _blocks(self._width, vectors),
+                _blocks(width, vectors),
                 _blocks(len(self._outputs), replies)):
             self.keep(self.run(words, mask, expected))
         return self
@@ -844,8 +856,11 @@ class OutputTables:
 
 def all_vectors(width: int):
     """All input vectors of a width, in binary counting order (a width
-    over the exhaustive limit is refused at the call, not the first draw)."""
+    over the exhaustive limit is refused at the call, not the first draw);
+    up to _BLOCK_LOG2 inputs, the shared ``_vector_index``'s own keys."""
     _check_exhaustive(width)
+    if width <= _BLOCK_LOG2:
+        return iter(_vector_index(width))
     return product((0, 1), repeat=width)
 
 

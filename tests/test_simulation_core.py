@@ -24,12 +24,16 @@ compiled program; on a hand-built net, a group's run holds only the
 logic its slot reaches, and a wrong output prunes a group before its
 deeper slots run. The oracle refuses the same vectors before and after
 its reply table fills, and a table hit is answered with no width or bit
-check.
+check. Up to ``_BLOCK_LOG2`` inputs ``all_vectors`` hands out the tuples
+of one shared table, which attacks leave as built; on either side of
+that bound the oracle's table and the replay's three whole-space paths
+agree with one-vector runs and the per-candidate filter.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import is_
 from unittest import mock
 
 import pytest
@@ -37,8 +41,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import vtcamo
+from conftest import random_netlist
 from vtcamo import attack, netlist
-from vtcamo.attack import MAX_BRUTE_GATES, find_sensitizing_vector
+from vtcamo.attack import (MAX_BRUTE_GATES, brute_force_attack,
+                           find_sensitizing_vector, sensitization_attack)
 from vtcamo.camouflage import apply_camouflage, eligible_gates
 from vtcamo.cell import CellFlavor, GateFunction, behavior_table
 from vtcamo.errors import InputWidthError, UnresolvedFaninError
@@ -191,7 +197,7 @@ def test_filter_matches_the_scalar_reference(case, block_log2, rnd):
                    for vec, out in observed)]
     with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
         got = sorted(OutputTables(locked, choices).replay(
-            observed).survivors(gate_ids))
+            dict(observed)).survivors(gate_ids))
     assert got == sorted(want)
     assert candidates[0] in got  # the truth
 
@@ -469,7 +475,7 @@ def replay_cases(draw):
 
 def replay_survivors(tables, gate_ids, observed) -> list:
     """Sorted survivors of a replay: the table orders items by slot."""
-    return sorted(tables.replay(observed).survivors(gate_ids))
+    return sorted(tables.replay(dict(observed)).survivors(gate_ids))
 
 
 @_SETTINGS
@@ -619,7 +625,7 @@ def test_whole_space_replay_packs_no_input_column(c17):
     for reverse, columns in ((False, 2), (True, 5 + 2)):
         tables, gate_ids, source, observed = _c17_tables(c17)
         with mock.patch.object(netlist, "_word", wraps=netlist._word) as word:
-            tables.replay(observed[::-1] if reverse else observed)
+            tables.replay(dict(observed[::-1] if reverse else observed))
         assert word.call_count == columns
         assert source in tables.survivors(gate_ids)
 
@@ -635,7 +641,7 @@ def test_replay_refuses_a_reply_bit_of_2(c17, shuffled):
     # first, as packing it always has
     column = tuple(out[1] for _, out in observed)[::-1]
     with pytest.raises(InputWidthError) as err:
-        tables.replay(observed)
+        tables.replay(dict(observed))
     assert str(err.value) == f"bits must be 0/1: {column!r}"
 
 
@@ -728,3 +734,64 @@ def test_oracle_edge_cases_match_simulate(width, outputs):
     net = _chain(width, outputs) if width else Netlist((), (), ())
     vectors = list(all_vectors(width))
     _check_oracle(net, vectors[::-1] + vectors[:3])
+
+
+def _ten_inputs():
+    """A 10-input net with three CAMO8 cells, and its key."""
+    net = random_netlist(10, 40, seed=7)
+    return apply_camouflage(net, eligible_gates(net, CellFlavor.CAMO8)[:3],
+                            CellFlavor.CAMO8)
+
+
+def _counting(width: int) -> list:
+    return list(product((0, 1), repeat=width))
+
+
+@pytest.mark.parametrize("block_log2", [1, 2, 12])
+def test_vectors_up_to_a_block_are_one_shared_table(c17, block_log2):
+    nets = [apply_camouflage(c17, ["10", "22"], CellFlavor.CAMO8),
+            _ten_inputs()]
+    with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
+        for width in range(14):
+            assert list(all_vectors(width)) == _counting(width)
+            if width <= block_log2:  # the same tuple objects on every call
+                assert all(map(is_, all_vectors(width), all_vectors(width)))
+        for locked, key in nets:
+            truth = {gid: e.function for gid, e in key.entries.items()}
+            for report in (brute_force_attack(locked,
+                                              CountingOracle(locked, key)),
+                           sensitization_attack(locked,
+                                                CountingOracle(locked, key))):
+                assert all(truth[gid] in fs
+                           for gid, fs in report.resolved.items())
+    # the attacks read the shared tables and left them as built
+    for width in range(13):
+        assert list(netlist._vector_index(width).items()) == [
+            (vec, i) for i, vec in enumerate(_counting(width))]
+
+
+@pytest.mark.parametrize("block_log2", [9, 10, 12])
+def test_oracle_and_replay_at_the_block_boundary(block_log2):
+    locked, key = _ten_inputs()
+    vectors = _counting(10)
+    want = [simulate(locked, vec, key) for vec in vectors]  # one run each
+    gate_ids = sorted(key.entries)
+    choices = {g: sorted(CellFlavor.CAMO8.function_set) for g in gate_ids}
+    candidates = list(product(*choices.values()))
+    observed = list(zip(vectors, want))
+    spaces = {"counting": (observed, 0), "reversed": (observed[::-1], 10),
+              "one missing": (observed[:517] + observed[518:], 10)}
+    with mock.patch.object(netlist, "_BLOCK_LOG2", block_log2):
+        oracle = CountingOracle(locked, key)
+        assert [oracle(vec) for vec in vectors] == want
+        assert len(oracle._replies) == (1024 if block_log2 >= 10 else 0)
+        for name, (space, columns) in spaces.items():
+            tables = OutputTables(locked, choices)
+            with mock.patch.object(netlist, "_word",
+                                   wraps=netlist._word) as word:
+                got = sorted(tables.replay(dict(space)).survivors(gate_ids))
+            assert got == sorted(reference_filter(locked, gate_ids,
+                                                  candidates, space, {}))
+            # packed input columns tell the whole-space path from the others
+            blocks = -(-len(space) >> block_log2)
+            assert word.call_count == blocks * (columns + len(want[0])), name
