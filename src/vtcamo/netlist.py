@@ -421,8 +421,9 @@ _BLOCK_LOG2 = 12
 
 #: Most bits a whole-space table keeps (about 32 MB): OutputTables counts
 #: 256 bits of overhead per output word; CountingOracle, per vector, a
-#: 64-bit word per input bit (its vector in the shared _vector_index) and
-#: per output bit (its reply) and 20 of overhead (index entry, list slot).
+#: 64-bit word per input and output bit and 20 of overhead: the rule of its
+#: old reply dict, kept so the fill threshold does not move, though an
+#: oracle now holds only a reply list beside the shared _vector_index.
 _TABLE_BITS = 1 << 28
 
 #: Op codes of the index program. PORT0/PORT1 copy one fanin; CONST and
@@ -781,9 +782,8 @@ class OutputTables:
         Returns self."""
         width = self._width
         vectors, replies = list(transcript), list(transcript.values())
-        if len(vectors) == 1 << width and (
-                vectors == list(_vector_index(width)) if width <= _BLOCK_LOG2
-                else all(map(eq, vectors, all_vectors(width)))):
+        if len(vectors) == 1 << width and all(
+                map(eq, vectors, all_vectors(width))):
             vectors = None  # _blocks gives all_vectors' words unpacked
         for (_, words, mask), (_, expected, _) in zip(
                 _blocks(width, vectors),
